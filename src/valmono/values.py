@@ -8,11 +8,15 @@ through square roots of the primes).  These reals are linearly independent
 over Q, so a :class:`Value` is determined by its rational coordinate
 vector and the group is archimedean of rational rank ``r``.
 
-Sign decisions for ``sqrt-primes`` are made by exact interval refinement:
-square roots are bracketed with integer ``isqrt`` at ``k`` fractional bits
-and ``k`` doubles until the interval excludes zero.  The zero case is
-decided first from the coordinates alone (Q-linear independence), so the
-refinement always terminates.
+Sign decisions are made in integers.  The coordinates (of a value, or of
+the difference of two) are brought to one denominator, their lcm, so the
+sign is that of ``sum(n_i * sqrt(p_i))`` with integer ``n_i``.  All
+``n_i == 0`` is zero (Q-linear independence).  When every nonzero ``n_i``
+has the same sign, that is the answer; this covers rank 1 and every
+rational value.  Otherwise each ``sqrt(p_i)`` is bracketed by its integer
+``isqrt`` floor at ``k`` fractional bits (cached per radicand and ``k``),
+starting at 64 bits and doubling until the bracket of the sum excludes
+zero, which happens because the sum is a nonzero algebraic number.
 
 The ``lex`` mode orders coordinate vectors lexicographically and exists
 for composite (rank >= 2) value groups; it is not exercised by the
@@ -33,6 +37,7 @@ from .errors import (
     GroupMismatchError,
     InvalidInputError,
     NotInDivisibleHullError,
+    SchemaError,
 )
 
 SQRT_PRIMES = "sqrt-primes"
@@ -47,19 +52,65 @@ class Ordering(Enum):
     Greater = 1
 
 
-def _first_primes(k: int) -> list[int]:
-    primes: list[int] = []
-    n = 2
-    while len(primes) < k:
-        if all(n % p for p in primes):
-            primes.append(n)
+_BY_SIGN = (Ordering.Equal, Ordering.Greater, Ordering.Less)  # indexed by sign
+
+# Radicands of the sqrt-primes generators: 1 (the rational unit), then the
+# primes in order; grown on demand to the largest rank seen.
+_RADICANDS = [1]
+# isqrt(radicand << 2 * bits), the floor of sqrt(radicand) at `bits`
+# fractional bits; at most rank x doublings entries.
+_SQRT_FLOORS: dict[tuple[int, int], int] = {}
+
+
+def _radicands(rank: int) -> list[int]:
+    rads = _RADICANDS
+    n = rads[-1] + 1
+    while len(rads) < rank:
+        if all(n % p for p in rads[1:]):
+            rads.append(n)
         n += 1
-    return primes
+    return rads
 
 
-def _generator_radicands(rank: int) -> list[int]:
-    # generator 1 is the rational unit 1; the rest are sqrt of primes
-    return [1] + _first_primes(rank - 1)
+def _sqrt_floor(radicand: int, bits: int) -> int:
+    key = (radicand, bits)
+    s = _SQRT_FLOORS.get(key)
+    if s is None:
+        s = _SQRT_FLOORS[key] = isqrt(radicand << (2 * bits))
+    return s
+
+
+def _sign(n: Sequence[int], ordering: str) -> int:
+    """Sign of the value whose coordinates are a positive multiple of the
+    integers ``n``."""
+    if ordering == LEX:
+        for c in n:
+            if c:
+                return 1 if c > 0 else -1
+        return 0
+    n0 = n[0]
+    # sqrt(p_i) lies in (s_i, s_i + 1) / 2**bits for i >= 1, so the sum lies
+    # in [mid + low_pad, mid + high_pad] with mid = sum(n_i * s_i) / 2**bits
+    high_pad = sum(c for c in n[1:] if c > 0)
+    low_pad = sum(c for c in n[1:] if c < 0)
+    if n0 >= 0 and not low_pad:
+        return 1 if n0 or high_pad else 0
+    if n0 <= 0 and not high_pad:
+        return -1
+    rads = _radicands(len(n))
+    bits = _INITIAL_BITS
+    while True:
+        mid = n0 << bits
+        for c, rad in zip(n[1:], rads[1:]):
+            if c:
+                mid += c * _sqrt_floor(rad, bits)
+        if mid + low_pad > 0:
+            return 1
+        if mid + high_pad < 0:
+            return -1
+        # zero is inside the bracket: refine (terminates, the sum is a
+        # nonzero algebraic number)
+        bits *= 2
 
 
 def fraction_to_str(q: Fraction) -> str:
@@ -67,7 +118,13 @@ def fraction_to_str(q: Fraction) -> str:
 
 
 def fraction_from_str(s: str) -> Fraction:
-    return Fraction(s)
+    """Parse a ``"p/q"`` or ``"p"`` literal; anything else is a SchemaError."""
+    if not isinstance(s, str):
+        raise SchemaError(f"rational must be a 'p/q' string, got {s!r}")
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        raise SchemaError(f"bad rational {s!r}") from None
 
 
 @dataclass(frozen=True)
@@ -124,7 +181,7 @@ class Value:
             raise InvalidInputError("coordinate count must equal the group rank")
 
     def _check(self, other: "Value") -> None:
-        if self.group != other.group:
+        if self.group is not other.group and self.group != other.group:
             raise GroupMismatchError("group mismatch")
 
     def __add__(self, other: "Value") -> "Value":
@@ -148,7 +205,9 @@ class Value:
         return all(c == 0 for c in self.coords)
 
     def sign(self) -> int:
-        return compare(self, self.group.zero()).value
+        coords = self.coords
+        den = lcm(*[c.denominator for c in coords])
+        return _sign([c.numerator * (den // c.denominator) for c in coords], self.group.ordering)
 
     def is_positive(self) -> bool:
         return self.sign() > 0
@@ -176,55 +235,16 @@ class Value:
         return f"Value({', '.join(fraction_to_str(c) for c in self.coords)})"
 
 
-def _sqrt_interval(radicand: int, bits: int) -> tuple[Fraction, Fraction]:
-    """[lo, hi] bracketing sqrt(radicand) with hi - lo = 2**-bits."""
-    scaled = radicand << (2 * bits)
-    lo = isqrt(scaled)
-    den = 1 << bits
-    if lo * lo == scaled:
-        f = Fraction(lo, den)
-        return f, f
-    return Fraction(lo, den), Fraction(lo + 1, den)
-
-
-def _sqrt_prime_sign(diff: Sequence[Fraction]) -> int:
-    """Sign of sum(diff[i] * sqrt(radicand_i)); diff must not be all zero."""
-    radicands = _generator_radicands(len(diff))
-    bits = _INITIAL_BITS
-    while True:
-        lo = hi = Fraction(0)
-        for c, rad in zip(diff, radicands):
-            if c == 0:
-                continue
-            slo, shi = _sqrt_interval(rad, bits)
-            if c > 0:
-                lo += c * slo
-                hi += c * shi
-            else:
-                lo += c * shi
-                hi += c * slo
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        # zero is inside the bracket: refine (terminates, the sum
-        # is a nonzero algebraic number)
-        bits *= 2
-
-
 def compare(a: Value, b: Value) -> Ordering:
     """Total order on the group; exact."""
-    if a.group != b.group:
-        raise GroupMismatchError("group mismatch")
-    diff = tuple(x - y for x, y in zip(a.coords, b.coords))
-    if all(d == 0 for d in diff):
-        return Ordering.Equal
-    if a.group.ordering == LEX:
-        for d in diff:
-            if d != 0:
-                return Ordering.Greater if d > 0 else Ordering.Less
-        return Ordering.Equal
-    return Ordering(_sqrt_prime_sign(diff))
+    a._check(b)
+    xs, ys = a.coords, b.coords
+    den = lcm(*[x.denominator for x in xs], *[y.denominator for y in ys])
+    n = [
+        x.numerator * (den // x.denominator) - y.numerator * (den // y.denominator)
+        for x, y in zip(xs, ys)
+    ]
+    return _BY_SIGN[_sign(n, a.group.ordering)]
 
 
 def value_of_exponent(alpha: Sequence[int], weights: Sequence[Value]) -> Value:

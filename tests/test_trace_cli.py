@@ -312,3 +312,38 @@ def test_tower_chain_through_trace_layer():
     assert w["final_frame"]["tower"]["extensions"][0]["sym"] == "t1"
     assert w["entries"][-1]["x_multiplicity"] == 1
     assert w["level_data"][0]["minpoly"] == ["-2", "0", "1"]
+
+
+BAD_RATIONALS = [0.1, True, "abc", "3/0"]
+
+
+def _with_bad_coordinate(literal):
+    problem = pair_problem()
+    problem["spec"]["weights"][1]["coords"][0] = literal
+    return problem
+
+
+def _with_bad_beta_n(literal):
+    problem = cusp_uniformize_problem()
+    problem["problem"]["beta_n"]["coords"][0] = literal
+    return problem
+
+
+@pytest.mark.parametrize("literal", BAD_RATIONALS)
+def test_bad_rational_is_schema_error(literal):
+    for problem in (_with_bad_coordinate(literal), _with_bad_beta_n(literal)):
+        with pytest.raises(SchemaError) as err:
+            run_problem(problem)
+        assert repr(literal) in str(err.value)
+
+
+@pytest.mark.parametrize("literal", BAD_RATIONALS)
+def test_cli_bad_rational_exits_2(tmp_path, literal):
+    pf = tmp_path / "p.json"
+    tf = tmp_path / "t.json"
+    pf.write_text(json.dumps(_with_bad_coordinate(literal)))
+    r = _cli("run", str(pf), "--out", str(tf))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert repr(literal) in r.stderr
+    assert not tf.exists()

@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from conftest import numeric_value
+from valmono import values
 from valmono.errors import (
     DegenerateBasisError,
     GroupMismatchError,
@@ -153,3 +155,187 @@ def test_json_round_trip():
     assert v.to_json() == {"coords": ["1/2", "-3"]}
     assert Value.from_json(v.to_json(), g) == v
     assert ValueGroup.from_json(g.to_json()) == g
+
+
+# ---------------------------------------------------------------------------
+# the integer sign kernel against an independent oracle
+
+
+def _oracle_radicands(rank):
+    primes, n = [], 2
+    while len(primes) < rank - 1:
+        if all(n % p for p in primes):
+            primes.append(n)
+        n += 1
+    return [1] + primes
+
+
+def _oracle_sqrt_interval(radicand, bits):
+    scaled = radicand << (2 * bits)
+    lo = isqrt(scaled)
+    den = 1 << bits
+    if lo * lo == scaled:
+        return Fraction(lo, den), Fraction(lo, den)
+    return Fraction(lo, den), Fraction(lo + 1, den)
+
+
+def oracle_compare(a, b):
+    """Sign of a - b by Fraction interval refinement over the raw
+    coordinates: 64 bits, doubled until the bracket excludes zero."""
+    diff = [x - y for x, y in zip(a.coords, b.coords)]
+    if all(d == 0 for d in diff):
+        return Ordering.Equal
+    bits = 64
+    while True:
+        lo = hi = Fraction(0)
+        for c, rad in zip(diff, _oracle_radicands(len(diff))):
+            slo, shi = _oracle_sqrt_interval(rad, bits)
+            lo += c * (slo if c > 0 else shi)
+            hi += c * (shi if c > 0 else slo)
+        if lo > 0:
+            return Ordering.Greater
+        if hi < 0:
+            return Ordering.Less
+        bits *= 2
+
+
+def _pell(d, norm, min_x):
+    """A solution of x**2 - d*y**2 == norm with x >= min_x, by multiplying a
+    fundamental solution by powers of the fundamental unit."""
+    unit = {2: (3, 2), 3: (2, 1)}[d]
+    base = {(2, 1): (3, 2), (2, -1): (1, 1), (3, 1): (2, 1), (3, -2): (1, 1)}[(d, norm)]
+    x, y = base
+    while x < min_x:
+        x, y = x * unit[0] + d * y * unit[1], x * unit[1] + y * unit[0]
+    assert x * x - d * y * y == norm
+    return x, y
+
+
+@pytest.fixture
+def refinement_bits(monkeypatch):
+    """Record the bit counts at which the kernel asks for sqrt floors."""
+    seen = []
+    floor = values._sqrt_floor
+
+    def spy(radicand, bits):
+        seen.append(bits)
+        return floor(radicand, bits)
+
+    monkeypatch.setattr(values, "_sqrt_floor", spy)
+    return seen
+
+
+@pytest.mark.parametrize("norm", [1, -1])
+def test_pell_near_tie_needs_refinement(norm, refinement_bits):
+    x, y = _pell(2, norm, 2**70)
+    g = ValueGroup(2)
+    rational, irrational = g.value([x, 0]), g.value([0, y])
+    # x - y*sqrt(2) = norm / (x + y*sqrt(2)): below 2**-70 in size, sign of norm
+    expect = Ordering.Greater if norm > 0 else Ordering.Less
+    assert compare(rational, irrational) is expect
+    assert max(refinement_bits) > 64
+    assert compare(irrational, rational) is Ordering(-expect.value)
+    assert (rational - irrational).sign() == expect.value
+    assert (irrational - rational).sign() == -expect.value
+    # the same near-tie with scaled, non-integer coordinates
+    a = g.value([Fraction(x, 7), 0])
+    b = g.value([0, Fraction(y, 7)])
+    assert compare(a, b) is expect is oracle_compare(a, b)
+
+
+@pytest.mark.parametrize("norms, expect", [((1, 1), Ordering.Greater), ((-1, -2), Ordering.Less)])
+def test_three_term_near_tie_rank_three(norms, expect, refinement_bits):
+    x2, y2 = _pell(2, norms[0], 2**70)
+    x3, y3 = _pell(3, norms[1], 2**72)
+    g = ValueGroup(3)
+    # (x2 - y2*sqrt 2) + (x3 - y3*sqrt 3): two residuals of the same sign
+    a = g.value([x2 + x3, 0, 0])
+    b = g.value([0, y2, y3])
+    assert compare(a, b) is expect
+    assert max(refinement_bits) > 64
+    assert compare(b, a) is Ordering(-expect.value)
+    assert oracle_compare(a, b) is expect
+
+
+def _random_pair(rng, rank):
+    g = ValueGroup(rank)
+
+    def coord():
+        return Fraction(rng.randint(-(10**6), 10**6), rng.choice((1, 2, 3, 7, 12, 10**9 + 7)))
+
+    a = [coord() for _ in range(rank)]
+    roll = rng.random()
+    if roll < 0.1:
+        b = list(a)
+    elif roll < 0.4:
+        # one coordinate differs: the difference is a single nonzero term
+        b = list(a)
+        b[rng.randrange(rank)] = coord()
+    else:
+        b = [coord() for _ in range(rank)]
+    return g.value(a), g.value(b)
+
+
+def test_compare_differential_against_fraction_oracle():
+    rng = random.Random(20261017)
+    for _ in range(1000):
+        a, b = _random_pair(rng, rng.randint(1, 6))
+        expect = oracle_compare(a, b)
+        assert compare(a, b) is expect, (a, b)
+        assert compare(b, a) is Ordering(-expect.value), (a, b)
+        assert (a - b).sign() == expect.value, (a, b)
+
+
+def test_radicand_cache_grows_out_of_order(monkeypatch):
+    rng = random.Random(77)
+    cases = [_random_pair(rng, 6) for _ in range(40)] + [_random_pair(rng, 2) for _ in range(40)]
+    expected = [oracle_compare(a, b) for a, b in cases]
+
+    def fresh_answers(order):
+        monkeypatch.setattr(values, "_RADICANDS", [1])
+        monkeypatch.setattr(values, "_SQRT_FLOORS", {})
+        got = {k: compare(*cases[k]) for k in order}
+        return [got[k] for k in range(len(cases))], list(values._RADICANDS)
+
+    rank6_first = fresh_answers(range(len(cases)))
+    rank2_first = fresh_answers(range(len(cases) - 1, -1, -1))
+    assert rank6_first == rank2_first == (expected, [1, 2, 3, 5, 7, 11])
+
+
+def test_sign_of_values():
+    g = ValueGroup(3)
+    assert g.zero().sign() == 0
+    assert g.value([Fraction(-1, 3), 0, 0]).sign() == -1
+    assert g.value([0, Fraction(1, 5), Fraction(2, 7)]).sign() == 1
+    # 3/2 > sqrt 2 and 7/4 > sqrt 3
+    assert g.value([Fraction(3, 2), -1, 0]).sign() == 1
+    assert g.value([Fraction(-7, 4), 0, 1]).sign() == -1
+    assert not g.value([Fraction(-7, 4), 0, 1]).is_positive()
+
+
+def test_lex_mixed_denominators():
+    g = ValueGroup(2, ordering=LEX)
+    a, b = g.value([Fraction(1, 3), -5]), g.value([Fraction(2, 6), Fraction(7, 2)])
+    assert compare(a, b) is Ordering.Less
+    assert compare(b, a) is Ordering.Greater
+    assert compare(a, g.value(["2/6", "-10/2"])) is Ordering.Equal
+    assert compare(g.value([Fraction(1, 3), 0]), g.value([Fraction(2, 7), 100])) is Ordering.Greater
+    assert (a - b).sign() == -1
+    # lex ignores the sqrt weights: -1 + 100 g2 is negative in lex
+    assert g.value([-1, 100]).sign() == -1
+    assert g.zero().sign() == 0
+
+
+def test_group_check_is_by_equality():
+    # equal groups built separately compare
+    assert compare(ValueGroup(2).value([1, 0]), ValueGroup(2).value([0, 1])) is Ordering.Less
+    g = ValueGroup(2, labels=("a", "b"))
+    h = ValueGroup(2, labels=("x", "y"))
+    with pytest.raises(GroupMismatchError):
+        compare(g.value([1, 0]), h.value([0, 1]))
+    with pytest.raises(GroupMismatchError):
+        compare(g.zero(), h.zero())
+    with pytest.raises(GroupMismatchError):
+        compare(ValueGroup(2).zero(), ValueGroup(2, ordering=LEX).zero())
+    with pytest.raises(GroupMismatchError):
+        g.value([1, 0]) - h.value([1, 0])
