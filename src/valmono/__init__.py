@@ -36,10 +36,12 @@ from .game import (
 from .keypoly import (
     KeyPolyChain,
     StandardExpansion,
+    Truncation,
     delta_invariant,
     epsilon_invariant,
     next_key_char0,
     standard_expansion,
+    truncate,
     truncated_valuation,
     validate_chain,
 )

@@ -7,6 +7,13 @@ Q_i-adic expansion f = sum c_j Q_i^j and takes min_j (j beta_i + value of
 c_j), coefficient values being computed by the level below and bottoming
 out at the ground monomial valuation (with x itself worth beta_1).
 
+``truncate`` expands f once at a level and reads the term values, their
+minimum and the delta/epsilon invariants off that one expansion;
+``truncated_valuation``, ``delta_invariant``, ``epsilon_invariant`` and
+``next_key_char0`` are views of it.  Each coefficient is valued by one
+truncation at the level below, and no invariant re-expands what another
+has already expanded.
+
 Chains are finite by construction; limit key polynomials do not exist in
 residue characteristic zero, which this module encodes as a structural
 assumption rather than a runtime check.
@@ -85,11 +92,10 @@ class StandardExpansion:
     coefficients: tuple[MultiPoly, ...]
 
     def reassemble(self) -> MultiPoly:
-        out = MultiPoly.zero(self.base.vars, self.base.tower)
-        power = MultiPoly.constant(self.base.vars, 1, self.base.tower)
-        for c in self.coefficients:
-            out = out + c * power
-            power = power * self.base
+        """sum c_j Q^j by Horner's rule, from the top digit down."""
+        out = self.coefficients[-1]
+        for c in reversed(self.coefficients[:-1]):
+            out = out * self.base + c
         return out
 
     @property
@@ -121,58 +127,65 @@ def _coefficient_value(c: MultiPoly, chain: KeyPolyChain, level: int) -> Value:
     return truncated_valuation(c, chain, level)
 
 
-def truncated_valuation(f: MultiPoly, chain: KeyPolyChain, i: int) -> Value:
-    """The i-truncation: min_j (j beta_i + value(c_{j,i}))."""
+@dataclass(frozen=True)
+class Truncation:
+    """One level-i standard expansion and the values it defines: the terms
+    ``(j, j beta_i + value(c_j))`` of the nonzero coefficients in j order,
+    their minimum, the largest index ``delta`` attaining it, and
+    ``epsilon``, the least index above delta attaining the minimum over the
+    indices above delta (None when there is none)."""
+
+    expansion: StandardExpansion
+    terms: tuple[tuple[int, Value], ...]
+    value: Value
+    delta: int
+    epsilon: Optional[int]
+
+
+def truncate(f: MultiPoly, chain: KeyPolyChain, i: int) -> Truncation:
+    """Expand f once at level i and read off every truncation invariant."""
+    exp = standard_expansion(f, chain, i)
     if f.is_zero():
         raise ZeroPolynomialError("zero polynomial has no value")
-    exp = standard_expansion(f, chain, i)
     beta = chain.beta(i)
-    best: Optional[Value] = None
-    for j, c in enumerate(exp.coefficients):
-        if c.is_zero():
-            continue
-        v = beta.scale(j) + _coefficient_value(c, chain, i - 1)
-        if best is None or compare(v, best) is Ordering.Less:
-            best = v
-    assert best is not None
-    return best
+    terms = tuple(
+        (j, beta.scale(j) + _coefficient_value(c, chain, i - 1))
+        for j, c in enumerate(exp.coefficients)
+        if not c.is_zero()
+    )
+    # one scan each: delta is the last index attaining the minimum, epsilon
+    # the first index above delta attaining the minimum of what is left
+    delta, best = terms[0]
+    for j, v in terms[1:]:
+        order = compare(v, best)
+        if order is not Ordering.Greater:
+            delta = j
+            if order is Ordering.Less:
+                best = v
+    above = [(j, v) for j, v in terms if j > delta]
+    epsilon = None
+    if above:
+        epsilon, mu_plus = above[0]
+        for j, v in above[1:]:
+            if compare(v, mu_plus) is Ordering.Less:
+                epsilon, mu_plus = j, v
+    return Truncation(exp, terms, best, delta, epsilon)
 
 
-def _term_values(
-    f: MultiPoly, chain: KeyPolyChain, i: int
-) -> list[tuple[int, Value]]:
-    exp = standard_expansion(f, chain, i)
-    beta = chain.beta(i)
-    out = []
-    for j, c in enumerate(exp.coefficients):
-        if c.is_zero():
-            continue
-        out.append((j, beta.scale(j) + _coefficient_value(c, chain, i - 1)))
-    return out
+def truncated_valuation(f: MultiPoly, chain: KeyPolyChain, i: int) -> Value:
+    """The i-truncation: min_j (j beta_i + value(c_{j,i}))."""
+    return truncate(f, chain, i).value
 
 
 def delta_invariant(f: MultiPoly, chain: KeyPolyChain, i: int) -> int:
     """Largest expansion index attaining the truncated value."""
-    if f.is_zero():
-        raise ZeroPolynomialError("zero polynomial has no value")
-    vals = _term_values(f, chain, i)
-    best = min(v for _, v in vals)  # Value defines a total order
-    return max(j for j, v in vals if compare(v, best) is Ordering.Equal)
+    return truncate(f, chain, i).delta
 
 
 def epsilon_invariant(f: MultiPoly, chain: KeyPolyChain, i: int) -> Optional[int]:
     """Minimal index above delta attaining the secondary minimum; None when
     delta is already the top index."""
-    if f.is_zero():
-        raise ZeroPolynomialError("zero polynomial has no value")
-    vals = _term_values(f, chain, i)
-    best = min(v for _, v in vals)
-    delta = max(j for j, v in vals if compare(v, best) is Ordering.Equal)
-    above = [(j, v) for j, v in vals if j > delta]
-    if not above:
-        return None
-    mu_plus = min(v for _, v in above)
-    return min(j for j, v in above if compare(v, mu_plus) is Ordering.Equal)
+    return truncate(f, chain, i).epsilon
 
 
 def next_key_char0(
@@ -181,19 +194,15 @@ def next_key_char0(
     """Characteristic-zero augmentation step: z = c_{delta-1} / delta and
     Q_next = Q_top + z, for f whose leading attaining coefficient is 1."""
     i = len(chain)
-    if f.is_zero():
-        raise ZeroPolynomialError("zero polynomial has no value")
-    exp = standard_expansion(f, chain, i)
-    vals = dict(_term_values(f, chain, i))
-    best = min(vals.values())
-    delta = max(j for j, v in vals.items() if compare(v, best) is Ordering.Equal)
+    t = truncate(f, chain, i)
+    delta = t.delta
     if delta < 1:
         raise InvalidInputError("delta must be at least 1 to produce a key polynomial")
-    c_delta = exp.coefficients[delta]
+    c_delta = t.expansion.coefficients[delta]
     one = MultiPoly.constant(c_delta.vars, 1, c_delta.tower)
     if c_delta != one:
         raise UnnormalizedLeadingCoefficientError("unnormalized leading coefficient")
-    z = exp.coefficients[delta - 1].scale(Fraction(1, delta))
+    z = t.expansion.coefficients[delta - 1].scale(Fraction(1, delta))
     q_next = chain.Q(i) + z
     jump = truncated_valuation(q_next, chain, i)
     if compare(jump, chain.beta(i)) is not Ordering.Equal:

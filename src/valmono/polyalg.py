@@ -13,12 +13,21 @@ carrying the discovered factor.
 Polynomials are immutable by convention; all operations return fresh
 objects.  Term storage order is graded-lex on exponent vectors, which is
 purely internal (it fixes JSON output order, nothing else).
+
+Division by a divisor monic in x has one kernel.  Both operands are split
+once into x-dense rows (x-degree -> x-free sparse coefficient) and
+long-divided row by row from the top degree down; the divisor's leading
+row is the constant one, so no coefficient is inverted.  ``euclid_divide``
+and ``q_adic_expansion`` convert to and from :class:`MultiPoly` only at
+their boundary, and a Q-adic expansion keeps the running quotient in row
+form from one digit to the next.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import _linalg
@@ -616,39 +625,89 @@ class LaurentMonomialMap:
         return LaurentMonomialMap(tuple(tuple(int(x) for x in row) for row in rows))
 
 
+# x-dense form of a polynomial: x-degree -> {exponent with x zeroed: coefficient}
+_Rows = dict[int, dict[tuple[int, ...], Elem]]
+
+
+def _split_rows(f: MultiPoly, xi: int) -> _Rows:
+    rows: _Rows = {}
+    for e, c in f.terms.items():
+        rows.setdefault(e[xi], {})[e[:xi] + (0,) + e[xi + 1:]] = c
+    return rows
+
+
+def _join_rows(rows: _Rows, xi: int, like: MultiPoly) -> MultiPoly:
+    terms = {
+        e[:xi] + (k,) + e[xi + 1:]: c for k, row in rows.items() for e, c in row.items()
+    }
+    return MultiPoly(like.vars, terms, like.tower)
+
+
+def _monic_rows(g: MultiPoly, x: str) -> tuple[int, _Rows]:
+    """x-degree and rows of a divisor monic in x, leading row dropped."""
+    rows = _split_rows(g, g.var_index(x))
+    if not rows:
+        raise NonMonicDivisorError("non-monic divisor: zero divisor")
+    d = max(rows)
+    lead = rows.pop(d)
+    zero = tuple(0 for _ in g.vars)
+    if not (len(lead) == 1 and g.tower.eq(lead.get(zero), g.tower.one())):
+        raise NonMonicDivisorError("non-monic divisor")
+    return d, rows
+
+
+def _divide_rows(r: _Rows, d: int, g_rows: _Rows, tw: FieldTower) -> _Rows:
+    """Long division of ``r`` by a monic divisor of x-degree ``d`` whose
+    lower rows are ``g_rows``.  ``r`` becomes the remainder in place; the
+    quotient rows are returned.  Neither result holds an empty row."""
+    q: _Rows = {}
+    mul, sub, neg, is_zero = tw.mul, tw.sub, tw.neg, tw.is_zero
+    for k in range(max(r, default=-1), d - 1, -1):
+        c = r.pop(k, None)
+        if not c:
+            continue
+        q[k - d] = c
+        for j, g_row in g_rows.items():
+            row = r.setdefault(k - d + j, {})
+            for e1, c1 in c.items():
+                for e2, c2 in g_row.items():
+                    e = tuple(map(add, e1, e2))
+                    p = mul(c1, c2)
+                    s = sub(row[e], p) if e in row else neg(p)
+                    if is_zero(s):  # also a zero product under a reducible definer
+                        row.pop(e, None)
+                    else:
+                        row[e] = s
+            if not row:
+                del r[k - d + j]
+    return q
+
+
 def euclid_divide(f: MultiPoly, g: MultiPoly, x: str) -> tuple[MultiPoly, MultiPoly]:
     """Exact division f = q*g + r with deg_x(r) < deg_x(g); g monic in x."""
     f._check(g)
-    d = g.degree_in(x)
-    if d < 0:
-        raise NonMonicDivisorError("non-monic divisor: zero divisor")
-    lead = g.coefficient_in(x, d)
-    if not (len(lead.terms) == 1 and lead.tower.eq(lead.constant_term(), lead.tower.one())):
-        raise NonMonicDivisorError("non-monic divisor")
+    d, g_rows = _monic_rows(g, x)
     xi = f.var_index(x)
-    q = MultiPoly.zero(f.vars, f.tower)
-    r = f
-    while not r.is_zero() and r.degree_in(x) >= d:
-        e = r.degree_in(x)
-        c = r.coefficient_in(x, e)
-        shift = tuple(e - d if i == xi else 0 for i in range(len(f.vars)))
-        t = c * MultiPoly.monomial(f.vars, shift, 1, f.tower)
-        q = q + t
-        r = r - t * g
-    return q, r
+    r = _split_rows(f, xi)
+    q = _divide_rows(r, d, g_rows, f.tower)
+    return _join_rows(q, xi, f), _join_rows(r, xi, f)
 
 
 def q_adic_expansion(f: MultiPoly, Q: MultiPoly, x: str) -> list[MultiPoly]:
     """Digits (a_0, ..., a_s) with f = sum a_i Q^i and deg_x(a_i) < deg_x(Q)."""
     if Q.degree_in(x) < 1:
         raise NonMonicDivisorError("non-monic divisor: expansion base must involve the variable")
+    f._check(Q)
+    d, q_rows = _monic_rows(Q, x)
+    xi = f.var_index(x)
+    cur = _split_rows(f, xi)
     digits = []
-    cur = f
     while True:
-        cur, r = euclid_divide(cur, Q, x)
-        digits.append(r)
-        if cur.is_zero():
+        quo = _divide_rows(cur, d, q_rows, f.tower)
+        digits.append(_join_rows(cur, xi, f))
+        if not quo:
             break
+        cur = quo
     return digits
 
 

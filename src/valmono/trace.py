@@ -26,13 +26,7 @@ from .game import (
     monomialize_pair,
     principalize_monomial_ideal,
 )
-from .keypoly import (
-    chain_from_json,
-    delta_invariant,
-    epsilon_invariant,
-    standard_expansion,
-    truncated_valuation,
-)
+from .keypoly import chain_from_json, truncate
 from .polyalg import MultiPoly, QQ
 from .unifseq import (
     ResidueDescriptor,
@@ -162,18 +156,18 @@ def _run_keypoly_expand(inp: dict, budget: int, auto_ind: bool) -> tuple[list, d
     group = _parse_group(inp)
     chain = chain_from_json(_need(inp, "chain"), group)
     poly = MultiPoly.from_json(_need(inp, "poly"), QQ).with_vars(chain.all_vars)
-    level = int(inp.get("level", len(chain)))
-    exp = standard_expansion(poly, chain, level)
-    value = truncated_valuation(poly, chain, level)
-    delta = delta_invariant(poly, chain, level)
-    eps = epsilon_invariant(poly, chain, level)
+    level = inp.get("level", len(chain))
+    if isinstance(level, bool) or not isinstance(level, int):
+        raise SchemaError(f"level must be an integer, not {level!r}")
+    trunc = truncate(poly, chain, level)
+    exp = trunc.expansion
     witnesses = {
         "level": level,
         "coefficients": [c.to_json() for c in exp.coefficients],
         "reassembles": exp.reassemble() == poly,
-        "truncated_value": value.to_json(),
-        "delta": delta,
-        "epsilon": eps,
+        "truncated_value": trunc.value.to_json(),
+        "delta": trunc.delta,
+        "epsilon": trunc.epsilon,
     }
     return [], witnesses
 

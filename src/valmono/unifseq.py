@@ -54,7 +54,7 @@ from .game import (
     reduced_parts,
     run_pair_descent,
 )
-from .keypoly import KeyPolyChain, standard_expansion, truncated_valuation, validate_chain
+from .keypoly import KeyPolyChain, truncate, validate_chain
 from .polyalg import FieldTower, MultiPoly, QQ, euclid_divide
 from .values import (
     Ordering,
@@ -860,26 +860,14 @@ def monomialize_polynomial(
         raise ZeroPolynomialError("zero polynomial has no value")
     f = f.with_vars(chain.all_vars)
     top = len(chain)
-    exp = standard_expansion(f, chain, top)
-    beta_top = chain.beta(top)
-    term_values = []
-    for j, c in enumerate(exp.coefficients):
-        if c.is_zero():
-            continue
-        v = beta_top.scale(j) + (
-            truncated_valuation(c, chain, top - 1)
-            if top > 1
-            else _ground_coeff_value(c, chain)
-        )
-        term_values.append((j, v))
-    v_min = min(v for _, v in term_values)
+    trunc = truncate(f, chain, top)
     expansion_values = [
         {
             "j": j,
             "value": v.to_json(),
-            "attains_min": compare(v, v_min) is Ordering.Equal,
+            "attains_min": compare(v, trunc.value) is Ordering.Equal,
         }
-        for j, v in term_values
+        for j, v in trunc.terms
     ]
 
     kp = monomialize_key_polys(chain, budget, auto_independence)
@@ -920,9 +908,3 @@ def monomialize_polynomial(
         image=img,
         expansion_values=expansion_values,
     )
-
-
-def _ground_coeff_value(c: MultiPoly, chain: KeyPolyChain) -> Value:
-    from .keypoly import _coefficient_value
-
-    return _coefficient_value(c, chain, 0)

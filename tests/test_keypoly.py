@@ -1,5 +1,6 @@
 """Key-polynomial chains: expansions, truncations, invariants, augmentation."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from valmono.keypoly import (
     epsilon_invariant,
     next_key_char0,
     standard_expansion,
+    truncate,
     truncated_valuation,
     validate_chain,
 )
@@ -111,6 +113,10 @@ def test_epsilon_invariant_examples():
     # values at level 1: j=2: 3, j=1: 1 + 3/2 = 5/2, j=0: 3 -> delta = 1? min is 5/2 at j=1
     assert delta_invariant(g, chain, 1) == 1
     assert epsilon_invariant(g, chain, 1) == 2
+    # a tie above delta: 1 + u^3 x + x^3 has values 0, 9/2, 9/2 at j = 0, 1, 3
+    h = poly(UV, {(0, 0): 1, (3, 1): 1, (0, 3): 1})
+    assert delta_invariant(h, chain, 1) == 0
+    assert epsilon_invariant(h, chain, 1) == 1
 
 
 def test_next_key_char0():
@@ -200,3 +206,60 @@ def test_next_key_delta_zero_rejected():
     f = poly(UV, {(2, 0): 1})  # x-free: delta = 0
     with pytest.raises(Exception):
         next_key_char0(chain, f)
+
+
+# -- the one-pass truncation against the separate per-invariant functions ---
+
+
+def _oracle_truncated_valuation(f, chain, i):
+    if f.is_zero():
+        raise ZeroPolynomialError("zero polynomial has no value")
+    return min(v for _, v in _oracle_term_values(f, chain, i))
+
+
+def _oracle_term_values(f, chain, i):
+    exp = standard_expansion(f, chain, i)
+    out = []
+    for j, c in enumerate(exp.coefficients):
+        if c.is_zero():
+            continue
+        if i == 1:
+            cv = monomial_valuation(c.with_vars(chain.ground.vars), chain.ground)
+        else:
+            cv = _oracle_truncated_valuation(c, chain, i - 1)
+        out.append((j, chain.beta(i).scale(j) + cv))
+    return out
+
+
+def _oracle_delta_epsilon(f, chain, i):
+    vals = _oracle_term_values(f, chain, i)
+    best = min(v for _, v in vals)
+    delta = max(j for j, v in vals if compare(v, best) is Ordering.Equal)
+    above = [(j, v) for j, v in vals if j > delta]
+    if not above:
+        return delta, None
+    mu_plus = min(v for _, v in above)
+    return delta, min(j for j, v in above if compare(v, mu_plus) is Ordering.Equal)
+
+
+def test_truncate_matches_separate_invariants():
+    rng = random.Random(41)
+    for _ in range(80):
+        chain = binomial_chain(rng)
+        f = random_poly(rng, UV, max_terms=6, max_exp=9)
+        for i in range(1, len(chain) + 1):
+            t = truncate(f, chain, i)
+            assert t.expansion == standard_expansion(f, chain, i)
+            assert t.terms == tuple(_oracle_term_values(f, chain, i))
+            assert t.value == _oracle_truncated_valuation(f, chain, i)
+            assert (t.delta, t.epsilon) == _oracle_delta_epsilon(f, chain, i)
+            assert t.value == truncated_valuation(f, chain, i)
+            assert t.delta == delta_invariant(f, chain, i)
+            assert t.epsilon == epsilon_invariant(f, chain, i)
+
+
+def test_truncate_zero_polynomial():
+    chain = cusp_chain()
+    for i in (1, 2):
+        with pytest.raises(ZeroPolynomialError):
+            truncate(MultiPoly.zero(UV), chain, i)

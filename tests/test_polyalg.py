@@ -200,3 +200,141 @@ def test_tower_json_round_trip():
 def test_poly_json_round_trip():
     f = poly(UV, {(0, 2): Fraction(3, 2), (3, 0): -1})
     assert MultiPoly.from_json(f.to_json(), QQ) == f
+
+
+# -- differential tests of the x-dense division kernel ----------------------
+
+
+def _oracle_euclid_divide(f, g, x):
+    """The term-by-term MultiPoly loop the division kernel replaced."""
+    d = g.degree_in(x)
+    xi = f.var_index(x)
+    q = MultiPoly.zero(f.vars, f.tower)
+    r = f
+    while not r.is_zero() and r.degree_in(x) >= d:
+        e = r.degree_in(x)
+        c = r.coefficient_in(x, e)
+        shift = tuple(e - d if i == xi else 0 for i in range(len(f.vars)))
+        t = c * MultiPoly.monomial(f.vars, shift, 1, f.tower)
+        q = q + t
+        r = r - t * g
+    return q, r
+
+
+def _oracle_q_adic(f, Q, x):
+    digits = []
+    cur = f
+    while True:
+        cur, r = _oracle_euclid_divide(cur, Q, x)
+        digits.append(r)
+        if cur.is_zero():
+            break
+    return digits
+
+
+SQRT2 = QQ.extend("t1", [QQ.from_rational(-2), QQ.zero(), QQ.one()])
+CBRT2 = QQ.extend("t1", [QQ.from_rational(-2), QQ.zero(), QQ.zero(), QQ.one()])
+TOWERS = [QQ, SQRT2, CBRT2]
+
+
+def _random_elem(rng, tower):
+    def build(level):
+        if level == 0:
+            return str(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+        return [build(level - 1) for _ in range(tower.degree_at(level))]
+
+    e = tower.elem_from_json(build(tower.depth))
+    return tower.one() if tower.is_zero(e) else e
+
+
+def _random_tower_poly(rng, vars_, tower, x_degree, max_terms):
+    xi = vars_.index("x")
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        e = [rng.randint(0, 3) for _ in vars_]
+        e[xi] = rng.randint(0, x_degree)
+        terms[tuple(e)] = _random_elem(rng, tower)
+    return MultiPoly.build(vars_, terms, tower)
+
+
+def _random_monic(rng, vars_, tower, d):
+    xi = vars_.index("x")
+    lead = tuple(d if i == xi else 0 for i in range(len(vars_)))
+    low = _random_tower_poly(rng, vars_, tower, d - 1, 4)
+    return MultiPoly(vars_, dict(low.terms) | {lead: tower.one()}, tower)
+
+
+def _division_cases():
+    """(f, g) pairs over every tower, with the edge cases spelled out."""
+    rng = random.Random(31)
+    cases = []
+    for k in range(300):
+        tower = TOWERS[k % len(TOWERS)]
+        vars_ = UV if k % 3 else ("u", "x", "v")  # x in the middle too
+        d = 1 + k % 3
+        g = _random_monic(rng, vars_, tower, d)
+        f = _random_tower_poly(rng, vars_, tower, rng.randint(0, 8), 6)
+        cases.append((f, g))
+    for tower in TOWERS:
+        x = MultiPoly.variable(UV, "x", tower)
+        u = MultiPoly.variable(UV, "u", tower)
+        one = MultiPoly.constant(UV, 1, tower)
+        theta = MultiPoly.constant(UV, tower.generator("t1") if tower.depth else 3, tower)
+        cases += [
+            (MultiPoly.zero(UV, tower), x * x + u),  # f = 0
+            (u * x + theta, x * x * x + u),  # deg_x f < deg_x g
+            (x**7 + u * x**2 + theta, x + u * theta),  # deg_x g = 1
+            # quotient rows 2 and 1 are empty in f and filled by the loop
+            (x**5 + theta, x * x + u * x + one),
+            (x**6, x**3 + theta * u * x**2 + u * u),
+        ]
+    # t^2 - 1 is reducible: (t + 1)(t - 1) = 0 must leave no zero coefficient
+    red = QQ.extend("t1", [QQ.from_rational(-1), QQ.zero(), QQ.one()])
+    t = MultiPoly.constant(UV, red.generator("t1"), red)
+    x = MultiPoly.variable(UV, "x", red)
+    one = MultiPoly.constant(UV, 1, red)
+    cases.append(((t + one) * x**3, x * x + (t - one) * x))
+    return cases
+
+
+def test_division_kernel_matches_term_loop():
+    cases = _division_cases()
+    assert len(cases) >= 300
+    for f, g in cases:
+        assert euclid_divide(f, g, "x") == _oracle_euclid_divide(f, g, "x")
+        assert q_adic_expansion(f, g, "x") == _oracle_q_adic(f, g, "x")
+
+
+def test_division_kernel_does_not_mutate_inputs():
+    f = poly(UV, {(0, 5): 1, (2, 0): 3})
+    g = poly(UV, {(0, 2): 1, (1, 1): 1, (0, 0): 1})
+    before = (dict(f.terms), dict(g.terms))
+    euclid_divide(f, g, "x")
+    q_adic_expansion(f, g, "x")
+    assert (dict(f.terms), dict(g.terms)) == before
+
+
+def test_q_adic_digits_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    u, x = sympy.symbols("u x")
+
+    def to_sympy(p):
+        expr = sum(
+            sympy.Rational(c.numerator, c.denominator) * u ** e[0] * x ** e[1]
+            for e, c in p.terms.items()
+        )
+        return sympy.Poly(expr, x, domain="QQ[u]")
+
+    rng = random.Random(37)
+    for _ in range(60):
+        d = rng.randint(1, 3)
+        Q = _random_monic(rng, UV, QQ, d)
+        f = random_poly(rng, UV, max_terms=6, max_exp=9)
+        cur = to_sympy(f)
+        want = []
+        while True:
+            cur, r = sympy.div(cur, to_sympy(Q))
+            want.append(r)
+            if cur.is_zero:
+                break
+        assert [to_sympy(a) for a in q_adic_expansion(f, Q, "x")] == want

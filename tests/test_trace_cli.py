@@ -347,3 +347,46 @@ def test_cli_bad_rational_exits_2(tmp_path, literal):
     assert "Traceback" not in r.stderr
     assert repr(literal) in r.stderr
     assert not tf.exists()
+
+
+def _expand_problem(**level):
+    return dict(
+        {
+            "schema": 1,
+            "algorithm": "keypoly-expand",
+            "group": {"rank": 1, "ordering": "sqrt-primes", "labels": ["g1"]},
+            "chain": cusp_chain_json(),
+            "poly": {"vars": ["u", "x"], "terms": [{"e": [0, 3], "c": "1"}]},
+        },
+        **level,
+    )
+
+
+BAD_LEVELS = ["abc", None, True, 1.9, "2", [2]]
+
+
+@pytest.mark.parametrize("level", BAD_LEVELS)
+def test_keypoly_expand_bad_level_is_schema_error(level):
+    with pytest.raises(SchemaError) as err:
+        run_problem(_expand_problem(level=level))
+    assert repr(level) in str(err.value)
+
+
+def test_keypoly_expand_level_default_and_range():
+    assert run_problem(_expand_problem())["witnesses"]["level"] == 2
+    assert run_problem(_expand_problem(level=1))["witnesses"]["level"] == 1
+    for level in (0, 3, -1):
+        verdict = run_problem(_expand_problem(level=level))["verdict"]
+        assert verdict["ok"] is False and verdict["code"] == "invalid input"
+
+
+@pytest.mark.parametrize("level", ["abc", None, True, 1.9])
+def test_cli_bad_level_exits_2(tmp_path, level):
+    pf = tmp_path / "p.json"
+    tf = tmp_path / "t.json"
+    pf.write_text(json.dumps(_expand_problem(level=level)))
+    r = _cli("run", str(pf), "--out", str(tf))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert "level" in r.stderr
+    assert not tf.exists()
