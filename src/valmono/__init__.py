@@ -11,11 +11,13 @@ from .polyalg import (
     euclid_divide,
     q_adic_expansion,
     substitute_variable,
+    taylor_shift,
 )
 from .framing import (
     Frame,
     FramedSequence,
     FramedStep,
+    PushPath,
     build_constructed_blowup,
     choose_vertex,
     compose_sequence,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -45,15 +46,26 @@ def _run_one(args) -> dict:
     return run_problem(problem, budget, auto_ind)
 
 
+def worker_count(jobs: int, items: int, cpus: int | None) -> int:
+    """Worker processes for a batch: never more than requested, than there
+    are items, or than the machine has CPUs (at least one)."""
+    return max(1, min(jobs, items, cpus or 1))
+
+
 def cmd_run(args) -> int:
     try:
+        if args.jobs < 1:
+            raise SchemaError(f"--jobs must be at least 1, not {args.jobs}")
+        if args.budget < 0:
+            raise SchemaError(f"--budget must not be negative, not {args.budget}")
         payload = _load_json(args.file)
         auto_ind = args.auto_independence == "on"
         batch = isinstance(payload, list)
         problems = payload if batch else [payload]
         work = [(p, args.budget, auto_ind) for p in problems]
-        if args.jobs > 1 and len(work) > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        workers = worker_count(args.jobs, len(work), os.cpu_count())
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 traces = list(pool.map(_run_one, work))
         else:
             traces = [_run_one(w) for w in work]
@@ -107,7 +119,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="declare the maximal untouched variable set on each sequence",
     )
     run_p.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for batch input"
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes for batch input (at most one per item and per CPU)",
     )
     run_p.set_defaults(func=cmd_run)
 

@@ -14,6 +14,13 @@ at least 2), a transcendental unit just drops out of the official frame.
 Everything downstream only ever needs this unit bookkeeping, never unit
 arithmetic beyond the residue tower.
 
+Polynomials are pushed along one path, :class:`PushPath`: a sequence from
+its first frame, with the frame after each step computed once.  A maximal
+run of monomial steps is applied as one composite matrix; an algebraic
+translation (the unit becomes ``theta + u'``) is a Taylor shift over the
+tower.
+``push_polynomial_through_step`` is the per-step primitive under it.
+
 Indices are 0-based in memory and 1-based in JSON records.
 """
 
@@ -24,7 +31,14 @@ from typing import Optional, Sequence
 
 from . import _linalg
 from .errors import InvalidInputError
-from .polyalg import FieldTower, LaurentMonomialMap, MultiPoly, QQ
+from .polyalg import (
+    FieldTower,
+    LaurentMonomialMap,
+    MultiPoly,
+    QQ,
+    apply_monomial_map,
+    taylor_shift,
+)
 from .values import Ordering, Value, compare
 
 
@@ -189,11 +203,6 @@ class Frame:
             raise InvalidInputError(f"variable {self.names[i]!r} has no declared weight")
         return w
 
-    def with_weight(self, i: int, w: Optional[Value]) -> "Frame":
-        weights = list(self.weights)
-        weights[i] = w
-        return Frame(self.names, tuple(weights), self.units, self.tower)
-
     def to_json(self) -> dict:
         out = {
             "vars": list(self.names),
@@ -314,23 +323,6 @@ def compose_sequence(
     return total
 
 
-def compose_forward_matrices(steps: Sequence[FramedStep], n: int) -> LaurentMonomialMap:
-    """Forward composite of the matrix parts of arbitrary steps."""
-    total = LaurentMonomialMap(_linalg.identity(n))
-    for s in steps:
-        total = s.forward.compose_after(total)
-    return total
-
-
-def compose_inverse_matrices(steps: Sequence[FramedStep], n: int) -> LaurentMonomialMap:
-    """Inverse composite: final-frame variables as Laurent monomials in the
-    original ones."""
-    total = LaurentMonomialMap(_linalg.identity(n))
-    for s in steps:
-        total = total.compose_after(s.inverse)
-    return total
-
-
 def make_translation_step(
     n: int,
     target: int,
@@ -432,12 +424,10 @@ def apply_step_to_frame(frame: Frame, step: FramedStep) -> Frame:
         if item.minpoly is None:
             units.add(t)
         else:
-            theta_coeffs = [tower.elem_from_json(c) if isinstance(c, (str, list)) else c for c in item.minpoly]
-            if len(theta_coeffs) == 2:
-                pass  # theta = -c0 stays inside the current tower
-            else:
+            # the root -c0 of a degree-1 residue is already in the tower
+            if len(item.minpoly) > 2:
                 sym = item.symbol or f"t{tower.depth + 1}"
-                tower = tower.extend(sym, theta_coeffs)
+                tower = tower.extend(sym, [tower.elem_from_json(c) for c in item.minpoly])
             names[t] = item.new_name or names[t] + "'"
             units.discard(t)
             weights[t] = None
@@ -450,32 +440,98 @@ def apply_step_to_frame(frame: Frame, step: FramedStep) -> Frame:
     return Frame(tuple(names), tuple(weights), frozenset(units), tower)
 
 
-def push_polynomial_through_step(f: MultiPoly, frame_before: Frame, step: FramedStep) -> MultiPoly:
-    """Image of f in the next chart.  Matrix part first, then the linear
-    residue substitutions ``u'_target = theta + new_var``."""
-    from .polyalg import apply_monomial_map, substitute_variable
+def translation_root(item: TranslationItem, tower: FieldTower):
+    """The residue theta of an algebraic item, in the tower after its step."""
+    if len(item.minpoly) == 2:
+        return tower.neg(tower.elem_from_json(item.minpoly[0]))
+    return tower.generator(item.symbol or f"t{tower.depth}")
 
+
+def push_polynomial_through_step(
+    f: MultiPoly, frame_before: Frame, step: FramedStep, frame_after: Optional[Frame] = None
+) -> MultiPoly:
+    """Image of f in the next chart.  Matrix part first, then the linear
+    residue substitutions ``u'_target = theta + new_var`` as Taylor shifts.
+    ``frame_after`` is the frame after the step, when the caller has it."""
     g = apply_monomial_map(f, step.forward) if not step.forward.is_identity() else f
-    frame_after = apply_step_to_frame(frame_before, step)
-    if frame_after.tower != g.tower:
-        g = g.with_tower(frame_after.tower)
+    if frame_after is None:
+        frame_after = apply_step_to_frame(frame_before, step)
+    tower = frame_after.tower
+    if tower != g.tower:
+        g = g.with_tower(tower)
     for item in step.translation_data:
         if item.minpoly is None:
             continue
-        tower = frame_after.tower
-        if len(item.minpoly) == 2:
-            c0 = tower.elem_from_json(item.minpoly[0]) if isinstance(item.minpoly[0], (str, list)) else item.minpoly[0]
-            theta = tower.neg(c0)
-        else:
-            sym = item.symbol or f"t{tower.depth}"
-            theta = tower.generator(sym)
-        name = frame_after.names[item.target]
-        subs = MultiPoly.constant(g.vars, theta, tower) + MultiPoly.variable(g.vars, g.vars[item.target], tower)
-        g = substitute_variable(g, g.vars[item.target], subs)
-        if name != g.vars[item.target]:
-            g = MultiPoly(
-                tuple(name if i == item.target else v for i, v in enumerate(g.vars)),
-                g.terms,
-                g.tower,
-            )
+        t = item.target
+        g = taylor_shift(g, g.vars[t], translation_root(item, tower))
+        name = frame_after.names[t]
+        if name != g.vars[t]:
+            g = MultiPoly(g.vars[:t] + (name,) + g.vars[t + 1:], g.terms, g.tower)
     return g
+
+
+class PushPath:
+    """One framed sequence, from ``frame0`` through its steps, as the path
+    along which polynomials are pushed.
+
+    The frame after each step is computed once, or handed in by the engine
+    that made the step.  A maximal run of monomial steps is applied as one
+    composite matrix (``compose_sequence``, kept on the object); every other
+    step goes through ``push_polynomial_through_step``.  Pushing through
+    steps [a, b) and then [b, c) equals pushing through [a, c), so a caller
+    may keep an image and advance it only through the steps added since.
+    """
+
+    def __init__(self, frame0: Frame):
+        self.frames: list[Frame] = [frame0]
+        self.steps: list[FramedStep] = []
+        self._composites: dict[tuple[int, int], LaurentMonomialMap] = {}
+
+    def __len__(self) -> int:
+        return len(self.steps)
+
+    @property
+    def frame(self) -> Frame:
+        return self.frames[-1]
+
+    def append(self, step: FramedStep, frame_after: Optional[Frame] = None) -> None:
+        if frame_after is None:
+            frame_after = apply_step_to_frame(self.frames[-1], step)
+        self.steps.append(step)
+        self.frames.append(frame_after)
+
+    def _segments(self, start: int, stop: int):
+        """(a, b, map) for each maximal monomial run steps[a:b] with its
+        composite, and (k, k + 1, None) for every other step."""
+        k = start
+        while k < stop:
+            end = k + 1
+            if self.steps[k].kind != "monomial":
+                yield k, end, None
+            else:
+                while end < stop and self.steps[end].kind == "monomial":
+                    end += 1
+                if (k, end) not in self._composites:
+                    run = FramedSequence(tuple(self.steps[k:end]))
+                    self._composites[k, end] = compose_sequence(run)
+                yield k, end, self._composites[k, end]
+            k = end
+
+    def push(self, f: MultiPoly, start: int = 0, stop: Optional[int] = None) -> MultiPoly:
+        """Image in the chart ``frames[stop]`` (default: the last) of f, a
+        polynomial in the chart ``frames[start]``."""
+        stop = len(self.steps) if stop is None else stop
+        for a, b, m in self._segments(start, stop):
+            if m is None:
+                f = push_polynomial_through_step(f, self.frames[a], self.steps[a], self.frames[b])
+            else:
+                f = apply_monomial_map(f, m)
+        return f
+
+    def forward(self) -> LaurentMonomialMap:
+        """Composite forward map of every step: the original variables as
+        monomials in the final frame."""
+        total = LaurentMonomialMap(_linalg.identity(self.frames[0].n))
+        for a, _, m in self._segments(0, len(self.steps)):
+            total = (m or self.steps[a].forward).compose_after(total)
+        return total

@@ -30,9 +30,10 @@ from .errors import (
     UnnormalizedLeadingCoefficientError,
     ZeroPolynomialError,
 )
-from .game import MonomialValuationSpec, monomial_valuation
+from .framing import Frame
+from .game import MonomialValuationSpec
 from .polyalg import MultiPoly, QQ, q_adic_expansion
-from .values import Ordering, Value, compare
+from .values import Ordering, Value, compare, value_of_exponent
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,10 @@ class KeyPolyChain:
 
     def beta(self, i: int) -> Value:
         return self.entries[i - 1][1]
+
+    def initial_frame(self) -> Frame:
+        """The chart the chain lives in: the ground weights, and x worth beta_1."""
+        return Frame(self.all_vars, self.ground.weights + (self.beta(1),))
 
     def alphas(self) -> tuple[int, ...]:
         """alpha_i = degree of Q_i over Q_{i-1} (alpha_1 = 1 for Q_1 = x)."""
@@ -115,9 +120,16 @@ def standard_expansion(f: MultiPoly, chain: KeyPolyChain, i: int) -> StandardExp
 
 
 def _ground_value(c: MultiPoly, chain: KeyPolyChain) -> Value:
-    """Monomial value of an x-free polynomial."""
-    ground_poly = c.with_vars(chain.ground.vars)
-    return monomial_valuation(ground_poly, chain.ground)
+    """Monomial value of an x-free polynomial: the least value of the ground
+    columns of its exponents (x is the last column)."""
+    weights = chain.ground.weights
+    n = len(weights)
+    best = None
+    for e in c.terms:
+        v = value_of_exponent(e[:n], weights)
+        if best is None or compare(v, best) is Ordering.Less:
+            best = v
+    return best
 
 
 def _coefficient_value(c: MultiPoly, chain: KeyPolyChain, level: int) -> Value:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -229,8 +230,14 @@ class FieldTower:
     def div(self, a: Elem, b: Elem) -> Elem:
         return self.mul(a, self.inv(b))
 
+    def _scale(self, a: Elem, q: Fraction | int, level: int) -> Elem:
+        if level == 0:
+            return a * q
+        return tuple(self._scale(x, q, level - 1) for x in a)
+
     def scale(self, a: Elem, q: Fraction | int) -> Elem:
-        return self.mul(a, self.from_rational(Fraction(q)))
+        """a * q for a rational q, coordinate by coordinate."""
+        return self._scale(a, Fraction(q), self.depth)
 
     # dense univariate helpers over a given level (used by _inv)
 
@@ -730,6 +737,42 @@ def apply_monomial_map(f: MultiPoly, m: LaurentMonomialMap) -> MultiPoly:
                 out[ne] = s
         else:
             out[ne] = c
+    return MultiPoly(f.vars, out, tw)
+
+
+def taylor_shift(f: MultiPoly, x: str, theta: Elem) -> MultiPoly:
+    """``f`` with ``x`` replaced by ``theta + x``, by the binomial theorem.
+
+    A term ``c * m * x^k`` contributes ``C(k, i) theta^(k-i) c`` to
+    ``m * x^i`` for i = 0..k.  The shift coefficients come from one table
+    of powers of theta; terms are visited in the order of ``f`` and their
+    images ascending in i, which is the term order ``substitute_variable``
+    produces for the same composition."""
+    tw = f.tower
+    xi = f.var_index(x)
+    top = max((e[xi] for e in f.terms), default=0)
+    powers = [tw.one()]
+    for _ in range(top):
+        powers.append(tw.mul(powers[-1], theta))
+    shifts: dict[int, list] = {}
+    mul, add, is_zero = tw.mul, tw.add, tw.is_zero
+    out: dict[tuple[int, ...], Elem] = {}
+    for e, c in f.terms.items():
+        k = e[xi]
+        row = shifts.get(k)
+        if row is None:
+            row = shifts[k] = [tw.scale(powers[k - i], comb(k, i)) for i in range(k + 1)]
+        for i, s in enumerate(row):
+            p = mul(c, s) if i < k else c
+            if is_zero(p):
+                continue
+            ne = e[:xi] + (i,) + e[xi + 1:]
+            if ne in out:
+                p = add(out[ne], p)
+                if is_zero(p):
+                    del out[ne]
+                    continue
+            out[ne] = p
     return MultiPoly(f.vars, out, tw)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from datetime import datetime, timezone
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import (
     SchemaError,
@@ -172,18 +172,10 @@ def _run_keypoly_expand(inp: dict, budget: int, auto_ind: bool) -> tuple[list, d
     return [], witnesses
 
 
-def _chain_frame(chain):
-    from .framing import Frame
-
-    return Frame(
-        chain.all_vars, chain.ground.weights + (chain.beta(1),), frozenset(), QQ
-    )
-
-
 def _run_keypoly_monomialize(inp: dict, budget: int, auto_ind: bool) -> tuple[list, dict]:
     group = _parse_group(inp)
     chain = chain_from_json(_need(inp, "chain"), group)
-    res = monomialize_key_polys(chain, budget, auto_ind)
+    res = monomialize_key_polys(chain, budget)
     witnesses = {
         "final_frame": res.frame.to_json(),
         "x_column": res.x_column + 1,
@@ -197,7 +189,7 @@ def _run_keypoly_monomialize(inp: dict, budget: int, auto_ind: bool) -> tuple[li
             }
             for w in res.witnesses
         ],
-        "sequence": _sequence_file(res.sequence, _chain_frame(chain), group),
+        "sequence": _sequence_file(res.sequence, chain.initial_frame(), group),
     }
     return res.records, witnesses
 
@@ -260,14 +252,14 @@ def _run_polynomial(inp: dict, budget: int, auto_ind: bool) -> tuple[list, dict]
     group = _parse_group(inp)
     chain = chain_from_json(_need(inp, "chain"), group)
     poly = MultiPoly.from_json(_need(inp, "poly"), QQ).with_vars(chain.all_vars)
-    res = monomialize_polynomial(poly, chain, budget, auto_ind)
+    res = monomialize_polynomial(poly, chain, budget)
     witnesses = {
         "exponent": list(res.exponent),
         "unit_witness": res.unit_witness.to_json(),
         "image": res.image.to_json(),
         "expansion_values": res.expansion_values,
         "final_frame": res.frame.to_json(),
-        "sequence": _sequence_file(res.sequence, _chain_frame(chain), group),
+        "sequence": _sequence_file(res.sequence, chain.initial_frame(), group),
     }
     return res.records, witnesses
 

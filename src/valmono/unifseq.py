@@ -42,9 +42,10 @@ from .framing import (
     Frame,
     FramedSequence,
     FramedStep,
-    apply_step_to_frame,
+    PushPath,
     make_translation_step,
     push_polynomial_through_step,
+    translation_root,
 )
 from .game import (
     DEFAULT_BUDGET,
@@ -55,11 +56,12 @@ from .game import (
     run_pair_descent,
 )
 from .keypoly import KeyPolyChain, truncate, validate_chain
-from .polyalg import FieldTower, MultiPoly, QQ, euclid_divide
+from .polyalg import FieldTower, MultiPoly, QQ, euclid_divide, taylor_shift
 from .values import (
     Ordering,
     Value,
     compare,
+    fraction_from_str,
     min_integer_multiple_in_lattice,
     value_of_exponent,
 )
@@ -85,7 +87,10 @@ class ResidueDescriptor:
     def from_json(obj) -> "ResidueDescriptor":
         if obj.get("kind") == "transcendental":
             return ResidueDescriptor(True)
-        return ResidueDescriptor(False, tuple(obj["minpoly"]))
+        mp = tuple(obj["minpoly"])
+        for c in mp:
+            fraction_from_str(c)  # residues read from JSON lie over Q
+        return ResidueDescriptor(False, mp)
 
 
 @dataclass(frozen=True)
@@ -152,7 +157,8 @@ def _rank_check(weights: Sequence[Value]) -> None:
 
 
 class _ElementaryEngine:
-    """One elementary uniformizing sequence on an ambient frame.
+    """One elementary uniformizing sequence, appended to a push path from
+    the path's current frame.
 
     ``w_cols`` are the columns of the Q-independent basis and ``x_col`` the
     distinguished column; every other column rides along untouched unless a
@@ -160,33 +166,38 @@ class _ElementaryEngine:
 
     def __init__(
         self,
-        frame: Frame,
+        path: PushPath,
         w_cols: Sequence[int],
         x_col: int,
         residue: ResidueDescriptor,
         budget: _Budget,
         records: list,
     ):
-        self.frame = frame
+        self.path = path
         self.w_cols = tuple(w_cols)
         self.x_col = x_col
         self.residue = residue
         self.budget = budget
         self.records = records
-        self.steps: list[FramedStep] = []
         self.tracked: dict[str, tuple[int, ...]] = {}
         self.abar: int = 0
         self.alpha: tuple[int, ...] = ()
         self.z_column: Optional[int] = None
         self.z_sign: int = 0
         self.new_var: Optional[str] = None
+        self.minpoly: tuple = ()
         self.aux_steps: int = 0
+
+    @property
+    def frame(self) -> Frame:
+        return self.path.frame
 
     # -- bookkeeping ---------------------------------------------------
 
-    def _push_tracked(self, step: FramedStep) -> None:
+    def _on_step(self, step: FramedStep, frame: Frame) -> None:
         for k, e in self.tracked.items():
             self.tracked[k] = step.forward.apply_to_exponent(e)
+        self.path.append(step, frame)
 
     def _embed(self, coeffs_on_w: Sequence[int], x_power: int = 0) -> tuple[int, ...]:
         e = [0] * self.frame.n
@@ -224,11 +235,9 @@ class _ElementaryEngine:
             at, _ = reduced_parts(t, e, self.frame.units)
             if sum(at) == 0:
                 continue
-            _, _, self.frame, new_steps = run_pair_descent(
-                t, e, self.frame, self.budget, self.records,
-                on_step=lambda step, fr: self._push_tracked(step),
-            )
-            self.steps.extend(new_steps)
+            new_steps = run_pair_descent(
+                t, e, self.frame, self.budget, self.records, on_step=self._on_step
+            )[3]
             self.aux_steps += len(new_steps)
             t, e = self.tracked["__target"], self.tracked[k]
             at, _ = reduced_parts(t, e, self.frame.units)
@@ -240,13 +249,10 @@ class _ElementaryEngine:
 
     def run_main_game(self) -> None:
         d0, g0 = self.tracked["__delta"], self.tracked["__gamma"]
-        _, _, self.frame, new_steps = run_pair_descent(
-            d0, g0, self.frame, self.budget, self.records,
-            on_step=lambda step, fr: self._push_tracked(step),
-        )
-        self.steps.extend(new_steps)
+        main = run_pair_descent(
+            d0, g0, self.frame, self.budget, self.records, on_step=self._on_step
+        )[3]
         # the collision closing the main game must be its very last step
-        main = new_steps
         for i, s in enumerate(main):
             if s.J_times and i != len(main) - 1:
                 raise AssertionError("weight collision before the end of the main game")
@@ -267,30 +273,27 @@ class _ElementaryEngine:
             raise AssertionError("z column carries a non-primitive exponent")
         self.z_column, self.z_sign = q, m
 
-    def _oriented_minpoly(self, tower: FieldTower) -> tuple:
+    def _oriented_minpoly(self, mp: Sequence, tower: FieldTower) -> tuple:
         """Minimal polynomial of the residue of the unit *variable*: P when
         z equals that variable, the normalized reciprocal when 1/z does."""
-        mp = [
-            tower.elem_from_json(c) if isinstance(c, (str, list)) else c
-            for c in self.residue.minpoly
-        ]
         if self.z_sign == 1:
-            coeffs = mp
-        else:
-            b0 = mp[0]
-            if tower.is_zero(b0):
-                raise InvalidInputError("residue minimal polynomial must have b_0 != 0")
-            inv = tower.inv(b0)
-            coeffs = [tower.mul(mp[len(mp) - 1 - i], inv) for i in range(len(mp))]
-        return tuple(tower.elem_to_json(c) for c in coeffs)
+            return tuple(mp)
+        b0 = mp[0]
+        if tower.is_zero(b0):
+            raise InvalidInputError("residue minimal polynomial must have b_0 != 0")
+        inv = tower.inv(b0)
+        return tuple(tower.mul(mp[len(mp) - 1 - i], inv) for i in range(len(mp)))
 
-    def translate(self, new_weight: Optional[Value]) -> None:
-        """Replace the unit variable by the regular parameter z - theta."""
+    def translate(self, minpoly: Optional[Sequence], new_weight: Optional[Value]) -> None:
+        """Replace the unit variable by the regular parameter z - theta.
+        ``minpoly`` is the residue's minimal polynomial as elements of the
+        current tower (None for a transcendental residue)."""
         if self.residue.transcendental:
             return
         q = self.z_column
         tower = self.frame.tower
-        mp = self._oriented_minpoly(tower)
+        self.minpoly = self._oriented_minpoly(minpoly, tower)
+        mp = tuple(tower.elem_to_json(c) for c in self.minpoly)
         symbol = None
         if len(mp) > 2:
             k = tower.depth + 1
@@ -307,8 +310,7 @@ class _ElementaryEngine:
         step = make_translation_step(
             self.frame.n, q, mp, symbol, new_name, encoded_weight
         )
-        self.frame = apply_step_to_frame(self.frame, step)
-        self.steps.append(step)
+        self.path.append(step)
         self.records.append(
             {
                 "step": len(self.records) + 1,
@@ -327,12 +329,6 @@ class _ElementaryEngine:
         while name in self.frame.names:
             name += "'"
         return name
-
-    def forward_total(self, n: int) -> tuple[tuple[int, ...], ...]:
-        total = _linalg.identity(n)
-        for s in self.steps:
-            total = _linalg.mat_mul(s.forward.matrix, total)
-        return total
 
 
 def _split_unit_part(
@@ -372,17 +368,15 @@ def elementary_uniformizing_sequence(
             raise PositiveWeightError("weights must be positive")
     records: list = []
     engine = _ElementaryEngine(
-        frame0, w_cols, x_col, problem.residue, _Budget(budget), records
+        PushPath(frame0), w_cols, x_col, problem.residue, _Budget(budget), records
     )
     engine.lattice_data()
     abar, alpha = engine.abar, engine.alpha
     d = problem.residue.degree()
     tower = problem.tower
+    mp = None
     if not problem.residue.transcendental:
-        mp = [
-            tower.elem_from_json(c) if isinstance(c, (str, list)) else c
-            for c in problem.residue.minpoly
-        ]
+        mp = [tower.elem_from_json(c) for c in problem.residue.minpoly]
         if d < 1 or not tower.eq(mp[-1], tower.one()):
             raise InvalidInputError(
                 "residue minimal polynomial must be monic of degree >= 1"
@@ -437,12 +431,11 @@ def elementary_uniformizing_sequence(
     x_weight = None
     if problem.beta_new is not None and not problem.residue.transcendental:
         x_weight = problem.beta_new - problem.beta_n.scale(abar * d)
-    engine.translate(x_weight)
+    engine.translate(mp, x_weight)
     frame = engine.frame
-    steps = engine.steps
 
     # images of w_1..w_r, w_n: monomial in the final actives times z-powers
-    total = engine.forward_total(n)
+    total = engine.path.forward().matrix
     inv_total = _linalg.inverse_int(total)
     if inv_total is None or _linalg.mat_mul(total, inv_total) != _linalg.identity(n):
         raise AssertionError("composed sequence is not unimodular")
@@ -461,11 +454,11 @@ def elementary_uniformizing_sequence(
                 if e[vcol] != 0:
                     raise AssertionError("image of a w-variable touches a passive variable")
 
-    witness = _verify_factorization(engine, frame0, q_cleared, pos, problem, steps)
+    witness = _verify_factorization(engine, total, q_cleared, pos, problem)
 
     independence = tuple(v_cols) if (auto_independence and not h_touches_v) else None
     return UniformizingResult(
-        sequence=FramedSequence(tuple(steps), independence),
+        sequence=FramedSequence(tuple(engine.path.steps), independence),
         frame=frame,
         abar=abar,
         alpha_coeffs=alpha,
@@ -481,45 +474,29 @@ def elementary_uniformizing_sequence(
     )
 
 
-def _push_polynomial(poly: MultiPoly, frame0: Frame, steps: Sequence[FramedStep]) -> MultiPoly:
-    img = poly
-    fr = frame0
-    for s in steps:
-        img = push_polynomial_through_step(img, fr, s)
-        fr = apply_step_to_frame(fr, s)
-        img = MultiPoly(fr.names, img.terms, img.tower)
-    return img
-
-
 def _verify_factorization(
     engine: _ElementaryEngine,
-    frame0: Frame,
+    total: Sequence[Sequence[int]],
     q_cleared: Optional[MultiPoly],
     pos: Sequence[int],
     problem: UniformizingProblem,
-    steps: Sequence[FramedStep],
 ) -> dict:
     """Exact identity behind the factorization of Q-tilde.
 
     Unperturbed: image(Q~ * w^(d neg)) = w^div * X * U with U a unit whose
     constant part is P'(theta).  Perturbed: the quotient W still satisfies
     W - P(theta + X) of strictly positive value, the perturbed analogue of
-    the same conclusion.
+    the same conclusion.  ``total`` is the composite forward matrix.
     """
     if q_cleared is None:
         return {"kind": "transcendental"}
-    n = frame0.n
+    path = engine.path
+    n = path.frames[0].n
     d = engine.residue.degree()
-    matrix_steps = list(steps[:-1] if engine.new_var is not None else steps)
-    img_pre = _push_polynomial(q_cleared, frame0, matrix_steps)
+    pre = len(path) - 1 if engine.new_var is not None else len(path)
+    img_pre = path.push(q_cleared, 0, pre)
     frame = engine.frame
-    tower = frame.tower
-    total = engine.forward_total(n)
-    e_plus = [0] * n
-    for c, col in zip(pos, engine.w_cols):
-        if c:
-            for p in range(n):
-                e_plus[p] += d * c * total[p][col]
+    e_plus = [d * x for x in _linalg.mat_vec(total, engine._embed(pos))]
     q = engine.z_column
     div = list(e_plus)
     # unit columns are invertible: lower the divisor there so the monomial
@@ -544,31 +521,20 @@ def _verify_factorization(
         result["quotient"] = w_pre.to_json()
         return result
     # substitute the unit variable and compare with P(theta + X)
-    pre_frame = frame0
-    for s in matrix_steps:
-        pre_frame = apply_step_to_frame(pre_frame, s)
-    w_poly = push_polynomial_through_step(
-        MultiPoly(pre_frame.names, w_pre.terms, w_pre.tower), pre_frame, steps[-1]
-    )
-    w_poly = MultiPoly(frame.names, w_poly.terms, w_poly.tower)
+    last = path.steps[-1]
+    w_poly = push_polynomial_through_step(w_pre, path.frames[pre], last, frame)
     tower = frame.tower
     result["quotient"] = w_poly.to_json()
     x_name = engine.new_var
-    mp = engine._oriented_minpoly(tower)
-    coeffs = [tower.elem_from_json(c) for c in mp]
-    if len(coeffs) == 2:
-        theta = tower.neg(coeffs[0])
-    else:
-        theta = tower.generator(steps[-1].translation_data[0].symbol)
-    z_image = MultiPoly.constant(w_poly.vars, theta, tower) + MultiPoly.variable(
-        w_poly.vars, x_name, tower
-    )
-    p_of_z = MultiPoly.zero(w_poly.vars, tower)
-    power = MultiPoly.constant(w_poly.vars, 1, tower)
-    for c in coeffs:
-        p_of_z = p_of_z + power.scale(c)
-        power = power * z_image
-    diff = w_poly - p_of_z
+    # P has its coefficients in the tower before the translation extended it
+    xi = w_poly.var_index(x_name)
+    p_of_x = MultiPoly.build(
+        w_poly.vars,
+        {tuple(i if k == xi else 0 for k in range(n)): c for i, c in enumerate(engine.minpoly)},
+        path.frames[pre].tower,
+    ).with_tower(tower)
+    theta = translation_root(last.translation_data[0], tower)
+    diff = w_poly - taylor_shift(p_of_x, x_name, theta)
     if problem.h is None or problem.h.is_zero():
         if not diff.is_zero():
             raise AssertionError("factorization: quotient differs from P(z)")
@@ -613,73 +579,60 @@ class KeyPolyResult:
     witnesses: list[KeyPolyWitness]
     records: list
     level_data: list
+    path: PushPath  # the sequence as a push path, for polynomials pushed after the run
 
 
-def _frame_weights_for_values(frame: Frame) -> list[Value]:
-    ws = []
-    for i in range(frame.n):
-        w = frame.weights[i]
-        if w is None:
-            raise InvalidInputError(f"variable {frame.names[i]!r} lacks a weight")
-        ws.append(w)
-    return ws
-
-
-def _poly_min_value(poly: MultiPoly, weights: Sequence[Value]) -> Value:
-    best = None
-    for e in poly.terms:
-        v = value_of_exponent(e, weights)
-        if best is None or compare(v, best) is Ordering.Less:
-            best = v
-    if best is None:
-        raise ZeroPolynomialError("zero polynomial has no value")
-    return best
-
-
-def monomialize_key_polys(
-    chain: KeyPolyChain,
-    budget: int = DEFAULT_BUDGET,
-    auto_independence: bool = True,
-) -> KeyPolyResult:
+def monomialize_key_polys(chain: KeyPolyChain, budget: int = DEFAULT_BUDGET) -> KeyPolyResult:
     """Iterated elementary sequences along a valid chain: after the run,
     every key polynomial is a monomial in the final frame multiplied by a
     unit, and the distinguished parameter divides the top key polynomial
-    exactly once."""
+    exactly once.
+
+    The image of each Q_i is kept with the length of the prefix it was
+    pushed through, and is advanced only through the steps added since."""
     issues = validate_chain(chain)
     if issues:
         raise InvalidInputError("chain invalid: " + ", ".join(issues))
     ground_n = len(chain.ground.vars)
-    names0 = chain.all_vars
-    weights0 = chain.ground.weights + (chain.beta(1),)
-    frame = Frame(names0, weights0, frozenset(), QQ)
-    frame0 = frame
+    path = PushPath(chain.initial_frame())
     budget_ = _Budget(budget)
     records: list = []
-    all_steps: list[FramedStep] = []
+    images = {i: (0, chain.Q(i).with_vars(chain.all_vars)) for i in range(1, len(chain) + 1)}
+
+    def image(i: int) -> MultiPoly:
+        start, img = images[i]
+        img = path.push(img, start)
+        images[i] = (len(path), img)
+        return img
+
     # maximal Q-independent subset of the ground weights, greedily by index
     basis_cols: list[int] = []
     for i in range(ground_n):
         coords = [list(chain.ground.weights[j].coords) for j in basis_cols + [i]]
         if _linalg.rank_rational(tuple(tuple(Fraction(x) for x in row) for row in zip(*coords))) == len(coords):
             basis_cols.append(i)
-    x_col = frame.n - 1
+    x_col = path.frame.n - 1
     level_data = []
 
     for q in range(1, len(chain)):
-        target_poly = chain.Q(q + 1).with_vars(names0)
-        t_img = _push_polynomial(target_poly, frame0, all_steps)
-        weights = _frame_weights_for_values(frame)
+        t_img = image(q + 1)
+        frame = path.frame
+        weights = [frame.weight(i) for i in range(frame.n)]
         vx = frame.weight(x_col)
         basis_weights = [frame.weight(c) for c in basis_cols]
         abar, alpha_vec = min_integer_multiple_in_lattice(vx, basis_weights)
         # the value-minimal part of the pushed key polynomial is the ladder
         # w^(m_0) * sum kappa_i z^i with z = X^abar / w^lambda; unit factors
         # from earlier translations only contribute their residue constants
-        vmin = _poly_min_value(t_img, weights)
+        term_values = [(e, value_of_exponent(e, weights)) for e in t_img.terms]
+        vmin = term_values[0][1]
+        for _, v in term_values[1:]:
+            if compare(v, vmin) is Ordering.Less:
+                vmin = v
         initial = {
-            e: c
-            for e, c in t_img.terms.items()
-            if compare(value_of_exponent(e, weights), vmin) is Ordering.Equal
+            e: t_img.terms[e]
+            for e, v in term_values
+            if compare(v, vmin) is Ordering.Equal
         }
         tower = frame.tower
         kappa: dict[int, object] = {}
@@ -720,26 +673,18 @@ def monomialize_key_polys(
                 raise RequiresCompletionError(
                     "requires completion: initial monomials break the lattice ladder"
                 )
-        kd = kappa[d]
-        kd_inv = tower.inv(kd)
-        bcoeffs = []
-        for i in range(d + 1):
-            if i in kappa:
-                bcoeffs.append(tower.elem_to_json(tower.mul(kappa[i], kd_inv)))
-            else:
-                bcoeffs.append(tower.elem_to_json(tower.zero()))
-        residue = ResidueDescriptor(False, tuple(bcoeffs))
-        engine = _ElementaryEngine(frame, tuple(basis_cols), x_col, residue, budget_, records)
+        kd_inv = tower.inv(kappa[d])
+        bcoeffs = [
+            tower.mul(kappa[i], kd_inv) if i in kappa else tower.zero() for i in range(d + 1)
+        ]
+        residue = ResidueDescriptor(False, tuple(tower.elem_to_json(c) for c in bcoeffs))
+        engine = _ElementaryEngine(path, tuple(basis_cols), x_col, residue, budget_, records)
         engine.lattice_data()
         if engine.abar != abar:
             raise AssertionError("lattice index changed between analysis and run")
         # tail terms above the minimum must become divisible by the image of
         # the minimal initial monomial w^(m_0) before the residue can move
-        tail_exps = [
-            e
-            for e in t_img.terms
-            if compare(value_of_exponent(e, weights), vmin) is Ordering.Greater
-        ]
+        tail_exps = [e for e, v in term_values if compare(v, vmin) is Ordering.Greater]
         if tail_exps:
             engine.run_aux(tail_exps, m0)
         engine.run_main_game()
@@ -747,9 +692,7 @@ def monomialize_key_polys(
         jump = chain.beta(q + 1) - vmin
         if jump.sign() <= 0:
             raise AssertionError("value jump is not positive")
-        engine.translate(jump)
-        all_steps.extend(engine.steps)
-        frame = engine.frame
+        engine.translate(bcoeffs, jump)
         x_col = engine.z_column
         level_data.append(
             {
@@ -766,9 +709,10 @@ def monomialize_key_polys(
     # witnesses: every key polynomial is monomial * unit; the top one is
     # divisible by the distinguished parameter exactly once
     witnesses = []
+    frame = path.frame
     x_name = frame.names[x_col]
     for i in range(1, len(chain) + 1):
-        img = _push_polynomial(chain.Q(i).with_vars(names0), frame0, all_steps)
+        img = image(i)
         mono = _common_monomial(img, frame)
         unit = _shift_by_monomial(img, mono)
         if not _has_unit_term(unit, frame):
@@ -799,12 +743,13 @@ def monomialize_key_polys(
             )
         )
     return KeyPolyResult(
-        sequence=FramedSequence(tuple(all_steps), None),
+        sequence=FramedSequence(tuple(path.steps), None),
         frame=frame,
         x_column=x_col,
         witnesses=witnesses,
         records=records,
         level_data=level_data,
+        path=path,
     )
 
 
@@ -847,10 +792,7 @@ class PolyMonoResult:
 
 
 def monomialize_polynomial(
-    f: MultiPoly,
-    chain: KeyPolyChain,
-    budget: int = DEFAULT_BUDGET,
-    auto_independence: bool = True,
+    f: MultiPoly, chain: KeyPolyChain, budget: int = DEFAULT_BUDGET
 ) -> PolyMonoResult:
     """Monomialize a polynomial measured by the chain's top truncation:
     monomialize the key polynomials, push f through, and principalize the
@@ -870,7 +812,7 @@ def monomialize_polynomial(
         for j, v in trunc.terms
     ]
 
-    kp = monomialize_key_polys(chain, budget, auto_independence)
+    kp = monomialize_key_polys(chain, budget)
     if f == chain.Q(top).with_vars(chain.all_vars):
         w = kp.witnesses[-1]
         return PolyMonoResult(
@@ -883,14 +825,14 @@ def monomialize_polynomial(
             expansion_values=expansion_values,
         )
     records = list(kp.records)
-    frame = kp.frame
-    frame0 = Frame(chain.all_vars, chain.ground.weights + (chain.beta(1),), frozenset(), QQ)
-    img = _push_polynomial(f, frame0, list(kp.sequence.steps))
+    path = kp.path
+    img = path.push(f)
+    start = len(path)
     gens = _antichain(sorted(img.terms.keys(), key=lambda e: (sum(e), e)))
-    survivor, exps, frame, steps, _ = principalize_exponents(
-        gens, frame, _Budget(budget), records
+    survivor, exps, frame, _, _ = principalize_exponents(
+        gens, path.frame, _Budget(budget), records, on_step=path.append
     )
-    img = _push_polynomial(img, kp.frame, steps)
+    img = path.push(img, start)
     mono = tuple(
         0 if i in frame.units else x for i, x in enumerate(exps[survivor])
     )
@@ -900,7 +842,7 @@ def monomialize_polynomial(
             "requires completion: the cofactor is not a polynomial unit"
         )
     return PolyMonoResult(
-        sequence=FramedSequence(tuple(kp.sequence.steps) + tuple(steps), None),
+        sequence=FramedSequence(tuple(path.steps), None),
         exponent=mono,
         unit_witness=witness,
         frame=frame,

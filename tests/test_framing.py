@@ -11,6 +11,7 @@ from valmono.framing import (
     Frame,
     FramedSequence,
     FramedStep,
+    PushPath,
     apply_step_to_frame,
     build_constructed_blowup,
     build_step_for_weights,
@@ -18,6 +19,7 @@ from valmono.framing import (
     compose_sequence,
     make_monomial_blowup,
     make_translation_step,
+    push_polynomial_through_step,
     pushforward_weights,
 )
 from valmono.polyalg import MultiPoly, QQ, apply_monomial_map
@@ -232,3 +234,30 @@ def test_step_json_round_trip():
     assert FramedStep.from_json(ts.to_json()) == ts
     seq = FramedSequence((st,), independence_set=(1,))
     assert FramedSequence.from_json(seq.to_json()) == seq
+
+
+def test_push_path_merges_monomial_runs():
+    # Q-independent weights never tie, so every step is monomial and the
+    # whole sequence is one run, applied as one composite matrix
+    rng = random.Random(47)
+    n = 3
+    g = ValueGroup(n)
+    vars_ = tuple(f"u{i}" for i in range(n))
+    for _ in range(40):
+        frame = Frame(vars_, tuple(g.value([int(i == k) for i in range(n)]) for k in range(n)))
+        path = PushPath(frame)
+        for _ in range(rng.randint(1, 6)):
+            J = tuple(sorted(rng.sample(range(n), rng.randint(2, n))))
+            path.append(build_step_for_weights(n, J, choose_vertex(J, path.frame.weights), path.frame.weights))
+        assert all(s.kind == "monomial" for s in path.steps)
+        assert path.forward() == compose_sequence(FramedSequence(tuple(path.steps)))
+        f = MultiPoly.build(
+            vars_,
+            {tuple(rng.randint(0, 4) for _ in range(n)): QQ.from_rational(rng.randint(1, 9))
+             for _ in range(rng.randint(1, 6))},
+        )
+        want = f
+        for fr, s in zip(path.frames, path.steps):
+            want = push_polynomial_through_step(want, fr, s)
+        got = path.push(f)
+        assert got == want and list(got.terms) == list(want.terms)

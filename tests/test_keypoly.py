@@ -10,6 +10,7 @@ from valmono.errors import UnnormalizedLeadingCoefficientError, ZeroPolynomialEr
 from valmono.game import monomial_valuation
 from valmono.keypoly import (
     KeyPolyChain,
+    _ground_value,
     chain_from_json,
     delta_invariant,
     epsilon_invariant,
@@ -263,3 +264,25 @@ def test_truncate_zero_polynomial():
     for i in (1, 2):
         with pytest.raises(ZeroPolynomialError):
             truncate(MultiPoly.zero(UV), chain, i)
+
+
+def test_ground_value_matches_monomial_valuation():
+    # the level-0 value read off the ground columns equals the monomial
+    # valuation of the digit rebuilt over the ground variables
+    local = random.Random(53)
+    seen = 0
+    for _ in range(40):
+        chain = binomial_chain(local)
+        f = random_poly(local, UV, max_terms=6, max_exp=8)
+        pending = [f]
+        while pending:
+            g = pending.pop()
+            for c in standard_expansion(g, chain, 1).coefficients:
+                if c.is_zero():
+                    continue
+                want = monomial_valuation(c.with_vars(chain.ground.vars), chain.ground)
+                assert compare(_ground_value(c, chain), want) is Ordering.Equal
+                seen += 1
+            for level in range(2, len(chain) + 1):
+                pending += [c for c in standard_expansion(g, chain, level).coefficients if not c.is_zero() and c != g]
+    assert seen > 100

@@ -16,6 +16,7 @@ from valmono.polyalg import (
     euclid_divide,
     q_adic_expansion,
     substitute_variable,
+    taylor_shift,
 )
 
 UV = ("u", "x")
@@ -338,3 +339,38 @@ def test_q_adic_digits_match_sympy():
             if cur.is_zero:
                 break
         assert [to_sympy(a) for a in q_adic_expansion(f, Q, "x")] == want
+
+
+# -- Taylor shift against generic substitution --------------------------------
+
+# QQ(sqrt 2)(2^(1/4)): t2^2 = t1 over the sqrt-2 level
+FOURTH2 = SQRT2.extend("t2", [SQRT2.neg(SQRT2.generator("t1")), SQRT2.zero(), SQRT2.one()])
+
+
+def test_taylor_shift_matches_substitution():
+    rng = random.Random(41)
+    towers = TOWERS + [FOURTH2]
+    cases = []
+    for k in range(160):
+        tower = towers[k % len(towers)]
+        vars_ = UV if k % 2 else ("u", "x", "v")
+        f = _random_tower_poly(rng, vars_, tower, rng.randint(0, 7), 6)
+        cases.append((f, _random_elem(rng, tower)))
+    for tower in towers:
+        theta = tower.generator(tower.extensions[-1][0]) if tower.depth else tower.from_rational(3)
+        x = MultiPoly.variable(UV, "x", tower)
+        u = MultiPoly.variable(UV, "u", tower)
+        cases += [
+            (MultiPoly.zero(UV, tower), theta),  # zero polynomial
+            (u * u + MultiPoly.constant(UV, 2, tower), theta),  # x^0 only
+            (x**6 + u * x, tower.zero()),  # theta = 0
+            (x**5 + u * x**2 + u, theta),
+        ]
+    for f, theta in cases:
+        tower = f.tower
+        g = MultiPoly.constant(f.vars, theta, tower) + MultiPoly.variable(f.vars, "x", tower)
+        want = substitute_variable(f, "x", g)
+        got = taylor_shift(f, "x", theta)
+        assert got == want
+        # traces depend on term order: the shift keeps substitution's order
+        assert list(got.terms) == list(want.terms)

@@ -224,6 +224,25 @@ def test_cli_batch_and_jobs(tmp_path):
     assert _cli("verify", str(tf)).returncode == 0
 
 
+def test_worker_count_is_clamped():
+    from valmono.cli import worker_count
+
+    assert worker_count(5000, 2, 2) == 2  # never more than the batch
+    assert worker_count(5000, 100, 4) == 4  # nor than the CPUs
+    assert worker_count(2, 100, 64) == 2  # nor than requested
+    assert worker_count(3, 0, 2) == 1  # an empty batch runs in process
+    assert worker_count(3, 10, None) == 1  # unknown CPU count
+
+
+@pytest.mark.parametrize("flag", [("--jobs", "0"), ("--jobs", "-3"), ("--budget", "-1")])
+def test_cli_rejects_bad_jobs_and_budget(tmp_path, flag):
+    pf = tmp_path / "p.json"
+    pf.write_text(json.dumps([pair_problem(), pair_problem()]))
+    r = _cli("run", str(pf), *flag)
+    assert r.returncode == 2
+    assert flag[0] in r.stderr and "Traceback" not in r.stderr
+
+
 def test_cli_budget_flag(tmp_path):
     pf = tmp_path / "p.json"
     pf.write_text(json.dumps(pair_problem((0, 7), (10, 0))))  # needs 6 steps
@@ -390,3 +409,15 @@ def test_cli_bad_level_exits_2(tmp_path, level):
     assert "Traceback" not in r.stderr
     assert "level" in r.stderr
     assert not tf.exists()
+
+
+def test_numeric_minpoly_coefficient_is_schema_error(tmp_path):
+    # residue coefficients are 'p/q' strings like every rational literal
+    p = cusp_uniformize_problem()
+    p["problem"]["residue"]["minpoly"] = [-1, "1"]
+    with pytest.raises(SchemaError, match="-1"):
+        run_problem(p)
+    pf = tmp_path / "p.json"
+    pf.write_text(json.dumps(p))
+    r = _cli("run", str(pf))
+    assert r.returncode == 2 and "Traceback" not in r.stderr

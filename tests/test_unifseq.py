@@ -1,13 +1,14 @@
 """Elementary uniformizing sequences and the monomialization drivers."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import binomial_chain, poly, rational_spec
+from conftest import binomial_chain, poly, random_poly, rational_spec
 from valmono import _linalg
-from valmono.errors import InvalidInputError
-from valmono.framing import apply_step_to_frame, push_polynomial_through_step
+from valmono.errors import InvalidInputError, RequiresCompletionError
+from valmono.framing import PushPath, apply_step_to_frame, push_polynomial_through_step
 from valmono.keypoly import KeyPolyChain, validate_chain
 from valmono.polyalg import MultiPoly, QQ
 from valmono.unifseq import (
@@ -398,3 +399,74 @@ def test_beta_outside_span_rejected():
     )
     with pytest.raises(NotInDivisibleHullError):
         elementary_uniformizing_sequence(prob)
+
+
+# -- the push path against step-by-step pushing --------------------------------
+
+
+def _extension_chain(rng: random.Random) -> KeyPolyChain:
+    """Q_2 = x^2 - c u^(2k) with c not a square: a degree-2 residue, so the
+    level-2 translation extends the tower."""
+    k = rng.randint(1, 3)
+    c = rng.choice([2, 3, 5, -1])
+    ground = rational_spec([1], names=("u",))
+    q1 = MultiPoly.variable(UV, "x")
+    q2 = poly(UV, {(0, 2): 1, (2 * k, 0): -c})
+    beta2 = Fraction(2 * k) + Fraction(rng.randint(1, 4), rng.randint(1, 3))
+    return KeyPolyChain(ground, "x", ((q1, G1.rational(k)), (q2, G1.rational(beta2))))
+
+
+def _stepwise(f, frame0, steps):
+    fr = frame0
+    for s in steps:
+        f = push_polynomial_through_step(f, fr, s)
+        fr = apply_step_to_frame(fr, s)
+    return f
+
+
+def _chain_runs():
+    rng = random.Random(43)
+    chains = [binomial_chain(rng) for _ in range(24)] + [_extension_chain(rng) for _ in range(12)]
+    runs = []
+    for chain in chains:
+        try:
+            res = monomialize_key_polys(chain)
+        except RequiresCompletionError:
+            continue
+        polys = [chain.Q(i) for i in range(1, len(chain) + 1)]
+        polys += [random_poly(rng, UV, max_terms=4, max_exp=5) for _ in range(2)]
+        runs.append((chain, res, polys, rng.randrange(1 << 30)))
+    return runs
+
+
+def test_push_path_prefixes_equal_whole_sequence():
+    runs = _chain_runs()
+    assert len(runs) >= 20
+    assert any(res.frame.tower.depth for _, res, _, _ in runs)  # a tower extension
+    for chain, res, polys, seed in runs:
+        steps = res.sequence.steps
+        frame0 = chain.initial_frame()
+        whole_path = PushPath(frame0)
+        for s in steps:
+            whole_path.append(s)
+        cut_rng = random.Random(seed)
+        for f in polys:
+            want = _stepwise(f, frame0, steps)
+            got = whole_path.push(f)
+            assert got == want and list(got.terms) == list(want.terms)
+            # advanced through random prefixes, one piece at a time
+            cuts = sorted(cut_rng.sample(range(len(steps) + 1), min(3, len(steps) + 1)))
+            img, start = f, 0
+            for cut in cuts + [len(steps)]:
+                img = whole_path.push(img, start, cut)
+                start = cut
+            assert img == want and list(img.terms) == list(want.terms)
+            # a path that grows step by step, the image advanced after each
+            growing = PushPath(frame0)
+            img = f
+            for s in steps:
+                growing.append(s)
+                img = growing.push(img, len(growing) - 1)
+            assert img == want
+        # frames recomputed from the steps agree with those the run handed in
+        assert whole_path.frames == res.path.frames
