@@ -1,6 +1,8 @@
 """Exact-arithmetic framed blow-up sequences, key-polynomial chains and
 monomialization, with replayable JSON traces."""
 
+__version__ = "0.1.0"
+
 from .values import Ordering, Value, ValueGroup, compare, min_integer_multiple_in_lattice, value_of_exponent
 from .polyalg import (
     FieldTower,
@@ -55,5 +57,3 @@ from .unifseq import (
     monomialize_key_polys,
     monomialize_polynomial,
 )
-
-__version__ = "0.1.0"

@@ -33,23 +33,34 @@ def _load_json(path: str):
         raise SchemaError(f"malformed JSON: {exc}") from None
 
 
-def _emit(obj, out: str | None) -> None:
-    text = json.dumps(obj, indent=1)
-    if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
-    else:
-        sys.stdout.write(text + "\n")
-
-
-def _run_one(args) -> dict:
+def _run_one(args) -> tuple[dict, str]:
+    """Run one problem and serialize its trace where it ran, so a worker
+    hands back one string instead of a nested object graph."""
     problem, budget, auto_ind = args
-    return run_problem(problem, budget, auto_ind)
+    trace = run_problem(problem, budget, auto_ind)
+    return trace["verdict"], json.dumps(trace, indent=1)
+
+
+def _batch_text(texts: list[str]) -> str:
+    """The bytes of ``json.dumps(traces, indent=1)`` from the traces' own
+    ``indent=1`` texts: each item is indented one more level, which only
+    touches line starts because JSON strings hold no raw newline."""
+    if not texts:
+        return "[]"
+    return "[\n " + ",\n ".join(t.replace("\n", "\n ") for t in texts) + "\n]"
 
 
 def worker_count(jobs: int, items: int, cpus: int | None) -> int:
     """Worker processes for a batch: never more than requested, than there
     are items, or than the machine has CPUs (at least one)."""
     return max(1, min(jobs, items, cpus or 1))
+
+
+def chunk_size(items: int, workers: int) -> int:
+    """Problems sent to a worker at a time: about eight chunks per worker,
+    enough to keep the workers evenly busy to the end of the batch while
+    paying the inter-process round trip once per chunk, not per problem."""
+    return max(1, items // (8 * workers))
 
 
 def cmd_run(args) -> int:
@@ -66,16 +77,21 @@ def cmd_run(args) -> int:
         workers = worker_count(args.jobs, len(work), os.cpu_count())
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                traces = list(pool.map(_run_one, work))
+                results = list(pool.map(_run_one, work, chunksize=chunk_size(len(work), workers)))
         else:
-            traces = [_run_one(w) for w in work]
+            results = list(map(_run_one, work))
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    _emit(traces if batch else traces[0], args.out)
-    failed = [t for t in traces if not t["verdict"]["ok"]]
-    for t in failed:
-        print(f"error: {t['verdict'].get('message') or t['verdict']['code']}", file=sys.stderr)
+    texts = [text for _, text in results]
+    text = _batch_text(texts) if batch else texts[0]
+    if args.out:
+        Path(args.out).write_text(text + "\n", encoding="utf-8")
+    else:
+        sys.stdout.write(text + "\n")
+    failed = [verdict for verdict, _ in results if not verdict["ok"]]
+    for verdict in failed:
+        print(f"error: {verdict.get('message') or verdict['code']}", file=sys.stderr)
     return EXIT_ALGORITHM if failed else EXIT_OK
 
 

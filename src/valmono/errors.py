@@ -71,10 +71,6 @@ class RequiresCompletionError(ValmonoError):
 
     code = "requires completion"
 
-    def __init__(self, message: str = "", partial_trace=None):
-        super().__init__(message)
-        self.partial_trace = partial_trace
-
 
 class InvalidInputError(ValmonoError):
     """Structurally valid JSON whose content violates an operation's

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from operator import add
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from . import _linalg
 from .errors import (
@@ -276,16 +276,6 @@ class FieldTower:
             if not r:
                 break
         return _poly_trim(q), r
-
-    # -- residues -----------------------------------------------------
-
-    def rational_part(self, e: Elem) -> Optional[Fraction]:
-        """The rational value of ``e`` when it lies in Q, else None."""
-        if isinstance(e, Fraction):
-            return e
-        if not all(_is_zero_like(c) for c in e[1:]):
-            return None
-        return self.rational_part(e[0])
 
     # -- JSON ----------------------------------------------------------
 

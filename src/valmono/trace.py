@@ -14,6 +14,7 @@ import json
 from datetime import datetime, timezone
 from typing import Callable
 
+from . import __version__
 from .errors import (
     SchemaError,
     TraceMismatchError,
@@ -38,7 +39,6 @@ from .unifseq import (
 from .values import Value, ValueGroup
 
 TOOL = "valmono"
-VERSION = "0.1.0"
 SCHEMA = 1
 
 ALGORITHMS = (
@@ -72,11 +72,26 @@ def _parse_group(obj: dict) -> ValueGroup:
         raise SchemaError(f"bad group: {exc}") from None
 
 
+def _names(obj: dict, key: str) -> tuple[str, ...]:
+    names = _need(obj, key)
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise SchemaError(f"{key} must be an array of variable names, not {names!r}")
+    return tuple(names)
+
+
+def _values(obj: dict, key: str, group: ValueGroup) -> tuple[Value, ...]:
+    items = _need(obj, key)
+    if not isinstance(items, list):
+        raise SchemaError(f"{key} must be an array of values, not {items!r}")
+    for w in items:
+        if not isinstance(w, dict) or not isinstance(w.get("coords"), list):
+            raise SchemaError(f'{key} entries must be {{"coords": [...]}} objects, not {w!r}')
+    return tuple(Value.from_json(w, group) for w in items)
+
+
 def _parse_spec(obj: dict, group: ValueGroup) -> MonomialValuationSpec:
     spec = _need(obj, "spec")
-    vars_ = tuple(_need(spec, "vars"))
-    weights = tuple(Value.from_json(w, group) for w in _need(spec, "weights"))
-    return MonomialValuationSpec(vars_, weights)
+    return MonomialValuationSpec(_names(spec, "vars"), _values(spec, "weights", group))
 
 
 def _parse_exponents(obj) -> list[tuple[int, ...]]:
@@ -197,8 +212,8 @@ def _run_keypoly_monomialize(inp: dict, budget: int, auto_ind: bool) -> tuple[li
 def _parse_uniformize_problem(inp: dict) -> UniformizingProblem:
     group = _parse_group(inp)
     prob = _need(inp, "problem")
-    w_names = tuple(_need(prob, "w_vars"))
-    w_weights = tuple(Value.from_json(w, group) for w in _need(prob, "w_weights"))
+    w_names = _names(prob, "w_vars")
+    w_weights = _values(prob, "w_weights", group)
     wn = _need(prob, "wn_var")
     beta_n = Value.from_json(_need(prob, "beta_n"), group)
     residue = ResidueDescriptor.from_json(_need(prob, "residue"))
@@ -289,7 +304,7 @@ def run_problem(
         raise SchemaError(f"unknown algorithm selector {algorithm!r}")
     header = {
         "tool": TOOL,
-        "version": VERSION,
+        "version": __version__,
         "schema": SCHEMA,
         "command": command,
         "algorithm": algorithm,

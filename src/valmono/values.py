@@ -25,6 +25,7 @@ blow-up algorithms.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -113,17 +114,24 @@ def _sign(n: Sequence[int], ordering: str) -> int:
         bits *= 2
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def fraction_to_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def fraction_from_str(s: str) -> Fraction:
-    """Parse a ``"p/q"`` or ``"p"`` literal; anything else is a SchemaError."""
+    """Parse a ``"p/q"`` or ``"p"`` literal (ASCII digits, an optional
+    leading minus, a nonzero denominator); anything else is a SchemaError."""
     if not isinstance(s, str):
         raise SchemaError(f"rational must be a 'p/q' string, got {s!r}")
+    if _RATIONAL.fullmatch(s) is None:
+        raise SchemaError(f"bad rational {s!r}")
+    num, _, den = s.partition("/")
     try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError):
+        return Fraction(int(num), int(den or 1))
+    except (ValueError, ZeroDivisionError):  # more digits than int() reads, or q = 0
         raise SchemaError(f"bad rational {s!r}") from None
 
 

@@ -2,8 +2,10 @@
 
 import copy
 import json
+import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -123,8 +125,9 @@ def test_unknown_selector_is_schema_error():
         run_problem({"algorithm": "frobnicate"})
 
 
-def test_all_selectors_produce_verifiable_traces():
-    problems = [
+def all_selector_problems():
+    """One solvable problem for each algorithm selector."""
+    return [
         pair_problem(),
         {
             "schema": 1,
@@ -166,7 +169,10 @@ def test_all_selectors_produce_verifiable_traces():
             "poly": {"vars": ["u", "x"], "terms": [{"e": [0, 3], "c": "1"}]},
         },
     ]
-    for p in problems:
+
+
+def test_all_selectors_produce_verifiable_traces():
+    for p in all_selector_problems():
         trace = run_problem(p)
         assert trace["verdict"]["ok"], (p["algorithm"], trace["verdict"])
         verify_trace(trace)
@@ -222,6 +228,53 @@ def test_cli_batch_and_jobs(tmp_path):
     digests = [t["header"]["input_digest"] for t in traces]
     assert digests == [canonical_digest(p) for p in batch]  # order preserved
     assert _cli("verify", str(tf)).returncode == 0
+
+
+def _blank_created(text):
+    return re.sub(r'"created": "[^"]*"', '"created": ""', text)
+
+
+def _expected_bytes(payload):
+    """What `valmono run` must write: json.dumps of the in-process traces."""
+    if isinstance(payload, list):
+        obj = [run_problem(p) for p in payload]
+    else:
+        obj = run_problem(payload)
+    return _blank_created(json.dumps(obj, indent=1) + "\n")
+
+
+def _refused_pair():
+    bad = pair_problem()
+    bad["spec"]["weights"][0] = {"coords": ["0", "0"]}
+    return bad
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_output_bytes_match_in_process_dumps(tmp_path, jobs):
+    # 36 items, so two workers take chunks of two
+    batch = (all_selector_problems() + [_refused_pair(), pair_problem((0, 5), (7, 0))]) * 4
+    cases = [(batch, 3), (all_selector_problems()[0], 0), ([], 0), ([_refused_pair()], 3)]
+    for k, (payload, code) in enumerate(cases):
+        pf = tmp_path / f"p{k}.json"
+        tf = tmp_path / f"t{k}.json"
+        pf.write_text(json.dumps(payload))
+        r = _cli("run", str(pf), "--out", str(tf), "--jobs", jobs)
+        assert r.returncode == code, r.stderr
+        assert _blank_created(tf.read_text(encoding="utf-8")) == _expected_bytes(payload)
+    # without --out the same bytes go to stdout
+    r = _cli("run", str(tmp_path / "p0.json"), "--jobs", jobs)
+    assert r.returncode == 3
+    assert _blank_created(r.stdout) == _expected_bytes(batch)
+    assert r.stderr == "error: weights must be positive\n" * 4
+
+
+def test_chunk_size():
+    from valmono.cli import chunk_size
+
+    assert chunk_size(720, 2) == 45  # about eight chunks per worker
+    assert chunk_size(300, 4) == 9
+    assert chunk_size(10, 2) == 1  # small batches go one problem at a time
+    assert chunk_size(2, 2) == 1
 
 
 def test_worker_count_is_clamped():
@@ -333,7 +386,17 @@ def test_tower_chain_through_trace_layer():
     assert w["level_data"][0]["minpoly"] == ["-2", "0", "1"]
 
 
-BAD_RATIONALS = [0.1, True, "abc", "3/0"]
+BAD_RATIONALS = [0.1, True, "abc", "3/0", "0.5", "1e3", " 7 ", "1_000"]
+
+
+def test_rational_literals():
+    from valmono.values import fraction_from_str
+
+    assert fraction_from_str("-07/14") == Fraction(-1, 2)
+    assert fraction_from_str("0") == 0
+    for literal in ("3/00", "+1", "1/-2", "", "1\n", "\u0663", "1" * 5000, "1/" + "1" * 5000):
+        with pytest.raises(SchemaError, match="bad rational"):
+            fraction_from_str(literal)
 
 
 def _with_bad_coordinate(literal):
@@ -421,3 +484,43 @@ def test_numeric_minpoly_coefficient_is_schema_error(tmp_path):
     pf.write_text(json.dumps(p))
     r = _cli("run", str(pf))
     assert r.returncode == 2 and "Traceback" not in r.stderr
+
+
+BAD_SPECS = [
+    ("weights", 5),
+    ("vars", 5),
+    ("vars", [1, 2]),
+    ("weights", ["1", "0"]),
+    ("weights", [{"coords": "1"}, {"coords": ["0", "1"]}]),
+    ("weights", [{}, {"coords": ["0", "1"]}]),
+]
+
+
+@pytest.mark.parametrize("field,value", BAD_SPECS)
+def test_malformed_spec_is_schema_error(field, value):
+    problem = pair_problem()
+    problem["spec"][field] = value
+    with pytest.raises(SchemaError, match=field):
+        run_problem(problem)
+
+
+@pytest.mark.parametrize("field", ["w_vars", "w_weights"])
+def test_malformed_uniformize_weights_is_schema_error(field):
+    problem = cusp_uniformize_problem()
+    problem["problem"][field] = 5
+    with pytest.raises(SchemaError, match=field):
+        run_problem(problem)
+
+
+@pytest.mark.parametrize("field,value", [BAD_SPECS[0], BAD_SPECS[1], BAD_SPECS[3]])
+def test_cli_malformed_spec_exits_2(tmp_path, field, value):
+    bad = pair_problem()
+    bad["spec"][field] = value
+    tf = tmp_path / "t.json"
+    for payload, jobs in ((bad, "1"), ([pair_problem(), bad, pair_problem()], "2")):
+        pf = tmp_path / "p.json"
+        pf.write_text(json.dumps(payload))
+        r = _cli("run", str(pf), "--out", str(tf), "--jobs", jobs)
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr and field in r.stderr
+        assert not tf.exists()
