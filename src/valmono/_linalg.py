@@ -1,8 +1,9 @@
 """Small exact linear-algebra helpers over Fraction / int.
 
 Matrices are tuples of row tuples.  Everything here is desk-scale
-(n rarely above 8); plain Gaussian elimination over Fraction is exact
-and fast enough.
+(n rarely above 8); one Gauss-Jordan elimination over Fraction, under the
+determinant, the integral inverse, the solver and the rank, is exact and
+fast enough.
 """
 
 from __future__ import annotations
@@ -30,56 +31,48 @@ def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
     return tuple(sum(a[i][t] * v[t] for t in range(len(v))) for i in range(len(a)))
 
 
-def det(a: Sequence[Sequence[int]]) -> Fraction:
-    """Exact determinant via fraction-free-ish Gaussian elimination."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    sign = 1
+def _reduce(m: list[list[Fraction]], cols: int) -> tuple[list[int], Fraction]:
+    """Gauss-Jordan elimination in place on the first ``cols`` columns: each
+    pivot row is scaled to 1 and its column cleared in every other row, and
+    the k-th pivot lands in row k.  Returns the pivot columns and the
+    determinant factor (the product of the pivots, signed by the row swaps)."""
+    pivots: list[int] = []
     d = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+    for c in range(cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        d *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return sign * d
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            d = -d
+        d *= m[r][c]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return pivots, d
+
+
+def det(a: Sequence[Sequence[int]]) -> Fraction:
+    """Exact determinant of a square matrix."""
+    pivots, d = _reduce([[Fraction(x) for x in row] for row in a], len(a))
+    return d if len(pivots) == len(a) else Fraction(0)
 
 
 def inverse_int(a: Sequence[Sequence[int]]) -> Optional[Matrix]:
     """Inverse of an integer matrix when the inverse is again integral
     (the unimodular case); None if singular or non-integral."""
     n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            x = m[i][n + j]
-            if x.denominator != 1:
-                return None
-            row.append(int(x))
-        out.append(tuple(row))
-    return tuple(out)
+    m = [[Fraction(x) for x in row] + [Fraction(y) for y in unit] for row, unit in zip(a, identity(n))]
+    if len(_reduce(m, n)[0]) < n:
+        return None
+    if any(x.denominator != 1 for row in m for x in row[n:]):
+        return None
+    return tuple(tuple(int(x) for x in row[n:]) for row in m)
 
 
 def solve_rational(
@@ -91,48 +84,16 @@ def solve_rational(
     underdetermined the free variables are set to 0; callers that need a
     unique solution must check column rank themselves.
     """
-    rows, cols = len(a), len(a[0]) if a else 0
-    m = [list(row) + [b[i]] for i, row in enumerate(a)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if m[i][cols] != 0:
-            return None
+    cols = len(a[0]) if a else 0
+    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
+    pivots, _ = _reduce(m, cols)
+    if any(row[cols] != 0 for row in m[len(pivots):]):
+        return None
     x = [Fraction(0)] * cols
-    for pr, pc in pivots:
-        x[pc] = m[pr][cols]
+    for r, c in enumerate(pivots):
+        x[c] = m[r][cols]
     return tuple(x)
 
 
 def rank_rational(a: Sequence[Sequence[Fraction]]) -> int:
-    rows = [list(row) for row in a]
-    cols = len(rows[0]) if rows else 0
-    rank = 0
-    for c in range(cols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][c]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+    return len(_reduce([[Fraction(x) for x in row] for row in a], len(a[0]) if a else 0)[0])

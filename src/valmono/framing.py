@@ -472,14 +472,15 @@ def push_polynomial_through_step(
 
 class PushPath:
     """One framed sequence, from ``frame0`` through its steps, as the path
-    along which polynomials are pushed.
+    along which polynomials are pushed.  The descent loops of ``game`` and
+    the engines of ``unifseq`` append their steps here.
 
-    The frame after each step is computed once, or handed in by the engine
-    that made the step.  A maximal run of monomial steps is applied as one
-    composite matrix (``compose_sequence``, kept on the object); every other
-    step goes through ``push_polynomial_through_step``.  Pushing through
-    steps [a, b) and then [b, c) equals pushing through [a, c), so a caller
-    may keep an image and advance it only through the steps added since.
+    The frame after each step is computed once, when the step is appended.
+    A maximal run of monomial steps is applied as one composite matrix
+    (``compose_sequence``, kept on the object); every other step goes
+    through ``push_polynomial_through_step``.  Pushing through steps [a, b)
+    and then [b, c) equals pushing through [a, c), so a caller may keep an
+    image and advance it only through the steps added since.
     """
 
     def __init__(self, frame0: Frame):
@@ -494,11 +495,9 @@ class PushPath:
     def frame(self) -> Frame:
         return self.frames[-1]
 
-    def append(self, step: FramedStep, frame_after: Optional[Frame] = None) -> None:
-        if frame_after is None:
-            frame_after = apply_step_to_frame(self.frames[-1], step)
+    def append(self, step: FramedStep) -> None:
         self.steps.append(step)
-        self.frames.append(frame_after)
+        self.frames.append(apply_step_to_frame(self.frames[-1], step))
 
     def _segments(self, start: int, stop: int):
         """(a, b, map) for each maximal monomial run steps[a:b] with its
@@ -528,10 +527,11 @@ class PushPath:
                 f = apply_monomial_map(f, m)
         return f
 
-    def forward(self) -> LaurentMonomialMap:
-        """Composite forward map of every step: the original variables as
-        monomials in the final frame."""
-        total = LaurentMonomialMap(_linalg.identity(self.frames[0].n))
-        for a, _, m in self._segments(0, len(self.steps)):
+    def forward(self, start: int = 0) -> LaurentMonomialMap:
+        """Composite forward map of the steps from ``start`` on: the
+        variables of the chart ``frames[start]`` as monomials in the final
+        frame."""
+        total = LaurentMonomialMap(_linalg.identity(self.frames[start].n))
+        for a, _, m in self._segments(start, len(self.steps)):
             total = (m or self.steps[a].forward).compose_after(total)
         return total

@@ -15,7 +15,7 @@ residues of these units are transcendental, so the tagging is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     InvalidInputError,
@@ -27,12 +27,11 @@ from .errors import (
 from .framing import (
     Frame,
     FramedSequence,
-    FramedStep,
-    apply_step_to_frame,
+    PushPath,
     build_step_for_weights,
     choose_vertex,
 )
-from .polyalg import MultiPoly, apply_monomial_map
+from .polyalg import MultiPoly
 from .values import Ordering, Value, compare, value_of_exponent
 
 DEFAULT_BUDGET = 100_000
@@ -177,21 +176,19 @@ def _auto_independence_set(
 def run_pair_descent(
     alpha: Sequence[int],
     gamma: Sequence[int],
-    frame: Frame,
-    budget: Optional[_Budget] = None,
-    records: Optional[list] = None,
-    on_step: Optional[Callable[[FramedStep, Frame], None]] = None,
-) -> tuple[tuple[int, ...], tuple[int, ...], Frame, list[FramedStep]]:
-    """Iterate descent blow-ups until one exponent divides the other
-    (units ignored).  Mutates nothing; returns the transformed exponents,
-    final frame and the steps taken."""
+    path: PushPath,
+    budget: _Budget,
+    records: list,
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Iterate descent blow-ups from the path's current frame until one
+    exponent divides the other (units ignored).  Each step is appended to
+    the path; returns the transformed exponents."""
     alpha = tuple(int(a) for a in alpha)
     gamma = tuple(int(g) for g in gamma)
-    if len(alpha) != frame.n or len(gamma) != frame.n:
+    if len(alpha) != path.frame.n or len(gamma) != path.frame.n:
         raise InvalidInputError("exponent length must match the frame")
-    budget = budget or _Budget(DEFAULT_BUDGET)
-    steps: list[FramedStep] = []
-    at, gt = reduced_parts(alpha, gamma, frame.units)
+    start = len(path)
+    at, gt = reduced_parts(alpha, gamma, path.frame.units)
     prev_tau = None
     bound = sum(at) + sum(gt) + 1
     while True:
@@ -204,31 +201,28 @@ def run_pair_descent(
         if prev_tau is not None and not (cur_tau < prev_tau):
             raise AssertionError("tau failed to decrease strictly")
         prev_tau = cur_tau
-        if len(steps) >= bound:
+        if len(path) - start >= bound:
             raise AssertionError("descent exceeded its a-priori step bound")
         budget.tick()
-        J, j = _greedy_center(at, gt, [frame.weights[i] for i in range(frame.n)])
-        step = build_step_for_weights(frame.n, J, j, list(frame.weights))
+        frame = path.frame
+        J, j = _greedy_center(at, gt, frame.weights)
+        step = build_step_for_weights(frame.n, J, j, frame.weights)
         alpha = step.forward.apply_to_exponent(alpha)
         gamma = step.forward.apply_to_exponent(gamma)
-        frame = apply_step_to_frame(frame, step)
-        steps.append(step)
-        if records is not None:
-            rec = {
-                "step": len(records) + 1,
-                "tau": cur_tau.to_json(),
-                "J": [i + 1 for i in J],
-                "j": j + 1,
-                "alpha": list(alpha),
-                "gamma": list(gamma),
-            }
-            if step.J_times:
-                rec["Jx"] = [i + 1 for i in step.J_times]
-            records.append(rec)
-        if on_step is not None:
-            on_step(step, frame)
-        at, gt = reduced_parts(alpha, gamma, frame.units)
-    return alpha, gamma, frame, steps
+        path.append(step)
+        rec = {
+            "step": len(records) + 1,
+            "tau": cur_tau.to_json(),
+            "J": [i + 1 for i in J],
+            "j": j + 1,
+            "alpha": list(alpha),
+            "gamma": list(gamma),
+        }
+        if step.J_times:
+            rec["Jx"] = [i + 1 for i in step.J_times]
+        records.append(rec)
+        at, gt = reduced_parts(alpha, gamma, path.frame.units)
+    return alpha, gamma
 
 
 def monomialize_pair(
@@ -240,20 +234,18 @@ def monomialize_pair(
 ) -> PairResult:
     """Blow up until one of the two monomials divides the other in the
     final frame; returns the transformed exponents."""
-    frame = spec.frame()
+    path = PushPath(spec.frame())
     records: list[dict] = []
     independence = (
-        _auto_independence_set(alpha, gamma, frame.n) if auto_independence else None
+        _auto_independence_set(alpha, gamma, path.frame.n) if auto_independence else None
     )
-    a, g, frame, steps = run_pair_descent(
-        alpha, gamma, frame, _Budget(budget), records
-    )
-    at, gt = reduced_parts(a, g, frame.units)
+    a, g = run_pair_descent(alpha, gamma, path, _Budget(budget), records)
+    at, gt = reduced_parts(a, g, path.frame.units)
     return PairResult(
-        sequence=FramedSequence(tuple(steps), independence),
+        sequence=FramedSequence(tuple(path.steps), independence),
         alpha=a,
         gamma=g,
-        frame=frame,
+        frame=path.frame,
         records=records,
         alpha_divides=sum(at) == 0,
         gamma_divides=sum(gt) == 0,
@@ -267,6 +259,7 @@ class IdealResult:
     exponents: list[tuple[int, ...]]
     frame: Frame
     records: list[dict]
+    path: PushPath
 
 
 def _reduced_divides(
@@ -275,20 +268,27 @@ def _reduced_divides(
     return all(x <= y for i, (x, y) in enumerate(zip(a, b)) if i not in units)
 
 
-def _ideal_tau(
+def _best_pair(
     exps: list[tuple[int, ...]], active: list[int], units: frozenset[int]
-) -> tuple[int, list[int]]:
-    b = len(active) - 1
-    if b == 0:
-        return 0, [0, 1]
+) -> tuple[TauValue, tuple[int, ...], tuple[int, ...]]:
+    """(tau, at, gt) of the first pair of active generators attaining the
+    minimal tau; ``active`` is increasing, so that is the least index pair."""
     best = None
     for p in range(len(active)):
         for q in range(p + 1, len(active)):
             at, gt = reduced_parts(exps[active[p]], exps[active[q]], units)
             tv = TauValue(*sorted((sum(at), sum(gt))))
-            if best is None or tv < best:
-                best = tv
-    return b, best.to_json()
+            if best is None or tv < best[0]:
+                best = (tv, at, gt)
+    return best
+
+
+def _ideal_tau(
+    exps: list[tuple[int, ...]], active: list[int], units: frozenset[int]
+) -> tuple[int, list[int]]:
+    if len(active) == 1:
+        return 0, [0, 1]
+    return len(active) - 1, _best_pair(exps, active, units)[0].to_json()
 
 
 def principalize_monomial_ideal(
@@ -301,43 +301,43 @@ def principalize_monomial_ideal(
     its minimal-value generator.  The tau(I, w) log (generator count, minimal
     pair tau) strictly lex-decreases at every event."""
     exps = [tuple(int(x) for x in g) for g in generators]
-    frame = spec.frame()
+    path = PushPath(spec.frame())
+    n = path.frame.n
     independence = None
     if auto_independence:
-        touched = {i for e in exps for i in range(frame.n) if e[i] > 0}
-        independence = tuple(i for i in range(frame.n) if i not in touched)
-    survivor, exps, frame, steps, records = principalize_exponents(
-        exps, frame, _Budget(budget)
-    )
+        touched = {i for e in exps for i in range(n) if e[i] > 0}
+        independence = tuple(i for i in range(n) if i not in touched)
+    records: list[dict] = []
+    survivor, exps = principalize_exponents(exps, path, _Budget(budget), records)
     return IdealResult(
-        sequence=FramedSequence(tuple(steps), independence),
+        sequence=FramedSequence(tuple(path.steps), independence),
         survivor=survivor,
         exponents=exps,
-        frame=frame,
+        frame=path.frame,
         records=records,
+        path=path,
     )
 
 
 def principalize_exponents(
     generators: Sequence[Sequence[int]],
-    frame: Frame,
-    budget_: Optional[_Budget] = None,
-    records: Optional[list] = None,
-    on_step: Optional[Callable[[FramedStep, Frame], None]] = None,
-) -> tuple[int, list[tuple[int, ...]], Frame, list[FramedStep], list[dict]]:
-    """Core principalization loop on an explicit frame (unit tags allowed)."""
+    path: PushPath,
+    budget: _Budget,
+    records: list,
+) -> tuple[int, list[tuple[int, ...]]]:
+    """Core principalization loop from the path's current frame (unit tags
+    allowed).  Each step is appended to the path; returns the survivor's
+    index and every generator's final exponent."""
     if not generators:
         raise InvalidInputError("empty generator list")
     exps = [tuple(int(x) for x in g) for g in generators]
     for e in exps:
-        if len(e) != frame.n:
+        if len(e) != path.frame.n:
             raise InvalidInputError("exponent length must match the frame")
-    budget_ = budget_ or _Budget(DEFAULT_BUDGET)
-    records = records if records is not None else []
-    steps: list[FramedStep] = []
     active = list(range(len(exps)))
 
     def drop_divisible() -> None:
+        units = path.frame.units
         changed = True
         while changed and len(active) > 1:
             changed = False
@@ -346,12 +346,12 @@ def principalize_exponents(
                     if p == q:
                         continue
                     a, b = exps[active[p]], exps[active[q]]
-                    if _reduced_divides(a, b, frame.units) and (
-                        not _reduced_divides(b, a, frame.units)
+                    if _reduced_divides(a, b, units) and (
+                        not _reduced_divides(b, a, units)
                         or active[p] < active[q]
                     ):
                         dropped = active.pop(q)
-                        bb, tv = _ideal_tau(exps, active, frame.units)
+                        bb, tv = _ideal_tau(exps, active, units)
                         records.append(
                             {
                                 "step": len(records) + 1,
@@ -367,27 +367,17 @@ def principalize_exponents(
 
     drop_divisible()
     while len(active) > 1:
-        budget_.tick()
+        budget.tick()
         # the pair attaining the minimal tau drives the next blow-up
-        best = None
-        for p in range(len(active)):
-            for q in range(p + 1, len(active)):
-                at, gt = reduced_parts(exps[active[p]], exps[active[q]], frame.units)
-                tv = TauValue(*sorted((sum(at), sum(gt))))
-                key = (tv, active[p], active[q])
-                if best is None or key < best[0]:
-                    best = (key, at, gt)
-        (tv, _, _), at, gt = best
+        frame = path.frame
+        _, at, gt = _best_pair(exps, active, frame.units)
         if sum(at) > sum(gt):
             at, gt = gt, at
-        J, j = _greedy_center(at, gt, list(frame.weights))
-        step = build_step_for_weights(frame.n, J, j, list(frame.weights))
+        J, j = _greedy_center(at, gt, frame.weights)
+        step = build_step_for_weights(frame.n, J, j, frame.weights)
         exps = [step.forward.apply_to_exponent(e) for e in exps]
-        frame = apply_step_to_frame(frame, step)
-        steps.append(step)
-        if on_step is not None:
-            on_step(step, frame)
-        bb, tvj = _ideal_tau(exps, active, frame.units)
+        path.append(step)
+        bb, tvj = _ideal_tau(exps, active, path.frame.units)
         rec = {
             "step": len(records) + 1,
             "event": "blowup",
@@ -403,11 +393,11 @@ def principalize_exponents(
 
     survivor = active[0]
     for k, e in enumerate(exps):
-        if not _reduced_divides(exps[survivor], e, frame.units):
+        if not _reduced_divides(exps[survivor], e, path.frame.units):
             raise AssertionError(
                 f"survivor does not divide generator {k} after principalization"
             )
-    return survivor, exps, frame, steps, records
+    return survivor, exps
 
 
 def monomial_valuation(f: MultiPoly, spec: MonomialValuationSpec) -> Value:
@@ -454,6 +444,31 @@ def _antichain(exps: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return keep
 
 
+def split_monomial(
+    poly: MultiPoly, exponent: Sequence[int], frame: Frame
+) -> tuple[tuple[int, ...], Optional[MultiPoly]]:
+    """poly = w^mono * cofactor, where mono is ``exponent`` with the unit
+    columns of ``frame`` zeroed; the cofactor is None when w^mono fails to
+    divide some term of poly."""
+    mono = tuple(0 if i in frame.units else x for i, x in enumerate(exponent))
+    shifted = {}
+    for e, c in poly.terms.items():
+        ne = tuple(x - m for x, m in zip(e, mono))
+        if any(x < 0 for x in ne):
+            return mono, None
+        shifted[ne] = c
+    return mono, MultiPoly(poly.vars, shifted, poly.tower)
+
+
+def has_unit_term(poly: MultiPoly, frame: Frame) -> bool:
+    """Whether poly has a term involving only unit columns of ``frame``,
+    i.e. an invertible part at the origin of the chart."""
+    return any(
+        all(x == 0 for i, x in enumerate(e) if i not in frame.units)
+        for e in poly.terms
+    )
+
+
 def monomialize_nondegenerate(
     f: MultiPoly,
     spec: MonomialValuationSpec,
@@ -469,34 +484,18 @@ def monomialize_nondegenerate(
     exps = sorted(f.terms.keys(), key=lambda e: (sum(e), e))
     gens = _antichain(exps)
     res = principalize_monomial_ideal(gens, spec, budget, auto_independence)
-    # use the minimal-value generator image as the monomial part
-    frame = res.frame
-    image = f
-    for step in res.sequence.steps:
-        image = apply_monomial_map(image, step.forward)
-    # survivor's image, units zeroed out
-    surv = res.exponents[res.survivor]
-    monomial = tuple(
-        0 if i in frame.units else x for i, x in enumerate(surv)
-    )
-    shifted = {}
-    for e, c in image.terms.items():
-        ne = tuple(x - m for x, m in zip(e, monomial))
-        if any(x < 0 for x in ne):
-            raise AssertionError("survivor fails to divide a term of the image")
-        shifted[ne] = c
-    witness = MultiPoly(image.vars, shifted, image.tower)
-    has_unit_term = any(
-        all(x == 0 for i, x in enumerate(e) if i not in frame.units)
-        for e in witness.terms
-    )
-    if not has_unit_term:
+    # the survivor's image, units zeroed out, is the monomial part
+    image = res.path.push(f)
+    monomial, witness = split_monomial(image, res.exponents[res.survivor], res.frame)
+    if witness is None:
+        raise AssertionError("survivor fails to divide a term of the image")
+    if not has_unit_term(witness, res.frame):
         raise AssertionError("unit witness has no invertible part")
     return NondegResult(
         sequence=res.sequence,
         exponent=monomial,
         unit_witness=witness,
-        frame=frame,
+        frame=res.frame,
         records=res.records,
         image=image,
     )

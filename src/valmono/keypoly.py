@@ -32,7 +32,7 @@ from .errors import (
 )
 from .framing import Frame
 from .game import MonomialValuationSpec
-from .polyalg import MultiPoly, QQ, q_adic_expansion
+from .polyalg import MultiPoly, q_adic_expansion
 from .values import Ordering, Value, compare, value_of_exponent
 
 
@@ -102,10 +102,6 @@ class StandardExpansion:
         for c in reversed(self.coefficients[:-1]):
             out = out * self.base + c
         return out
-
-    @property
-    def top_index(self) -> int:
-        return len(self.coefficients) - 1
 
 
 def standard_expansion(f: MultiPoly, chain: KeyPolyChain, i: int) -> StandardExpansion:
@@ -264,19 +260,3 @@ def validate_chain(chain: KeyPolyChain) -> list[str]:
             issues.append(f"value-jump:Q_{i}")
     return issues
 
-
-def chain_from_json(obj: dict, group) -> KeyPolyChain:
-    from .values import Value
-
-    g = obj["ground"]
-    spec = MonomialValuationSpec(
-        vars=tuple(g["vars"]),
-        weights=tuple(Value.from_json(w, group) for w in g["weights"]),
-    )
-    x = obj["x"]
-    vars_ = spec.vars + (x,)
-    entries = []
-    for e in obj["entries"]:
-        q = MultiPoly.from_json(e["Q"], QQ).with_vars(vars_)
-        entries.append((q, Value.from_json(e["beta"], group)))
-    return KeyPolyChain(ground=spec, x=x, entries=tuple(entries))

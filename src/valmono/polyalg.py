@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from operator import add
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import _linalg
 from .errors import (
@@ -583,7 +583,6 @@ class LaurentMonomialMap:
     exponent vector of the image of variable q."""
 
     matrix: tuple[tuple[int, ...], ...]
-    unit_tags: Optional[tuple[bool, ...]] = None
 
     def __post_init__(self):
         n = len(self.matrix)

@@ -27,7 +27,7 @@ from .game import (
     monomialize_pair,
     principalize_monomial_ideal,
 )
-from .keypoly import chain_from_json, truncate
+from .keypoly import KeyPolyChain, truncate
 from .polyalg import MultiPoly, QQ
 from .unifseq import (
     ResidueDescriptor,
@@ -92,6 +92,32 @@ def _values(obj: dict, key: str, group: ValueGroup) -> tuple[Value, ...]:
 def _parse_spec(obj: dict, group: ValueGroup) -> MonomialValuationSpec:
     spec = _need(obj, "spec")
     return MonomialValuationSpec(_names(spec, "vars"), _values(spec, "weights", group))
+
+
+def chain_from_json(obj: dict, group: ValueGroup) -> KeyPolyChain:
+    """The key-polynomial chain of a problem; a malformed ground, x or
+    entries field raises SchemaError naming it."""
+    ground = _need(obj, "ground")
+    spec = MonomialValuationSpec(_names(ground, "vars"), _values(ground, "weights", group))
+    x = _need(obj, "x")
+    if not isinstance(x, str):
+        raise SchemaError(f"x must be a variable name, not {x!r}")
+    entries = _need(obj, "entries")
+    if not isinstance(entries, list) or not all(
+        isinstance(e, dict) and "Q" in e and "beta" in e for e in entries
+    ):
+        raise SchemaError(
+            f'entries must be an array of {{"Q": ..., "beta": ...}} objects, not {entries!r}'
+        )
+    vars_ = spec.vars + (x,)
+    return KeyPolyChain(
+        ground=spec,
+        x=x,
+        entries=tuple(
+            (MultiPoly.from_json(e["Q"], QQ).with_vars(vars_), Value.from_json(e["beta"], group))
+            for e in entries
+        ),
+    )
 
 
 def _parse_exponents(obj) -> list[tuple[int, ...]]:

@@ -41,7 +41,6 @@ from .errors import (
 from .framing import (
     Frame,
     FramedSequence,
-    FramedStep,
     PushPath,
     make_translation_step,
     push_polynomial_through_step,
@@ -51,9 +50,11 @@ from .game import (
     DEFAULT_BUDGET,
     _antichain,
     _Budget,
+    has_unit_term,
     principalize_exponents,
     reduced_parts,
     run_pair_descent,
+    split_monomial,
 )
 from .keypoly import KeyPolyChain, truncate, validate_chain
 from .polyalg import FieldTower, MultiPoly, QQ, euclid_divide, taylor_shift
@@ -194,10 +195,16 @@ class _ElementaryEngine:
 
     # -- bookkeeping ---------------------------------------------------
 
-    def _on_step(self, step: FramedStep, frame: Frame) -> None:
+    def _descend(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
+        """Run the pair game on two exponents, appending its steps to the
+        path, and advance every tracked exponent through them; returns the
+        path length before the run."""
+        mark = len(self.path)
+        run_pair_descent(a, b, self.path, self.budget, self.records)
+        moved = self.path.forward(mark)
         for k, e in self.tracked.items():
-            self.tracked[k] = step.forward.apply_to_exponent(e)
-        self.path.append(step, frame)
+            self.tracked[k] = moved.apply_to_exponent(e)
+        return mark
 
     def _embed(self, coeffs_on_w: Sequence[int], x_power: int = 0) -> tuple[int, ...]:
         e = [0] * self.frame.n
@@ -235,10 +242,8 @@ class _ElementaryEngine:
             at, _ = reduced_parts(t, e, self.frame.units)
             if sum(at) == 0:
                 continue
-            new_steps = run_pair_descent(
-                t, e, self.frame, self.budget, self.records, on_step=self._on_step
-            )[3]
-            self.aux_steps += len(new_steps)
+            mark = self._descend(t, e)
+            self.aux_steps += len(self.path) - mark
             t, e = self.tracked["__target"], self.tracked[k]
             at, _ = reduced_parts(t, e, self.frame.units)
             if sum(at) != 0:
@@ -248,10 +253,8 @@ class _ElementaryEngine:
         del self.tracked["__target"]
 
     def run_main_game(self) -> None:
-        d0, g0 = self.tracked["__delta"], self.tracked["__gamma"]
-        main = run_pair_descent(
-            d0, g0, self.frame, self.budget, self.records, on_step=self._on_step
-        )[3]
+        mark = self._descend(self.tracked["__delta"], self.tracked["__gamma"])
+        main = self.path.steps[mark:]
         # the collision closing the main game must be its very last step
         for i, s in enumerate(main):
             if s.J_times and i != len(main) - 1:
@@ -713,9 +716,9 @@ def monomialize_key_polys(chain: KeyPolyChain, budget: int = DEFAULT_BUDGET) -> 
     x_name = frame.names[x_col]
     for i in range(1, len(chain) + 1):
         img = image(i)
-        mono = _common_monomial(img, frame)
-        unit = _shift_by_monomial(img, mono)
-        if not _has_unit_term(unit, frame):
+        # the componentwise least exponent divides every term
+        mono, unit = split_monomial(img, [min(c) for c in zip(*img.terms)], frame)
+        if not has_unit_term(unit, frame):
             # residual terms that only a formal-series parameter absorbs
             raise RequiresCompletionError(
                 f"requires completion: key polynomial {i} keeps a residual "
@@ -750,33 +753,6 @@ def monomialize_key_polys(chain: KeyPolyChain, budget: int = DEFAULT_BUDGET) -> 
         records=records,
         level_data=level_data,
         path=path,
-    )
-
-
-def _common_monomial(poly: MultiPoly, frame: Frame) -> tuple[int, ...]:
-    """Componentwise minimum of the exponents, active columns only."""
-    if poly.is_zero():
-        raise ZeroPolynomialError("zero polynomial has no value")
-    mins = None
-    for e in poly.terms:
-        mins = list(e) if mins is None else [min(a, b) for a, b in zip(mins, e)]
-    return tuple(0 if i in frame.units else x for i, x in enumerate(mins))
-
-
-def _shift_by_monomial(poly: MultiPoly, mono: Sequence[int]) -> MultiPoly:
-    out = {}
-    for e, c in poly.terms.items():
-        ne = tuple(a - b for a, b in zip(e, mono))
-        if any(x < 0 for x in ne):
-            raise AssertionError("monomial division failed")
-        out[ne] = c
-    return MultiPoly(poly.vars, out, poly.tower)
-
-
-def _has_unit_term(poly: MultiPoly, frame: Frame) -> bool:
-    return any(
-        all(x == 0 for i, x in enumerate(e) if i not in frame.units)
-        for e in poly.terms
     )
 
 
@@ -829,15 +805,13 @@ def monomialize_polynomial(
     img = path.push(f)
     start = len(path)
     gens = _antichain(sorted(img.terms.keys(), key=lambda e: (sum(e), e)))
-    survivor, exps, frame, _, _ = principalize_exponents(
-        gens, path.frame, _Budget(budget), records, on_step=path.append
-    )
+    survivor, exps = principalize_exponents(gens, path, _Budget(budget), records)
     img = path.push(img, start)
-    mono = tuple(
-        0 if i in frame.units else x for i, x in enumerate(exps[survivor])
-    )
-    witness = _shift_by_monomial(img, mono)
-    if not _has_unit_term(witness, frame):
+    frame = path.frame
+    mono, witness = split_monomial(img, exps[survivor], frame)
+    if witness is None:
+        raise AssertionError("monomial division failed")
+    if not has_unit_term(witness, frame):
         raise RequiresCompletionError(
             "requires completion: the cofactor is not a polynomial unit"
         )

@@ -22,7 +22,7 @@ from valmono.framing import (
     push_polynomial_through_step,
     pushforward_weights,
 )
-from valmono.polyalg import MultiPoly, QQ, apply_monomial_map
+from valmono.polyalg import LaurentMonomialMap, MultiPoly, QQ, apply_monomial_map
 from valmono.values import ValueGroup
 
 
@@ -251,6 +251,11 @@ def test_push_path_merges_monomial_runs():
             path.append(build_step_for_weights(n, J, choose_vertex(J, path.frame.weights), path.frame.weights))
         assert all(s.kind == "monomial" for s in path.steps)
         assert path.forward() == compose_sequence(FramedSequence(tuple(path.steps)))
+        # a cut inside the run composes only the steps after it
+        for start in (rng.randint(0, len(path)), len(path)):
+            assert path.forward(start) == compose_sequence(
+                FramedSequence(tuple(path.steps[start:])), n
+            )
         f = MultiPoly.build(
             vars_,
             {tuple(rng.randint(0, 4) for _ in range(n)): QQ.from_rational(rng.randint(1, 9))
@@ -261,3 +266,29 @@ def test_push_path_merges_monomial_runs():
             want = push_polynomial_through_step(want, fr, s)
         got = path.push(f)
         assert got == want and list(got.terms) == list(want.terms)
+
+
+def test_push_path_forward_from_a_cut_with_ties():
+    # rank-1 weights tie, so translation-kind steps split the monomial runs;
+    # forward(start) must still be the product of the steps after the cut
+    rng = random.Random(53)
+    g = ValueGroup(1)
+    n = 4
+    vars_ = tuple(f"u{i}" for i in range(n))
+    ties = 0
+    for _ in range(60):
+        path = PushPath(Frame(vars_, tuple(g.rational(rng.randint(1, 3)) for _ in range(n))))
+        for _ in range(rng.randint(1, 7)):
+            active = path.frame.active_indices()
+            if len(active) < 2:
+                break
+            J = tuple(sorted(rng.sample(active, rng.randint(2, len(active)))))
+            w = path.frame.weights
+            path.append(build_step_for_weights(n, J, choose_vertex(J, w), w))
+        ties += any(s.J_times for s in path.steps)
+        for start in range(len(path) + 1):
+            want = LaurentMonomialMap(_linalg.identity(n))
+            for s in path.steps[start:]:
+                want = s.forward.compose_after(want)
+            assert path.forward(start) == want
+    assert ties > 10

@@ -215,6 +215,32 @@ def test_monomialize_nondegenerate_tie_example():
     assert res.unit_witness.constant_term() == res.unit_witness.tower.one()
 
 
+def _stepwise_image(f, steps):
+    # reference push: each step's forward matrix in turn, no composites
+    image = f
+    for step in steps:
+        image = apply_monomial_map(image, step.forward)
+    return image
+
+
+def test_nondegenerate_image_matches_stepwise_push():
+    rng = random.Random(61)
+    ties = 0
+    for trial in range(120):
+        n = rng.randint(2, 4)
+        names = tuple(f"u{i + 1}" for i in range(n))
+        if trial % 2:
+            spec = rational_spec([rng.randint(1, 3) for _ in range(n)], names)
+        else:
+            spec = sqrt_prime_spec(n, names)
+        f = random_poly(rng, names, max_terms=5, max_exp=4)
+        res = monomialize_nondegenerate(f, spec)
+        ties += any(s.J_times for s in res.sequence.steps)
+        want = _stepwise_image(f, res.sequence.steps)
+        assert res.image == want and list(res.image.terms) == list(want.terms)
+    assert ties >= 10
+
+
 def test_divisibility_direction_with_random_rational_weights():
     # randomized weights (positive rationals, ties possible): the final
     # divisibility direction still matches the value comparison

@@ -11,7 +11,6 @@ from valmono.game import monomial_valuation
 from valmono.keypoly import (
     KeyPolyChain,
     _ground_value,
-    chain_from_json,
     delta_invariant,
     epsilon_invariant,
     next_key_char0,
@@ -21,6 +20,7 @@ from valmono.keypoly import (
     validate_chain,
 )
 from valmono.polyalg import MultiPoly
+from valmono.trace import chain_from_json
 from valmono.values import Ordering, ValueGroup, compare
 
 UV = ("u", "x")

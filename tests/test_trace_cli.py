@@ -512,15 +512,50 @@ def test_malformed_uniformize_weights_is_schema_error(field):
         run_problem(problem)
 
 
-@pytest.mark.parametrize("field,value", [BAD_SPECS[0], BAD_SPECS[1], BAD_SPECS[3]])
-def test_cli_malformed_spec_exits_2(tmp_path, field, value):
-    bad = pair_problem()
-    bad["spec"][field] = value
+def _assert_cli_schema_error(tmp_path, bad, good, field):
+    """``bad`` alone and inside a ``--jobs 2`` batch exits 2 naming the
+    field, with no traceback and no output file."""
     tf = tmp_path / "t.json"
-    for payload, jobs in ((bad, "1"), ([pair_problem(), bad, pair_problem()], "2")):
+    for payload, jobs in ((bad, "1"), ([good, bad, good], "2")):
         pf = tmp_path / "p.json"
         pf.write_text(json.dumps(payload))
         r = _cli("run", str(pf), "--out", str(tf), "--jobs", jobs)
         assert r.returncode == 2
         assert "Traceback" not in r.stderr and field in r.stderr
         assert not tf.exists()
+
+
+@pytest.mark.parametrize("field,value", [BAD_SPECS[0], BAD_SPECS[1], BAD_SPECS[3]])
+def test_cli_malformed_spec_exits_2(tmp_path, field, value):
+    bad = pair_problem()
+    bad["spec"][field] = value
+    _assert_cli_schema_error(tmp_path, bad, pair_problem(), field)
+
+
+# a chain's ground takes the spec's fields; x and the entries are checked too
+BAD_CHAINS = BAD_SPECS + [
+    ("x", ["x"]),
+    ("x", 5),
+    ("entries", 3),
+    ("entries", [5]),
+    ("entries", [{"beta": {"coords": ["3/2"]}}]),
+    ("entries", [{"Q": {"vars": ["u", "x"], "terms": [{"e": [0, 1], "c": "1"}]}}]),
+]
+
+
+def _with_bad_chain(field, value):
+    problem = _expand_problem()
+    chain = problem["chain"]
+    (chain["ground"] if field in ("vars", "weights") else chain)[field] = value
+    return problem
+
+
+@pytest.mark.parametrize("field,value", BAD_CHAINS)
+def test_malformed_chain_is_schema_error(field, value):
+    with pytest.raises(SchemaError, match=field):
+        run_problem(_with_bad_chain(field, value))
+
+
+@pytest.mark.parametrize("field,value", [BAD_CHAINS[0], BAD_CHAINS[6], BAD_CHAINS[8], BAD_CHAINS[10]])
+def test_cli_malformed_chain_exits_2(tmp_path, field, value):
+    _assert_cli_schema_error(tmp_path, _with_bad_chain(field, value), _expand_problem(), field)
