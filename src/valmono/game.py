@@ -283,14 +283,6 @@ def _best_pair(
     return best
 
 
-def _ideal_tau(
-    exps: list[tuple[int, ...]], active: list[int], units: frozenset[int]
-) -> tuple[int, list[int]]:
-    if len(active) == 1:
-        return 0, [0, 1]
-    return len(active) - 1, _best_pair(exps, active, units)[0].to_json()
-
-
 def principalize_monomial_ideal(
     generators: Sequence[Sequence[int]],
     spec: MonomialValuationSpec,
@@ -335,6 +327,16 @@ def principalize_exponents(
         if len(e) != path.frame.n:
             raise InvalidInputError("exponent length must match the frame")
     active = list(range(len(exps)))
+    # the last all-pairs scan; exps, active and the frame have not changed since
+    best = None
+
+    def ideal_tau() -> tuple[int, list[int]]:
+        """tau(I, w) for the record, scanned once for the next blow-up too."""
+        nonlocal best
+        if len(active) == 1:
+            return 0, [0, 1]
+        best = _best_pair(exps, active, path.frame.units)
+        return len(active) - 1, best[0].to_json()
 
     def drop_divisible() -> None:
         units = path.frame.units
@@ -351,7 +353,7 @@ def principalize_exponents(
                         or active[p] < active[q]
                     ):
                         dropped = active.pop(q)
-                        bb, tv = _ideal_tau(exps, active, units)
+                        bb, tv = ideal_tau()
                         records.append(
                             {
                                 "step": len(records) + 1,
@@ -370,14 +372,16 @@ def principalize_exponents(
         budget.tick()
         # the pair attaining the minimal tau drives the next blow-up
         frame = path.frame
-        _, at, gt = _best_pair(exps, active, frame.units)
+        if best is None:
+            best = _best_pair(exps, active, frame.units)
+        _, at, gt = best
         if sum(at) > sum(gt):
             at, gt = gt, at
         J, j = _greedy_center(at, gt, frame.weights)
         step = build_step_for_weights(frame.n, J, j, frame.weights)
         exps = [step.forward.apply_to_exponent(e) for e in exps]
         path.append(step)
-        bb, tvj = _ideal_tau(exps, active, path.frame.units)
+        bb, tvj = ideal_tau()
         rec = {
             "step": len(records) + 1,
             "event": "blowup",

@@ -14,6 +14,16 @@ minimum and the delta/epsilon invariants off that one expansion;
 truncation at the level below, and no invariant re-expands what another
 has already expanded.
 
+The whole recursion runs on the x-dense rows of :mod:`valmono.polyalg`.
+f is cleared to integer rows over one denominator D at the entry, and
+with every Q_i integral every digit at every level stays integral (a
+non-integral Q_i makes them Fractions through the same code).  The
+values below the level asked for are read off the digit rows (the ground
+value needs only exponents), so those digits never become polynomials.
+Only the coefficients of the level asked for are built, as
+``Fraction(c, D)``, and ``StandardExpansion.reassembles`` is an exact
+Horner check on the same kind of rows.
+
 Chains are finite by construction; limit key polynomials do not exist in
 residue characteristic zero, which this module encodes as a structural
 assumption rather than a runtime check.
@@ -23,7 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from typing import Iterable, Optional
 
 from .errors import (
     InvalidInputError,
@@ -32,7 +43,17 @@ from .errors import (
 )
 from .framing import Frame
 from .game import MonomialValuationSpec
-from .polyalg import MultiPoly, q_adic_expansion
+from .polyalg import (
+    MultiPoly,
+    _denominator,
+    _expand_rows,
+    _expansion_base,
+    _join_rows,
+    _reassembles,
+    _row_ops,
+    _Rows,
+    _split_rows,
+)
 from .values import Ordering, Value, compare, value_of_exponent
 
 
@@ -78,6 +99,10 @@ class KeyPolyChain:
             out.append(d_cur // d_prev)
         return tuple(out)
 
+    @cached_property
+    def _rows(self) -> "_ChainRows":
+        return _ChainRows(self)
+
     def to_json(self) -> dict:
         return {
             "ground": self.ground.to_json(),
@@ -96,43 +121,110 @@ class StandardExpansion:
     base: MultiPoly
     coefficients: tuple[MultiPoly, ...]
 
-    def reassemble(self) -> MultiPoly:
-        """sum c_j Q^j by Horner's rule, from the top digit down."""
-        out = self.coefficients[-1]
-        for c in reversed(self.coefficients[:-1]):
-            out = out * self.base + c
-        return out
+    def reassembles(self, f: MultiPoly) -> bool:
+        """Whether sum c_j Q^j is exactly f: Horner's rule on x-dense rows
+        over one denominator (x is the chain's last variable)."""
+        return _reassembles(f, self.base, self.coefficients, self.base.vars[-1])
 
 
-def standard_expansion(f: MultiPoly, chain: KeyPolyChain, i: int) -> StandardExpansion:
-    """Level-i standard expansion, obtained by iterated Euclidean division."""
+class _ChainRows:
+    """Truncation on x-dense rows, made once per chain: each Q_i as a row
+    divisor, built on first use (an unused level may be malformed), and the
+    values of ground exponents and of j * beta_i as they are met."""
+
+    def __init__(self, chain: KeyPolyChain):
+        qs = [q for q, _ in chain.entries]
+        self.x = chain.x
+        self.qs = qs
+        self.betas = [b for _, b in chain.entries]
+        self.weights = chain.ground.weights
+        self.ring = (chain.all_vars, qs[0].tower)
+        self.ops = _row_ops(qs[0].tower)
+        self.bases: dict[int, tuple[int, _Rows]] = {}
+        self.ground: dict[tuple[int, ...], Value] = {}
+        self.multiples: dict[tuple[int, int], Value] = {}
+
+    def expand(self, rows: _Rows, i: int) -> list[_Rows]:
+        """Level-i digits of ``rows``, which the expansion consumes."""
+        base = self.bases.get(i)
+        if base is None:
+            q = self.qs[i - 1]
+            if (q.vars, q.tower) != self.ring:
+                raise InvalidInputError("polynomials live in different rings")
+            base = self.bases[i] = _expansion_base(q, self.x)
+        return _expand_rows(rows, *base, self.ops)
+
+    def ground_value(self, exponents: Iterable[tuple[int, ...]]) -> Value:
+        """Monomial value of an x-free form given by its ground exponents:
+        the least value among them."""
+        best = None
+        for e in exponents:
+            v = self.ground.get(e)
+            if v is None:
+                v = self.ground[e] = value_of_exponent(e, self.weights)
+            if best is None or compare(v, best) is Ordering.Less:
+                best = v
+        return best
+
+    def term_values(self, digits: list[_Rows], i: int) -> tuple[tuple[int, Value], ...]:
+        """(j, j beta_i + value(c_j)) for the nonzero digits; consumes them."""
+        out = []
+        for j, c in enumerate(digits):
+            if c:
+                m = self.multiples.get((i, j))
+                if m is None:
+                    m = self.multiples[i, j] = self.betas[i - 1].scale(j)
+                out.append((j, m + self.value(c, i - 1)))
+        return tuple(out)
+
+    def value(self, c: _Rows, level: int) -> Value:
+        """Value of a Q_{level+1}-free standard form given by its (consumed)
+        rows: the ground value at level 0, else its least level term value."""
+        if level == 0:
+            return self.ground_value(e for row in c.values() for e in row)
+        return _least(self.term_values(self.expand(c, level), level))[1]
+
+
+def _least(terms: tuple[tuple[int, Value], ...]) -> tuple[int, Value]:
+    """(delta, minimum): the least term value and the last index attaining it."""
+    delta, best = terms[0]
+    for j, v in terms[1:]:
+        order = compare(v, best)
+        if order is not Ordering.Greater:
+            delta = j
+            if order is Ordering.Less:
+                best = v
+    return delta, best
+
+
+def _entry_rows(
+    f: MultiPoly, chain: KeyPolyChain, i: int
+) -> tuple[MultiPoly, Optional[int], list[_Rows]]:
+    """f over the chain's variables, its denominator D over Q (None over a
+    tower) and the level-i digits of D * f, as rows."""
     if not 1 <= i <= len(chain):
         raise InvalidInputError(f"level {i} outside the chain")
     if f.vars != chain.all_vars:
         f = f.with_vars(chain.all_vars)
-    Q = chain.Q(i)
-    digits = q_adic_expansion(f, Q, chain.x)
-    return StandardExpansion(level=i, base=Q, coefficients=tuple(digits))
+    f._check(chain.Q(i))
+    den = _denominator(f)
+    return f, den, chain._rows.expand(_split_rows(f, len(chain.ground.vars), den), i)
 
 
-def _ground_value(c: MultiPoly, chain: KeyPolyChain) -> Value:
-    """Monomial value of an x-free polynomial: the least value of the ground
-    columns of its exponents (x is the last column)."""
-    weights = chain.ground.weights
-    n = len(weights)
-    best = None
-    for e in c.terms:
-        v = value_of_exponent(e[:n], weights)
-        if best is None or compare(v, best) is Ordering.Less:
-            best = v
-    return best
+def _expansion(
+    f: MultiPoly, chain: KeyPolyChain, i: int, den: Optional[int], digits: list[_Rows]
+) -> StandardExpansion:
+    """The level-i expansion with its digits as polynomials, rows / D."""
+    xi = len(chain.ground.vars)
+    return StandardExpansion(
+        level=i, base=chain.Q(i), coefficients=tuple(_join_rows(c, xi, f, den) for c in digits)
+    )
 
 
-def _coefficient_value(c: MultiPoly, chain: KeyPolyChain, level: int) -> Value:
-    """Value of a Q_{level+1}-free standard form, computed by the level below."""
-    if level == 0:
-        return _ground_value(c, chain)
-    return truncated_valuation(c, chain, level)
+def standard_expansion(f: MultiPoly, chain: KeyPolyChain, i: int) -> StandardExpansion:
+    """Level-i standard expansion, obtained by iterated Euclidean division."""
+    f, den, digits = _entry_rows(f, chain, i)
+    return _expansion(f, chain, i, den, digits)
 
 
 @dataclass(frozen=True)
@@ -151,25 +243,17 @@ class Truncation:
 
 
 def truncate(f: MultiPoly, chain: KeyPolyChain, i: int) -> Truncation:
-    """Expand f once at level i and read off every truncation invariant."""
-    exp = standard_expansion(f, chain, i)
+    """Expand f once at level i and read off every truncation invariant.
+    Only the level-i coefficients are built as polynomials; the values
+    below are read off the digit rows."""
+    f, den, digits = _entry_rows(f, chain, i)
     if f.is_zero():
         raise ZeroPolynomialError("zero polynomial has no value")
-    beta = chain.beta(i)
-    terms = tuple(
-        (j, beta.scale(j) + _coefficient_value(c, chain, i - 1))
-        for j, c in enumerate(exp.coefficients)
-        if not c.is_zero()
-    )
-    # one scan each: delta is the last index attaining the minimum, epsilon
-    # the first index above delta attaining the minimum of what is left
-    delta, best = terms[0]
-    for j, v in terms[1:]:
-        order = compare(v, best)
-        if order is not Ordering.Greater:
-            delta = j
-            if order is Ordering.Less:
-                best = v
+    exp = _expansion(f, chain, i, den, digits)  # before the values consume the digits
+    terms = chain._rows.term_values(digits, i)
+    # epsilon is the first index above delta attaining the minimum of what
+    # is left
+    delta, best = _least(terms)
     above = [(j, v) for j, v in terms if j > delta]
     epsilon = None
     if above:

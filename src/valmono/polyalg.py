@@ -17,17 +17,25 @@ purely internal (it fixes JSON output order, nothing else).
 Division by a divisor monic in x has one kernel.  Both operands are split
 once into x-dense rows (x-degree -> x-free sparse coefficient) and
 long-divided row by row from the top degree down; the divisor's leading
-row is the constant one, so no coefficient is inverted.  ``euclid_divide``
-and ``q_adic_expansion`` convert to and from :class:`MultiPoly` only at
-their boundary, and a Q-adic expansion keeps the running quotient in row
-form from one digit to the next.
+row is the constant one, so no coefficient is inverted.  Over Q the
+dividend is cleared to integer numerators over one denominator D; an
+integral divisor has integer rows, so every quotient and remainder row
+stays integral (a non-integral one makes them Fractions through the same
+loop), and ``Fraction(c, D)`` is made only where rows become a
+:class:`MultiPoly` again.  Over a tower the rows hold tower elements.
+``euclid_divide``,
+``q_adic_expansion`` and the truncations of :mod:`valmono.keypoly` share
+it; a Q-adic expansion keeps the running quotient in row form from one
+digit to the next, and the check that an expansion reassembles its
+polynomial is Horner's rule on the same kind of rows.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -621,90 +629,163 @@ class LaurentMonomialMap:
         return LaurentMonomialMap(tuple(tuple(int(x) for x in row) for row in rows))
 
 
-# x-dense form of a polynomial: x-degree -> {exponent with x zeroed: coefficient}
+# x-dense form of a polynomial: x-degree -> {exponent without x: coefficient}.
+# Over Q a row coefficient is an int (a numerator over one denominator the
+# caller keeps) or a Fraction; over an extension it is a tower element.
 _Rows = dict[int, dict[tuple[int, ...], Elem]]
 
 
-def _split_rows(f: MultiPoly, xi: int) -> _Rows:
+def _denominator(f: MultiPoly) -> Optional[int]:
+    """The lcm of f's coefficient denominators over Q (1 for zero); None
+    over an extension."""
+    if f.tower.depth:
+        return None
+    return lcm(*[c.denominator for c in f.terms.values()])
+
+
+def _row_ops(tw: FieldTower) -> tuple:
+    """(mul, add, neg, is_zero) on row coefficients: the number operators
+    over Q, which serve ints and Fractions alike, and the tower's own above."""
+    if tw.depth:
+        return tw.mul, tw.add, tw.neg, tw.is_zero
+    return operator.mul, operator.add, operator.neg, operator.not_
+
+
+def _split_rows(f: MultiPoly, xi: int, den: Optional[int] = None) -> _Rows:
+    """Rows of f, or with ``den`` (a multiple of every denominator of f over
+    Q) the integer rows of den * f."""
     rows: _Rows = {}
     for e, c in f.terms.items():
-        rows.setdefault(e[xi], {})[e[:xi] + (0,) + e[xi + 1:]] = c
+        if den is not None:
+            c = c.numerator * (den // c.denominator)
+        rows.setdefault(e[xi], {})[e[:xi] + e[xi + 1:]] = c
     return rows
 
 
-def _join_rows(rows: _Rows, xi: int, like: MultiPoly) -> MultiPoly:
-    terms = {
-        e[:xi] + (k,) + e[xi + 1:]: c for k, row in rows.items() for e, c in row.items()
-    }
+def _join_rows(rows: _Rows, xi: int, like: MultiPoly, den: Optional[int] = None) -> MultiPoly:
+    """The polynomial of ``rows`` (of rows / den with ``den``) in like's ring;
+    the only place integer rows become Fractions."""
+    terms = {}
+    for k, row in rows.items():
+        for e, c in row.items():
+            terms[e[:xi] + (k,) + e[xi:]] = c if den is None else Fraction(c, den)
     return MultiPoly(like.vars, terms, like.tower)
 
 
 def _monic_rows(g: MultiPoly, x: str) -> tuple[int, _Rows]:
-    """x-degree and rows of a divisor monic in x, leading row dropped."""
-    rows = _split_rows(g, g.var_index(x))
+    """x-degree and negated lower rows of a divisor monic in x; integer
+    rows when g is integral over Q, so an integer dividend stays integral."""
+    den = 1 if _denominator(g) == 1 else None
+    rows = _split_rows(g, g.var_index(x), den)
     if not rows:
         raise NonMonicDivisorError("non-monic divisor: zero divisor")
     d = max(rows)
     lead = rows.pop(d)
-    zero = tuple(0 for _ in g.vars)
+    zero = tuple(0 for _ in g.vars[1:])
     if not (len(lead) == 1 and g.tower.eq(lead.get(zero), g.tower.one())):
         raise NonMonicDivisorError("non-monic divisor")
-    return d, rows
+    neg = _row_ops(g.tower)[2]
+    return d, {j: {e: neg(c) for e, c in row.items()} for j, row in rows.items()}
 
 
-def _divide_rows(r: _Rows, d: int, g_rows: _Rows, tw: FieldTower) -> _Rows:
+def _expansion_base(Q: MultiPoly, x: str) -> tuple[int, _Rows]:
+    """``_monic_rows`` of a Q-adic expansion base, which must involve x."""
+    if Q.degree_in(x) < 1:
+        raise NonMonicDivisorError("non-monic divisor: expansion base must involve the variable")
+    return _monic_rows(Q, x)
+
+
+def _add_product(r: _Rows, c: dict, s: int, g_rows: _Rows, ops: tuple) -> None:
+    """r += c * x^s * g in place, for one row ``c`` and the rows of g; no
+    zero coefficient and no empty row is left in r.  This is the one inner
+    loop of division, expansion and Horner reassembly."""
+    mul, plus, _, is_zero = ops
+    for j, g_row in g_rows.items():
+        k = s + j
+        row = r.setdefault(k, {})
+        for e1, c1 in c.items():
+            for e2, c2 in g_row.items():
+                e = tuple(map(add, e1, e2))
+                p = mul(c1, c2)
+                if e in row:
+                    p = plus(row[e], p)
+                if is_zero(p):  # also a zero product under a reducible definer
+                    row.pop(e, None)
+                else:
+                    row[e] = p
+        if not row:
+            del r[k]
+
+
+def _divide_rows(r: _Rows, d: int, neg_low: _Rows, ops: tuple) -> _Rows:
     """Long division of ``r`` by a monic divisor of x-degree ``d`` whose
-    lower rows are ``g_rows``.  ``r`` becomes the remainder in place; the
-    quotient rows are returned.  Neither result holds an empty row."""
+    negated lower rows are ``neg_low``.  ``r`` becomes the remainder in
+    place; the quotient rows are returned."""
     q: _Rows = {}
-    mul, sub, neg, is_zero = tw.mul, tw.sub, tw.neg, tw.is_zero
     for k in range(max(r, default=-1), d - 1, -1):
         c = r.pop(k, None)
-        if not c:
-            continue
-        q[k - d] = c
-        for j, g_row in g_rows.items():
-            row = r.setdefault(k - d + j, {})
-            for e1, c1 in c.items():
-                for e2, c2 in g_row.items():
-                    e = tuple(map(add, e1, e2))
-                    p = mul(c1, c2)
-                    s = sub(row[e], p) if e in row else neg(p)
-                    if is_zero(s):  # also a zero product under a reducible definer
-                        row.pop(e, None)
-                    else:
-                        row[e] = s
-            if not row:
-                del r[k - d + j]
+        if c:
+            q[k - d] = c
+            _add_product(r, c, k - d, neg_low, ops)
     return q
+
+
+def _expand_rows(r: _Rows, d: int, neg_low: _Rows, ops: tuple) -> list[_Rows]:
+    """Q-adic digits of ``r`` (consumed) for the divisor of ``_divide_rows``;
+    the running quotient stays in row form from one digit to the next."""
+    digits = []
+    while True:
+        quo = _divide_rows(r, d, neg_low, ops)
+        digits.append(r)
+        if not quo:
+            return digits
+        r = quo
+
+
+def _reassembles(f: MultiPoly, Q: MultiPoly, digits: Sequence[MultiPoly], x: str) -> bool:
+    """Whether sum digits[j] * Q^j is exactly f, for Q monic in x: Horner's
+    rule on x-dense rows over one denominator, where multiplying by Q is a
+    shift by its degree plus a product with its lower rows."""
+    if f.vars != Q.vars or f.tower != Q.tower:
+        return False
+    xi = f.var_index(x)
+    d, neg_low = _monic_rows(Q, x)
+    den = _denominator(f)
+    if den is not None:
+        den = lcm(den, *map(_denominator, digits))
+    ops = _row_ops(f.tower)
+    neg = ops[2]
+    low = {j: {e: neg(c) for e, c in row.items()} for j, row in neg_low.items()}
+    one_row = {tuple(0 for _ in f.vars[1:]): f.tower.one() if den is None else 1}
+    acc: _Rows = {}
+    for c in reversed(digits):
+        nxt = {k + d: dict(row) for k, row in acc.items()}
+        for k, row in acc.items():
+            _add_product(nxt, row, k, low, ops)
+        _add_product(nxt, one_row, 0, _split_rows(c, xi, den), ops)
+        acc = nxt
+    return acc == _split_rows(f, xi, den)
 
 
 def euclid_divide(f: MultiPoly, g: MultiPoly, x: str) -> tuple[MultiPoly, MultiPoly]:
     """Exact division f = q*g + r with deg_x(r) < deg_x(g); g monic in x."""
     f._check(g)
-    d, g_rows = _monic_rows(g, x)
+    d, neg_low = _monic_rows(g, x)
+    den = _denominator(f)
     xi = f.var_index(x)
-    r = _split_rows(f, xi)
-    q = _divide_rows(r, d, g_rows, f.tower)
-    return _join_rows(q, xi, f), _join_rows(r, xi, f)
+    r = _split_rows(f, xi, den)
+    q = _divide_rows(r, d, neg_low, _row_ops(f.tower))
+    return _join_rows(q, xi, f, den), _join_rows(r, xi, f, den)
 
 
 def q_adic_expansion(f: MultiPoly, Q: MultiPoly, x: str) -> list[MultiPoly]:
     """Digits (a_0, ..., a_s) with f = sum a_i Q^i and deg_x(a_i) < deg_x(Q)."""
-    if Q.degree_in(x) < 1:
-        raise NonMonicDivisorError("non-monic divisor: expansion base must involve the variable")
     f._check(Q)
-    d, q_rows = _monic_rows(Q, x)
+    d, neg_low = _expansion_base(Q, x)
+    den = _denominator(f)
     xi = f.var_index(x)
-    cur = _split_rows(f, xi)
-    digits = []
-    while True:
-        quo = _divide_rows(cur, d, q_rows, f.tower)
-        digits.append(_join_rows(cur, xi, f))
-        if not quo:
-            break
-        cur = quo
-    return digits
+    digits = _expand_rows(_split_rows(f, xi, den), d, neg_low, _row_ops(f.tower))
+    return [_join_rows(r, xi, f, den) for r in digits]
 
 
 def apply_monomial_map(f: MultiPoly, m: LaurentMonomialMap) -> MultiPoly:

@@ -79,14 +79,39 @@ def _names(obj: dict, key: str) -> tuple[str, ...]:
     return tuple(names)
 
 
+def _value(v, group: ValueGroup, what: str) -> Value:
+    if not isinstance(v, dict) or not isinstance(v.get("coords"), list):
+        raise SchemaError(f'{what} must be {{"coords": [...]}}, not {v!r}')
+    return Value.from_json(v, group)
+
+
 def _values(obj: dict, key: str, group: ValueGroup) -> tuple[Value, ...]:
     items = _need(obj, key)
     if not isinstance(items, list):
         raise SchemaError(f"{key} must be an array of values, not {items!r}")
-    for w in items:
-        if not isinstance(w, dict) or not isinstance(w.get("coords"), list):
-            raise SchemaError(f'{key} entries must be {{"coords": [...]}} objects, not {w!r}')
-    return tuple(Value.from_json(w, group) for w in items)
+    return tuple(_value(w, group, f"{key} entries") for w in items)
+
+
+def _is_exponent(e) -> bool:
+    return isinstance(e, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in e)
+
+
+def _poly(obj: dict, key: str) -> MultiPoly:
+    """The polynomial field ``key`` over Q; a value of the wrong shape raises
+    SchemaError naming it (type tests only: rationals, exponent signs and
+    lengths are checked where they are read)."""
+    p = _need(obj, key)
+    if not (
+        isinstance(p, dict)
+        and isinstance(p.get("vars"), list)
+        and all(isinstance(v, str) for v in p["vars"])
+        and isinstance(p.get("terms"), list)
+        and all(isinstance(t, dict) and "c" in t and _is_exponent(t.get("e")) for t in p["terms"])
+    ):
+        raise SchemaError(
+            f'{key} must be {{"vars": [names], "terms": [{{"e": [integers], "c": ...}}]}}, not {p!r}'
+        )
+    return MultiPoly.from_json(p, QQ)
 
 
 def _parse_spec(obj: dict, group: ValueGroup) -> MonomialValuationSpec:
@@ -114,7 +139,7 @@ def chain_from_json(obj: dict, group: ValueGroup) -> KeyPolyChain:
         ground=spec,
         x=x,
         entries=tuple(
-            (MultiPoly.from_json(e["Q"], QQ).with_vars(vars_), Value.from_json(e["beta"], group))
+            (_poly(e, "Q").with_vars(vars_), _value(e["beta"], group, "beta"))
             for e in entries
         ),
     )
@@ -181,7 +206,7 @@ def _run_principalize(inp: dict, budget: int, auto_ind: bool) -> tuple[list, dic
 def _run_nondegenerate(inp: dict, budget: int, auto_ind: bool) -> tuple[list, dict]:
     group = _parse_group(inp)
     spec = _parse_spec(inp, group)
-    poly = MultiPoly.from_json(_need(inp, "poly"), QQ).with_vars(spec.vars)
+    poly = _poly(inp, "poly").with_vars(spec.vars)
     res = monomialize_nondegenerate(poly, spec, budget, auto_ind)
     witnesses = {
         "exponent": list(res.exponent),
@@ -196,7 +221,7 @@ def _run_nondegenerate(inp: dict, budget: int, auto_ind: bool) -> tuple[list, di
 def _run_keypoly_expand(inp: dict, budget: int, auto_ind: bool) -> tuple[list, dict]:
     group = _parse_group(inp)
     chain = chain_from_json(_need(inp, "chain"), group)
-    poly = MultiPoly.from_json(_need(inp, "poly"), QQ).with_vars(chain.all_vars)
+    poly = _poly(inp, "poly").with_vars(chain.all_vars)
     level = inp.get("level", len(chain))
     if isinstance(level, bool) or not isinstance(level, int):
         raise SchemaError(f"level must be an integer, not {level!r}")
@@ -205,7 +230,7 @@ def _run_keypoly_expand(inp: dict, budget: int, auto_ind: bool) -> tuple[list, d
     witnesses = {
         "level": level,
         "coefficients": [c.to_json() for c in exp.coefficients],
-        "reassembles": exp.reassemble() == poly,
+        "reassembles": exp.reassembles(poly),
         "truncated_value": trunc.value.to_json(),
         "delta": trunc.delta,
         "epsilon": trunc.epsilon,
@@ -241,18 +266,16 @@ def _parse_uniformize_problem(inp: dict) -> UniformizingProblem:
     w_names = _names(prob, "w_vars")
     w_weights = _values(prob, "w_weights", group)
     wn = _need(prob, "wn_var")
-    beta_n = Value.from_json(_need(prob, "beta_n"), group)
+    beta_n = _value(_need(prob, "beta_n"), group, "beta_n")
     residue = ResidueDescriptor.from_json(_need(prob, "residue"))
     v_names = tuple(prob.get("v_vars", ()))
     v_weights = tuple(
-        Value.from_json(w, group) if w is not None else None
+        _value(w, group, "v_weights entries") if w is not None else None
         for w in prob.get("v_weights", [None] * len(v_names))
     )
-    h = None
-    if prob.get("h") is not None:
-        h = MultiPoly.from_json(prob["h"], QQ)
+    h = _poly(prob, "h") if prob.get("h") is not None else None
     beta_new = (
-        Value.from_json(prob["beta_new"], group)
+        _value(prob["beta_new"], group, "beta_new")
         if prob.get("beta_new") is not None
         else None
     )
@@ -292,7 +315,7 @@ def _run_uniformize(inp: dict, budget: int, auto_ind: bool) -> tuple[list, dict]
 def _run_polynomial(inp: dict, budget: int, auto_ind: bool) -> tuple[list, dict]:
     group = _parse_group(inp)
     chain = chain_from_json(_need(inp, "chain"), group)
-    poly = MultiPoly.from_json(_need(inp, "poly"), QQ).with_vars(chain.all_vars)
+    poly = _poly(inp, "poly").with_vars(chain.all_vars)
     res = monomialize_polynomial(poly, chain, budget)
     witnesses = {
         "exponent": list(res.exponent),

@@ -50,6 +50,15 @@ def poly(vars_, terms) -> MultiPoly:
     )
 
 
+def horner(expansion) -> MultiPoly:
+    """sum c_j Q^j rebuilt with MultiPoly arithmetic, from the top digit
+    down: an oracle for ``StandardExpansion.reassembles``."""
+    out = expansion.coefficients[-1]
+    for c in reversed(expansion.coefficients[:-1]):
+        out = out * expansion.base + c
+    return out
+
+
 def random_poly(rng: random.Random, vars_, max_terms=5, max_exp=6, zero_ok=False) -> MultiPoly:
     n = len(vars_)
     terms = {}

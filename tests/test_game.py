@@ -139,6 +139,32 @@ def test_principalize_tau_log_strictly_decreases():
         assert all(log[i + 1] < log[i] for i in range(len(log) - 1))
 
 
+def test_principalize_scans_each_state_once(monkeypatch):
+    # the tau(I, w) scan after a blow-up is the next blow-up's pair choice
+    # when nothing is dropped: no two consecutive scans see the same state
+    from valmono import game
+
+    scans = []
+    real = game._best_pair
+
+    def spy(exps, active, units):
+        scans.append((tuple(exps), tuple(active), units))
+        return real(exps, active, units)
+
+    monkeypatch.setattr(game, "_best_pair", spy)
+    rng = random.Random(17)
+    blowups = 0
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        gens = {tuple(rng.randint(0, 6) for _ in range(n)) for _ in range(rng.randint(2, 5))}
+        gens = [e for e in gens if not any(all(x <= y for x, y in zip(o, e)) and o != e for o in gens)]
+        scans.clear()
+        res = principalize_monomial_ideal(gens, sqrt_prime_spec(n))
+        blowups += sum(r["event"] == "blowup" for r in res.records)
+        assert all(a != b for a, b in zip(scans, scans[1:]))
+    assert blowups >= 40
+
+
 def test_monomial_valuation_examples():
     spec = sqrt_prime_spec(2)
     f = poly(("u1", "u2"), {(2, 0): 1, (0, 1): 1})

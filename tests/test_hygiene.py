@@ -92,3 +92,69 @@ def test_every_defined_function_is_referenced():
             if refs[name] == 0:
                 unreferenced.append(f"{path.name}: {name}")
     assert unreferenced == []
+
+
+# math functions that return floats; floor and ceil only when applied to a
+# true division, which is a float on two ints
+_FLOAT_MATH = {
+    "acos", "asin", "atan", "atan2", "cbrt", "cos", "cosh", "degrees", "dist", "e",
+    "erf", "exp", "exp2", "expm1", "fabs", "fmod", "fsum", "gamma", "hypot", "inf",
+    "ldexp", "lgamma", "log", "log10", "log1p", "log2", "modf", "nan", "pi", "pow",
+    "radians", "sin", "sinh", "sqrt", "tan", "tanh", "tau",
+}
+
+
+def _float_uses(tree: ast.Module) -> list[str]:
+    from_math = {}
+    math_modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "math":
+            from_math |= {a.asname or a.name: a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            math_modules |= {a.asname or a.name for a in node.names if a.name == "math"}
+
+    def math_name(node: ast.AST):
+        if isinstance(node, ast.Name):
+            return from_math.get(node.id)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in math_modules:
+                return node.attr
+        return None
+
+    found = []
+    for node in ast.walk(tree):
+        where = f"line {getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"{where}: float literal {node.value!r}")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            found.append(f"{where}: float(...)")
+        elif math_name(node) in _FLOAT_MATH:
+            found.append(f"{where}: math.{math_name(node)}")
+        elif (
+            isinstance(node, ast.Call)
+            and math_name(node.func) in ("floor", "ceil", "trunc")
+            and any(isinstance(a, ast.BinOp) and isinstance(a.op, ast.Div) for a in node.args)
+        ):
+            found.append(f"{where}: math.{math_name(node.func)} of a true division")
+    return found
+
+
+def test_no_floats_in_the_package():
+    """Arithmetic is exact: no float literal, float() call or float-valued
+    math function anywhere in the package."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += [f"{path.name} {use}" for use in _float_uses(_parse(path))]
+    assert found == []
+
+
+def test_float_scan_sees_each_kind():
+    src = (
+        "import math\nfrom math import sqrt as root, floor, isqrt\n"
+        "a = 0.5\nb = float(3)\nc = root(2)\nd = math.log(3)\ne = floor(1 / 3)\n"
+        "f = floor(7 // 2) + isqrt(9) + math.comb(4, 2)\n"
+    )
+    found = _float_uses(ast.parse(src))
+    assert sorted(u.split(": ")[1] for u in found) == [
+        "float literal 0.5", "float(...)", "math.floor of a true division", "math.log", "math.sqrt",
+    ]

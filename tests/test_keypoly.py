@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import binomial_chain, poly, random_poly, rational_spec
+from conftest import binomial_chain, horner, poly, random_poly, rational_spec
 from valmono.errors import UnnormalizedLeadingCoefficientError, ZeroPolynomialError
 from valmono.game import monomial_valuation
 from valmono.keypoly import (
     KeyPolyChain,
-    _ground_value,
+    StandardExpansion,
     delta_invariant,
     epsilon_invariant,
     next_key_char0,
@@ -19,9 +19,9 @@ from valmono.keypoly import (
     truncated_valuation,
     validate_chain,
 )
-from valmono.polyalg import MultiPoly
+from valmono.polyalg import MultiPoly, q_adic_expansion
 from valmono.trace import chain_from_json
-from valmono.values import Ordering, ValueGroup, compare
+from valmono.values import Ordering, ValueGroup, compare, value_of_exponent
 
 UV = ("u", "x")
 G1 = ValueGroup(1)
@@ -75,7 +75,8 @@ def test_standard_expansion_examples():
     # deg_x f < deg_x Q_2: only j = 0
     exp = standard_expansion(poly(UV, {(1, 1): 2}), chain, 2)
     assert len(exp.coefficients) == 1
-    assert exp.reassemble() == poly(UV, {(1, 1): 2})
+    assert exp.reassembles(poly(UV, {(1, 1): 2}))
+    assert horner(exp) == poly(UV, {(1, 1): 2})
 
 
 def test_truncated_valuation_examples():
@@ -281,8 +282,103 @@ def test_ground_value_matches_monomial_valuation():
                 if c.is_zero():
                     continue
                 want = monomial_valuation(c.with_vars(chain.ground.vars), chain.ground)
-                assert compare(_ground_value(c, chain), want) is Ordering.Equal
+                got = chain._rows.ground_value([e[:-1] for e in c.terms])
+                assert compare(got, want) is Ordering.Equal
                 seen += 1
             for level in range(2, len(chain) + 1):
                 pending += [c for c in standard_expansion(g, chain, level).coefficients if not c.is_zero() and c != g]
     assert seen > 100
+
+
+# -- the row truncation against the MultiPoly one it replaced --------------
+
+
+def _old_ground_value(c, chain):
+    weights = chain.ground.weights
+    n = len(weights)
+    best = None
+    for e in c.terms:
+        v = value_of_exponent(e[:n], weights)
+        if best is None or compare(v, best) is Ordering.Less:
+            best = v
+    return best
+
+
+def _old_truncate(f, chain, i):
+    """The MultiPoly truncation: every level expanded into polynomials,
+    every coefficient valued by a truncation one level down."""
+    f = f.with_vars(chain.all_vars)
+    digits = q_adic_expansion(f, chain.Q(i), chain.x)
+    if f.is_zero():
+        raise ZeroPolynomialError("zero polynomial has no value")
+    below = (
+        (lambda c: _old_ground_value(c, chain))
+        if i == 1
+        else (lambda c: _old_truncate(c, chain, i - 1)[1])
+    )
+    terms = tuple(
+        (j, chain.beta(i).scale(j) + below(c)) for j, c in enumerate(digits) if not c.is_zero()
+    )
+    delta, best = terms[0]
+    for j, v in terms[1:]:
+        order = compare(v, best)
+        if order is not Ordering.Greater:
+            delta = j
+            if order is Ordering.Less:
+                best = v
+    above = [(j, v) for j, v in terms if j > delta]
+    epsilon = None
+    if above:
+        epsilon, mu_plus = above[0]
+        for j, v in above[1:]:
+            if compare(v, mu_plus) is Ordering.Less:
+                epsilon, mu_plus = j, v
+    return digits, best, delta, epsilon, terms
+
+
+def _rational_chain(rng):
+    """A binomial chain whose Q_i above x have non-integral lower terms."""
+    chain = binomial_chain(rng)
+    scale = Fraction(rng.choice([1, -2, 5]), rng.choice([3, 7]))
+    entries = [chain.entries[0]]
+    for q, beta in chain.entries[1:]:
+        d = q.degree_in("x")
+        lead = {e: c for e, c in q.terms.items() if e[1] == d}
+        rest = {e: c * scale for e, c in q.terms.items() if e[1] < d}
+        entries.append((MultiPoly(q.vars, lead | rest, q.tower), beta))
+    return KeyPolyChain(chain.ground, chain.x, tuple(entries))
+
+
+def test_row_truncation_matches_multipoly_truncation():
+    rng = random.Random(59)
+    integral = rational = 0
+    for k in range(150):
+        chain = _rational_chain(rng) if k % 3 == 0 else binomial_chain(rng)
+        if all(c.denominator == 1 for q, _ in chain.entries for c in q.terms.values()):
+            integral += 1
+        else:
+            rational += 1
+        f = random_poly(rng, UV, max_terms=6, max_exp=11)
+        for i in range(1, len(chain) + 1):
+            digits, value, delta, epsilon, terms = _old_truncate(f, chain, i)
+            t = truncate(f, chain, i)
+            assert t.expansion.coefficients == tuple(digits)
+            assert (t.value, t.delta, t.epsilon, t.terms) == (value, delta, epsilon, terms)
+            assert t.expansion.reassembles(f)
+    assert integral >= 90 and rational >= 40
+
+
+def test_reassembles_rejects_a_corrupted_digit():
+    rng = random.Random(61)
+    for k in range(40):
+        chain = _rational_chain(rng) if k % 2 else binomial_chain(rng)
+        f = random_poly(rng, UV, max_terms=6, max_exp=9)
+        i = len(chain)
+        exp = standard_expansion(f, chain, i)
+        assert exp.reassembles(f)
+        coefficients = list(exp.coefficients)
+        j = rng.randrange(len(coefficients))
+        bump = poly(UV, {(rng.randint(0, 3), 0): Fraction(1, rng.randint(1, 4))})
+        coefficients[j] = coefficients[j] + bump
+        assert not StandardExpansion(exp.level, exp.base, tuple(coefficients)).reassembles(f)
+        assert not exp.reassembles(f + bump)

@@ -12,6 +12,7 @@ from valmono.polyalg import (
     LaurentMonomialMap,
     MultiPoly,
     QQ,
+    _reassembles,
     apply_monomial_map,
     euclid_divide,
     q_adic_expansion,
@@ -298,6 +299,30 @@ def _division_cases():
             (x**5 + theta, x * x + u * x + one),
             (x**6, x**3 + theta * u * x**2 + u * u),
         ]
+    # an integral divisor clears the dividend to integer rows over one
+    # denominator; a non-integral one keeps Fraction rows
+    mixed = poly(UV, {(0, 7): Fraction(1, 2), (1, 4): Fraction(-2, 3), (3, 1): Fraction(5, 7), (2, 0): Fraction(1, 6)})
+    third = poly(UV, {(0, 2): 1, (1, 0): Fraction(1, 3)})  # x^2 + u/3
+    cases += [
+        (mixed, third),
+        (poly(UV, {(0, 5): 1, (1, 2): 2, (4, 0): -3}), third),
+        (mixed, poly(UV, {(0, 3): 1, (2, 1): Fraction(-3, 4), (1, 0): Fraction(5, 2)})),
+        (mixed, poly(UV, {(0, 2): 1, (1, 1): -2, (0, 0): 3})),
+        (poly(UV, {(0, 6): Fraction(-7, 9), (5, 2): Fraction(3, 8)}), poly(UV, {(0, 1): 1, (2, 0): -5})),
+    ]
+    # depth 1 with rational coordinates: (1/2 + t/3) x^5 - (5/4) t u x + 3/7
+    # divided by x^2 + (t/2) u and by x - 2/5 t
+    elem = SQRT2.elem_from_json
+    xs, us = MultiPoly.variable(UV, "x", SQRT2), MultiPoly.variable(UV, "u", SQRT2)
+    f = (
+        xs**5 * MultiPoly.constant(UV, elem(["1/2", "1/3"]), SQRT2)
+        + us * xs * MultiPoly.constant(UV, elem(["0", "-5/4"]), SQRT2)
+        + MultiPoly.constant(UV, Fraction(3, 7), SQRT2)
+    )
+    cases += [
+        (f, xs * xs + us * MultiPoly.constant(UV, elem(["0", "1/2"]), SQRT2)),
+        (f, xs + MultiPoly.constant(UV, elem(["0", "-2/5"]), SQRT2)),
+    ]
     # t^2 - 1 is reducible: (t + 1)(t - 1) = 0 must leave no zero coefficient
     red = QQ.extend("t1", [QQ.from_rational(-1), QQ.zero(), QQ.one()])
     t = MultiPoly.constant(UV, red.generator("t1"), red)
@@ -312,7 +337,9 @@ def test_division_kernel_matches_term_loop():
     assert len(cases) >= 300
     for f, g in cases:
         assert euclid_divide(f, g, "x") == _oracle_euclid_divide(f, g, "x")
-        assert q_adic_expansion(f, g, "x") == _oracle_q_adic(f, g, "x")
+        digits = q_adic_expansion(f, g, "x")
+        assert digits == _oracle_q_adic(f, g, "x")
+        assert _reassembles(f, g, digits, "x")
 
 
 def test_division_kernel_does_not_mutate_inputs():

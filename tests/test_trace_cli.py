@@ -559,3 +559,43 @@ def test_malformed_chain_is_schema_error(field, value):
 @pytest.mark.parametrize("field,value", [BAD_CHAINS[0], BAD_CHAINS[6], BAD_CHAINS[8], BAD_CHAINS[10]])
 def test_cli_malformed_chain_exits_2(tmp_path, field, value):
     _assert_cli_schema_error(tmp_path, _with_bad_chain(field, value), _expand_problem(), field)
+
+
+# a polynomial (the problem's poly, an entry's Q) or an entry's beta of the
+# wrong JSON type is a schema error naming the field, not a TypeError
+BAD_POLYS = [
+    ("poly", 5),
+    ("poly", []),
+    ("poly", {"vars": "ux", "terms": []}),
+    ("poly", {"vars": ["u", 1], "terms": []}),
+    ("poly", {"vars": ["u", "x"], "terms": [{"e": ["a", 1], "c": "1"}]}),
+    ("poly", {"vars": ["u", "x"], "terms": [{"e": [0, 3]}]}),
+    ("Q", 5),
+    ("Q", {"vars": ["u", "x"], "terms": 5}),
+    ("beta", 5),
+    ("beta", {"coords": "4"}),
+]
+
+
+def _with_bad_poly(field, value, problem=None):
+    problem = problem or _expand_problem()
+    (problem if field == "poly" else problem["chain"]["entries"][1])[field] = value
+    return problem
+
+
+@pytest.mark.parametrize("field,value", BAD_POLYS)
+def test_malformed_polynomial_is_schema_error(field, value):
+    with pytest.raises(SchemaError, match=field):
+        run_problem(_with_bad_poly(field, value))
+
+
+@pytest.mark.parametrize("algorithm", ["nondegenerate", "polynomial"])
+def test_malformed_poly_of_other_selectors_is_schema_error(algorithm):
+    (problem,) = [p for p in all_selector_problems() if p["algorithm"] == algorithm]
+    with pytest.raises(SchemaError, match="poly"):
+        run_problem(_with_bad_poly("poly", 5, problem))
+
+
+@pytest.mark.parametrize("field,value", [BAD_POLYS[0], BAD_POLYS[7], BAD_POLYS[8]])
+def test_cli_malformed_polynomial_exits_2(tmp_path, field, value):
+    _assert_cli_schema_error(tmp_path, _with_bad_poly(field, value), _expand_problem(), field)
