@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .errors import InvalidInputError
+
 Matrix = tuple[tuple[int, ...], ...]
 
 
@@ -20,7 +22,8 @@ def identity(n: int) -> Matrix:
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     n, k, m = len(a), len(b), len(b[0]) if b else 0
-    assert all(len(row) == k for row in a)
+    if any(len(row) != k for row in a):
+        raise InvalidInputError("matrix shapes do not match for a product")
     return tuple(
         tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
         for i in range(n)

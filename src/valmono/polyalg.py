@@ -28,6 +28,13 @@ loop), and ``Fraction(c, D)`` is made only where rows become a
 it; a Q-adic expansion keeps the running quotient in row form from one
 digit to the next, and the check that an expansion reassembles its
 polynomial is Horner's rule on the same kind of rows.
+
+The Taylor shift ``x -> theta + x`` is fraction-free too, towers included:
+f's coordinates are cleared to integers over one denominator, theta is
+written T / b, the binomial table holds integer multiples of powers of T,
+and under integral definers the tower multiplies integer coordinates
+(``FieldTower._integral``).  Its only ``Fraction``s are made at the exit,
+one per output coordinate.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, partial
 from math import comb, lcm
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -60,9 +68,24 @@ def _poly_trim(cs: list) -> list:
 
 
 def _is_zero_like(e) -> bool:
-    if isinstance(e, Fraction):
-        return e == 0
-    return all(_is_zero_like(c) for c in e)
+    """Zero test for tower elements on any number type (Fraction or int)."""
+    if isinstance(e, tuple):
+        return all(map(_is_zero_like, e))
+    return not e
+
+
+def _coords(e, fn):
+    """``e`` with ``fn`` applied to each of its rational coordinates."""
+    if isinstance(e, tuple):
+        return tuple(_coords(c, fn) for c in e)
+    return fn(e)
+
+
+def _coord_den(e) -> int:
+    """The lcm of the denominators of ``e``'s rational coordinates."""
+    if isinstance(e, tuple):
+        return lcm(*map(_coord_den, e))
+    return e.denominator
 
 
 @dataclass(frozen=True)
@@ -170,11 +193,21 @@ class FieldTower:
     def sub(self, a: Elem, b: Elem) -> Elem:
         return self.add(a, self.neg(b))
 
+    @cached_property
+    def _integral(self) -> "FieldTower":
+        """This tower on int coordinates when every definer is integral (so
+        products of integral elements stay integral), else the tower itself."""
+        if any(_coord_den(c) != 1 for _, mp in self.extensions for c in mp):
+            return self
+        return _IntegralTower(
+            tuple((sym, tuple(_coords(c, int) for c in mp)) for sym, mp in self.extensions)
+        )
+
     def _mul(self, a: Elem, b: Elem, level: int) -> Elem:
         if level == 0:
             return a * b
         deg = self.degree_at(level)
-        prod = [self._zero_at(level - 1) for _ in range(2 * deg - 1)]
+        prod = [self._zero_at(level - 1)] * (2 * deg - 1)
         for i, x in enumerate(a):
             if _is_zero_like(x):
                 continue
@@ -192,7 +225,6 @@ class FieldTower:
                 prod[i - deg + k] = self._sub_level(
                     prod[i - deg + k], self._mul(c, mp[k], level - 1), level - 1
                 )
-            prod[i] = self._zero_at(level - 1)
         return tuple(prod[:deg])
 
     def _sub_level(self, a: Elem, b: Elem, level: int) -> Elem:
@@ -234,18 +266,6 @@ class FieldTower:
 
     def inv(self, a: Elem) -> Elem:
         return self._inv(a, self.depth)
-
-    def div(self, a: Elem, b: Elem) -> Elem:
-        return self.mul(a, self.inv(b))
-
-    def _scale(self, a: Elem, q: Fraction | int, level: int) -> Elem:
-        if level == 0:
-            return a * q
-        return tuple(self._scale(x, q, level - 1) for x in a)
-
-    def scale(self, a: Elem, q: Fraction | int) -> Elem:
-        """a * q for a rational q, coordinate by coordinate."""
-        return self._scale(a, Fraction(q), self.depth)
 
     # dense univariate helpers over a given level (used by _inv)
 
@@ -337,6 +357,13 @@ class FieldTower:
                 coeffs[t["e"][0]] = tower.elem_from_json(t["c"])
             tower = tower.extend(sym, coeffs)
         return tower
+
+
+class _IntegralTower(FieldTower):
+    """A tower whose elements have int coordinates (``FieldTower._integral``)."""
+
+    def _zero_at(self, level: int) -> Elem:
+        return 0 if level == 0 else super()._zero_at(level)
 
 
 QQ = FieldTower(())
@@ -814,26 +841,39 @@ def taylor_shift(f: MultiPoly, x: str, theta: Elem) -> MultiPoly:
     """``f`` with ``x`` replaced by ``theta + x``, by the binomial theorem.
 
     A term ``c * m * x^k`` contributes ``C(k, i) theta^(k-i) c`` to
-    ``m * x^i`` for i = 0..k.  The shift coefficients come from one table
-    of powers of theta; terms are visited in the order of ``f`` and their
-    images ascending in i, which is the term order ``substitute_variable``
-    produces for the same composition."""
+    ``m * x^i`` for i = 0..k.  With f's coordinates over one denominator
+    D, theta = T / b and K the top x-degree, the table entry for (k, i) is
+    the integral ``C(k, i) T^(k-i) b^(K-k+i)``; each output coordinate is
+    ``Fraction(n, D b^K)`` of an integer multiply-accumulate n.  Under a
+    non-integral definer the same loop runs on Fraction coordinates.  Terms
+    are visited in the order of ``f`` and their images ascending in i,
+    which is the term order ``substitute_variable`` produces for the same
+    composition."""
     tw = f.tower
     xi = f.var_index(x)
     top = max((e[xi] for e in f.terms), default=0)
-    powers = [tw.one()]
-    for _ in range(top):
-        powers.append(tw.mul(powers[-1], theta))
+    mul, add, _, is_zero = _row_ops(tw._integral)
+    den = lcm(*map(_coord_den, f.terms.values()))
+    b = _coord_den(theta)
+    t = _coords(theta, lambda q: q.numerator * (b // q.denominator))
+    powers = [None, t]  # powers[m] = T^m
+    for _ in range(1, top):
+        powers.append(mul(powers[-1], t))
+    lift = b**top
     shifts: dict[int, list] = {}
-    mul, add, is_zero = tw.mul, tw.add, tw.is_zero
     out: dict[tuple[int, ...], Elem] = {}
     for e, c in f.terms.items():
+        c = _coords(c, lambda q: q.numerator * (den // q.denominator))
         k = e[xi]
         row = shifts.get(k)
         if row is None:
-            row = shifts[k] = [tw.scale(powers[k - i], comb(k, i)) for i in range(k + 1)]
-        for i, s in enumerate(row):
-            p = mul(c, s) if i < k else c
+            row = shifts[k] = [
+                _coords(powers[k - i], partial(operator.mul, comb(k, i) * b ** (top - k + i)))
+                for i in range(k)
+            ]
+        images = [mul(c, s) for s in row]
+        images.append(c if lift == 1 else _coords(c, partial(operator.mul, lift)))
+        for i, p in enumerate(images):
             if is_zero(p):
                 continue
             ne = e[:xi] + (i,) + e[xi + 1:]
@@ -843,7 +883,8 @@ def taylor_shift(f: MultiPoly, x: str, theta: Elem) -> MultiPoly:
                     del out[ne]
                     continue
             out[ne] = p
-    return MultiPoly(f.vars, out, tw)
+    den *= lift
+    return MultiPoly(f.vars, {e: _coords(c, lambda n: Fraction(n, den)) for e, c in out.items()}, tw)
 
 
 def substitute_variable(f: MultiPoly, x: str, g: MultiPoly) -> MultiPoly:

@@ -72,10 +72,10 @@ def _parse_group(obj: dict) -> ValueGroup:
         raise SchemaError(f"bad group: {exc}") from None
 
 
-def _names(obj: dict, key: str) -> tuple[str, ...]:
+def _names(obj: dict, key: str, what: str = "variable names") -> tuple[str, ...]:
     names = _need(obj, key)
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise SchemaError(f"{key} must be an array of variable names, not {names!r}")
+        raise SchemaError(f"{key} must be an array of {what}, not {names!r}")
     return tuple(names)
 
 
@@ -85,11 +85,14 @@ def _value(v, group: ValueGroup, what: str) -> Value:
     return Value.from_json(v, group)
 
 
-def _values(obj: dict, key: str, group: ValueGroup) -> tuple[Value, ...]:
+def _values(obj: dict, key: str, group: ValueGroup, nullable: bool = False) -> tuple:
+    """The array of values ``key``; with ``nullable``, null entries stay None."""
     items = _need(obj, key)
     if not isinstance(items, list):
         raise SchemaError(f"{key} must be an array of values, not {items!r}")
-    return tuple(_value(w, group, f"{key} entries") for w in items)
+    return tuple(
+        None if w is None and nullable else _value(w, group, f"{key} entries") for w in items
+    )
 
 
 def _is_exponent(e) -> bool:
@@ -266,12 +269,20 @@ def _parse_uniformize_problem(inp: dict) -> UniformizingProblem:
     w_names = _names(prob, "w_vars")
     w_weights = _values(prob, "w_weights", group)
     wn = _need(prob, "wn_var")
+    if not isinstance(wn, str):
+        raise SchemaError(f"wn_var must be a variable name, not {wn!r}")
     beta_n = _value(_need(prob, "beta_n"), group, "beta_n")
-    residue = ResidueDescriptor.from_json(_need(prob, "residue"))
-    v_names = tuple(prob.get("v_vars", ()))
-    v_weights = tuple(
-        _value(w, group, "v_weights entries") if w is not None else None
-        for w in prob.get("v_weights", [None] * len(v_names))
+    res = _need(prob, "residue")
+    if not isinstance(res, dict):
+        raise SchemaError(f"residue must be an object, not {res!r}")
+    if res.get("kind") != "transcendental":
+        _names(res, "minpoly", "rational strings")
+    residue = ResidueDescriptor.from_json(res)
+    v_names = _names(prob, "v_vars") if "v_vars" in prob else ()
+    v_weights = (
+        _values(prob, "v_weights", group, nullable=True)
+        if "v_weights" in prob
+        else (None,) * len(v_names)
     )
     h = _poly(prob, "h") if prob.get("h") is not None else None
     beta_new = (

@@ -265,12 +265,14 @@ def value_of_exponent(alpha: Sequence[int], weights: Sequence[Value]) -> Value:
     for w in weights[1:]:
         if w.group != group:
             raise GroupMismatchError("group mismatch")
-    coords = [Fraction(0)] * group.rank
-    for a, w in zip(alpha, weights):
-        if a:
-            for i, c in enumerate(w.coords):
-                coords[i] += a * c
-    return group.value(coords)
+    # integer numerators over the used weights' common denominator
+    used = [(a, w.coords) for a, w in zip(alpha, weights) if a]
+    den = lcm(*[c.denominator for _, cs in used for c in cs])
+    coords = [0] * group.rank
+    for a, cs in used:
+        for i, c in enumerate(cs):
+            coords[i] += a * c.numerator * (den // c.denominator)
+    return Value(tuple(Fraction(n, den) for n in coords), group)
 
 
 def min_integer_multiple_in_lattice(

@@ -158,3 +158,21 @@ def test_float_scan_sees_each_kind():
     assert sorted(u.split(": ")[1] for u in found) == [
         "float literal 0.5", "float(...)", "math.floor of a true division", "math.log", "math.sqrt",
     ]
+
+
+def _asserts(tree: ast.Module) -> list[str]:
+    return [f"line {node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_no_assert_statements_in_the_package():
+    """``python -O`` strips ``assert``: every check in the package raises
+    explicitly."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += [f"{path.name} {where}" for where in _asserts(_parse(path))]
+    assert found == []
+
+
+def test_assert_scan_sees_one():
+    src = "def f(a):\n    if a:\n        assert a > 0, 'positive'\n    return a\n"
+    assert _asserts(ast.parse(src)) == ["line 3"]

@@ -381,13 +381,62 @@ def test_q_adic_digits_match_sympy():
 
 # QQ(sqrt 2)(2^(1/4)): t2^2 = t1 over the sqrt-2 level
 FOURTH2 = SQRT2.extend("t2", [SQRT2.neg(SQRT2.generator("t1")), SQRT2.zero(), SQRT2.one()])
+# non-integral definers, which keep the shift on Fraction coordinates:
+# t1^2 = 1/2, and t2^2 = t1/2 over the sqrt-2 level
+HALF = QQ.extend("t1", [QQ.from_rational(Fraction(-1, 2)), QQ.zero(), QQ.one()])
+HALF_FOURTH2 = SQRT2.extend("t2", [SQRT2.elem_from_json(["0", "-1/2"]), SQRT2.zero(), SQRT2.one()])
+# reducible t1^2 = 1: (t1 - 1)(t1 + 1) = 0
+RED = QQ.extend("t1", [QQ.from_rational(-1), QQ.zero(), QQ.one()])
+
+
+def _taylor_shift_edge_cases() -> list:
+    """(f, theta) pairs: rational theta at depths 0 to 2, mixed denominators
+    in f, sums that cancel, x-degree 20, and products of zero divisors under
+    t1^2 = 1."""
+
+    def q(tower, c):
+        return MultiPoly.constant(UV, c, tower)
+
+    cases = []
+    for tower in (QQ, SQRT2, HALF, RED):
+        x = MultiPoly.variable(UV, "x", tower)
+        u = MultiPoly.variable(UV, "u", tower)
+        mixed = q(tower, Fraction(1, 2)) * x**3 + q(tower, Fraction(-2, 3)) * u * x + q(tower, Fraction(5, 7))
+        thetas = [tower.from_rational(Fraction(3, 4))]
+        if tower.depth:
+            thetas.append(tower.elem_from_json(["1/2", "-2/3"]))
+        for theta in thetas:
+            cases += [
+                (mixed, theta),
+                ((x - q(tower, theta)) ** 5 + u, theta),  # every lower term cancels
+                (x**20 + q(tower, Fraction(1, 3)) * u * x**13 + q(tower, -4) * u**2 * x**7 + u, theta),
+            ]
+    for tower in (FOURTH2, HALF_FOURTH2):
+        x = MultiPoly.variable(UV, "x", tower)
+        u = MultiPoly.variable(UV, "u", tower)
+        theta = tower.elem_from_json([["1/3", "2"], ["0", "-1/2"]])
+        cases += [
+            (x**5 + q(tower, Fraction(3, 5)) * u * x**2 + q(tower, Fraction(-1, 6)), theta),
+            (x**12 + u * x**11 + q(tower, tower.generator("t2")) * x**4, tower.generator("t2")),
+        ]
+    t = RED.generator("t1")
+    one = RED.one()
+    plus, minus = RED.add(t, one), RED.sub(t, one)  # plus * minus = 0
+    x = MultiPoly.variable(UV, "x", RED)
+    u = MultiPoly.variable(UV, "u", RED)
+    cases += [
+        (q(RED, plus) * x**3 + q(RED, minus) * u * x + q(RED, plus) * u, minus),
+        (q(RED, plus) * (x**4 + u * x**2) + q(RED, minus) * x**3, minus),
+        (q(RED, minus) * x**6 + q(RED, plus) * x**5 + u, RED.elem_from_json(["1/2", "-1/2"])),
+    ]
+    return cases
 
 
 def test_taylor_shift_matches_substitution():
     rng = random.Random(41)
-    towers = TOWERS + [FOURTH2]
+    towers = TOWERS + [FOURTH2, HALF, HALF_FOURTH2, RED]
     cases = []
-    for k in range(160):
+    for k in range(40 * len(towers)):  # 40 random cases per tower
         tower = towers[k % len(towers)]
         vars_ = UV if k % 2 else ("u", "x", "v")
         f = _random_tower_poly(rng, vars_, tower, rng.randint(0, 7), 6)
@@ -402,6 +451,7 @@ def test_taylor_shift_matches_substitution():
             (x**6 + u * x, tower.zero()),  # theta = 0
             (x**5 + u * x**2 + u, theta),
         ]
+    cases += _taylor_shift_edge_cases()
     for f, theta in cases:
         tower = f.tower
         g = MultiPoly.constant(f.vars, theta, tower) + MultiPoly.variable(f.vars, "x", tower)
@@ -410,3 +460,4 @@ def test_taylor_shift_matches_substitution():
         assert got == want
         # traces depend on term order: the shift keeps substitution's order
         assert list(got.terms) == list(want.terms)
+        assert got.to_json() == want.to_json()  # Fraction coordinates throughout

@@ -512,6 +512,41 @@ def test_malformed_uniformize_weights_is_schema_error(field):
         run_problem(problem)
 
 
+# the other uniformize fields, residue.minpoly included: 5, or a minimal
+# polynomial with numeric coefficients, is a schema error naming the field
+BAD_UNIFORMIZE = [
+    ("v_vars", 5),
+    ("v_vars", ["v1", 2]),
+    ("v_weights", 5),
+    ("v_weights", ["1"]),
+    ("wn_var", 5),
+    ("residue", 5),
+    ("minpoly", 5),
+    ("minpoly", [-1, 1]),
+]
+
+
+def _with_bad_uniformize(field, value):
+    problem = cusp_uniformize_problem()
+    prob = problem["problem"]
+    (prob["residue"] if field == "minpoly" else prob)[field] = value
+    return problem
+
+
+@pytest.mark.parametrize("field,value", BAD_UNIFORMIZE)
+def test_malformed_uniformize_field_is_schema_error(field, value):
+    with pytest.raises(SchemaError, match=field):
+        run_problem(_with_bad_uniformize(field, value))
+
+
+def test_uniformize_optional_fields_still_parse():
+    problem = cusp_uniformize_problem()
+    problem["problem"].update({"v_vars": ["v1"], "v_weights": [None]})
+    assert run_problem(problem)["verdict"]["ok"]
+    problem["problem"]["v_weights"] = [{"coords": ["1"]}]
+    assert run_problem(problem)["verdict"]["ok"]
+
+
 def _assert_cli_schema_error(tmp_path, bad, good, field):
     """``bad`` alone and inside a ``--jobs 2`` batch exits 2 naming the
     field, with no traceback and no output file."""
@@ -530,6 +565,12 @@ def test_cli_malformed_spec_exits_2(tmp_path, field, value):
     bad = pair_problem()
     bad["spec"][field] = value
     _assert_cli_schema_error(tmp_path, bad, pair_problem(), field)
+
+
+@pytest.mark.parametrize("field,value", [BAD_UNIFORMIZE[k] for k in (0, 2, 4, 5, 6)])
+def test_cli_malformed_uniformize_field_exits_2(tmp_path, field, value):
+    bad = _with_bad_uniformize(field, value)
+    _assert_cli_schema_error(tmp_path, bad, cusp_uniformize_problem(), field)
 
 
 # a chain's ground takes the spec's fields; x and the entries are checked too

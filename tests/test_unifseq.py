@@ -153,7 +153,7 @@ def test_degree_two_residue_extends_tower():
     assert res.witness["exact"] is True
     tower = res.frame.tower
     const = tower.elem_from_json(res.witness["unit_constant"])
-    assert tower.eq(const, tower.scale(tower.generator(sym), 2))
+    assert tower.eq(const, tower.mul(tower.generator(sym), tower.from_rational(2)))
     # verify the full identity by reconstruction: image(Q) = w^div * X * U
     q_poly = MultiPoly.build(
         ("w1", "wn"), {(0, 2): QQ.from_rational(1), (2, 0): QQ.from_rational(-2)}

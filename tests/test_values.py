@@ -91,6 +91,26 @@ def test_value_of_exponent():
     assert value_of_exponent((1, 1), w2).coords == (Fraction(1), Fraction(0))
 
 
+def test_value_of_exponent_matches_plain_sum():
+    """Integer numerators over one denominator give the sum of the weights
+    scaled by the exponent, coordinate for coordinate."""
+    rng = random.Random(23)
+    for _ in range(300):
+        g = ValueGroup(rng.randint(1, 4))
+        n = rng.randint(1, 5)
+        weights = [
+            g.value([Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(g.rank)])
+            for _ in range(n)
+        ]
+        alpha = [rng.choice((0, 0, 1, rng.randint(2, 30))) for _ in range(n)]
+        want = g.zero()
+        for a, w in zip(alpha, weights):
+            want = want + w.scale(a)
+        got = value_of_exponent(alpha, weights)
+        assert got == want and got.group is g
+        assert all(type(c) is Fraction for c in got.coords)
+
+
 def test_lattice_identity_case():
     g = ValueGroup(3)
     basis = [g.value([1, 0, 0]), g.value([0, 1, 0]), g.value([0, 0, 1])]
