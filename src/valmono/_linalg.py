@@ -80,22 +80,24 @@ def inverse_int(a: Sequence[Sequence[int]]) -> Optional[Matrix]:
 
 def solve_rational(
     a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
-) -> Optional[tuple[Fraction, ...]]:
-    """Solve A x = b exactly (A is rows x cols, possibly rectangular).
+) -> tuple[Optional[tuple[Fraction, ...]], int]:
+    """Solve A x = b exactly (A is rows x cols, possibly rectangular), and
+    give the rank of A from the same elimination.
 
-    Returns None when the system is inconsistent.  When the solution is
-    underdetermined the free variables are set to 0; callers that need a
-    unique solution must check column rank themselves.
+    The solution is None when the system is inconsistent.  When it is
+    underdetermined the free variables are set to 0; a caller that needs a
+    unique solution checks that the rank is the column count.
     """
     cols = len(a[0]) if a else 0
     m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
     pivots, _ = _reduce(m, cols)
-    if any(row[cols] != 0 for row in m[len(pivots):]):
-        return None
+    rank = len(pivots)
+    if any(row[cols] != 0 for row in m[rank:]):
+        return None, rank
     x = [Fraction(0)] * cols
     for r, c in enumerate(pivots):
         x[c] = m[r][cols]
-    return tuple(x)
+    return tuple(x), rank
 
 
 def rank_rational(a: Sequence[Sequence[Fraction]]) -> int:

@@ -14,6 +14,10 @@ at least 2), a transcendental unit just drops out of the official frame.
 Everything downstream only ever needs this unit bookkeeping, never unit
 arithmetic beyond the residue tower.
 
+Steps hold decoded objects: a translation's minimal polynomial is a tuple
+of tower elements and the new parameter's weight a :class:`Value`.  They
+become JSON only in ``to_json``; nothing here reads JSON.
+
 Polynomials are pushed along one path, :class:`PushPath`: a sequence from
 its first frame, with the frame after each step computed once.  A maximal
 run of monomial steps is applied as one composite matrix; an algebraic
@@ -46,40 +50,29 @@ from .values import Ordering, Value, compare
 class TranslationItem:
     """Residue motion for one unit variable of a constructed step.
 
-    ``minpoly`` is the monic minimal polynomial of the residue (coefficient
-    JSON encodings, lowest degree first) or None for a transcendental
-    residue.  Algebraic items substitute ``u'_target = theta + new_var``;
-    transcendental items only tag the variable as a unit.  ``new_weight``
-    optionally records the value of the new parameter (coordinate strings)
-    so that frame replay is faithful.
+    ``minpoly`` is the monic minimal polynomial of the residue (elements of
+    the tower before the step, lowest degree first) or None for a
+    transcendental residue.  Algebraic items substitute
+    ``u'_target = theta + new_var``; transcendental items only tag the
+    variable as a unit.  ``new_weight`` optionally records the value of the
+    new parameter so that frame replay is faithful.
     """
 
     target: int
     minpoly: Optional[tuple] = None
     symbol: Optional[str] = None
     new_name: Optional[str] = None
-    new_weight: Optional[tuple] = None
+    new_weight: Optional[Value] = None
 
     def to_json(self) -> dict:
+        mp, nw = self.minpoly, self.new_weight
         return {
             "target": self.target + 1,
-            "minpoly": list(self.minpoly) if self.minpoly is not None else None,
+            "minpoly": [FieldTower.elem_to_json(c) for c in mp] if mp is not None else None,
             "symbol": self.symbol,
             "new_name": self.new_name,
-            "new_weight": list(self.new_weight) if self.new_weight is not None else None,
+            "new_weight": nw.to_json()["coords"] if nw is not None else None,
         }
-
-    @staticmethod
-    def from_json(obj: dict) -> "TranslationItem":
-        mp = obj.get("minpoly")
-        nw = obj.get("new_weight")
-        return TranslationItem(
-            target=int(obj["target"]) - 1,
-            minpoly=tuple(mp) if mp is not None else None,
-            symbol=obj.get("symbol"),
-            new_name=obj.get("new_name"),
-            new_weight=tuple(nw) if nw is not None else None,
-        )
 
 
 @dataclass(frozen=True)
@@ -128,23 +121,6 @@ class FramedStep:
             rec["translations"] = [t.to_json() for t in self.translation_data]
         return rec
 
-    @staticmethod
-    def from_json(rec: dict) -> "FramedStep":
-        return FramedStep(
-            n_before=int(rec["n_before"]),
-            n_after=int(rec["n_after"]),
-            J=tuple(int(i) - 1 for i in rec["J"]),
-            j=int(rec["j"]) - 1,
-            kind=rec["kind"],
-            forward=LaurentMonomialMap.from_json(rec["N"]),
-            inverse=LaurentMonomialMap.from_json(rec["M"]),
-            J_times=tuple(int(i) - 1 for i in rec.get("Jx", ())),
-            D1=tuple(int(i) - 1 for i in rec.get("D1", ())),
-            translation_data=tuple(
-                TranslationItem.from_json(t) for t in rec.get("translations", ())
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class FramedSequence:
@@ -171,14 +147,6 @@ class FramedSequence:
         if self.independence_set is not None:
             out["independent_of"] = [i + 1 for i in self.independence_set]
         return out
-
-    @staticmethod
-    def from_json(obj: dict) -> "FramedSequence":
-        ind = obj.get("independent_of")
-        return FramedSequence(
-            steps=tuple(FramedStep.from_json(s) for s in obj["steps"]),
-            independence_set=tuple(int(i) - 1 for i in ind) if ind is not None else None,
-        )
 
 
 @dataclass(frozen=True)
@@ -329,10 +297,11 @@ def make_translation_step(
     minpoly: Optional[tuple],
     symbol: Optional[str],
     new_name: Optional[str],
-    new_weight: Optional[tuple] = None,
+    new_weight: Optional[Value] = None,
 ) -> FramedStep:
     """Pure residue-motion step: identity matrices, one unit variable
-    replaced by ``u' - theta`` (algebraic) or tagged (transcendental)."""
+    replaced by ``u' - theta`` (algebraic, ``minpoly`` in the current
+    tower) or tagged (transcendental)."""
     ident = LaurentMonomialMap(_linalg.identity(n))
     item = TranslationItem(
         target=target, minpoly=minpoly, symbol=symbol,
@@ -366,7 +335,8 @@ def build_constructed_blowup(
     ``residue_spec`` lists one entry per unit variable, in index order:
     ``{"kind": "transcendental"}`` or ``{"kind": "algebraic",
     "minpoly": [...], "symbol": ..., "new_name": ...}`` with a monic
-    minimal polynomial (coefficient encodings, lowest degree first).
+    minimal polynomial (elements of the current tower, lowest degree
+    first).
     """
     base = make_monomial_blowup(n, J, j)
     jx = unit_collisions(weights, J, j)
@@ -426,24 +396,17 @@ def apply_step_to_frame(frame: Frame, step: FramedStep) -> Frame:
         else:
             # the root -c0 of a degree-1 residue is already in the tower
             if len(item.minpoly) > 2:
-                sym = item.symbol or f"t{tower.depth + 1}"
-                tower = tower.extend(sym, [tower.elem_from_json(c) for c in item.minpoly])
+                tower = tower.extend(item.symbol or f"t{tower.depth + 1}", item.minpoly)
             names[t] = item.new_name or names[t] + "'"
             units.discard(t)
-            weights[t] = None
-            if item.new_weight is not None:
-                group = next(
-                    (w.group for w in frame.weights if w is not None), None
-                )
-                if group is not None:
-                    weights[t] = group.value(list(item.new_weight))
+            weights[t] = item.new_weight
     return Frame(tuple(names), tuple(weights), frozenset(units), tower)
 
 
 def translation_root(item: TranslationItem, tower: FieldTower):
     """The residue theta of an algebraic item, in the tower after its step."""
     if len(item.minpoly) == 2:
-        return tower.neg(tower.elem_from_json(item.minpoly[0]))
+        return tower.neg(item.minpoly[0])
     return tower.generator(item.symbol or f"t{tower.depth}")
 
 

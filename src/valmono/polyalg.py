@@ -307,10 +307,13 @@ class FieldTower:
 
     # -- JSON ----------------------------------------------------------
 
-    def elem_to_json(self, e: Elem):
+    @staticmethod
+    def elem_to_json(e: Elem):
+        """The JSON encoding of an element of any tower: a ``"p/q"`` string
+        at level 0, nested coefficient lists above it."""
         if isinstance(e, Fraction):
             return fraction_to_str(e)
-        return [self.elem_to_json(c) for c in e]
+        return [FieldTower.elem_to_json(c) for c in e]
 
     def elem_from_json(self, obj) -> Elem:
         def build(o, level):
@@ -335,28 +338,14 @@ class FieldTower:
 
     def to_json(self) -> dict:
         exts = []
-        prev = FieldTower(())
         for sym, mp in self.extensions:
-            terms = []
-            for i, c in enumerate(mp):
-                if not _is_zero_like(c):
-                    terms.append({"e": [i], "c": prev.elem_to_json(c)})
+            terms = [
+                {"e": [i], "c": self.elem_to_json(c)}
+                for i, c in enumerate(mp)
+                if not _is_zero_like(c)
+            ]
             exts.append({"sym": sym, "minpoly": {"vars": [sym], "terms": terms}})
-            prev = FieldTower(prev.extensions + ((sym, mp),))
         return {"extensions": exts}
-
-    @staticmethod
-    def from_json(obj: dict) -> "FieldTower":
-        tower = FieldTower(())
-        for ext in obj.get("extensions", ()):
-            sym = ext["sym"]
-            mp_json = ext["minpoly"]
-            deg = max(t["e"][0] for t in mp_json["terms"])
-            coeffs = [tower.zero() for _ in range(deg + 1)]
-            for t in mp_json["terms"]:
-                coeffs[t["e"][0]] = tower.elem_from_json(t["c"])
-            tower = tower.extend(sym, coeffs)
-        return tower
 
 
 class _IntegralTower(FieldTower):
@@ -591,14 +580,6 @@ class MultiPoly:
             ],
         }
 
-    @staticmethod
-    def from_json(obj: dict, tower: FieldTower = QQ) -> "MultiPoly":
-        vars = tuple(obj["vars"])
-        terms = []
-        for t in obj["terms"]:
-            terms.append((tuple(t["e"]), tower.elem_from_json(t["c"])))
-        return MultiPoly.build(vars, terms, tower)
-
     def __repr__(self):
         if self.is_zero():
             return "0"
@@ -650,10 +631,6 @@ class LaurentMonomialMap:
 
     def to_json(self) -> list:
         return [list(row) for row in self.matrix]
-
-    @staticmethod
-    def from_json(rows: list) -> "LaurentMonomialMap":
-        return LaurentMonomialMap(tuple(tuple(int(x) for x in row) for row in rows))
 
 
 # x-dense form of a polynomial: x-degree -> {exponent without x: coefficient}.

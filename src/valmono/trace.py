@@ -36,7 +36,7 @@ from .unifseq import (
     monomialize_key_polys,
     monomialize_polynomial,
 )
-from .values import Value, ValueGroup
+from .values import SQRT_PRIMES, Value, ValueGroup, fraction_from_str
 
 TOOL = "valmono"
 SCHEMA = 1
@@ -63,13 +63,25 @@ def _need(obj: dict, key: str):
     return obj[key]
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_group(obj: dict) -> ValueGroup:
-    try:
-        return ValueGroup.from_json(_need(obj, "group"))
-    except ValmonoError:
-        raise
-    except Exception as exc:
-        raise SchemaError(f"bad group: {exc}") from None
+    """The problem's value group.  A field of the wrong JSON type raises
+    SchemaError naming it; a rank below 1, an unknown ordering and bad
+    labels are invalid inputs, raised by ValueGroup."""
+    group = _need(obj, "group")
+    if not isinstance(group, dict):
+        raise SchemaError(f"group must be an object, not {group!r}")
+    rank = _need(group, "rank")
+    if not _is_int(rank):
+        raise SchemaError(f"rank must be an integer, not {rank!r}")
+    ordering = group.get("ordering", SQRT_PRIMES)
+    if not isinstance(ordering, str):
+        raise SchemaError(f"ordering must be a string, not {ordering!r}")
+    labels = _names(group, "labels", "generator labels") if "labels" in group else ()
+    return ValueGroup(rank, ordering, labels)
 
 
 def _names(obj: dict, key: str, what: str = "variable names") -> tuple[str, ...]:
@@ -82,7 +94,7 @@ def _names(obj: dict, key: str, what: str = "variable names") -> tuple[str, ...]
 def _value(v, group: ValueGroup, what: str) -> Value:
     if not isinstance(v, dict) or not isinstance(v.get("coords"), list):
         raise SchemaError(f'{what} must be {{"coords": [...]}}, not {v!r}')
-    return Value.from_json(v, group)
+    return Value(tuple(fraction_from_str(c) for c in v["coords"]), group)
 
 
 def _values(obj: dict, key: str, group: ValueGroup, nullable: bool = False) -> tuple:
@@ -95,26 +107,33 @@ def _values(obj: dict, key: str, group: ValueGroup, nullable: bool = False) -> t
     )
 
 
-def _is_exponent(e) -> bool:
-    return isinstance(e, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in e)
-
-
 def _poly(obj: dict, key: str) -> MultiPoly:
-    """The polynomial field ``key`` over Q; a value of the wrong shape raises
-    SchemaError naming it (type tests only: rationals, exponent signs and
-    lengths are checked where they are read)."""
+    """The polynomial field ``key`` over Q, checked and built in one pass.
+    A value of the wrong JSON shape raises SchemaError naming the field, a
+    bad coefficient literal one naming the literal; exponent signs and
+    lengths are checked by ``MultiPoly.build``."""
     p = _need(obj, key)
-    if not (
+    if (
         isinstance(p, dict)
         and isinstance(p.get("vars"), list)
         and all(isinstance(v, str) for v in p["vars"])
         and isinstance(p.get("terms"), list)
-        and all(isinstance(t, dict) and "c" in t and _is_exponent(t.get("e")) for t in p["terms"])
     ):
-        raise SchemaError(
-            f'{key} must be {{"vars": [names], "terms": [{{"e": [integers], "c": ...}}]}}, not {p!r}'
-        )
-    return MultiPoly.from_json(p, QQ)
+        terms = []
+        for t in p["terms"]:
+            if not (
+                isinstance(t, dict)
+                and isinstance(t.get("e"), list)
+                and all(map(_is_int, t["e"]))
+                and isinstance(t.get("c"), str)
+            ):
+                break
+            terms.append((t["e"], fraction_from_str(t["c"])))
+        else:
+            return MultiPoly.build(p["vars"], terms, QQ)
+    raise SchemaError(
+        f'{key} must be {{"vars": [names], "terms": [{{"e": [integers], "c": "p/q"}}]}}, not {p!r}'
+    )
 
 
 def _parse_spec(obj: dict, group: ValueGroup) -> MonomialValuationSpec:
@@ -153,9 +172,7 @@ def _parse_exponents(obj) -> list[tuple[int, ...]]:
         raise SchemaError("exponents must be arrays")
     out = []
     for e in obj:
-        if not isinstance(e, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in e
-        ):
+        if not isinstance(e, list) or not all(_is_int(x) and x >= 0 for x in e):
             raise SchemaError("exponents must be arrays of nonnegative integers")
         out.append(tuple(e))
     return out
@@ -226,7 +243,7 @@ def _run_keypoly_expand(inp: dict, budget: int, auto_ind: bool) -> tuple[list, d
     chain = chain_from_json(_need(inp, "chain"), group)
     poly = _poly(inp, "poly").with_vars(chain.all_vars)
     level = inp.get("level", len(chain))
-    if isinstance(level, bool) or not isinstance(level, int):
+    if not _is_int(level):
         raise SchemaError(f"level must be an integer, not {level!r}")
     trunc = truncate(poly, chain, level)
     exp = trunc.expansion
@@ -275,9 +292,13 @@ def _parse_uniformize_problem(inp: dict) -> UniformizingProblem:
     res = _need(prob, "residue")
     if not isinstance(res, dict):
         raise SchemaError(f"residue must be an object, not {res!r}")
-    if res.get("kind") != "transcendental":
-        _names(res, "minpoly", "rational strings")
-    residue = ResidueDescriptor.from_json(res)
+    if res.get("kind") == "transcendental":
+        residue = ResidueDescriptor(True)
+    else:
+        minpoly = _names(res, "minpoly", "rational strings")
+        for c in minpoly:
+            fraction_from_str(c)  # residues read from JSON lie over Q
+        residue = ResidueDescriptor(False, minpoly)
     v_names = _names(prob, "v_vars") if "v_vars" in prob else ()
     v_weights = (
         _values(prob, "v_weights", group, nullable=True)
@@ -317,7 +338,7 @@ def _run_uniformize(inp: dict, budget: int, auto_ind: bool) -> tuple[list, dict]
         "images": res.images,
         "factorization": res.witness,
         "final_frame": res.frame.to_json(),
-        "sequence": _sequence_file(res.sequence, problem.frame(), _parse_group(inp)),
+        "sequence": _sequence_file(res.sequence, problem.frame(), problem.beta_n.group),
         "aux_steps": res.aux_steps,
     }
     return res.records, witnesses

@@ -62,7 +62,6 @@ from .values import (
     Ordering,
     Value,
     compare,
-    fraction_from_str,
     min_integer_multiple_in_lattice,
     value_of_exponent,
 )
@@ -83,15 +82,6 @@ class ResidueDescriptor:
         if self.transcendental:
             return {"kind": "transcendental"}
         return {"kind": "algebraic", "minpoly": list(self.minpoly)}
-
-    @staticmethod
-    def from_json(obj) -> "ResidueDescriptor":
-        if obj.get("kind") == "transcendental":
-            return ResidueDescriptor(True)
-        mp = tuple(obj["minpoly"])
-        for c in mp:
-            fraction_from_str(c)  # residues read from JSON lie over Q
-        return ResidueDescriptor(False, mp)
 
 
 @dataclass(frozen=True)
@@ -170,14 +160,12 @@ class _ElementaryEngine:
         path: PushPath,
         w_cols: Sequence[int],
         x_col: int,
-        residue: ResidueDescriptor,
         budget: _Budget,
         records: list,
     ):
         self.path = path
         self.w_cols = tuple(w_cols)
         self.x_col = x_col
-        self.residue = residue
         self.budget = budget
         self.records = records
         self.tracked: dict[str, tuple[int, ...]] = {}
@@ -291,40 +279,28 @@ class _ElementaryEngine:
         """Replace the unit variable by the regular parameter z - theta.
         ``minpoly`` is the residue's minimal polynomial as elements of the
         current tower (None for a transcendental residue)."""
-        if self.residue.transcendental:
+        if minpoly is None:
             return
         q = self.z_column
         tower = self.frame.tower
         self.minpoly = self._oriented_minpoly(minpoly, tower)
-        mp = tuple(tower.elem_to_json(c) for c in self.minpoly)
         symbol = None
-        if len(mp) > 2:
+        if len(self.minpoly) > 2:
             k = tower.depth + 1
             taken = {s for s, _ in tower.extensions}
             while f"t{k}" in taken:
                 k += 1
             symbol = f"t{k}"
         new_name = self._fresh_name(self.frame.names[q])
-        encoded_weight = None
-        if new_weight is not None:
-            if not new_weight.is_positive():
-                raise InvalidInputError("the new parameter must have positive value")
-            encoded_weight = tuple(w for w in new_weight.to_json()["coords"])
+        if new_weight is not None and not new_weight.is_positive():
+            raise InvalidInputError("the new parameter must have positive value")
         step = make_translation_step(
-            self.frame.n, q, mp, symbol, new_name, encoded_weight
+            self.frame.n, q, self.minpoly, symbol, new_name, new_weight
         )
         self.path.append(step)
-        self.records.append(
-            {
-                "step": len(self.records) + 1,
-                "translation": {
-                    "target": q + 1,
-                    "minpoly": list(mp),
-                    "symbol": symbol,
-                    "new_name": new_name,
-                },
-            }
-        )
+        record = step.translation_data[0].to_json()
+        del record["new_weight"]
+        self.records.append({"step": len(self.records) + 1, "translation": record})
         self.new_var = new_name
 
     def _fresh_name(self, base: str) -> str:
@@ -371,7 +347,7 @@ def elementary_uniformizing_sequence(
             raise PositiveWeightError("weights must be positive")
     records: list = []
     engine = _ElementaryEngine(
-        PushPath(frame0), w_cols, x_col, problem.residue, _Budget(budget), records
+        PushPath(frame0), w_cols, x_col, _Budget(budget), records
     )
     engine.lattice_data()
     abar, alpha = engine.abar, engine.alpha
@@ -495,7 +471,7 @@ def _verify_factorization(
         return {"kind": "transcendental"}
     path = engine.path
     n = path.frames[0].n
-    d = engine.residue.degree()
+    d = problem.residue.degree()
     pre = len(path) - 1 if engine.new_var is not None else len(path)
     img_pre = path.push(q_cleared, 0, pre)
     frame = engine.frame
@@ -680,8 +656,7 @@ def monomialize_key_polys(chain: KeyPolyChain, budget: int = DEFAULT_BUDGET) -> 
         bcoeffs = [
             tower.mul(kappa[i], kd_inv) if i in kappa else tower.zero() for i in range(d + 1)
         ]
-        residue = ResidueDescriptor(False, tuple(tower.elem_to_json(c) for c in bcoeffs))
-        engine = _ElementaryEngine(path, tuple(basis_cols), x_col, residue, budget_, records)
+        engine = _ElementaryEngine(path, tuple(basis_cols), x_col, budget_, records)
         engine.lattice_data()
         if engine.abar != abar:
             raise AssertionError("lattice index changed between analysis and run")
@@ -703,7 +678,7 @@ def monomialize_key_polys(chain: KeyPolyChain, budget: int = DEFAULT_BUDGET) -> 
                 "abar": abar,
                 "alpha": list(alpha_vec),
                 "d": d,
-                "minpoly": list(residue.minpoly),
+                "minpoly": [tower.elem_to_json(c) for c in bcoeffs],
                 "z_sign": engine.z_sign,
                 "new_var": engine.new_var,
             }

@@ -168,14 +168,6 @@ class ValueGroup:
     def to_json(self) -> dict:
         return {"rank": self.rank, "ordering": self.ordering, "labels": list(self.labels)}
 
-    @staticmethod
-    def from_json(obj: dict) -> "ValueGroup":
-        return ValueGroup(
-            rank=int(obj["rank"]),
-            ordering=obj.get("ordering", SQRT_PRIMES),
-            labels=tuple(obj.get("labels", ())),
-        )
-
 
 @dataclass(frozen=True)
 class Value:
@@ -235,10 +227,6 @@ class Value:
     def to_json(self) -> dict:
         return {"coords": [fraction_to_str(c) for c in self.coords]}
 
-    @staticmethod
-    def from_json(obj: dict, group: ValueGroup) -> "Value":
-        return group.value([fraction_from_str(c) for c in obj["coords"]])
-
     def __repr__(self):
         return f"Value({', '.join(fraction_to_str(c) for c in self.coords)})"
 
@@ -282,7 +270,8 @@ def min_integer_multiple_in_lattice(
     together with the integer coefficients of m*target in that basis.
 
     The basis must be Q-linearly independent and the target must lie in its
-    Q-span; solved exactly via the rational coordinate system.
+    Q-span; solved exactly via the rational coordinate system, in one
+    elimination that also gives the rank.
     """
     if not basis:
         raise DegenerateBasisError("degenerate basis")
@@ -295,9 +284,9 @@ def min_integer_multiple_in_lattice(
         tuple(basis[j].coords[i] for j in range(len(basis)))
         for i in range(group.rank)
     )
-    if _linalg.rank_rational(a) < len(basis):
+    x, rank = _linalg.solve_rational(a, target.coords)
+    if rank < len(basis):
         raise DegenerateBasisError("degenerate basis")
-    x = _linalg.solve_rational(a, target.coords)
     if x is None:
         raise NotInDivisibleHullError("not in divisible hull")
     m = lcm(*(q.denominator for q in x)) if x else 1

@@ -99,7 +99,7 @@ def test_compose_sequence():
     assert total.is_identity()
     with pytest.raises(InvalidInputError):
         compose_sequence(
-            FramedSequence((make_translation_step(2, 1, ("-1", "1"), None, "b'"),))
+            FramedSequence((make_translation_step(2, 1, (Fraction(-1), Fraction(1)), None, "b'"),))
         )
 
 
@@ -189,13 +189,14 @@ def test_build_constructed_blowup_algebraic():
     # tie with minimal polynomial X - 1: translation u^(1) = u' - 1
     g = ValueGroup(1)
     w = [g.rational(1), g.rational(1)]
+    minpoly = (QQ.from_rational(-1), QQ.one())
     st = build_constructed_blowup(
-        2, (0, 1), 0, w, [{"kind": "algebraic", "minpoly": ["-1", "1"], "new_name": "b1"}]
+        2, (0, 1), 0, w, [{"kind": "algebraic", "minpoly": minpoly, "new_name": "b1"}]
     )
     assert st.kind == "translation"
     assert st.n_after == 2
     item = st.translation_data[0]
-    assert item.target == 1 and item.minpoly == ("-1", "1")
+    assert item.target == 1 and item.minpoly == minpoly
     frame = apply_step_to_frame(Frame(("a", "b"), tuple(w)), st)
     assert frame.names == ("a", "b1")
     assert frame.units == frozenset()
@@ -227,13 +228,28 @@ def test_build_constructed_blowup_arity_check():
         build_constructed_blowup(2, (0, 1), 0, w, [{"kind": "transcendental"}] * 2)
 
 
-def test_step_json_round_trip():
-    st = make_monomial_blowup(3, (0, 2), 0)
-    assert FramedStep.from_json(st.to_json()) == st
-    ts = make_translation_step(2, 1, ("-1", "1"), None, "b'")
-    assert FramedStep.from_json(ts.to_json()) == ts
-    seq = FramedSequence((st,), independence_set=(1,))
-    assert FramedSequence.from_json(seq.to_json()) == seq
+def test_translation_step_holds_elements_and_encodes_them_in_to_json():
+    # X^2 - 2 over Q, then X^2 - t1 over Q(t1): the minimal polynomial is
+    # held as elements of the tower before the step, the weight as a Value
+    g = ValueGroup(1)
+    sqrt2 = QQ.extend("t1", (QQ.from_rational(-2), QQ.zero(), QQ.one()))
+    mp = (sqrt2.neg(sqrt2.generator("t1")), sqrt2.zero(), sqrt2.one())
+    ts = make_translation_step(2, 1, mp, "t2", "b'", g.rational(Fraction(5, 2)))
+    before = Frame(("a", "b"), (g.rational(1), g.zero()), frozenset({1}), sqrt2)
+    frame = apply_step_to_frame(before, ts)
+    assert frame.tower == sqrt2.extend("t2", mp)
+    assert frame.names == ("a", "b'") and frame.weights[1] == g.rational(Fraction(5, 2))
+    assert ts.to_json()["translations"] == [
+        {
+            "target": 2,
+            "minpoly": [["0", "-1"], ["0", "0"], ["1", "0"]],
+            "symbol": "t2",
+            "new_name": "b'",
+            "new_weight": ["5/2"],
+        }
+    ]
+    seq = FramedSequence((make_monomial_blowup(3, (0, 2), 0),), independence_set=(1,))
+    assert seq.to_json()["independent_of"] == [2]
 
 
 def test_push_path_merges_monomial_runs():

@@ -176,3 +176,30 @@ def test_no_assert_statements_in_the_package():
 def test_assert_scan_sees_one():
     src = "def f(a):\n    if a:\n        assert a > 0, 'positive'\n    return a\n"
     assert _asserts(ast.parse(src)) == ["line 3"]
+
+
+def _from_json_methods(tree: ast.Module) -> list[str]:
+    return [
+        f"{node.name}.from_json"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name == "from_json"
+    ]
+
+
+def test_no_class_defines_from_json():
+    """``trace`` is the one place JSON becomes objects: model classes only
+    write JSON."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += [f"{path.name}: {m}" for m in _from_json_methods(_parse(path))]
+    assert found == []
+
+
+def test_from_json_scan_sees_one():
+    src = (
+        "def chain_from_json(obj):\n    return obj\n\n"
+        "class Step:\n    @staticmethod\n    def from_json(obj):\n        return Step()\n"
+    )
+    assert _from_json_methods(ast.parse(src)) == ["Step.from_json"]

@@ -523,6 +523,7 @@ BAD_UNIFORMIZE = [
     ("residue", 5),
     ("minpoly", 5),
     ("minpoly", [-1, 1]),
+    ("h", {"vars": ["w1", "wn"], "terms": [{"e": [0, 3], "c": 5}]}),
 ]
 
 
@@ -615,6 +616,10 @@ BAD_POLYS = [
     ("Q", {"vars": ["u", "x"], "terms": 5}),
     ("beta", 5),
     ("beta", {"coords": "4"}),
+    # a coefficient is a 'p/q' string, like every rational literal
+    ("poly", {"vars": ["u", "x"], "terms": [{"e": [0, 3], "c": 5}]}),
+    ("Q", {"vars": ["u", "x"], "terms": [{"e": [0, 2], "c": ["1"]}]}),
+    ("poly", {"vars": ["u", "x"], "terms": [{"e": [0, 3], "c": None}]}),
 ]
 
 
@@ -637,6 +642,61 @@ def test_malformed_poly_of_other_selectors_is_schema_error(algorithm):
         run_problem(_with_bad_poly("poly", 5, problem))
 
 
-@pytest.mark.parametrize("field,value", [BAD_POLYS[0], BAD_POLYS[7], BAD_POLYS[8]])
+@pytest.mark.parametrize("field,value", [BAD_POLYS[k] for k in (0, 7, 8, 10)])
 def test_cli_malformed_polynomial_exits_2(tmp_path, field, value):
     _assert_cli_schema_error(tmp_path, _with_bad_poly(field, value), _expand_problem(), field)
+
+
+# a group field of the wrong JSON type is a schema error naming the field
+BAD_GROUPS = [
+    ("group", 5),
+    ("group", ["rank", 1]),
+    ("rank", "1"),
+    ("rank", 1.9),
+    ("rank", True),
+    ("rank", None),
+    ("ordering", 5),
+    ("ordering", None),
+    ("labels", "a"),
+    ("labels", [5]),
+    ("labels", None),
+]
+
+
+def _with_bad_group(field, value):
+    problem = cusp_uniformize_problem()
+    if field == "group":
+        problem["group"] = value
+    else:
+        problem["group"][field] = value
+    return problem
+
+
+@pytest.mark.parametrize("field,value", BAD_GROUPS)
+def test_malformed_group_is_schema_error(field, value):
+    with pytest.raises(SchemaError, match=field):
+        run_problem(_with_bad_group(field, value))
+
+
+@pytest.mark.parametrize("field,value", [BAD_GROUPS[k] for k in (0, 2, 6, 8, 9)])
+def test_cli_malformed_group_exits_2(tmp_path, field, value):
+    bad = _with_bad_group(field, value)
+    _assert_cli_schema_error(tmp_path, bad, cusp_uniformize_problem(), field)
+
+
+@pytest.mark.parametrize(
+    "field,value", [("rank", 0), ("rank", -1), ("ordering", "dense"), ("labels", ["a", "a"])]
+)
+def test_group_out_of_range_is_invalid_input(field, value):
+    verdict = run_problem(_with_bad_group(field, value))["verdict"]
+    assert verdict["ok"] is False and verdict["code"] == "invalid input"
+
+
+def test_group_defaults_still_parse():
+    problem = cusp_uniformize_problem()
+    problem["group"] = {"rank": 1}
+    trace = run_problem(problem)
+    assert trace["verdict"]["ok"]
+    assert trace["witnesses"]["sequence"]["header"]["group"] == {
+        "rank": 1, "ordering": "sqrt-primes", "labels": ["g1"]
+    }

@@ -168,8 +168,10 @@ def test_degree_two_residue_extends_tower():
     div = res.witness["monomial_exponent"]
     x_var = MultiPoly.variable(fr.names, res.new_var, tower)
     mono = MultiPoly.monomial(fr.names, div, 1, tower)
-    cof = MultiPoly.from_json(res.witness["unit_cofactor"], tower)
-    cof = MultiPoly(fr.names, cof.terms, tower)
+    cof_terms = res.witness["unit_cofactor"]["terms"]
+    cof = MultiPoly.build(
+        fr.names, [(t["e"], tower.elem_from_json(t["c"])) for t in cof_terms], tower
+    )
     assert mono * x_var * cof == img
 
 

@@ -16,12 +16,12 @@ from valmono.errors import (
 from valmono.values import (
     LEX,
     Ordering,
-    Value,
     ValueGroup,
     compare,
     min_integer_multiple_in_lattice,
     value_of_exponent,
 )
+from valmono.trace import _parse_group, _value
 
 
 def test_compare_spec_examples():
@@ -163,18 +163,21 @@ def test_lattice_errors():
     g = ValueGroup(2)
     with pytest.raises(NotInDivisibleHullError):
         min_integer_multiple_in_lattice(g.value([0, 1]), [g.value([1, 0])])
-    with pytest.raises(DegenerateBasisError):
-        min_integer_multiple_in_lattice(
-            g.value([1, 0]), [g.value([1, 0]), g.value([2, 0])]
-        )
+    # a degenerate basis is reported first, also for a target outside its span
+    for target in ([1, 0], [0, 1]):
+        with pytest.raises(DegenerateBasisError):
+            min_integer_multiple_in_lattice(
+                g.value(target), [g.value([1, 0]), g.value([2, 0])]
+            )
 
 
 def test_json_round_trip():
     g = ValueGroup(2, labels=("a", "b"))
     v = g.value([Fraction(1, 2), Fraction(-3)])
     assert v.to_json() == {"coords": ["1/2", "-3"]}
-    assert Value.from_json(v.to_json(), g) == v
-    assert ValueGroup.from_json(g.to_json()) == g
+    # trace is the one reader of value and group JSON
+    assert _value(v.to_json(), g, "v") == v
+    assert _parse_group({"group": g.to_json()}) == g
 
 
 # ---------------------------------------------------------------------------
