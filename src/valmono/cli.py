@@ -36,8 +36,8 @@ def _load_json(path: str):
 def _run_one(args) -> tuple[dict, str]:
     """Run one problem and serialize its trace where it ran, so a worker
     hands back one string instead of a nested object graph."""
-    problem, budget, auto_ind = args
-    trace = run_problem(problem, budget, auto_ind)
+    problem, budget = args
+    trace = run_problem(problem, budget)
     return trace["verdict"], json.dumps(trace, indent=1)
 
 
@@ -70,10 +70,9 @@ def cmd_run(args) -> int:
         if args.budget < 0:
             raise SchemaError(f"--budget must not be negative, not {args.budget}")
         payload = _load_json(args.file)
-        auto_ind = args.auto_independence == "on"
         batch = isinstance(payload, list)
         problems = payload if batch else [payload]
-        work = [(p, args.budget, auto_ind) for p in problems]
+        work = [(p, args.budget) for p in problems]
         workers = worker_count(args.jobs, len(work), os.cpu_count())
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -127,12 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", help="write the trace(s) to this path")
     run_p.add_argument(
         "--budget", type=int, default=DEFAULT_BUDGET, help="step budget per run"
-    )
-    run_p.add_argument(
-        "--auto-independence",
-        choices=("on", "off"),
-        default="on",
-        help="declare the maximal untouched variable set on each sequence",
     )
     run_p.add_argument(
         "--jobs",

@@ -166,13 +166,6 @@ class _Budget:
             )
 
 
-def _auto_independence_set(
-    alpha: Sequence[int], gamma: Sequence[int], n: int
-) -> tuple[int, ...]:
-    at, gt = reduced_parts(alpha, gamma)
-    return tuple(i for i in range(n) if at[i] == 0 and gt[i] == 0)
-
-
 def run_pair_descent(
     alpha: Sequence[int],
     gamma: Sequence[int],
@@ -230,17 +223,15 @@ def monomialize_pair(
     gamma: Sequence[int],
     spec: MonomialValuationSpec,
     budget: int = DEFAULT_BUDGET,
-    auto_independence: bool = True,
 ) -> PairResult:
     """Blow up until one of the two monomials divides the other in the
     final frame; returns the transformed exponents."""
     path = PushPath(spec.frame())
     records: list[dict] = []
-    independence = (
-        _auto_independence_set(alpha, gamma, path.frame.n) if auto_independence else None
-    )
     a, g = run_pair_descent(alpha, gamma, path, _Budget(budget), records)
     at, gt = reduced_parts(a, g, path.frame.units)
+    # no blow-up centre holds a variable on which the two exponents agree
+    independence = tuple(i for i, (x, y) in enumerate(zip(alpha, gamma)) if x == y)
     return PairResult(
         sequence=FramedSequence(tuple(path.steps), independence),
         alpha=a,
@@ -287,24 +278,20 @@ def principalize_monomial_ideal(
     generators: Sequence[Sequence[int]],
     spec: MonomialValuationSpec,
     budget: int = DEFAULT_BUDGET,
-    auto_independence: bool = True,
 ) -> IdealResult:
     """Blow up until the monomial ideal is generated by the single image of
     its minimal-value generator.  The tau(I, w) log (generator count, minimal
     pair tau) strictly lex-decreases at every event."""
     exps = [tuple(int(x) for x in g) for g in generators]
     path = PushPath(spec.frame())
-    n = path.frame.n
-    independence = None
-    if auto_independence:
-        touched = {i for e in exps for i in range(n) if e[i] > 0}
-        independence = tuple(i for i in range(n) if i not in touched)
     records: list[dict] = []
-    survivor, exps = principalize_exponents(exps, path, _Budget(budget), records)
+    survivor, final = principalize_exponents(exps, path, _Budget(budget), records)
+    # no blow-up centre holds a variable that no generator involves
+    independence = tuple(i for i in range(path.frame.n) if not any(e[i] > 0 for e in exps))
     return IdealResult(
         sequence=FramedSequence(tuple(path.steps), independence),
         survivor=survivor,
-        exponents=exps,
+        exponents=final,
         frame=path.frame,
         records=records,
         path=path,
@@ -477,7 +464,6 @@ def monomialize_nondegenerate(
     f: MultiPoly,
     spec: MonomialValuationSpec,
     budget: int = DEFAULT_BUDGET,
-    auto_independence: bool = True,
 ) -> NondegResult:
     """Principalize the ideal of exponents of f; in the final frame
     f = w^exponent * unit, the unit having invertible constant part."""
@@ -487,7 +473,7 @@ def monomialize_nondegenerate(
         raise InvalidInputError("polynomial variables must match the spec")
     exps = sorted(f.terms.keys(), key=lambda e: (sum(e), e))
     gens = _antichain(exps)
-    res = principalize_monomial_ideal(gens, spec, budget, auto_independence)
+    res = principalize_monomial_ideal(gens, spec, budget)
     # the survivor's image, units zeroed out, is the monomial part
     image = res.path.push(f)
     monomial, witness = split_monomial(image, res.exponents[res.survivor], res.frame)

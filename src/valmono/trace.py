@@ -191,12 +191,12 @@ def _sequence_file(seq, frame0, group) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _run_pair(inp: dict, budget: int, auto_ind: bool) -> tuple[list, dict]:
+def _run_pair(inp: dict, budget: int) -> tuple[list, dict]:
     group = _parse_group(inp)
     spec = _parse_spec(inp, group)
     alpha = _parse_exponents([_need(inp, "alpha")])[0]
     gamma = _parse_exponents([_need(inp, "gamma")])[0]
-    res = monomialize_pair(alpha, gamma, spec, budget, auto_ind)
+    res = monomialize_pair(alpha, gamma, spec, budget)
     witnesses = {
         "alpha_final": list(res.alpha),
         "gamma_final": list(res.gamma),
@@ -209,11 +209,11 @@ def _run_pair(inp: dict, budget: int, auto_ind: bool) -> tuple[list, dict]:
     return res.records, witnesses
 
 
-def _run_principalize(inp: dict, budget: int, auto_ind: bool) -> tuple[list, dict]:
+def _run_principalize(inp: dict, budget: int) -> tuple[list, dict]:
     group = _parse_group(inp)
     spec = _parse_spec(inp, group)
     gens = _parse_exponents(_need(inp, "generators"))
-    res = principalize_monomial_ideal(gens, spec, budget, auto_ind)
+    res = principalize_monomial_ideal(gens, spec, budget)
     witnesses = {
         "survivor": res.survivor,
         "exponents_final": [list(e) for e in res.exponents],
@@ -223,11 +223,11 @@ def _run_principalize(inp: dict, budget: int, auto_ind: bool) -> tuple[list, dic
     return res.records, witnesses
 
 
-def _run_nondegenerate(inp: dict, budget: int, auto_ind: bool) -> tuple[list, dict]:
+def _run_nondegenerate(inp: dict, budget: int) -> tuple[list, dict]:
     group = _parse_group(inp)
     spec = _parse_spec(inp, group)
     poly = _poly(inp, "poly").with_vars(spec.vars)
-    res = monomialize_nondegenerate(poly, spec, budget, auto_ind)
+    res = monomialize_nondegenerate(poly, spec, budget)
     witnesses = {
         "exponent": list(res.exponent),
         "unit_witness": res.unit_witness.to_json(),
@@ -238,7 +238,7 @@ def _run_nondegenerate(inp: dict, budget: int, auto_ind: bool) -> tuple[list, di
     return res.records, witnesses
 
 
-def _run_keypoly_expand(inp: dict, budget: int, auto_ind: bool) -> tuple[list, dict]:
+def _run_keypoly_expand(inp: dict, budget: int) -> tuple[list, dict]:
     group = _parse_group(inp)
     chain = chain_from_json(_need(inp, "chain"), group)
     poly = _poly(inp, "poly").with_vars(chain.all_vars)
@@ -258,7 +258,7 @@ def _run_keypoly_expand(inp: dict, budget: int, auto_ind: bool) -> tuple[list, d
     return [], witnesses
 
 
-def _run_keypoly_monomialize(inp: dict, budget: int, auto_ind: bool) -> tuple[list, dict]:
+def _run_keypoly_monomialize(inp: dict, budget: int) -> tuple[list, dict]:
     group = _parse_group(inp)
     chain = chain_from_json(_need(inp, "chain"), group)
     res = monomialize_key_polys(chain, budget)
@@ -324,9 +324,9 @@ def _parse_uniformize_problem(inp: dict) -> UniformizingProblem:
     )
 
 
-def _run_uniformize(inp: dict, budget: int, auto_ind: bool) -> tuple[list, dict]:
+def _run_uniformize(inp: dict, budget: int) -> tuple[list, dict]:
     problem = _parse_uniformize_problem(inp)
-    res = elementary_uniformizing_sequence(problem, budget, auto_ind)
+    res = elementary_uniformizing_sequence(problem, budget)
     witnesses = {
         "abar": res.abar,
         "alpha": list(res.alpha_coeffs),
@@ -344,7 +344,7 @@ def _run_uniformize(inp: dict, budget: int, auto_ind: bool) -> tuple[list, dict]
     return res.records, witnesses
 
 
-def _run_polynomial(inp: dict, budget: int, auto_ind: bool) -> tuple[list, dict]:
+def _run_polynomial(inp: dict, budget: int) -> tuple[list, dict]:
     group = _parse_group(inp)
     chain = chain_from_json(_need(inp, "chain"), group)
     poly = _poly(inp, "poly").with_vars(chain.all_vars)
@@ -371,12 +371,7 @@ _RUNNERS: dict[str, Callable] = {
 }
 
 
-def run_problem(
-    inp: dict,
-    budget: int = DEFAULT_BUDGET,
-    auto_independence: bool = True,
-    command: str = "run",
-) -> dict:
+def run_problem(inp: dict, budget: int = DEFAULT_BUDGET, command: str = "run") -> dict:
     """Execute one problem object and wrap the outcome in a trace."""
     if not isinstance(inp, dict):
         raise SchemaError("problem must be a JSON object")
@@ -390,13 +385,12 @@ def run_problem(
         "command": command,
         "algorithm": algorithm,
         "budget": budget,
-        "auto_independence": auto_independence,
         "input_digest": canonical_digest(inp),
         "created": datetime.now(timezone.utc).isoformat(),
     }
     trace = {"header": header, "input": inp, "steps": [], "witnesses": None}
     try:
-        records, witnesses = _RUNNERS[algorithm](inp, budget, auto_independence)
+        records, witnesses = _RUNNERS[algorithm](inp, budget)
         trace["steps"] = records
         trace["witnesses"] = witnesses
         trace["verdict"] = {"ok": True}
@@ -407,27 +401,49 @@ def run_problem(
     return trace
 
 
+def _optional(trace: dict, key: str, kind: type, what: str):
+    """The trace field ``key``, read as empty when missing or null."""
+    value = trace.get(key)
+    if value is None:
+        return kind()
+    if not isinstance(value, kind):
+        raise SchemaError(f"{key} must be {what} or null, not {value!r}")
+    return value
+
+
 def verify_trace(trace: dict) -> None:
     """Replay the embedded input and compare every recorded step and
-    witness; raises TraceMismatchError on the first divergence."""
+    witness; raises TraceMismatchError on the first divergence, and
+    SchemaError naming the field when the trace's own fields are malformed."""
     if not isinstance(trace, dict):
         raise SchemaError("trace must be a JSON object")
     header = _need(trace, "header")
+    if not isinstance(header, dict):
+        raise SchemaError(f"header must be an object, not {header!r}")
     inp = _need(trace, "input")
     budget = header.get("budget", DEFAULT_BUDGET)
-    auto_ind = header.get("auto_independence", True)
-    fresh = run_problem(inp, budget, auto_ind, command="verify")
-    old_steps = trace.get("steps") or []
-    new_steps = fresh.get("steps") or []
+    if not _is_int(budget) or budget < 0:
+        raise SchemaError(f"budget must be a nonnegative integer, not {budget!r}")
+    # traces written before every sequence carried its independence set may
+    # say so with "auto_independence": false; they replay without the set
+    independence = header.get("auto_independence", True)
+    if not isinstance(independence, bool):
+        raise SchemaError(f"auto_independence must be a boolean, not {independence!r}")
+    old_steps = _optional(trace, "steps", list, "an array")
+    old_verdict = _optional(trace, "verdict", dict, "an object")
+    fresh = run_problem(inp, budget, command="verify")
+    sequence = (fresh["witnesses"] or {}).get("sequence")
+    if sequence is not None and not independence:
+        sequence.pop("independent_of", None)
+    new_steps = fresh["steps"]
     for k in range(max(len(old_steps), len(new_steps))):
         a = old_steps[k] if k < len(old_steps) else None
         b = new_steps[k] if k < len(new_steps) else None
         if a != b:
             raise TraceMismatchError(k + 1)
-    if trace.get("witnesses") != fresh.get("witnesses"):
+    if trace.get("witnesses") != fresh["witnesses"]:
         raise TraceMismatchError(len(old_steps) + 1, "trace mismatch at witnesses")
-    old_verdict = trace.get("verdict") or {}
-    new_verdict = fresh.get("verdict") or {}
+    new_verdict = fresh["verdict"]
     if old_verdict.get("ok") != new_verdict.get("ok") or old_verdict.get(
         "code"
     ) != new_verdict.get("code"):

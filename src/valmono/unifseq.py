@@ -28,7 +28,6 @@ elements, residue coefficients outside the constant tower) raise
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import _linalg
@@ -104,7 +103,6 @@ class UniformizingProblem:
     v_weights: tuple[Optional[Value], ...] = ()
     h: Optional[MultiPoly] = None
     beta_new: Optional[Value] = None
-    tower: FieldTower = QQ
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -117,7 +115,7 @@ class UniformizingProblem:
         if len(self.v_names) != len(self.v_weights):
             raise InvalidInputError("passive variables and weights disagree")
         weights = self.w_weights + self.v_weights + (self.beta_n,)
-        return Frame(names, weights, frozenset(), self.tower)
+        return Frame(names, weights)
 
 
 @dataclass
@@ -330,7 +328,6 @@ def _split_unit_part(
 def elementary_uniformizing_sequence(
     problem: UniformizingProblem,
     budget: int = DEFAULT_BUDGET,
-    auto_independence: bool = True,
 ) -> UniformizingResult:
     """Uniformize the quasi-homogeneous element attached to the problem:
     run the pair game on w_n^abar versus w^alpha, replace the resulting
@@ -352,15 +349,14 @@ def elementary_uniformizing_sequence(
     engine.lattice_data()
     abar, alpha = engine.abar, engine.alpha
     d = problem.residue.degree()
-    tower = problem.tower
     mp = None
     if not problem.residue.transcendental:
-        mp = [tower.elem_from_json(c) for c in problem.residue.minpoly]
-        if d < 1 or not tower.eq(mp[-1], tower.one()):
+        mp = [QQ.elem_from_json(c) for c in problem.residue.minpoly]
+        if d < 1 or mp[-1] != 1:
             raise InvalidInputError(
                 "residue minimal polynomial must be monic of degree >= 1"
             )
-        if tower.is_zero(mp[0]):
+        if mp[0] == 0:
             raise InvalidInputError("residue minimal polynomial must have b_0 != 0")
 
     # Q-tilde cleared of the Laurent denominator:
@@ -376,7 +372,7 @@ def elementary_uniformizing_sequence(
                 e[col] = (d - i) * cp + i * cm
             e[x_col] = i * abar
             terms[tuple(e)] = mp[i]
-        q_cleared = MultiPoly.build(frame0.names, terms, tower)
+        q_cleared = MultiPoly.build(frame0.names, terms)
 
     h = problem.h
     h_touches_v = False
@@ -384,8 +380,8 @@ def elementary_uniformizing_sequence(
         if problem.residue.transcendental:
             raise InvalidInputError("a perturbation needs an algebraic residue")
         h = h.with_vars(frame0.names)
-        if h.tower != tower:
-            h = h.with_tower(tower)
+        if h.tower != QQ:
+            raise InvalidInputError("the perturbation must have rational coefficients")
         h_touches_v = any(h.degree_in(vn) > 0 for vn in problem.v_names)
         weights_all = list(frame0.weights)
         if any(w is None for w in weights_all):
@@ -401,7 +397,7 @@ def elementary_uniformizing_sequence(
                     "perturbation must have monomial value above the quasi-homogeneous part"
                 )
             h_terms[ne] = c
-        h_cleared = MultiPoly.build(frame0.names, h_terms, tower)
+        h_cleared = MultiPoly.build(frame0.names, h_terms)
         q_cleared = q_cleared + h_cleared
         engine.run_aux(list(h_cleared.terms.keys()), target)
 
@@ -435,7 +431,7 @@ def elementary_uniformizing_sequence(
 
     witness = _verify_factorization(engine, total, q_cleared, pos, problem)
 
-    independence = tuple(v_cols) if (auto_independence and not h_touches_v) else None
+    independence = None if h_touches_v else v_cols
     return UniformizingResult(
         sequence=FramedSequence(tuple(engine.path.steps), independence),
         frame=frame,
@@ -572,7 +568,6 @@ def monomialize_key_polys(chain: KeyPolyChain, budget: int = DEFAULT_BUDGET) -> 
     issues = validate_chain(chain)
     if issues:
         raise InvalidInputError("chain invalid: " + ", ".join(issues))
-    ground_n = len(chain.ground.vars)
     path = PushPath(chain.initial_frame())
     budget_ = _Budget(budget)
     records: list = []
@@ -585,11 +580,7 @@ def monomialize_key_polys(chain: KeyPolyChain, budget: int = DEFAULT_BUDGET) -> 
         return img
 
     # maximal Q-independent subset of the ground weights, greedily by index
-    basis_cols: list[int] = []
-    for i in range(ground_n):
-        coords = [list(chain.ground.weights[j].coords) for j in basis_cols + [i]]
-        if _linalg.rank_rational(tuple(tuple(Fraction(x) for x in row) for row in zip(*coords))) == len(coords):
-            basis_cols.append(i)
+    basis_cols = _linalg.pivot_columns(tuple(zip(*(w.coords for w in chain.ground.weights))))
     x_col = path.frame.n - 1
     level_data = []
 
@@ -597,9 +588,9 @@ def monomialize_key_polys(chain: KeyPolyChain, budget: int = DEFAULT_BUDGET) -> 
         t_img = image(q + 1)
         frame = path.frame
         weights = [frame.weight(i) for i in range(frame.n)]
-        vx = frame.weight(x_col)
-        basis_weights = [frame.weight(c) for c in basis_cols]
-        abar, alpha_vec = min_integer_multiple_in_lattice(vx, basis_weights)
+        engine = _ElementaryEngine(path, basis_cols, x_col, budget_, records)
+        engine.lattice_data()
+        abar, alpha_vec = engine.abar, engine.alpha
         # the value-minimal part of the pushed key polynomial is the ladder
         # w^(m_0) * sum kappa_i z^i with z = X^abar / w^lambda; unit factors
         # from earlier translations only contribute their residue constants
@@ -656,10 +647,6 @@ def monomialize_key_polys(chain: KeyPolyChain, budget: int = DEFAULT_BUDGET) -> 
         bcoeffs = [
             tower.mul(kappa[i], kd_inv) if i in kappa else tower.zero() for i in range(d + 1)
         ]
-        engine = _ElementaryEngine(path, tuple(basis_cols), x_col, budget_, records)
-        engine.lattice_data()
-        if engine.abar != abar:
-            raise AssertionError("lattice index changed between analysis and run")
         # tail terms above the minimum must become divisible by the image of
         # the minimal initial monomial w^(m_0) before the residue can move
         tail_exps = [e for e, v in term_values if compare(v, vmin) is Ordering.Greater]

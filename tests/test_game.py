@@ -6,7 +6,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import poly, random_poly, rational_spec, sqrt_prime_spec
-from valmono.errors import NothingToDoError, PositiveWeightError, ZeroPolynomialError
+from valmono.errors import (
+    InvalidInputError,
+    NothingToDoError,
+    PositiveWeightError,
+    ZeroPolynomialError,
+)
 from valmono.game import (
     MonomialValuationSpec,
     TauValue,
@@ -121,6 +126,24 @@ def test_principalize_examples():
         assert all(
             x <= y for i, (x, y) in enumerate(zip(surv, e)) if i not in res3.frame.units
         )
+
+
+def test_independence_sets():
+    spec = sqrt_prime_spec(3)
+    # the pair agrees on the last variable, which no blow-up centre holds
+    assert monomialize_pair((0, 1, 4), (2, 0, 4), spec).sequence.independence_set == (2,)
+    res = principalize_monomial_ideal([(3, 0, 0), (0, 2, 0), (1, 1, 0)], spec)
+    assert res.sequence.independence_set == (2,)
+    assert res.sequence.to_json()["independent_of"] == [3]
+
+
+@pytest.mark.parametrize("run", [
+    lambda spec: monomialize_pair((1,), (0,), spec),
+    lambda spec: principalize_monomial_ideal([(1,), (0,)], spec),
+], ids=["pair", "principalize"])
+def test_exponents_shorter_than_the_frame_are_invalid_input(run):
+    with pytest.raises(InvalidInputError, match="exponent length must match the frame"):
+        run(sqrt_prime_spec(2))
 
 
 def test_principalize_tau_log_strictly_decreases():

@@ -203,3 +203,52 @@ def test_from_json_scan_sees_one():
         "class Step:\n    @staticmethod\n    def from_json(obj):\n        return Step()\n"
     )
     assert _from_json_methods(ast.parse(src)) == ["Step.from_json"]
+
+
+# The runners in ``trace`` share the signature (inp, budget) so that one
+# table dispatches every selector; keypoly-expand makes no blow-up steps,
+# so it has no budget to spend.
+_UNREAD_PARAMETERS_ALLOWED = {"trace.py: _run_keypoly_expand(budget)"}
+
+
+def _unread_parameters(tree: ast.Module) -> list[str]:
+    """``function(parameter)`` for each parameter, other than self and cls,
+    whose value the function's body never reads."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            sub.id
+            for stmt in body
+            for sub in ast.walk(stmt)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        found += [
+            f"{name}({p.arg})" for p in params if p.arg not in ("self", "cls") and p.arg not in read
+        ]
+    return found
+
+
+def test_every_parameter_is_read():
+    """No function accepts a parameter and then ignores it."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += [f"{path.name}: {f}" for f in _unread_parameters(_parse(path))]
+    assert sorted(set(found) - _UNREAD_PARAMETERS_ALLOWED) == []
+    assert _UNREAD_PARAMETERS_ALLOWED <= set(found)  # the exception is still needed
+
+
+def test_unread_parameter_scan_sees_each_kind():
+    src = (
+        "def run(inp, budget, flag):\n    return inp + budget\n\n"
+        "def reset(a, *, b=1, **kw):\n    return b\n\n"
+        "class C:\n    def m(self, x):\n        return lambda y, z: self.n + z\n"
+    )
+    assert _unread_parameters(ast.parse(src)) == [
+        "run(flag)", "reset(a)", "reset(kw)", "m(x)", "<lambda>(y)",
+    ]

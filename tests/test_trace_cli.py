@@ -6,11 +6,12 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from valmono.errors import SchemaError, TraceMismatchError
-from valmono.trace import canonical_digest, run_problem, verify_trace
+from valmono.trace import ALGORITHMS, canonical_digest, run_problem, verify_trace
 
 GROUP2 = {"rank": 2, "ordering": "sqrt-primes", "labels": ["g1", "g2"]}
 SPEC2 = {
@@ -700,3 +701,156 @@ def test_group_defaults_still_parse():
     assert trace["witnesses"]["sequence"]["header"]["group"] == {
         "rank": 1, "ordering": "sqrt-primes", "labels": ["g1"]
     }
+
+
+# -- the trace's own fields ------------------------------------------------
+
+BAD_TRACE_FIELDS = [
+    ("header", [1]),
+    ("budget", "abc"),
+    ("budget", 2.5),
+    ("budget", -1),
+    ("budget", True),
+    ("steps", {"x": 1}),
+    ("steps", 5),
+    ("verdict", "x"),
+    ("auto_independence", "off"),
+    ("auto_independence", 0),
+]
+
+
+def _with_bad_trace_field(field, value):
+    trace = run_problem(pair_problem())
+    if field in ("budget", "auto_independence"):
+        trace["header"][field] = value
+    else:
+        trace[field] = value
+    return trace
+
+
+@pytest.mark.parametrize("field,value", BAD_TRACE_FIELDS)
+def test_malformed_trace_field_is_schema_error(field, value):
+    with pytest.raises(SchemaError, match=field):
+        verify_trace(_with_bad_trace_field(field, value))
+
+
+@pytest.mark.parametrize("field,value", BAD_TRACE_FIELDS)
+def test_cli_verify_malformed_trace_field_exits_2(tmp_path, field, value):
+    tf = tmp_path / "t.json"
+    tf.write_text(json.dumps(_with_bad_trace_field(field, value)))
+    r = _cli("verify", str(tf))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr and field in r.stderr
+
+
+def test_missing_or_null_steps_and_verdict_read_as_empty():
+    refused = run_problem(_refused_pair())
+    assert refused["steps"] == []
+    for steps in (None, "missing"):
+        trace = copy.deepcopy(refused)
+        if steps == "missing":
+            del trace["steps"]
+        else:
+            trace["steps"] = steps
+        verify_trace(trace)
+    # an empty verdict claims nothing, so it differs from the replayed one
+    for verdict in (None, "missing"):
+        trace = run_problem(pair_problem())
+        if verdict == "missing":
+            del trace["verdict"]
+        else:
+            trace["verdict"] = verdict
+        with pytest.raises(TraceMismatchError, match="verdict"):
+            verify_trace(trace)
+
+
+# -- traces written with the independence claim switched off ----------------
+
+# Written by `valmono run --auto-independence off` before that option was
+# removed: one ok trace per selector, then two uniformize traces with a
+# passive variable v1, the first with a perturbation touching v1 (no
+# independence set either way), the second with one that leaves it alone.
+OFF_TRACES = Path(__file__).resolve().parent / "data" / "traces_independence_off.json"
+
+
+def _off_traces():
+    return json.loads(OFF_TRACES.read_text())
+
+
+def test_off_fixture_covers_every_selector():
+    traces = _off_traces()
+    assert len(traces) == 9
+    assert {t["header"]["algorithm"] for t in traces} == set(ALGORITHMS)
+    assert all(t["header"]["auto_independence"] is False for t in traces)
+    assert all("independent_of" not in (t["witnesses"] or {}).get("sequence", {}) for t in traces)
+    *_, touching, free = traces
+    assert "independent_of" not in run_problem(touching["input"])["witnesses"]["sequence"]
+    assert run_problem(free["input"])["witnesses"]["sequence"]["independent_of"] == [2]
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_independence_off_traces_verify(k):
+    trace = _off_traces()[k]
+    verify_trace(trace)
+    fresh = run_problem(trace["input"])
+    sequence = (fresh["witnesses"] or {}).get("sequence")
+    if sequence is None or "independent_of" not in sequence:
+        # nothing to drop: the flag changes nothing either way
+        del trace["header"]["auto_independence"]
+        verify_trace(trace)
+        return
+    # the independence set of today's run, restored under the old flag
+    restored = copy.deepcopy(trace)
+    restored["witnesses"]["sequence"]["independent_of"] = sequence["independent_of"]
+    with pytest.raises(TraceMismatchError, match="witnesses"):
+        verify_trace(restored)
+    # the flag dropped: the replay claims the set the trace lacks
+    del trace["header"]["auto_independence"]
+    with pytest.raises(TraceMismatchError, match="witnesses"):
+        verify_trace(trace)
+    restored["header"] = trace["header"]
+    verify_trace(restored)
+
+
+def test_cli_verifies_independence_off_traces(tmp_path):
+    assert _cli("verify", str(OFF_TRACES)).returncode == 0
+    traces = _off_traces()
+    free = traces[-1]
+    restored = copy.deepcopy(free)
+    restored["witnesses"]["sequence"]["independent_of"] = [2]
+    flagless = copy.deepcopy(free)
+    del flagless["header"]["auto_independence"]
+    for k, bad in enumerate((restored, flagless)):
+        tf = tmp_path / f"t{k}.json"
+        tf.write_text(json.dumps(traces[:-1] + [bad]))
+        r = _cli("verify", str(tf))
+        assert r.returncode == 4
+        assert "trace 8: trace mismatch at witnesses" in r.stderr
+
+
+def test_cli_has_no_auto_independence_option(tmp_path):
+    assert "--auto-independence" not in _cli("run", "--help").stdout
+    pf = tmp_path / "p.json"
+    pf.write_text(json.dumps(pair_problem()))
+    r = _cli("run", str(pf), "--auto-independence", "off")
+    assert r.returncode == 2 and "unrecognized arguments" in r.stderr
+    trace = run_problem(pair_problem())
+    assert "auto_independence" not in trace["header"]
+
+
+def test_library_has_no_independence_switch_or_problem_tower():
+    import dataclasses
+    import inspect
+
+    from valmono.game import monomialize_nondegenerate, monomialize_pair, principalize_monomial_ideal
+    from valmono.unifseq import UniformizingProblem, elementary_uniformizing_sequence
+
+    for f in (
+        monomialize_pair,
+        principalize_monomial_ideal,
+        monomialize_nondegenerate,
+        elementary_uniformizing_sequence,
+        run_problem,
+    ):
+        assert "auto_independence" not in inspect.signature(f).parameters, f.__name__
+    assert "tower" not in {f.name for f in dataclasses.fields(UniformizingProblem)}

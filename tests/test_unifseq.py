@@ -35,6 +35,14 @@ def cusp_problem(**kw):
     )
 
 
+def test_perturbation_over_another_tower_is_invalid_input():
+    h = MultiPoly.build(("w1", "wn"), {(4, 0): QQ.from_rational(1)})
+    assert elementary_uniformizing_sequence(cusp_problem(h=h)).witness["exact"] is False
+    sqrt2 = QQ.extend("t1", [QQ.from_rational(-2), QQ.zero(), QQ.one()])
+    with pytest.raises(InvalidInputError, match="rational coefficients"):
+        elementary_uniformizing_sequence(cusp_problem(h=h.with_tower(sqrt2)))
+
+
 def test_linear_case():
     # Q = w_n - w_1 with beta_n = beta_1: abar = 1, one blow-up,
     # w_n^(l) = z - 1, residue polynomial X - 1
