@@ -17,7 +17,6 @@ from .polyalg import (
 )
 from .framing import (
     Frame,
-    FramedSequence,
     FramedStep,
     PushPath,
     build_constructed_blowup,

@@ -104,7 +104,3 @@ def pivot_columns(a: Sequence[Sequence[Fraction]]) -> list[int]:
     """The pivot columns of one elimination of A: greedily by index, the
     maximal linearly independent subset of its columns."""
     return _reduce([[Fraction(x) for x in row] for row in a], len(a[0]) if a else 0)[0]
-
-
-def rank_rational(a: Sequence[Sequence[Fraction]]) -> int:
-    return len(pivot_columns(a))

@@ -123,33 +123,6 @@ class FramedStep:
 
 
 @dataclass(frozen=True)
-class FramedSequence:
-    steps: tuple[FramedStep, ...] = ()
-    independence_set: Optional[tuple[int, ...]] = None
-
-    def __post_init__(self):
-        cols = None
-        for s in self.steps:
-            if cols is not None and s.forward.n != cols:
-                raise InvalidInputError("adjacent steps have incompatible variable counts")
-            cols = s.forward.n
-        if self.independence_set is not None:
-            t = set(self.independence_set)
-            for s in self.steps:
-                if t & set(s.J):
-                    raise InvalidInputError("sequence touches its independence set")
-
-    def __len__(self):
-        return len(self.steps)
-
-    def to_json(self) -> dict:
-        out = {"steps": [s.to_json() for s in self.steps]}
-        if self.independence_set is not None:
-            out["independent_of"] = [i + 1 for i in self.independence_set]
-        return out
-
-
-@dataclass(frozen=True)
 class Frame:
     """Variable labels, weights and unit tags of one chart."""
 
@@ -275,18 +248,18 @@ def build_step_for_weights(
 
 
 def compose_sequence(
-    seq: FramedSequence, n: Optional[int] = None
+    steps: Sequence[FramedStep], n: Optional[int] = None
 ) -> LaurentMonomialMap:
-    """Composite forward map of a purely monomial sequence (old variables
-    as monomials in the final frame); determinant 1."""
-    for s in seq.steps:
+    """Composite forward map of purely monomial steps (old variables as
+    monomials in the final frame); determinant 1."""
+    for s in steps:
         if s.kind != "monomial":
             raise InvalidInputError("not purely monomial")
-    if not seq.steps:
+    if not steps:
         size = n if n is not None else 0
         return LaurentMonomialMap(_linalg.identity(size))
-    total = seq.steps[0].forward
-    for s in seq.steps[1:]:
+    total = steps[0].forward
+    for s in steps[1:]:
         total = s.forward.compose_after(total)
     return total
 
@@ -436,7 +409,8 @@ def push_polynomial_through_step(
 class PushPath:
     """One framed sequence, from ``frame0`` through its steps, as the path
     along which polynomials are pushed.  The descent loops of ``game`` and
-    the engines of ``unifseq`` append their steps here.
+    the engines of ``unifseq`` append their steps here; a run's result
+    holds its path, the one copy of its sequence.
 
     The frame after each step is computed once, when the step is appended.
     A maximal run of monomial steps is applied as one composite matrix
@@ -449,6 +423,7 @@ class PushPath:
     def __init__(self, frame0: Frame):
         self.frames: list[Frame] = [frame0]
         self.steps: list[FramedStep] = []
+        self.independence_set: Optional[tuple[int, ...]] = None  # see claim_independence
         self._composites: dict[tuple[int, int], LaurentMonomialMap] = {}
 
     def __len__(self) -> int:
@@ -459,8 +434,23 @@ class PushPath:
         return self.frames[-1]
 
     def append(self, step: FramedStep) -> None:
+        if step.forward.n != self.frame.n:
+            raise InvalidInputError("step and frame have different column counts")
         self.steps.append(step)
         self.frames.append(apply_step_to_frame(self.frames[-1], step))
+
+    def claim_independence(self, cols: Sequence[int]) -> None:
+        """Claim that no center of the steps so far holds a column of ``cols``."""
+        cols = tuple(cols)
+        if any(not set(s.J).isdisjoint(cols) for s in self.steps):
+            raise InvalidInputError("sequence touches its independence set")
+        self.independence_set = cols
+
+    def to_json(self) -> dict:
+        out = {"steps": [s.to_json() for s in self.steps]}
+        if self.independence_set is not None:
+            out["independent_of"] = [i + 1 for i in self.independence_set]
+        return out
 
     def _segments(self, start: int, stop: int):
         """(a, b, map) for each maximal monomial run steps[a:b] with its
@@ -474,8 +464,7 @@ class PushPath:
                 while end < stop and self.steps[end].kind == "monomial":
                     end += 1
                 if (k, end) not in self._composites:
-                    run = FramedSequence(tuple(self.steps[k:end]))
-                    self._composites[k, end] = compose_sequence(run)
+                    self._composites[k, end] = compose_sequence(self.steps[k:end])
                 yield k, end, self._composites[k, end]
             k = end
 

@@ -26,7 +26,6 @@ from .errors import (
 )
 from .framing import (
     Frame,
-    FramedSequence,
     PushPath,
     build_step_for_weights,
     choose_vertex,
@@ -144,10 +143,9 @@ def descent_center(
 
 @dataclass
 class PairResult:
-    sequence: FramedSequence
+    path: PushPath
     alpha: tuple[int, ...]
     gamma: tuple[int, ...]
-    frame: Frame
     records: list[dict]
     alpha_divides: bool
     gamma_divides: bool
@@ -231,12 +229,11 @@ def monomialize_pair(
     a, g = run_pair_descent(alpha, gamma, path, _Budget(budget), records)
     at, gt = reduced_parts(a, g, path.frame.units)
     # no blow-up centre holds a variable on which the two exponents agree
-    independence = tuple(i for i, (x, y) in enumerate(zip(alpha, gamma)) if x == y)
+    path.claim_independence(i for i, (x, y) in enumerate(zip(alpha, gamma)) if x == y)
     return PairResult(
-        sequence=FramedSequence(tuple(path.steps), independence),
+        path=path,
         alpha=a,
         gamma=g,
-        frame=path.frame,
         records=records,
         alpha_divides=sum(at) == 0,
         gamma_divides=sum(gt) == 0,
@@ -245,12 +242,10 @@ def monomialize_pair(
 
 @dataclass
 class IdealResult:
-    sequence: FramedSequence
+    path: PushPath
     survivor: int
     exponents: list[tuple[int, ...]]
-    frame: Frame
     records: list[dict]
-    path: PushPath
 
 
 def _reduced_divides(
@@ -287,14 +282,12 @@ def principalize_monomial_ideal(
     records: list[dict] = []
     survivor, final = principalize_exponents(exps, path, _Budget(budget), records)
     # no blow-up centre holds a variable that no generator involves
-    independence = tuple(i for i in range(path.frame.n) if not any(e[i] > 0 for e in exps))
+    path.claim_independence(i for i in range(path.frame.n) if not any(e[i] > 0 for e in exps))
     return IdealResult(
-        sequence=FramedSequence(tuple(path.steps), independence),
+        path=path,
         survivor=survivor,
         exponents=final,
-        frame=path.frame,
         records=records,
-        path=path,
     )
 
 
@@ -418,10 +411,9 @@ def initial_form(f: MultiPoly, spec: MonomialValuationSpec) -> MultiPoly:
 
 @dataclass
 class NondegResult:
-    sequence: FramedSequence
+    path: PushPath
     exponent: tuple[int, ...]
     unit_witness: MultiPoly
-    frame: Frame
     records: list[dict]
     image: MultiPoly
 
@@ -476,16 +468,15 @@ def monomialize_nondegenerate(
     res = principalize_monomial_ideal(gens, spec, budget)
     # the survivor's image, units zeroed out, is the monomial part
     image = res.path.push(f)
-    monomial, witness = split_monomial(image, res.exponents[res.survivor], res.frame)
+    monomial, witness = split_monomial(image, res.exponents[res.survivor], res.path.frame)
     if witness is None:
         raise AssertionError("survivor fails to divide a term of the image")
-    if not has_unit_term(witness, res.frame):
+    if not has_unit_term(witness, res.path.frame):
         raise AssertionError("unit witness has no invertible part")
     return NondegResult(
-        sequence=res.sequence,
+        path=res.path,
         exponent=monomial,
         unit_witness=witness,
-        frame=res.frame,
         records=res.records,
         image=image,
     )

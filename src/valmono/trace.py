@@ -178,11 +178,11 @@ def _parse_exponents(obj) -> list[tuple[int, ...]]:
     return out
 
 
-def _sequence_file(seq, frame0, group) -> dict:
+def _sequence_file(path, group) -> dict:
     """Sequence-file schema: step records plus a header carrying the
     initial variable labels and weights."""
-    out = {"header": dict(frame0.to_json(), group=group.to_json())}
-    out.update(seq.to_json())
+    out = {"header": dict(path.frames[0].to_json(), group=group.to_json())}
+    out.update(path.to_json())
     return out
 
 
@@ -203,8 +203,8 @@ def _run_pair(inp: dict, budget: int) -> tuple[list, dict]:
         "alpha_divides": res.alpha_divides,
         "gamma_divides": res.gamma_divides,
         "divides": res.alpha_divides or res.gamma_divides,
-        "sequence": _sequence_file(res.sequence, spec.frame(), group),
-        "final_frame": res.frame.to_json(),
+        "sequence": _sequence_file(res.path, group),
+        "final_frame": res.path.frame.to_json(),
     }
     return res.records, witnesses
 
@@ -217,8 +217,8 @@ def _run_principalize(inp: dict, budget: int) -> tuple[list, dict]:
     witnesses = {
         "survivor": res.survivor,
         "exponents_final": [list(e) for e in res.exponents],
-        "sequence": _sequence_file(res.sequence, spec.frame(), group),
-        "final_frame": res.frame.to_json(),
+        "sequence": _sequence_file(res.path, group),
+        "final_frame": res.path.frame.to_json(),
     }
     return res.records, witnesses
 
@@ -232,8 +232,8 @@ def _run_nondegenerate(inp: dict, budget: int) -> tuple[list, dict]:
         "exponent": list(res.exponent),
         "unit_witness": res.unit_witness.to_json(),
         "image": res.image.to_json(),
-        "sequence": _sequence_file(res.sequence, spec.frame(), group),
-        "final_frame": res.frame.to_json(),
+        "sequence": _sequence_file(res.path, group),
+        "final_frame": res.path.frame.to_json(),
     }
     return res.records, witnesses
 
@@ -263,7 +263,7 @@ def _run_keypoly_monomialize(inp: dict, budget: int) -> tuple[list, dict]:
     chain = chain_from_json(_need(inp, "chain"), group)
     res = monomialize_key_polys(chain, budget)
     witnesses = {
-        "final_frame": res.frame.to_json(),
+        "final_frame": res.path.frame.to_json(),
         "x_column": res.x_column + 1,
         "level_data": res.level_data,
         "entries": [
@@ -275,7 +275,7 @@ def _run_keypoly_monomialize(inp: dict, budget: int) -> tuple[list, dict]:
             }
             for w in res.witnesses
         ],
-        "sequence": _sequence_file(res.sequence, chain.initial_frame(), group),
+        "sequence": _sequence_file(res.path, group),
     }
     return res.records, witnesses
 
@@ -337,8 +337,8 @@ def _run_uniformize(inp: dict, budget: int) -> tuple[list, dict]:
         "residue": res.residue.to_json(),
         "images": res.images,
         "factorization": res.witness,
-        "final_frame": res.frame.to_json(),
-        "sequence": _sequence_file(res.sequence, problem.frame(), problem.beta_n.group),
+        "final_frame": res.path.frame.to_json(),
+        "sequence": _sequence_file(res.path, problem.beta_n.group),
         "aux_steps": res.aux_steps,
     }
     return res.records, witnesses
@@ -354,8 +354,8 @@ def _run_polynomial(inp: dict, budget: int) -> tuple[list, dict]:
         "unit_witness": res.unit_witness.to_json(),
         "image": res.image.to_json(),
         "expansion_values": res.expansion_values,
-        "final_frame": res.frame.to_json(),
-        "sequence": _sequence_file(res.sequence, chain.initial_frame(), group),
+        "final_frame": res.path.frame.to_json(),
+        "sequence": _sequence_file(res.path, group),
     }
     return res.records, witnesses
 

@@ -32,14 +32,15 @@ from typing import Optional, Sequence
 
 from . import _linalg
 from .errors import (
+    DegenerateBasisError,
     InvalidInputError,
+    NotInDivisibleHullError,
     PositiveWeightError,
     RequiresCompletionError,
     ZeroPolynomialError,
 )
 from .framing import (
     Frame,
-    FramedSequence,
     PushPath,
     make_translation_step,
     push_polynomial_through_step,
@@ -112,6 +113,12 @@ class UniformizingProblem:
         names = self.names
         if len(set(names)) != len(names):
             raise InvalidInputError("variable names must be distinct")
+        if not self.w_names:
+            raise InvalidInputError("a uniformizing sequence needs at least one w-variable")
+        if len(self.w_names) != len(self.w_weights):
+            raise InvalidInputError(
+                f"w_vars and w_weights differ in length ({len(self.w_names)} and {len(self.w_weights)})"
+            )
         if len(self.v_names) != len(self.v_weights):
             raise InvalidInputError("passive variables and weights disagree")
         weights = self.w_weights + self.v_weights + (self.beta_n,)
@@ -120,8 +127,7 @@ class UniformizingProblem:
 
 @dataclass
 class UniformizingResult:
-    sequence: FramedSequence
-    frame: Frame
+    path: PushPath
     abar: int
     alpha_coeffs: tuple[int, ...]
     d: int
@@ -133,16 +139,6 @@ class UniformizingResult:
     witness: dict
     records: list
     aux_steps: int = 0
-
-
-def _rank_check(weights: Sequence[Value]) -> None:
-    coords = tuple(tuple(w.coords) for w in weights)
-    mat = tuple(
-        tuple(coords[j][i] for j in range(len(weights)))
-        for i in range(weights[0].group.rank)
-    )
-    if _linalg.rank_rational(mat) < len(weights):
-        raise InvalidInputError("ground weights are not Q-linearly independent")
 
 
 class _ElementaryEngine:
@@ -203,11 +199,17 @@ class _ElementaryEngine:
 
     def lattice_data(self) -> None:
         basis = [self.frame.weight(c) for c in self.w_cols]
-        _rank_check(basis)
         target = self.frame.weight(self.x_col)
+        # one elimination: a dependent basis is reported first, then a non-positive target
+        try:
+            self.abar, self.alpha = min_integer_multiple_in_lattice(target, basis)
+        except DegenerateBasisError:
+            raise InvalidInputError("ground weights are not Q-linearly independent") from None
+        except NotInDivisibleHullError:
+            if target.is_positive():
+                raise
         if not target.is_positive():
             raise PositiveWeightError("weights must be positive")
-        self.abar, self.alpha = min_integer_multiple_in_lattice(target, basis)
         pos = [max(c, 0) for c in self.alpha]
         neg = [max(-c, 0) for c in self.alpha]
         self.tracked["__delta"] = self._embed(neg, self.abar)
@@ -431,10 +433,10 @@ def elementary_uniformizing_sequence(
 
     witness = _verify_factorization(engine, total, q_cleared, pos, problem)
 
-    independence = None if h_touches_v else v_cols
+    if not h_touches_v:
+        engine.path.claim_independence(v_cols)
     return UniformizingResult(
-        sequence=FramedSequence(tuple(engine.path.steps), independence),
-        frame=frame,
+        path=engine.path,
         abar=abar,
         alpha_coeffs=alpha,
         d=d,
@@ -548,13 +550,11 @@ class KeyPolyWitness:
 
 @dataclass
 class KeyPolyResult:
-    sequence: FramedSequence
-    frame: Frame
+    path: PushPath
     x_column: int
     witnesses: list[KeyPolyWitness]
     records: list
     level_data: list
-    path: PushPath  # the sequence as a push path, for polynomials pushed after the run
 
 
 def monomialize_key_polys(chain: KeyPolyChain, budget: int = DEFAULT_BUDGET) -> KeyPolyResult:
@@ -708,22 +708,19 @@ def monomialize_key_polys(chain: KeyPolyChain, budget: int = DEFAULT_BUDGET) -> 
             )
         )
     return KeyPolyResult(
-        sequence=FramedSequence(tuple(path.steps), None),
-        frame=frame,
+        path=path,
         x_column=x_col,
         witnesses=witnesses,
         records=records,
         level_data=level_data,
-        path=path,
     )
 
 
 @dataclass
 class PolyMonoResult:
-    sequence: FramedSequence
+    path: PushPath
     exponent: tuple[int, ...]
     unit_witness: MultiPoly
-    frame: Frame
     records: list
     image: MultiPoly
     expansion_values: list
@@ -754,10 +751,9 @@ def monomialize_polynomial(
     if f == chain.Q(top).with_vars(chain.all_vars):
         w = kp.witnesses[-1]
         return PolyMonoResult(
-            sequence=kp.sequence,
+            path=kp.path,
             exponent=w.monomial,
             unit_witness=w.unit,
-            frame=kp.frame,
             records=kp.records,
             image=w.image,
             expansion_values=expansion_values,
@@ -778,10 +774,9 @@ def monomialize_polynomial(
             "requires completion: the cofactor is not a polynomial unit"
         )
     return PolyMonoResult(
-        sequence=FramedSequence(tuple(path.steps), None),
+        path=path,
         exponent=mono,
         unit_witness=witness,
-        frame=frame,
         records=records,
         image=img,
         expansion_values=expansion_values,

@@ -83,7 +83,7 @@ def test_criterion_1_tau_descent_termination(pair_corpus):
         for a, b in zip(taus, taus[1:]):
             assert b < a, "tau failed to decrease strictly"
         assert res.alpha_divides or res.gamma_divides
-        budget_hits += len(res.sequence.steps)
+        budget_hits += len(res.path.steps)
     assert elapsed < 10.0, f"corpus took {elapsed:.2f}s (target < 10s)"
     print(
         f"\nPASS criterion 1: 1000 runs terminated, tau strictly lex-decreasing "
@@ -109,7 +109,7 @@ def test_criterion_2_divisibility_iff_value_order(pair_corpus):
 def test_criterion_3_principalization(ideal_corpus):
     for gens, spec, res in ideal_corpus:
         surv = res.exponents[res.survivor]
-        units = res.frame.units
+        units = res.path.frame.units
         for e in res.exponents:
             assert all(
                 x <= y for i, (x, y) in enumerate(zip(surv, e)) if i not in units
@@ -128,8 +128,8 @@ def test_criterion_3_principalization(ideal_corpus):
 
 def test_criterion_4_unimodularity(pair_corpus, ideal_corpus):
     checked = 0
-    sequences = [res.sequence for _, _, _, res in pair_corpus[0]]
-    sequences += [res.sequence for _, _, res in ideal_corpus]
+    sequences = [res.path for _, _, _, res in pair_corpus[0]]
+    sequences += [res.path for _, _, res in ideal_corpus]
     for seq in sequences:
         n = seq.steps[0].forward.n if seq.steps else 0
         total = _linalg.identity(n)
@@ -193,9 +193,9 @@ def test_criterion_6_cusp_uniformizing_sequence():
     )
     elapsed = time.perf_counter() - t0
     # (1) all steps before the final collision/translation are monomial
-    assert all(s.kind == "monomial" for s in res.sequence.steps[:-2])
+    assert all(s.kind == "monomial" for s in res.path.steps[:-2])
     # (2) P != 0 keeps the dimension
-    assert len(res.frame.active_indices()) == 2
+    assert len(res.path.frame.active_indices()) == 2
     # (3) w_1, w_n are monomials in the final actives times a unit (z-powers)
     assert res.images["w1"] == {
         "monomial": [2, 0], "unit_exponents": {}, "z_power": 1,
@@ -205,7 +205,7 @@ def test_criterion_6_cusp_uniformizing_sequence():
     }
     # (4) the composed exponent map is unimodular both ways
     total = _linalg.identity(2)
-    for s in res.sequence.steps:
+    for s in res.path.steps:
         total = _linalg.mat_mul(s.forward.matrix, total)
     inv = _linalg.inverse_int(total)
     assert inv is not None and _linalg.det(total) == 1
@@ -216,7 +216,7 @@ def test_criterion_6_cusp_uniformizing_sequence():
     assert res.witness["unit_constant"] == "1"
     # (6) residue polynomial X - 1, trivial extension
     assert res.residue.to_json()["minpoly"] == ["-1", "1"]
-    assert res.frame.tower == QQ
+    assert res.path.frame.tower == QQ
     assert elapsed < 1.0
     print(f"\nPASS criterion 6: cusp sequence satisfies all six conclusions ({elapsed:.3f}s)")
 
@@ -258,7 +258,7 @@ def test_criterion_7_keypoly_monomialization():
         assert top.x_multiplicity == 1, "first division must succeed, second must fail"
         for w in res.witnesses:
             assert any(
-                all(x == 0 for i, x in enumerate(e) if i not in res.frame.units)
+                all(x == 0 for i, x in enumerate(e) if i not in res.path.frame.units)
                 for e in w.unit.terms
             ), "image is not monomial times unit"
     print(f"\nPASS criterion 7: {len(fixtures)} chains, parameter divides top entry exactly once")
@@ -274,7 +274,7 @@ def test_criterion_8_nondegenerate_monomialization():
         const = res.unit_witness.constant_term()
         assert not res.unit_witness.tower.is_zero(const), "unit lacks constant term"
         img = f
-        for s in res.sequence.steps:
+        for s in res.path.steps:
             img = apply_monomial_map(img, s.forward)
         mono = MultiPoly.monomial(f.vars, res.exponent, 1, f.tower)
         assert mono * res.unit_witness == img, "exponent * unit != pushed f"

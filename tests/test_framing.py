@@ -9,7 +9,6 @@ from valmono import _linalg
 from valmono.errors import InvalidInputError
 from valmono.framing import (
     Frame,
-    FramedSequence,
     FramedStep,
     PushPath,
     apply_step_to_frame,
@@ -87,7 +86,7 @@ def test_pushforward_ties_become_units():
 
 def test_compose_sequence():
     # empty -> identity
-    assert compose_sequence(FramedSequence(()), n=3).is_identity()
+    assert compose_sequence((), n=3).is_identity()
     # two inverse-related steps -> identity, via the matrix-product oracle
     s1 = make_monomial_blowup(2, (0, 1), 0)
     s2_forward = s1.inverse
@@ -95,30 +94,46 @@ def test_compose_sequence():
         n_before=2, n_after=2, J=(0, 1), j=0, kind="monomial",
         forward=s2_forward, inverse=s1.forward, D1=(0, 1),
     )
-    total = compose_sequence(FramedSequence((s1, s2)))
+    total = compose_sequence((s1, s2))
     assert total.is_identity()
     with pytest.raises(InvalidInputError):
-        compose_sequence(
-            FramedSequence((make_translation_step(2, 1, (Fraction(-1), Fraction(1)), None, "b'"),))
-        )
+        compose_sequence((make_translation_step(2, 1, (Fraction(-1), Fraction(1)), None, "b'"),))
 
 
 def test_compose_independent_block():
     # blow-ups only among variables 1 and 2 leave variable 0 as an
     # identity row and column
-    s1 = make_monomial_blowup(3, (1, 2), 1)
-    s2 = make_monomial_blowup(3, (1, 2), 2)
-    seq = FramedSequence((s1, s2), independence_set=(0,))
-    total = compose_sequence(seq)
+    g = ValueGroup(1)
+    path = PushPath(Frame(("a", "b", "c"), (g.rational(1), g.rational(2), g.rational(3))))
+    path.append(make_monomial_blowup(3, (1, 2), 1))
+    path.append(make_monomial_blowup(3, (1, 2), 2))
+    path.claim_independence((0,))
+    assert path.independence_set == (0,)
+    total = compose_sequence(tuple(path.steps))
     assert total.matrix[0] == (1, 0, 0)
     assert tuple(row[0] for row in total.matrix) == (1, 0, 0)
     assert total.det() == 1
 
 
 def test_sequence_independence_enforced():
-    s1 = make_monomial_blowup(3, (0, 1), 0)
-    with pytest.raises(InvalidInputError):
-        FramedSequence((s1,), independence_set=(0,))
+    g = ValueGroup(1)
+    path = PushPath(Frame(("a", "b", "c"), (g.rational(1), g.rational(2), g.rational(3))))
+    path.append(make_monomial_blowup(3, (0, 1), 0))
+    with pytest.raises(InvalidInputError, match="touches its independence set"):
+        path.claim_independence((0,))
+    assert path.independence_set is None
+    path.claim_independence((2,))
+    assert path.independence_set == (2,)
+
+
+def test_push_path_rejects_a_step_of_another_column_count():
+    g = ValueGroup(1)
+    path = PushPath(Frame(("a", "b", "c"), (g.rational(1), g.rational(2), g.rational(3))))
+    path.append(make_monomial_blowup(3, (0, 1), 0))
+    for n in (2, 4):
+        with pytest.raises(InvalidInputError, match="different column counts"):
+            path.append(make_monomial_blowup(n, (0, 1), 0))
+    assert len(path) == 1 and len(path.frames) == 2
 
 
 def test_unimodularity_random_sequences():
@@ -131,8 +146,7 @@ def test_unimodularity_random_sequences():
             J = tuple(sorted(rng.sample(range(n), size)))
             j = rng.choice(J)
             steps.append(make_monomial_blowup(n, J, j))
-        seq = FramedSequence(tuple(steps))
-        total = compose_sequence(seq)
+        total = compose_sequence(tuple(steps))
         assert total.det() == 1
         inv = total.inverse()
         assert inv is not None
@@ -248,8 +262,10 @@ def test_translation_step_holds_elements_and_encodes_them_in_to_json():
             "new_weight": ["5/2"],
         }
     ]
-    seq = FramedSequence((make_monomial_blowup(3, (0, 2), 0),), independence_set=(1,))
-    assert seq.to_json()["independent_of"] == [2]
+    path = PushPath(Frame(("a", "b", "c"), (g.rational(1), g.rational(1), g.rational(2))))
+    path.append(make_monomial_blowup(3, (0, 2), 0))
+    path.claim_independence((1,))
+    assert path.to_json() == {"steps": [path.steps[0].to_json()], "independent_of": [2]}
 
 
 def test_push_path_merges_monomial_runs():
@@ -266,12 +282,10 @@ def test_push_path_merges_monomial_runs():
             J = tuple(sorted(rng.sample(range(n), rng.randint(2, n))))
             path.append(build_step_for_weights(n, J, choose_vertex(J, path.frame.weights), path.frame.weights))
         assert all(s.kind == "monomial" for s in path.steps)
-        assert path.forward() == compose_sequence(FramedSequence(tuple(path.steps)))
+        assert path.forward() == compose_sequence(tuple(path.steps))
         # a cut inside the run composes only the steps after it
         for start in (rng.randint(0, len(path)), len(path)):
-            assert path.forward(start) == compose_sequence(
-                FramedSequence(tuple(path.steps[start:])), n
-            )
+            assert path.forward(start) == compose_sequence(tuple(path.steps[start:]), n)
         f = MultiPoly.build(
             vars_,
             {tuple(rng.randint(0, 4) for _ in range(n)): QQ.from_rational(rng.randint(1, 9))

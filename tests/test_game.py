@@ -57,7 +57,7 @@ def test_descent_center_examples():
 def test_monomialize_pair_divisibility_at_input():
     spec = sqrt_prime_spec(2)
     res = monomialize_pair((1, 0), (2, 1), spec)
-    assert len(res.sequence.steps) == 0
+    assert len(res.path.steps) == 0
     assert res.alpha_divides
 
 
@@ -78,7 +78,7 @@ def test_monomialize_pair_equal_values():
     spec = MonomialValuationSpec(("a", "b"), (g.rational(1), g.rational(1)))
     res = monomialize_pair((1, 0), (0, 1), spec)
     assert res.alpha_divides and res.gamma_divides
-    units = res.frame.units
+    units = res.path.frame.units
     assert units
     assert all(
         x == y for i, (x, y) in enumerate(zip(res.alpha, res.gamma)) if i not in units
@@ -103,13 +103,13 @@ def test_monomialize_pair_direction_matches_value_order():
         else:
             assert res.alpha_divides and res.gamma_divides
         # step-count bound from the tau components
-        assert len(res.sequence.steps) <= sum(tau(a, g).to_json()) + 1
+        assert len(res.path.steps) <= sum(tau(a, g).to_json()) + 1
 
 
 def test_principalize_examples():
     spec = sqrt_prime_spec(2)
     res = principalize_monomial_ideal([(1, 2)], spec)
-    assert res.survivor == 0 and len(res.sequence.steps) == 0
+    assert res.survivor == 0 and len(res.path.steps) == 0
     # two generators behave like the pair game
     res2 = principalize_monomial_ideal([(0, 1), (2, 0)], spec)
     pair = monomialize_pair((0, 1), (2, 0), spec)
@@ -124,17 +124,17 @@ def test_principalize_examples():
     surv = res3.exponents[res3.survivor]
     for e in res3.exponents:
         assert all(
-            x <= y for i, (x, y) in enumerate(zip(surv, e)) if i not in res3.frame.units
+            x <= y for i, (x, y) in enumerate(zip(surv, e)) if i not in res3.path.frame.units
         )
 
 
 def test_independence_sets():
     spec = sqrt_prime_spec(3)
     # the pair agrees on the last variable, which no blow-up centre holds
-    assert monomialize_pair((0, 1, 4), (2, 0, 4), spec).sequence.independence_set == (2,)
+    assert monomialize_pair((0, 1, 4), (2, 0, 4), spec).path.independence_set == (2,)
     res = principalize_monomial_ideal([(3, 0, 0), (0, 2, 0), (1, 1, 0)], spec)
-    assert res.sequence.independence_set == (2,)
-    assert res.sequence.to_json()["independent_of"] == [3]
+    assert res.path.independence_set == (2,)
+    assert res.path.to_json()["independent_of"] == [3]
 
 
 @pytest.mark.parametrize("run", [
@@ -231,7 +231,7 @@ def test_monomialize_nondegenerate_monomial_input():
     spec = sqrt_prime_spec(2)
     f = poly(("u1", "u2"), {(2, 3): 5})
     res = monomialize_nondegenerate(f, spec)
-    assert len(res.sequence.steps) == 0
+    assert len(res.path.steps) == 0
     assert res.exponent == (2, 3)
     assert res.unit_witness.is_constant()
 
@@ -245,7 +245,7 @@ def test_monomialize_nondegenerate_cusp_shape():
     assert res.unit_witness.constant_term() == res.unit_witness.tower.one()
     # exponent * unit reproduces the pushed-through f
     img = f
-    for s in res.sequence.steps:
+    for s in res.path.steps:
         img = apply_monomial_map(img, s.forward)
     from valmono.polyalg import MultiPoly
 
@@ -258,7 +258,7 @@ def test_monomialize_nondegenerate_tie_example():
     spec = rational_spec([1, 1], names=("u1", "u2"))
     f = poly(("u1", "u2"), {(1, 0): 1, (0, 1): 1})
     res = monomialize_nondegenerate(f, spec)
-    assert len(res.sequence.steps) == 1
+    assert len(res.path.steps) == 1
     assert res.exponent == (1, 0)
     assert res.unit_witness == poly(("u1", "u2"), {(0, 0): 1, (0, 1): 1})
     assert res.unit_witness.constant_term() == res.unit_witness.tower.one()
@@ -284,8 +284,8 @@ def test_nondegenerate_image_matches_stepwise_push():
             spec = sqrt_prime_spec(n, names)
         f = random_poly(rng, names, max_terms=5, max_exp=4)
         res = monomialize_nondegenerate(f, spec)
-        ties += any(s.J_times for s in res.sequence.steps)
-        want = _stepwise_image(f, res.sequence.steps)
+        ties += any(s.J_times for s in res.path.steps)
+        want = _stepwise_image(f, res.path.steps)
         assert res.image == want and list(res.image.terms) == list(want.terms)
     assert ties >= 10
 

@@ -549,6 +549,28 @@ def test_uniformize_optional_fields_still_parse():
     assert run_problem(problem)["verdict"]["ok"]
 
 
+# w_vars and w_weights of the right JSON type, but no w-variable or counts
+# that disagree: an invalid-input verdict, not a traceback or an ok run
+@pytest.mark.parametrize(
+    "w_vars,w_weights,message",
+    [
+        ([], [], "at least one w-variable"),
+        (["a"], ["2", "5"], r"differ in length \(1 and 2\)"),
+        (["a", "b"], ["2"], r"differ in length \(2 and 1\)"),
+    ],
+)
+def test_cli_uniformize_w_shape_is_invalid_input(tmp_path, w_vars, w_weights, message):
+    problem = cusp_uniformize_problem()
+    problem["problem"]["w_vars"] = w_vars
+    problem["problem"]["w_weights"] = [{"coords": [w]} for w in w_weights]
+    pf = tmp_path / "p.json"
+    tf = tmp_path / "t.json"
+    pf.write_text(json.dumps(problem))
+    r = _cli("run", str(pf), "--out", str(tf))
+    assert r.returncode == 3 and "Traceback" not in r.stderr
+    verdict = json.loads(tf.read_text())["verdict"]
+    assert verdict["code"] == "invalid input" and re.search(message, verdict["message"])
+
 def _assert_cli_schema_error(tmp_path, bad, good, field):
     """``bad`` alone and inside a ``--jobs 2`` batch exits 2 naming the
     field, with no traceback and no output file."""
@@ -854,3 +876,41 @@ def test_library_has_no_independence_switch_or_problem_tower():
     ):
         assert "auto_independence" not in inspect.signature(f).parameters, f.__name__
     assert "tower" not in {f.name for f in dataclasses.fields(UniformizingProblem)}
+
+
+# -- traces written while results held a FramedSequence --------------------
+
+# Written by `valmono run` before the push path became the one holder of a
+# run's sequence: one ok trace per selector, then two uniformize traces with
+# passive v1, v2, the first with a perturbation that leaves them alone
+# (independent_of [2, 3]), the second with one touching v2 (no set).
+FRAMED_TRACES = Path(__file__).resolve().parent / "data" / "traces_framed_sequence.json"
+
+
+def _framed_traces():
+    return json.loads(FRAMED_TRACES.read_text())
+
+
+def test_framed_fixture_covers_every_selector_and_independence_shape():
+    traces = _framed_traces()
+    assert len(traces) == 9
+    assert {t["header"]["algorithm"] for t in traces} == set(ALGORITHMS)
+    assert all(t["verdict"] == {"ok": True} for t in traces)
+    *_, free, touching = traces
+    assert free["witnesses"]["sequence"]["independent_of"] == [2, 3]
+    assert "independent_of" not in touching["witnesses"]["sequence"]
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_framed_traces_verify_and_rerun_the_same_sequence(k):
+    trace = _framed_traces()[k]
+    verify_trace(trace)
+    fresh = run_problem(trace["input"])
+    old, new = trace["witnesses"].get("sequence"), fresh["witnesses"].get("sequence")
+    canonical = lambda x: json.dumps(x, sort_keys=True, separators=(",", ":"))
+    assert canonical(new) == canonical(old)
+
+
+def test_cli_verifies_framed_traces():
+    r = _cli("verify", str(FRAMED_TRACES))
+    assert r.returncode == 0, r.stderr

@@ -7,12 +7,19 @@ import pytest
 
 from conftest import binomial_chain, poly, random_poly, rational_spec
 from valmono import _linalg
-from valmono.errors import InvalidInputError, RequiresCompletionError
+from valmono.errors import (
+    InvalidInputError,
+    NotInDivisibleHullError,
+    PositiveWeightError,
+    RequiresCompletionError,
+)
 from valmono.framing import PushPath, apply_step_to_frame, push_polynomial_through_step
 from valmono.keypoly import KeyPolyChain, validate_chain
 from valmono.polyalg import MultiPoly, QQ
+from valmono.game import _Budget
 from valmono.unifseq import (
     ResidueDescriptor,
+    _ElementaryEngine,
     UniformizingProblem,
     elementary_uniformizing_sequence,
     monomialize_key_polys,
@@ -43,6 +50,78 @@ def test_perturbation_over_another_tower_is_invalid_input():
         elementary_uniformizing_sequence(cusp_problem(h=h.with_tower(sqrt2)))
 
 
+G2 = ValueGroup(2)
+
+
+def lattice_problem(w_coords, beta):
+    return UniformizingProblem(
+        w_names=tuple(f"w{i + 1}" for i in range(len(w_coords))),
+        w_weights=tuple(G2.value(c) for c in w_coords),
+        wn_name="wn",
+        beta_n=G2.value(beta),
+        residue=ResidueDescriptor(True),
+    )
+
+
+@pytest.mark.parametrize(
+    "w_coords,beta,error,match",
+    [
+        # a dependent basis is reported whatever the sign of the target
+        ([(1, 0), (2, 0)], (3, 0), InvalidInputError, "not Q-linearly independent"),
+        ([(1, 0), (2, 0)], (-3, 0), InvalidInputError, "not Q-linearly independent"),
+        # then a non-positive target, inside the span or outside it
+        ([(1, 0)], (-1, 0), PositiveWeightError, "positive"),
+        ([(1, 0)], (0, -1), PositiveWeightError, "positive"),
+        # then a positive target outside the span
+        ([(1, 0)], (0, 1), NotInDivisibleHullError, "divisible hull"),
+    ],
+)
+def test_lattice_faults_are_reported_in_order(w_coords, beta, error, match):
+    with pytest.raises(error, match=match):
+        elementary_uniformizing_sequence(lattice_problem(w_coords, beta))
+
+
+def test_lattice_data_eliminates_once(monkeypatch):
+    calls = []
+    reduce = _linalg._reduce
+    monkeypatch.setattr(_linalg, "_reduce", lambda m, cols: calls.append(cols) or reduce(m, cols))
+    cases = [([(3, 0), (0, 2)], (Fraction(3, 2), 1), 2), ([(1, 0), (2, 0)], (3, 0), None)]
+    for w_coords, beta, abar in cases:
+        prob = lattice_problem(w_coords, beta)
+        engine = _ElementaryEngine(PushPath(prob.frame()), (0, 1), 2, _Budget(10), [])
+        calls.clear()
+        if abar is None:
+            with pytest.raises(InvalidInputError, match="not Q-linearly independent"):
+                engine.lattice_data()
+        else:
+            engine.lattice_data()
+            assert (engine.abar, engine.alpha) == (abar, (1, 1))
+        assert len(calls) == 1
+
+
+def test_uniformize_needs_a_w_variable():
+    prob = lattice_problem([], (1, 0))
+    with pytest.raises(InvalidInputError, match="at least one w-variable"):
+        elementary_uniformizing_sequence(prob)
+
+
+@pytest.mark.parametrize(
+    "w_names,w_weights,message",
+    [(("a",), (2, 5), r"differ in length \(1 and 2\)"), (("a", "b"), (2,), r"differ in length \(2 and 1\)")],
+)
+def test_w_weight_count_must_match_w_vars(w_names, w_weights, message):
+    # one weight too many used to end ok, solved against the stray weight;
+    # one too few was reported as a dependent basis
+    prob = UniformizingProblem(
+        w_names=w_names,
+        w_weights=tuple(G1.rational(w) for w in w_weights),
+        wn_name="x",
+        beta_n=G1.rational(3),
+        residue=ResidueDescriptor(False, ("-1", "1")),
+    )
+    with pytest.raises(InvalidInputError, match=message):
+        elementary_uniformizing_sequence(prob)
+
 def test_linear_case():
     # Q = w_n - w_1 with beta_n = beta_1: abar = 1, one blow-up,
     # w_n^(l) = z - 1, residue polynomial X - 1
@@ -55,7 +134,7 @@ def test_linear_case():
     )
     res = elementary_uniformizing_sequence(prob)
     assert res.abar == 1 and res.alpha_coeffs == (1,)
-    matrix_steps = [s for s in res.sequence.steps if not s.forward.is_identity()]
+    matrix_steps = [s for s in res.path.steps if not s.forward.is_identity()]
     assert len(matrix_steps) == 1
     assert res.witness["exact"] is True
     # quotient is exactly the new variable (z - 1)
@@ -67,17 +146,17 @@ def test_cusp_all_conclusions():
     res = elementary_uniformizing_sequence(cusp_problem())
     n = 2
     # (1) every step before the final collision is monomial
-    kinds = [s.kind for s in res.sequence.steps]
+    kinds = [s.kind for s in res.path.steps]
     assert all(k == "monomial" for k in kinds[:-2])
-    assert res.sequence.steps[-1].kind == "translation"
+    assert res.path.steps[-1].kind == "translation"
     # (2) P != 0: official dimension stays n
-    assert len(res.frame.active_indices()) == n
+    assert len(res.path.frame.active_indices()) == n
     # (3) w_1 and w_n are monomials in the final actives times a unit
     assert res.images["w1"]["monomial"] == [2, 0] and res.images["w1"]["z_power"] == 1
     assert res.images["wn"]["monomial"] == [3, 0] and res.images["wn"]["z_power"] == 2
     # (4) final variables are Laurent monomials in the old ones (unimodular)
     total = _linalg.identity(n)
-    for s in res.sequence.steps:
+    for s in res.path.steps:
         total = _linalg.mat_mul(s.forward.matrix, total)
     inv = _linalg.inverse_int(total)
     assert inv is not None and _linalg.mat_mul(total, inv) == _linalg.identity(n)
@@ -88,7 +167,7 @@ def test_cusp_all_conclusions():
     assert res.witness["monomial_exponent"] == [6, 3]
     # (6) residue extension is k[X]/(X - 1) = k
     assert res.residue.to_json() == {"kind": "algebraic", "minpoly": ["-1", "1"]}
-    assert res.frame.tower == QQ
+    assert res.path.frame.tower == QQ
     assert res.d == 1 and res.abar == 2 and res.alpha_coeffs == (3,)
 
 
@@ -102,8 +181,8 @@ def test_transcendental_case_drops_dimension():
     )
     res = elementary_uniformizing_sequence(prob)
     assert res.new_var is None
-    assert len(res.frame.active_indices()) == 1  # n - 1
-    assert res.frame.units == frozenset({res.z_column})
+    assert len(res.path.frame.active_indices()) == 1  # n - 1
+    assert res.path.frame.units == frozenset({res.z_column})
     assert res.witness == {"kind": "transcendental"}
 
 
@@ -118,12 +197,12 @@ def test_passive_variables_ride_along():
         v_weights=(G1.rational(5),),
     )
     res = elementary_uniformizing_sequence(prob)
-    assert res.sequence.independence_set == (1,)
-    for s in res.sequence.steps:
+    assert res.path.independence_set == (1,)
+    for s in res.path.steps:
         assert 1 not in s.J
     # v column untouched in the composed matrix
     total = _linalg.identity(3)
-    for s in res.sequence.steps:
+    for s in res.path.steps:
         total = _linalg.mat_mul(s.forward.matrix, total)
     assert tuple(row[1] for row in total) == (0, 1, 0)
     assert total[1] == (0, 1, 0)
@@ -155,11 +234,11 @@ def test_degree_two_residue_extends_tower():
     )
     res = elementary_uniformizing_sequence(prob)
     assert res.d == 2 and res.abar == 1
-    assert res.frame.tower.depth == 1
-    sym = res.frame.tower.extensions[0][0]
+    assert res.path.frame.tower.depth == 1
+    sym = res.path.frame.tower.extensions[0][0]
     # unit cofactor is X + 2 theta, constant part 2 theta, P'(theta) != 0
     assert res.witness["exact"] is True
-    tower = res.frame.tower
+    tower = res.path.frame.tower
     const = tower.elem_from_json(res.witness["unit_constant"])
     assert tower.eq(const, tower.mul(tower.generator(sym), tower.from_rational(2)))
     # verify the full identity by reconstruction: image(Q) = w^div * X * U
@@ -169,7 +248,7 @@ def test_degree_two_residue_extends_tower():
     frame0 = prob.frame()
     img = q_poly
     fr = frame0
-    for s in res.sequence.steps:
+    for s in res.path.steps:
         img = push_polynomial_through_step(img, fr, s)
         fr = apply_step_to_frame(fr, s)
         img = MultiPoly(fr.names, img.terms, img.tower)
@@ -207,7 +286,7 @@ def test_keypoly_driver_cusp():
     unit_const = top.unit.constant_term()
     assert not top.unit.tower.is_zero(unit_const)
     # new parameter has the declared jump value 4 - 3 = 1
-    assert res.frame.weights[res.x_column].coords == (Fraction(1),)
+    assert res.path.frame.weights[res.x_column].coords == (Fraction(1),)
 
 
 def cusp():
@@ -237,7 +316,7 @@ def test_keypoly_driver_single_entry():
         ground, "x", ((MultiPoly.variable(UV, "x"), G1.rational(Fraction(3, 2))),)
     )
     res = monomialize_key_polys(chain)
-    assert len(res.sequence.steps) == 0
+    assert len(res.path.steps) == 0
     assert res.witnesses[0].monomial[res.x_column] == 1
 
 
@@ -257,7 +336,7 @@ def test_keypoly_driver_random_binomials(rng):
         assert res.witnesses[-1].x_multiplicity == 1
         for w in res.witnesses:
             assert any(
-                all(x == 0 for i, x in enumerate(e) if i not in res.frame.units)
+                all(x == 0 for i, x in enumerate(e) if i not in res.path.frame.units)
                 for e in w.unit.terms
             )
 
@@ -266,7 +345,7 @@ def test_monomialize_polynomial_examples():
     chain = cusp()
     # f = Q_top delegates to the chain driver
     res = monomialize_polynomial(chain.Q(2), chain)
-    assert res.exponent[res.frame.names.index("x'")] == 1
+    assert res.exponent[res.path.frame.names.index("x'")] == 1
     # f = u^3 x: monomial after pushing, no recursion
     f = poly(UV, {(3, 1): 1})
     res2 = monomialize_polynomial(f, chain)
@@ -292,7 +371,7 @@ def test_monomialize_polynomial_random(rng):
         mono = MultiPoly.monomial(res.image.vars, res.exponent, 1, res.image.tower)
         assert mono * res.unit_witness == res.image
         assert any(
-            all(x == 0 for i, x in enumerate(e) if i not in res.frame.units)
+            all(x == 0 for i, x in enumerate(e) if i not in res.path.frame.units)
             for e in res.unit_witness.terms
         )
 
@@ -313,7 +392,7 @@ def test_keypoly_driver_translation_tower():
     assert res.witnesses[-1].x_multiplicity == 1
     for w in res.witnesses:
         assert any(
-            all(x == 0 for i, x in enumerate(e) if i not in res.frame.units)
+            all(x == 0 for i, x in enumerate(e) if i not in res.path.frame.units)
             for e in w.unit.terms
         )
 
@@ -356,7 +435,7 @@ def test_rank_two_uniformizing_sequence():
     res = elementary_uniformizing_sequence(prob)
     assert res.abar == 1 and res.alpha_coeffs == (1, 1)
     assert res.witness["exact"] is True
-    assert res.frame.tower == base
+    assert res.path.frame.tower == base
 
 
 def test_perturbation_touching_passive_variable():
@@ -377,7 +456,7 @@ def test_perturbation_touching_passive_variable():
     assert res.witness["exact"] is False
     assert res.aux_steps >= 1
     # auxiliary work touched the passive variable: no independence claim
-    assert res.sequence.independence_set is None
+    assert res.path.independence_set is None
 
 
 def test_keypoly_driver_rank_two_ground():
@@ -452,9 +531,9 @@ def _chain_runs():
 def test_push_path_prefixes_equal_whole_sequence():
     runs = _chain_runs()
     assert len(runs) >= 20
-    assert any(res.frame.tower.depth for _, res, _, _ in runs)  # a tower extension
+    assert any(res.path.frame.tower.depth for _, res, _, _ in runs)  # a tower extension
     for chain, res, polys, seed in runs:
-        steps = res.sequence.steps
+        steps = res.path.steps
         frame0 = chain.initial_frame()
         whole_path = PushPath(frame0)
         for s in steps:
