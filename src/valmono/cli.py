@@ -1,7 +1,8 @@
 """Batch front-end: run problems, emit replayable traces, re-verify traces.
 
-Exit codes: 0 success, 2 schema error, 3 algorithm error (a partial trace
-is still written), 4 trace mismatch during verification.
+Exit codes: 0 success, 2 schema error or an unreadable or unwritable file,
+3 algorithm error (a partial trace is still written), 4 trace mismatch
+during verification.
 """
 
 from __future__ import annotations
@@ -27,27 +28,28 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise SchemaError(f"no such file: {path}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"malformed JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"cannot read {path}: {exc}") from None
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def _run_one(args) -> tuple[dict, str]:
     """Run one problem and serialize its trace where it ran, so a worker
-    hands back one string instead of a nested object graph."""
+    hands back one string instead of a nested object graph.  The text is
+    compact ``json.dumps(trace)``: only without ``indent`` does ``json``
+    use its C encoder."""
     problem, budget = args
     trace = run_problem(problem, budget)
-    return trace["verdict"], json.dumps(trace, indent=1)
+    return trace["verdict"], json.dumps(trace)
 
 
 def _batch_text(texts: list[str]) -> str:
-    """The bytes of ``json.dumps(traces, indent=1)`` from the traces' own
-    ``indent=1`` texts: each item is indented one more level, which only
-    touches line starts because JSON strings hold no raw newline."""
-    if not texts:
-        return "[]"
-    return "[\n " + ",\n ".join(t.replace("\n", "\n ") for t in texts) + "\n]"
+    """The bytes of ``json.dumps(traces)`` from the traces' own texts,
+    joined by its default item separator."""
+    return "[" + ", ".join(texts) + "]"
 
 
 def worker_count(jobs: int, items: int, cpus: int | None) -> int:
@@ -85,7 +87,11 @@ def cmd_run(args) -> int:
     texts = [text for _, text in results]
     text = _batch_text(texts) if batch else texts[0]
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        try:
+            Path(args.out).write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return EXIT_SCHEMA
     else:
         sys.stdout.write(text + "\n")
     failed = [verdict for verdict, _ in results if not verdict["ok"]]

@@ -57,7 +57,7 @@ from .game import (
     split_monomial,
 )
 from .keypoly import KeyPolyChain, truncate, validate_chain
-from .polyalg import FieldTower, MultiPoly, QQ, euclid_divide, taylor_shift
+from .polyalg import FieldTower, MultiPoly, QQ, taylor_shift
 from .values import (
     Ordering,
     Value,
@@ -515,9 +515,10 @@ def _verify_factorization(
     if problem.h is None or problem.h.is_zero():
         if not diff.is_zero():
             raise AssertionError("factorization: quotient differs from P(z)")
-        x_var = MultiPoly.variable(w_poly.vars, x_name, tower)
-        quo, rem = euclid_divide(w_poly, x_var, x_name)
-        if not rem.is_zero():
+        # x divides exactly when every term has positive x-degree; the
+        # translated column is no unit of the frame, so this shifts x alone
+        _, quo = split_monomial(w_poly, [int(k == xi) for k in range(n)], frame)
+        if quo is None:
             raise AssertionError("factorization: new parameter fails to divide")
         const = quo.constant_term()
         if tower.is_zero(const):
@@ -675,7 +676,6 @@ def monomialize_key_polys(chain: KeyPolyChain, budget: int = DEFAULT_BUDGET) -> 
     # divisible by the distinguished parameter exactly once
     witnesses = []
     frame = path.frame
-    x_name = frame.names[x_col]
     for i in range(1, len(chain) + 1):
         img = image(i)
         # the componentwise least exponent divides every term
@@ -688,16 +688,9 @@ def monomialize_key_polys(chain: KeyPolyChain, budget: int = DEFAULT_BUDGET) -> 
             )
         mult = 0
         if i == len(chain) and len(chain) >= 2:
-            probe = unit
-            x_var = MultiPoly.variable(img.vars, x_name, img.tower)
-            mult = mono[x_col]
-            while True:
-                quo, rem = euclid_divide(probe, x_var, x_name)
-                if rem.is_zero():
-                    mult += 1
-                    probe = quo
-                else:
-                    break
+            # the power of x in img: the monomial's (zero on a unit column)
+            # plus the largest power of x that divides the unit
+            mult = mono[x_col] + min(e[x_col] for e in unit.terms)
         witnesses.append(
             KeyPolyWitness(
                 entry=i,

@@ -241,7 +241,7 @@ def _expected_bytes(payload):
         obj = [run_problem(p) for p in payload]
     else:
         obj = run_problem(payload)
-    return _blank_created(json.dumps(obj, indent=1) + "\n")
+    return _blank_created(json.dumps(obj) + "\n")
 
 
 def _refused_pair():
@@ -267,6 +267,55 @@ def test_cli_output_bytes_match_in_process_dumps(tmp_path, jobs):
     assert r.returncode == 3
     assert _blank_created(r.stdout) == _expected_bytes(batch)
     assert r.stderr == "error: weights must be positive\n" * 4
+
+
+def test_json_tool_indent_view_is_the_indented_dump(tmp_path):
+    batch = all_selector_problems() + [_refused_pair()]
+    pf = tmp_path / "p.json"
+    tf = tmp_path / "t.json"
+    pf.write_text(json.dumps(batch))
+    assert _cli("run", str(pf), "--out", str(tf), "--jobs", "2").returncode == 3
+    view = subprocess.run(
+        [sys.executable, "-m", "json.tool", "--indent", "1", str(tf)],
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    traces = [run_problem(p) for p in batch]
+    assert _blank_created(view) == _blank_created(json.dumps(traces, indent=1) + "\n")
+
+
+def test_cli_verifies_indented_batches(tmp_path):
+    # the layout `valmono run` wrote before it switched to compact JSON
+    tf = tmp_path / "old.json"
+    tf.write_text(json.dumps([run_problem(p) for p in all_selector_problems()], indent=1) + "\n")
+    for path in (tf, OFF_TRACES):  # FRAMED_TRACES: test_cli_verifies_framed_traces
+        r = _cli("verify", str(path))
+        assert r.returncode == 0, (path.name, r.stderr)
+
+
+# each case: the CLI arguments, given a directory that holds a valid
+# problem p.json and a file bytes.json that is not UTF-8
+FILE_FAULTS = {
+    "run-directory": lambda d: ("run", str(d)),
+    "verify-directory": lambda d: ("verify", str(d)),
+    "run-not-utf8": lambda d: ("run", str(d / "bytes.json")),
+    "verify-not-utf8": lambda d: ("verify", str(d / "bytes.json")),
+    "out-missing-directory": lambda d: ("run", str(d / "p.json"), "--out", str(d / "no" / "t.json")),
+    "out-is-directory": lambda d: ("run", str(d / "p.json"), "--out", str(d)),
+}
+
+
+@pytest.mark.parametrize("case", list(FILE_FAULTS))
+def test_cli_file_faults_exit_2(tmp_path, case):
+    (tmp_path / "p.json").write_text(json.dumps(pair_problem()))
+    (tmp_path / "bytes.json").write_bytes(b"\xff\xfe[")
+    r = _cli(*FILE_FAULTS[case](tmp_path))
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    verb = "write" if case.startswith("out-") else "read"
+    assert r.stderr.startswith(f"error: cannot {verb} ") and r.stderr.count("\n") == 1
+    assert r.stdout == ""
 
 
 def test_chunk_size():
