@@ -9,6 +9,7 @@ fast enough.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import InvalidInputError
@@ -21,17 +22,15 @@ def identity(n: int) -> Matrix:
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
+    k = len(b)
     if any(len(row) != k for row in a):
         raise InvalidInputError("matrix shapes do not match for a product")
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
-        for i in range(n)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sum(a[i][t] * v[t] for t in range(len(v))) for i in range(len(a)))
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def _reduce(m: list[list[Fraction]], cols: int) -> tuple[list[int], Fraction]:

@@ -8,6 +8,7 @@ during verification.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -34,6 +35,18 @@ def _load_json(path: str):
         raise SchemaError(f"cannot read {path}: {exc}") from None
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def _unwritable(path: str) -> str | None:
+    """Why ``path`` cannot be written, as far as can be told before the
+    batch runs (a missing parent directory, or a directory as the target);
+    None when it looks writable."""
+    target = Path(path)
+    if target.is_dir():
+        return os.strerror(errno.EISDIR)
+    if not target.parent.is_dir():
+        return os.strerror(errno.ENOTDIR if target.parent.exists() else errno.ENOENT)
+    return None
 
 
 def _run_one(args) -> tuple[dict, str]:
@@ -71,6 +84,9 @@ def cmd_run(args) -> int:
             raise SchemaError(f"--jobs must be at least 1, not {args.jobs}")
         if args.budget < 0:
             raise SchemaError(f"--budget must not be negative, not {args.budget}")
+        reason = _unwritable(args.out) if args.out else None
+        if reason:
+            raise SchemaError(f"cannot write {args.out}: {reason}")
         payload = _load_json(args.file)
         batch = isinstance(payload, list)
         problems = payload if batch else [payload]

@@ -36,7 +36,7 @@ from .unifseq import (
     monomialize_key_polys,
     monomialize_polynomial,
 )
-from .values import SQRT_PRIMES, Value, ValueGroup, fraction_from_str
+from .values import SQRT_PRIMES, Value, ValueGroup, fraction_from_str, rational_from_str
 
 TOOL = "valmono"
 SCHEMA = 1
@@ -94,7 +94,7 @@ def _names(obj: dict, key: str, what: str = "variable names") -> tuple[str, ...]
 def _value(v, group: ValueGroup, what: str) -> Value:
     if not isinstance(v, dict) or not isinstance(v.get("coords"), list):
         raise SchemaError(f'{what} must be {{"coords": [...]}}, not {v!r}')
-    return Value(tuple(fraction_from_str(c) for c in v["coords"]), group)
+    return group.of_pairs([rational_from_str(c) for c in v["coords"]])
 
 
 def _values(obj: dict, key: str, group: ValueGroup, nullable: bool = False) -> tuple:
@@ -297,7 +297,7 @@ def _parse_uniformize_problem(inp: dict) -> UniformizingProblem:
     else:
         minpoly = _names(res, "minpoly", "rational strings")
         for c in minpoly:
-            fraction_from_str(c)  # residues read from JSON lie over Q
+            rational_from_str(c)  # residues read from JSON lie over Q
         residue = ResidueDescriptor(False, minpoly)
     v_names = _names(prob, "v_vars") if "v_vars" in prob else ()
     v_weights = (

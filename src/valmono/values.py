@@ -8,15 +8,23 @@ through square roots of the primes).  These reals are linearly independent
 over Q, so a :class:`Value` is determined by its rational coordinate
 vector and the group is archimedean of rational rank ``r``.
 
-Sign decisions are made in integers.  The coordinates (of a value, or of
-the difference of two) are brought to one denominator, their lcm, so the
-sign is that of ``sum(n_i * sqrt(p_i))`` with integer ``n_i``.  All
-``n_i == 0`` is zero (Q-linear independence).  When every nonzero ``n_i``
-has the same sign, that is the answer; this covers rank 1 and every
-rational value.  Otherwise each ``sqrt(p_i)`` is bracketed by its integer
-``isqrt`` floor at ``k`` fractional bits (cached per radicand and ``k``),
-starting at 64 bits and doubling until the bracket of the sum excludes
-zero, which happens because the sum is a nonzero algebraic number.
+A :class:`Value` holds its coordinates as integer numerators ``nums`` over
+one positive denominator ``den``, in lowest terms (``gcd(den, *nums) ==
+1``).  The form is canonical, so equal values are ``==`` and hash equal.
+Arithmetic works on the integers and reduces once per result; ``coords``
+gives the coordinates as Fractions for the cold paths that want them.
+Only exact inputs build a value: ints, Fractions and ``"p/q"`` literals,
+never floats or bools.
+
+Sign decisions are made in integers.  The sign of a value is that of
+``sum(n_i * sqrt(p_i))`` over its numerators ``n_i``; two values are
+compared through ``x_i * db - y_i * da``, a positive multiple of their
+difference.  All ``n_i == 0`` is zero (Q-linear independence).  When every
+nonzero ``n_i`` has the same sign, that is the answer; this covers rank 1
+and every rational value.  Otherwise each ``sqrt(p_i)`` is bracketed by its
+integer ``isqrt`` floor at ``k`` fractional bits (cached per radicand and
+``k``), starting at 64 bits and doubling until the bracket of the sum
+excludes zero, which happens because the sum is a nonzero algebraic number.
 
 The ``lex`` mode orders coordinate vectors lexicographically and exists
 for composite (rank >= 2) value groups; it is not exercised by the
@@ -29,7 +37,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from . import _linalg
@@ -121,18 +130,46 @@ def fraction_to_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def fraction_from_str(s: str) -> Fraction:
+def _literal(n: int, d: int) -> str:
+    """The lowest-terms literal of ``n/d``, ``d > 0``."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def rational_from_str(s: str) -> tuple[int, int]:
     """Parse a ``"p/q"`` or ``"p"`` literal (ASCII digits, an optional
-    leading minus, a nonzero denominator); anything else is a SchemaError."""
+    leading minus, a nonzero denominator) to the integers ``(p, q)``, not
+    reduced; anything else is a SchemaError."""
     if not isinstance(s, str):
         raise SchemaError(f"rational must be a 'p/q' string, got {s!r}")
     if _RATIONAL.fullmatch(s) is None:
         raise SchemaError(f"bad rational {s!r}")
     num, _, den = s.partition("/")
     try:
-        return Fraction(int(num), int(den or 1))
-    except (ValueError, ZeroDivisionError):  # more digits than int() reads, or q = 0
+        p, q = int(num), int(den or 1)
+    except ValueError:  # more digits than int() reads
         raise SchemaError(f"bad rational {s!r}") from None
+    if not q:
+        raise SchemaError(f"bad rational {s!r}")
+    return p, q
+
+
+def fraction_from_str(s: str) -> Fraction:
+    """The Fraction of a ``"p/q"`` or ``"p"`` literal, by the grammar of
+    :func:`rational_from_str`."""
+    return Fraction(*rational_from_str(s))
+
+
+def _exact(q) -> tuple[int, int]:
+    """``(p, q)`` of an exact rational input: an int, a Fraction or a
+    ``"p/q"`` literal.  Floats and bools are rejected, not rounded."""
+    if isinstance(q, int) and not isinstance(q, bool):
+        return q, 1
+    if isinstance(q, Fraction):
+        return q.numerator, q.denominator
+    if isinstance(q, str):
+        return rational_from_str(q)
+    raise InvalidInputError(f"a rational must be an int, a Fraction or a 'p/q' string, not {q!r}")
 
 
 @dataclass(frozen=True)
@@ -154,13 +191,20 @@ class ValueGroup:
         object.__setattr__(self, "labels", tuple(labels))
 
     def value(self, coords: Iterable[Fraction | int | str]) -> "Value":
-        return Value(tuple(Fraction(c) for c in coords), self)
+        """The value with these coordinates, each an int, a Fraction or a
+        ``"p/q"`` literal."""
+        return self.of_pairs([_exact(c) for c in coords])
+
+    def of_pairs(self, pairs: Sequence[tuple[int, int]]) -> "Value":
+        """The value with coordinates ``p/q``, one ``(p, q)`` pair each
+        (``q`` nonzero), over the lcm of the ``q``."""
+        den = lcm(*[q for _, q in pairs])
+        return Value(tuple(p * (den // q) for p, q in pairs), den, self)
 
     def rational(self, q: Fraction | int | str) -> "Value":
         """The rational value q * (first generator); in sqrt-primes mode the
         first generator is 1, so this is the embedding of Q."""
-        coords = [Fraction(q)] + [Fraction(0)] * (self.rank - 1)
-        return self.value(coords)
+        return self.value([q] + [0] * (self.rank - 1))
 
     def zero(self) -> "Value":
         return self.value([0] * self.rank)
@@ -171,43 +215,66 @@ class ValueGroup:
 
 @dataclass(frozen=True)
 class Value:
-    """Element of a :class:`ValueGroup`, held as exact rational coordinates."""
+    """Element of a :class:`ValueGroup`: the coordinates ``nums[i] / den``.
+    Any integers with ``den != 0`` may be given; they are stored in lowest
+    terms with ``den > 0``."""
 
-    coords: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
     group: ValueGroup
 
     def __post_init__(self):
-        if len(self.coords) != self.group.rank:
+        nums, den = self.nums, self.den
+        if len(nums) != self.group.rank:
             raise InvalidInputError("coordinate count must equal the group rank")
+        if not den:
+            raise InvalidInputError("denominator must be nonzero")
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            object.__setattr__(self, "nums", tuple(n // g for n in nums))
+            object.__setattr__(self, "den", den // g)
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
 
     def _check(self, other: "Value") -> None:
         if self.group is not other.group and self.group != other.group:
             raise GroupMismatchError("group mismatch")
 
-    def __add__(self, other: "Value") -> "Value":
+    def _combine(self, other: "Value", op) -> "Value":
+        """``op`` (add or sub) coordinate by coordinate, over ``da * db``
+        unless the denominators agree."""
         self._check(other)
-        return Value(tuple(a + b for a, b in zip(self.coords, other.coords)), self.group)
+        da, db = self.den, other.den
+        if da == db:
+            return Value(tuple(map(op, self.nums, other.nums)), da, self.group)
+        xs, ys = [x * db for x in self.nums], [y * da for y in other.nums]
+        return Value(tuple(map(op, xs, ys)), da * db, self.group)
+
+    def __add__(self, other: "Value") -> "Value":
+        return self._combine(other, add)
 
     def __sub__(self, other: "Value") -> "Value":
-        self._check(other)
-        return Value(tuple(a - b for a, b in zip(self.coords, other.coords)), self.group)
+        return self._combine(other, sub)
 
     def __neg__(self) -> "Value":
-        return Value(tuple(-a for a in self.coords), self.group)
+        return Value(tuple(-n for n in self.nums), self.den, self.group)
 
-    def scale(self, q: Fraction | int) -> "Value":
-        q = Fraction(q)
-        return Value(tuple(q * a for a in self.coords), self.group)
+    def scale(self, q: Fraction | int | str) -> "Value":
+        p, d = _exact(q)
+        return Value(tuple(p * n for n in self.nums), self.den * d, self.group)
 
     __rmul__ = __mul__ = scale
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def sign(self) -> int:
-        coords = self.coords
-        den = lcm(*[c.denominator for c in coords])
-        return _sign([c.numerator * (den // c.denominator) for c in coords], self.group.ordering)
+        return _sign(self.nums, self.group.ordering)
 
     def is_positive(self) -> bool:
         return self.sign() > 0
@@ -225,21 +292,21 @@ class Value:
         return compare(self, other) is not Ordering.Less
 
     def to_json(self) -> dict:
-        return {"coords": [fraction_to_str(c) for c in self.coords]}
+        return {"coords": [_literal(n, self.den) for n in self.nums]}
 
     def __repr__(self):
-        return f"Value({', '.join(fraction_to_str(c) for c in self.coords)})"
+        return f"Value({', '.join(self.to_json()['coords'])})"
 
 
 def compare(a: Value, b: Value) -> Ordering:
-    """Total order on the group; exact."""
+    """Total order on the group; exact.  ``x * db - y * da`` has the sign
+    of ``x / da - y / db`` because both denominators are positive."""
     a._check(b)
-    xs, ys = a.coords, b.coords
-    den = lcm(*[x.denominator for x in xs], *[y.denominator for y in ys])
-    n = [
-        x.numerator * (den // x.denominator) - y.numerator * (den // y.denominator)
-        for x, y in zip(xs, ys)
-    ]
+    da, db = a.den, b.den
+    if da == db:
+        n = list(map(sub, a.nums, b.nums))
+    else:
+        n = [x * db - y * da for x, y in zip(a.nums, b.nums)]
     return _BY_SIGN[_sign(n, a.group.ordering)]
 
 
@@ -254,13 +321,14 @@ def value_of_exponent(alpha: Sequence[int], weights: Sequence[Value]) -> Value:
         if w.group != group:
             raise GroupMismatchError("group mismatch")
     # integer numerators over the used weights' common denominator
-    used = [(a, w.coords) for a, w in zip(alpha, weights) if a]
-    den = lcm(*[c.denominator for _, cs in used for c in cs])
-    coords = [0] * group.rank
-    for a, cs in used:
-        for i, c in enumerate(cs):
-            coords[i] += a * c.numerator * (den // c.denominator)
-    return Value(tuple(Fraction(n, den) for n in coords), group)
+    used = [(a, w) for a, w in zip(alpha, weights) if a]
+    den = lcm(*[w.den for _, w in used])
+    nums = [0] * group.rank
+    for a, w in used:
+        k = a * (den // w.den)
+        for i, n in enumerate(w.nums):
+            nums[i] += k * n
+    return Value(tuple(nums), den, group)
 
 
 def min_integer_multiple_in_lattice(

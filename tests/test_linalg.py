@@ -1,12 +1,16 @@
 """The one Gauss-Jordan elimination in ``_linalg`` against the four
 separate eliminations it replaced, pasted below verbatim, on seeded
-square, singular, rectangular, inconsistent and non-unimodular inputs."""
+square, singular, rectangular, inconsistent and non-unimodular inputs;
+and the integer products against the index comprehensions they replaced."""
 
 import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import pytest
+
 from valmono import _linalg
+from valmono.errors import InvalidInputError
 from valmono._linalg import Matrix
 
 # -- the previous routines, unchanged ------------------------------------
@@ -120,6 +124,18 @@ def old_rank_rational(a: Sequence[Sequence[Fraction]]) -> int:
     return rank
 
 
+def old_mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
+    n, k, m = len(a), len(b), len(b[0]) if b else 0
+    return tuple(
+        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
+        for i in range(n)
+    )
+
+
+def old_mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
+    return tuple(sum(a[i][t] * v[t] for t in range(len(v))) for i in range(len(a)))
+
+
 # -- differential checks -------------------------------------------------
 
 
@@ -195,3 +211,23 @@ def test_solve_and_rank_match_previous_routines():
     assert min(seen.values()) > 10
     assert len(_linalg.pivot_columns(())) == old_rank_rational(()) == 0
     assert _linalg.solve_rational((), ()) == (old_solve_rational((), ()), 0) == ((), 0)
+
+
+def test_mat_mul_and_mat_vec_match_previous_comprehensions():
+    rng = random.Random(13)
+    for _ in range(400):
+        n, k, m = rng.randint(0, 6), rng.randint(1, 6), rng.randint(0, 6)
+        a = _matrix(rng, n, k, -40, 40)
+        b = _matrix(rng, k, m, -(10**12), 10**12)
+        v = tuple(rng.randint(-99, 99) for _ in range(k))
+        assert _linalg.mat_mul(a, b) == old_mat_mul(a, b)
+        assert _linalg.mat_vec(a, v) == old_mat_vec(a, v)
+        assert all(type(x) is int for row in _linalg.mat_mul(a, b) for x in row)
+    assert _linalg.mat_mul(((),), ()) == old_mat_mul(((),), ()) == ((),)
+    assert _linalg.mat_vec((), ()) == ()
+
+
+@pytest.mark.parametrize("a, b", [(((1, 2),), ((1, 0),)), (((1,), (2, 3)), ((1, 0),)), (((1, 2),), ())])
+def test_mat_mul_rejects_mismatched_shapes(a, b):
+    with pytest.raises(InvalidInputError, match="shapes"):
+        _linalg.mat_mul(a, b)

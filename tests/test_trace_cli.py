@@ -318,6 +318,40 @@ def test_cli_file_faults_exit_2(tmp_path, case):
     assert r.stdout == ""
 
 
+@pytest.mark.parametrize("out, reason", [
+    ("nodir/t.json", "No such file or directory"),
+    ("afile/t.json", "Not a directory"),
+    (".", "Is a directory"),
+])
+def test_cli_unwritable_out_fails_before_any_problem_runs(tmp_path, monkeypatch, capsys, out, reason):
+    from valmono import cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a problem ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_problem", must_not_run)
+    (tmp_path / "afile").write_text("")
+    pf = tmp_path / "batch.json"
+    pf.write_text(json.dumps([pair_problem(), pair_problem()]))
+    target = str(tmp_path / out)
+    assert cli.main(["run", str(pf), "--out", target]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {target}: {reason}\n"
+
+
+def test_cli_write_fault_after_the_run_exits_2(tmp_path, monkeypatch, capsys):
+    from valmono import cli
+
+    def full_disk(self, *args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    pf = tmp_path / "p.json"
+    pf.write_text(json.dumps(pair_problem()))
+    monkeypatch.setattr(cli.Path, "write_text", full_disk)
+    target = str(tmp_path / "t.json")
+    assert cli.main(["run", str(pf), "--out", target]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {target}: No space left on device\n"
+
+
 def test_chunk_size():
     from valmono.cli import chunk_size
 

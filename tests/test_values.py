@@ -1,8 +1,9 @@
 """Value-group arithmetic, ordering, and lattice membership."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -11,14 +12,20 @@ from valmono import values
 from valmono.errors import (
     DegenerateBasisError,
     GroupMismatchError,
+    InvalidInputError,
     NotInDivisibleHullError,
+    SchemaError,
 )
 from valmono.values import (
     LEX,
+    SQRT_PRIMES,
     Ordering,
+    Value,
     ValueGroup,
     compare,
+    fraction_to_str,
     min_integer_multiple_in_lattice,
+    rational_from_str,
     value_of_exponent,
 )
 from valmono.trace import _parse_group, _value
@@ -202,24 +209,29 @@ def _oracle_sqrt_interval(radicand, bits):
     return Fraction(lo, den), Fraction(lo + 1, den)
 
 
-def oracle_compare(a, b):
-    """Sign of a - b by Fraction interval refinement over the raw
-    coordinates: 64 bits, doubled until the bracket excludes zero."""
-    diff = [x - y for x, y in zip(a.coords, b.coords)]
-    if all(d == 0 for d in diff):
-        return Ordering.Equal
+def oracle_sign(coords):
+    """Sign of the sqrt-primes value with these Fraction coordinates, by
+    Fraction interval refinement: 64 bits, doubled until the bracket
+    excludes zero."""
+    if all(d == 0 for d in coords):
+        return 0
     bits = 64
     while True:
         lo = hi = Fraction(0)
-        for c, rad in zip(diff, _oracle_radicands(len(diff))):
+        for c, rad in zip(coords, _oracle_radicands(len(coords))):
             slo, shi = _oracle_sqrt_interval(rad, bits)
             lo += c * (slo if c > 0 else shi)
             hi += c * (shi if c > 0 else slo)
         if lo > 0:
-            return Ordering.Greater
+            return 1
         if hi < 0:
-            return Ordering.Less
+            return -1
         bits *= 2
+
+
+def oracle_compare(a, b):
+    """Sign of a - b over the raw coordinates, as an Ordering."""
+    return Ordering(oracle_sign([x - y for x, y in zip(a.coords, b.coords)]))
 
 
 def _pell(d, norm, min_x):
@@ -362,3 +374,132 @@ def test_group_check_is_by_equality():
         compare(ValueGroup(2).zero(), ValueGroup(2, ordering=LEX).zero())
     with pytest.raises(GroupMismatchError):
         g.value([1, 0]) - h.value([1, 0])
+
+
+# ---------------------------------------------------------------------------
+# integer numerators over one denominator, against a Fraction reference
+
+
+def _assert_canonical(v):
+    assert type(v.den) is int and v.den > 0
+    assert all(type(n) is int for n in v.nums) and len(v.nums) == v.group.rank
+    assert gcd(v.den, *v.nums) == 1
+    assert all(type(c) is Fraction for c in v.coords)
+    assert v.coords == tuple(Fraction(n, v.den) for n in v.nums)
+
+
+def _reference_sign(coords, ordering):
+    if ordering == LEX:
+        return next(((c > 0) - (c < 0) for c in coords if c), 0)
+    return oracle_sign(coords)
+
+
+@pytest.mark.parametrize("ordering", [SQRT_PRIMES, LEX])
+def test_value_arithmetic_matches_fraction_reference(ordering):
+    rng = random.Random(f"20261018:{ordering}")
+
+    def coord():
+        return Fraction(rng.randint(-60, 60), rng.choice((1, 1, 2, 3, 4, 6, 9, 12, 10**9 + 7)))
+
+    for _ in range(300):
+        rank = rng.randint(1, 6)
+        g = ValueGroup(rank, ordering)
+        xs = [coord() for _ in range(rank)]
+        ys = list(xs) if rng.random() < 0.15 else [coord() for _ in range(rank)]
+        if rng.random() < 0.3:  # one coordinate apart
+            ys[rng.randrange(rank)] = coord()
+        a, b = g.value(xs), g.value(ys)
+        q = coord()
+        weights = [[coord() for _ in range(rank)] for _ in range(rng.randint(1, 4))]
+        alpha = [rng.choice((0, 1, rng.randint(2, 40))) for _ in weights]
+        cases = [
+            (a + b, [x + y for x, y in zip(xs, ys)]),
+            (a - b, [x - y for x, y in zip(xs, ys)]),
+            (a - a, [Fraction(0)] * rank),
+            (-a, [-x for x in xs]),
+            (a.scale(q), [q * x for x in xs]),
+            (a.scale(q.numerator), [q.numerator * x for x in xs]),
+            (
+                value_of_exponent(alpha, [g.value(w) for w in weights]),
+                [sum(k * w[i] for k, w in zip(alpha, weights)) for i in range(rank)],
+            ),
+        ]
+        for got, want in cases:
+            _assert_canonical(got)
+            assert got.coords == tuple(want)
+            assert got.to_json() == {"coords": [fraction_to_str(c) for c in want]}
+            assert got.sign() == _reference_sign(want, ordering)
+            assert got.is_zero() == all(c == 0 for c in want)
+        diff = _reference_sign([x - y for x, y in zip(xs, ys)], ordering)
+        assert compare(a, b) is Ordering(diff)
+        assert compare(b, a) is Ordering(-diff)
+
+
+def test_equal_values_built_along_different_paths():
+    g = ValueGroup(1)
+    half = [
+        g.value(["2/4"]),
+        g.value([Fraction(1, 2)]),
+        g.rational(1) - g.rational(Fraction(1, 2)),
+        g.rational("3/6"),
+        g.rational(Fraction(1, 4)).scale(2),
+        g.rational(3).scale("1/6"),
+        -g.rational("-1/2"),
+        value_of_exponent((3,), [g.value(["1/6"])]),
+        Value((-5,), -10, g),
+    ]
+    for v in half:
+        assert (v.nums, v.den) == ((1,), 2)
+        assert v == half[0] and hash(v) == hash(half[0])
+    assert len(set(half)) == 1
+    g3 = ValueGroup(3)
+    a, b = g3.value(["2/6", 0, "-4/2"]), g3.value([Fraction(1, 3), Fraction(0), -2])
+    assert a == b and hash(a) == hash(b) and (a.nums, a.den) == ((1, 0, -6), 3)
+    zeros = [g3.zero(), g3.value(["0/5", 0, "0"]), a - b, a.scale(0), g3.value([0, 0, 0]) + g3.zero()]
+    for z in zeros:
+        assert (z.nums, z.den) == ((0, 0, 0), 1) and z == zeros[0] and hash(z) == hash(zeros[0])
+
+
+def test_direct_construction_is_brought_to_lowest_terms():
+    g = ValueGroup(2)
+    v = Value((4, -6), -8, g)
+    assert (v.nums, v.den) == ((-2, 3), 4)
+    assert v.coords == (Fraction(-1, 2), Fraction(3, 4))
+    _assert_canonical(v)
+    with pytest.raises(InvalidInputError, match="denominator"):
+        Value((1, 0), 0, g)
+    with pytest.raises(InvalidInputError, match="coordinate count"):
+        Value((1,), 1, g)
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, float("nan"), True, False, None, 1j, Decimal("0.5")])
+def test_inexact_inputs_are_rejected(bad):
+    g = ValueGroup(1)
+    with pytest.raises(InvalidInputError):
+        g.value([bad])
+    with pytest.raises(InvalidInputError):
+        g.rational(bad)
+    with pytest.raises(InvalidInputError):
+        g.rational(1).scale(bad)
+    with pytest.raises(InvalidInputError):
+        ValueGroup(2).value([0, bad])
+
+
+@pytest.mark.parametrize("literal", ["1e3", " 7 ", "0.5", "1/0", "+1", "1/-2", ""])
+def test_string_inputs_follow_the_literal_grammar(literal):
+    g = ValueGroup(1)
+    with pytest.raises(SchemaError, match="bad rational"):
+        g.value([literal])
+    with pytest.raises(SchemaError, match="bad rational"):
+        g.rational(literal)
+    with pytest.raises(SchemaError, match="bad rational"):
+        g.rational(1).scale(literal)
+
+
+def test_exact_literals_are_accepted():
+    g = ValueGroup(2)
+    assert g.value(["2/6", "-10/2"]) == g.value([Fraction(1, 3), -5])
+    assert g.value(["2/6", "-10/2"]).to_json() == {"coords": ["1/3", "-5"]}
+    assert g.rational("2/6").scale("-3") == g.rational(-1)
+    assert rational_from_str("-07/14") == (-7, 14)  # not reduced: the Value reduces
+    assert rational_from_str("0") == (0, 1)
