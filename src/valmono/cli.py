@@ -122,7 +122,8 @@ def cmd_verify(args) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    traces = payload if isinstance(payload, list) else [payload]
+    batch = isinstance(payload, list)
+    traces = payload if batch else [payload]
     for idx, trace in enumerate(traces):
         try:
             verify_trace(trace)
@@ -130,7 +131,8 @@ def cmd_verify(args) -> int:
             print(f"trace {idx}: {exc}", file=sys.stderr)
             return EXIT_MISMATCH
         except SchemaError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            where = f"trace {idx}: " if batch else ""
+            print(f"error: {where}{exc}", file=sys.stderr)
             return EXIT_SCHEMA
     return EXIT_OK
 

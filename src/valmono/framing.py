@@ -25,12 +25,19 @@ translation (the unit becomes ``theta + u'``) is a Taylor shift over the
 tower.
 ``push_polynomial_through_step`` is the per-step primitive under it.
 
+A monomial blow-up depends only on its center ``(n, J, j)``, and centers
+repeat within and across runs, so ``make_monomial_blowup`` returns one
+shared step per center from a bounded module-level cache of the 4096 most
+recently used centers.  Steps and their matrices are frozen, so sharing
+changes no result; an invalid center raises before the cache is asked.
+
 Indices are 0-based in memory and 1-based in JSON records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import _linalg
@@ -165,6 +172,11 @@ def make_monomial_blowup(n: int, J: Sequence[int], j: int) -> FramedStep:
         raise InvalidInputError("vertex must belong to J")
     if len(J) < 2:
         raise InvalidInputError("center must have at least two variables")
+    return _monomial_blowup(n, J, j)
+
+
+@lru_cache(maxsize=4096)  # shared steps, see the module docstring
+def _monomial_blowup(n: int, J: tuple[int, ...], j: int) -> FramedStep:
     m = [[1 if p == q else 0 for q in range(n)] for p in range(n)]
     nmat = [[1 if p == q else 0 for q in range(n)] for p in range(n)]
     for q in J:

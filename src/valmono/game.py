@@ -15,6 +15,7 @@ residues of these units are transcendental, so the tagging is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le, sub
 from typing import Optional, Sequence
 
 from .errors import (
@@ -88,16 +89,12 @@ def reduced_parts(
     divisibility)."""
     if len(alpha) != len(gamma):
         raise InvalidInputError("exponent vectors must have equal length")
-    at, gt = [], []
-    for i, (a, g) in enumerate(zip(alpha, gamma)):
-        if i in units:
-            at.append(0)
-            gt.append(0)
-        else:
-            d = min(a, g)
-            at.append(a - d)
-            gt.append(g - d)
-    return tuple(at), tuple(gt)
+    common = list(map(min, alpha, gamma))
+    at, gt = tuple(map(sub, alpha, common)), tuple(map(sub, gamma, common))
+    if units:
+        at = tuple(0 if i in units else x for i, x in enumerate(at))
+        gt = tuple(0 if i in units else x for i, x in enumerate(gt))
+    return at, gt
 
 
 def tau(alpha: Sequence[int], gamma: Sequence[int]) -> TauValue:
@@ -251,6 +248,8 @@ class IdealResult:
 def _reduced_divides(
     a: Sequence[int], b: Sequence[int], units: frozenset[int]
 ) -> bool:
+    if not units:
+        return all(map(le, a, b))
     return all(x <= y for i, (x, y) in enumerate(zip(a, b)) if i not in units)
 
 
@@ -260,13 +259,15 @@ def _best_pair(
     """(tau, at, gt) of the first pair of active generators attaining the
     minimal tau; ``active`` is increasing, so that is the least index pair."""
     best = None
-    for p in range(len(active)):
-        for q in range(p + 1, len(active)):
-            at, gt = reduced_parts(exps[active[p]], exps[active[q]], units)
-            tv = TauValue(*sorted((sum(at), sum(gt))))
-            if best is None or tv < best[0]:
-                best = (tv, at, gt)
-    return best
+    for p, ip in enumerate(active):
+        for iq in active[p + 1:]:
+            at, gt = reduced_parts(exps[ip], exps[iq], units)
+            s, t = sum(at), sum(gt)
+            st = (s, t) if s <= t else (t, s)
+            if best is None or st < best[0]:
+                best = (st, at, gt)
+    (s, t), at, gt = best
+    return TauValue(s, t), at, gt
 
 
 def principalize_monomial_ideal(

@@ -22,9 +22,10 @@ compared through ``x_i * db - y_i * da``, a positive multiple of their
 difference.  All ``n_i == 0`` is zero (Q-linear independence).  When every
 nonzero ``n_i`` has the same sign, that is the answer; this covers rank 1
 and every rational value.  Otherwise each ``sqrt(p_i)`` is bracketed by its
-integer ``isqrt`` floor at ``k`` fractional bits (cached per radicand and
-``k``), starting at 64 bits and doubling until the bracket of the sum
-excludes zero, which happens because the sum is a nonzero algebraic number.
+integer ``isqrt`` floor at ``k`` fractional bits (one cached row of floors
+per ``k``, as long as the largest rank seen), starting at 64 bits and
+doubling until the bracket of the sum excludes zero, which happens because
+the sum is a nonzero algebraic number.
 
 The ``lex`` mode orders coordinate vectors lexicographically and exists
 for composite (rank >= 2) value groups; it is not exercised by the
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from . import _linalg
@@ -67,9 +68,9 @@ _BY_SIGN = (Ordering.Equal, Ordering.Greater, Ordering.Less)  # indexed by sign
 # Radicands of the sqrt-primes generators: 1 (the rational unit), then the
 # primes in order; grown on demand to the largest rank seen.
 _RADICANDS = [1]
-# isqrt(radicand << 2 * bits), the floor of sqrt(radicand) at `bits`
-# fractional bits; at most rank x doublings entries.
-_SQRT_FLOORS: dict[tuple[int, int], int] = {}
+# bits -> the floors isqrt(p << 2 * bits) of sqrt(p) at `bits` fractional
+# bits, one per radicand p after 1; at most one row per doubling.
+_FLOOR_ROWS: dict[int, tuple[int, ...]] = {}
 
 
 def _radicands(rank: int) -> list[int]:
@@ -82,12 +83,13 @@ def _radicands(rank: int) -> list[int]:
     return rads
 
 
-def _sqrt_floor(radicand: int, bits: int) -> int:
-    key = (radicand, bits)
-    s = _SQRT_FLOORS.get(key)
-    if s is None:
-        s = _SQRT_FLOORS[key] = isqrt(radicand << (2 * bits))
-    return s
+def _floor_row(bits: int, rank: int) -> tuple[int, ...]:
+    """The floors at ``bits`` of the first ``rank - 1`` irrational
+    generators, or more; rebuilt when a higher rank asks for it."""
+    row = _FLOOR_ROWS.get(bits)
+    if row is None or len(row) < rank - 1:
+        row = _FLOOR_ROWS[bits] = tuple(isqrt(p << (2 * bits)) for p in _radicands(rank)[1:])
+    return row
 
 
 def _sign(n: Sequence[int], ordering: str) -> int:
@@ -98,22 +100,18 @@ def _sign(n: Sequence[int], ordering: str) -> int:
             if c:
                 return 1 if c > 0 else -1
         return 0
-    n0 = n[0]
+    n0, tail = n[0], n[1:]
     # sqrt(p_i) lies in (s_i, s_i + 1) / 2**bits for i >= 1, so the sum lies
     # in [mid + low_pad, mid + high_pad] with mid = sum(n_i * s_i) / 2**bits
-    high_pad = sum(c for c in n[1:] if c > 0)
-    low_pad = sum(c for c in n[1:] if c < 0)
+    high_pad = sum(c for c in tail if c > 0)
+    low_pad = sum(c for c in tail if c < 0)
     if n0 >= 0 and not low_pad:
         return 1 if n0 or high_pad else 0
     if n0 <= 0 and not high_pad:
         return -1
-    rads = _radicands(len(n))
     bits = _INITIAL_BITS
     while True:
-        mid = n0 << bits
-        for c, rad in zip(n[1:], rads[1:]):
-            if c:
-                mid += c * _sqrt_floor(rad, bits)
+        mid = (n0 << bits) + sum(map(mul, tail, _floor_row(bits, len(n))))
         if mid + low_pad > 0:
             return 1
         if mid + high_pad < 0:

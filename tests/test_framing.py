@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from valmono import _linalg
+from valmono import _linalg, framing
 from valmono.errors import InvalidInputError
 from valmono.framing import (
     Frame,
@@ -36,10 +36,24 @@ def test_make_monomial_blowup_paper_matrices():
 
 
 def test_make_monomial_blowup_preconditions():
-    with pytest.raises(InvalidInputError):
-        make_monomial_blowup(2, (0,), 0)  # |J| < 2
-    with pytest.raises(InvalidInputError):
-        make_monomial_blowup(3, (0, 1), 2)  # j not in J
+    bad = [
+        (2, (0,), 0),  # |J| < 2
+        (3, (1, 1), 1),  # |J| < 2 once repeats are dropped
+        (3, (0, 1), 2),  # j not in J
+        (2, (0, 2), 0),  # J out of range
+        (2, [-1, 0], 0),
+    ]
+    for n, J, j in bad:
+        for _ in range(2):  # a bad center raises again: it is never cached
+            with pytest.raises(InvalidInputError):
+                make_monomial_blowup(n, J, j)
+
+
+def test_monomial_blowups_are_shared_per_center():
+    st = make_monomial_blowup(3, [2, 0, 2], 0)
+    assert st == make_monomial_blowup(3, (0, 2), 0)
+    assert st.J == (0, 2)
+    assert 0 < framing._monomial_blowup.cache_info().maxsize < float("inf")
 
 
 def test_make_monomial_blowup_fixed_variable():

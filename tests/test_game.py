@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import poly, random_poly, rational_spec, sqrt_prime_spec
+from valmono import game
 from valmono.errors import (
     InvalidInputError,
     NothingToDoError,
@@ -312,3 +313,66 @@ def test_divisibility_direction_with_random_rational_weights():
         cmp = compare(va, vb)
         assert res.alpha_divides == (cmp in (Ordering.Less, Ordering.Equal))
         assert res.gamma_divides == (cmp in (Ordering.Greater, Ordering.Equal))
+
+
+# -- reference bodies of the tau bookkeeping --------------------------------
+
+
+def old_reduced_parts(alpha, gamma, units=frozenset()):
+    at, gt = [], []
+    for i, (a, g) in enumerate(zip(alpha, gamma)):
+        if i in units:
+            at.append(0)
+            gt.append(0)
+        else:
+            d = min(a, g)
+            at.append(a - d)
+            gt.append(g - d)
+    return tuple(at), tuple(gt)
+
+
+def old_reduced_divides(a, b, units):
+    return all(x <= y for i, (x, y) in enumerate(zip(a, b)) if i not in units)
+
+
+def old_best_pair(exps, active, units):
+    best = None
+    for p in range(len(active)):
+        for q in range(p + 1, len(active)):
+            at, gt = old_reduced_parts(exps[active[p]], exps[active[q]], units)
+            tv = TauValue(*sorted((sum(at), sum(gt))))
+            if best is None or tv < best[0]:
+                best = (tv, at, gt)
+    return best
+
+
+def test_tau_bookkeeping_matches_reference():
+    rng = random.Random(20261018)
+    ties = 0  # scans where several pairs attain the minimal tau
+    for trial in range(600):
+        n = rng.randint(1, 8)
+        units = frozenset(rng.sample(range(n), rng.randint(1, n))) if trial % 2 else frozenset()
+        hi = rng.choice((1, 2, 12))
+        exps = [tuple(rng.randint(0, hi) for _ in range(n)) for _ in range(rng.randint(2, 6))]
+        for a, b in zip(exps, exps[1:]):
+            assert game.reduced_parts(a, b, units) == old_reduced_parts(a, b, units)
+            assert game._reduced_divides(a, b, units) is old_reduced_divides(a, b, units)
+        assert game.reduced_parts(exps[0], exps[1]) == old_reduced_parts(exps[0], exps[1])
+        active = sorted(rng.sample(range(len(exps)), rng.randint(2, len(exps))))
+        got = game._best_pair(exps, active, units)
+        assert got == old_best_pair(exps, active, units)
+        assert type(got[0]) is TauValue
+        taus = [
+            sorted(map(sum, old_reduced_parts(exps[p], exps[q], units)))
+            for p in active for q in active if p < q
+        ]
+        ties += taus.count(min(taus)) > 1
+    assert ties > 100
+
+
+def test_best_pair_tie_goes_to_the_least_index_pair():
+    exps = [(2, 0, 0), (0, 1, 0), (0, 0, 2), (0, 1, 0)]
+    # pairs (0, 1), (1, 2) and (2, 3) all have tau (1, 2), and (1, 3) has (0, 0)
+    assert game._best_pair(exps, [0, 1, 2], frozenset()) == (TauValue(1, 2), (2, 0, 0), (0, 1, 0))
+    assert game._best_pair(exps, [1, 2], frozenset()) == (TauValue(1, 2), (0, 1, 0), (0, 0, 2))
+    assert game._best_pair(exps, [0, 1, 3], frozenset()) == (TauValue(0, 0), (0, 0, 0), (0, 0, 0))

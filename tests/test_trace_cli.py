@@ -848,6 +848,21 @@ def test_cli_verify_malformed_trace_field_exits_2(tmp_path, field, value):
     assert "Traceback" not in r.stderr and field in r.stderr
 
 
+def test_cli_verify_names_the_batch_trace_with_a_schema_fault(tmp_path):
+    good = run_problem(pair_problem())
+    cases = [
+        ([{"a": 1}, 5], "error: trace 0: missing field 'header'"),
+        ([good, _with_bad_trace_field("budget", -1)], "error: trace 1: budget must be"),
+        ({"a": 1}, "error: missing field 'header'"),  # one object: no index
+    ]
+    for k, (payload, message) in enumerate(cases):
+        tf = tmp_path / f"t{k}.json"
+        tf.write_text(json.dumps(payload))
+        r = _cli("verify", str(tf))
+        assert r.returncode == 2
+        assert r.stderr.startswith(message) and r.stderr.count("\n") == 1, r.stderr
+
+
 def test_missing_or_null_steps_and_verdict_read_as_empty():
     refused = run_problem(_refused_pair())
     assert refused["steps"] == []

@@ -250,13 +250,13 @@ def _pell(d, norm, min_x):
 def refinement_bits(monkeypatch):
     """Record the bit counts at which the kernel asks for sqrt floors."""
     seen = []
-    floor = values._sqrt_floor
+    floor_row = values._floor_row
 
-    def spy(radicand, bits):
+    def spy(bits, rank):
         seen.append(bits)
-        return floor(radicand, bits)
+        return floor_row(bits, rank)
 
-    monkeypatch.setattr(values, "_sqrt_floor", spy)
+    monkeypatch.setattr(values, "_floor_row", spy)
     return seen
 
 
@@ -328,7 +328,7 @@ def test_radicand_cache_grows_out_of_order(monkeypatch):
 
     def fresh_answers(order):
         monkeypatch.setattr(values, "_RADICANDS", [1])
-        monkeypatch.setattr(values, "_SQRT_FLOORS", {})
+        monkeypatch.setattr(values, "_FLOOR_ROWS", {})
         got = {k: compare(*cases[k]) for k in order}
         return [got[k] for k in range(len(cases))], list(values._RADICANDS)
 
