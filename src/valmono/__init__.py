@@ -19,7 +19,6 @@ from .framing import (
     Frame,
     FramedStep,
     PushPath,
-    build_constructed_blowup,
     choose_vertex,
     compose_sequence,
     make_monomial_blowup,

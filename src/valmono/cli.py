@@ -1,8 +1,9 @@
 """Batch front-end: run problems, emit replayable traces, re-verify traces.
 
 Exit codes: 0 success, 2 schema error or an unreadable or unwritable file,
-3 algorithm error (a partial trace is still written), 4 trace mismatch
-during verification.
+3 algorithm error, 4 trace mismatch during verification.  On an algorithm
+error the trace is still written, with its header, input and failure
+verdict but no step records (``"steps": []``).
 """
 
 from __future__ import annotations

@@ -1,18 +1,25 @@
 """Framed local blow-up steps and sequences.
 
-A step stores the unimodular exponent bookkeeping of a local blow-up along
-``(u_J)`` with vertex ``j``: the forward matrix N (old variables as
-monomials in the new ones) and its inverse M (new variables as Laurent
-monomials in the old ones), both in SL_n(Z).
+A step is its center: the column count ``n``, the center ``J`` and the
+vertex ``j``, plus the residue motion of its translation items.  In the
+chart it is the elementary substitution ``u_i = u'_i u'_j`` for ``i`` in
+``J`` minus ``j``, so on exponents it sets ``e[j]`` to the sum of ``e``
+over ``J`` (the identity when ``|J| = 1``).  The forward matrix N (old
+variables as monomials in the new ones) and its inverse M (new variables
+as Laurent monomials in the old ones) are the identity plus ``+1`` resp.
+``-1`` at ``(j, q)`` for ``q`` in ``J`` minus ``j``; both are derived on
+demand and lie in SL_n(Z).  A composite of steps is built by row updates:
+row ``j`` becomes the sum of rows ``J``.
 
 There is no ring localization here.  When a variable acquires weight zero
-it is tagged as a unit (the set ``J_times``) and keeps its column; all
-later centers avoid it.  Constructed steps additionally move residues: an
-algebraic unit with residue theta is replaced by the new regular parameter
-``u' - theta`` (a tower extension when the minimal polynomial has degree
-at least 2), a transcendental unit just drops out of the official frame.
-Everything downstream only ever needs this unit bookkeeping, never unit
-arithmetic beyond the residue tower.
+it is tagged as a unit (the set ``J_times``, the targets of the translation
+items) and keeps its column; all later centers avoid it.  Translation
+items additionally move residues: an algebraic unit with residue theta is
+replaced by the new regular parameter ``u' - theta`` (a tower extension
+when the minimal polynomial has degree at least 2), a transcendental unit
+just drops out of the official frame.  Everything downstream only ever
+needs this unit bookkeeping, never unit arithmetic beyond the residue
+tower.
 
 Steps hold decoded objects: a translation's minimal polynomial is a tuple
 of tower elements and the new parameter's weight a :class:`Value`.  They
@@ -25,19 +32,12 @@ translation (the unit becomes ``theta + u'``) is a Taylor shift over the
 tower.
 ``push_polynomial_through_step`` is the per-step primitive under it.
 
-A monomial blow-up depends only on its center ``(n, J, j)``, and centers
-repeat within and across runs, so ``make_monomial_blowup`` returns one
-shared step per center from a bounded module-level cache of the 4096 most
-recently used centers.  Steps and their matrices are frozen, so sharing
-changes no result; an invalid center raises before the cache is asked.
-
 Indices are 0-based in memory and 1-based in JSON records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import _linalg
@@ -55,7 +55,7 @@ from .values import Ordering, Value, compare
 
 @dataclass(frozen=True)
 class TranslationItem:
-    """Residue motion for one unit variable of a constructed step.
+    """Residue motion for one unit variable of a translation-kind step.
 
     ``minpoly`` is the monic minimal polynomial of the residue (elements of
     the tower before the step, lowest degree first) or None for a
@@ -84,45 +84,73 @@ class TranslationItem:
 
 @dataclass(frozen=True)
 class FramedStep:
-    """One framed blow-up.  ``forward``/``inverse`` act on exponent vectors
-    of the full column set (unit-tagged columns included)."""
+    """One framed blow-up along ``(u_J)`` with vertex ``j``, on the full
+    column set (unit-tagged columns included).  A step with translation
+    items is a translation-kind step; every other field is derived."""
 
-    n_before: int
-    n_after: int
+    n: int
     J: tuple[int, ...]
     j: int
-    kind: str  # "monomial" | "translation"
-    forward: LaurentMonomialMap
-    inverse: LaurentMonomialMap
-    J_times: tuple[int, ...] = ()
-    D1: tuple[int, ...] = ()
     translation_data: tuple[TranslationItem, ...] = ()
 
-    def __post_init__(self):
-        if self.kind not in ("monomial", "translation"):
-            raise InvalidInputError(f"unknown step kind {self.kind!r}")
-        if self.kind == "monomial" and self.J_times:
-            raise InvalidInputError("monomial steps cannot have unit variables")
+    @property
+    def kind(self) -> str:
+        return "translation" if self.translation_data else "monomial"
+
+    @property
+    def J_times(self) -> tuple[int, ...]:
+        """The columns tagged as units by this step."""
+        return tuple(t.target for t in self.translation_data)
+
+    @property
+    def n_after(self) -> int:
+        """The official frame dimension after the step: a transcendental
+        residue drops its column."""
+        return self.n - sum(t.minpoly is None for t in self.translation_data)
+
+    def apply_to_exponent(self, e: tuple[int, ...]) -> tuple[int, ...]:
+        """The exponent in the new chart, ``forward`` times e: ``e[j]``
+        becomes the sum of e over J."""
+        j = self.j
+        return e[:j] + (sum([e[q] for q in self.J]),) + e[j + 1:]
+
+    def _rows(self, off: int) -> list[list[int]]:
+        """The identity with ``off`` at (j, q) for q in J minus the vertex."""
+        rows = [[0] * self.n for _ in range(self.n)]
+        for p, row in enumerate(rows):
+            row[p] = 1
+        for q in self.J:
+            if q != self.j:
+                rows[self.j][q] = off
+        return rows
+
+    @property
+    def forward(self) -> LaurentMonomialMap:
+        return LaurentMonomialMap(tuple(map(tuple, self._rows(1))))
+
+    @property
+    def inverse(self) -> LaurentMonomialMap:
+        return LaurentMonomialMap(tuple(map(tuple, self._rows(-1))))
 
     def check_unimodular(self) -> None:
-        n = self.forward.n
         prod = _linalg.mat_mul(self.forward.matrix, self.inverse.matrix)
-        if prod != _linalg.identity(n):
+        if prod != _linalg.identity(self.n):
             raise InvalidInputError("forward and inverse matrices are not inverse")
         if self.forward.det() != 1:
             raise InvalidInputError("step determinant is not 1")
 
     def to_json(self) -> dict:
+        jx = self.J_times
         rec = {
             "J": [i + 1 for i in self.J],
             "j": self.j + 1,
             "kind": self.kind,
-            "M": self.inverse.to_json(),
-            "N": self.forward.to_json(),
-            "Jx": [i + 1 for i in self.J_times],
-            "n_before": self.n_before,
+            "M": self._rows(-1),
+            "N": self._rows(1),
+            "Jx": [i + 1 for i in jx],
+            "n_before": self.n,
             "n_after": self.n_after,
-            "D1": [i + 1 for i in self.D1],
+            "D1": [i + 1 for i in range(self.n) if i not in jx],
         }
         if self.translation_data:
             rec["translations"] = [t.to_json() for t in self.translation_data]
@@ -172,28 +200,7 @@ def make_monomial_blowup(n: int, J: Sequence[int], j: int) -> FramedStep:
         raise InvalidInputError("vertex must belong to J")
     if len(J) < 2:
         raise InvalidInputError("center must have at least two variables")
-    return _monomial_blowup(n, J, j)
-
-
-@lru_cache(maxsize=4096)  # shared steps, see the module docstring
-def _monomial_blowup(n: int, J: tuple[int, ...], j: int) -> FramedStep:
-    m = [[1 if p == q else 0 for q in range(n)] for p in range(n)]
-    nmat = [[1 if p == q else 0 for q in range(n)] for p in range(n)]
-    for q in J:
-        if q != j:
-            m[j][q] = -1
-            nmat[j][q] = 1
-    return FramedStep(
-        n_before=n,
-        n_after=n,
-        J=J,
-        j=j,
-        kind="monomial",
-        forward=LaurentMonomialMap(tuple(tuple(r) for r in nmat)),
-        inverse=LaurentMonomialMap(tuple(tuple(r) for r in m)),
-        J_times=(),
-        D1=tuple(range(n)),
-    )
+    return FramedStep(n, J, j)
 
 
 def choose_vertex(J: Sequence[int], weights: Sequence[Value]) -> int:
@@ -226,37 +233,30 @@ def pushforward_weights(
     return tuple(out)
 
 
-def unit_collisions(weights: Sequence[Value], J: Sequence[int], j: int) -> tuple[int, ...]:
-    """Indices of J minus the vertex whose weight equals the vertex weight:
-    these become units after the blow-up (the set J^times)."""
-    return tuple(
-        i for i in sorted(J) if i != j and compare(weights[i], weights[j]) is Ordering.Equal
-    )
-
-
 def build_step_for_weights(
     n: int, J: Sequence[int], j: int, weights: Sequence[Value]
 ) -> FramedStep:
-    """Blow-up step along (u_J) at the minimal vertex j, with J_times filled
-    from weight ties.  A tie makes the step a constructed (translation-kind)
-    step whose unit variables are tagged, not substituted."""
-    base = make_monomial_blowup(n, J, j)
-    jx = unit_collisions(weights, J, j)
-    if not jx:
-        return base
-    items = tuple(TranslationItem(target=i, minpoly=None) for i in jx)
-    return FramedStep(
-        n_before=n,
-        n_after=n - len(jx),
-        J=base.J,
-        j=j,
-        kind="translation",
-        forward=base.forward,
-        inverse=base.inverse,
-        J_times=jx,
-        D1=tuple(i for i in range(n) if i not in jx),
-        translation_data=items,
+    """Blow-up step along (u_J) at the minimal vertex j.  Every other index
+    of J whose weight equals the vertex weight becomes a unit after the
+    blow-up (the set J^times): the step is then translation-kind, its unit
+    variables tagged, not substituted."""
+    step = make_monomial_blowup(n, J, j)
+    wj = weights[j]
+    items = tuple(
+        TranslationItem(target=i)
+        for i in step.J
+        if i != j and compare(weights[i], wj) is Ordering.Equal
     )
+    return FramedStep(n, step.J, j, items) if items else step
+
+
+def _compose(steps: Sequence[FramedStep], n: int) -> LaurentMonomialMap:
+    """The forward maps of ``steps``, first to last, composed by row
+    updates: each step makes row j the sum of rows J."""
+    rows = list(_linalg.identity(n))
+    for s in steps:
+        rows[s.j] = tuple(map(sum, zip(*[rows[q] for q in s.J])))
+    return LaurentMonomialMap(tuple(rows))
 
 
 def compose_sequence(
@@ -267,13 +267,7 @@ def compose_sequence(
     for s in steps:
         if s.kind != "monomial":
             raise InvalidInputError("not purely monomial")
-    if not steps:
-        size = n if n is not None else 0
-        return LaurentMonomialMap(_linalg.identity(size))
-    total = steps[0].forward
-    for s in steps[1:]:
-        total = s.forward.compose_after(total)
-    return total
+    return _compose(steps, steps[0].n if steps else n or 0)
 
 
 def make_translation_step(
@@ -284,93 +278,20 @@ def make_translation_step(
     new_name: Optional[str],
     new_weight: Optional[Value] = None,
 ) -> FramedStep:
-    """Pure residue-motion step: identity matrices, one unit variable
-    replaced by ``u' - theta`` (algebraic, ``minpoly`` in the current
-    tower) or tagged (transcendental)."""
-    ident = LaurentMonomialMap(_linalg.identity(n))
+    """Pure residue-motion step: the one-column center ``target``, whose
+    unit variable is replaced by ``u' - theta`` (algebraic, ``minpoly`` in
+    the current tower) or tagged (transcendental)."""
     item = TranslationItem(
         target=target, minpoly=minpoly, symbol=symbol,
         new_name=new_name, new_weight=new_weight,
     )
-    drop = 1 if minpoly is None else 0
-    return FramedStep(
-        n_before=n,
-        n_after=n - drop,
-        J=(target,),
-        j=target,
-        kind="translation",
-        forward=ident,
-        inverse=ident,
-        J_times=(target,),
-        D1=tuple(i for i in range(n) if i != target),
-        translation_data=(item,),
-    )
-
-
-def build_constructed_blowup(
-    n: int,
-    J: Sequence[int],
-    j: int,
-    weights: Sequence[Value],
-    residue_spec: Sequence[dict],
-) -> FramedStep:
-    """The explicitly constructed framed blow-up: the monomial matrix part
-    along (u_J), plus residue motion for every variable of J^times.
-
-    ``residue_spec`` lists one entry per unit variable, in index order:
-    ``{"kind": "transcendental"}`` or ``{"kind": "algebraic",
-    "minpoly": [...], "symbol": ..., "new_name": ...}`` with a monic
-    minimal polynomial (elements of the current tower, lowest degree
-    first).
-    """
-    base = make_monomial_blowup(n, J, j)
-    jx = unit_collisions(weights, J, j)
-    if len(residue_spec) != len(jx):
-        raise InvalidInputError("inconsistent residue_spec arity")
-    if not jx:
-        return base
-    items = []
-    drops = 0
-    for i, spec in zip(jx, residue_spec):
-        kind = spec.get("kind")
-        if kind == "transcendental":
-            items.append(TranslationItem(target=i, minpoly=None))
-            drops += 1
-        elif kind == "algebraic":
-            mp = tuple(spec["minpoly"])
-            if len(mp) < 2:
-                raise InvalidInputError("minimal polynomial must have degree >= 1")
-            items.append(
-                TranslationItem(
-                    target=i,
-                    minpoly=mp,
-                    symbol=spec.get("symbol"),
-                    new_name=spec.get("new_name"),
-                )
-            )
-        else:
-            raise InvalidInputError("residue_spec entries need kind algebraic|transcendental")
-    return FramedStep(
-        n_before=n,
-        n_after=n - drops,
-        J=base.J,
-        j=j,
-        kind="translation",
-        forward=base.forward,
-        inverse=base.inverse,
-        J_times=jx,
-        D1=tuple(i for i in range(n) if i not in jx),
-        translation_data=tuple(items),
-    )
+    return FramedStep(n, (target,), target, (item,))
 
 
 def apply_step_to_frame(frame: Frame, step: FramedStep) -> Frame:
     """Frame after one step: weights pushed forward, units tagged, algebraic
     residues substituted (renaming the slot and possibly extending the tower)."""
-    if len(step.J) >= 2:
-        weights = list(pushforward_weights(list(frame.weights), step))
-    else:
-        weights = list(frame.weights)
+    weights = list(pushforward_weights(frame.weights, step))
     names = list(frame.names)
     units = set(frame.units)
     tower = frame.tower
@@ -401,7 +322,7 @@ def push_polynomial_through_step(
     """Image of f in the next chart.  Matrix part first, then the linear
     residue substitutions ``u'_target = theta + new_var`` as Taylor shifts.
     ``frame_after`` is the frame after the step, when the caller has it."""
-    g = apply_monomial_map(f, step.forward) if not step.forward.is_identity() else f
+    g = apply_monomial_map(f, step.forward) if len(step.J) > 1 else f
     if frame_after is None:
         frame_after = apply_step_to_frame(frame_before, step)
     tower = frame_after.tower
@@ -446,7 +367,7 @@ class PushPath:
         return self.frames[-1]
 
     def append(self, step: FramedStep) -> None:
-        if step.forward.n != self.frame.n:
+        if step.n != self.frame.n:
             raise InvalidInputError("step and frame have different column counts")
         self.steps.append(step)
         self.frames.append(apply_step_to_frame(self.frames[-1], step))
@@ -495,7 +416,4 @@ class PushPath:
         """Composite forward map of the steps from ``start`` on: the
         variables of the chart ``frames[start]`` as monomials in the final
         frame."""
-        total = LaurentMonomialMap(_linalg.identity(self.frames[start].n))
-        for a, _, m in self._segments(start, len(self.steps)):
-            total = (m or self.steps[a].forward).compose_after(total)
-        return total
+        return _compose(self.steps[start:], self.frames[start].n)

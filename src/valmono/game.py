@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import le, sub
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     InvalidInputError,
@@ -195,8 +195,8 @@ def run_pair_descent(
         frame = path.frame
         J, j = _greedy_center(at, gt, frame.weights)
         step = build_step_for_weights(frame.n, J, j, frame.weights)
-        alpha = step.forward.apply_to_exponent(alpha)
-        gamma = step.forward.apply_to_exponent(gamma)
+        alpha = step.apply_to_exponent(alpha)
+        gamma = step.apply_to_exponent(gamma)
         path.append(step)
         rec = {
             "step": len(records) + 1,
@@ -270,6 +270,29 @@ def _best_pair(
     return TauValue(s, t), at, gt
 
 
+def _divisible_drops(
+    exps: Sequence[tuple[int, ...]], active: list[int], units: frozenset[int]
+) -> Iterator[int]:
+    """Remove from ``active`` every generator that another active one
+    reduced-divides (of two that divide each other, the later one goes),
+    yielding each index right after its removal.
+
+    One pass over the ordered pairs (p, q) in lex order, skipping removed
+    generators: whether p removes q depends on the pair alone, so a scan
+    restarted after a removal would find nothing before the pair that made
+    it, and the removals come in the same order."""
+    gens = tuple(active)
+    for p in gens:
+        if p not in active:
+            continue
+        for q in gens:
+            if q != p and q in active and _reduced_divides(exps[p], exps[q], units) and (
+                p < q or not _reduced_divides(exps[q], exps[p], units)
+            ):
+                active.remove(q)
+                yield q
+
+
 def principalize_monomial_ideal(
     generators: Sequence[Sequence[int]],
     spec: MonomialValuationSpec,
@@ -320,33 +343,16 @@ def principalize_exponents(
         return len(active) - 1, best[0].to_json()
 
     def drop_divisible() -> None:
-        units = path.frame.units
-        changed = True
-        while changed and len(active) > 1:
-            changed = False
-            for p in range(len(active)):
-                for q in range(len(active)):
-                    if p == q:
-                        continue
-                    a, b = exps[active[p]], exps[active[q]]
-                    if _reduced_divides(a, b, units) and (
-                        not _reduced_divides(b, a, units)
-                        or active[p] < active[q]
-                    ):
-                        dropped = active.pop(q)
-                        bb, tv = ideal_tau()
-                        records.append(
-                            {
-                                "step": len(records) + 1,
-                                "event": "drop",
-                                "generator": dropped + 1,
-                                "tau_ideal": [bb, tv],
-                            }
-                        )
-                        changed = True
-                        break
-                if changed:
-                    break
+        for dropped in _divisible_drops(exps, active, path.frame.units):
+            bb, tv = ideal_tau()
+            records.append(
+                {
+                    "step": len(records) + 1,
+                    "event": "drop",
+                    "generator": dropped + 1,
+                    "tau_ideal": [bb, tv],
+                }
+            )
 
     drop_divisible()
     while len(active) > 1:
@@ -360,7 +366,7 @@ def principalize_exponents(
             at, gt = gt, at
         J, j = _greedy_center(at, gt, frame.weights)
         step = build_step_for_weights(frame.n, J, j, frame.weights)
-        exps = [step.forward.apply_to_exponent(e) for e in exps]
+        exps = [step.apply_to_exponent(e) for e in exps]
         path.append(step)
         bb, tvj = ideal_tau()
         rec = {

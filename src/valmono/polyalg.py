@@ -622,10 +622,6 @@ class LaurentMonomialMap:
         inv = _linalg.inverse_int(self.matrix)
         return None if inv is None else LaurentMonomialMap(inv)
 
-    def compose_after(self, first: "LaurentMonomialMap") -> "LaurentMonomialMap":
-        """Map sending alpha to self(first(alpha))."""
-        return LaurentMonomialMap(_linalg.mat_mul(self.matrix, first.matrix))
-
     def is_identity(self) -> bool:
         return self.matrix == _linalg.identity(self.n)
 

@@ -558,6 +558,26 @@ class KeyPolyResult:
     level_data: list
 
 
+def _check_key_claims(
+    chain: KeyPolyChain, witnesses: Sequence[KeyPolyWitness], frame: Frame
+) -> None:
+    """The claims of a key-polynomial run, checked before it returns: in
+    the final frame the least term value of each pushed Q_i is beta_i, and
+    the distinguished parameter divides the top one exactly once."""
+    weights = [frame.weight(c) for c in range(frame.n)]
+    for w in witnesses:
+        least = min(value_of_exponent(e, weights) for e in w.image.terms)
+        if compare(least, chain.beta(w.entry)) is not Ordering.Equal:
+            raise AssertionError(
+                f"key polynomial {w.entry} has least term value {least!r} in the "
+                "final frame, not its beta"
+            )
+    if len(chain) >= 2 and witnesses[-1].x_multiplicity != 1:
+        raise AssertionError(
+            f"top key polynomial has x multiplicity {witnesses[-1].x_multiplicity}, not 1"
+        )
+
+
 def monomialize_key_polys(chain: KeyPolyChain, budget: int = DEFAULT_BUDGET) -> KeyPolyResult:
     """Iterated elementary sequences along a valid chain: after the run,
     every key polynomial is a monomial in the final frame multiplied by a
@@ -700,6 +720,7 @@ def monomialize_key_polys(chain: KeyPolyChain, budget: int = DEFAULT_BUDGET) -> 
                 x_multiplicity=mult,
             )
         )
+    _check_key_claims(chain, witnesses, frame)
     return KeyPolyResult(
         path=path,
         x_column=x_col,

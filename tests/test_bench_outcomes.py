@@ -16,7 +16,6 @@ from pathlib import Path
 
 import pytest
 
-from valmono import framing
 from valmono.trace import run_problem
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -56,21 +55,3 @@ def test_recorded_escapes_keep_their_type(workload):
     escapes = [k for k, o in enumerate(outcomes) if o.startswith("raise:")]
     assert {k: _outcome(pool[k]) for k in escapes} == {k: outcomes[k] for k in escapes}
 
-
-def test_descent_sample_does_not_depend_on_the_step_cache():
-    # the same traces with the step cache as earlier tests left it and
-    # from an empty one: output does not depend on what the process ran
-    pool = corpus.pool("descent")
-    picked = corpus.order("descent", 1, pool)[:SAMPLE]
-
-    def traces():
-        out = [run_problem(pool[k]) for k in picked]
-        for t in out:
-            del t["header"]["created"]
-        return out
-
-    warm = traces()
-    framing._monomial_blowup.cache_clear()
-    cold = traces()
-    assert framing._monomial_blowup.cache_info().hits > 0
-    assert warm == cold

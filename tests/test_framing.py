@@ -1,5 +1,6 @@
-"""Framed steps: matrices, vertices, weights, composition, construction."""
+"""Framed steps: derived matrices, vertices, weights, composition, paths."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -10,9 +11,9 @@ from valmono.errors import InvalidInputError
 from valmono.framing import (
     Frame,
     FramedStep,
+    TranslationItem,
     PushPath,
     apply_step_to_frame,
-    build_constructed_blowup,
     build_step_for_weights,
     choose_vertex,
     compose_sequence,
@@ -44,16 +45,14 @@ def test_make_monomial_blowup_preconditions():
         (2, [-1, 0], 0),
     ]
     for n, J, j in bad:
-        for _ in range(2):  # a bad center raises again: it is never cached
-            with pytest.raises(InvalidInputError):
-                make_monomial_blowup(n, J, j)
+        with pytest.raises(InvalidInputError):
+            make_monomial_blowup(n, J, j)
 
 
 def test_monomial_blowups_are_shared_per_center():
     st = make_monomial_blowup(3, [2, 0, 2], 0)
     assert st == make_monomial_blowup(3, (0, 2), 0)
     assert st.J == (0, 2)
-    assert 0 < framing._monomial_blowup.cache_info().maxsize < float("inf")
 
 
 def test_make_monomial_blowup_fixed_variable():
@@ -101,17 +100,47 @@ def test_pushforward_ties_become_units():
 def test_compose_sequence():
     # empty -> identity
     assert compose_sequence((), n=3).is_identity()
-    # two inverse-related steps -> identity, via the matrix-product oracle
-    s1 = make_monomial_blowup(2, (0, 1), 0)
-    s2_forward = s1.inverse
-    s2 = FramedStep(
-        n_before=2, n_after=2, J=(0, 1), j=0, kind="monomial",
-        forward=s2_forward, inverse=s1.forward, D1=(0, 1),
-    )
-    total = compose_sequence((s1, s2))
-    assert total.is_identity()
+    # u = u' v', then v' = u'' v'': N2 N1 by hand
+    s1 = make_monomial_blowup(2, (0, 1), 1)
+    s2 = make_monomial_blowup(2, (0, 1), 0)
+    assert s1.forward.matrix == ((1, 0), (1, 1)) and s2.forward.matrix == ((1, 1), (0, 1))
+    assert compose_sequence((s1, s2)).matrix == ((2, 1), (1, 1))
+    assert compose_sequence((s2, s1)).matrix == ((1, 1), (1, 2))
     with pytest.raises(InvalidInputError):
         compose_sequence((make_translation_step(2, 1, (Fraction(-1), Fraction(1)), None, "b'"),))
+
+
+def test_a_step_is_its_center():
+    # the stored fields are the center and the residue motion; the matrices,
+    # the exponent update and the composite are derived from them, checked
+    # against the matrix products they replace
+    assert [f.name for f in dataclasses.fields(FramedStep)] == ["n", "J", "j", "translation_data"]
+    rng = random.Random(20261018)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        steps = []
+        for _ in range(rng.randint(0, 6)):
+            J = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+            j = rng.choice(J)
+            if len(J) == 1:
+                steps.append(make_translation_step(n, j, None, None, None))
+            elif rng.random() < 0.3:
+                ties = (TranslationItem(target=q) for q in J if q != j and rng.random() < 0.5)
+                steps.append(FramedStep(n, J, j, tuple(ties)))
+            else:
+                steps.append(make_monomial_blowup(n, J, j))
+        total = _linalg.identity(n)
+        for s in steps:
+            N, M = s.forward.matrix, s.inverse.matrix
+            assert _linalg.mat_mul(N, M) == _linalg.identity(n) and s.forward.det() == 1
+            e = tuple(rng.randint(0, 9) for _ in range(n))
+            assert s.apply_to_exponent(e) == _linalg.mat_vec(N, e)
+            assert s.to_json()["N"] == [list(r) for r in N] and s.to_json()["M"] == [list(r) for r in M]
+            total = _linalg.mat_mul(N, total)
+        # the row-update composite under compose_sequence and PushPath.forward
+        assert framing._compose(steps, n).matrix == total
+        if all(s.kind == "monomial" for s in steps):
+            assert compose_sequence(tuple(steps), n).matrix == total
 
 
 def test_compose_independent_block():
@@ -205,57 +234,6 @@ def test_independence_keeps_free_monomials_free():
         assert img_e[0] == 0
 
 
-def test_build_constructed_blowup_reduces_to_monomial():
-    g = ValueGroup(2)
-    w = [g.value([1, 0]), g.value([0, 1])]
-    st = build_constructed_blowup(2, (0, 1), 0, w, [])
-    assert st.kind == "monomial"
-    assert st == make_monomial_blowup(2, (0, 1), 0)
-
-
-def test_build_constructed_blowup_algebraic():
-    # tie with minimal polynomial X - 1: translation u^(1) = u' - 1
-    g = ValueGroup(1)
-    w = [g.rational(1), g.rational(1)]
-    minpoly = (QQ.from_rational(-1), QQ.one())
-    st = build_constructed_blowup(
-        2, (0, 1), 0, w, [{"kind": "algebraic", "minpoly": minpoly, "new_name": "b1"}]
-    )
-    assert st.kind == "translation"
-    assert st.n_after == 2
-    item = st.translation_data[0]
-    assert item.target == 1 and item.minpoly == minpoly
-    frame = apply_step_to_frame(Frame(("a", "b"), tuple(w)), st)
-    assert frame.names == ("a", "b1")
-    assert frame.units == frozenset()
-    # pushing u_b through: b = b' a ... then b'/... substitution b' = 1 + b1
-    from valmono.framing import push_polynomial_through_step
-
-    f = MultiPoly.variable(("a", "b"), "b")
-    img = push_polynomial_through_step(f, Frame(("a", "b"), tuple(w)), st)
-    # b = a * b' = a * (1 + b1)
-    want = MultiPoly.build(
-        ("a", "b1"), {(1, 0): QQ.from_rational(1), (1, 1): QQ.from_rational(1)}
-    )
-    assert MultiPoly(("a", "b1"), img.terms, img.tower) == want
-
-
-def test_build_constructed_blowup_transcendental_drop():
-    g = ValueGroup(1)
-    w = [g.rational(1), g.rational(1)]
-    st = build_constructed_blowup(2, (0, 1), 0, w, [{"kind": "transcendental"}])
-    assert st.n_after == 1
-    frame = apply_step_to_frame(Frame(("a", "b"), tuple(w)), st)
-    assert frame.units == frozenset({1})
-
-
-def test_build_constructed_blowup_arity_check():
-    g = ValueGroup(1)
-    w = [g.rational(1), g.rational(1)]
-    with pytest.raises(InvalidInputError):
-        build_constructed_blowup(2, (0, 1), 0, w, [{"kind": "transcendental"}] * 2)
-
-
 def test_translation_step_holds_elements_and_encodes_them_in_to_json():
     # X^2 - 2 over Q, then X^2 - t1 over Q(t1): the minimal polynomial is
     # held as elements of the tower before the step, the weight as a Value
@@ -331,8 +309,8 @@ def test_push_path_forward_from_a_cut_with_ties():
             path.append(build_step_for_weights(n, J, choose_vertex(J, w), w))
         ties += any(s.J_times for s in path.steps)
         for start in range(len(path) + 1):
-            want = LaurentMonomialMap(_linalg.identity(n))
+            want = _linalg.identity(n)
             for s in path.steps[start:]:
-                want = s.forward.compose_after(want)
-            assert path.forward(start) == want
+                want = _linalg.mat_mul(s.forward.matrix, want)
+            assert path.forward(start) == LaurentMonomialMap(want)
     assert ties > 10

@@ -376,3 +376,53 @@ def test_best_pair_tie_goes_to_the_least_index_pair():
     assert game._best_pair(exps, [0, 1, 2], frozenset()) == (TauValue(1, 2), (2, 0, 0), (0, 1, 0))
     assert game._best_pair(exps, [1, 2], frozenset()) == (TauValue(1, 2), (0, 1, 0), (0, 0, 2))
     assert game._best_pair(exps, [0, 1, 3], frozenset()) == (TauValue(0, 0), (0, 0, 0), (0, 0, 0))
+
+
+def old_drop_divisible(exps, active, units, on_drop):
+    # the scan of all ordered pairs, restarted after every drop
+    changed = True
+    while changed and len(active) > 1:
+        changed = False
+        for p in range(len(active)):
+            for q in range(len(active)):
+                if p == q:
+                    continue
+                a, b = exps[active[p]], exps[active[q]]
+                if old_reduced_divides(a, b, units) and (
+                    not old_reduced_divides(b, a, units) or active[p] < active[q]
+                ):
+                    on_drop(active.pop(q))
+                    changed = True
+                    break
+            if changed:
+                break
+
+
+def _drop_record(dropped, active, exps, units):
+    # what principalize_exponents writes for a drop: the generator and tau(I, w)
+    if len(active) == 1:
+        return dropped, (0, 0, 1)
+    return dropped, (len(active) - 1, *old_best_pair(exps, active, units)[0].to_json())
+
+
+def test_drop_divisible_matches_the_restarting_scan():
+    rng = random.Random(20261019)
+    drops = mutual = 0
+    for trial in range(800):
+        n = rng.randint(1, 5)
+        units = frozenset(rng.sample(range(n), rng.randint(1, n))) if trial % 2 else frozenset()
+        hi = rng.choice((1, 2, 4))
+        exps = [tuple(rng.randint(0, hi) for _ in range(n)) for _ in range(rng.randint(1, 7))]
+        active = sorted(rng.sample(range(len(exps)), rng.randint(1, len(exps))))
+        want, ref = [], list(active)
+        old_drop_divisible(exps, ref, units, lambda d: want.append(_drop_record(d, ref, exps, units)))
+        got, new = [], list(active)
+        for d in game._divisible_drops(exps, new, units):
+            got.append(_drop_record(d, new, exps, units))
+        assert got == want and new == ref
+        drops += len(got)
+        mutual += any(
+            old_reduced_divides(exps[p], exps[q], units) and old_reduced_divides(exps[q], exps[p], units)
+            for p in active for q in active if p < q
+        )
+    assert drops > 800 and mutual > 200

@@ -1,12 +1,13 @@
 """Elementary uniformizing sequences and the monomialization drivers."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import binomial_chain, poly, random_poly, rational_spec
-from valmono import _linalg
+from valmono import _linalg, unifseq
 from valmono.errors import (
     InvalidInputError,
     NotInDivisibleHullError,
@@ -296,6 +297,29 @@ def cusp():
     return KeyPolyChain(
         ground, "x", ((q1, G1.rational(Fraction(3, 2))), (q2, G1.rational(4)))
     )
+
+
+def test_keypoly_claims_are_checked(monkeypatch):
+    # the run checks its own claims: a wrong top multiplicity and a wrong
+    # beta are each an internal error, never an ok result
+    chain_ = cusp()
+    res = monomialize_key_polys(chain_)
+    frame = res.path.frame
+    unifseq._check_key_claims(chain_, res.witnesses, frame)
+    twice = res.witnesses[:-1] + [dataclasses.replace(res.witnesses[-1], x_multiplicity=2)]
+    with pytest.raises(AssertionError, match="x multiplicity 2, not 1"):
+        unifseq._check_key_claims(chain_, twice, frame)
+    (q1, b1), (q2, _) = chain_.entries
+    wrong = KeyPolyChain(chain_.ground, "x", ((q1, b1), (q2, G1.rational(5))))
+    with pytest.raises(AssertionError, match="key polynomial 2 has least term value"):
+        unifseq._check_key_claims(wrong, res.witnesses, frame)
+    # wired into the driver: a translation that records the wrong jump fails
+    translate = unifseq._ElementaryEngine.translate
+    monkeypatch.setattr(
+        unifseq._ElementaryEngine, "translate", lambda self, mp, jump: translate(self, mp, jump + jump)
+    )
+    with pytest.raises(AssertionError, match="key polynomial 2 has least term value"):
+        monomialize_key_polys(chain_)
 
 
 def test_keypoly_driver_translation_chain():
