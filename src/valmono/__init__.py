@@ -6,10 +6,8 @@ __version__ = "0.1.0"
 from .values import Ordering, Value, ValueGroup, compare, min_integer_multiple_in_lattice, value_of_exponent
 from .polyalg import (
     FieldTower,
-    LaurentMonomialMap,
     MultiPoly,
     QQ,
-    apply_monomial_map,
     euclid_divide,
     q_adic_expansion,
     substitute_variable,
@@ -20,7 +18,6 @@ from .framing import (
     FramedStep,
     PushPath,
     choose_vertex,
-    compose_sequence,
     make_monomial_blowup,
     pushforward_weights,
 )

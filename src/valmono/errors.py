@@ -32,10 +32,6 @@ class NonMonicDivisorError(ValmonoError):
     code = "non-monic divisor"
 
 
-class LaurentEscapeError(ValmonoError):
-    code = "Laurent escape"
-
-
 class ReducibleDefinerError(ValmonoError):
     """Raised lazily when tower arithmetic uncovers a reducible definer."""
 

@@ -4,12 +4,12 @@ A step is its center: the column count ``n``, the center ``J`` and the
 vertex ``j``, plus the residue motion of its translation items.  In the
 chart it is the elementary substitution ``u_i = u'_i u'_j`` for ``i`` in
 ``J`` minus ``j``, so on exponents it sets ``e[j]`` to the sum of ``e``
-over ``J`` (the identity when ``|J| = 1``).  The forward matrix N (old
-variables as monomials in the new ones) and its inverse M (new variables
-as Laurent monomials in the old ones) are the identity plus ``+1`` resp.
-``-1`` at ``(j, q)`` for ``q`` in ``J`` minus ``j``; both are derived on
-demand and lie in SL_n(Z).  A composite of steps is built by row updates:
-row ``j`` becomes the sum of rows ``J``.
+over ``J`` (the identity when ``|J| = 1``).  That update is the only way a
+step acts on exponents; it is invertible (subtract the other entries of
+``J`` back), so distinct exponents stay distinct.  The matrices N (old
+variables as monomials in the new ones, the identity plus ``+1`` at
+``(j, q)`` for ``q`` in ``J`` minus ``j``) and its inverse M (``-1``
+there) are written only into traces.
 
 There is no ring localization here.  When a variable acquires weight zero
 it is tagged as a unit (the set ``J_times``, the targets of the translation
@@ -26,10 +26,10 @@ of tower elements and the new parameter's weight a :class:`Value`.  They
 become JSON only in ``to_json``; nothing here reads JSON.
 
 Polynomials are pushed along one path, :class:`PushPath`: a sequence from
-its first frame, with the frame after each step computed once.  A maximal
-run of monomial steps is applied as one composite matrix; an algebraic
-translation (the unit becomes ``theta + u'``) is a Taylor shift over the
-tower.
+its first frame, with the frame after each step computed once.  Each term's
+exponent is carried through a maximal run of monomial steps by their
+updates, one after another; an algebraic translation (the unit becomes
+``theta + u'``) is a Taylor shift over the tower.
 ``push_polynomial_through_step`` is the per-step primitive under it.
 
 Indices are 0-based in memory and 1-based in JSON records.
@@ -40,16 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from . import _linalg
 from .errors import InvalidInputError
-from .polyalg import (
-    FieldTower,
-    LaurentMonomialMap,
-    MultiPoly,
-    QQ,
-    apply_monomial_map,
-    taylor_shift,
-)
+from .polyalg import FieldTower, MultiPoly, QQ, taylor_shift
 from .values import Ordering, Value, compare
 
 
@@ -109,13 +101,14 @@ class FramedStep:
         return self.n - sum(t.minpoly is None for t in self.translation_data)
 
     def apply_to_exponent(self, e: tuple[int, ...]) -> tuple[int, ...]:
-        """The exponent in the new chart, ``forward`` times e: ``e[j]``
-        becomes the sum of e over J."""
+        """The exponent in the new chart, N times e: ``e[j]`` becomes the
+        sum of e over J."""
         j = self.j
         return e[:j] + (sum([e[q] for q in self.J]),) + e[j + 1:]
 
     def _rows(self, off: int) -> list[list[int]]:
-        """The identity with ``off`` at (j, q) for q in J minus the vertex."""
+        """The identity with ``off`` at (j, q) for q in J minus the vertex:
+        N for ``off = 1``, M for ``off = -1``, as written into traces."""
         rows = [[0] * self.n for _ in range(self.n)]
         for p, row in enumerate(rows):
             row[p] = 1
@@ -123,21 +116,6 @@ class FramedStep:
             if q != self.j:
                 rows[self.j][q] = off
         return rows
-
-    @property
-    def forward(self) -> LaurentMonomialMap:
-        return LaurentMonomialMap(tuple(map(tuple, self._rows(1))))
-
-    @property
-    def inverse(self) -> LaurentMonomialMap:
-        return LaurentMonomialMap(tuple(map(tuple, self._rows(-1))))
-
-    def check_unimodular(self) -> None:
-        prod = _linalg.mat_mul(self.forward.matrix, self.inverse.matrix)
-        if prod != _linalg.identity(self.n):
-            raise InvalidInputError("forward and inverse matrices are not inverse")
-        if self.forward.det() != 1:
-            raise InvalidInputError("step determinant is not 1")
 
     def to_json(self) -> dict:
         jx = self.J_times
@@ -250,26 +228,6 @@ def build_step_for_weights(
     return FramedStep(n, step.J, j, items) if items else step
 
 
-def _compose(steps: Sequence[FramedStep], n: int) -> LaurentMonomialMap:
-    """The forward maps of ``steps``, first to last, composed by row
-    updates: each step makes row j the sum of rows J."""
-    rows = list(_linalg.identity(n))
-    for s in steps:
-        rows[s.j] = tuple(map(sum, zip(*[rows[q] for q in s.J])))
-    return LaurentMonomialMap(tuple(rows))
-
-
-def compose_sequence(
-    steps: Sequence[FramedStep], n: Optional[int] = None
-) -> LaurentMonomialMap:
-    """Composite forward map of purely monomial steps (old variables as
-    monomials in the final frame); determinant 1."""
-    for s in steps:
-        if s.kind != "monomial":
-            raise InvalidInputError("not purely monomial")
-    return _compose(steps, steps[0].n if steps else n or 0)
-
-
 def make_translation_step(
     n: int,
     target: int,
@@ -316,13 +274,26 @@ def translation_root(item: TranslationItem, tower: FieldTower):
     return tower.generator(item.symbol or f"t{tower.depth}")
 
 
+def _push_exponents(f: MultiPoly, steps: Sequence[FramedStep]) -> MultiPoly:
+    """f with each term's exponent carried through ``steps``, first to last.
+    Every update is invertible, so no two terms land on one exponent and
+    the terms keep their order."""
+    terms = {}
+    for e, c in f.terms.items():
+        for s in steps:
+            e = s.apply_to_exponent(e)
+        terms[e] = c
+    return MultiPoly(f.vars, terms, f.tower)
+
+
 def push_polynomial_through_step(
     f: MultiPoly, frame_before: Frame, step: FramedStep, frame_after: Optional[Frame] = None
 ) -> MultiPoly:
-    """Image of f in the next chart.  Matrix part first, then the linear
-    residue substitutions ``u'_target = theta + new_var`` as Taylor shifts.
-    ``frame_after`` is the frame after the step, when the caller has it."""
-    g = apply_monomial_map(f, step.forward) if len(step.J) > 1 else f
+    """Image of f in the next chart.  The exponent update first, then the
+    linear residue substitutions ``u'_target = theta + new_var`` as Taylor
+    shifts.  ``frame_after`` is the frame after the step, when the caller
+    has it."""
+    g = _push_exponents(f, (step,)) if len(step.J) > 1 else f
     if frame_after is None:
         frame_after = apply_step_to_frame(frame_before, step)
     tower = frame_after.tower
@@ -346,18 +317,17 @@ class PushPath:
     holds its path, the one copy of its sequence.
 
     The frame after each step is computed once, when the step is appended.
-    A maximal run of monomial steps is applied as one composite matrix
-    (``compose_sequence``, kept on the object); every other step goes
-    through ``push_polynomial_through_step``.  Pushing through steps [a, b)
-    and then [b, c) equals pushing through [a, c), so a caller may keep an
-    image and advance it only through the steps added since.
+    Through a maximal run of monomial steps each term's exponent is folded
+    through the updates before the terms are rebuilt once; every other
+    step goes through ``push_polynomial_through_step``.  Pushing through
+    steps [a, b) and then [b, c) equals pushing through [a, c), so a caller
+    may keep an image and advance it only through the steps added since.
     """
 
     def __init__(self, frame0: Frame):
         self.frames: list[Frame] = [frame0]
         self.steps: list[FramedStep] = []
         self.independence_set: Optional[tuple[int, ...]] = None  # see claim_independence
-        self._composites: dict[tuple[int, int], LaurentMonomialMap] = {}
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -385,35 +355,25 @@ class PushPath:
             out["independent_of"] = [i + 1 for i in self.independence_set]
         return out
 
-    def _segments(self, start: int, stop: int):
-        """(a, b, map) for each maximal monomial run steps[a:b] with its
-        composite, and (k, k + 1, None) for every other step."""
-        k = start
-        while k < stop:
-            end = k + 1
-            if self.steps[k].kind != "monomial":
-                yield k, end, None
-            else:
-                while end < stop and self.steps[end].kind == "monomial":
-                    end += 1
-                if (k, end) not in self._composites:
-                    self._composites[k, end] = compose_sequence(self.steps[k:end])
-                yield k, end, self._composites[k, end]
-            k = end
-
     def push(self, f: MultiPoly, start: int = 0, stop: Optional[int] = None) -> MultiPoly:
         """Image in the chart ``frames[stop]`` (default: the last) of f, a
         polynomial in the chart ``frames[start]``."""
         stop = len(self.steps) if stop is None else stop
-        for a, b, m in self._segments(start, stop):
-            if m is None:
-                f = push_polynomial_through_step(f, self.frames[a], self.steps[a], self.frames[b])
+        k = start
+        while k < stop:
+            end = k + 1
+            if self.steps[k].kind == "monomial":
+                while end < stop and self.steps[end].kind == "monomial":
+                    end += 1
+                f = _push_exponents(f, self.steps[k:end])
             else:
-                f = apply_monomial_map(f, m)
+                f = push_polynomial_through_step(f, self.frames[k], self.steps[k], self.frames[end])
+            k = end
         return f
 
-    def forward(self, start: int = 0) -> LaurentMonomialMap:
-        """Composite forward map of the steps from ``start`` on: the
-        variables of the chart ``frames[start]`` as monomials in the final
-        frame."""
-        return _compose(self.steps[start:], self.frames[start].n)
+    def advance(self, e: tuple[int, ...], start: int = 0) -> tuple[int, ...]:
+        """The exponent e of the chart ``frames[start]`` in the last chart:
+        the updates of the steps from ``start`` on, first to last."""
+        for s in self.steps[start:]:
+            e = s.apply_to_exponent(e)
+        return e

@@ -47,10 +47,8 @@ from math import comb, lcm
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from . import _linalg
 from .errors import (
     InvalidInputError,
-    LaurentEscapeError,
     NonMonicDivisorError,
     ReducibleDefinerError,
 )
@@ -593,42 +591,6 @@ class MultiPoly:
         return " + ".join(bits)
 
 
-@dataclass(frozen=True)
-class LaurentMonomialMap:
-    """Monomial substitution given by an integer matrix: column q is the
-    exponent vector of the image of variable q."""
-
-    matrix: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.matrix)
-        if any(len(row) != n for row in self.matrix):
-            raise InvalidInputError("matrix must be square")
-
-    @property
-    def n(self) -> int:
-        return len(self.matrix)
-
-    def apply_to_exponent(self, alpha: Sequence[int]) -> tuple[int, ...]:
-        return _linalg.mat_vec(self.matrix, tuple(alpha))
-
-    def det(self) -> int:
-        d = _linalg.det(self.matrix)
-        if d.denominator != 1:
-            raise AssertionError("integer matrix with non-integer determinant")
-        return int(d)
-
-    def inverse(self) -> Optional["LaurentMonomialMap"]:
-        inv = _linalg.inverse_int(self.matrix)
-        return None if inv is None else LaurentMonomialMap(inv)
-
-    def is_identity(self) -> bool:
-        return self.matrix == _linalg.identity(self.n)
-
-    def to_json(self) -> list:
-        return [list(row) for row in self.matrix]
-
-
 # x-dense form of a polynomial: x-degree -> {exponent without x: coefficient}.
 # Over Q a row coefficient is an int (a numerator over one denominator the
 # caller keeps) or a Fraction; over an extension it is a tower element.
@@ -786,28 +748,6 @@ def q_adic_expansion(f: MultiPoly, Q: MultiPoly, x: str) -> list[MultiPoly]:
     xi = f.var_index(x)
     digits = _expand_rows(_split_rows(f, xi, den), d, neg_low, _row_ops(f.tower))
     return [_join_rows(r, xi, f, den) for r in digits]
-
-
-def apply_monomial_map(f: MultiPoly, m: LaurentMonomialMap) -> MultiPoly:
-    """Substitute every variable by its image monomial; exponents must stay
-    nonnegative (use the forward matrix of a blow-up)."""
-    if m.n != len(f.vars):
-        raise InvalidInputError("matrix size must match the variable count")
-    tw = f.tower
-    out: dict[tuple[int, ...], Elem] = {}
-    for e, c in f.terms.items():
-        ne = m.apply_to_exponent(e)
-        if any(x < 0 for x in ne):
-            raise LaurentEscapeError(f"Laurent escape at exponent {e}")
-        if ne in out:
-            s = tw.add(out[ne], c)
-            if tw.is_zero(s):
-                del out[ne]
-            else:
-                out[ne] = s
-        else:
-            out[ne] = c
-    return MultiPoly(f.vars, out, tw)
 
 
 def taylor_shift(f: MultiPoly, x: str, theta: Elem) -> MultiPoly:

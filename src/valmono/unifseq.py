@@ -183,9 +183,8 @@ class _ElementaryEngine:
         path length before the run."""
         mark = len(self.path)
         run_pair_descent(a, b, self.path, self.budget, self.records)
-        moved = self.path.forward(mark)
         for k, e in self.tracked.items():
-            self.tracked[k] = moved.apply_to_exponent(e)
+            self.tracked[k] = self.path.advance(e, mark)
         return mark
 
     def _embed(self, coeffs_on_w: Sequence[int], x_power: int = 0) -> tuple[int, ...]:
@@ -411,30 +410,23 @@ def elementary_uniformizing_sequence(
     engine.translate(mp, x_weight)
     frame = engine.frame
 
+    # conclusion: no center holds a passive column, so no image of a
+    # w-variable touches one (an update changes only its vertex, in J)
+    if not h_touches_v:
+        engine.path.claim_independence(v_cols)
     # images of w_1..w_r, w_n: monomial in the final actives times z-powers
-    total = engine.path.forward().matrix
-    inv_total = _linalg.inverse_int(total)
-    if inv_total is None or _linalg.mat_mul(total, inv_total) != _linalg.identity(n):
-        raise AssertionError("composed sequence is not unimodular")
     images = {}
     for col in list(w_cols) + [x_col]:
-        e = tuple(row[col] for row in total)
+        e = engine.path.advance(tuple(int(i == col) for i in range(n)))
         mono, units, zp = _split_unit_part(e, frame, engine.z_column)
         images[frame0.names[col]] = {
             "monomial": list(mono),
             "unit_exponents": units,
             "z_power": zp,
         }
-        # conclusion: the image of a w-variable never touches a passive column
-        if not h_touches_v:
-            for vcol in v_cols:
-                if e[vcol] != 0:
-                    raise AssertionError("image of a w-variable touches a passive variable")
 
-    witness = _verify_factorization(engine, total, q_cleared, pos, problem)
+    witness = _verify_factorization(engine, q_cleared, pos, problem)
 
-    if not h_touches_v:
-        engine.path.claim_independence(v_cols)
     return UniformizingResult(
         path=engine.path,
         abar=abar,
@@ -453,7 +445,6 @@ def elementary_uniformizing_sequence(
 
 def _verify_factorization(
     engine: _ElementaryEngine,
-    total: Sequence[Sequence[int]],
     q_cleared: Optional[MultiPoly],
     pos: Sequence[int],
     problem: UniformizingProblem,
@@ -463,7 +454,8 @@ def _verify_factorization(
     Unperturbed: image(Q~ * w^(d neg)) = w^div * X * U with U a unit whose
     constant part is P'(theta).  Perturbed: the quotient W still satisfies
     W - P(theta + X) of strictly positive value, the perturbed analogue of
-    the same conclusion.  ``total`` is the composite forward matrix.
+    the same conclusion.  The monomial part ``e_plus`` is d times the
+    image of ``w^pos``, its exponent advanced along the path.
     """
     if q_cleared is None:
         return {"kind": "transcendental"}
@@ -473,7 +465,7 @@ def _verify_factorization(
     pre = len(path) - 1 if engine.new_var is not None else len(path)
     img_pre = path.push(q_cleared, 0, pre)
     frame = engine.frame
-    e_plus = [d * x for x in _linalg.mat_vec(total, engine._embed(pos))]
+    e_plus = [d * x for x in path.advance(engine._embed(pos))]
     q = engine.z_column
     div = list(e_plus)
     # unit columns are invertible: lower the divisor there so the monomial

@@ -28,8 +28,9 @@ doubling until the bracket of the sum excludes zero, which happens because
 the sum is a nonzero algebraic number.
 
 The ``lex`` mode orders coordinate vectors lexicographically and exists
-for composite (rank >= 2) value groups; it is not exercised by the
-blow-up algorithms.
+for composite (rank >= 2) value groups.  Nothing refuses it: the blow-up
+algorithms run on ``lex`` values as on any others, and nothing checks
+those runs beyond replay (ROADMAP item 13).
 """
 
 from __future__ import annotations

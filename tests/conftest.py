@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from typing import Optional, Sequence
 
 import pytest
 
@@ -107,6 +108,105 @@ def binomial_chain(rng: random.Random, allow_extension=True) -> KeyPolyChain:
                 entries.append((q3, group.rational(beta3)))
                 break
     return KeyPolyChain(ground, "x", tuple(entries))
+
+
+# -- matrix oracles ------------------------------------------------------
+# The package acts on exponents only through a step's center; these are the
+# integer-matrix routines it used before, kept unchanged as references for
+# the trace matrices N and M of ``FramedStep.to_json``.
+
+Matrix = tuple[tuple[int, ...], ...]
+
+
+def identity(n: int) -> Matrix:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def old_det(a: Sequence[Sequence[int]]) -> Fraction:
+    """Exact determinant via fraction-free-ish Gaussian elimination."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] for row in a]
+    sign = 1
+    d = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            sign = -sign
+        d *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            f = m[r][col] * inv
+            if f:
+                for c in range(col, n):
+                    m[r][c] -= f * m[col][c]
+    return sign * d
+
+
+def old_inverse_int(a: Sequence[Sequence[int]]) -> Optional[Matrix]:
+    """Inverse of an integer matrix when the inverse is again integral
+    (the unimodular case); None if singular or non-integral."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            x = m[i][n + j]
+            if x.denominator != 1:
+                return None
+            row.append(int(x))
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def old_mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
+    n, k, m = len(a), len(b), len(b[0]) if b else 0
+    return tuple(
+        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
+        for i in range(n)
+    )
+
+
+def old_mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
+    return tuple(sum(a[i][t] * v[t] for t in range(len(v))) for i in range(len(a)))
+
+
+def trace_matrix(step, key: str = "N") -> Matrix:
+    """A step's forward matrix N (or its inverse M) as its trace writes it."""
+    return tuple(map(tuple, step.to_json()[key]))
+
+
+def forward_product(steps, n: int) -> Matrix:
+    """The trace matrices N of ``steps`` multiplied together, the first
+    step rightmost: the old variables as monomials in the last chart."""
+    total = identity(n)
+    for s in steps:
+        total = old_mat_mul(trace_matrix(s), total)
+    return total
+
+
+def push_by_matrices(f: MultiPoly, steps) -> MultiPoly:
+    """Reference push of f's exponents: each step's trace matrix N times
+    every exponent, one step after another (no residue motion)."""
+    for s in steps:
+        N = trace_matrix(s)
+        f = MultiPoly.build(f.vars, {old_mat_vec(N, e): c for e, c in f.terms.items()}, f.tower)
+    return f
 
 
 @pytest.fixture(scope="session")

@@ -12,8 +12,21 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import binomial_chain, horner, poly, random_poly, rational_spec, sqrt_prime_spec
-from valmono import _linalg
+from conftest import (
+    binomial_chain,
+    forward_product,
+    horner,
+    identity,
+    old_det,
+    old_inverse_int,
+    old_mat_mul,
+    poly,
+    push_by_matrices,
+    random_poly,
+    rational_spec,
+    sqrt_prime_spec,
+    trace_matrix,
+)
 from valmono.errors import TraceMismatchError
 from valmono.game import (
     monomialize_nondegenerate,
@@ -26,7 +39,7 @@ from valmono.keypoly import (
     standard_expansion,
     truncated_valuation,
 )
-from valmono.polyalg import MultiPoly, QQ, apply_monomial_map
+from valmono.polyalg import MultiPoly, QQ
 from valmono.trace import run_problem, verify_trace
 from valmono.unifseq import (
     ResidueDescriptor,
@@ -131,18 +144,20 @@ def test_criterion_4_unimodularity(pair_corpus, ideal_corpus):
     sequences = [res.path for _, _, _, res in pair_corpus[0]]
     sequences += [res.path for _, _, res in ideal_corpus]
     for seq in sequences:
-        n = seq.steps[0].forward.n if seq.steps else 0
-        total = _linalg.identity(n)
+        n = seq.frames[0].n
+        total = identity(n)
         for s in seq.steps:
-            s.check_unimodular()  # det = 1 and forward * inverse = identity
-            total = _linalg.mat_mul(s.forward.matrix, total)
+            # the trace matrices: det N = 1 and N * M = identity
+            N, M = trace_matrix(s), trace_matrix(s, "M")
+            assert old_mat_mul(N, M) == identity(n) and old_det(N) == 1
+            total = old_mat_mul(N, total)
             checked += 1
         if seq.steps:
-            d = _linalg.det(total)
+            d = old_det(total)
             assert d == 1
-            inv = _linalg.inverse_int(total)
+            inv = old_inverse_int(total)
             assert inv is not None
-            assert _linalg.mat_mul(total, inv) == _linalg.identity(n)
+            assert old_mat_mul(total, inv) == identity(n)
     print(f"\nPASS criterion 4: {checked} steps and all composites unimodular")
 
 
@@ -204,11 +219,9 @@ def test_criterion_6_cusp_uniformizing_sequence():
         "monomial": [3, 0], "unit_exponents": {}, "z_power": 2,
     }
     # (4) the composed exponent map is unimodular both ways
-    total = _linalg.identity(2)
-    for s in res.path.steps:
-        total = _linalg.mat_mul(s.forward.matrix, total)
-    inv = _linalg.inverse_int(total)
-    assert inv is not None and _linalg.det(total) == 1
+    total = forward_product(res.path.steps, 2)
+    inv = old_inverse_int(total)
+    assert inv is not None and old_det(total) == 1
     # (5) image(Q) = y * (image of w_n^(l)) exactly, unit cofactor 1
     assert res.witness["exact"] is True
     assert res.witness["monomial_exponent"] == [6, 3]
@@ -273,9 +286,7 @@ def test_criterion_8_nondegenerate_monomialization():
         res = monomialize_nondegenerate(f, spec)
         const = res.unit_witness.constant_term()
         assert not res.unit_witness.tower.is_zero(const), "unit lacks constant term"
-        img = f
-        for s in res.path.steps:
-            img = apply_monomial_map(img, s.forward)
+        img = push_by_matrices(f, res.path.steps)
         mono = MultiPoly.monomial(f.vars, res.exponent, 1, f.tower)
         assert mono * res.unit_witness == img, "exponent * unit != pushed f"
     print("\nPASS criterion 8: 300 runs, unit witnesses invertible, exact factorization")

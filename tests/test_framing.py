@@ -1,4 +1,4 @@
-"""Framed steps: derived matrices, vertices, weights, composition, paths."""
+"""Framed steps: trace matrices, vertices, weights, pushing, paths."""
 
 import dataclasses
 import random
@@ -6,7 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from valmono import _linalg, framing
+from conftest import (
+    forward_product,
+    identity,
+    old_det,
+    old_inverse_int,
+    old_mat_mul,
+    old_mat_vec,
+    push_by_matrices,
+    random_poly,
+    trace_matrix,
+)
 from valmono.errors import InvalidInputError
 from valmono.framing import (
     Frame,
@@ -16,24 +26,47 @@ from valmono.framing import (
     apply_step_to_frame,
     build_step_for_weights,
     choose_vertex,
-    compose_sequence,
     make_monomial_blowup,
     make_translation_step,
     push_polynomial_through_step,
     pushforward_weights,
 )
-from valmono.polyalg import LaurentMonomialMap, MultiPoly, QQ, apply_monomial_map
+from valmono.polyalg import MultiPoly, QQ
 from valmono.values import ValueGroup
+
+G1 = ValueGroup(1)
+
+
+def _path(n, steps):
+    """A path of ``steps`` from a chart whose weights are all zero, so that
+    any vertex is minimal."""
+    path = PushPath(Frame(tuple(f"u{i}" for i in range(n)), (G1.zero(),) * n))
+    for s in steps:
+        path.append(s)
+    return path
 
 
 def test_make_monomial_blowup_paper_matrices():
     # n = 2, J = {1,2}, j = 1 (0-based 0): inverse sends u2 -> u2/u1,
     # forward sends u2 -> u1' u2'
     st = make_monomial_blowup(2, (0, 1), 0)
-    assert st.inverse.matrix == ((1, -1), (0, 1))
-    assert st.forward.matrix == ((1, 1), (0, 1))
-    st.check_unimodular()
-    assert st.forward.det() == 1
+    N, M = trace_matrix(st), trace_matrix(st, "M")
+    assert M == ((1, -1), (0, 1))
+    assert N == ((1, 1), (0, 1))
+    assert old_mat_mul(N, M) == identity(2)
+    assert old_det(N) == 1
+    # substitution oracle: u = u', x = u' x', checked at random rational points
+    rng = random.Random(4)
+    frame = Frame(("u", "x"), (G1.rational(1), G1.rational(2)))
+    for _ in range(40):
+        f = random_poly(rng, ("u", "x"), max_terms=5, max_exp=4)
+        g = push_polynomial_through_step(f, frame, st)
+        a, b = Fraction(rng.randint(1, 5)), Fraction(rng.randint(1, 5))
+
+        def ev(p, u, x):
+            return sum(c * u**e[0] * x**e[1] for e, c in p.terms.items())
+
+        assert ev(f, a, a * b) == ev(g, a, b)
 
 
 def test_make_monomial_blowup_preconditions():
@@ -58,9 +91,10 @@ def test_monomial_blowups_are_shared_per_center():
 def test_make_monomial_blowup_fixed_variable():
     st = make_monomial_blowup(3, (1, 2), 2)
     # u_1 fixed
-    assert st.forward.matrix[0] == (1, 0, 0)
-    assert tuple(row[0] for row in st.forward.matrix) == (1, 0, 0)
-    assert st.forward.det() == 1
+    N = trace_matrix(st)
+    assert N[0] == (1, 0, 0)
+    assert tuple(row[0] for row in N) == (1, 0, 0)
+    assert old_det(N) == 1
 
 
 def test_choose_vertex():
@@ -99,21 +133,22 @@ def test_pushforward_ties_become_units():
 
 def test_compose_sequence():
     # empty -> identity
-    assert compose_sequence((), n=3).is_identity()
-    # u = u' v', then v' = u'' v'': N2 N1 by hand
+    assert _path(3, ()).advance((4, 0, 7)) == (4, 0, 7)
+    # u = u' v', then v' = u'' v'': the columns of N2 N1 by hand
     s1 = make_monomial_blowup(2, (0, 1), 1)
     s2 = make_monomial_blowup(2, (0, 1), 0)
-    assert s1.forward.matrix == ((1, 0), (1, 1)) and s2.forward.matrix == ((1, 1), (0, 1))
-    assert compose_sequence((s1, s2)).matrix == ((2, 1), (1, 1))
-    assert compose_sequence((s2, s1)).matrix == ((1, 1), (1, 2))
-    with pytest.raises(InvalidInputError):
-        compose_sequence((make_translation_step(2, 1, (Fraction(-1), Fraction(1)), None, "b'"),))
+    assert trace_matrix(s1) == ((1, 0), (1, 1)) and trace_matrix(s2) == ((1, 1), (0, 1))
+    for steps, product in (((s1, s2), ((2, 1), (1, 1))), ((s2, s1), ((1, 1), (1, 2)))):
+        path = _path(2, steps)
+        assert forward_product(steps, 2) == product
+        assert (path.advance((1, 0)), path.advance((0, 1))) == tuple(zip(*product))
+        assert path.advance((1, 0), 1) == steps[1].apply_to_exponent((1, 0))
 
 
 def test_a_step_is_its_center():
-    # the stored fields are the center and the residue motion; the matrices,
-    # the exponent update and the composite are derived from them, checked
-    # against the matrix products they replace
+    # the stored fields are the center and the residue motion; the trace
+    # matrices, the exponent update and its fold along a path are derived
+    # from them, checked against matrix products
     assert [f.name for f in dataclasses.fields(FramedStep)] == ["n", "J", "j", "translation_data"]
     rng = random.Random(20261018)
     for _ in range(300):
@@ -129,18 +164,13 @@ def test_a_step_is_its_center():
                 steps.append(FramedStep(n, J, j, tuple(ties)))
             else:
                 steps.append(make_monomial_blowup(n, J, j))
-        total = _linalg.identity(n)
         for s in steps:
-            N, M = s.forward.matrix, s.inverse.matrix
-            assert _linalg.mat_mul(N, M) == _linalg.identity(n) and s.forward.det() == 1
+            N, M = trace_matrix(s), trace_matrix(s, "M")
+            assert old_mat_mul(N, M) == identity(n) and old_det(N) == 1
             e = tuple(rng.randint(0, 9) for _ in range(n))
-            assert s.apply_to_exponent(e) == _linalg.mat_vec(N, e)
-            assert s.to_json()["N"] == [list(r) for r in N] and s.to_json()["M"] == [list(r) for r in M]
-            total = _linalg.mat_mul(N, total)
-        # the row-update composite under compose_sequence and PushPath.forward
-        assert framing._compose(steps, n).matrix == total
-        if all(s.kind == "monomial" for s in steps):
-            assert compose_sequence(tuple(steps), n).matrix == total
+            assert s.apply_to_exponent(e) == old_mat_vec(N, e)
+        e = tuple(rng.randint(0, 9) for _ in range(n))
+        assert _path(n, steps).advance(e) == old_mat_vec(forward_product(steps, n), e)
 
 
 def test_compose_independent_block():
@@ -152,10 +182,11 @@ def test_compose_independent_block():
     path.append(make_monomial_blowup(3, (1, 2), 2))
     path.claim_independence((0,))
     assert path.independence_set == (0,)
-    total = compose_sequence(tuple(path.steps))
-    assert total.matrix[0] == (1, 0, 0)
-    assert tuple(row[0] for row in total.matrix) == (1, 0, 0)
-    assert total.det() == 1
+    total = forward_product(path.steps, 3)
+    assert total[0] == (1, 0, 0)
+    assert tuple(row[0] for row in total) == (1, 0, 0)
+    assert old_det(total) == 1
+    assert path.advance((5, 0, 0)) == (5, 0, 0)
 
 
 def test_sequence_independence_enforced():
@@ -189,13 +220,14 @@ def test_unimodularity_random_sequences():
             J = tuple(sorted(rng.sample(range(n), size)))
             j = rng.choice(J)
             steps.append(make_monomial_blowup(n, J, j))
-        total = compose_sequence(tuple(steps))
-        assert total.det() == 1
-        inv = total.inverse()
+        total = forward_product(steps, n)
+        assert old_det(total) == 1
+        inv = old_inverse_int(total)
         assert inv is not None
-        assert _linalg.mat_mul(total.matrix, inv.matrix) == _linalg.identity(n)
+        assert old_mat_mul(total, inv) == identity(n)
         for s in steps:
-            s.check_unimodular()
+            N, M = trace_matrix(s), trace_matrix(s, "M")
+            assert old_mat_mul(N, M) == identity(n) and old_det(N) == 1
 
 
 def test_monomial_preservation_through_sequences():
@@ -209,9 +241,7 @@ def test_monomial_preservation_through_sequences():
             J = tuple(sorted(rng.sample(range(n), rng.randint(2, n))))
             seq.append(make_monomial_blowup(n, J, rng.choice(J)))
         e = tuple(rng.randint(0, 6) for _ in range(n))
-        m = MultiPoly.monomial(vars_, e, 3)
-        for s in seq:
-            m = apply_monomial_map(m, s.forward)
+        m = _path(n, seq).push(MultiPoly.monomial(vars_, e, 3))
         assert len(m.terms) == 1
 
 
@@ -227,9 +257,7 @@ def test_independence_keeps_free_monomials_free():
             J = tuple(sorted(rng.sample(range(1, n), rng.randint(2, n - 1))))
             seq.append(make_monomial_blowup(n, J, rng.choice(J)))
         e = (0,) + tuple(rng.randint(0, 5) for _ in range(n - 1))
-        m = MultiPoly.monomial(vars_, e, 1)
-        for s in seq:
-            m = apply_monomial_map(m, s.forward)
+        m = _path(n, seq).push(MultiPoly.monomial(vars_, e, 1))
         (img_e,) = m.terms
         assert img_e[0] == 0
 
@@ -262,7 +290,7 @@ def test_translation_step_holds_elements_and_encodes_them_in_to_json():
 
 def test_push_path_merges_monomial_runs():
     # Q-independent weights never tie, so every step is monomial and the
-    # whole sequence is one run, applied as one composite matrix
+    # whole sequence is one run, each exponent folded through all of it
     rng = random.Random(47)
     n = 3
     g = ValueGroup(n)
@@ -274,10 +302,11 @@ def test_push_path_merges_monomial_runs():
             J = tuple(sorted(rng.sample(range(n), rng.randint(2, n))))
             path.append(build_step_for_weights(n, J, choose_vertex(J, path.frame.weights), path.frame.weights))
         assert all(s.kind == "monomial" for s in path.steps)
-        assert path.forward() == compose_sequence(tuple(path.steps))
-        # a cut inside the run composes only the steps after it
-        for start in (rng.randint(0, len(path)), len(path)):
-            assert path.forward(start) == compose_sequence(tuple(path.steps[start:]), n)
+        # a cut inside the run advances through the steps after it only
+        for start in (0, rng.randint(0, len(path)), len(path)):
+            product = forward_product(path.steps[start:], n)
+            for e in identity(n):
+                assert path.advance(e, start) == old_mat_vec(product, e)
         f = MultiPoly.build(
             vars_,
             {tuple(rng.randint(0, 4) for _ in range(n)): QQ.from_rational(rng.randint(1, 9))
@@ -292,7 +321,7 @@ def test_push_path_merges_monomial_runs():
 
 def test_push_path_forward_from_a_cut_with_ties():
     # rank-1 weights tie, so translation-kind steps split the monomial runs;
-    # forward(start) must still be the product of the steps after the cut
+    # advancing from a cut must still be the product of the steps after it
     rng = random.Random(53)
     g = ValueGroup(1)
     n = 4
@@ -309,8 +338,80 @@ def test_push_path_forward_from_a_cut_with_ties():
             path.append(build_step_for_weights(n, J, choose_vertex(J, w), w))
         ties += any(s.J_times for s in path.steps)
         for start in range(len(path) + 1):
-            want = _linalg.identity(n)
-            for s in path.steps[start:]:
-                want = _linalg.mat_mul(s.forward.matrix, want)
-            assert path.forward(start) == LaurentMonomialMap(want)
+            want = forward_product(path.steps[start:], n)
+            for e in identity(n):
+                assert path.advance(e, start) == old_mat_vec(want, e)
     assert ties > 10
+
+
+def _mixed_path(rng):
+    """A random path over rank-1 weights, so that weights tie: monomial and
+    tie steps on the active columns, and on a unit column a transcendental,
+    a degree-1 or a degree-2 translation (a fresh square root each)."""
+    n = rng.randint(2, 4)
+    weights = tuple(G1.rational(rng.randint(1, 3)) for _ in range(n))
+    path = PushPath(Frame(tuple(f"u{i}" for i in range(n)), weights))
+    radicands = iter((2, 3, 5, 7, 11, 13))
+    for k in range(rng.randint(1, 7)):
+        frame, tower = path.frame, path.frame.tower
+        active, units = frame.active_indices(), sorted(frame.units)
+        if units and (len(active) < 2 or rng.random() < 0.4):
+            t, kind, name = rng.choice(units), rng.randrange(3), f"x{k}"
+            weight = G1.rational(rng.randint(1, 3))
+            if kind == 0:
+                step = make_translation_step(n, t, None, None, None)
+            elif kind == 1:
+                c = tower.from_rational(rng.choice((1, -1, 2, Fraction(1, 2))))
+                step = make_translation_step(n, t, (tower.neg(c), tower.one()), None, name, weight)
+            else:
+                mp = (tower.from_rational(-next(radicands)), tower.zero(), tower.one())
+                step = make_translation_step(n, t, mp, f"t{tower.depth + 1}", name, weight)
+        elif len(active) >= 2:
+            J = tuple(sorted(rng.sample(active, rng.randint(2, len(active)))))
+            step = build_step_for_weights(n, J, choose_vertex(J, frame.weights), frame.weights)
+        else:
+            break
+        path.append(step)
+    return path
+
+
+def _oracle_push(path, f, a, c):
+    """f pushed from chart a to chart c: each step's trace matrix N times
+    the exponents; an algebraic translation has one column, so its N is the
+    identity and the primitive contributes only its residue motion."""
+    for k in range(a, c):
+        step = path.steps[k]
+        f = push_by_matrices(f, (step,))
+        if any(t.minpoly is not None for t in step.translation_data):
+            f = push_polynomial_through_step(f, path.frames[k], step, path.frames[k + 1])
+    return f
+
+
+def test_push_by_center_matches_trace_matrices_on_every_split():
+    rng = random.Random(20261018)
+    seen = {"monomial": 0, "tie": 0, "transcendental": 0, "degree 1": 0, "degree 2": 0}
+    for _ in range(100):
+        path = _mixed_path(rng)
+        for s in path.steps:
+            items = s.translation_data
+            if not items:
+                kind = "monomial"
+            elif len(s.J) > 1:
+                kind = "tie"
+            elif items[0].minpoly is None:
+                kind = "transcendental"
+            else:
+                kind = f"degree {len(items[0].minpoly) - 1}"
+            seen[kind] += 1
+        n = path.frame.n
+        for a in range(len(path) + 1):
+            e = tuple(rng.randint(0, 5) for _ in range(n))
+            assert path.advance(e, a) == old_mat_vec(forward_product(path.steps[a:], n), e)
+            frame = path.frames[a]
+            f = random_poly(rng, frame.names, max_terms=4, max_exp=3).with_tower(frame.tower)
+            for c in range(a, len(path) + 1):
+                direct = path.push(f, a, c)
+                assert direct == _oracle_push(path, f, a, c)
+                for b in range(a, c + 1):
+                    assert direct == path.push(path.push(f, a, b), b, c)
+    assert min(seen.values()) >= 25, seen

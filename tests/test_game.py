@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import poly, random_poly, rational_spec, sqrt_prime_spec
+from conftest import poly, push_by_matrices, random_poly, rational_spec, sqrt_prime_spec
 from valmono import game
 from valmono.errors import (
     InvalidInputError,
@@ -24,7 +24,6 @@ from valmono.game import (
     principalize_monomial_ideal,
     tau,
 )
-from valmono.polyalg import apply_monomial_map
 from valmono.values import Ordering, ValueGroup, compare, value_of_exponent
 
 
@@ -245,9 +244,7 @@ def test_monomialize_nondegenerate_cusp_shape():
     res = monomialize_nondegenerate(f, spec)
     assert res.unit_witness.constant_term() == res.unit_witness.tower.one()
     # exponent * unit reproduces the pushed-through f
-    img = f
-    for s in res.path.steps:
-        img = apply_monomial_map(img, s.forward)
+    img = push_by_matrices(f, res.path.steps)
     from valmono.polyalg import MultiPoly
 
     mono = MultiPoly.monomial(f.vars, res.exponent, 1)
@@ -265,14 +262,6 @@ def test_monomialize_nondegenerate_tie_example():
     assert res.unit_witness.constant_term() == res.unit_witness.tower.one()
 
 
-def _stepwise_image(f, steps):
-    # reference push: each step's forward matrix in turn, no composites
-    image = f
-    for step in steps:
-        image = apply_monomial_map(image, step.forward)
-    return image
-
-
 def test_nondegenerate_image_matches_stepwise_push():
     rng = random.Random(61)
     ties = 0
@@ -286,7 +275,7 @@ def test_nondegenerate_image_matches_stepwise_push():
         f = random_poly(rng, names, max_terms=5, max_exp=4)
         res = monomialize_nondegenerate(f, spec)
         ties += any(s.J_times for s in res.path.steps)
-        want = _stepwise_image(f, res.path.steps)
+        want = push_by_matrices(f, res.path.steps)
         assert res.image == want and list(res.image.terms) == list(want.terms)
     assert ties >= 10
 

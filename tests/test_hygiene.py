@@ -19,7 +19,7 @@ def _parse(path: Path) -> ast.Module:
 
 def _annotation_names(node: ast.AST) -> set[str]:
     """Names used in an annotation, including inside quoted forward
-    references such as ``Optional["LaurentMonomialMap"]``."""
+    references such as ``Optional["MultiPoly"]``."""
     out = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
@@ -176,6 +176,54 @@ def test_no_assert_statements_in_the_package():
 def test_assert_scan_sees_one():
     src = "def f(a):\n    if a:\n        assert a > 0, 'positive'\n    return a\n"
     assert _asserts(ast.parse(src)) == ["line 3"]
+
+
+def _error_classes(tree: ast.Module) -> list[str]:
+    """The classes of a module derived from ``ValmonoError``, directly or not."""
+    found = ["ValmonoError"]
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(b, ast.Name) and b.id in found for b in node.bases
+        ):
+            found.append(node.name)
+    return found[1:]
+
+
+def _raised_names(tree: ast.Module) -> set[str]:
+    """Every name that is called (``raise E(...)`` included) or raised bare."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            target = node.func
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            target = node.exc
+        else:
+            continue
+        if isinstance(target, ast.Name):
+            found.add(target.id)
+        elif isinstance(target, ast.Attribute):
+            found.add(target.attr)
+    return found
+
+
+def test_every_error_class_is_raised():
+    """No error class is dead: each one is raised or made somewhere in the
+    package."""
+    raised = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        raised |= _raised_names(_parse(path))
+    assert [c for c in _error_classes(_parse(PACKAGE / "errors.py")) if c not in raised] == []
+
+
+def test_raise_scan_sees_one():
+    src = (
+        "class ValmonoError(Exception):\n    pass\n\nclass A(ValmonoError):\n    pass\n\n"
+        "class B(A):\n    pass\n\nclass C(Exception):\n    pass\n\n"
+        "def f(a):\n    if a:\n        raise errors.A('bad')\n    raise B\n"
+    )
+    tree = ast.parse(src)
+    assert _error_classes(tree) == ["A", "B"]
+    assert {"A", "B"} <= _raised_names(tree) and "C" not in _raised_names(tree)
 
 
 def _from_json_methods(tree: ast.Module) -> list[str]:

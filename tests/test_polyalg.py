@@ -1,4 +1,4 @@
-"""Polynomial arithmetic, Euclidean machinery, monomial maps, towers."""
+"""Polynomial arithmetic, Euclidean machinery, substitutions, towers."""
 
 import random
 from fractions import Fraction
@@ -6,13 +6,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import poly, random_poly
-from valmono.errors import LaurentEscapeError, NonMonicDivisorError, ReducibleDefinerError
+from valmono.errors import NonMonicDivisorError, ReducibleDefinerError
 from valmono.polyalg import (
-    LaurentMonomialMap,
     MultiPoly,
     QQ,
     _reassembles,
-    apply_monomial_map,
     euclid_divide,
     q_adic_expansion,
     substitute_variable,
@@ -21,15 +19,6 @@ from valmono.polyalg import (
 from valmono.trace import _poly
 
 UV = ("u", "x")
-
-
-def rational_part(e):
-    """The rational value of a tower element when it lies in Q, else None."""
-    if isinstance(e, Fraction):
-        return e
-    if any(rational_part(c) != 0 for c in e[1:]):
-        return None
-    return rational_part(e[0])
 
 
 def test_euclid_divide_examples():
@@ -104,54 +93,6 @@ def test_q_adic_reconstruction_randomized():
             acc = acc + a * power
             power = power * Q
         assert acc == f
-
-
-def test_apply_monomial_map_examples():
-    ident = LaurentMonomialMap(((1, 0), (0, 1)))
-    f = poly(UV, {(2, 3): 5, (1, 0): -1})
-    assert apply_monomial_map(f, ident) == f
-    # u1 -> u1', u2 -> u1'u2': column of var 2 is (1, 1)
-    m = LaurentMonomialMap(((1, 1), (0, 1)))
-    assert apply_monomial_map(poly(UV, {(2, 3): 1}), m) == poly(UV, {(5, 3): 1})
-    assert apply_monomial_map(poly(UV, {(1, 0): 1, (0, 1): 1}), m) == poly(
-        UV, {(1, 0): 1, (1, 1): 1}
-    )
-
-
-def test_apply_monomial_map_evaluation_oracle():
-    # substitution oracle: evaluate both sides at random rational points
-    rng = random.Random(4)
-    m = LaurentMonomialMap(((1, 1), (0, 1)))
-    for _ in range(40):
-        f = random_poly(rng, UV, max_terms=5, max_exp=4)
-        g = apply_monomial_map(f, m)
-        a, b = Fraction(rng.randint(1, 5)), Fraction(rng.randint(1, 5))
-
-        def ev(p, u, x):
-            return sum(
-                rational_part(c) * u**e[0] * x**e[1] for e, c in p.terms.items()
-            )
-
-        # u = u' , x = u' x'  (old in terms of new, columns of the matrix)
-        assert ev(f, a, a * b) == ev(g, a, b)
-
-
-def test_apply_monomial_map_laurent_escape():
-    m = LaurentMonomialMap(((1, -1), (0, 1)))
-    with pytest.raises(LaurentEscapeError):
-        apply_monomial_map(poly(UV, {(0, 1): 1}), m)
-
-
-def test_map_round_trip_identity():
-    rng = random.Random(9)
-    m = LaurentMonomialMap(((1, 1), (0, 1)))
-    minv = m.inverse()
-    assert m.det() == 1 and minv is not None
-    for _ in range(40):
-        f = random_poly(rng, UV, max_terms=4, max_exp=4)
-        g = apply_monomial_map(f, m)
-        back = apply_monomial_map(g, minv)
-        assert back == f
 
 
 def test_substitute_variable_examples():

@@ -6,7 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import binomial_chain, poly, random_poly, rational_spec
+from conftest import (
+    binomial_chain,
+    forward_product,
+    identity,
+    old_inverse_int,
+    old_mat_mul,
+    poly,
+    random_poly,
+    rational_spec,
+    trace_matrix,
+)
 from valmono import _linalg, unifseq
 from valmono.errors import (
     InvalidInputError,
@@ -135,7 +145,7 @@ def test_linear_case():
     )
     res = elementary_uniformizing_sequence(prob)
     assert res.abar == 1 and res.alpha_coeffs == (1,)
-    matrix_steps = [s for s in res.path.steps if not s.forward.is_identity()]
+    matrix_steps = [s for s in res.path.steps if trace_matrix(s) != identity(2)]
     assert len(matrix_steps) == 1
     assert res.witness["exact"] is True
     # quotient is exactly the new variable (z - 1)
@@ -156,11 +166,9 @@ def test_cusp_all_conclusions():
     assert res.images["w1"]["monomial"] == [2, 0] and res.images["w1"]["z_power"] == 1
     assert res.images["wn"]["monomial"] == [3, 0] and res.images["wn"]["z_power"] == 2
     # (4) final variables are Laurent monomials in the old ones (unimodular)
-    total = _linalg.identity(n)
-    for s in res.path.steps:
-        total = _linalg.mat_mul(s.forward.matrix, total)
-    inv = _linalg.inverse_int(total)
-    assert inv is not None and _linalg.mat_mul(total, inv) == _linalg.identity(n)
+    total = forward_product(res.path.steps, n)
+    inv = old_inverse_int(total)
+    assert inv is not None and old_mat_mul(total, inv) == identity(n)
     # (5) image(Q) = y * (image of w_n^(l)) exactly: unit cofactor 1
     assert res.witness["exact"] is True
     assert res.witness["unit_constant"] == "1"
@@ -202,9 +210,7 @@ def test_passive_variables_ride_along():
     for s in res.path.steps:
         assert 1 not in s.J
     # v column untouched in the composed matrix
-    total = _linalg.identity(3)
-    for s in res.path.steps:
-        total = _linalg.mat_mul(s.forward.matrix, total)
+    total = forward_product(res.path.steps, 3)
     assert tuple(row[1] for row in total) == (0, 1, 0)
     assert total[1] == (0, 1, 0)
 
