@@ -37,10 +37,6 @@ class ReducibleDefinerError(ValmonoError):
 
     code = "reducible definer"
 
-    def __init__(self, message: str = "", factor=None):
-        super().__init__(message)
-        self.factor = factor
-
 
 class ZeroPolynomialError(ValmonoError):
     code = "zero polynomial has no value"
@@ -82,8 +78,13 @@ class SchemaError(ValmonoError):
 
 
 class TraceMismatchError(ValmonoError):
+    """A replay that differs from its trace; ``path`` is the JSON path of
+    the first differing field, such as ``steps[3].J[1]``."""
+
     code = "trace mismatch"
 
-    def __init__(self, step: int, message: str = ""):
-        super().__init__(message or f"trace mismatch at step {step}")
+    def __init__(self, step: int, path: str, message: str = ""):
+        message = message or f"trace mismatch at step {step}"
+        super().__init__(f"{message}, first difference at {path}")
         self.step = step
+        self.path = path

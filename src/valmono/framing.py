@@ -283,7 +283,7 @@ def _push_exponents(f: MultiPoly, steps: Sequence[FramedStep]) -> MultiPoly:
         for s in steps:
             e = s.apply_to_exponent(e)
         terms[e] = c
-    return MultiPoly(f.vars, terms, f.tower)
+    return MultiPoly(f.vars, terms, f.tower, f.den)
 
 
 def push_polynomial_through_step(
@@ -306,7 +306,7 @@ def push_polynomial_through_step(
         g = taylor_shift(g, g.vars[t], translation_root(item, tower))
         name = frame_after.names[t]
         if name != g.vars[t]:
-            g = MultiPoly(g.vars[:t] + (name,) + g.vars[t + 1:], g.terms, g.tower)
+            g = MultiPoly(g.vars[:t] + (name,) + g.vars[t + 1:], g.terms, g.tower, g.den)
     return g
 
 

@@ -413,7 +413,7 @@ def initial_form(f: MultiPoly, spec: MonomialValuationSpec) -> MultiPoly:
         for e, c in f.terms.items()
         if compare(value_of_exponent(e, spec.weights), v0) is Ordering.Equal
     }
-    return MultiPoly(f.vars, keep, f.tower)
+    return MultiPoly(f.vars, keep, f.tower, f.den)
 
 
 @dataclass
@@ -447,7 +447,7 @@ def split_monomial(
         if any(x < 0 for x in ne):
             return mono, None
         shifted[ne] = c
-    return mono, MultiPoly(poly.vars, shifted, poly.tower)
+    return mono, MultiPoly(poly.vars, shifted, poly.tower, poly.den)
 
 
 def has_unit_term(poly: MultiPoly, frame: Frame) -> bool:

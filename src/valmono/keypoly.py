@@ -14,15 +14,15 @@ minimum and the delta/epsilon invariants off that one expansion;
 truncation at the level below, and no invariant re-expands what another
 has already expanded.
 
-The whole recursion runs on the x-dense rows of :mod:`valmono.polyalg`.
-f is cleared to integer rows over one denominator D at the entry, and
-with every Q_i integral every digit at every level stays integral (a
+The whole recursion runs on the x-dense rows of :mod:`valmono.polyalg`:
+f's integer coordinates over its denominator D, and with every Q_i
+integral every digit at every level stays integral over D (a
 non-integral Q_i makes them Fractions through the same code).  The
 values below the level asked for are read off the digit rows (the ground
 value needs only exponents), so those digits never become polynomials.
-Only the coefficients of the level asked for are built, as
-``Fraction(c, D)``, and ``StandardExpansion.reassembles`` is an exact
-Horner check on the same kind of rows.
+Only the coefficients of the level asked for are built, as polynomials
+over D, and ``StandardExpansion.reassembles`` is an exact Horner check on
+the same kind of rows.
 
 Chains are finite by construction; limit key polynomials do not exist in
 residue characteristic zero, which this module encodes as a structural
@@ -45,7 +45,6 @@ from .framing import Frame
 from .game import MonomialValuationSpec
 from .polyalg import (
     MultiPoly,
-    _denominator,
     _expand_rows,
     _expansion_base,
     _join_rows,
@@ -197,34 +196,28 @@ def _least(terms: tuple[tuple[int, Value], ...]) -> tuple[int, Value]:
     return delta, best
 
 
-def _entry_rows(
-    f: MultiPoly, chain: KeyPolyChain, i: int
-) -> tuple[MultiPoly, Optional[int], list[_Rows]]:
-    """f over the chain's variables, its denominator D over Q (None over a
-    tower) and the level-i digits of D * f, as rows."""
+def _entry_rows(f: MultiPoly, chain: KeyPolyChain, i: int) -> tuple[MultiPoly, list[_Rows]]:
+    """f over the chain's variables and the level-i digits of its rows."""
     if not 1 <= i <= len(chain):
         raise InvalidInputError(f"level {i} outside the chain")
     if f.vars != chain.all_vars:
         f = f.with_vars(chain.all_vars)
     f._check(chain.Q(i))
-    den = _denominator(f)
-    return f, den, chain._rows.expand(_split_rows(f, len(chain.ground.vars), den), i)
+    return f, chain._rows.expand(_split_rows(f, len(chain.ground.vars)), i)
 
 
-def _expansion(
-    f: MultiPoly, chain: KeyPolyChain, i: int, den: Optional[int], digits: list[_Rows]
-) -> StandardExpansion:
-    """The level-i expansion with its digits as polynomials, rows / D."""
+def _expansion(f: MultiPoly, chain: KeyPolyChain, i: int, digits: list[_Rows]) -> StandardExpansion:
+    """The level-i expansion with its digits as polynomials over f's denominator."""
     xi = len(chain.ground.vars)
     return StandardExpansion(
-        level=i, base=chain.Q(i), coefficients=tuple(_join_rows(c, xi, f, den) for c in digits)
+        level=i, base=chain.Q(i), coefficients=tuple(_join_rows(c, xi, f) for c in digits)
     )
 
 
 def standard_expansion(f: MultiPoly, chain: KeyPolyChain, i: int) -> StandardExpansion:
     """Level-i standard expansion, obtained by iterated Euclidean division."""
-    f, den, digits = _entry_rows(f, chain, i)
-    return _expansion(f, chain, i, den, digits)
+    f, digits = _entry_rows(f, chain, i)
+    return _expansion(f, chain, i, digits)
 
 
 @dataclass(frozen=True)
@@ -246,10 +239,10 @@ def truncate(f: MultiPoly, chain: KeyPolyChain, i: int) -> Truncation:
     """Expand f once at level i and read off every truncation invariant.
     Only the level-i coefficients are built as polynomials; the values
     below are read off the digit rows."""
-    f, den, digits = _entry_rows(f, chain, i)
+    f, digits = _entry_rows(f, chain, i)
     if f.is_zero():
         raise ZeroPolynomialError("zero polynomial has no value")
-    exp = _expansion(f, chain, i, den, digits)  # before the values consume the digits
+    exp = _expansion(f, chain, i, digits)  # before the values consume the digits
     terms = chain._rows.term_values(digits, i)
     # epsilon is the first index above delta attaining the minimum of what
     # is left

@@ -4,37 +4,31 @@ Coefficients live in a :class:`FieldTower`: the base field Q extended by a
 chain of symbols, each with a monic defining polynomial over the level
 below.  Elements are kept in canonical form (reduced modulo the definers,
 represented as nested coefficient tuples of fixed length), so structural
-equality is field equality.
+equality is field equality.  Tower algebra on single elements (inverses,
+definers, residues) runs on rational coordinates.  Irreducibility of
+definers is trusted at input and falsified lazily: a failed inversion
+raises :class:`~valmono.errors.ReducibleDefinerError`.
 
-Irreducibility of definers is trusted at input and falsified lazily: a
-failed inversion raises :class:`~valmono.errors.ReducibleDefinerError`
-carrying the discovered factor.
+A :class:`MultiPoly` holds integer coordinates over one positive
+denominator ``den`` in lowest terms, as a :class:`~valmono.values.Value`
+does, so equal polynomials are ``==`` and hash equal.  Arithmetic, ring
+changes, the kernels below and ``to_json`` work on the integers, and
+``coeff`` gives one coefficient as a rational element.  Integer definer
+coordinates are held as ints, so products of integer elements stay
+integral; a non-integral definer or divisor makes Fraction coordinates
+through the same loops, and the constructor clears them again.
+Polynomials are immutable by convention; term storage order fixes the
+term order of results, and JSON is graded-lex.
 
-Polynomials are immutable by convention; all operations return fresh
-objects.  Term storage order is graded-lex on exponent vectors, which is
-purely internal (it fixes JSON output order, nothing else).
-
-Division by a divisor monic in x has one kernel.  Both operands are split
-once into x-dense rows (x-degree -> x-free sparse coefficient) and
-long-divided row by row from the top degree down; the divisor's leading
-row is the constant one, so no coefficient is inverted.  Over Q the
-dividend is cleared to integer numerators over one denominator D; an
-integral divisor has integer rows, so every quotient and remainder row
-stays integral (a non-integral one makes them Fractions through the same
-loop), and ``Fraction(c, D)`` is made only where rows become a
-:class:`MultiPoly` again.  Over a tower the rows hold tower elements.
-``euclid_divide``,
-``q_adic_expansion`` and the truncations of :mod:`valmono.keypoly` share
-it; a Q-adic expansion keeps the running quotient in row form from one
-digit to the next, and the check that an expansion reassembles its
-polynomial is Horner's rule on the same kind of rows.
-
-The Taylor shift ``x -> theta + x`` is fraction-free too, towers included:
-f's coordinates are cleared to integers over one denominator, theta is
-written T / b, the binomial table holds integer multiples of powers of T,
-and under integral definers the tower multiplies integer coordinates
-(``FieldTower._integral``).  Its only ``Fraction``s are made at the exit,
-one per output coordinate.
+Division by a divisor monic in x has one kernel: both operands are split
+once into x-dense rows (x-degree -> x-free sparse coordinates) and
+long-divided row by row from the top degree down, so no coefficient is
+inverted and an integral divisor keeps every row integral over the
+dividend's denominator.  ``euclid_divide``, ``q_adic_expansion`` and the
+truncations of :mod:`valmono.keypoly` share it, and the check that an
+expansion reassembles its polynomial is Horner's rule on the same rows.
+The Taylor shift ``x -> theta + x`` writes theta as T / b and is an
+integer multiply-accumulate over ``den * b^K``.
 """
 
 from __future__ import annotations
@@ -43,26 +37,22 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from math import comb, lcm
+from itertools import chain
+from math import comb, gcd, lcm
 from operator import add
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
     InvalidInputError,
     NonMonicDivisorError,
     ReducibleDefinerError,
 )
-from .values import fraction_from_str, fraction_to_str
+from .values import _exact, _literal, fraction_from_str
 
-# A tower element is a Fraction at level 0 and a tuple of lower-level
-# elements (fixed length = degree of the definer) above that.
-Elem = Union[Fraction, tuple]
-
-
-def _poly_trim(cs: list) -> list:
-    while cs and _is_zero_like(cs[-1]):
-        cs.pop()
-    return cs
+# A tower element is a tuple of lower-level elements (fixed length = degree
+# of the definer) above level 0.  At level 0 it is a rational (an int or a
+# Fraction) in tower algebra and an int coordinate in a polynomial's terms.
+Elem = Union[Fraction, int, tuple]
 
 
 def _is_zero_like(e) -> bool:
@@ -72,18 +62,32 @@ def _is_zero_like(e) -> bool:
     return not e
 
 
-def _coords(e, fn):
-    """``e`` with ``fn`` applied to each of its rational coordinates."""
+def _map(e, fn):
+    """``e`` with ``fn`` applied to each of its coordinates."""
     if isinstance(e, tuple):
-        return tuple(_coords(c, fn) for c in e)
+        return tuple(_map(c, fn) for c in e)
     return fn(e)
 
 
-def _coord_den(e) -> int:
-    """The lcm of the denominators of ``e``'s rational coordinates."""
+def _times(e, k: int):
+    """``e`` with each coordinate multiplied by the integer ``k``."""
     if isinstance(e, tuple):
-        return lcm(*map(_coord_den, e))
-    return e.denominator
+        return tuple(_times(c, k) for c in e)
+    return e * k
+
+
+def _leaves(elems: Iterable, depth: int) -> Iterable:
+    """The coordinates of elements of a tower of this depth, in one iterable."""
+    for _ in range(depth):
+        elems = chain.from_iterable(elems)
+    return elems
+
+
+def _cleared(e: Elem, depth: int) -> tuple[Elem, int]:
+    """``(n, d)``: the rational element ``e`` of a tower of this depth as
+    integer coordinates ``n`` over one positive denominator ``d``."""
+    d = lcm(*[q.denominator for q in _leaves((e,), depth)])
+    return _map(e, lambda q: q.numerator * (d // q.denominator)), d
 
 
 @dataclass(frozen=True)
@@ -103,10 +107,17 @@ class FieldTower:
         for level, (sym, mp) in enumerate(self.extensions):
             if len(mp) < 2:
                 raise InvalidInputError(f"definer of {sym} must have degree >= 1")
+        # integer definer coordinates are held as ints, so that under
+        # integral definers products of integer elements stay integral
+        exts = tuple(
+            (sym, tuple(_map(c, lambda q: q.numerator if q.denominator == 1 else q) for c in mp))
+            for sym, mp in self.extensions
+        )
+        object.__setattr__(self, "extensions", exts)
 
     # -- structure ---------------------------------------------------
 
-    @property
+    @cached_property
     def depth(self) -> int:
         return len(self.extensions)
 
@@ -125,7 +136,7 @@ class FieldTower:
 
     def _zero_at(self, level: int) -> Elem:
         if level == 0:
-            return Fraction(0)
+            return 0
         return tuple(self._zero_at(level - 1) for _ in range(self.degree_at(level)))
 
     def zero(self) -> Elem:
@@ -136,14 +147,19 @@ class FieldTower:
         coeffs = [e] + [self._zero_at(level - 1) for _ in range(self.degree_at(level) - 1)]
         return tuple(coeffs)
 
-    def from_rational(self, q: Fraction | int | str) -> Elem:
-        e: Elem = Fraction(q)
-        for level in range(1, self.depth + 1):
-            e = self._raise_to(e, level)
+    def _embed(self, e: Elem, level: int = 0) -> Elem:
+        """Embed a level-``level`` element at the top level."""
+        for lv in range(level + 1, self.depth + 1):
+            e = self._raise_to(e, lv)
         return e
 
+    def from_rational(self, q: Fraction | int | str) -> Elem:
+        """The element of an exact rational: an int, a Fraction or a
+        ``"p/q"`` literal."""
+        return self._embed(Fraction(*_exact(q)))
+
     def one(self) -> Elem:
-        return self.from_rational(1)
+        return self._one_at(self.depth)
 
     def generator(self, symbol: str) -> Elem:
         """The element theta_k for one of the tower symbols."""
@@ -158,10 +174,7 @@ class FieldTower:
                 else:
                     # degree-1 definer X + c0: theta = -c0
                     gen = self._raise_to(self._neg(mp[0], level - 1), level)
-                e: Elem = gen
-                for lv in range(level + 1, self.depth + 1):
-                    e = self._raise_to(e, lv)
-                return e
+                return self._embed(gen, level)
         raise InvalidInputError(f"unknown tower symbol {symbol!r}")
 
     # -- arithmetic ---------------------------------------------------
@@ -190,16 +203,6 @@ class FieldTower:
 
     def sub(self, a: Elem, b: Elem) -> Elem:
         return self.add(a, self.neg(b))
-
-    @cached_property
-    def _integral(self) -> "FieldTower":
-        """This tower on int coordinates when every definer is integral (so
-        products of integral elements stay integral), else the tower itself."""
-        if any(_coord_den(c) != 1 for _, mp in self.extensions for c in mp):
-            return self
-        return _IntegralTower(
-            tuple((sym, tuple(_coords(c, int) for c in mp)) for sym, mp in self.extensions)
-        )
 
     def _mul(self, a: Elem, b: Elem, level: int) -> Elem:
         if level == 0:
@@ -232,86 +235,54 @@ class FieldTower:
         return self._mul(a, b, self.depth)
 
     def _inv(self, a: Elem, level: int) -> Elem:
+        """The inverse of ``a``: a Fraction at level 0, and above it the
+        solution x of a * x = 1, by Gauss-Jordan elimination over the level
+        below on the columns a, a*t, ..., a*t^(d-1) (t the generator).  A
+        column without pivot makes ``a`` a zero divisor: the definer is
+        reducible."""
         if level == 0:
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return 1 / a
+            return Fraction(1, a)
         if _is_zero_like(a):
             raise ZeroDivisionError("inverse of zero")
-        # extended Euclid in (level-1)[X] against the definer
-        mp = list(self.extensions[level - 1][1])
-        r0, r1 = mp, _poly_trim(list(a))
-        s0, s1 = [], [self._one_at(level - 1)]
-        while r1:
-            q, r = self._poly_divmod(r0, r1, level - 1)
-            r0, r1 = r1, r
-            s0, s1 = s1, self._poly_sub(s0, self._poly_mul(q, s1, level - 1), level - 1)
-        # r0 = gcd; invertible iff gcd is a nonzero constant
-        if len(r0) != 1:
-            raise ReducibleDefinerError(
-                f"reducible definer of {self.extensions[level - 1][0]}", factor=tuple(r0)
-            )
-        c_inv = self._inv(r0[0], level - 1)
-        inv = [self._mul(c, c_inv, level - 1) for c in s0]
-        inv = inv[: self.degree_at(level)]
-        inv += [self._zero_at(level - 1)] * (self.degree_at(level) - len(inv))
-        return tuple(inv)
+        d, low = self.degree_at(level), level - 1
+        zero, one = self._zero_at(low), self._one_at(low)
+        t = tuple(one if i == 1 else zero for i in range(d))
+        cols = [a]
+        for _ in range(d - 1):
+            cols.append(self._mul(cols[-1], t, level))
+        m = [[col[i] for col in cols] + [one if i == 0 else zero] for i in range(d)]
+        for c in range(d):
+            piv = next((i for i in range(c, d) if not _is_zero_like(m[i][c])), None)
+            if piv is None:
+                raise ReducibleDefinerError(f"reducible definer of {self.extensions[low][0]}")
+            m[c], m[piv] = m[piv], m[c]
+            inv = self._inv(m[c][c], low)
+            m[c] = [self._mul(x, inv, low) for x in m[c]]
+            for i in range(d):
+                if i != c and not _is_zero_like(m[i][c]):
+                    f = m[i][c]
+                    m[i] = [self._sub_level(x, self._mul(f, y, low), low) for x, y in zip(m[i], m[c])]
+        return tuple(row[d] for row in m)
 
     def _one_at(self, level: int) -> Elem:
         if level == 0:
-            return Fraction(1)
+            return 1
         return self._raise_to(self._one_at(level - 1), level)
 
     def inv(self, a: Elem) -> Elem:
         return self._inv(a, self.depth)
 
-    # dense univariate helpers over a given level (used by _inv)
-
-    def _poly_sub(self, a: list, b: list, level: int) -> list:
-        n = max(len(a), len(b))
-        z = self._zero_at(level)
-        out = []
-        for i in range(n):
-            x = a[i] if i < len(a) else z
-            y = b[i] if i < len(b) else z
-            out.append(self._sub_level(x, y, level))
-        return _poly_trim(out)
-
-    def _poly_mul(self, a: list, b: list, level: int) -> list:
-        if not a or not b:
-            return []
-        out = [self._zero_at(level)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] = self._add(out[i + j], self._mul(x, y, level), level)
-        return _poly_trim(out)
-
-    def _poly_divmod(self, a: list, b: list, level: int) -> tuple[list, list]:
-        if not b:
-            raise ZeroDivisionError("polynomial division by zero")
-        r = list(a)
-        q = [self._zero_at(level)] * max(0, len(a) - len(b) + 1)
-        lead_inv = self._inv(b[-1], level)
-        while len(r) >= len(b):
-            c = self._mul(r[-1], lead_inv, level)
-            k = len(r) - len(b)
-            q[k] = self._add(q[k], c, level)
-            for i, y in enumerate(b):
-                r[k + i] = self._sub_level(r[k + i], self._mul(c, y, level), level)
-            r = _poly_trim(r)
-            if not r:
-                break
-        return _poly_trim(q), r
-
     # -- JSON ----------------------------------------------------------
 
     @staticmethod
-    def elem_to_json(e: Elem):
-        """The JSON encoding of an element of any tower: a ``"p/q"`` string
-        at level 0, nested coefficient lists above it."""
-        if isinstance(e, Fraction):
-            return fraction_to_str(e)
-        return [FieldTower.elem_to_json(c) for c in e]
+    def elem_to_json(e: Elem, den: int = 1):
+        """The JSON encoding of ``e / den`` for an element of any tower: a
+        ``"p/q"`` string at level 0, nested coefficient lists above it."""
+        if isinstance(e, tuple):
+            return [FieldTower.elem_to_json(c, den) for c in e]
+        return _literal(e.numerator, e.denominator * den)
 
     def elem_from_json(self, obj) -> Elem:
         def build(o, level):
@@ -346,27 +317,51 @@ class FieldTower:
         return {"extensions": exts}
 
 
-class _IntegralTower(FieldTower):
-    """A tower whose elements have int coordinates (``FieldTower._integral``)."""
-
-    def _zero_at(self, level: int) -> Elem:
-        return 0 if level == 0 else super()._zero_at(level)
-
-
 QQ = FieldTower(())
 
 
-def grlex_key(e: tuple[int, ...]) -> tuple:
-    return (sum(e), e)
+def _exact_elem(c, tower: FieldTower) -> tuple[Elem, int]:
+    """``(n, d)``: an element of ``tower`` or an exact rational (an int, a
+    Fraction or a ``"p/q"`` literal) as integer coordinates over ``d``."""
+    if isinstance(c, tuple):
+        return _cleared(_map(c, lambda q: Fraction(*_exact(q))), tower.depth)
+    p, q = _exact(c)
+    return tower._embed(p), q
 
 
 @dataclass(frozen=True)
 class MultiPoly:
-    """Sparse exact multivariate polynomial; no zero coefficients stored."""
+    """Sparse exact multivariate polynomial: the coefficient of the monomial
+    ``e`` is ``terms[e] / den``, integer coordinates over one denominator;
+    no zero coefficient is stored.  Any int or Fraction coordinates over any
+    nonzero ``den`` may be given; they are stored as integers in lowest
+    terms with ``den > 0``."""
 
     vars: tuple[str, ...]
     terms: Mapping[tuple[int, ...], Elem]
     tower: FieldTower = QQ
+    den: int = 1
+
+    def __post_init__(self):
+        terms, den, depth = self.terms, self.den, self.tower.depth
+        try:
+            g = gcd(den, *(_leaves(terms.values(), depth) if depth else terms.values()))
+        except TypeError:  # Fraction coordinates: clear them to one denominator
+            nums, d = _cleared(tuple(terms.values()), depth + 1)
+            terms, den = dict(zip(terms, nums)), den * d
+            g = gcd(den, *_leaves(nums, depth))
+        if g != 1 or den <= 0:
+            if not den:
+                raise InvalidInputError("denominator must be nonzero")
+            g = -g if den < 0 else g
+            den //= g
+            if depth:
+                terms = {e: _map(c, lambda n: n // g) for e, c in terms.items()}
+            else:
+                terms = {e: c // g for e, c in terms.items()}
+        if terms is not self.terms:
+            object.__setattr__(self, "terms", terms)
+            object.__setattr__(self, "den", den)
 
     # -- constructors --------------------------------------------------
 
@@ -375,7 +370,11 @@ class MultiPoly:
         vars: Sequence[str],
         terms: Mapping[tuple[int, ...], Elem] | Iterable[tuple[tuple[int, ...], Elem]],
         tower: FieldTower = QQ,
+        den: int = 1,
     ) -> "MultiPoly":
+        """The polynomial with coefficients ``c / den`` for the given
+        (exponent, c) pairs; exponents are checked and summed when they
+        repeat, and zero coefficients are dropped."""
         vars = tuple(vars)
         collected: dict[tuple[int, ...], Elem] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -390,7 +389,7 @@ class MultiPoly:
             else:
                 collected[e] = c
         collected = {e: c for e, c in collected.items() if not tower.is_zero(c)}
-        return MultiPoly(vars, collected, tower)
+        return MultiPoly(vars, collected, tower, den)
 
     @staticmethod
     def zero(vars: Sequence[str], tower: FieldTower = QQ) -> "MultiPoly":
@@ -398,10 +397,7 @@ class MultiPoly:
 
     @staticmethod
     def constant(vars: Sequence[str], c, tower: FieldTower = QQ) -> "MultiPoly":
-        if isinstance(c, (int, str, Fraction)):
-            c = tower.from_rational(c)
-        e = tuple(0 for _ in vars)
-        return MultiPoly.build(vars, {e: c}, tower)
+        return MultiPoly.monomial(vars, [0] * len(vars), c, tower)
 
     @staticmethod
     def variable(vars: Sequence[str], name: str, tower: FieldTower = QQ) -> "MultiPoly":
@@ -413,9 +409,10 @@ class MultiPoly:
 
     @staticmethod
     def monomial(vars: Sequence[str], exponent: Sequence[int], c=1, tower: FieldTower = QQ) -> "MultiPoly":
-        if isinstance(c, (int, str, Fraction)):
-            c = tower.from_rational(c)
-        return MultiPoly.build(vars, {tuple(exponent): c}, tower)
+        """``c * vars^exponent`` for ``c`` an element of ``tower`` or an exact
+        rational (an int, a Fraction or a ``"p/q"`` literal)."""
+        n, d = _exact_elem(c, tower)
+        return MultiPoly.build(vars, {tuple(exponent): n}, tower, d)
 
     # -- basic queries ---------------------------------------------------
 
@@ -440,16 +437,25 @@ class MultiPoly:
         for e, c in self.terms.items():
             if e[i] == degree:
                 out[e[:i] + (0,) + e[i + 1:]] = c
-        return MultiPoly(self.vars, out, self.tower)
+        return MultiPoly(self.vars, out, self.tower, self.den)
+
+    def coeff(self, e: tuple[int, ...]) -> Elem:
+        """The coefficient of the monomial ``e`` as a rational element of
+        the tower (its zero when ``e`` is not a term)."""
+        c = self.terms.get(tuple(e))
+        if c is None:
+            return self.tower.zero()
+        den = self.den
+        return _map(c, lambda n: Fraction(n, den))
 
     def constant_term(self) -> Elem:
-        return self.terms.get(tuple(0 for _ in self.vars), self.tower.zero())
+        return self.coeff(tuple(0 for _ in self.vars))
 
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Elem]]:
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
+        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
 
     # -- arithmetic -------------------------------------------------------
 
@@ -457,45 +463,53 @@ class MultiPoly:
         if self.vars != other.vars or self.tower != other.tower:
             raise InvalidInputError("polynomials live in different rings")
 
+    def _over(self, den: int) -> Mapping[tuple[int, ...], Elem]:
+        """The coordinates over ``den``, a multiple of ``self.den``."""
+        k = den // self.den
+        if k == 1:
+            return self.terms
+        return {e: _times(c, k) for e, c in self.terms.items()}
+
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        out = dict(self.terms)
-        tw = self.tower
-        for e, c in other.terms.items():
+        den = lcm(self.den, other.den)
+        _, plus, _, is_zero = _row_ops(self.tower)
+        out = dict(self._over(den))
+        for e, c in other._over(den).items():
             if e in out:
-                s = tw.add(out[e], c)
-                if tw.is_zero(s):
+                s = plus(out[e], c)
+                if is_zero(s):
                     del out[e]
                 else:
                     out[e] = s
             else:
                 out[e] = c
-        return MultiPoly(self.vars, out, tw)
+        return MultiPoly(self.vars, out, self.tower, den)
 
     def __neg__(self) -> "MultiPoly":
-        tw = self.tower
-        return MultiPoly(self.vars, {e: tw.neg(c) for e, c in self.terms.items()}, tw)
+        neg = _row_ops(self.tower)[2]
+        return MultiPoly(self.vars, {e: neg(c) for e, c in self.terms.items()}, self.tower, self.den)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        tw = self.tower
+        mul, plus, _, is_zero = _row_ops(self.tower)
         out: dict[tuple[int, ...], Elem] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                p = tw.mul(c1, c2)
+                p = mul(c1, c2)
                 if e in out:
-                    s = tw.add(out[e], p)
-                    if tw.is_zero(s):
+                    s = plus(out[e], p)
+                    if is_zero(s):
                         del out[e]
                     else:
                         out[e] = s
-                elif not tw.is_zero(p):
+                elif not is_zero(p):
                     out[e] = p
-        return MultiPoly(self.vars, out, tw)
+        return MultiPoly(self.vars, out, self.tower, self.den * other.den)
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
@@ -510,26 +524,19 @@ class MultiPoly:
         return result
 
     def scale(self, c) -> "MultiPoly":
-        tw = self.tower
-        if isinstance(c, (int, str, Fraction)):
-            c = tw.from_rational(c)
+        """``c`` times this polynomial, for ``c`` an element of the tower or
+        an exact rational (an int, a Fraction or a ``"p/q"`` literal)."""
+        n, d = _exact_elem(c, self.tower)
+        mul, _, _, is_zero = _row_ops(self.tower)
         out = {}
         for e, x in self.terms.items():
-            p = tw.mul(x, c)
-            if not tw.is_zero(p):
+            p = mul(x, n)
+            if not is_zero(p):
                 out[e] = p
-        return MultiPoly(self.vars, out, tw)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultiPoly)
-            and self.vars == other.vars
-            and self.tower == other.tower
-            and dict(self.terms) == dict(other.terms)
-        )
+        return MultiPoly(self.vars, out, self.tower, self.den * d)
 
     def __hash__(self):
-        return hash((self.vars, self.tower, tuple(self.sorted_terms())))
+        return hash((self.vars, self.tower, self.den, tuple(self.sorted_terms())))
 
     # -- ring changes ------------------------------------------------------
 
@@ -545,116 +552,79 @@ class MultiPoly:
             else:
                 pos[i] = new_vars.index(v)
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self.terms.items():  # one-to-one: a dropped variable never occurs
             ne = [0] * len(new_vars)
             for i, x in enumerate(e):
                 if x:
                     ne[pos[i]] = x
-            key = tuple(ne)
-            out[key] = self.tower.add(out[key], c) if key in out else c
-        return MultiPoly(new_vars, {e: c for e, c in out.items() if not self.tower.is_zero(c)}, self.tower)
+            out[tuple(ne)] = c
+        return MultiPoly(new_vars, out, self.tower, self.den)
 
     def with_tower(self, tower: FieldTower) -> "MultiPoly":
         """Embed into a taller tower that extends the current one."""
         if tower.extensions[: self.tower.depth] != self.tower.extensions:
             raise InvalidInputError("target tower does not extend the current one")
-        extra = tower.depth - self.tower.depth
-        out = {}
-        for e, c in self.terms.items():
-            x = c
-            for lv in range(self.tower.depth + 1, tower.depth + 1):
-                x = tower._raise_to(x, lv)
-            out[e] = x
-        return MultiPoly(self.vars, out, tower)
+        level = self.tower.depth
+        out = {e: tower._embed(c, level) for e, c in self.terms.items()}
+        return MultiPoly(self.vars, out, tower, self.den)
 
     # -- JSON ----------------------------------------------------------------
 
     def to_json(self) -> dict:
+        den, elem = self.den, FieldTower.elem_to_json
         return {
             "vars": list(self.vars),
-            "terms": [
-                {"e": list(e), "c": self.tower.elem_to_json(c)}
-                for e, c in self.sorted_terms()
-            ],
+            "terms": [{"e": list(e), "c": elem(c, den)} for e, c in self.sorted_terms()],
         }
 
-    def __repr__(self):
-        if self.is_zero():
-            return "0"
-        bits = []
-        for e, c in self.sorted_terms():
-            mono = "*".join(
-                f"{v}^{k}" if k > 1 else v for v, k in zip(self.vars, e) if k
-            )
-            cs = self.tower.elem_to_json(c)
-            bits.append(f"({cs})*{mono}" if mono else f"({cs})")
-        return " + ".join(bits)
 
-
-# x-dense form of a polynomial: x-degree -> {exponent without x: coefficient}.
-# Over Q a row coefficient is an int (a numerator over one denominator the
-# caller keeps) or a Fraction; over an extension it is a tower element.
+# x-dense form of a polynomial's coordinates: x-degree -> {exponent without
+# x: coordinate}, over the polynomial's denominator, which the caller keeps.
+# A coordinate is an int, or a Fraction where a non-integral divisor or
+# definer has acted on it.
 _Rows = dict[int, dict[tuple[int, ...], Elem]]
 
 
-def _denominator(f: MultiPoly) -> Optional[int]:
-    """The lcm of f's coefficient denominators over Q (1 for zero); None
-    over an extension."""
-    if f.tower.depth:
-        return None
-    return lcm(*[c.denominator for c in f.terms.values()])
-
-
 def _row_ops(tw: FieldTower) -> tuple:
-    """(mul, add, neg, is_zero) on row coefficients: the number operators
-    over Q, which serve ints and Fractions alike, and the tower's own above."""
+    """(mul, add, neg, is_zero) on coordinates: the number operators over Q,
+    which serve ints and Fractions alike, and the tower's own above."""
     if tw.depth:
         return tw.mul, tw.add, tw.neg, tw.is_zero
     return operator.mul, operator.add, operator.neg, operator.not_
 
 
-def _split_rows(f: MultiPoly, xi: int, den: Optional[int] = None) -> _Rows:
-    """Rows of f, or with ``den`` (a multiple of every denominator of f over
-    Q) the integer rows of den * f."""
+def _split_rows(f: MultiPoly, xi: int) -> _Rows:
+    """The rows of f's coordinates, over ``f.den``."""
     rows: _Rows = {}
     for e, c in f.terms.items():
-        if den is not None:
-            c = c.numerator * (den // c.denominator)
         rows.setdefault(e[xi], {})[e[:xi] + e[xi + 1:]] = c
     return rows
 
 
-def _join_rows(rows: _Rows, xi: int, like: MultiPoly, den: Optional[int] = None) -> MultiPoly:
-    """The polynomial of ``rows`` (of rows / den with ``den``) in like's ring;
-    the only place integer rows become Fractions."""
+def _join_rows(rows: _Rows, xi: int, like: MultiPoly) -> MultiPoly:
+    """The polynomial of ``rows`` over ``like.den``, in like's ring."""
     terms = {}
     for k, row in rows.items():
         for e, c in row.items():
-            terms[e[:xi] + (k,) + e[xi:]] = c if den is None else Fraction(c, den)
-    return MultiPoly(like.vars, terms, like.tower)
+            terms[e[:xi] + (k,) + e[xi:]] = c
+    return MultiPoly(like.vars, terms, like.tower, like.den)
 
 
 def _monic_rows(g: MultiPoly, x: str) -> tuple[int, _Rows]:
-    """x-degree and negated lower rows of a divisor monic in x; integer
-    rows when g is integral over Q, so an integer dividend stays integral."""
-    den = 1 if _denominator(g) == 1 else None
-    rows = _split_rows(g, g.var_index(x), den)
+    """x-degree and negated lower rows of a divisor monic in x: integer
+    rows when g is integral, so an integer dividend stays integral, and
+    Fraction rows otherwise."""
+    rows = _split_rows(g, g.var_index(x))
     if not rows:
         raise NonMonicDivisorError("non-monic divisor: zero divisor")
     d = max(rows)
     lead = rows.pop(d)
     zero = tuple(0 for _ in g.vars[1:])
-    if not (len(lead) == 1 and g.tower.eq(lead.get(zero), g.tower.one())):
+    den = g.den
+    if not (len(lead) == 1 and lead.get(zero) == _times(g.tower.one(), den)):
         raise NonMonicDivisorError("non-monic divisor")
-    neg = _row_ops(g.tower)[2]
+    neg = _row_ops(g.tower)[2] if den == 1 else partial(_map, fn=lambda n: Fraction(-n, den))
     return d, {j: {e: neg(c) for e, c in row.items()} for j, row in rows.items()}
-
-
-def _expansion_base(Q: MultiPoly, x: str) -> tuple[int, _Rows]:
-    """``_monic_rows`` of a Q-adic expansion base, which must involve x."""
-    if Q.degree_in(x) < 1:
-        raise NonMonicDivisorError("non-monic divisor: expansion base must involve the variable")
-    return _monic_rows(Q, x)
 
 
 def _add_product(r: _Rows, c: dict, s: int, g_rows: _Rows, ops: tuple) -> None:
@@ -704,6 +674,13 @@ def _expand_rows(r: _Rows, d: int, neg_low: _Rows, ops: tuple) -> list[_Rows]:
         r = quo
 
 
+def _expansion_base(Q: MultiPoly, x: str) -> tuple[int, _Rows]:
+    """``_monic_rows`` of a Q-adic expansion base, which must involve x."""
+    if Q.degree_in(x) < 1:
+        raise NonMonicDivisorError("non-monic divisor: expansion base must involve the variable")
+    return _monic_rows(Q, x)
+
+
 def _reassembles(f: MultiPoly, Q: MultiPoly, digits: Sequence[MultiPoly], x: str) -> bool:
     """Whether sum digits[j] * Q^j is exactly f, for Q monic in x: Horner's
     rule on x-dense rows over one denominator, where multiplying by Q is a
@@ -712,63 +689,60 @@ def _reassembles(f: MultiPoly, Q: MultiPoly, digits: Sequence[MultiPoly], x: str
         return False
     xi = f.var_index(x)
     d, neg_low = _monic_rows(Q, x)
-    den = _denominator(f)
-    if den is not None:
-        den = lcm(den, *map(_denominator, digits))
     ops = _row_ops(f.tower)
-    neg = ops[2]
-    low = {j: {e: neg(c) for e, c in row.items()} for j, row in neg_low.items()}
-    one_row = {tuple(0 for _ in f.vars[1:]): f.tower.one() if den is None else 1}
+    low = {j: {e: ops[2](c) for e, c in row.items()} for j, row in neg_low.items()}
+    den = lcm(f.den, *[c.den for c in digits])
+    zero = tuple(0 for _ in f.vars[1:])
+
+    def add_over(r: _Rows, p: MultiPoly) -> _Rows:  # r + p, over den
+        _add_product(r, {zero: f.tower._embed(den // p.den)}, 0, _split_rows(p, xi), ops)
+        return r
+
     acc: _Rows = {}
     for c in reversed(digits):
         nxt = {k + d: dict(row) for k, row in acc.items()}
         for k, row in acc.items():
             _add_product(nxt, row, k, low, ops)
-        _add_product(nxt, one_row, 0, _split_rows(c, xi, den), ops)
-        acc = nxt
-    return acc == _split_rows(f, xi, den)
+        acc = add_over(nxt, c)
+    return acc == add_over({}, f)
 
 
 def euclid_divide(f: MultiPoly, g: MultiPoly, x: str) -> tuple[MultiPoly, MultiPoly]:
     """Exact division f = q*g + r with deg_x(r) < deg_x(g); g monic in x."""
     f._check(g)
     d, neg_low = _monic_rows(g, x)
-    den = _denominator(f)
     xi = f.var_index(x)
-    r = _split_rows(f, xi, den)
+    r = _split_rows(f, xi)
     q = _divide_rows(r, d, neg_low, _row_ops(f.tower))
-    return _join_rows(q, xi, f, den), _join_rows(r, xi, f, den)
+    return _join_rows(q, xi, f), _join_rows(r, xi, f)
 
 
 def q_adic_expansion(f: MultiPoly, Q: MultiPoly, x: str) -> list[MultiPoly]:
     """Digits (a_0, ..., a_s) with f = sum a_i Q^i and deg_x(a_i) < deg_x(Q)."""
     f._check(Q)
     d, neg_low = _expansion_base(Q, x)
-    den = _denominator(f)
     xi = f.var_index(x)
-    digits = _expand_rows(_split_rows(f, xi, den), d, neg_low, _row_ops(f.tower))
-    return [_join_rows(r, xi, f, den) for r in digits]
+    digits = _expand_rows(_split_rows(f, xi), d, neg_low, _row_ops(f.tower))
+    return [_join_rows(r, xi, f) for r in digits]
 
 
 def taylor_shift(f: MultiPoly, x: str, theta: Elem) -> MultiPoly:
     """``f`` with ``x`` replaced by ``theta + x``, by the binomial theorem.
 
     A term ``c * m * x^k`` contributes ``C(k, i) theta^(k-i) c`` to
-    ``m * x^i`` for i = 0..k.  With f's coordinates over one denominator
-    D, theta = T / b and K the top x-degree, the table entry for (k, i) is
-    the integral ``C(k, i) T^(k-i) b^(K-k+i)``; each output coordinate is
-    ``Fraction(n, D b^K)`` of an integer multiply-accumulate n.  Under a
-    non-integral definer the same loop runs on Fraction coordinates.  Terms
-    are visited in the order of ``f`` and their images ascending in i,
-    which is the term order ``substitute_variable`` produces for the same
-    composition."""
+    ``m * x^i`` for i = 0..k.  With theta = T / b for integer coordinates T
+    and K the top x-degree, the table entry for (k, i) is the integral
+    ``C(k, i) T^(k-i) b^(K-k+i)``, and the image is the integer
+    multiply-accumulate of f's coordinates with it, over ``f.den * b^K``.
+    Under a non-integral definer the same loop runs on Fraction
+    coordinates.  Terms are visited in the order of ``f`` and their images
+    ascending in i, which is the term order ``substitute_variable``
+    produces for the same composition."""
     tw = f.tower
     xi = f.var_index(x)
     top = max((e[xi] for e in f.terms), default=0)
-    mul, add, _, is_zero = _row_ops(tw._integral)
-    den = lcm(*map(_coord_den, f.terms.values()))
-    b = _coord_den(theta)
-    t = _coords(theta, lambda q: q.numerator * (b // q.denominator))
+    mul, add, _, is_zero = _row_ops(tw)
+    t, b = _cleared(theta, tw.depth)
     powers = [None, t]  # powers[m] = T^m
     for _ in range(1, top):
         powers.append(mul(powers[-1], t))
@@ -776,16 +750,12 @@ def taylor_shift(f: MultiPoly, x: str, theta: Elem) -> MultiPoly:
     shifts: dict[int, list] = {}
     out: dict[tuple[int, ...], Elem] = {}
     for e, c in f.terms.items():
-        c = _coords(c, lambda q: q.numerator * (den // q.denominator))
         k = e[xi]
         row = shifts.get(k)
         if row is None:
-            row = shifts[k] = [
-                _coords(powers[k - i], partial(operator.mul, comb(k, i) * b ** (top - k + i)))
-                for i in range(k)
-            ]
+            row = shifts[k] = [_times(powers[k - i], comb(k, i) * b ** (top - k + i)) for i in range(k)]
         images = [mul(c, s) for s in row]
-        images.append(c if lift == 1 else _coords(c, partial(operator.mul, lift)))
+        images.append(c if lift == 1 else _times(c, lift))
         for i, p in enumerate(images):
             if is_zero(p):
                 continue
@@ -796,8 +766,7 @@ def taylor_shift(f: MultiPoly, x: str, theta: Elem) -> MultiPoly:
                     del out[ne]
                     continue
             out[ne] = p
-    den *= lift
-    return MultiPoly(f.vars, {e: _coords(c, lambda n: Fraction(n, den)) for e, c in out.items()}, tw)
+    return MultiPoly(f.vars, out, tw, f.den * lift)
 
 
 def substitute_variable(f: MultiPoly, x: str, g: MultiPoly) -> MultiPoly:
@@ -814,6 +783,6 @@ def substitute_variable(f: MultiPoly, x: str, g: MultiPoly) -> MultiPoly:
     out = MultiPoly.zero(f.vars, f.tower)
     for e, c in f.terms.items():
         rest = e[:xi] + (0,) + e[xi + 1:]
-        t = MultiPoly.monomial(f.vars, rest, c, f.tower)
+        t = MultiPoly(f.vars, {rest: c}, f.tower, f.den)
         out = out + t * g_pow(e[xi])
     return out

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from datetime import datetime, timezone
+from math import lcm
 from typing import Callable
 
 from . import __version__
@@ -36,7 +37,7 @@ from .unifseq import (
     monomialize_key_polys,
     monomialize_polynomial,
 )
-from .values import SQRT_PRIMES, Value, ValueGroup, fraction_from_str, rational_from_str
+from .values import SQRT_PRIMES, Value, ValueGroup, rational_from_str
 
 TOOL = "valmono"
 SCHEMA = 1
@@ -128,9 +129,10 @@ def _poly(obj: dict, key: str) -> MultiPoly:
                 and isinstance(t.get("c"), str)
             ):
                 break
-            terms.append((t["e"], fraction_from_str(t["c"])))
+            terms.append((t["e"], rational_from_str(t["c"])))
         else:
-            return MultiPoly.build(p["vars"], terms, QQ)
+            den = lcm(*[q for _, (_, q) in terms])
+            return MultiPoly.build(p["vars"], [(e, n * (den // q)) for e, (n, q) in terms], QQ, den)
     raise SchemaError(
         f'{key} must be {{"vars": [names], "terms": [{{"e": [integers], "c": "p/q"}}]}}, not {p!r}'
     )
@@ -440,11 +442,30 @@ def verify_trace(trace: dict) -> None:
         a = old_steps[k] if k < len(old_steps) else None
         b = new_steps[k] if k < len(new_steps) else None
         if a != b:
-            raise TraceMismatchError(k + 1)
-    if trace.get("witnesses") != fresh["witnesses"]:
-        raise TraceMismatchError(len(old_steps) + 1, "trace mismatch at witnesses")
-    new_verdict = fresh["verdict"]
-    if old_verdict.get("ok") != new_verdict.get("ok") or old_verdict.get(
-        "code"
-    ) != new_verdict.get("code"):
-        raise TraceMismatchError(len(old_steps) + 1, "trace mismatch at verdict")
+            raise TraceMismatchError(k + 1, _first_difference(a, b, f"steps[{k}]"))
+    old, new = trace.get("witnesses"), fresh["witnesses"]
+    if old != new:
+        path = _first_difference(old, new, "witnesses")
+        raise TraceMismatchError(len(old_steps) + 1, path, "trace mismatch at witnesses")
+    for key in ("ok", "code"):
+        if old_verdict.get(key) != fresh["verdict"].get(key):
+            path = f"verdict.{key}"
+            raise TraceMismatchError(len(old_steps) + 1, path, "trace mismatch at verdict")
+
+
+def _first_difference(a, b, path: str) -> str:
+    """The JSON path, below ``path``, of the first field where the differing
+    ``a`` and ``b`` differ: a list index, a dict key, or a key one of them
+    lacks."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for k in [*a, *(k for k in b if k not in a)]:
+            if k not in a or k not in b:
+                return f"{path}.{k}"
+            if a[k] != b[k]:
+                return _first_difference(a[k], b[k], f"{path}.{k}")
+    if isinstance(a, list) and isinstance(b, list):
+        for i, (x, y) in enumerate(zip(a, b)):
+            if x != y:
+                return _first_difference(x, y, f"{path}[{i}]")
+        return f"{path}[{min(len(a), len(b))}]"
+    return path

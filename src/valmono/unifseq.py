@@ -398,7 +398,7 @@ def elementary_uniformizing_sequence(
                     "perturbation must have monomial value above the quasi-homogeneous part"
                 )
             h_terms[ne] = c
-        h_cleared = MultiPoly.build(frame0.names, h_terms)
+        h_cleared = MultiPoly.build(frame0.names, h_terms, QQ, h.den)
         q_cleared = q_cleared + h_cleared
         engine.run_aux(list(h_cleared.terms.keys()), target)
 
@@ -480,7 +480,7 @@ def _verify_factorization(
         if any(x < 0 for x in ne):
             raise AssertionError("factorization: monomial division failed")
         w_terms[ne] = c
-    w_pre = MultiPoly(img_pre.vars, w_terms, img_pre.tower)
+    w_pre = MultiPoly(img_pre.vars, w_terms, img_pre.tower, img_pre.den)
     result = {
         "kind": "algebraic",
         "monomial_exponent": [int(x) for x in div],
@@ -593,7 +593,7 @@ def monomialize_key_polys(chain: KeyPolyChain, budget: int = DEFAULT_BUDGET) -> 
         return img
 
     # maximal Q-independent subset of the ground weights, greedily by index
-    basis_cols = _linalg.pivot_columns(tuple(zip(*(w.coords for w in chain.ground.weights))))
+    basis_cols = _linalg.pivot_columns(tuple(zip(*(w.nums for w in chain.ground.weights))))
     x_col = path.frame.n - 1
     level_data = []
 
@@ -613,7 +613,7 @@ def monomialize_key_polys(chain: KeyPolyChain, budget: int = DEFAULT_BUDGET) -> 
             if compare(v, vmin) is Ordering.Less:
                 vmin = v
         initial = {
-            e: t_img.terms[e]
+            e: t_img.coeff(e)
             for e, v in term_values
             if compare(v, vmin) is Ordering.Equal
         }

@@ -337,8 +337,9 @@ def min_integer_multiple_in_lattice(
     together with the integer coefficients of m*target in that basis.
 
     The basis must be Q-linearly independent and the target must lie in its
-    Q-span; solved exactly via the rational coordinate system, in one
-    elimination that also gives the rank.
+    Q-span.  One integer elimination on the numerators gives the rank and
+    the solution y of ``sum_j nums_j y_j = target.nums``; the coefficients
+    are then ``y_j * den_j / target.den``.
     """
     if not basis:
         raise DegenerateBasisError("degenerate basis")
@@ -346,16 +347,12 @@ def min_integer_multiple_in_lattice(
     for b in basis:
         if b.group != group:
             raise GroupMismatchError("group mismatch")
-    # columns = basis coordinates, rows = group coordinates
-    a = tuple(
-        tuple(basis[j].coords[i] for j in range(len(basis)))
-        for i in range(group.rank)
-    )
-    x, rank = _linalg.solve_rational(a, target.coords)
+    # columns = basis numerators, rows = group coordinates
+    y, rank = _linalg.solve_rational(tuple(zip(*(b.nums for b in basis))), target.nums)
     if rank < len(basis):
         raise DegenerateBasisError("degenerate basis")
-    if x is None:
+    if y is None:
         raise NotInDivisibleHullError("not in divisible hull")
-    m = lcm(*(q.denominator for q in x)) if x else 1
-    coeffs = tuple(int(q * m) for q in x)
-    return m, coeffs
+    x = [Fraction(q.numerator * b.den, q.denominator * target.den) for q, b in zip(y, basis)]
+    m = lcm(*(q.denominator for q in x))
+    return m, tuple(q.numerator * (m // q.denominator) for q in x)

@@ -145,6 +145,42 @@ def old_det(a: Sequence[Sequence[int]]) -> Fraction:
     return sign * d
 
 
+def old_reduce(m: list[list[Fraction]], cols: int) -> list[int]:
+    """The Gauss-Jordan elimination over Fraction that ``_linalg._reduce``
+    replaced, unchanged: each pivot row is scaled to 1 and its column
+    cleared in every other row, and the k-th pivot lands in row k.
+    Returns the pivot columns."""
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return pivots
+
+
+def old_solve(a, b) -> tuple[Optional[tuple[Fraction, ...]], int]:
+    """``solve_rational`` as it was: ``old_reduce`` on Fraction rows."""
+    cols = len(a[0]) if a else 0
+    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
+    pivots = old_reduce(m, cols)
+    rank = len(pivots)
+    if any(row[cols] != 0 for row in m[rank:]):
+        return None, rank
+    x = [Fraction(0)] * cols
+    for r, c in enumerate(pivots):
+        x[c] = m[r][cols]
+    return tuple(x), rank
+
+
 def old_inverse_int(a: Sequence[Sequence[int]]) -> Optional[Matrix]:
     """Inverse of an integer matrix when the inverse is again integral
     (the unimodular case); None if singular or non-integral."""
@@ -205,7 +241,7 @@ def push_by_matrices(f: MultiPoly, steps) -> MultiPoly:
     every exponent, one step after another (no residue motion)."""
     for s in steps:
         N = trace_matrix(s)
-        f = MultiPoly.build(f.vars, {old_mat_vec(N, e): c for e, c in f.terms.items()}, f.tower)
+        f = MultiPoly.build(f.vars, {old_mat_vec(N, e): f.coeff(e) for e in f.terms}, f.tower)
     return f
 
 

@@ -13,10 +13,13 @@ from conftest import (
     old_inverse_int,
     old_mat_mul,
     old_mat_vec,
+    poly,
     push_by_matrices,
     random_poly,
+    rational_spec,
     trace_matrix,
 )
+from valmono import framing
 from valmono.errors import InvalidInputError
 from valmono.framing import (
     Frame,
@@ -31,7 +34,9 @@ from valmono.framing import (
     push_polynomial_through_step,
     pushforward_weights,
 )
-from valmono.polyalg import MultiPoly, QQ
+from valmono.keypoly import KeyPolyChain
+from valmono.polyalg import MultiPoly, QQ, euclid_divide, q_adic_expansion, taylor_shift
+from valmono.unifseq import monomialize_key_polys
 from valmono.values import ValueGroup
 
 G1 = ValueGroup(1)
@@ -64,7 +69,7 @@ def test_make_monomial_blowup_paper_matrices():
         a, b = Fraction(rng.randint(1, 5)), Fraction(rng.randint(1, 5))
 
         def ev(p, u, x):
-            return sum(c * u**e[0] * x**e[1] for e, c in p.terms.items())
+            return sum(p.coeff(e) * u**e[0] * x**e[1] for e in p.terms)
 
         assert ev(f, a, a * b) == ev(g, a, b)
 
@@ -415,3 +420,43 @@ def test_push_by_center_matches_trace_matrices_on_every_split():
                 for b in range(a, c + 1):
                     assert direct == path.push(path.push(f, a, b), b, c)
     assert min(seen.values()) >= 25, seen
+
+
+def test_the_push_path_makes_no_fraction(monkeypatch):
+    """Between steps an image stays integer coordinates over one
+    denominator: pushing it through translations into a tower, and the
+    division, expansion and shift kernels, make no Fraction.  Each residue
+    theta is tower algebra on one element and is computed once, before
+    the count starts."""
+    uv = ("u", "x")
+    q2 = poly(uv, {(0, 2): 1, (2, 0): -2})  # x^2 - 2u^2: the residue of sqrt 2
+    chain = KeyPolyChain(
+        rational_spec([1], names=("u",)), "x",
+        ((MultiPoly.variable(uv, "x"), G1.rational(1)), (q2, G1.rational(Fraction(5, 2)))),
+    )
+    path = monomialize_key_polys(chain).path
+    assert path.frame.tower.depth == 1
+    translation_root, roots = framing.translation_root, {}
+
+    def root(item, tower):
+        key = (id(item), id(tower))
+        if key not in roots:
+            roots[key] = translation_root(item, tower)
+        return roots[key]
+
+    monkeypatch.setattr(framing, "translation_root", root)
+    f = poly(uv, {(0, 5): Fraction(1, 2), (3, 1): Fraction(-2, 3), (1, 0): 7})
+    want = path.push(f)
+    theta = Fraction(3, 4)
+    made = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k: made.append(a) or new(cls, *a, **k))
+    img = path.push(f)
+    q, r = euclid_divide(f, q2, "x")
+    digits = q_adic_expansion(f, q2, "x")
+    shifted = taylor_shift(f, "x", theta)
+    monkeypatch.undo()
+    assert made == []
+    assert img == want and img.den == 6 and img.tower == path.frame.tower
+    assert q * q2 + r == f and len(digits) == 3
+    assert shifted.den == 3 * 2**11  # lcm of 6 and 4^5

@@ -136,12 +136,15 @@ def _float_uses(tree: ast.Module) -> list[str]:
             and any(isinstance(a, ast.BinOp) and isinstance(a.op, ast.Div) for a in node.args)
         ):
             found.append(f"{where}: math.{math_name(node.func)} of a true division")
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            # a float as soon as both operands are ints
+            found.append(f"{where}: true division")
     return found
 
 
 def test_no_floats_in_the_package():
-    """Arithmetic is exact: no float literal, float() call or float-valued
-    math function anywhere in the package."""
+    """Arithmetic is exact: no float literal, float() call, float-valued
+    math function or true division anywhere in the package."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         found += [f"{path.name} {use}" for use in _float_uses(_parse(path))]
@@ -152,11 +155,12 @@ def test_float_scan_sees_each_kind():
     src = (
         "import math\nfrom math import sqrt as root, floor, isqrt\n"
         "a = 0.5\nb = float(3)\nc = root(2)\nd = math.log(3)\ne = floor(1 / 3)\n"
-        "f = floor(7 // 2) + isqrt(9) + math.comb(4, 2)\n"
+        "f = floor(7 // 2) + isqrt(9) + math.comb(4, 2)\ng = 1 / f\nf /= 2\n"
     )
     found = _float_uses(ast.parse(src))
     assert sorted(u.split(": ")[1] for u in found) == [
         "float literal 0.5", "float(...)", "math.floor of a true division", "math.log", "math.sqrt",
+        "true division", "true division", "true division",
     ]
 
 

@@ -343,8 +343,8 @@ def _rational_chain(rng):
     entries = [chain.entries[0]]
     for q, beta in chain.entries[1:]:
         d = q.degree_in("x")
-        lead = {e: c for e, c in q.terms.items() if e[1] == d}
-        rest = {e: c * scale for e, c in q.terms.items() if e[1] < d}
+        lead = {e: q.coeff(e) for e in q.terms if e[1] == d}
+        rest = {e: q.coeff(e) * scale for e in q.terms if e[1] < d}
         entries.append((MultiPoly(q.vars, lead | rest, q.tower), beta))
     return KeyPolyChain(chain.ground, chain.x, tuple(entries))
 
@@ -354,7 +354,7 @@ def test_row_truncation_matches_multipoly_truncation():
     integral = rational = 0
     for k in range(150):
         chain = _rational_chain(rng) if k % 3 == 0 else binomial_chain(rng)
-        if all(c.denominator == 1 for q, _ in chain.entries for c in q.terms.values()):
+        if all(q.coeff(e).denominator == 1 for q, _ in chain.entries for e in q.terms):
             integral += 1
         else:
             rational += 1

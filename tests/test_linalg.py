@@ -1,13 +1,16 @@
-"""The one Gauss-Jordan elimination in ``_linalg`` against the separate
-solver and rank eliminations it replaced, pasted below verbatim, on seeded
-square, rectangular, inconsistent and rank-deficient inputs.  The previous
-determinant, integral inverse and integer products live on in
-``conftest`` as the oracles of the unimodularity tests."""
+"""The one elimination in ``_linalg`` against the separate solver and rank
+eliminations it replaced, pasted below verbatim, and its fraction-free
+form against the Gauss-Jordan elimination over Fraction before it
+(``conftest.old_reduce``), on seeded square, rectangular, inconsistent and
+rank-deficient inputs.  The previous determinant, integral inverse and
+integer products live on in ``conftest`` as the oracles of the
+unimodularity tests."""
 
 import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from conftest import old_reduce, old_solve
 from valmono import _linalg
 
 # -- the previous routines, unchanged ------------------------------------
@@ -94,3 +97,36 @@ def test_solve_and_rank_match_previous_routines():
     assert min(seen.values()) > 10
     assert len(_linalg.pivot_columns(())) == old_rank_rational(()) == 0
     assert _linalg.solve_rational((), ()) == (old_solve_rational((), ()), 0) == ((), 0)
+
+
+def test_fraction_free_elimination_matches_gauss_jordan():
+    rng = random.Random(73)
+    seen = {"inconsistent": 0, "solved": 0, "rectangular": 0, "singular": 0}
+    for k in range(400):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        hi = (1, 3, 50, 10**6)[k % 4]
+        a = [list(r) for r in _matrix(rng, rows, cols, -hi, hi)]
+        if rng.random() < 0.4 and min(rows, cols) >= 2:  # singular: the last row or
+            # column (whichever there are fewer of) a combination of the others
+            t = rng.randint(-2, 2)
+            j = rng.randrange(min(rows, cols) - 1)
+            if rows <= cols:
+                a[-1] = [t * x + y for x, y in zip(a[0], a[j])]
+            else:
+                for r in a:
+                    r[cols - 1] = t * r[0] + r[j]
+        b = [rng.randint(-hi, hi) for _ in range(rows)]
+        if k % 5 == 0:  # Fraction entries are scaled to integer rows first
+            a = [[Fraction(x, rng.randint(1, 4)) for x in r] for r in a]
+        m = [list(r) + [y] for r, y in zip(_linalg._integer_rows(a), b)]
+        pivots = _linalg._reduce(m, cols)
+        # every entry stays an integer, and the rank and pivots agree
+        assert all(type(x) is int for r in m for x in r)
+        assert pivots == old_reduce([[Fraction(x) for x in r] for r in a], cols)
+        assert _linalg.pivot_columns(a) == pivots
+        want = old_solve(a, b)
+        assert _linalg.solve_rational(a, b) == want
+        seen["rectangular"] += rows != cols
+        seen["singular"] += want[1] < min(rows, cols)
+        seen["inconsistent" if want[0] is None else "solved"] += 1
+    assert min(seen.values()) > 20

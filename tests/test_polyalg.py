@@ -1,13 +1,17 @@
 """Polynomial arithmetic, Euclidean machinery, substitutions, towers."""
 
+import json
 import random
+from decimal import Decimal
 from fractions import Fraction
+from math import comb, gcd
 
 import pytest
 
 from conftest import poly, random_poly
-from valmono.errors import NonMonicDivisorError, ReducibleDefinerError
+from valmono.errors import InvalidInputError, NonMonicDivisorError, ReducibleDefinerError, SchemaError
 from valmono.polyalg import (
+    FieldTower,
     MultiPoly,
     QQ,
     _reassembles,
@@ -17,6 +21,7 @@ from valmono.polyalg import (
     taylor_shift,
 )
 from valmono.trace import _poly
+from valmono.values import fraction_to_str
 
 UV = ("u", "x")
 
@@ -60,7 +65,7 @@ def test_euclid_divide_reconstruction_randomized():
         # force g monic in x of degree d: strip terms of x-degree >= d, re-add x^d
         g = MultiPoly.build(
             UV,
-            {e: c for e, c in g.terms.items() if e[1] < d} | {(0, d): QQ.from_rational(1)},
+            {e: g.coeff(e) for e in g.terms if e[1] < d} | {(0, d): QQ.from_rational(1)},
         )
         q, r = euclid_divide(f, g, "x")
         assert q * g + r == f
@@ -212,7 +217,7 @@ def _random_monic(rng, vars_, tower, d):
     xi = vars_.index("x")
     lead = tuple(d if i == xi else 0 for i in range(len(vars_)))
     low = _random_tower_poly(rng, vars_, tower, d - 1, 4)
-    return MultiPoly(vars_, dict(low.terms) | {lead: tower.one()}, tower)
+    return MultiPoly(vars_, {e: low.coeff(e) for e in low.terms} | {lead: tower.one()}, tower)
 
 
 def _division_cases():
@@ -298,7 +303,7 @@ def test_q_adic_digits_match_sympy():
     def to_sympy(p):
         expr = sum(
             sympy.Rational(c.numerator, c.denominator) * u ** e[0] * x ** e[1]
-            for e, c in p.terms.items()
+            for e, c in zip(p.terms, map(p.coeff, p.terms))
         )
         return sympy.Poly(expr, x, domain="QQ[u]")
 
@@ -401,3 +406,226 @@ def test_taylor_shift_matches_substitution():
         # traces depend on term order: the shift keeps substitution's order
         assert list(got.terms) == list(want.terms)
         assert got.to_json() == want.to_json()  # Fraction coordinates throughout
+
+
+# -- exact inputs for the constructors ----------------------------------------
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, float("nan"), True, False, None, 1j, Decimal("0.5")])
+def test_inexact_coefficients_are_rejected(bad):
+    with pytest.raises(InvalidInputError):
+        MultiPoly.constant(["x"], bad)
+    with pytest.raises(InvalidInputError):
+        MultiPoly.monomial(UV, (1, 2), bad)
+    with pytest.raises(InvalidInputError):
+        poly(UV, {(0, 1): 1}).scale(bad)
+    with pytest.raises(InvalidInputError):
+        QQ.from_rational(bad)
+    with pytest.raises(InvalidInputError):
+        SQRT2.from_rational(bad)
+    with pytest.raises(InvalidInputError):  # a coordinate of a tower element
+        MultiPoly.constant(UV, (Fraction(1), bad), SQRT2)
+
+
+@pytest.mark.parametrize("literal", ["1e3", " 7 ", "0.5", "1/0", "+1", "1/-2", ""])
+def test_coefficient_strings_follow_the_literal_grammar(literal):
+    with pytest.raises(SchemaError, match="bad rational"):
+        MultiPoly.constant(["x"], literal)
+    with pytest.raises(SchemaError, match="bad rational"):
+        MultiPoly.monomial(UV, (0, 1), literal)
+    with pytest.raises(SchemaError, match="bad rational"):
+        poly(UV, {(0, 1): 1}).scale(literal)
+    with pytest.raises(SchemaError, match="bad rational"):
+        QQ.from_rational(literal)
+
+
+def test_exact_coefficients_are_accepted():
+    third = MultiPoly.constant(["x"], "2/6")
+    assert third == MultiPoly.constant(["x"], Fraction(1, 3))
+    assert (third.terms, third.den) == ({(0,): 1}, 3)
+    assert third.coeff((0,)) == Fraction(1, 3) and third.coeff((1,)) == 0
+    assert MultiPoly.monomial(UV, (2, 1), "-10/4") == poly(UV, {(2, 1): Fraction(-5, 2)})
+    assert poly(UV, {(0, 1): 2}).scale("1/4") == poly(UV, {(0, 1): Fraction(1, 2)})
+    assert poly(UV, {(0, 1): 2}).scale(0).is_zero()
+    assert QQ.from_rational("-10/2") == -5
+    assert SQRT2.from_rational(Fraction(1, 2)) == (Fraction(1, 2), 0)
+    half_t = MultiPoly.constant(UV, ("0", "1/2"), SQRT2)
+    assert half_t.coeff((0, 0)) == (0, Fraction(1, 2)) and half_t.den == 2
+
+
+# -- the integer representation against a Fraction oracle --------------------
+#
+# The oracle holds a polynomial as it was held before integer coordinates:
+# a dict of exponents to rational tower elements, with tower algebra on
+# Fractions.
+
+PROPERTY_TOWERS = [QQ, SQRT2, FOURTH2, HALF, HALF_FOURTH2, RED]
+WIDER = {QQ: SQRT2, SQRT2: FOURTH2, HALF: HALF}
+
+
+def _o_add(tw, a, b):
+    out = dict(a)
+    for e, c in b.items():
+        s = tw.add(out[e], c) if e in out else c
+        if tw.is_zero(s):
+            out.pop(e, None)
+        else:
+            out[e] = s
+    return out
+
+
+def _o_neg(tw, a):
+    return {e: tw.neg(c) for e, c in a.items()}
+
+
+def _o_mul(tw, a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out = _o_add(tw, out, {tuple(x + y for x, y in zip(e1, e2)): tw.mul(c1, c2)})
+    return out
+
+
+def _o_one(tw, n):
+    return {(0,) * n: tw.one()}
+
+
+def _o_divmod(tw, f, g, xi):
+    d = max(e[xi] for e in g)
+    q, r = {}, dict(f)
+    while r and max(e[xi] for e in r) >= d:
+        k = max(e[xi] for e in r)
+        lead = {e[:xi] + (k - d,) + e[xi + 1:]: c for e, c in r.items() if e[xi] == k}
+        q = _o_add(tw, q, lead)
+        r = _o_add(tw, r, _o_neg(tw, _o_mul(tw, lead, g)))
+    return q, r
+
+
+def _o_shift(tw, f, xi, theta):
+    out = {}
+    for e, c in f.items():
+        power = tw.one()
+        for i in range(e[xi], -1, -1):  # power = theta^(k - i)
+            term = tw.mul(c, tw.mul(tw.from_rational(comb(e[xi], i)), power))
+            out = _o_add(tw, out, {e[:xi] + (i,) + e[xi + 1:]: term})
+            power = tw.mul(power, theta)
+    return out
+
+
+def _o_json(vars_, terms):
+    def elem(c):
+        return [elem(x) for x in c] if isinstance(c, tuple) else fraction_to_str(Fraction(c))
+
+    order = sorted(terms, key=lambda e: (sum(e), e))
+    return json.dumps({"vars": list(vars_), "terms": [{"e": list(e), "c": elem(terms[e])} for e in order]})
+
+
+def _coordinates(c):
+    return [n for x in c for n in _coordinates(x)] if isinstance(c, tuple) else [c]
+
+
+def _same(p, terms):
+    """p holds exactly the oracle's terms, in lowest terms, and writes the
+    oracle's JSON bytes."""
+    assert {e: p.coeff(e) for e in p.terms} == terms
+    coords = [n for c in p.terms.values() for n in _coordinates(c)]
+    assert p.den > 0 and all(type(n) is int for n in coords)
+    assert gcd(p.den, *coords) == 1
+    assert not any(p.tower.is_zero(c) for c in p.terms.values())
+    assert json.dumps(p.to_json()) == _o_json(p.vars, terms)
+
+
+def _random_terms(rng, vars_, tower, x_degree, max_terms):
+    xi = vars_.index("x")
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        e = [rng.randint(0, 2) for _ in vars_]
+        e[xi] = rng.randint(0, x_degree)
+        terms[tuple(e)] = _random_elem(rng, tower)
+    return terms
+
+
+def _embedded(c, tower, level):
+    """c, an element at ``level``, embedded in ``tower`` by hand."""
+    for lv in range(level + 1, tower.depth + 1):
+        below = FieldTower(tower.extensions[: lv - 1])
+        c = (c,) + (below.zero(),) * (tower.degree_at(lv) - 1)
+    return c
+
+
+def test_integer_representation_matches_fraction_oracle():
+    rng = random.Random(83)
+    for k in range(20 * len(PROPERTY_TOWERS)):
+        tw = PROPERTY_TOWERS[k % len(PROPERTY_TOWERS)]
+        vars_ = UV if k % 2 else ("u", "x", "v")
+        n, xi = len(vars_), vars_.index("x")
+        ft, gt = (_random_terms(rng, vars_, tw, rng.randint(0, 4), 4) for _ in range(2))
+        f, g = MultiPoly.build(vars_, ft, tw), MultiPoly.build(vars_, gt, tw)
+        _same(f, ft)
+        _same(f + g, _o_add(tw, ft, gt))
+        _same(f - g, _o_add(tw, ft, _o_neg(tw, gt)))
+        _same(f * g, _o_mul(tw, ft, gt))
+        power = _o_one(tw, n)
+        for m in range(4):
+            _same(f**m, power)
+            power = _o_mul(tw, power, ft)
+        c = _random_elem(rng, tw)
+        _same(f.scale(c), _o_mul(tw, ft, {(0,) * n: c}))
+        _same(f.scale(Fraction(-3, 4)), _o_mul(tw, ft, {(0,) * n: tw.from_rational(Fraction(-3, 4))}))
+        wider = vars_[::-1] + ("w",)
+        _same(f.with_vars(wider), {tuple(e[vars_.index(v)] if v in vars_ else 0 for v in wider): c for e, c in ft.items()})
+        top = WIDER.get(tw, tw)
+        _same(f.with_tower(top), {e: _embedded(c, top, tw.depth) for e, c in ft.items()})
+        # a divisor monic in x, and the kernels on it
+        d = 1 + k % 3
+        mt = _random_terms(rng, vars_, tw, d - 1, 3)
+        mt[tuple(d if i == xi else 0 for i in range(n))] = tw.one()
+        monic = MultiPoly.build(vars_, mt, tw)
+        q, r = euclid_divide(f, monic, "x")
+        oq, orr = _o_divmod(tw, ft, mt, xi)
+        _same(q, oq)
+        _same(r, orr)
+        digits = q_adic_expansion(f, monic, "x")
+        want, rest = [], ft
+        while True:
+            rest, digit = _o_divmod(tw, rest, mt, xi)
+            want.append(digit)
+            if not rest:
+                break
+        assert len(digits) == len(want)
+        for got, digit in zip(digits, want):
+            _same(got, digit)
+        assert _reassembles(f, monic, digits, "x")
+        j = rng.randrange(len(digits))
+        bumped = digits[:j] + [digits[j] + MultiPoly.constant(vars_, Fraction(1, 3), tw)] + digits[j + 1:]
+        assert not _reassembles(f, monic, bumped, "x")
+        theta = _random_elem(rng, tw)
+        _same(taylor_shift(f, "x", theta), _o_shift(tw, ft, xi, theta))
+
+
+def _times_by(c, k):
+    return tuple(_times_by(x, k) for x in c) if isinstance(c, tuple) else c * k
+
+
+def test_polynomials_built_along_different_paths_are_equal():
+    rng = random.Random(89)
+    for k in range(60):
+        tw = PROPERTY_TOWERS[k % len(PROPERTY_TOWERS)]
+        ft, gt = (_random_terms(rng, UV, tw, 3, 4) for _ in range(2))
+        f, g = MultiPoly.build(UV, ft, tw), MultiPoly.build(UV, gt, tw)
+        one = MultiPoly.constant(UV, 1, tw)
+        x = MultiPoly.variable(UV, "x", tw)
+        others = [
+            (f + g) - g,
+            f * one,
+            f.scale(6).scale(Fraction(1, 6)),
+            MultiPoly(UV, {e: _times_by(c, 6) for e, c in f.terms.items()}, tw, 6 * f.den),
+            MultiPoly(UV, {e: f.coeff(e) for e in f.terms}, tw),
+            taylor_shift(taylor_shift(f, "x", tw.one()), "x", tw.neg(tw.one())),
+            substitute_variable(f, "x", x),
+        ]
+        if not tw.depth:
+            others.append(_poly({"f": f.to_json()}, "f"))
+        for other in others:
+            assert other == f and hash(other) == hash(f)
+            assert (other.terms, other.den) == (f.terms, f.den)

@@ -90,6 +90,59 @@ def test_verify_detects_tampered_witness():
         verify_trace(bad)
 
 
+def _mismatch(bad: dict) -> TraceMismatchError:
+    with pytest.raises(TraceMismatchError) as err:
+        verify_trace(bad)
+    return err.value
+
+
+def test_verify_names_a_differing_list_element():
+    trace = run_problem(pair_problem())
+    bad = copy.deepcopy(trace)
+    bad["steps"][1]["J"][1] = 1
+    err = _mismatch(bad)
+    assert (err.step, err.path) == (2, "steps[1].J[1]")
+    assert str(err) == "trace mismatch at step 2, first difference at steps[1].J[1]"
+    bad = copy.deepcopy(trace)
+    bad["witnesses"]["sequence"]["steps"][0]["N"][1][0] = 5
+    err = _mismatch(bad)
+    assert err.path == "witnesses.sequence.steps[0].N[1][0]"
+    assert str(err).startswith("trace mismatch at witnesses, ")
+    bad = copy.deepcopy(trace)
+    bad["steps"].append(copy.deepcopy(bad["steps"][-1]))  # a step too many
+    assert _mismatch(bad).path == f"steps[{len(trace['steps'])}]"
+    bad = copy.deepcopy(trace)
+    bad["steps"][0]["J"].append(3)  # an element too many
+    assert _mismatch(bad).path == "steps[0].J[2]"
+
+
+def test_verify_names_a_differing_dict_key():
+    trace = run_problem(pair_problem())
+    bad = copy.deepcopy(trace)
+    bad["witnesses"]["sequence"]["steps"][1]["kind"] = "translation"
+    assert _mismatch(bad).path == "witnesses.sequence.steps[1].kind"
+    bad = copy.deepcopy(trace)
+    bad["witnesses"]["divides"] = False
+    assert _mismatch(bad).path == "witnesses.divides"
+    bad = copy.deepcopy(trace)
+    bad["verdict"] = {"ok": False, "code": "invalid input"}
+    err = _mismatch(bad)
+    assert err.path == "verdict.ok" and str(err).startswith("trace mismatch at verdict, ")
+
+
+def test_verify_names_a_missing_key():
+    trace = run_problem(pair_problem())
+    bad = copy.deepcopy(trace)
+    del bad["steps"][0]["tau"]
+    assert _mismatch(bad).path == "steps[0].tau"
+    bad = copy.deepcopy(trace)
+    del bad["witnesses"]["sequence"]["independent_of"]
+    assert _mismatch(bad).path == "witnesses.sequence.independent_of"
+    bad = copy.deepcopy(trace)
+    bad["witnesses"]["final_frame"]["extra"] = 1  # a key the replay lacks
+    assert _mismatch(bad).path == "witnesses.final_frame.extra"
+
+
 def test_verify_ignores_header_fields():
     trace = run_problem(pair_problem())
     other = copy.deepcopy(trace)

@@ -7,7 +7,7 @@ from math import gcd, isqrt
 
 import pytest
 
-from conftest import numeric_value
+from conftest import numeric_value, old_solve
 from valmono import values
 from valmono.errors import (
     DegenerateBasisError,
@@ -164,6 +164,26 @@ def test_lattice_minimality_randomized():
         for k in range(1, m):
             assert any((c * k).denominator != 1 for c in target.coords)
         assert tuple(Fraction(c, m) for c in coeffs) == target.coords
+
+
+def test_lattice_with_rational_bases_matches_a_fraction_solve():
+    # bases whose coordinates have denominators: the integer elimination on
+    # numerators against the Fraction Gauss-Jordan oracle on coordinates
+    rng = random.Random(37)
+    for rank in (1, 2, 3) * 20:
+        g = ValueGroup(rank)
+        while True:
+            basis = [
+                g.value([Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(rank)])
+                for _ in range(rng.randint(1, rank))
+            ]
+            if old_solve(tuple(zip(*(b.coords for b in basis))), (0,) * rank)[1] == len(basis):
+                break
+        weights = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in basis]
+        target = g.value([sum(w * b.coords[i] for w, b in zip(weights, basis)) for i in range(rank)])
+        x, _ = old_solve(tuple(zip(*(b.coords for b in basis))), target.coords)
+        want = next(m for m in range(1, 10**4) if all((q * m).denominator == 1 for q in x))
+        assert min_integer_multiple_in_lattice(target, basis) == (want, tuple(int(q * want) for q in x))
 
 
 def test_lattice_errors():
