@@ -238,7 +238,12 @@ def make_translation_step(
 ) -> FramedStep:
     """Pure residue-motion step: the one-column center ``target``, whose
     unit variable is replaced by ``u' - theta`` (algebraic, ``minpoly`` in
-    the current tower) or tagged (transcendental)."""
+    the current tower) or tagged (transcendental).  An algebraic item needs
+    ``new_name``, and a ``symbol`` for theta when its degree is at least 2."""
+    if minpoly is not None and (new_name is None or (len(minpoly) > 2 and symbol is None)):
+        raise InvalidInputError(
+            "an algebraic translation needs a new name, and a symbol from degree 2 on"
+        )
     item = TranslationItem(
         target=target, minpoly=minpoly, symbol=symbol,
         new_name=new_name, new_weight=new_weight,
@@ -260,8 +265,8 @@ def apply_step_to_frame(frame: Frame, step: FramedStep) -> Frame:
         else:
             # the root -c0 of a degree-1 residue is already in the tower
             if len(item.minpoly) > 2:
-                tower = tower.extend(item.symbol or f"t{tower.depth + 1}", item.minpoly)
-            names[t] = item.new_name or names[t] + "'"
+                tower = tower.extend(item.symbol, item.minpoly)
+            names[t] = item.new_name
             units.discard(t)
             weights[t] = item.new_weight
     return Frame(tuple(names), tuple(weights), frozenset(units), tower)
@@ -271,7 +276,7 @@ def translation_root(item: TranslationItem, tower: FieldTower):
     """The residue theta of an algebraic item, in the tower after its step."""
     if len(item.minpoly) == 2:
         return tower.neg(item.minpoly[0])
-    return tower.generator(item.symbol or f"t{tower.depth}")
+    return tower.generator(item.symbol)
 
 
 def _push_exponents(f: MultiPoly, steps: Sequence[FramedStep]) -> MultiPoly:
@@ -313,7 +318,7 @@ def push_polynomial_through_step(
 class PushPath:
     """One framed sequence, from ``frame0`` through its steps, as the path
     along which polynomials are pushed.  The descent loops of ``game`` and
-    the engines of ``unifseq`` append their steps here; a run's result
+    the phases of ``unifseq`` append their steps here; a run's result
     holds its path, the one copy of its sequence.
 
     The frame after each step is computed once, when the step is appended.

@@ -42,16 +42,6 @@ from .values import SQRT_PRIMES, Value, ValueGroup, rational_from_str
 TOOL = "valmono"
 SCHEMA = 1
 
-ALGORITHMS = (
-    "pair",
-    "principalize",
-    "nondegenerate",
-    "keypoly-expand",
-    "keypoly-monomialize",
-    "uniformize",
-    "polynomial",
-)
-
 
 def canonical_digest(obj) -> str:
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
@@ -371,6 +361,7 @@ _RUNNERS: dict[str, Callable] = {
     "uniformize": _run_uniformize,
     "polynomial": _run_polynomial,
 }
+ALGORITHMS = tuple(_RUNNERS)
 
 
 def run_problem(inp: dict, budget: int = DEFAULT_BUDGET, command: str = "run") -> dict:

@@ -43,7 +43,6 @@ from .framing import (
     Frame,
     PushPath,
     make_translation_step,
-    push_polynomial_through_step,
     translation_root,
 )
 from .game import (
@@ -57,7 +56,7 @@ from .game import (
     split_monomial,
 )
 from .keypoly import KeyPolyChain, truncate, validate_chain
-from .polyalg import FieldTower, MultiPoly, QQ, taylor_shift
+from .polyalg import MultiPoly, QQ, taylor_shift
 from .values import (
     Ordering,
     Value,
@@ -131,7 +130,7 @@ class UniformizingResult:
     abar: int
     alpha_coeffs: tuple[int, ...]
     d: int
-    z_column: Optional[int]
+    z_column: int
     z_sign: int
     new_var: Optional[str]
     residue: ResidueDescriptor
@@ -141,189 +140,150 @@ class UniformizingResult:
     aux_steps: int = 0
 
 
-class _ElementaryEngine:
-    """One elementary uniformizing sequence, appended to a push path from
-    the path's current frame.
+# -- the phases of one elementary sequence, as functions on its path ------
+#
+# ``w_cols`` are the columns of the Q-independent basis and ``x_col`` the
+# distinguished column; every other column rides along untouched unless a
+# perturbation forces auxiliary work.  An exponent written in an earlier
+# chart is advanced from there (``path.advance(e, start)``) when it is used.
 
-    ``w_cols`` are the columns of the Q-independent basis and ``x_col`` the
-    distinguished column; every other column rides along untouched unless a
-    perturbation forces auxiliary work."""
 
-    def __init__(
-        self,
-        path: PushPath,
-        w_cols: Sequence[int],
-        x_col: int,
-        budget: _Budget,
-        records: list,
-    ):
-        self.path = path
-        self.w_cols = tuple(w_cols)
-        self.x_col = x_col
-        self.budget = budget
-        self.records = records
-        self.tracked: dict[str, tuple[int, ...]] = {}
-        self.abar: int = 0
-        self.alpha: tuple[int, ...] = ()
-        self.z_column: Optional[int] = None
-        self.z_sign: int = 0
-        self.new_var: Optional[str] = None
-        self.minpoly: tuple = ()
-        self.aux_steps: int = 0
+def _lattice(frame: Frame, w_cols: Sequence[int], x_col: int) -> tuple[int, tuple[int, ...]]:
+    """(abar, alpha) with abar the least positive integer such that
+    abar * beta_x = sum alpha_i beta_(w_i)."""
+    basis = [frame.weight(c) for c in w_cols]
+    target = frame.weight(x_col)
+    # one elimination: a dependent basis is reported first, then a non-positive target
+    try:
+        lattice = min_integer_multiple_in_lattice(target, basis)
+    except DegenerateBasisError:
+        raise InvalidInputError("ground weights are not Q-linearly independent") from None
+    except NotInDivisibleHullError:
+        if target.is_positive():
+            raise
+    if not target.is_positive():
+        raise PositiveWeightError("weights must be positive")
+    return lattice
 
-    @property
-    def frame(self) -> Frame:
-        return self.path.frame
 
-    # -- bookkeeping ---------------------------------------------------
-
-    def _descend(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
-        """Run the pair game on two exponents, appending its steps to the
-        path, and advance every tracked exponent through them; returns the
-        path length before the run."""
-        mark = len(self.path)
-        run_pair_descent(a, b, self.path, self.budget, self.records)
-        for k, e in self.tracked.items():
-            self.tracked[k] = self.path.advance(e, mark)
-        return mark
-
-    def _embed(self, coeffs_on_w: Sequence[int], x_power: int = 0) -> tuple[int, ...]:
-        e = [0] * self.frame.n
-        for c, col in zip(coeffs_on_w, self.w_cols):
-            e[col] = c
-        e[self.x_col] += x_power
-        return tuple(e)
-
-    # -- phases ----------------------------------------------------------
-
-    def lattice_data(self) -> None:
-        basis = [self.frame.weight(c) for c in self.w_cols]
-        target = self.frame.weight(self.x_col)
-        # one elimination: a dependent basis is reported first, then a non-positive target
-        try:
-            self.abar, self.alpha = min_integer_multiple_in_lattice(target, basis)
-        except DegenerateBasisError:
-            raise InvalidInputError("ground weights are not Q-linearly independent") from None
-        except NotInDivisibleHullError:
-            if target.is_positive():
-                raise
-        if not target.is_positive():
-            raise PositiveWeightError("weights must be positive")
-        pos = [max(c, 0) for c in self.alpha]
-        neg = [max(-c, 0) for c in self.alpha]
-        self.tracked["__delta"] = self._embed(neg, self.abar)
-        self.tracked["__gamma"] = self._embed(pos, 0)
-
-    def run_aux(self, h_exponents: Sequence[tuple[int, ...]], target: tuple[int, ...]) -> None:
-        """Blow up until the target monomial reduced-divides every listed
-        exponent.  Every listed value must strictly exceed the target's, so
-        the game always lands the divisibility on the target side."""
-        self.tracked["__target"] = tuple(target)
-        keys = []
-        for i, e in enumerate(h_exponents):
-            k = f"__aux{i}"
-            self.tracked[k] = tuple(e)
-            keys.append(k)
-        for k in keys:
-            t, e = self.tracked["__target"], self.tracked[k]
-            at, _ = reduced_parts(t, e, self.frame.units)
-            if sum(at) == 0:
-                continue
-            mark = self._descend(t, e)
-            self.aux_steps += len(self.path) - mark
-            t, e = self.tracked["__target"], self.tracked[k]
-            at, _ = reduced_parts(t, e, self.frame.units)
-            if sum(at) != 0:
-                raise AssertionError("auxiliary phase failed to land divisibility on y^d")
-        for k in keys:
-            del self.tracked[k]
-        del self.tracked["__target"]
-
-    def run_main_game(self) -> None:
-        mark = self._descend(self.tracked["__delta"], self.tracked["__gamma"])
-        main = self.path.steps[mark:]
-        # the collision closing the main game must be its very last step
-        for i, s in enumerate(main):
-            if s.J_times and i != len(main) - 1:
-                raise AssertionError("weight collision before the end of the main game")
-
-    def locate_unit(self) -> None:
-        delta, gamma = self.tracked["__delta"], self.tracked["__gamma"]
-        diff = [a - b for a, b in zip(delta, gamma)]
-        support = [i for i, x in enumerate(diff) if x != 0]
-        if len(support) != 1:
-            raise RequiresCompletionError(
-                "requires completion: the degree-zero element is a composite unit"
-            )
-        q = support[0]
-        if q not in self.frame.units:
-            raise AssertionError("z column is not unit-tagged")
-        m = diff[q]
-        if abs(m) != 1:
-            raise AssertionError("z column carries a non-primitive exponent")
-        self.z_column, self.z_sign = q, m
-
-    def _oriented_minpoly(self, mp: Sequence, tower: FieldTower) -> tuple:
-        """Minimal polynomial of the residue of the unit *variable*: P when
-        z equals that variable, the normalized reciprocal when 1/z does."""
-        if self.z_sign == 1:
-            return tuple(mp)
-        b0 = mp[0]
-        if tower.is_zero(b0):
-            raise InvalidInputError("residue minimal polynomial must have b_0 != 0")
-        inv = tower.inv(b0)
-        return tuple(tower.mul(mp[len(mp) - 1 - i], inv) for i in range(len(mp)))
-
-    def translate(self, minpoly: Optional[Sequence], new_weight: Optional[Value]) -> None:
-        """Replace the unit variable by the regular parameter z - theta.
-        ``minpoly`` is the residue's minimal polynomial as elements of the
-        current tower (None for a transcendental residue)."""
-        if minpoly is None:
-            return
-        q = self.z_column
-        tower = self.frame.tower
-        self.minpoly = self._oriented_minpoly(minpoly, tower)
-        symbol = None
-        if len(self.minpoly) > 2:
-            k = tower.depth + 1
-            taken = {s for s, _ in tower.extensions}
-            while f"t{k}" in taken:
-                k += 1
-            symbol = f"t{k}"
-        new_name = self._fresh_name(self.frame.names[q])
-        if new_weight is not None and not new_weight.is_positive():
-            raise InvalidInputError("the new parameter must have positive value")
-        step = make_translation_step(
-            self.frame.n, q, self.minpoly, symbol, new_name, new_weight
+def _absorb(
+    path: PushPath,
+    exponents: Sequence[tuple[int, ...]],
+    target: tuple[int, ...],
+    budget: _Budget,
+    records: list,
+) -> int:
+    """Blow up until the target monomial reduced-divides every listed
+    exponent, all written in the path's current chart; returns the number
+    of steps appended.  Every listed value must strictly exceed the
+    target's, so the game always lands the divisibility on the target side."""
+    start = len(path)
+    for e in exponents:
+        # a pair that already divides makes the game append no step
+        t, e = run_pair_descent(
+            path.advance(target, start), path.advance(e, start), path, budget, records
         )
-        self.path.append(step)
-        record = step.translation_data[0].to_json()
-        del record["new_weight"]
-        self.records.append({"step": len(self.records) + 1, "translation": record})
-        self.new_var = new_name
+        at, _ = reduced_parts(t, e, path.frame.units)
+        if sum(at) != 0:
+            raise AssertionError("auxiliary phase failed to land divisibility on y^d")
+    return len(path) - start
 
-    def _fresh_name(self, base: str) -> str:
-        name = base + "'"
-        while name in self.frame.names:
-            name += "'"
-        return name
+
+def _collide(
+    path: PushPath,
+    start: int,
+    w_cols: Sequence[int],
+    x_col: int,
+    abar: int,
+    alpha: Sequence[int],
+    budget: _Budget,
+    records: list,
+) -> tuple[int, int]:
+    """The main game on delta = w_n^abar w^neg versus gamma = w^pos, both
+    written in the chart ``frames[start]``.  Its one weight collision must
+    be its last step, and delta / gamma must then be a single unit
+    variable z to the power +-1; returns z's column and that sign."""
+    n = path.frame.n
+    delta, gamma = [0] * n, [0] * n
+    for c, col in zip(alpha, w_cols):
+        delta[col], gamma[col] = max(-c, 0), max(c, 0)
+    delta[x_col] += abar
+    mark = len(path)
+    delta, gamma = run_pair_descent(
+        path.advance(tuple(delta), start), path.advance(tuple(gamma), start),
+        path, budget, records,
+    )
+    main = path.steps[mark:]
+    for i, s in enumerate(main):
+        if s.J_times and i != len(main) - 1:
+            raise AssertionError("weight collision before the end of the main game")
+    diff = [a - b for a, b in zip(delta, gamma)]
+    support = [i for i, x in enumerate(diff) if x != 0]
+    if len(support) != 1:
+        raise RequiresCompletionError(
+            "requires completion: the degree-zero element is a composite unit"
+        )
+    q = support[0]
+    if q not in path.frame.units:
+        raise AssertionError("z column is not unit-tagged")
+    if abs(diff[q]) != 1:
+        raise AssertionError("z column carries a non-primitive exponent")
+    return q, diff[q]
+
+
+def _translate(
+    path: PushPath,
+    z_column: int,
+    z_sign: int,
+    minpoly: Sequence,
+    new_weight: Optional[Value],
+    records: list,
+) -> tuple[str, tuple]:
+    """Replace the unit variable by the regular parameter z - theta.
+    ``minpoly`` is the minimal polynomial of the residue of z, elements of
+    the current tower.  Returns the new parameter's name and the minimal
+    polynomial of the residue of the unit *variable*: ``minpoly`` when z is
+    that variable, its normalized reciprocal when 1/z is."""
+    frame = path.frame
+    tower = frame.tower
+    if z_sign == 1:
+        minpoly = tuple(minpoly)
+    else:
+        if tower.is_zero(minpoly[0]):
+            raise InvalidInputError("residue minimal polynomial must have b_0 != 0")
+        inv = tower.inv(minpoly[0])
+        minpoly = tuple(tower.mul(c, inv) for c in reversed(minpoly))
+    symbol = None
+    if len(minpoly) > 2:
+        k = tower.depth + 1
+        taken = {s for s, _ in tower.extensions}
+        while f"t{k}" in taken:
+            k += 1
+        symbol = f"t{k}"
+    new_name = frame.names[z_column] + "'"
+    while new_name in frame.names:
+        new_name += "'"
+    if new_weight is not None and not new_weight.is_positive():
+        raise InvalidInputError("the new parameter must have positive value")
+    step = make_translation_step(frame.n, z_column, minpoly, symbol, new_name, new_weight)
+    path.append(step)
+    record = step.translation_data[0].to_json()
+    del record["new_weight"]
+    records.append({"step": len(records) + 1, "translation": record})
+    return new_name, minpoly
 
 
 def _split_unit_part(
-    exponent: Sequence[int], frame: Frame, z_column: Optional[int]
+    exponent: Sequence[int], frame: Frame, z_column: int
 ) -> tuple[tuple[int, ...], dict, int]:
-    drop = set(frame.units)
-    zp = 0
-    if z_column is not None:
-        zp = exponent[z_column]
-        drop.add(z_column)
+    drop = frame.units | {z_column}
     mono = tuple(0 if i in drop else x for i, x in enumerate(exponent))
     units = {
         frame.names[i]: exponent[i]
         for i in frame.units
         if exponent[i] != 0 and i != z_column
     }
-    return mono, units, zp
+    return mono, units, exponent[z_column]
 
 
 def elementary_uniformizing_sequence(
@@ -343,14 +303,14 @@ def elementary_uniformizing_sequence(
     for w in problem.w_weights:
         if not w.is_positive():
             raise PositiveWeightError("weights must be positive")
+    path = PushPath(frame0)
+    budget_ = _Budget(budget)
     records: list = []
-    engine = _ElementaryEngine(
-        PushPath(frame0), w_cols, x_col, _Budget(budget), records
-    )
-    engine.lattice_data()
-    abar, alpha = engine.abar, engine.alpha
+    abar, alpha = _lattice(frame0, w_cols, x_col)
+    pos = [max(c, 0) for c in alpha]
+    neg = [max(-c, 0) for c in alpha]
     d = problem.residue.degree()
-    mp = None
+    mp = q_cleared = None
     if not problem.residue.transcendental:
         mp = [QQ.elem_from_json(c) for c in problem.residue.minpoly]
         if d < 1 or mp[-1] != 1:
@@ -359,13 +319,8 @@ def elementary_uniformizing_sequence(
             )
         if mp[0] == 0:
             raise InvalidInputError("residue minimal polynomial must have b_0 != 0")
-
-    # Q-tilde cleared of the Laurent denominator:
-    #   Q * w^(d*neg) = sum_i b_i w^((d-i)*pos + i*neg) w_n^(i*abar)
-    pos = [max(c, 0) for c in alpha]
-    neg = [max(-c, 0) for c in alpha]
-    q_cleared = None
-    if not problem.residue.transcendental:
+        # Q-tilde cleared of the Laurent denominator:
+        #   Q * w^(d*neg) = sum_i b_i w^((d-i)*pos + i*neg) w_n^(i*abar)
         terms = {}
         for i in range(d + 1):
             e = [0] * n
@@ -377,6 +332,7 @@ def elementary_uniformizing_sequence(
 
     h = problem.h
     h_touches_v = False
+    aux_steps = 0
     if h is not None and not h.is_zero():
         if problem.residue.transcendental:
             raise InvalidInputError("a perturbation needs an algebraic residue")
@@ -400,53 +356,57 @@ def elementary_uniformizing_sequence(
             h_terms[ne] = c
         h_cleared = MultiPoly.build(frame0.names, h_terms, QQ, h.den)
         q_cleared = q_cleared + h_cleared
-        engine.run_aux(list(h_cleared.terms.keys()), target)
+        aux_steps = _absorb(path, list(h_cleared.terms), target, budget_, records)
 
-    engine.run_main_game()
-    engine.locate_unit()
-    x_weight = None
-    if problem.beta_new is not None and not problem.residue.transcendental:
-        x_weight = problem.beta_new - problem.beta_n.scale(abar * d)
-    engine.translate(mp, x_weight)
-    frame = engine.frame
+    z_column, z_sign = _collide(path, 0, w_cols, x_col, abar, alpha, budget_, records)
+    new_var = minpoly = None
+    if mp is not None:
+        x_weight = None
+        if problem.beta_new is not None:
+            x_weight = problem.beta_new - problem.beta_n.scale(abar * d)
+        new_var, minpoly = _translate(path, z_column, z_sign, mp, x_weight, records)
+    frame = path.frame
 
     # conclusion: no center holds a passive column, so no image of a
     # w-variable touches one (an update changes only its vertex, in J)
     if not h_touches_v:
-        engine.path.claim_independence(v_cols)
+        path.claim_independence(v_cols)
     # images of w_1..w_r, w_n: monomial in the final actives times z-powers
     images = {}
     for col in list(w_cols) + [x_col]:
-        e = engine.path.advance(tuple(int(i == col) for i in range(n)))
-        mono, units, zp = _split_unit_part(e, frame, engine.z_column)
+        e = path.advance(tuple(int(i == col) for i in range(n)))
+        mono, units, zp = _split_unit_part(e, frame, z_column)
         images[frame0.names[col]] = {
             "monomial": list(mono),
             "unit_exponents": units,
             "z_power": zp,
         }
 
-    witness = _verify_factorization(engine, q_cleared, pos, problem)
+    witness = _verify_factorization(path, q_cleared, pos, z_column, new_var, minpoly, problem)
 
     return UniformizingResult(
-        path=engine.path,
+        path=path,
         abar=abar,
         alpha_coeffs=alpha,
         d=d,
-        z_column=engine.z_column,
-        z_sign=engine.z_sign,
-        new_var=engine.new_var,
+        z_column=z_column,
+        z_sign=z_sign,
+        new_var=new_var,
         residue=problem.residue,
         images=images,
         witness=witness,
         records=records,
-        aux_steps=engine.aux_steps,
+        aux_steps=aux_steps,
     )
 
 
 def _verify_factorization(
-    engine: _ElementaryEngine,
+    path: PushPath,
     q_cleared: Optional[MultiPoly],
     pos: Sequence[int],
+    q: int,
+    new_var: Optional[str],
+    minpoly: Optional[tuple],
     problem: UniformizingProblem,
 ) -> dict:
     """Exact identity behind the factorization of Q-tilde.
@@ -455,23 +415,22 @@ def _verify_factorization(
     constant part is P'(theta).  Perturbed: the quotient W still satisfies
     W - P(theta + X) of strictly positive value, the perturbed analogue of
     the same conclusion.  The monomial part ``e_plus`` is d times the
-    image of ``w^pos``, its exponent advanced along the path.
+    image of ``w^pos``, its exponent advanced along the path.  An algebraic
+    residue ends the path with the translation of column q to ``new_var``,
+    from the chart ``pre``; ``minpoly`` is that step's, in the tower before it.
     """
     if q_cleared is None:
         return {"kind": "transcendental"}
-    path = engine.path
     n = path.frames[0].n
     d = problem.residue.degree()
-    pre = len(path) - 1 if engine.new_var is not None else len(path)
+    pre = len(path) - 1
     img_pre = path.push(q_cleared, 0, pre)
-    frame = engine.frame
-    e_plus = [d * x for x in path.advance(engine._embed(pos))]
-    q = engine.z_column
+    frame = path.frame
+    e_plus = [d * x for x in path.advance(tuple(pos) + (0,) * (n - len(pos)))]
     div = list(e_plus)
     # unit columns are invertible: lower the divisor there so the monomial
     # division stays polynomial (the difference is a unit factor)
-    pre_units = set(engine.frame.units) | {q}
-    for col in pre_units:
+    for col in frame.units | {q}:
         col_min = min(e[col] for e in img_pre.terms)
         div[col] = min(div[col], col_min)
     w_terms = {}
@@ -481,29 +440,24 @@ def _verify_factorization(
             raise AssertionError("factorization: monomial division failed")
         w_terms[ne] = c
     w_pre = MultiPoly(img_pre.vars, w_terms, img_pre.tower, img_pre.den)
+    # substitute the unit variable and compare with P(theta + X)
+    w_poly = path.push(w_pre, pre)
+    tower = frame.tower
     result = {
         "kind": "algebraic",
         "monomial_exponent": [int(x) for x in div],
         "unit_z_shift": int(e_plus[q] - div[q]),
+        "quotient": w_poly.to_json(),
     }
-    if engine.new_var is None:
-        result["quotient"] = w_pre.to_json()
-        return result
-    # substitute the unit variable and compare with P(theta + X)
-    last = path.steps[-1]
-    w_poly = push_polynomial_through_step(w_pre, path.frames[pre], last, frame)
-    tower = frame.tower
-    result["quotient"] = w_poly.to_json()
-    x_name = engine.new_var
     # P has its coefficients in the tower before the translation extended it
-    xi = w_poly.var_index(x_name)
+    xi = w_poly.var_index(new_var)
     p_of_x = MultiPoly.build(
         w_poly.vars,
-        {tuple(i if k == xi else 0 for k in range(n)): c for i, c in enumerate(engine.minpoly)},
+        {tuple(i if k == xi else 0 for k in range(n)): c for i, c in enumerate(minpoly)},
         path.frames[pre].tower,
     ).with_tower(tower)
-    theta = translation_root(last.translation_data[0], tower)
-    diff = w_poly - taylor_shift(p_of_x, x_name, theta)
+    theta = translation_root(path.steps[-1].translation_data[0], tower)
+    diff = w_poly - taylor_shift(p_of_x, new_var, theta)
     if problem.h is None or problem.h.is_zero():
         if not diff.is_zero():
             raise AssertionError("factorization: quotient differs from P(z)")
@@ -599,11 +553,10 @@ def monomialize_key_polys(chain: KeyPolyChain, budget: int = DEFAULT_BUDGET) -> 
 
     for q in range(1, len(chain)):
         t_img = image(q + 1)
+        start = len(path)
         frame = path.frame
         weights = [frame.weight(i) for i in range(frame.n)]
-        engine = _ElementaryEngine(path, basis_cols, x_col, budget_, records)
-        engine.lattice_data()
-        abar, alpha_vec = engine.abar, engine.alpha
+        abar, alpha_vec = _lattice(frame, basis_cols, x_col)
         # the value-minimal part of the pushed key polynomial is the ladder
         # w^(m_0) * sum kappa_i z^i with z = X^abar / w^lambda; unit factors
         # from earlier translations only contribute their residue constants
@@ -663,15 +616,15 @@ def monomialize_key_polys(chain: KeyPolyChain, budget: int = DEFAULT_BUDGET) -> 
         # tail terms above the minimum must become divisible by the image of
         # the minimal initial monomial w^(m_0) before the residue can move
         tail_exps = [e for e, v in term_values if compare(v, vmin) is Ordering.Greater]
-        if tail_exps:
-            engine.run_aux(tail_exps, m0)
-        engine.run_main_game()
-        engine.locate_unit()
+        _absorb(path, tail_exps, m0, budget_, records)
+        z_column, z_sign = _collide(
+            path, start, basis_cols, x_col, abar, alpha_vec, budget_, records
+        )
         jump = chain.beta(q + 1) - vmin
         if jump.sign() <= 0:
             raise AssertionError("value jump is not positive")
-        engine.translate(bcoeffs, jump)
-        x_col = engine.z_column
+        new_var, _ = _translate(path, z_column, z_sign, bcoeffs, jump, records)
+        x_col = z_column
         level_data.append(
             {
                 "level": q + 1,
@@ -679,8 +632,8 @@ def monomialize_key_polys(chain: KeyPolyChain, budget: int = DEFAULT_BUDGET) -> 
                 "alpha": list(alpha_vec),
                 "d": d,
                 "minpoly": [tower.elem_to_json(c) for c in bcoeffs],
-                "z_sign": engine.z_sign,
-                "new_var": engine.new_var,
+                "z_sign": z_sign,
+                "new_var": new_var,
             }
         )
 

@@ -2,11 +2,12 @@
 stratified sample of the benchmark pools (``bench/corpus.py``) must give
 the outcomes recorded in ``bench/seed_digests.json``.
 
-The sample is the first 120 problems of each workload's seed-1 order.  An
+The sample is the first 120 problems of each workload's seed-1 order, and
+the whole ``chains`` pool, which runs every phase of ``unifseq``.  An
 ``ok:`` or ``no:`` outcome is checked by the digest of the trace's
 ``steps``, ``witnesses`` and ``verdict``; a recorded escape by the type of
 the exception it raised.  Every recorded escape of a pool is checked too,
-since the sample holds none.  The files are only read."""
+since the seed-1 sample holds none.  The files are only read."""
 
 from __future__ import annotations
 
@@ -55,3 +56,9 @@ def test_recorded_escapes_keep_their_type(workload):
     escapes = [k for k, o in enumerate(outcomes) if o.startswith("raise:")]
     assert {k: _outcome(pool[k]) for k in escapes} == {k: outcomes[k] for k in escapes}
 
+
+def test_every_chains_problem_matches_recorded_outcome():
+    pool = corpus.pool("chains")
+    record = RECORDED["workloads"]["chains"]
+    assert corpus.pool_digest(pool) == record["pool_digest"]
+    assert [_outcome(p) for p in pool] == record["outcomes"]

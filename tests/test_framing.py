@@ -293,6 +293,18 @@ def test_translation_step_holds_elements_and_encodes_them_in_to_json():
     assert path.to_json() == {"steps": [path.steps[0].to_json()], "independent_of": [2]}
 
 
+def test_algebraic_translation_needs_its_names():
+    # a new name for every algebraic residue, a symbol for theta from degree 2 on
+    g = ValueGroup(1)
+    quad = (QQ.from_rational(-2), QQ.zero(), QQ.one())
+    lin = (QQ.from_rational(-1), QQ.one())
+    for mp, symbol, new_name in [(quad, None, "b'"), (quad, "t1", None), (lin, None, None)]:
+        with pytest.raises(InvalidInputError, match="needs a new name"):
+            make_translation_step(2, 1, mp, symbol, new_name, g.rational(1))
+    make_translation_step(2, 1, lin, None, "b'")
+    make_translation_step(2, 1, None, None, None)
+
+
 def test_push_path_merges_monomial_runs():
     # Q-independent weights never tie, so every step is monomial and the
     # whole sequence is one run, each exponent folded through all of it

@@ -24,13 +24,12 @@ from valmono.errors import (
     PositiveWeightError,
     RequiresCompletionError,
 )
-from valmono.framing import PushPath, apply_step_to_frame, push_polynomial_through_step
+from valmono.framing import Frame, PushPath, apply_step_to_frame, push_polynomial_through_step
 from valmono.keypoly import KeyPolyChain, validate_chain
 from valmono.polyalg import MultiPoly, QQ
-from valmono.game import _Budget
+from valmono.game import _Budget, reduced_parts
 from valmono.unifseq import (
     ResidueDescriptor,
-    _ElementaryEngine,
     UniformizingProblem,
     elementary_uniformizing_sequence,
     monomialize_key_polys,
@@ -98,16 +97,29 @@ def test_lattice_data_eliminates_once(monkeypatch):
     monkeypatch.setattr(_linalg, "_reduce", lambda m, cols: calls.append(cols) or reduce(m, cols))
     cases = [([(3, 0), (0, 2)], (Fraction(3, 2), 1), 2), ([(1, 0), (2, 0)], (3, 0), None)]
     for w_coords, beta, abar in cases:
-        prob = lattice_problem(w_coords, beta)
-        engine = _ElementaryEngine(PushPath(prob.frame()), (0, 1), 2, _Budget(10), [])
+        frame = lattice_problem(w_coords, beta).frame()
         calls.clear()
         if abar is None:
             with pytest.raises(InvalidInputError, match="not Q-linearly independent"):
-                engine.lattice_data()
+                unifseq._lattice(frame, (0, 1), 2)
         else:
-            engine.lattice_data()
-            assert (engine.abar, engine.alpha) == (abar, (1, 1))
+            assert unifseq._lattice(frame, (0, 1), 2) == (abar, (1, 1))
         assert len(calls) == 1
+
+
+def test_absorb_advances_each_exponent_from_its_start():
+    # a^2 against c, c^2 and b^2 (weights 2, 3, 5): the descent that makes
+    # a^2 divide c also makes it divide c^2, so only b^2 needs a second one
+    frame = Frame(("a", "b", "c"), tuple(G1.rational(k) for k in (2, 3, 5)))
+    target, exps = (2, 0, 0), [(0, 0, 1), (0, 0, 2), (0, 2, 0)]
+    assert unifseq._absorb(PushPath(frame), exps[:2], target, _Budget(100), []) == 2
+    path, records = PushPath(frame), []
+    count = unifseq._absorb(path, exps, target, _Budget(100), records)
+    assert count == len(path) == len(records) == 3
+    t = path.advance(target)
+    for e in exps:
+        at, _ = reduced_parts(t, path.advance(e), path.frame.units)
+        assert sum(at) == 0
 
 
 def test_uniformize_needs_a_w_variable():
@@ -320,9 +332,11 @@ def test_keypoly_claims_are_checked(monkeypatch):
     with pytest.raises(AssertionError, match="key polynomial 2 has least term value"):
         unifseq._check_key_claims(wrong, res.witnesses, frame)
     # wired into the driver: a translation that records the wrong jump fails
-    translate = unifseq._ElementaryEngine.translate
+    translate = unifseq._translate
     monkeypatch.setattr(
-        unifseq._ElementaryEngine, "translate", lambda self, mp, jump: translate(self, mp, jump + jump)
+        unifseq,
+        "_translate",
+        lambda path, q, sign, mp, jump, records: translate(path, q, sign, mp, jump + jump, records),
     )
     with pytest.raises(AssertionError, match="key polynomial 2 has least term value"):
         monomialize_key_polys(chain_)
