@@ -45,7 +45,6 @@ from .keypoly import (
     validate_chain,
 )
 from .unifseq import (
-    ResidueDescriptor,
     UniformizingProblem,
     UniformizingResult,
     elementary_uniformizing_sequence,

@@ -40,9 +40,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, StepBudgetExceededError
 from .polyalg import FieldTower, MultiPoly, QQ, taylor_shift
 from .values import Ordering, Value, compare
+
+DEFAULT_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -321,6 +323,10 @@ class PushPath:
     the phases of ``unifseq`` append their steps here; a run's result
     holds its path, the one copy of its sequence.
 
+    The path also holds the run's step budget: appending a blow-up (a
+    center of two or more columns) beyond ``budget`` of them raises
+    ``StepBudgetExceededError``, whichever phase appends it.
+
     The frame after each step is computed once, when the step is appended.
     Through a maximal run of monomial steps each term's exponent is folded
     through the updates before the terms are rebuilt once; every other
@@ -329,9 +335,11 @@ class PushPath:
     may keep an image and advance it only through the steps added since.
     """
 
-    def __init__(self, frame0: Frame):
+    def __init__(self, frame0: Frame, budget: int = DEFAULT_BUDGET):
         self.frames: list[Frame] = [frame0]
         self.steps: list[FramedStep] = []
+        self.budget = budget
+        self.blowups = 0
         self.independence_set: Optional[tuple[int, ...]] = None  # see claim_independence
 
     def __len__(self) -> int:
@@ -344,6 +352,10 @@ class PushPath:
     def append(self, step: FramedStep) -> None:
         if step.n != self.frame.n:
             raise InvalidInputError("step and frame have different column counts")
+        if len(step.J) > 1:
+            self.blowups += 1
+            if self.blowups > self.budget:
+                raise StepBudgetExceededError(f"step budget exceeded ({self.budget} steps)")
         self.steps.append(step)
         self.frames.append(apply_step_to_frame(self.frames[-1], step))
 

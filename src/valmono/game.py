@@ -22,10 +22,10 @@ from .errors import (
     InvalidInputError,
     NothingToDoError,
     PositiveWeightError,
-    StepBudgetExceededError,
     ZeroPolynomialError,
 )
 from .framing import (
+    DEFAULT_BUDGET,
     Frame,
     PushPath,
     build_step_for_weights,
@@ -33,8 +33,6 @@ from .framing import (
 )
 from .polyalg import MultiPoly
 from .values import Ordering, Value, compare, value_of_exponent
-
-DEFAULT_BUDGET = 100_000
 
 
 @dataclass(frozen=True, order=True)
@@ -73,12 +71,6 @@ class MonomialValuationSpec:
 
     def frame(self) -> Frame:
         return Frame(self.vars, self.weights)
-
-    def to_json(self) -> dict:
-        return {
-            "vars": list(self.vars),
-            "weights": [w.to_json() for w in self.weights],
-        }
 
 
 def reduced_parts(
@@ -148,24 +140,10 @@ class PairResult:
     gamma_divides: bool
 
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def tick(self) -> None:
-        self.used += 1
-        if self.used > self.limit:
-            raise StepBudgetExceededError(
-                f"step budget exceeded ({self.limit} steps)"
-            )
-
-
 def run_pair_descent(
     alpha: Sequence[int],
     gamma: Sequence[int],
     path: PushPath,
-    budget: _Budget,
     records: list,
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Iterate descent blow-ups from the path's current frame until one
@@ -191,7 +169,6 @@ def run_pair_descent(
         prev_tau = cur_tau
         if len(path) - start >= bound:
             raise AssertionError("descent exceeded its a-priori step bound")
-        budget.tick()
         frame = path.frame
         J, j = _greedy_center(at, gt, frame.weights)
         step = build_step_for_weights(frame.n, J, j, frame.weights)
@@ -221,9 +198,9 @@ def monomialize_pair(
 ) -> PairResult:
     """Blow up until one of the two monomials divides the other in the
     final frame; returns the transformed exponents."""
-    path = PushPath(spec.frame())
+    path = PushPath(spec.frame(), budget)
     records: list[dict] = []
-    a, g = run_pair_descent(alpha, gamma, path, _Budget(budget), records)
+    a, g = run_pair_descent(alpha, gamma, path, records)
     at, gt = reduced_parts(a, g, path.frame.units)
     # no blow-up centre holds a variable on which the two exponents agree
     path.claim_independence(i for i, (x, y) in enumerate(zip(alpha, gamma)) if x == y)
@@ -302,9 +279,9 @@ def principalize_monomial_ideal(
     its minimal-value generator.  The tau(I, w) log (generator count, minimal
     pair tau) strictly lex-decreases at every event."""
     exps = [tuple(int(x) for x in g) for g in generators]
-    path = PushPath(spec.frame())
+    path = PushPath(spec.frame(), budget)
     records: list[dict] = []
-    survivor, final = principalize_exponents(exps, path, _Budget(budget), records)
+    survivor, final = principalize_exponents(exps, path, records)
     # no blow-up centre holds a variable that no generator involves
     path.claim_independence(i for i in range(path.frame.n) if not any(e[i] > 0 for e in exps))
     return IdealResult(
@@ -318,7 +295,6 @@ def principalize_monomial_ideal(
 def principalize_exponents(
     generators: Sequence[Sequence[int]],
     path: PushPath,
-    budget: _Budget,
     records: list,
 ) -> tuple[int, list[tuple[int, ...]]]:
     """Core principalization loop from the path's current frame (unit tags
@@ -356,7 +332,6 @@ def principalize_exponents(
 
     drop_divisible()
     while len(active) > 1:
-        budget.tick()
         # the pair attaining the minimal tau drives the next blow-up
         frame = path.frame
         if best is None:

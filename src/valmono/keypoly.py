@@ -102,15 +102,6 @@ class KeyPolyChain:
     def _rows(self) -> "_ChainRows":
         return _ChainRows(self)
 
-    def to_json(self) -> dict:
-        return {
-            "ground": self.ground.to_json(),
-            "x": self.x,
-            "entries": [
-                {"Q": q.to_json(), "beta": b.to_json()} for q, b in self.entries
-            ],
-        }
-
 
 @dataclass(frozen=True)
 class StandardExpansion:

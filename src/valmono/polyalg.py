@@ -47,7 +47,7 @@ from .errors import (
     NonMonicDivisorError,
     ReducibleDefinerError,
 )
-from .values import _exact, _literal, fraction_from_str
+from .values import _exact, _literal
 
 # A tower element is a tuple of lower-level elements (fixed length = degree
 # of the definer) above level 0.  At level 0 it is a rational (an int or a
@@ -283,27 +283,6 @@ class FieldTower:
         if isinstance(e, tuple):
             return [FieldTower.elem_to_json(c, den) for c in e]
         return _literal(e.numerator, e.denominator * den)
-
-    def elem_from_json(self, obj) -> Elem:
-        def build(o, level):
-            if level == 0:
-                if not isinstance(o, str):
-                    raise InvalidInputError("base coefficients must be 'p/q' strings")
-                return fraction_from_str(o)
-            if isinstance(o, str):
-                # a base rational given at a higher level: embed it
-                e = fraction_from_str(o)
-                for lv in range(1, level + 1):
-                    e = self._raise_to(e, lv)
-                return e
-            deg = self.degree_at(level)
-            coeffs = [build(c, level - 1) for c in o]
-            if len(coeffs) > deg:
-                raise InvalidInputError("coefficient tuple longer than the definer degree")
-            coeffs += [self._zero_at(level - 1)] * (deg - len(coeffs))
-            return tuple(coeffs)
-
-        return build(obj, self.depth)
 
     def to_json(self) -> dict:
         exts = []

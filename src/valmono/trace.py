@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from datetime import datetime, timezone
+from fractions import Fraction
 from math import lcm
 from typing import Callable
 
@@ -31,7 +32,6 @@ from .game import (
 from .keypoly import KeyPolyChain, truncate
 from .polyalg import MultiPoly, QQ
 from .unifseq import (
-    ResidueDescriptor,
     UniformizingProblem,
     elementary_uniformizing_sequence,
     monomialize_key_polys,
@@ -284,13 +284,15 @@ def _parse_uniformize_problem(inp: dict) -> UniformizingProblem:
     res = _need(prob, "residue")
     if not isinstance(res, dict):
         raise SchemaError(f"residue must be an object, not {res!r}")
-    if res.get("kind") == "transcendental":
-        residue = ResidueDescriptor(True)
-    else:
+    # an input without a kind is read as algebraic
+    kind = res.get("kind", "algebraic")
+    if kind not in ("algebraic", "transcendental"):
+        raise SchemaError(f"kind must be 'algebraic' or 'transcendental', not {kind!r}")
+    residue = None
+    if kind == "algebraic":
+        # residues read from JSON lie over Q
         minpoly = _names(res, "minpoly", "rational strings")
-        for c in minpoly:
-            rational_from_str(c)  # residues read from JSON lie over Q
-        residue = ResidueDescriptor(False, minpoly)
+        residue = tuple(Fraction(*rational_from_str(c)) for c in minpoly)
     v_names = _names(prob, "v_vars") if "v_vars" in prob else ()
     v_weights = (
         _values(prob, "v_weights", group, nullable=True)
@@ -319,6 +321,10 @@ def _parse_uniformize_problem(inp: dict) -> UniformizingProblem:
 def _run_uniformize(inp: dict, budget: int) -> tuple[list, dict]:
     problem = _parse_uniformize_problem(inp)
     res = elementary_uniformizing_sequence(problem, budget)
+    # the witness echoes the input's own literals, not their lowest terms
+    residue = {"kind": "transcendental"}
+    if problem.residue is not None:
+        residue = {"kind": "algebraic", "minpoly": list(inp["problem"]["residue"]["minpoly"])}
     witnesses = {
         "abar": res.abar,
         "alpha": list(res.alpha_coeffs),
@@ -326,7 +332,7 @@ def _run_uniformize(inp: dict, budget: int) -> tuple[list, dict]:
         "z_column": (res.z_column + 1) if res.z_column is not None else None,
         "z_sign": res.z_sign,
         "new_var": res.new_var,
-        "residue": res.residue.to_json(),
+        "residue": residue,
         "images": res.images,
         "factorization": res.witness,
         "final_frame": res.path.frame.to_json(),
@@ -413,6 +419,10 @@ def verify_trace(trace: dict) -> None:
     header = _need(trace, "header")
     if not isinstance(header, dict):
         raise SchemaError(f"header must be an object, not {header!r}")
+    # a trace without a schema is read as schema 1, the only one there is
+    schema = header.get("schema", SCHEMA)
+    if not _is_int(schema) or schema != SCHEMA:
+        raise SchemaError(f"schema must be {SCHEMA}, not {schema!r}")
     inp = _need(trace, "input")
     budget = header.get("budget", DEFAULT_BUDGET)
     if not _is_int(budget) or budget < 0:

@@ -40,15 +40,14 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .framing import (
+    DEFAULT_BUDGET,
     Frame,
     PushPath,
     make_translation_step,
     translation_root,
 )
 from .game import (
-    DEFAULT_BUDGET,
     _antichain,
-    _Budget,
     has_unit_term,
     principalize_exponents,
     reduced_parts,
@@ -67,28 +66,13 @@ from .values import (
 
 
 @dataclass(frozen=True)
-class ResidueDescriptor:
-    """Residue data of z-bar: transcendental, or the coefficients b_0..b_d
-    of its monic minimal polynomial (JSON encodings, b_d = "1")."""
-
-    transcendental: bool
-    minpoly: Optional[tuple] = None
-
-    def degree(self) -> int:
-        return 0 if self.transcendental else len(self.minpoly) - 1
-
-    def to_json(self):
-        if self.transcendental:
-            return {"kind": "transcendental"}
-        return {"kind": "algebraic", "minpoly": list(self.minpoly)}
-
-
-@dataclass(frozen=True)
 class UniformizingProblem:
     """Input of one elementary uniformizing sequence.
 
-    Frame order is (w_1..w_r, v_1..v_t, w_n).  ``residue`` describes the
-    residue of z.  ``h`` is an optional perturbation whose monomial value
+    Frame order is (w_1..w_r, v_1..v_t, w_n).  ``residue`` is the monic
+    minimal polynomial of the residue of z, rationals lowest degree first
+    (as a translation item holds it), or None for a transcendental
+    residue.  ``h`` is an optional perturbation whose monomial value
     strictly exceeds that of the quasi-homogeneous part; ``beta_new``
     optionally declares the value of Q-tilde so the new parameter can be
     weighted in the final frame.
@@ -98,7 +82,7 @@ class UniformizingProblem:
     w_weights: tuple[Value, ...]
     wn_name: str
     beta_n: Value
-    residue: ResidueDescriptor
+    residue: Optional[tuple]
     v_names: tuple[str, ...] = ()
     v_weights: tuple[Optional[Value], ...] = ()
     h: Optional[MultiPoly] = None
@@ -133,7 +117,6 @@ class UniformizingResult:
     z_column: int
     z_sign: int
     new_var: Optional[str]
-    residue: ResidueDescriptor
     images: dict
     witness: dict
     records: list
@@ -170,7 +153,6 @@ def _absorb(
     path: PushPath,
     exponents: Sequence[tuple[int, ...]],
     target: tuple[int, ...],
-    budget: _Budget,
     records: list,
 ) -> int:
     """Blow up until the target monomial reduced-divides every listed
@@ -181,7 +163,7 @@ def _absorb(
     for e in exponents:
         # a pair that already divides makes the game append no step
         t, e = run_pair_descent(
-            path.advance(target, start), path.advance(e, start), path, budget, records
+            path.advance(target, start), path.advance(e, start), path, records
         )
         at, _ = reduced_parts(t, e, path.frame.units)
         if sum(at) != 0:
@@ -196,7 +178,6 @@ def _collide(
     x_col: int,
     abar: int,
     alpha: Sequence[int],
-    budget: _Budget,
     records: list,
 ) -> tuple[int, int]:
     """The main game on delta = w_n^abar w^neg versus gamma = w^pos, both
@@ -211,7 +192,7 @@ def _collide(
     mark = len(path)
     delta, gamma = run_pair_descent(
         path.advance(tuple(delta), start), path.advance(tuple(gamma), start),
-        path, budget, records,
+        path, records,
     )
     main = path.steps[mark:]
     for i, s in enumerate(main):
@@ -303,16 +284,15 @@ def elementary_uniformizing_sequence(
     for w in problem.w_weights:
         if not w.is_positive():
             raise PositiveWeightError("weights must be positive")
-    path = PushPath(frame0)
-    budget_ = _Budget(budget)
+    path = PushPath(frame0, budget)
     records: list = []
     abar, alpha = _lattice(frame0, w_cols, x_col)
     pos = [max(c, 0) for c in alpha]
     neg = [max(-c, 0) for c in alpha]
-    d = problem.residue.degree()
-    mp = q_cleared = None
-    if not problem.residue.transcendental:
-        mp = [QQ.elem_from_json(c) for c in problem.residue.minpoly]
+    mp = problem.residue
+    d = 0 if mp is None else len(mp) - 1
+    q_cleared = None
+    if mp is not None:
         if d < 1 or mp[-1] != 1:
             raise InvalidInputError(
                 "residue minimal polynomial must be monic of degree >= 1"
@@ -334,7 +314,7 @@ def elementary_uniformizing_sequence(
     h_touches_v = False
     aux_steps = 0
     if h is not None and not h.is_zero():
-        if problem.residue.transcendental:
+        if mp is None:
             raise InvalidInputError("a perturbation needs an algebraic residue")
         h = h.with_vars(frame0.names)
         if h.tower != QQ:
@@ -356,9 +336,9 @@ def elementary_uniformizing_sequence(
             h_terms[ne] = c
         h_cleared = MultiPoly.build(frame0.names, h_terms, QQ, h.den)
         q_cleared = q_cleared + h_cleared
-        aux_steps = _absorb(path, list(h_cleared.terms), target, budget_, records)
+        aux_steps = _absorb(path, list(h_cleared.terms), target, records)
 
-    z_column, z_sign = _collide(path, 0, w_cols, x_col, abar, alpha, budget_, records)
+    z_column, z_sign = _collide(path, 0, w_cols, x_col, abar, alpha, records)
     new_var = minpoly = None
     if mp is not None:
         x_weight = None
@@ -392,7 +372,6 @@ def elementary_uniformizing_sequence(
         z_column=z_column,
         z_sign=z_sign,
         new_var=new_var,
-        residue=problem.residue,
         images=images,
         witness=witness,
         records=records,
@@ -422,7 +401,7 @@ def _verify_factorization(
     if q_cleared is None:
         return {"kind": "transcendental"}
     n = path.frames[0].n
-    d = problem.residue.degree()
+    d = len(minpoly) - 1
     pre = len(path) - 1
     img_pre = path.push(q_cleared, 0, pre)
     frame = path.frame
@@ -535,8 +514,7 @@ def monomialize_key_polys(chain: KeyPolyChain, budget: int = DEFAULT_BUDGET) -> 
     issues = validate_chain(chain)
     if issues:
         raise InvalidInputError("chain invalid: " + ", ".join(issues))
-    path = PushPath(chain.initial_frame())
-    budget_ = _Budget(budget)
+    path = PushPath(chain.initial_frame(), budget)
     records: list = []
     images = {i: (0, chain.Q(i).with_vars(chain.all_vars)) for i in range(1, len(chain) + 1)}
 
@@ -616,10 +594,8 @@ def monomialize_key_polys(chain: KeyPolyChain, budget: int = DEFAULT_BUDGET) -> 
         # tail terms above the minimum must become divisible by the image of
         # the minimal initial monomial w^(m_0) before the residue can move
         tail_exps = [e for e, v in term_values if compare(v, vmin) is Ordering.Greater]
-        _absorb(path, tail_exps, m0, budget_, records)
-        z_column, z_sign = _collide(
-            path, start, basis_cols, x_col, abar, alpha_vec, budget_, records
-        )
+        _absorb(path, tail_exps, m0, records)
+        z_column, z_sign = _collide(path, start, basis_cols, x_col, abar, alpha_vec, records)
         jump = chain.beta(q + 1) - vmin
         if jump.sign() <= 0:
             raise AssertionError("value jump is not positive")
@@ -722,7 +698,7 @@ def monomialize_polynomial(
     img = path.push(f)
     start = len(path)
     gens = _antichain(sorted(img.terms.keys(), key=lambda e: (sum(e), e)))
-    survivor, exps = principalize_exponents(gens, path, _Budget(budget), records)
+    survivor, exps = principalize_exponents(gens, path, records)
     img = path.push(img, start)
     frame = path.frame
     mono, witness = split_monomial(img, exps[survivor], frame)

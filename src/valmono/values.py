@@ -125,10 +125,6 @@ def _sign(n: Sequence[int], ordering: str) -> int:
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def fraction_to_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def _literal(n: int, d: int) -> str:
     """The lowest-terms literal of ``n/d``, ``d > 0``."""
     g = gcd(n, d)
@@ -151,12 +147,6 @@ def rational_from_str(s: str) -> tuple[int, int]:
     if not q:
         raise SchemaError(f"bad rational {s!r}")
     return p, q
-
-
-def fraction_from_str(s: str) -> Fraction:
-    """The Fraction of a ``"p/q"`` or ``"p"`` literal, by the grammar of
-    :func:`rational_from_str`."""
-    return Fraction(*rational_from_str(s))
 
 
 def _exact(q) -> tuple[int, int]:

@@ -12,7 +12,7 @@ import pytest
 from valmono.game import MonomialValuationSpec
 from valmono.keypoly import KeyPolyChain
 from valmono.polyalg import MultiPoly, QQ
-from valmono.values import Value, ValueGroup
+from valmono.values import Value, ValueGroup, rational_from_str
 
 getcontext().prec = 80
 
@@ -49,6 +49,14 @@ def poly(vars_, terms) -> MultiPoly:
     return MultiPoly.build(
         tuple(vars_), {tuple(e): QQ.from_rational(c) for e, c in terms.items()}
     )
+
+
+def tower_elem(obj):
+    """The tower element written by ``FieldTower.elem_to_json``: a ``"p/q"``
+    literal at level 0, nested coefficient lists above it."""
+    if isinstance(obj, str):
+        return Fraction(*rational_from_str(obj))
+    return tuple(map(tower_elem, obj))
 
 
 def horner(expansion) -> MultiPoly:

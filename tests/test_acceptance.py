@@ -42,7 +42,6 @@ from valmono.keypoly import (
 from valmono.polyalg import MultiPoly, QQ
 from valmono.trace import run_problem, verify_trace
 from valmono.unifseq import (
-    ResidueDescriptor,
     UniformizingProblem,
     elementary_uniformizing_sequence,
     monomialize_key_polys,
@@ -203,7 +202,7 @@ def test_criterion_6_cusp_uniformizing_sequence():
             w_weights=(g1.rational(2),),
             wn_name="wn",
             beta_n=g1.rational(3),
-            residue=ResidueDescriptor(False, ("-1", "1")),
+            residue=(-1, 1),
         )
     )
     elapsed = time.perf_counter() - t0
@@ -228,7 +227,7 @@ def test_criterion_6_cusp_uniformizing_sequence():
     assert res.witness["quotient"]["terms"] == [{"e": [0, 1], "c": "1"}]
     assert res.witness["unit_constant"] == "1"
     # (6) residue polynomial X - 1, trivial extension
-    assert res.residue.to_json()["minpoly"] == ["-1", "1"]
+    assert res.path.steps[-1].translation_data[0].minpoly == (-1, 1)
     assert res.path.frame.tower == QQ
     assert elapsed < 1.0
     print(f"\nPASS criterion 6: cusp sequence satisfies all six conclusions ({elapsed:.3f}s)")

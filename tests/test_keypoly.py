@@ -189,8 +189,22 @@ def test_monomial_valuation_below_truncations(rng):
 
 
 def test_chain_json_round_trip():
+    # trace is the one reader of chain JSON; nothing below it writes a chain
     chain = cusp_chain()
-    back = chain_from_json(chain.to_json(), G1)
+    back = chain_from_json(
+        {
+            "ground": {"vars": ["u"], "weights": [{"coords": ["1"]}]},
+            "x": "x",
+            "entries": [
+                {"Q": {"vars": ["u", "x"], "terms": [{"e": [0, 1], "c": "1"}]}, "beta": {"coords": ["3/2"]}},
+                {
+                    "Q": {"vars": ["u", "x"], "terms": [{"e": [0, 2], "c": "1"}, {"e": [3, 0], "c": "-1"}]},
+                    "beta": {"coords": ["4"]},
+                },
+            ],
+        },
+        G1,
+    )
     assert back.entries == chain.entries
     assert back.ground == chain.ground
 

@@ -8,7 +8,7 @@ from math import comb, gcd
 
 import pytest
 
-from conftest import poly, random_poly
+from conftest import poly, random_poly, tower_elem
 from valmono.errors import InvalidInputError, NonMonicDivisorError, ReducibleDefinerError, SchemaError
 from valmono.polyalg import (
     FieldTower,
@@ -21,7 +21,6 @@ from valmono.polyalg import (
     taylor_shift,
 )
 from valmono.trace import _poly
-from valmono.values import fraction_to_str
 
 UV = ("u", "x")
 
@@ -127,7 +126,7 @@ def test_tower_inversion_randomized():
     t = QQ.extend("t1", [QQ.from_rational(-2), QQ.from_rational(0), QQ.from_rational(1)])
     t = t.extend("t2", [t.neg(t.generator("t1")), t.zero(), t.one()])  # t2^2 = sqrt 2
     for _ in range(50):
-        e = t.elem_from_json(
+        e = tower_elem(
             [
                 [str(rng.randint(-4, 4)), str(rng.randint(-4, 4))],
                 [str(rng.randint(-4, 4)), str(rng.randint(-4, 4))],
@@ -149,7 +148,7 @@ def test_tower_reducible_definer_detected():
 def test_tower_json_round_trip():
     t = QQ.extend("t1", [QQ.from_rational(-2), QQ.from_rational(0), QQ.from_rational(1)])
     e = t.generator("t1")
-    assert t.elem_from_json(t.elem_to_json(e)) == e
+    assert tower_elem(t.elem_to_json(e)) == e
 
 
 def test_poly_json_round_trip():
@@ -199,7 +198,7 @@ def _random_elem(rng, tower):
             return str(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
         return [build(level - 1) for _ in range(tower.degree_at(level))]
 
-    e = tower.elem_from_json(build(tower.depth))
+    e = tower_elem(build(tower.depth))
     return tower.one() if tower.is_zero(e) else e
 
 
@@ -257,7 +256,7 @@ def _division_cases():
     ]
     # depth 1 with rational coordinates: (1/2 + t/3) x^5 - (5/4) t u x + 3/7
     # divided by x^2 + (t/2) u and by x - 2/5 t
-    elem = SQRT2.elem_from_json
+    elem = tower_elem
     xs, us = MultiPoly.variable(UV, "x", SQRT2), MultiPoly.variable(UV, "u", SQRT2)
     f = (
         xs**5 * MultiPoly.constant(UV, elem(["1/2", "1/3"]), SQRT2)
@@ -329,7 +328,7 @@ FOURTH2 = SQRT2.extend("t2", [SQRT2.neg(SQRT2.generator("t1")), SQRT2.zero(), SQ
 # non-integral definers, which keep the shift on Fraction coordinates:
 # t1^2 = 1/2, and t2^2 = t1/2 over the sqrt-2 level
 HALF = QQ.extend("t1", [QQ.from_rational(Fraction(-1, 2)), QQ.zero(), QQ.one()])
-HALF_FOURTH2 = SQRT2.extend("t2", [SQRT2.elem_from_json(["0", "-1/2"]), SQRT2.zero(), SQRT2.one()])
+HALF_FOURTH2 = SQRT2.extend("t2", [tower_elem(["0", "-1/2"]), SQRT2.zero(), SQRT2.one()])
 # reducible t1^2 = 1: (t1 - 1)(t1 + 1) = 0
 RED = QQ.extend("t1", [QQ.from_rational(-1), QQ.zero(), QQ.one()])
 
@@ -349,7 +348,7 @@ def _taylor_shift_edge_cases() -> list:
         mixed = q(tower, Fraction(1, 2)) * x**3 + q(tower, Fraction(-2, 3)) * u * x + q(tower, Fraction(5, 7))
         thetas = [tower.from_rational(Fraction(3, 4))]
         if tower.depth:
-            thetas.append(tower.elem_from_json(["1/2", "-2/3"]))
+            thetas.append(tower_elem(["1/2", "-2/3"]))
         for theta in thetas:
             cases += [
                 (mixed, theta),
@@ -359,7 +358,7 @@ def _taylor_shift_edge_cases() -> list:
     for tower in (FOURTH2, HALF_FOURTH2):
         x = MultiPoly.variable(UV, "x", tower)
         u = MultiPoly.variable(UV, "u", tower)
-        theta = tower.elem_from_json([["1/3", "2"], ["0", "-1/2"]])
+        theta = tower_elem([["1/3", "2"], ["0", "-1/2"]])
         cases += [
             (x**5 + q(tower, Fraction(3, 5)) * u * x**2 + q(tower, Fraction(-1, 6)), theta),
             (x**12 + u * x**11 + q(tower, tower.generator("t2")) * x**4, tower.generator("t2")),
@@ -372,7 +371,7 @@ def _taylor_shift_edge_cases() -> list:
     cases += [
         (q(RED, plus) * x**3 + q(RED, minus) * u * x + q(RED, plus) * u, minus),
         (q(RED, plus) * (x**4 + u * x**2) + q(RED, minus) * x**3, minus),
-        (q(RED, minus) * x**6 + q(RED, plus) * x**5 + u, RED.elem_from_json(["1/2", "-1/2"])),
+        (q(RED, minus) * x**6 + q(RED, plus) * x**5 + u, tower_elem(["1/2", "-1/2"])),
     ]
     return cases
 
@@ -514,7 +513,7 @@ def _o_shift(tw, f, xi, theta):
 
 def _o_json(vars_, terms):
     def elem(c):
-        return [elem(x) for x in c] if isinstance(c, tuple) else fraction_to_str(Fraction(c))
+        return [elem(x) for x in c] if isinstance(c, tuple) else str(Fraction(c))
 
     order = sorted(terms, key=lambda e: (sum(e), e))
     return json.dumps({"vars": list(vars_), "terms": [{"e": list(e), "c": elem(terms[e])} for e in order]})

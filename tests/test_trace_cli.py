@@ -5,7 +5,6 @@ import json
 import re
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -148,6 +147,8 @@ def test_verify_ignores_header_fields():
     other = copy.deepcopy(trace)
     other["header"]["version"] = "9.9.9"
     other["header"]["created"] = "2001-01-01T00:00:00+00:00"
+    verify_trace(other)
+    del other["header"]["schema"]  # read as schema 1
     verify_trace(other)
 
 
@@ -441,6 +442,39 @@ def test_cli_budget_flag(tmp_path):
     assert "budget" in r.stderr
 
 
+def budget_polynomial_problem():
+    """A polynomial run of 10 blow-ups: 5 for the key polynomials, then 5
+    to principalize the exponents of u1^4 + u2^3 in their final frame."""
+    q = {"vars": ["u1", "u2", "x"], "terms": [{"e": [0, 0, 1], "c": "1"}]}
+    q2 = {"vars": ["u1", "u2", "x"], "terms": [{"e": [0, 0, 2], "c": "1"}, {"e": [3, 3, 0], "c": "-1"}]}
+    return {
+        "schema": 1,
+        "algorithm": "polynomial",
+        "group": copy.deepcopy(GROUP2),
+        "chain": {
+            "ground": copy.deepcopy(SPEC2),
+            "x": "x",
+            "entries": [
+                {"Q": q, "beta": {"coords": ["3/2", "3/2"]}},
+                {"Q": q2, "beta": {"coords": ["3", "4"]}},
+            ],
+        },
+        "poly": {"vars": ["u1", "u2", "x"], "terms": [{"e": [4, 0, 0], "c": "1"}, {"e": [0, 3, 0], "c": "1"}]},
+    }
+
+
+def test_cli_budget_bounds_the_whole_run(tmp_path):
+    # the principalization after the key-polynomial phase spends the same budget
+    pf, tf = tmp_path / "p.json", tmp_path / "t.json"
+    pf.write_text(json.dumps(budget_polynomial_problem()))
+    r = _cli("run", str(pf), "--budget", "5", "--out", str(tf))
+    assert r.returncode == 3 and "step budget exceeded (5 steps)" in r.stderr
+    assert json.loads(tf.read_text())["verdict"]["message"] == "step budget exceeded (5 steps)"
+    assert _cli("run", str(pf), "--budget", "10", "--out", str(tf)).returncode == 0
+    steps = json.loads(tf.read_text())["witnesses"]["sequence"]["steps"]
+    assert sum(len(s["J"]) > 1 for s in steps) == 10
+
+
 def test_keypoly_expand_witness_values():
     trace = run_problem(
         {
@@ -527,13 +561,13 @@ BAD_RATIONALS = [0.1, True, "abc", "3/0", "0.5", "1e3", " 7 ", "1_000"]
 
 
 def test_rational_literals():
-    from valmono.values import fraction_from_str
+    from valmono.values import rational_from_str
 
-    assert fraction_from_str("-07/14") == Fraction(-1, 2)
-    assert fraction_from_str("0") == 0
+    assert rational_from_str("-07/14") == (-7, 14)
+    assert rational_from_str("0") == (0, 1)
     for literal in ("3/00", "+1", "1/-2", "", "1\n", "\u0663", "1" * 5000, "1/" + "1" * 5000):
         with pytest.raises(SchemaError, match="bad rational"):
-            fraction_from_str(literal)
+            rational_from_str(literal)
 
 
 def _with_bad_coordinate(literal):
@@ -661,13 +695,14 @@ BAD_UNIFORMIZE = [
     ("minpoly", 5),
     ("minpoly", [-1, 1]),
     ("h", {"vars": ["w1", "wn"], "terms": [{"e": [0, 3], "c": 5}]}),
+    ("kind", "banana"),
 ]
 
 
 def _with_bad_uniformize(field, value):
     problem = cusp_uniformize_problem()
     prob = problem["problem"]
-    (prob["residue"] if field == "minpoly" else prob)[field] = value
+    (prob["residue"] if field in ("minpoly", "kind") else prob)[field] = value
     return problem
 
 
@@ -683,6 +718,22 @@ def test_uniformize_optional_fields_still_parse():
     assert run_problem(problem)["verdict"]["ok"]
     problem["problem"]["v_weights"] = [{"coords": ["1"]}]
     assert run_problem(problem)["verdict"]["ok"]
+    del problem["problem"]["residue"]["kind"]  # read as algebraic
+    trace = run_problem(problem)
+    assert trace["verdict"]["ok"]
+    assert trace["witnesses"]["residue"] == {"kind": "algebraic", "minpoly": ["-1", "1"]}
+
+
+def test_residue_witness_echoes_the_input_literals():
+    # the run reads -2/2 and 2/2 as -1 and 1; the witness keeps the literals
+    problem = cusp_uniformize_problem()
+    problem["problem"]["residue"]["minpoly"] = ["-2/2", "2/2"]
+    trace = run_problem(problem)
+    assert trace["verdict"]["ok"]
+    assert trace["witnesses"]["residue"] == {"kind": "algebraic", "minpoly": ["-2/2", "2/2"]}
+    canonical = run_problem(cusp_uniformize_problem())
+    assert trace["steps"] == canonical["steps"]
+    verify_trace(trace)
 
 
 # w_vars and w_weights of the right JSON type, but no w-variable or counts
@@ -874,12 +925,16 @@ BAD_TRACE_FIELDS = [
     ("verdict", "x"),
     ("auto_independence", "off"),
     ("auto_independence", 0),
+    ("schema", 2),
+    ("schema", "one"),
+    ("schema", None),
+    ("schema", True),
 ]
 
 
 def _with_bad_trace_field(field, value):
     trace = run_problem(pair_problem())
-    if field in ("budget", "auto_independence"):
+    if field in ("budget", "auto_independence", "schema"):
         trace["header"][field] = value
     else:
         trace[field] = value

@@ -15,6 +15,7 @@ from conftest import (
     poly,
     random_poly,
     rational_spec,
+    tower_elem,
     trace_matrix,
 )
 from valmono import _linalg, unifseq
@@ -23,13 +24,13 @@ from valmono.errors import (
     NotInDivisibleHullError,
     PositiveWeightError,
     RequiresCompletionError,
+    StepBudgetExceededError,
 )
 from valmono.framing import Frame, PushPath, apply_step_to_frame, push_polynomial_through_step
 from valmono.keypoly import KeyPolyChain, validate_chain
 from valmono.polyalg import MultiPoly, QQ
-from valmono.game import _Budget, reduced_parts
+from valmono.game import MonomialValuationSpec, reduced_parts
 from valmono.unifseq import (
-    ResidueDescriptor,
     UniformizingProblem,
     elementary_uniformizing_sequence,
     monomialize_key_polys,
@@ -47,7 +48,7 @@ def cusp_problem(**kw):
         w_weights=(G1.rational(2),),
         wn_name="wn",
         beta_n=G1.rational(3),
-        residue=ResidueDescriptor(False, ("-1", "1")),
+        residue=(-1, 1),
         **kw,
     )
 
@@ -69,7 +70,7 @@ def lattice_problem(w_coords, beta):
         w_weights=tuple(G2.value(c) for c in w_coords),
         wn_name="wn",
         beta_n=G2.value(beta),
-        residue=ResidueDescriptor(True),
+        residue=None,
     )
 
 
@@ -112,9 +113,9 @@ def test_absorb_advances_each_exponent_from_its_start():
     # a^2 divide c also makes it divide c^2, so only b^2 needs a second one
     frame = Frame(("a", "b", "c"), tuple(G1.rational(k) for k in (2, 3, 5)))
     target, exps = (2, 0, 0), [(0, 0, 1), (0, 0, 2), (0, 2, 0)]
-    assert unifseq._absorb(PushPath(frame), exps[:2], target, _Budget(100), []) == 2
+    assert unifseq._absorb(PushPath(frame), exps[:2], target, []) == 2
     path, records = PushPath(frame), []
-    count = unifseq._absorb(path, exps, target, _Budget(100), records)
+    count = unifseq._absorb(path, exps, target, records)
     assert count == len(path) == len(records) == 3
     t = path.advance(target)
     for e in exps:
@@ -140,7 +141,7 @@ def test_w_weight_count_must_match_w_vars(w_names, w_weights, message):
         w_weights=tuple(G1.rational(w) for w in w_weights),
         wn_name="x",
         beta_n=G1.rational(3),
-        residue=ResidueDescriptor(False, ("-1", "1")),
+        residue=(-1, 1),
     )
     with pytest.raises(InvalidInputError, match=message):
         elementary_uniformizing_sequence(prob)
@@ -153,7 +154,7 @@ def test_linear_case():
         w_weights=(G1.rational(1),),
         wn_name="wn",
         beta_n=G1.rational(1),
-        residue=ResidueDescriptor(False, ("-1", "1")),
+        residue=(-1, 1),
     )
     res = elementary_uniformizing_sequence(prob)
     assert res.abar == 1 and res.alpha_coeffs == (1,)
@@ -162,7 +163,7 @@ def test_linear_case():
     assert res.witness["exact"] is True
     # quotient is exactly the new variable (z - 1)
     assert res.witness["quotient"]["terms"] == [{"e": [0, 1], "c": "1"}]
-    assert res.residue.minpoly == ("-1", "1")
+    assert res.path.steps[-1].translation_data[0].minpoly == (-1, 1)
 
 
 def test_cusp_all_conclusions():
@@ -187,7 +188,7 @@ def test_cusp_all_conclusions():
     assert res.witness["quotient"]["terms"] == [{"e": [0, 1], "c": "1"}]
     assert res.witness["monomial_exponent"] == [6, 3]
     # (6) residue extension is k[X]/(X - 1) = k
-    assert res.residue.to_json() == {"kind": "algebraic", "minpoly": ["-1", "1"]}
+    assert res.path.steps[-1].translation_data[0].minpoly == (-1, 1)
     assert res.path.frame.tower == QQ
     assert res.d == 1 and res.abar == 2 and res.alpha_coeffs == (3,)
 
@@ -198,7 +199,7 @@ def test_transcendental_case_drops_dimension():
         w_weights=(G1.rational(2),),
         wn_name="wn",
         beta_n=G1.rational(3),
-        residue=ResidueDescriptor(True),
+        residue=None,
     )
     res = elementary_uniformizing_sequence(prob)
     assert res.new_var is None
@@ -213,7 +214,7 @@ def test_passive_variables_ride_along():
         w_weights=(G1.rational(2),),
         wn_name="wn",
         beta_n=G1.rational(3),
-        residue=ResidueDescriptor(False, ("-1", "1")),
+        residue=(-1, 1),
         v_names=("v1",),
         v_weights=(G1.rational(5),),
     )
@@ -249,7 +250,7 @@ def test_degree_two_residue_extends_tower():
         w_weights=(G1.rational(1),),
         wn_name="wn",
         beta_n=G1.rational(1),
-        residue=ResidueDescriptor(False, ("-2", "0", "1")),
+        residue=(-2, 0, 1),
     )
     res = elementary_uniformizing_sequence(prob)
     assert res.d == 2 and res.abar == 1
@@ -258,7 +259,7 @@ def test_degree_two_residue_extends_tower():
     # unit cofactor is X + 2 theta, constant part 2 theta, P'(theta) != 0
     assert res.witness["exact"] is True
     tower = res.path.frame.tower
-    const = tower.elem_from_json(res.witness["unit_constant"])
+    const = tower_elem(res.witness["unit_constant"])
     assert tower.eq(const, tower.mul(tower.generator(sym), tower.from_rational(2)))
     # verify the full identity by reconstruction: image(Q) = w^div * X * U
     q_poly = MultiPoly.build(
@@ -276,7 +277,7 @@ def test_degree_two_residue_extends_tower():
     mono = MultiPoly.monomial(fr.names, div, 1, tower)
     cof_terms = res.witness["unit_cofactor"]["terms"]
     cof = MultiPoly.build(
-        fr.names, [(t["e"], tower.elem_from_json(t["c"])) for t in cof_terms], tower
+        fr.names, [(t["e"], tower_elem(t["c"])) for t in cof_terms], tower
     )
     assert mono * x_var * cof == img
 
@@ -288,7 +289,7 @@ def test_inverted_direction():
         w_weights=(G1.rational(3),),
         wn_name="wn",
         beta_n=G1.rational(2),
-        residue=ResidueDescriptor(False, ("-1", "1")),
+        residue=(-1, 1),
     )
     res = elementary_uniformizing_sequence(prob)
     assert res.witness["exact"] is True
@@ -404,6 +405,24 @@ def test_monomialize_polynomial_examples():
     assert not res3.unit_witness.tower.is_zero(const)
 
 
+def test_polynomial_run_spends_one_budget():
+    # 5 blow-ups monomialize the key polynomials and 5 more principalize
+    # u1^4 + u2^3 after them: the run needs a budget of 10, not 5
+    g2 = ValueGroup(2)
+    ground = MonomialValuationSpec(("u1", "u2"), (g2.value([1, 0]), g2.value([0, 1])))
+    vars_ = ("u1", "u2", "x")
+    chain = KeyPolyChain(ground, "x", (
+        (MultiPoly.variable(vars_, "x"), g2.value(["3/2", "3/2"])),
+        (poly(vars_, {(0, 0, 2): 1, (3, 3, 0): -1}), g2.value([3, 4])),
+    ))
+    f = poly(vars_, {(4, 0, 0): 1, (0, 3, 0): 1})
+    assert sum(len(s.J) > 1 for s in monomialize_key_polys(chain, 5).path.steps) == 5
+    with pytest.raises(StepBudgetExceededError, match=r"step budget exceeded \(5 steps\)"):
+        monomialize_polynomial(f, chain, 5)
+    res = monomialize_polynomial(f, chain, 10)
+    assert res.path.blowups == sum(len(s.J) > 1 for s in res.path.steps) == 10
+
+
 def test_monomialize_polynomial_random(rng):
     for _ in range(15):
         chain = binomial_chain(rng, allow_extension=False)
@@ -474,7 +493,7 @@ def test_rank_two_uniformizing_sequence():
         w_weights=(g2.value([1, 0]), g2.value([0, 1])),
         wn_name="wn",
         beta_n=g2.value([1, 1]),
-        residue=ResidueDescriptor(False, ("-1", "1")),
+        residue=(-1, 1),
     )
     res = elementary_uniformizing_sequence(prob)
     assert res.abar == 1 and res.alpha_coeffs == (1, 1)
@@ -491,7 +510,7 @@ def test_perturbation_touching_passive_variable():
         w_weights=(G1.rational(2),),
         wn_name="wn",
         beta_n=G1.rational(3),
-        residue=ResidueDescriptor(False, ("-1", "1")),
+        residue=(-1, 1),
         v_names=("v1",),
         v_weights=(G1.rational(5),),
         h=h,
@@ -528,7 +547,7 @@ def test_beta_outside_span_rejected():
         w_weights=(g2.value([1, 0]),),
         wn_name="wn",
         beta_n=g2.value([0, 1]),  # sqrt 2, not in Q * 1
-        residue=ResidueDescriptor(False, ("-1", "1")),
+        residue=(-1, 1),
     )
     with pytest.raises(NotInDivisibleHullError):
         elementary_uniformizing_sequence(prob)
