@@ -327,6 +327,9 @@ class PushPath:
     center of two or more columns) beyond ``budget`` of them raises
     ``StepBudgetExceededError``, whichever phase appends it.
 
+    The path also keeps the run's step log, ``records``: each phase logs
+    its steps through ``record``, which numbers them.
+
     The frame after each step is computed once, when the step is appended.
     Through a maximal run of monomial steps each term's exponent is folded
     through the updates before the terms are rebuilt once; every other
@@ -341,6 +344,7 @@ class PushPath:
         self.budget = budget
         self.blowups = 0
         self.independence_set: Optional[tuple[int, ...]] = None  # see claim_independence
+        self.records: list[dict] = []
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -358,6 +362,10 @@ class PushPath:
                 raise StepBudgetExceededError(f"step budget exceeded ({self.budget} steps)")
         self.steps.append(step)
         self.frames.append(apply_step_to_frame(self.frames[-1], step))
+
+    def record(self, **fields) -> None:
+        """Log one record of the run, numbered from 1."""
+        self.records.append({"step": len(self.records) + 1, **fields})
 
     def claim_independence(self, cols: Sequence[int]) -> None:
         """Claim that no center of the steps so far holds a column of ``cols``."""

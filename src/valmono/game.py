@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import le, sub
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     InvalidInputError,
@@ -135,7 +135,6 @@ class PairResult:
     path: PushPath
     alpha: tuple[int, ...]
     gamma: tuple[int, ...]
-    records: list[dict]
     alpha_divides: bool
     gamma_divides: bool
 
@@ -144,11 +143,10 @@ def run_pair_descent(
     alpha: Sequence[int],
     gamma: Sequence[int],
     path: PushPath,
-    records: list,
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Iterate descent blow-ups from the path's current frame until one
     exponent divides the other (units ignored).  Each step is appended to
-    the path; returns the transformed exponents."""
+    the path and logged there; returns the transformed exponents."""
     alpha = tuple(int(a) for a in alpha)
     gamma = tuple(int(g) for g in gamma)
     if len(alpha) != path.frame.n or len(gamma) != path.frame.n:
@@ -176,7 +174,6 @@ def run_pair_descent(
         gamma = step.apply_to_exponent(gamma)
         path.append(step)
         rec = {
-            "step": len(records) + 1,
             "tau": cur_tau.to_json(),
             "J": [i + 1 for i in J],
             "j": j + 1,
@@ -185,7 +182,7 @@ def run_pair_descent(
         }
         if step.J_times:
             rec["Jx"] = [i + 1 for i in step.J_times]
-        records.append(rec)
+        path.record(**rec)
         at, gt = reduced_parts(alpha, gamma, path.frame.units)
     return alpha, gamma
 
@@ -199,8 +196,7 @@ def monomialize_pair(
     """Blow up until one of the two monomials divides the other in the
     final frame; returns the transformed exponents."""
     path = PushPath(spec.frame(), budget)
-    records: list[dict] = []
-    a, g = run_pair_descent(alpha, gamma, path, records)
+    a, g = run_pair_descent(alpha, gamma, path)
     at, gt = reduced_parts(a, g, path.frame.units)
     # no blow-up centre holds a variable on which the two exponents agree
     path.claim_independence(i for i, (x, y) in enumerate(zip(alpha, gamma)) if x == y)
@@ -208,7 +204,6 @@ def monomialize_pair(
         path=path,
         alpha=a,
         gamma=g,
-        records=records,
         alpha_divides=sum(at) == 0,
         gamma_divides=sum(gt) == 0,
     )
@@ -219,7 +214,6 @@ class IdealResult:
     path: PushPath
     survivor: int
     exponents: list[tuple[int, ...]]
-    records: list[dict]
 
 
 def _reduced_divides(
@@ -280,26 +274,19 @@ def principalize_monomial_ideal(
     pair tau) strictly lex-decreases at every event."""
     exps = [tuple(int(x) for x in g) for g in generators]
     path = PushPath(spec.frame(), budget)
-    records: list[dict] = []
-    survivor, final = principalize_exponents(exps, path, records)
+    survivor, final = principalize_exponents(exps, path)
     # no blow-up centre holds a variable that no generator involves
     path.claim_independence(i for i in range(path.frame.n) if not any(e[i] > 0 for e in exps))
-    return IdealResult(
-        path=path,
-        survivor=survivor,
-        exponents=final,
-        records=records,
-    )
+    return IdealResult(path=path, survivor=survivor, exponents=final)
 
 
 def principalize_exponents(
     generators: Sequence[Sequence[int]],
     path: PushPath,
-    records: list,
 ) -> tuple[int, list[tuple[int, ...]]]:
     """Core principalization loop from the path's current frame (unit tags
-    allowed).  Each step is appended to the path; returns the survivor's
-    index and every generator's final exponent."""
+    allowed).  Each step is appended to the path and logged there; returns
+    the survivor's index and every generator's final exponent."""
     if not generators:
         raise InvalidInputError("empty generator list")
     exps = [tuple(int(x) for x in g) for g in generators]
@@ -321,14 +308,7 @@ def principalize_exponents(
     def drop_divisible() -> None:
         for dropped in _divisible_drops(exps, active, path.frame.units):
             bb, tv = ideal_tau()
-            records.append(
-                {
-                    "step": len(records) + 1,
-                    "event": "drop",
-                    "generator": dropped + 1,
-                    "tau_ideal": [bb, tv],
-                }
-            )
+            path.record(event="drop", generator=dropped + 1, tau_ideal=[bb, tv])
 
     drop_divisible()
     while len(active) > 1:
@@ -345,7 +325,6 @@ def principalize_exponents(
         path.append(step)
         bb, tvj = ideal_tau()
         rec = {
-            "step": len(records) + 1,
             "event": "blowup",
             "tau_ideal": [bb, tvj],
             "J": [i + 1 for i in J],
@@ -354,7 +333,7 @@ def principalize_exponents(
         }
         if step.J_times:
             rec["Jx"] = [i + 1 for i in step.J_times]
-        records.append(rec)
+        path.record(**rec)
         drop_divisible()
 
     survivor = active[0]
@@ -396,11 +375,13 @@ class NondegResult:
     path: PushPath
     exponent: tuple[int, ...]
     unit_witness: MultiPoly
-    records: list[dict]
     image: MultiPoly
 
 
-def _antichain(exps: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def _antichain(exps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The minimal exponents of ``exps`` under divisibility, by increasing
+    (degree, exponent)."""
+    exps = sorted(exps, key=lambda e: (sum(e), e))
     keep = []
     for e in exps:
         if any(all(x <= y for x, y in zip(o, e)) and o != e for o in exps):
@@ -445,9 +426,7 @@ def monomialize_nondegenerate(
         raise ZeroPolynomialError("zero polynomial has no value")
     if f.vars != spec.vars:
         raise InvalidInputError("polynomial variables must match the spec")
-    exps = sorted(f.terms.keys(), key=lambda e: (sum(e), e))
-    gens = _antichain(exps)
-    res = principalize_monomial_ideal(gens, spec, budget)
+    res = principalize_monomial_ideal(_antichain(f.terms), spec, budget)
     # the survivor's image, units zeroed out, is the monomial part
     image = res.path.push(f)
     monomial, witness = split_monomial(image, res.exponents[res.survivor], res.path.frame)
@@ -459,6 +438,5 @@ def monomialize_nondegenerate(
         path=res.path,
         exponent=monomial,
         unit_witness=witness,
-        records=res.records,
         image=image,
     )

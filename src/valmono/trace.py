@@ -198,7 +198,7 @@ def _run_pair(inp: dict, budget: int) -> tuple[list, dict]:
         "sequence": _sequence_file(res.path, group),
         "final_frame": res.path.frame.to_json(),
     }
-    return res.records, witnesses
+    return res.path.records, witnesses
 
 
 def _run_principalize(inp: dict, budget: int) -> tuple[list, dict]:
@@ -212,7 +212,7 @@ def _run_principalize(inp: dict, budget: int) -> tuple[list, dict]:
         "sequence": _sequence_file(res.path, group),
         "final_frame": res.path.frame.to_json(),
     }
-    return res.records, witnesses
+    return res.path.records, witnesses
 
 
 def _run_nondegenerate(inp: dict, budget: int) -> tuple[list, dict]:
@@ -227,7 +227,7 @@ def _run_nondegenerate(inp: dict, budget: int) -> tuple[list, dict]:
         "sequence": _sequence_file(res.path, group),
         "final_frame": res.path.frame.to_json(),
     }
-    return res.records, witnesses
+    return res.path.records, witnesses
 
 
 def _run_keypoly_expand(inp: dict, budget: int) -> tuple[list, dict]:
@@ -269,7 +269,7 @@ def _run_keypoly_monomialize(inp: dict, budget: int) -> tuple[list, dict]:
         ],
         "sequence": _sequence_file(res.path, group),
     }
-    return res.records, witnesses
+    return res.path.records, witnesses
 
 
 def _parse_uniformize_problem(inp: dict) -> UniformizingProblem:
@@ -329,7 +329,7 @@ def _run_uniformize(inp: dict, budget: int) -> tuple[list, dict]:
         "abar": res.abar,
         "alpha": list(res.alpha_coeffs),
         "d": res.d,
-        "z_column": (res.z_column + 1) if res.z_column is not None else None,
+        "z_column": res.z_column + 1,
         "z_sign": res.z_sign,
         "new_var": res.new_var,
         "residue": residue,
@@ -339,7 +339,7 @@ def _run_uniformize(inp: dict, budget: int) -> tuple[list, dict]:
         "sequence": _sequence_file(res.path, problem.beta_n.group),
         "aux_steps": res.aux_steps,
     }
-    return res.records, witnesses
+    return res.path.records, witnesses
 
 
 def _run_polynomial(inp: dict, budget: int) -> tuple[list, dict]:
@@ -355,7 +355,7 @@ def _run_polynomial(inp: dict, budget: int) -> tuple[list, dict]:
         "final_frame": res.path.frame.to_json(),
         "sequence": _sequence_file(res.path, group),
     }
-    return res.records, witnesses
+    return res.path.records, witnesses
 
 
 _RUNNERS: dict[str, Callable] = {

@@ -119,7 +119,6 @@ class UniformizingResult:
     new_var: Optional[str]
     images: dict
     witness: dict
-    records: list
     aux_steps: int = 0
 
 
@@ -153,7 +152,6 @@ def _absorb(
     path: PushPath,
     exponents: Sequence[tuple[int, ...]],
     target: tuple[int, ...],
-    records: list,
 ) -> int:
     """Blow up until the target monomial reduced-divides every listed
     exponent, all written in the path's current chart; returns the number
@@ -163,7 +161,7 @@ def _absorb(
     for e in exponents:
         # a pair that already divides makes the game append no step
         t, e = run_pair_descent(
-            path.advance(target, start), path.advance(e, start), path, records
+            path.advance(target, start), path.advance(e, start), path
         )
         at, _ = reduced_parts(t, e, path.frame.units)
         if sum(at) != 0:
@@ -178,7 +176,6 @@ def _collide(
     x_col: int,
     abar: int,
     alpha: Sequence[int],
-    records: list,
 ) -> tuple[int, int]:
     """The main game on delta = w_n^abar w^neg versus gamma = w^pos, both
     written in the chart ``frames[start]``.  Its one weight collision must
@@ -191,8 +188,7 @@ def _collide(
     delta[x_col] += abar
     mark = len(path)
     delta, gamma = run_pair_descent(
-        path.advance(tuple(delta), start), path.advance(tuple(gamma), start),
-        path, records,
+        path.advance(tuple(delta), start), path.advance(tuple(gamma), start), path
     )
     main = path.steps[mark:]
     for i, s in enumerate(main):
@@ -218,7 +214,6 @@ def _translate(
     z_sign: int,
     minpoly: Sequence,
     new_weight: Optional[Value],
-    records: list,
 ) -> tuple[str, tuple]:
     """Replace the unit variable by the regular parameter z - theta.
     ``minpoly`` is the minimal polynomial of the residue of z, elements of
@@ -250,7 +245,7 @@ def _translate(
     path.append(step)
     record = step.translation_data[0].to_json()
     del record["new_weight"]
-    records.append({"step": len(records) + 1, "translation": record})
+    path.record(translation=record)
     return new_name, minpoly
 
 
@@ -285,7 +280,6 @@ def elementary_uniformizing_sequence(
         if not w.is_positive():
             raise PositiveWeightError("weights must be positive")
     path = PushPath(frame0, budget)
-    records: list = []
     abar, alpha = _lattice(frame0, w_cols, x_col)
     pos = [max(c, 0) for c in alpha]
     neg = [max(-c, 0) for c in alpha]
@@ -336,15 +330,15 @@ def elementary_uniformizing_sequence(
             h_terms[ne] = c
         h_cleared = MultiPoly.build(frame0.names, h_terms, QQ, h.den)
         q_cleared = q_cleared + h_cleared
-        aux_steps = _absorb(path, list(h_cleared.terms), target, records)
+        aux_steps = _absorb(path, list(h_cleared.terms), target)
 
-    z_column, z_sign = _collide(path, 0, w_cols, x_col, abar, alpha, records)
+    z_column, z_sign = _collide(path, 0, w_cols, x_col, abar, alpha)
     new_var = minpoly = None
     if mp is not None:
         x_weight = None
         if problem.beta_new is not None:
             x_weight = problem.beta_new - problem.beta_n.scale(abar * d)
-        new_var, minpoly = _translate(path, z_column, z_sign, mp, x_weight, records)
+        new_var, minpoly = _translate(path, z_column, z_sign, mp, x_weight)
     frame = path.frame
 
     # conclusion: no center holds a passive column, so no image of a
@@ -374,7 +368,6 @@ def elementary_uniformizing_sequence(
         new_var=new_var,
         images=images,
         witness=witness,
-        records=records,
         aux_steps=aux_steps,
     )
 
@@ -452,9 +445,8 @@ def _verify_factorization(
         result["unit_constant"] = tower.elem_to_json(const)
         result["exact"] = True
     else:
-        for e in diff.terms:
-            if not any(e[i] > 0 for i in range(len(e)) if i not in frame.units):
-                raise AssertionError("perturbation escaped the maximal ideal")
+        if has_unit_term(diff, frame):
+            raise AssertionError("perturbation escaped the maximal ideal")
         result["perturbation_tail"] = diff.to_json()
         result["exact"] = False
     return result
@@ -479,7 +471,6 @@ class KeyPolyResult:
     path: PushPath
     x_column: int
     witnesses: list[KeyPolyWitness]
-    records: list
     level_data: list
 
 
@@ -515,7 +506,6 @@ def monomialize_key_polys(chain: KeyPolyChain, budget: int = DEFAULT_BUDGET) -> 
     if issues:
         raise InvalidInputError("chain invalid: " + ", ".join(issues))
     path = PushPath(chain.initial_frame(), budget)
-    records: list = []
     images = {i: (0, chain.Q(i).with_vars(chain.all_vars)) for i in range(1, len(chain) + 1)}
 
     def image(i: int) -> MultiPoly:
@@ -594,12 +584,12 @@ def monomialize_key_polys(chain: KeyPolyChain, budget: int = DEFAULT_BUDGET) -> 
         # tail terms above the minimum must become divisible by the image of
         # the minimal initial monomial w^(m_0) before the residue can move
         tail_exps = [e for e, v in term_values if compare(v, vmin) is Ordering.Greater]
-        _absorb(path, tail_exps, m0, records)
-        z_column, z_sign = _collide(path, start, basis_cols, x_col, abar, alpha_vec, records)
+        _absorb(path, tail_exps, m0)
+        z_column, z_sign = _collide(path, start, basis_cols, x_col, abar, alpha_vec)
         jump = chain.beta(q + 1) - vmin
         if jump.sign() <= 0:
             raise AssertionError("value jump is not positive")
-        new_var, _ = _translate(path, z_column, z_sign, bcoeffs, jump, records)
+        new_var, _ = _translate(path, z_column, z_sign, bcoeffs, jump)
         x_col = z_column
         level_data.append(
             {
@@ -646,7 +636,6 @@ def monomialize_key_polys(chain: KeyPolyChain, budget: int = DEFAULT_BUDGET) -> 
         path=path,
         x_column=x_col,
         witnesses=witnesses,
-        records=records,
         level_data=level_data,
     )
 
@@ -656,7 +645,6 @@ class PolyMonoResult:
     path: PushPath
     exponent: tuple[int, ...]
     unit_witness: MultiPoly
-    records: list
     image: MultiPoly
     expansion_values: list
 
@@ -689,16 +677,13 @@ def monomialize_polynomial(
             path=kp.path,
             exponent=w.monomial,
             unit_witness=w.unit,
-            records=kp.records,
             image=w.image,
             expansion_values=expansion_values,
         )
-    records = list(kp.records)
     path = kp.path
     img = path.push(f)
     start = len(path)
-    gens = _antichain(sorted(img.terms.keys(), key=lambda e: (sum(e), e)))
-    survivor, exps = principalize_exponents(gens, path, records)
+    survivor, exps = principalize_exponents(_antichain(img.terms), path)
     img = path.push(img, start)
     frame = path.frame
     mono, witness = split_monomial(img, exps[survivor], frame)
@@ -712,7 +697,6 @@ def monomialize_polynomial(
         path=path,
         exponent=mono,
         unit_witness=witness,
-        records=records,
         image=img,
         expansion_values=expansion_values,
     )

@@ -91,7 +91,7 @@ def test_criterion_1_tau_descent_termination(pair_corpus):
     runs, elapsed = pair_corpus
     budget_hits = 0
     for alpha, gamma, spec, res in runs:
-        taus = [tuple(r["tau"]) for r in res.records]
+        taus = [tuple(r["tau"]) for r in res.path.records]
         for a, b in zip(taus, taus[1:]):
             assert b < a, "tau failed to decrease strictly"
         assert res.alpha_divides or res.gamma_divides
@@ -127,7 +127,7 @@ def test_criterion_3_principalization(ideal_corpus):
                 x <= y for i, (x, y) in enumerate(zip(surv, e)) if i not in units
             ), "survivor fails to divide a generator image"
         log = [
-            (r["tau_ideal"][0], tuple(r["tau_ideal"][1])) for r in res.records
+            (r["tau_ideal"][0], tuple(r["tau_ideal"][1])) for r in res.path.records
         ]
         for a, b in zip(log, log[1:]):
             assert b < a, "tau(I, w) failed to decrease strictly"
@@ -400,3 +400,60 @@ def test_criterion_9_trace_round_trip(trace_corpus):
     print(
         f"\nPASS criterion 9: {len(trace_corpus)} traces verify; 50/50 mutations detected"
     )
+
+
+def _log_matches_sequence(trace: dict) -> None:
+    """The step log numbers its records 1..N, and its blow-up and
+    translation records are the sequence's steps, one to one and in order."""
+    log = trace["steps"]
+    assert [r["step"] for r in log] == list(range(1, len(log) + 1))
+    moves = [r for r in log if "J" in r or "translation" in r]
+    steps = ((trace["witnesses"] or {}).get("sequence") or {}).get("steps", [])
+    assert len(moves) == len(steps)
+    for rec, step in zip(moves, steps):
+        if "translation" in rec:
+            assert step["J"] == [rec["translation"]["target"]]
+        else:
+            assert (rec["J"], rec["j"], rec.get("Jx", [])) == (step["J"], step["j"], step["Jx"])
+
+
+def test_step_log_matches_the_sequence(trace_corpus):
+    group1 = {"rank": 1, "ordering": "sqrt-primes", "labels": ["g1"]}
+    group2 = {"rank": 2, "ordering": "sqrt-primes", "labels": ["g1", "g2"]}
+    uvx = ["u1", "u2", "x"]
+    # several phases on one path: 5 blow-ups for the key polynomials, then
+    # 5 to principalize the image of u1^4 + u2^3
+    polynomial = {
+        "algorithm": "polynomial", "group": group2,
+        "chain": {
+            "ground": {"vars": ["u1", "u2"],
+                       "weights": [{"coords": ["1", "0"]}, {"coords": ["0", "1"]}]},
+            "x": "x",
+            "entries": [
+                {"Q": {"vars": uvx, "terms": [{"e": [0, 0, 1], "c": "1"}]},
+                 "beta": {"coords": ["3/2", "3/2"]}},
+                {"Q": {"vars": uvx, "terms": [{"e": [0, 0, 2], "c": "1"},
+                                              {"e": [3, 3, 0], "c": "-1"}]},
+                 "beta": {"coords": ["3", "4"]}},
+            ],
+        },
+        "poly": {"vars": uvx, "terms": [{"e": [4, 0, 0], "c": "1"}, {"e": [0, 3, 0], "c": "1"}]},
+    }
+    # the auxiliary game, the main game and the translation on one path
+    perturbed = {
+        "algorithm": "uniformize", "group": group1,
+        "problem": {
+            "w_vars": ["w1"], "w_weights": [{"coords": ["2"]}],
+            "wn_var": "wn", "beta_n": {"coords": ["3"]},
+            "residue": {"kind": "algebraic", "minpoly": ["-1", "1"]},
+            "v_vars": ["v1"], "v_weights": [{"coords": ["5"]}],
+            "h": {"vars": ["w1", "v1", "wn"], "terms": [{"e": [2, 1, 0], "c": "1"}]},
+        },
+    }
+    extra = [run_problem(polynomial), run_problem(perturbed)]
+    assert all(t["verdict"]["ok"] for t in extra)
+    assert any("event" in r for r in extra[0]["steps"]) and any("tau" in r for r in extra[0]["steps"])
+    assert extra[1]["witnesses"]["aux_steps"] >= 1
+    assert "translation" in extra[1]["steps"][-1]
+    for trace in trace_corpus + extra:
+        _log_matches_sequence(trace)

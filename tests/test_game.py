@@ -68,7 +68,7 @@ def test_monomialize_pair_spec_example():
     assert res.alpha_divides  # nu(w^alpha) = sqrt2 <= 2 = nu(w^gamma)
     assert all(a <= g for a, g in zip(res.alpha, res.gamma))
     # tau strictly decreases along the records
-    taus = [tuple(r["tau"]) for r in res.records]
+    taus = [tuple(r["tau"]) for r in res.path.records]
     assert all(taus[i + 1] < taus[i] for i in range(len(taus) - 1))
 
 
@@ -158,7 +158,7 @@ def test_principalize_tau_log_strictly_decreases():
             if not any(all(x <= y for x, y in zip(o, e)) and o != e for o in gens)
         ]
         res = principalize_monomial_ideal(gens, spec)
-        log = [tuple((r["tau_ideal"][0], tuple(r["tau_ideal"][1]))) for r in res.records]
+        log = [tuple((r["tau_ideal"][0], tuple(r["tau_ideal"][1]))) for r in res.path.records]
         assert all(log[i + 1] < log[i] for i in range(len(log) - 1))
 
 
@@ -183,7 +183,7 @@ def test_principalize_scans_each_state_once(monkeypatch):
         gens = [e for e in gens if not any(all(x <= y for x, y in zip(o, e)) and o != e for o in gens)]
         scans.clear()
         res = principalize_monomial_ideal(gens, sqrt_prime_spec(n))
-        blowups += sum(r["event"] == "blowup" for r in res.records)
+        blowups += sum(r["event"] == "blowup" for r in res.path.records)
         assert all(a != b for a, b in zip(scans, scans[1:]))
     assert blowups >= 40
 

@@ -230,18 +230,23 @@ def test_raise_scan_sees_one():
     assert {"A", "B"} <= _raised_names(tree) and "C" not in _raised_names(tree)
 
 
-def _from_json_functions(node: ast.AST, prefix: str = "") -> list[str]:
-    """Every function or method below ``node`` whose name ends in
-    ``from_json``, qualified by the classes and functions around it."""
+def _functions(node: ast.AST, prefix: str = "") -> list[tuple[str, ast.AST]]:
+    """Every function or method below ``node``, with its name qualified by
+    the classes and functions around it."""
     found = []
     for child in ast.iter_child_nodes(node):
         scope = ""
         if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = f"{prefix}{child.name}."
-            if not isinstance(child, ast.ClassDef) and child.name.endswith("from_json"):
-                found.append(prefix + child.name)
-        found += _from_json_functions(child, scope or prefix)
+            if not isinstance(child, ast.ClassDef):
+                found.append((prefix + child.name, child))
+        found += _functions(child, scope or prefix)
     return found
+
+
+def _from_json_functions(tree: ast.AST) -> list[str]:
+    """Every function or method whose name ends in ``from_json``."""
+    return [name for name, node in _functions(tree) if node.name.endswith("from_json")]
 
 
 def test_no_class_defines_from_json():
@@ -265,6 +270,37 @@ def test_from_json_scan_sees_one():
     assert _from_json_functions(ast.parse(src)) == [
         "chain_from_json", "Step.from_json", "Tower.elem_from_json",
     ]
+
+
+def _records_parameters(tree: ast.AST) -> list[str]:
+    """Every function or method with a parameter named ``records``."""
+    found = []
+    for name, node in _functions(tree):
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        if any(p.arg == "records" for p in params):
+            found.append(name)
+    return found
+
+
+def test_no_function_takes_a_records_parameter():
+    """A run's step log lives on its ``PushPath``: no function is handed a
+    log to append to beside the path."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += [f"{path.name}: {f}" for f in _records_parameters(_parse(path))]
+    assert found == []
+
+
+def test_records_scan_sees_each_kind():
+    src = (
+        "def descend(alpha, path, records):\n    return alpha\n\n"
+        "def log(*, records=None):\n    return records\n\n"
+        "def count(path):\n    return len(path.records)\n\n"
+        "class Path:\n    def __init__(self):\n        self.records = []\n\n"
+        "    def extend(self, *records):\n        self.records += records\n"
+    )
+    assert _records_parameters(ast.parse(src)) == ["descend", "log", "Path.extend"]
 
 
 # The runners in ``trace`` share the signature (inp, budget) so that one

@@ -113,10 +113,10 @@ def test_absorb_advances_each_exponent_from_its_start():
     # a^2 divide c also makes it divide c^2, so only b^2 needs a second one
     frame = Frame(("a", "b", "c"), tuple(G1.rational(k) for k in (2, 3, 5)))
     target, exps = (2, 0, 0), [(0, 0, 1), (0, 0, 2), (0, 2, 0)]
-    assert unifseq._absorb(PushPath(frame), exps[:2], target, []) == 2
-    path, records = PushPath(frame), []
-    count = unifseq._absorb(path, exps, target, records)
-    assert count == len(path) == len(records) == 3
+    assert unifseq._absorb(PushPath(frame), exps[:2], target) == 2
+    path = PushPath(frame)
+    count = unifseq._absorb(path, exps, target)
+    assert count == len(path) == len(path.records) == 3
     t = path.advance(target)
     for e in exps:
         at, _ = reduced_parts(t, path.advance(e), path.frame.units)
@@ -337,7 +337,7 @@ def test_keypoly_claims_are_checked(monkeypatch):
     monkeypatch.setattr(
         unifseq,
         "_translate",
-        lambda path, q, sign, mp, jump, records: translate(path, q, sign, mp, jump + jump, records),
+        lambda path, q, sign, mp, jump: translate(path, q, sign, mp, jump + jump),
     )
     with pytest.raises(AssertionError, match="key polynomial 2 has least term value"):
         monomialize_key_polys(chain_)
