@@ -10,7 +10,6 @@ from .polyalg import (
     QQ,
     euclid_divide,
     q_adic_expansion,
-    substitute_variable,
     taylor_shift,
 )
 from .framing import (
@@ -24,9 +23,6 @@ from .framing import (
 from .game import (
     MonomialValuationSpec,
     TauValue,
-    descent_center,
-    initial_form,
-    monomial_valuation,
     monomialize_nondegenerate,
     monomialize_pair,
     principalize_monomial_ideal,

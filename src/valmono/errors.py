@@ -42,10 +42,6 @@ class ZeroPolynomialError(ValmonoError):
     code = "zero polynomial has no value"
 
 
-class NothingToDoError(ValmonoError):
-    code = "nothing to do"
-
-
 class PositiveWeightError(ValmonoError):
     code = "weights must be positive"
 

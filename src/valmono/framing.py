@@ -150,9 +150,6 @@ class Frame:
     def n(self) -> int:
         return len(self.names)
 
-    def active_indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if i not in self.units)
-
     def weight(self, i: int) -> Value:
         w = self.weights[i]
         if w is None:

@@ -1,5 +1,6 @@
 """The monomialization game: tau invariant, descent, pair monomialization,
-principalization of monomial ideals, monomial valuations and initial forms.
+principalization of monomial ideals and monomialization of non-degenerate
+elements.
 
 The driving invariant is tau(alpha, gamma) = (|at|, |gt|) where at, gt are
 the exponents after removing the common part (sorted so |at| <= |gt|).
@@ -20,7 +21,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     InvalidInputError,
-    NothingToDoError,
     PositiveWeightError,
     ZeroPolynomialError,
 )
@@ -32,7 +32,7 @@ from .framing import (
     choose_vertex,
 )
 from .polyalg import MultiPoly
-from .values import Ordering, Value, compare, value_of_exponent
+from .values import Value
 
 
 @dataclass(frozen=True, order=True)
@@ -115,19 +115,6 @@ def _greedy_center(
         raise InvalidInputError("gamma side cannot reach |alpha|")
     J = tuple(sorted(J))
     return J, choose_vertex(J, weights)
-
-
-def descent_center(
-    alpha: Sequence[int], gamma: Sequence[int], spec: MonomialValuationSpec
-) -> tuple[tuple[int, ...], int]:
-    """The center (J, j) of the next descent blow-up for a pair of exponents
-    neither of which divides the other."""
-    at, gt = reduced_parts(alpha, gamma)
-    if sum(at) > sum(gt):
-        at, gt = gt, at
-    if sum(at) == 0:
-        raise NothingToDoError("nothing to do: divisibility already holds")
-    return _greedy_center(at, gt, spec.weights)
 
 
 @dataclass
@@ -343,31 +330,6 @@ def principalize_exponents(
                 f"survivor does not divide generator {k} after principalization"
             )
     return survivor, exps
-
-
-def monomial_valuation(f: MultiPoly, spec: MonomialValuationSpec) -> Value:
-    """min over terms of the weighted exponent value."""
-    if f.is_zero():
-        raise ZeroPolynomialError("zero polynomial has no value")
-    if f.vars != spec.vars:
-        raise InvalidInputError("polynomial variables must match the spec")
-    best = None
-    for e in f.terms:
-        v = value_of_exponent(e, spec.weights)
-        if best is None or compare(v, best) is Ordering.Less:
-            best = v
-    return best
-
-
-def initial_form(f: MultiPoly, spec: MonomialValuationSpec) -> MultiPoly:
-    """Sum of the terms of minimal value; homogeneous for the weighting."""
-    v0 = monomial_valuation(f, spec)
-    keep = {
-        e: c
-        for e, c in f.terms.items()
-        if compare(value_of_exponent(e, spec.weights), v0) is Ordering.Equal
-    }
-    return MultiPoly(f.vars, keep, f.tower, f.den)
 
 
 @dataclass

@@ -430,9 +430,6 @@ class MultiPoly:
     def constant_term(self) -> Elem:
         return self.coeff(tuple(0 for _ in self.vars))
 
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Elem]]:
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
 
@@ -715,8 +712,8 @@ def taylor_shift(f: MultiPoly, x: str, theta: Elem) -> MultiPoly:
     multiply-accumulate of f's coordinates with it, over ``f.den * b^K``.
     Under a non-integral definer the same loop runs on Fraction
     coordinates.  Terms are visited in the order of ``f`` and their images
-    ascending in i, which is the term order ``substitute_variable``
-    produces for the same composition."""
+    ascending in i, which is the term order of composing ``f`` with
+    theta + x term by term."""
     tw = f.tower
     xi = f.var_index(x)
     top = max((e[xi] for e in f.terms), default=0)
@@ -746,22 +743,3 @@ def taylor_shift(f: MultiPoly, x: str, theta: Elem) -> MultiPoly:
                     continue
             out[ne] = p
     return MultiPoly(f.vars, out, tw, f.den * lift)
-
-
-def substitute_variable(f: MultiPoly, x: str, g: MultiPoly) -> MultiPoly:
-    """Exact composition: replace ``x`` by the polynomial ``g``."""
-    f._check(g)
-    xi = f.var_index(x)
-    powers: dict[int, MultiPoly] = {0: MultiPoly.constant(f.vars, 1, f.tower)}
-
-    def g_pow(k: int) -> MultiPoly:
-        if k not in powers:
-            powers[k] = g_pow(k - 1) * g
-        return powers[k]
-
-    out = MultiPoly.zero(f.vars, f.tower)
-    for e, c in f.terms.items():
-        rest = e[:xi] + (0,) + e[xi + 1:]
-        t = MultiPoly(f.vars, {rest: c}, f.tower, f.den)
-        out = out + t * g_pow(e[xi])
-    return out

@@ -19,6 +19,10 @@ divide the image of every perturbation term, after which the factorization
 identity is checked modulo the maximal ideal exactly as in the perturbed
 statement.
 
+``elementary_uniformizing_sequence`` and every level of
+``monomialize_key_polys`` run this one sequence, ``_level``, which reads
+its ladder from the initial form of the polynomial it is given.
+
 Every claimed identity is verified by exact polynomial arithmetic; states
 that would genuinely need formal-series units (composite degree-zero
 elements, residue coefficients outside the constant tower) raise
@@ -214,12 +218,12 @@ def _translate(
     z_sign: int,
     minpoly: Sequence,
     new_weight: Optional[Value],
-) -> tuple[str, tuple]:
+) -> str:
     """Replace the unit variable by the regular parameter z - theta.
     ``minpoly`` is the minimal polynomial of the residue of z, elements of
-    the current tower.  Returns the new parameter's name and the minimal
-    polynomial of the residue of the unit *variable*: ``minpoly`` when z is
-    that variable, its normalized reciprocal when 1/z is."""
+    the current tower; the step holds that of the residue of the unit
+    *variable*: ``minpoly`` when z is that variable, its normalized
+    reciprocal when 1/z is.  Returns the new parameter's name."""
     frame = path.frame
     tower = frame.tower
     if z_sign == 1:
@@ -246,7 +250,109 @@ def _translate(
     record = step.translation_data[0].to_json()
     del record["new_weight"]
     path.record(translation=record)
-    return new_name, minpoly
+    return new_name
+
+
+def _initial_form(
+    poly: MultiPoly, frame: Frame
+) -> tuple[Value, list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The least term value of ``poly`` in ``frame``, with the exponents of
+    that value (the initial form) and those above it, in term order.  Only
+    the weights of the columns ``poly`` uses are read: a unit column weighs
+    0, and a passive column may have no declared weight."""
+    used = [c for c in range(frame.n) if any(e[c] for e in poly.terms)]
+    weights = [frame.weight(c) for c in used]
+    values = [(e, value_of_exponent([e[c] for c in used], weights)) for e in poly.terms]
+    least = min(v for _, v in values)
+    # equal values are equal as objects (lowest terms)
+    at = [e for e, v in values if v == least]
+    above = [e for e, v in values if v != least]
+    return least, at, above
+
+
+@dataclass(frozen=True)
+class _Level:
+    """What one ``_level`` ran: ``minpoly`` is that of the residue of z, in
+    the tower the level started in; ``aux_steps`` absorbed the terms above
+    the initial form."""
+
+    abar: int
+    alpha: tuple[int, ...]
+    minpoly: tuple
+    z_column: int
+    z_sign: int
+    new_var: str
+    aux_steps: int
+
+
+def _level(
+    path: PushPath,
+    poly: MultiPoly,
+    w_cols: Sequence[int],
+    x_col: int,
+    new_value: Optional[Value],
+) -> _Level:
+    """One elementary sequence on the path.  The initial form of ``poly``,
+    written in the path's current chart, must be the ladder
+    w^(m_0) * sum kappa_i z^i with z = X^abar / w^alpha and kappa_0 != 0.
+    The terms above it are absorbed into w^(m_0), the main game collides z,
+    and the collided unit is translated by P = sum kappa_i / kappa_d z^i.
+    ``new_value`` is the value of ``poly``: the new parameter weighs its
+    excess over the initial form (None leaves the weight undeclared)."""
+    frame = path.frame
+    tower = frame.tower
+    start = len(path)
+    abar, alpha = _lattice(frame, w_cols, x_col)
+    least, initial, above = _initial_form(poly, frame)
+    # unit factors from earlier translations only contribute their residue
+    # constants, so a unit exponent in the initial form needs a series
+    kappa: dict[int, object] = {}
+    ladder: dict[int, tuple[int, ...]] = {}
+    for e in initial:
+        if any(e[i] for i in frame.units):
+            raise RequiresCompletionError(
+                "requires completion: residue coefficients involve transcendental units"
+            )
+        b = e[x_col]
+        if b % abar:
+            raise RequiresCompletionError(
+                "requires completion: initial support off the lattice progression"
+            )
+        i = b // abar
+        if i in kappa:
+            raise RequiresCompletionError(
+                "requires completion: residue coefficients leave the constant field"
+            )
+        kappa[i] = poly.coeff(e)
+        ladder[i] = e
+    if 0 not in ladder:
+        raise RequiresCompletionError(
+            "requires completion: initial form is not a z-polynomial with unit ends"
+        )
+    d = max(ladder)
+    if d < 1:
+        raise RequiresCompletionError(
+            "requires completion: initial form does not involve the parameter"
+        )
+    m0 = ladder[0]
+    for i, e in ladder.items():
+        expect = list(m0)
+        for c, col in zip(alpha, w_cols):
+            expect[col] -= i * c
+        expect[x_col] += i * abar
+        if list(e) != expect:
+            raise RequiresCompletionError(
+                "requires completion: initial monomials break the lattice ladder"
+            )
+    kd_inv = tower.inv(kappa[d])
+    minpoly = tuple(
+        tower.mul(kappa[i], kd_inv) if i in kappa else tower.zero() for i in range(d + 1)
+    )
+    aux_steps = _absorb(path, above, m0)
+    z_column, z_sign = _collide(path, start, w_cols, x_col, abar, alpha)
+    weight = None if new_value is None else new_value - least
+    new_var = _translate(path, z_column, z_sign, minpoly, weight)
+    return _Level(abar, alpha, minpoly, z_column, z_sign, new_var, aux_steps)
 
 
 def _split_unit_part(
@@ -269,7 +375,9 @@ def elementary_uniformizing_sequence(
     """Uniformize the quasi-homogeneous element attached to the problem:
     run the pair game on w_n^abar versus w^alpha, replace the resulting
     degree-zero variable by the new regular parameter, and verify the
-    factorization of Q-tilde by exact arithmetic."""
+    factorization of Q-tilde by exact arithmetic.  An algebraic residue
+    runs one ``_level`` on the cleared Q-tilde; a transcendental one only
+    collides."""
     frame0 = problem.frame()
     r = len(problem.w_names)
     n = frame0.n
@@ -306,7 +414,6 @@ def elementary_uniformizing_sequence(
 
     h = problem.h
     h_touches_v = False
-    aux_steps = 0
     if h is not None and not h.is_zero():
         if mp is None:
             raise InvalidInputError("a perturbation needs an algebraic residue")
@@ -318,8 +425,7 @@ def elementary_uniformizing_sequence(
         if any(w is None for w in weights_all):
             raise InvalidInputError("perturbation runs need declared weights everywhere")
         neg_shift = tuple([d * m for m in neg] + [0] * len(v_cols) + [0])
-        target = tuple([d * p for p in pos] + [0] * len(v_cols) + [0])
-        v_q = value_of_exponent(target, weights_all)
+        v_q = value_of_exponent([d * p for p in pos] + [0] * len(v_cols) + [0], weights_all)
         h_terms = {}
         for e, c in h.terms.items():
             ne = tuple(a + b for a, b in zip(e, neg_shift))
@@ -328,17 +434,19 @@ def elementary_uniformizing_sequence(
                     "perturbation must have monomial value above the quasi-homogeneous part"
                 )
             h_terms[ne] = c
-        h_cleared = MultiPoly.build(frame0.names, h_terms, QQ, h.den)
-        q_cleared = q_cleared + h_cleared
-        aux_steps = _absorb(path, list(h_cleared.terms), target)
+        q_cleared = q_cleared + MultiPoly.build(frame0.names, h_terms, QQ, h.den)
 
-    z_column, z_sign = _collide(path, 0, w_cols, x_col, abar, alpha)
-    new_var = minpoly = None
-    if mp is not None:
-        x_weight = None
-        if problem.beta_new is not None:
-            x_weight = problem.beta_new - problem.beta_n.scale(abar * d)
-        new_var, minpoly = _translate(path, z_column, z_sign, mp, x_weight)
+    new_var, aux_steps = None, 0
+    if mp is None:
+        z_column, z_sign = _collide(path, 0, w_cols, x_col, abar, alpha)
+    else:
+        # the cleared Q-tilde is Q-tilde, of value beta_new, times w^(d*neg)
+        value = problem.beta_new
+        if value is not None:
+            value += value_of_exponent([d * m for m in neg], problem.w_weights)
+        level = _level(path, q_cleared, w_cols, x_col, value)
+        z_column, z_sign = level.z_column, level.z_sign
+        new_var, aux_steps = level.new_var, level.aux_steps
     frame = path.frame
 
     # conclusion: no center holds a passive column, so no image of a
@@ -356,7 +464,7 @@ def elementary_uniformizing_sequence(
             "z_power": zp,
         }
 
-    witness = _verify_factorization(path, q_cleared, pos, z_column, new_var, minpoly, problem)
+    witness = _verify_factorization(path, q_cleared, pos, problem)
 
     return UniformizingResult(
         path=path,
@@ -376,9 +484,6 @@ def _verify_factorization(
     path: PushPath,
     q_cleared: Optional[MultiPoly],
     pos: Sequence[int],
-    q: int,
-    new_var: Optional[str],
-    minpoly: Optional[tuple],
     problem: UniformizingProblem,
 ) -> dict:
     """Exact identity behind the factorization of Q-tilde.
@@ -393,6 +498,8 @@ def _verify_factorization(
     """
     if q_cleared is None:
         return {"kind": "transcendental"}
+    item = path.steps[-1].translation_data[0]
+    q, new_var, minpoly = item.target, item.new_name, item.minpoly
     n = path.frames[0].n
     d = len(minpoly) - 1
     pre = len(path) - 1
@@ -428,7 +535,7 @@ def _verify_factorization(
         {tuple(i if k == xi else 0 for k in range(n)): c for i, c in enumerate(minpoly)},
         path.frames[pre].tower,
     ).with_tower(tower)
-    theta = translation_root(path.steps[-1].translation_data[0], tower)
+    theta = translation_root(item, tower)
     diff = w_poly - taylor_shift(p_of_x, new_var, theta)
     if problem.h is None or problem.h.is_zero():
         if not diff.is_zero():
@@ -480,9 +587,8 @@ def _check_key_claims(
     """The claims of a key-polynomial run, checked before it returns: in
     the final frame the least term value of each pushed Q_i is beta_i, and
     the distinguished parameter divides the top one exactly once."""
-    weights = [frame.weight(c) for c in range(frame.n)]
     for w in witnesses:
-        least = min(value_of_exponent(e, weights) for e in w.image.terms)
+        least = _initial_form(w.image, frame)[0]
         if compare(least, chain.beta(w.entry)) is not Ordering.Equal:
             raise AssertionError(
                 f"key polynomial {w.entry} has least term value {least!r} in the "
@@ -520,86 +626,19 @@ def monomialize_key_polys(chain: KeyPolyChain, budget: int = DEFAULT_BUDGET) -> 
     level_data = []
 
     for q in range(1, len(chain)):
-        t_img = image(q + 1)
-        start = len(path)
-        frame = path.frame
-        weights = [frame.weight(i) for i in range(frame.n)]
-        abar, alpha_vec = _lattice(frame, basis_cols, x_col)
-        # the value-minimal part of the pushed key polynomial is the ladder
-        # w^(m_0) * sum kappa_i z^i with z = X^abar / w^lambda; unit factors
-        # from earlier translations only contribute their residue constants
-        term_values = [(e, value_of_exponent(e, weights)) for e in t_img.terms]
-        vmin = term_values[0][1]
-        for _, v in term_values[1:]:
-            if compare(v, vmin) is Ordering.Less:
-                vmin = v
-        initial = {
-            e: t_img.coeff(e)
-            for e, v in term_values
-            if compare(v, vmin) is Ordering.Equal
-        }
-        tower = frame.tower
-        kappa: dict[int, object] = {}
-        ladders: dict[int, tuple[int, ...]] = {}
-        for e, c in initial.items():
-            if any(e[i] for i in frame.units):
-                raise RequiresCompletionError(
-                    "requires completion: residue coefficients involve transcendental units"
-                )
-            b = e[x_col]
-            if b % abar:
-                raise RequiresCompletionError(
-                    "requires completion: initial support off the lattice progression"
-                )
-            i = b // abar
-            if i in kappa:
-                raise RequiresCompletionError(
-                    "requires completion: residue coefficients leave the constant field"
-                )
-            kappa[i] = c
-            ladders[i] = e
-        if 0 not in ladders:
-            raise RequiresCompletionError(
-                "requires completion: initial form is not a z-polynomial with unit ends"
-            )
-        d = max(ladders)
-        if d < 1:
-            raise RequiresCompletionError(
-                "requires completion: initial form does not involve the parameter"
-            )
-        m0 = ladders[0]
-        for i, e in ladders.items():
-            expect = list(m0)
-            for cc, col in zip(alpha_vec, basis_cols):
-                expect[col] -= i * cc
-            expect[x_col] += i * abar
-            if list(e) != expect:
-                raise RequiresCompletionError(
-                    "requires completion: initial monomials break the lattice ladder"
-                )
-        kd_inv = tower.inv(kappa[d])
-        bcoeffs = [
-            tower.mul(kappa[i], kd_inv) if i in kappa else tower.zero() for i in range(d + 1)
-        ]
-        # tail terms above the minimum must become divisible by the image of
-        # the minimal initial monomial w^(m_0) before the residue can move
-        tail_exps = [e for e, v in term_values if compare(v, vmin) is Ordering.Greater]
-        _absorb(path, tail_exps, m0)
-        z_column, z_sign = _collide(path, start, basis_cols, x_col, abar, alpha_vec)
-        jump = chain.beta(q + 1) - vmin
-        if jump.sign() <= 0:
-            raise AssertionError("value jump is not positive")
-        new_var, _ = _translate(path, z_column, z_sign, bcoeffs, jump)
-        x_col = z_column
+        # the initial form of the pushed Q_(q+1) is this level's ladder
+        tower = path.frame.tower
+        level = _level(path, image(q + 1), basis_cols, x_col, chain.beta(q + 1))
+        x_col = level.z_column
         level_data.append(
             {
                 "level": q + 1,
-                "abar": abar,
-                "alpha": list(alpha_vec),
-                "d": d,
-                "minpoly": [tower.elem_to_json(c) for c in bcoeffs],
-                "z_sign": z_sign,
-                "new_var": new_var,
+                "abar": level.abar,
+                "alpha": list(level.alpha),
+                "d": len(level.minpoly) - 1,
+                "minpoly": [tower.elem_to_json(c) for c in level.minpoly],
+                "z_sign": level.z_sign,
+                "new_var": level.new_var,
             }
         )
 

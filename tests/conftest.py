@@ -9,10 +9,11 @@ from typing import Optional, Sequence
 
 import pytest
 
-from valmono.game import MonomialValuationSpec
+from valmono.errors import InvalidInputError, ValmonoError, ZeroPolynomialError
+from valmono.game import MonomialValuationSpec, _greedy_center, reduced_parts
 from valmono.keypoly import KeyPolyChain
 from valmono.polyalg import MultiPoly, QQ
-from valmono.values import Value, ValueGroup, rational_from_str
+from valmono.values import Ordering, Value, ValueGroup, compare, rational_from_str, value_of_exponent
 
 getcontext().prec = 80
 
@@ -116,6 +117,84 @@ def binomial_chain(rng: random.Random, allow_extension=True) -> KeyPolyChain:
                 entries.append((q3, group.rational(beta3)))
                 break
     return KeyPolyChain(ground, "x", tuple(entries))
+
+
+# -- oracles for routines the package does not call ----------------------
+# Moved here unchanged from ``framing``, ``game`` and ``polyalg``: the
+# descent loops apply the center rule of ``descent_center`` inline, a
+# key-polynomial level reads its initial form with ``unifseq._initial_form``,
+# and ``substitute_variable`` is the exact composition that ``taylor_shift``
+# is checked against.
+
+
+def active_indices(frame) -> tuple[int, ...]:
+    """The columns of ``frame`` that are not unit-tagged."""
+    return tuple(i for i in range(frame.n) if i not in frame.units)
+
+
+def is_constant(f: MultiPoly) -> bool:
+    return all(sum(e) == 0 for e in f.terms)
+
+
+class NothingToDoError(ValmonoError):
+    code = "nothing to do"
+
+
+def descent_center(
+    alpha: Sequence[int], gamma: Sequence[int], spec: MonomialValuationSpec
+) -> tuple[tuple[int, ...], int]:
+    """The center (J, j) of the next descent blow-up for a pair of exponents
+    neither of which divides the other."""
+    at, gt = reduced_parts(alpha, gamma)
+    if sum(at) > sum(gt):
+        at, gt = gt, at
+    if sum(at) == 0:
+        raise NothingToDoError("nothing to do: divisibility already holds")
+    return _greedy_center(at, gt, spec.weights)
+
+
+def monomial_valuation(f: MultiPoly, spec: MonomialValuationSpec) -> Value:
+    """min over terms of the weighted exponent value."""
+    if f.is_zero():
+        raise ZeroPolynomialError("zero polynomial has no value")
+    if f.vars != spec.vars:
+        raise InvalidInputError("polynomial variables must match the spec")
+    best = None
+    for e in f.terms:
+        v = value_of_exponent(e, spec.weights)
+        if best is None or compare(v, best) is Ordering.Less:
+            best = v
+    return best
+
+
+def initial_form(f: MultiPoly, spec: MonomialValuationSpec) -> MultiPoly:
+    """Sum of the terms of minimal value; homogeneous for the weighting."""
+    v0 = monomial_valuation(f, spec)
+    keep = {
+        e: c
+        for e, c in f.terms.items()
+        if compare(value_of_exponent(e, spec.weights), v0) is Ordering.Equal
+    }
+    return MultiPoly(f.vars, keep, f.tower, f.den)
+
+
+def substitute_variable(f: MultiPoly, x: str, g: MultiPoly) -> MultiPoly:
+    """Exact composition: replace ``x`` by the polynomial ``g``."""
+    f._check(g)
+    xi = f.var_index(x)
+    powers: dict[int, MultiPoly] = {0: MultiPoly.constant(f.vars, 1, f.tower)}
+
+    def g_pow(k: int) -> MultiPoly:
+        if k not in powers:
+            powers[k] = g_pow(k - 1) * g
+        return powers[k]
+
+    out = MultiPoly.zero(f.vars, f.tower)
+    for e, c in f.terms.items():
+        rest = e[:xi] + (0,) + e[xi + 1:]
+        t = MultiPoly(f.vars, {rest: c}, f.tower, f.den)
+        out = out + t * g_pow(e[xi])
+    return out
 
 
 # -- matrix oracles ------------------------------------------------------

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    active_indices,
     binomial_chain,
     forward_product,
     horner,
@@ -209,7 +210,7 @@ def test_criterion_6_cusp_uniformizing_sequence():
     # (1) all steps before the final collision/translation are monomial
     assert all(s.kind == "monomial" for s in res.path.steps[:-2])
     # (2) P != 0 keeps the dimension
-    assert len(res.path.frame.active_indices()) == 2
+    assert len(active_indices(res.path.frame)) == 2
     # (3) w_1, w_n are monomials in the final actives times a unit (z-powers)
     assert res.images["w1"] == {
         "monomial": [2, 0], "unit_exponents": {}, "z_power": 1,

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    active_indices,
     forward_product,
     identity,
     old_det,
@@ -347,7 +348,7 @@ def test_push_path_forward_from_a_cut_with_ties():
     for _ in range(60):
         path = PushPath(Frame(vars_, tuple(g.rational(rng.randint(1, 3)) for _ in range(n))))
         for _ in range(rng.randint(1, 7)):
-            active = path.frame.active_indices()
+            active = active_indices(path.frame)
             if len(active) < 2:
                 break
             J = tuple(sorted(rng.sample(active, rng.randint(2, len(active)))))
@@ -371,7 +372,7 @@ def _mixed_path(rng):
     radicands = iter((2, 3, 5, 7, 11, 13))
     for k in range(rng.randint(1, 7)):
         frame, tower = path.frame, path.frame.tower
-        active, units = frame.active_indices(), sorted(frame.units)
+        active, units = active_indices(frame), sorted(frame.units)
         if units and (len(active) < 2 or rng.random() < 0.4):
             t, kind, name = rng.choice(units), rng.randrange(3), f"x{k}"
             weight = G1.rational(rng.randint(1, 3))

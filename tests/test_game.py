@@ -5,20 +5,23 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import poly, push_by_matrices, random_poly, rational_spec, sqrt_prime_spec
-from valmono import game
-from valmono.errors import (
-    InvalidInputError,
+from conftest import (
     NothingToDoError,
-    PositiveWeightError,
-    ZeroPolynomialError,
+    descent_center,
+    initial_form,
+    is_constant,
+    monomial_valuation,
+    poly,
+    push_by_matrices,
+    random_poly,
+    rational_spec,
+    sqrt_prime_spec,
 )
+from valmono import game
+from valmono.errors import InvalidInputError, PositiveWeightError, ZeroPolynomialError
 from valmono.game import (
     MonomialValuationSpec,
     TauValue,
-    descent_center,
-    initial_form,
-    monomial_valuation,
     monomialize_nondegenerate,
     monomialize_pair,
     principalize_monomial_ideal,
@@ -233,7 +236,7 @@ def test_monomialize_nondegenerate_monomial_input():
     res = monomialize_nondegenerate(f, spec)
     assert len(res.path.steps) == 0
     assert res.exponent == (2, 3)
-    assert res.unit_witness.is_constant()
+    assert is_constant(res.unit_witness)
 
 
 def test_monomialize_nondegenerate_cusp_shape():

@@ -1,7 +1,7 @@
 """Source hygiene, checked with the standard library's ``ast``: no module
 of the package imports a name it never uses, and every function, method
-and property the package defines is referenced somewhere in ``src/`` or
-``tests/`` besides its own definition."""
+and property the package defines is referenced somewhere in ``src/``
+besides its own definition (a reference from a test does not count)."""
 
 from __future__ import annotations
 
@@ -77,21 +77,53 @@ def _referenced_names(tree: ast.Module) -> Counter:
     return refs
 
 
-def test_every_defined_function_is_referenced():
+def _unreferenced(defining: dict[str, ast.Module], referencing: list[ast.Module]) -> list[str]:
+    """``module: name`` for each function, method or property of the
+    ``defining`` modules, dunders aside, that no ``referencing`` module names."""
     refs = Counter()
-    for path in sorted(ROOT.glob("src/**/*.py")) + sorted(ROOT.glob("tests/**/*.py")):
-        refs += _referenced_names(_parse(path))
-    unreferenced = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(_parse(path)):
+    for tree in referencing:
+        refs += _referenced_names(tree)
+    found = []
+    for module, tree in defining.items():
+        for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
             if refs[name] == 0:
-                unreferenced.append(f"{path.name}: {name}")
-    assert unreferenced == []
+                found.append(f"{module}: {name}")
+    return found
+
+
+# Public constructors that nothing in the package calls: the README example
+# builds its values with ``ValueGroup.rational``, and the README names
+# ``FieldTower.from_rational`` as the way to write an exact rational as a
+# tower element.
+_README_API = {"values.py: rational", "polyalg.py: from_rational"}
+
+
+def test_every_defined_function_is_referenced():
+    """A function whose only caller is a test is not live code: move it to
+    ``tests/conftest.py`` as an oracle, or delete it."""
+    package = {path.name: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    found = _unreferenced(package, [_parse(p) for p in sorted(ROOT.glob("src/**/*.py"))])
+    assert sorted(set(found) - _README_API) == []
+    assert _README_API <= set(found)  # the exception is still needed
+
+
+def test_reference_scan_ignores_tests():
+    lib = ast.parse(
+        "def helper():\n    return 1\n\n"
+        "def run():\n    return helper()\n\n"
+        "def tested():\n    return 2\n\n"
+        "class C:\n    def __eq__(self, other):\n        return True\n\n"
+        "    @property\n    def size(self):\n        return 0\n\n"
+        "ENTRY = run\n"
+    )
+    test = ast.parse("from lib import C, tested\n\ndef test_it():\n    assert tested() == 2 + C().size\n")
+    assert _unreferenced({"lib.py": lib}, [lib]) == ["lib.py: tested", "lib.py: size"]
+    assert _unreferenced({"lib.py": lib}, [lib, test]) == []
 
 
 # math functions that return floats; floor and ceil only when applied to a
@@ -301,6 +333,72 @@ def test_records_scan_sees_each_kind():
         "    def extend(self, *records):\n        self.records += records\n"
     )
     assert _records_parameters(ast.parse(src)) == ["descend", "log", "Path.extend"]
+
+
+# One elementary sequence: ``unifseq._level`` reads the ladder from an initial
+# form and runs the phases that need it, for ``uniformize`` and for every
+# key-polynomial level alike.
+_LEVEL_PHASES = ("_absorb", "_translate")
+_LADDER_MESSAGES = (
+    "requires completion: residue coefficients involve transcendental units",
+    "requires completion: initial support off the lattice progression",
+    "requires completion: residue coefficients leave the constant field",
+    "requires completion: initial form is not a z-polynomial with unit ends",
+    "requires completion: initial form does not involve the parameter",
+    "requires completion: initial monomials break the lattice ladder",
+)
+
+
+def _phase_calls(node: ast.AST, scope: str = "<module>") -> list[str]:
+    """``scope: phase`` for each call of a ``_LEVEL_PHASES`` function, with
+    the innermost function around the call as its scope."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = child.name
+        elif isinstance(child, ast.Call):
+            callee = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+            if callee in _LEVEL_PHASES:
+                found.append(f"{scope}: {callee}")
+        found += _phase_calls(child, inner)
+    return found
+
+
+def _strings(tree: ast.AST) -> Counter:
+    return Counter(
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    )
+
+
+def test_only_level_runs_the_ladder_phases():
+    """Absorbing and translating happen in ``_level`` alone, once each, and
+    each ladder refusal is written once: the two drivers share one ladder."""
+    calls, strings = [], Counter()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        calls += [f"{path.name} {c}" for c in _phase_calls(tree)]
+        strings += _strings(tree)
+    assert calls == ["unifseq.py _level: _absorb", "unifseq.py _level: _translate"]
+    assert [strings[m] for m in _LADDER_MESSAGES] == [1] * len(_LADDER_MESSAGES)
+
+
+def test_phase_scan_sees_each_kind():
+    src = (
+        "def _level(path):\n    _absorb(path)\n    return unifseq._translate(path, 'x')\n\n"
+        "def uniformize(path):\n    _absorb(path)\n    return _collide(path)\n\n"
+        "class Driver:\n    def run(self, path):\n"
+        "        def again():\n            return _translate(path, 'x')\n"
+        "        return again()\n\n"
+        "_absorb(None)\n"
+    )
+    tree = ast.parse(src)
+    assert _phase_calls(tree) == [
+        "_level: _absorb", "_level: _translate", "uniformize: _absorb",
+        "again: _translate", "<module>: _absorb",
+    ]
+    assert _strings(tree)["x"] == 2
 
 
 # The runners in ``trace`` share the signature (inp, budget) so that one

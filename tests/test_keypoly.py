@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import binomial_chain, horner, poly, random_poly, rational_spec
+from conftest import binomial_chain, horner, monomial_valuation, poly, random_poly, rational_spec
 from valmono.errors import UnnormalizedLeadingCoefficientError, ZeroPolynomialError
-from valmono.game import monomial_valuation
 from valmono.keypoly import (
     KeyPolyChain,
     StandardExpansion,

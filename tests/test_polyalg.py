@@ -8,7 +8,7 @@ from math import comb, gcd
 
 import pytest
 
-from conftest import poly, random_poly, tower_elem
+from conftest import poly, random_poly, substitute_variable, tower_elem
 from valmono.errors import InvalidInputError, NonMonicDivisorError, ReducibleDefinerError, SchemaError
 from valmono.polyalg import (
     FieldTower,
@@ -17,7 +17,6 @@ from valmono.polyalg import (
     _reassembles,
     euclid_divide,
     q_adic_expansion,
-    substitute_variable,
     taylor_shift,
 )
 from valmono.trace import _poly

@@ -226,6 +226,37 @@ def all_selector_problems():
     ]
 
 
+def test_cusp_chain_level_is_the_matching_uniformize_run():
+    """The one level of the cusp chain is the uniformize problem with w = u
+    at weight 1, wn = x at 3/2, residue X - 1 and the chain's beta 4: both
+    log the same blow-up centers and the same translation record, and their
+    sequences give the new parameter the same weight."""
+    chain = run_problem(all_selector_problems()[-2])
+    problem = {
+        "w_vars": ["u"],
+        "w_weights": [{"coords": ["1"]}],
+        "wn_var": "x",
+        "beta_n": {"coords": ["3/2"]},
+        "residue": {"kind": "algebraic", "minpoly": ["-1", "1"]},
+        "beta_new": {"coords": ["4"]},
+    }
+    uniformize = run_problem({**cusp_uniformize_problem(), "problem": problem})
+    assert chain["input"]["algorithm"] == "keypoly-monomialize"
+
+    def log(trace):
+        return [
+            (r["J"], r["j"]) if "J" in r else r["translation"]
+            for r in trace["steps"]
+            if "J" in r or "translation" in r
+        ]
+
+    assert log(chain) == log(uniformize)
+    assert [r for r in log(chain) if isinstance(r, dict)] == [log(chain)[-1]]
+    assert len(log(chain)) >= 2
+    steps = [t["witnesses"]["sequence"]["steps"] for t in (chain, uniformize)]
+    assert steps[0] == steps[1] and steps[0][-1]["translations"][0]["new_weight"] == ["1"]
+
+
 def test_all_selectors_produce_verifiable_traces():
     for p in all_selector_problems():
         trace = run_problem(p)

@@ -7,6 +7,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    active_indices,
+    initial_form,
+    monomial_valuation,
     binomial_chain,
     forward_product,
     identity,
@@ -174,7 +177,7 @@ def test_cusp_all_conclusions():
     assert all(k == "monomial" for k in kinds[:-2])
     assert res.path.steps[-1].kind == "translation"
     # (2) P != 0: official dimension stays n
-    assert len(res.path.frame.active_indices()) == n
+    assert len(active_indices(res.path.frame)) == n
     # (3) w_1 and w_n are monomials in the final actives times a unit
     assert res.images["w1"]["monomial"] == [2, 0] and res.images["w1"]["z_power"] == 1
     assert res.images["wn"]["monomial"] == [3, 0] and res.images["wn"]["z_power"] == 2
@@ -203,7 +206,7 @@ def test_transcendental_case_drops_dimension():
     )
     res = elementary_uniformizing_sequence(prob)
     assert res.new_var is None
-    assert len(res.path.frame.active_indices()) == 1  # n - 1
+    assert len(active_indices(res.path.frame)) == 1  # n - 1
     assert res.path.frame.units == frozenset({res.z_column})
     assert res.witness == {"kind": "transcendental"}
 
@@ -622,3 +625,37 @@ def test_push_path_prefixes_equal_whole_sequence():
             assert img == want
         # frames recomputed from the steps agree with those the run handed in
         assert whole_path.frames == res.path.frames
+
+
+def test_initial_form_matches_the_oracle(rng):
+    """``unifseq._initial_form`` against the ``initial_form`` oracle on
+    seeded polynomials in a, b and a unit column u of weight 0, in a frame
+    whose column v, which no polynomial uses, has no declared weight.  The
+    oracle takes positive weights only, so it reads the polynomial with u
+    set to 1; positive coefficients keep that from cancelling a term."""
+    g = ValueGroup(2)
+    for _ in range(200):
+        wa, wb = (
+            g.value(c)
+            for c in rng.sample([(1, 0), (0, 1), (1, 1), (2, 1), (1, 3), (3, 0), (0, 2)], 2)
+        )
+        frame = Frame(("a", "b", "u", "v"), (wa, wb, g.zero(), None), frozenset({2}))
+        terms = {}
+        while not any(sum(e) for e in terms):
+            terms = {
+                tuple(rng.randint(0, 4) for _ in range(3)) + (0,): rng.randint(1, 9)
+                for _ in range(rng.randint(1, 6))
+            }
+        f = poly(frame.names, terms)
+        least, at, above = unifseq._initial_form(f, frame)
+        assert sorted(at + above) == sorted(f.terms)
+        for part in (at, above):  # each in term order
+            assert part == [e for e in f.terms if e in part]
+        spec = MonomialValuationSpec(("a", "b"), (wa, wb))
+        flat = MultiPoly.build(("a", "b"), [(e[:2], f.coeff(e)) for e in f.terms])
+        initial = set(initial_form(flat, spec).terms)
+        assert least == monomial_valuation(flat, spec)
+        assert {e[:2] for e in at} == initial
+        assert {e[:2] for e in above} == set(flat.terms) - initial
+    with pytest.raises(InvalidInputError, match="no declared weight"):
+        frame.weight(3)
