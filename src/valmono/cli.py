@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .errors import SchemaError, TraceMismatchError
@@ -27,6 +27,11 @@ EXIT_MISMATCH = 4
 
 
 def _load_json(path: str):
+    """The decoded file.  The cyclic collector is paused while ``json``
+    decodes: the result is an acyclic tree, so a pass could free nothing,
+    and a large batch would otherwise trigger many."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -36,6 +41,9 @@ def _load_json(path: str):
         raise SchemaError(f"cannot read {path}: {exc}") from None
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc.strerror}") from None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _unwritable(path: str) -> str | None:
@@ -94,6 +102,9 @@ def cmd_run(args) -> int:
         work = [(p, args.budget) for p in problems]
         workers = worker_count(args.jobs, len(work), os.cpu_count())
         if workers > 1:
+            # imported here: a one-process run never loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_run_one, work, chunksize=chunk_size(len(work), workers)))
         else:

@@ -222,7 +222,7 @@ def build_step_for_weights(
     items = tuple(
         TranslationItem(target=i)
         for i in step.J
-        if i != j and compare(weights[i], wj) is Ordering.Equal
+        if i != j and weights[i] == wj  # values are canonical: equal is ==
     )
     return FramedStep(n, step.J, j, items) if items else step
 

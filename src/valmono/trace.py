@@ -3,8 +3,9 @@ re-verification.
 
 A trace embeds its input verbatim; verification replays the run through
 the library and demands that every recorded step and witness reproduce
-bit-exactly.  The header timestamp is advisory and excluded from digests,
-so identical inputs yield identical traces up to that field.
+bit-exactly, and that the input still has the header's ``input_digest``.
+The header timestamp is advisory and excluded from digests, so identical
+inputs yield identical traces up to that field.
 """
 
 from __future__ import annotations
@@ -435,6 +436,9 @@ def verify_trace(trace: dict) -> None:
     old_steps = _optional(trace, "steps", list, "an array")
     old_verdict = _optional(trace, "verdict", dict, "an object")
     fresh = run_problem(inp, budget, command="verify")
+    digest = header.get("input_digest")
+    if digest is not None and digest != fresh["header"]["input_digest"]:
+        raise TraceMismatchError(0, "header.input_digest", "trace mismatch at the input")
     sequence = (fresh["witnesses"] or {}).get("sequence")
     if sequence is not None and not independence:
         sequence.pop("independent_of", None)

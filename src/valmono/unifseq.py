@@ -290,11 +290,13 @@ def _level(
     poly: MultiPoly,
     w_cols: Sequence[int],
     x_col: int,
+    lattice: tuple[int, tuple[int, ...]],
     new_value: Optional[Value],
 ) -> _Level:
     """One elementary sequence on the path.  The initial form of ``poly``,
     written in the path's current chart, must be the ladder
-    w^(m_0) * sum kappa_i z^i with z = X^abar / w^alpha and kappa_0 != 0.
+    w^(m_0) * sum kappa_i z^i with z = X^abar / w^alpha and kappa_0 != 0;
+    ``lattice`` is ``(abar, alpha)``, by ``_lattice`` in that chart.
     The terms above it are absorbed into w^(m_0), the main game collides z,
     and the collided unit is translated by P = sum kappa_i / kappa_d z^i.
     ``new_value`` is the value of ``poly``: the new parameter weighs its
@@ -302,7 +304,7 @@ def _level(
     frame = path.frame
     tower = frame.tower
     start = len(path)
-    abar, alpha = _lattice(frame, w_cols, x_col)
+    abar, alpha = lattice
     least, initial, above = _initial_form(poly, frame)
     # unit factors from earlier translations only contribute their residue
     # constants, so a unit exponent in the initial form needs a series
@@ -388,7 +390,7 @@ def elementary_uniformizing_sequence(
         if not w.is_positive():
             raise PositiveWeightError("weights must be positive")
     path = PushPath(frame0, budget)
-    abar, alpha = _lattice(frame0, w_cols, x_col)
+    lattice = abar, alpha = _lattice(frame0, w_cols, x_col)
     pos = [max(c, 0) for c in alpha]
     neg = [max(-c, 0) for c in alpha]
     mp = problem.residue
@@ -444,7 +446,7 @@ def elementary_uniformizing_sequence(
         value = problem.beta_new
         if value is not None:
             value += value_of_exponent([d * m for m in neg], problem.w_weights)
-        level = _level(path, q_cleared, w_cols, x_col, value)
+        level = _level(path, q_cleared, w_cols, x_col, lattice, value)
         z_column, z_sign = level.z_column, level.z_sign
         new_var, aux_steps = level.new_var, level.aux_steps
     frame = path.frame
@@ -628,7 +630,9 @@ def monomialize_key_polys(chain: KeyPolyChain, budget: int = DEFAULT_BUDGET) -> 
     for q in range(1, len(chain)):
         # the initial form of the pushed Q_(q+1) is this level's ladder
         tower = path.frame.tower
-        level = _level(path, image(q + 1), basis_cols, x_col, chain.beta(q + 1))
+        poly = image(q + 1)
+        lattice = _lattice(path.frame, basis_cols, x_col)
+        level = _level(path, poly, basis_cols, x_col, lattice, chain.beta(q + 1))
         x_col = level.z_column
         level_data.append(
             {

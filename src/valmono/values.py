@@ -103,9 +103,11 @@ def _sign(n: Sequence[int], ordering: str) -> int:
         return 0
     n0, tail = n[0], n[1:]
     # sqrt(p_i) lies in (s_i, s_i + 1) / 2**bits for i >= 1, so the sum lies
-    # in [mid + low_pad, mid + high_pad] with mid = sum(n_i * s_i) / 2**bits
-    high_pad = sum(c for c in tail if c > 0)
-    low_pad = sum(c for c in tail if c < 0)
+    # in [mid + low_pad, mid + high_pad] with mid = sum(n_i * s_i) / 2**bits;
+    # the pads are the sums of the positive and of the negative n_i
+    total, size = sum(tail), sum(map(abs, tail))
+    high_pad = (size + total) >> 1
+    low_pad = (total - size) >> 1
     if n0 >= 0 and not low_pad:
         return 1 if n0 or high_pad else 0
     if n0 <= 0 and not high_pad:
@@ -290,7 +292,8 @@ class Value:
 def compare(a: Value, b: Value) -> Ordering:
     """Total order on the group; exact.  ``x * db - y * da`` has the sign
     of ``x / da - y / db`` because both denominators are positive."""
-    a._check(b)
+    if a.group is not b.group:
+        a._check(b)
     da, db = a.den, b.den
     if da == db:
         n = list(map(sub, a.nums, b.nums))
@@ -307,7 +310,7 @@ def value_of_exponent(alpha: Sequence[int], weights: Sequence[Value]) -> Value:
         raise InvalidInputError("at least one weight is required")
     group = weights[0].group
     for w in weights[1:]:
-        if w.group != group:
+        if w.group is not group and w.group != group:
             raise GroupMismatchError("group mismatch")
     # integer numerators over the used weights' common denominator
     used = [(a, w) for a, w in zip(alpha, weights) if a]

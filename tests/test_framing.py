@@ -1,6 +1,7 @@
 """Framed steps: trace matrices, vertices, weights, pushing, paths."""
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -38,7 +39,7 @@ from valmono.framing import (
 from valmono.keypoly import KeyPolyChain
 from valmono.polyalg import MultiPoly, QQ, euclid_divide, q_adic_expansion, taylor_shift
 from valmono.unifseq import monomialize_key_polys
-from valmono.values import ValueGroup
+from valmono.values import LEX, SQRT_PRIMES, Ordering, Value, ValueGroup, compare
 
 G1 = ValueGroup(1)
 
@@ -135,6 +136,47 @@ def test_pushforward_ties_become_units():
     assert out[1].is_zero()
     frame = apply_step_to_frame(Frame(("a", "b"), tuple(w)), st)
     assert frame.units == frozenset({1})
+
+
+def _built_along_a_path(g, coords, rng):
+    """The value with these Fraction coordinates, built one of several
+    ways: Fractions, unreduced pairs, a negative denominator, a difference."""
+    way = rng.randrange(4)
+    if way == 0:
+        return g.value(coords)
+    if way == 1:
+        k = rng.choice((2, 3, 6))
+        return g.of_pairs([(c.numerator * k, c.denominator * k) for c in coords])
+    if way == 2:
+        den = -rng.choice((1, 4, 12)) * math.lcm(*(c.denominator for c in coords))
+        return Value(tuple(int(c * den) for c in coords), den, g)
+    shift = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in coords]
+    return g.value([c + s for c, s in zip(coords, shift)]) - g.value(shift)
+
+
+@pytest.mark.parametrize("ordering", [SQRT_PRIMES, LEX])
+@pytest.mark.parametrize("rank", [2, 3])
+def test_tied_columns_match_a_compare_oracle(ordering, rank):
+    rng = random.Random(f"ties:{ordering}:{rank}")
+    g = ValueGroup(rank, ordering)
+    tied = 0
+    for _ in range(200):
+        n = rng.randint(2, 5)
+        # few distinct values, so that centers often hold ties
+        pool = [
+            [Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(rank)]
+            for _ in range(rng.randint(1, 3))
+        ]
+        weights = [_built_along_a_path(g, rng.choice(pool), rng) for _ in range(n)]
+        J = tuple(sorted(rng.sample(range(n), rng.randint(2, n))))
+        j = choose_vertex(J, weights)
+        units = tuple(
+            i for i in J if i != j and compare(weights[i], weights[j]) is Ordering.Equal
+        )
+        step = build_step_for_weights(n, J, j, weights)
+        assert step == FramedStep(n, J, j, tuple(TranslationItem(target=i) for i in units))
+        tied += bool(units)
+    assert tied > 50
 
 
 def test_compose_sequence():

@@ -1,6 +1,7 @@
 """Trace production, replay verification, and the CLI contract."""
 
 import copy
+import gc
 import json
 import re
 import subprocess
@@ -435,6 +436,72 @@ def test_cli_write_fault_after_the_run_exits_2(tmp_path, monkeypatch, capsys):
     target = str(tmp_path / "t.json")
     assert cli.main(["run", str(pf), "--out", target]) == 2
     assert capsys.readouterr().err == f"error: cannot write {target}: No space left on device\n"
+
+
+def test_one_process_commands_load_no_process_pool(tmp_path):
+    pf, tf = tmp_path / "p.json", tmp_path / "t.json"
+    pf.write_text(json.dumps([pair_problem(), pair_problem()]))
+    tf.write_text(json.dumps([run_problem(pair_problem())]))
+    script = (
+        "import sys\n"
+        "from valmono import cli\n"
+        f"assert cli.main(['verify', {str(tf)!r}]) == 0\n"
+        f"assert cli.main(['run', {str(pf)!r}, '--jobs', '1', '--out', {str(tf)!r}]) == 0\n"
+        "assert 'concurrent.futures' not in sys.modules, 'pool loaded'\n"
+        "assert 'multiprocessing' not in sys.modules, 'multiprocessing loaded'\n"
+    )
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+
+
+@pytest.mark.parametrize("text, code", [(None, 0), ("{not json", 2)])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_json_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, text, code, enabled):
+    from valmono import cli
+
+    seen = []
+    load = json.load
+    monkeypatch.setattr(cli.json, "load", lambda fh: seen.append(gc.isenabled()) or load(fh))
+    tf = tmp_path / "t.json"
+    tf.write_text(text or json.dumps(run_problem(pair_problem())))
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert cli.main(["verify", str(tf)]) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]
+
+
+def _coefficient_edited(literal):
+    """The polynomial run's trace with its first coefficient literal,
+    ``"1"``, replaced in the embedded input."""
+    trace = run_problem(all_selector_problems()[-1])
+    terms = trace["input"]["poly"]["terms"]
+    assert trace["input"]["algorithm"] == "polynomial" and terms[0]["c"] == "1"
+    terms[0]["c"] = literal
+    return trace
+
+
+def test_verify_checks_the_input_digest():
+    # "2/2" is the same rational, so the replay reproduces every step and
+    # witness: only the digest tells that the input is not the one run
+    bad = _coefficient_edited("2/2")
+    err = _mismatch(bad)
+    assert err.path == "header.input_digest" and err.step == 0
+    assert str(err) == "trace mismatch at the input, first difference at header.input_digest"
+    del bad["header"]["input_digest"]
+    verify_trace(bad)
+
+
+@pytest.mark.parametrize("literal", ["2/2", "3"])
+def test_cli_verify_names_an_edited_input(tmp_path, literal):
+    tf = tmp_path / "t.json"
+    tf.write_text(json.dumps(_coefficient_edited(literal)))
+    r = _cli("verify", str(tf))
+    assert r.returncode == 4
+    assert r.stderr == "trace 0: trace mismatch at the input, first difference at header.input_digest\n"
 
 
 def test_chunk_size():

@@ -111,6 +111,29 @@ def test_lattice_data_eliminates_once(monkeypatch):
         assert len(calls) == 1
 
 
+def test_one_lattice_solve_per_level(monkeypatch):
+    calls = []
+    solve = unifseq.min_integer_multiple_in_lattice
+    monkeypatch.setattr(
+        unifseq, "min_integer_multiple_in_lattice", lambda t, b: calls.append(t) or solve(t, b)
+    )
+    res = elementary_uniformizing_sequence(cusp_problem())
+    assert res.new_var is not None and len(calls) == 1
+    calls.clear()
+    # three entries, two levels: x + u over x, then x + u + u^2 over it
+    q2 = poly(UV, {(0, 1): 1, (1, 0): 1})
+    chain = KeyPolyChain(
+        rational_spec([1], names=("u",)),
+        "x",
+        (
+            (MultiPoly.variable(UV, "x"), G1.rational(1)),
+            (q2, G1.rational(2)),
+            (q2 + poly(UV, {(2, 0): 1}), G1.rational(3)),
+        ),
+    )
+    assert len(monomialize_key_polys(chain).level_data) == len(calls) == 2
+
+
 def test_absorb_advances_each_exponent_from_its_start():
     # a^2 against c, c^2 and b^2 (weights 2, 3, 5): the descent that makes
     # a^2 divide c also makes it divide c^2, so only b^2 needs a second one

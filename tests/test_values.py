@@ -340,6 +340,28 @@ def test_compare_differential_against_fraction_oracle():
         assert (a - b).sign() == expect.value, (a, b)
 
 
+def test_sign_kernel_on_mixed_sign_vectors(refinement_bits):
+    # integer vectors straight into the kernel: every sign pattern of the
+    # tail (the pads' shortcuts and their brackets), plus Pell near ties
+    rng = random.Random(20261022)
+    cases = []
+    for _ in range(600):
+        rank = rng.randint(1, 6)
+        top = rng.choice((1, 3, 10**6, 10**30))
+        pattern = rng.choice(((-top, top), (0, top), (-top, 0), (-1, 1)))
+        cases.append([rng.randint(-top, top)] + [rng.randint(*pattern) for _ in range(rank - 1)])
+    for norm in (1, -1):
+        x, y = _pell(2, norm, 2**70)
+        cases += [[x, -y], [-x, y], [3 * x, -3 * y, 0]]
+    for norms in ((1, 1), (-1, -2)):
+        (x2, y2), (x3, y3) = _pell(2, norms[0], 2**70), _pell(3, norms[1], 2**72)
+        cases += [[x2 + x3, -y2, -y3], [-x2 - x3, y2, y3]]
+    for n in cases:
+        assert values._sign(n, SQRT_PRIMES) == oracle_sign(n), n
+        assert values._sign([-c for c in n], SQRT_PRIMES) == -oracle_sign(n), n
+    assert max(refinement_bits) > 64
+
+
 def test_radicand_cache_grows_out_of_order(monkeypatch):
     rng = random.Random(77)
     cases = [_random_pair(rng, 6) for _ in range(40)] + [_random_pair(rng, 2) for _ in range(40)]
