@@ -16,7 +16,6 @@ from .framing import (
     Frame,
     FramedStep,
     PushPath,
-    choose_vertex,
     make_monomial_blowup,
     pushforward_weights,
 )

@@ -25,6 +25,17 @@ Steps hold decoded objects: a translation's minimal polynomial is a tuple
 of tower elements and the new parameter's weight a :class:`Value`.  They
 become JSON only in ``to_json``; nothing here reads JSON.
 
+A :class:`Frame` holds its weights as integer rows over one positive
+denominator, as a :class:`Value` holds its coordinates.  A blow-up of the
+descent loops is decided by ``PushPath.blow_up(J)`` in one pass over those
+rows: the signs of row differences pick the vertex (the least weight, ties
+to the smallest index), each pushed row ``r_i - r_j`` is computed once, and
+an all-zero one tags its column as a unit.  The vertex is least, so no
+pushed weight is negative and the new frame is built from rows, with no
+``Value``.  A step built outside it (a translation, a hand-made blow-up)
+is appended by ``PushPath.append``; its pushed weights are checked to be
+``>= 0`` (``pushforward_weights``).
+
 Polynomials are pushed along one path, :class:`PushPath`: a sequence from
 its first frame, with the frame after each step computed once.  Each term's
 exponent is carried through a maximal run of monomial steps by their
@@ -38,11 +49,13 @@ Indices are 0-based in memory and 1-based in JSON records.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
+from operator import le, sub
 from typing import Optional, Sequence
 
-from .errors import InvalidInputError, StepBudgetExceededError
+from .errors import GroupMismatchError, InvalidInputError, StepBudgetExceededError
 from .polyalg import FieldTower, MultiPoly, QQ, taylor_shift
-from .values import Ordering, Value, compare
+from .values import Value, ValueGroup, _literal, _sign
 
 DEFAULT_BUDGET = 100_000
 
@@ -137,29 +150,98 @@ class FramedStep:
         return rec
 
 
-@dataclass(frozen=True)
-class Frame:
-    """Variable labels, weights and unit tags of one chart."""
+def _rows_of(weights, den: int = 1, group: Optional[ValueGroup] = None):
+    """``(rows, den, group)``: ``weights`` (Values, or None for an undeclared
+    weight) as integer rows over the lcm of ``den`` and their denominators.
+    Weights of another group than ``group`` are a GroupMismatchError."""
+    for w in weights:
+        if w is not None:
+            if group is None:
+                group = w.group
+            elif w.group is not group and w.group != group:
+                raise GroupMismatchError("group mismatch")
+            den = lcm(den, w.den)
+    rows = tuple(None if w is None else tuple(x * (den // w.den) for x in w.nums) for w in weights)
+    return rows, den, group
 
-    names: tuple[str, ...]
-    weights: tuple[Optional[Value], ...]
-    units: frozenset[int] = frozenset()
-    tower: FieldTower = QQ
+
+class Frame:
+    """Variable labels, weights and unit tags of one chart.
+
+    The weights are integer rows over one positive denominator: weight
+    ``i`` has the coordinates ``rows[i][k] / den`` in ``group``, and
+    ``rows[i]`` is None for an undeclared weight.  ``Frame(names, weights,
+    units, tower)`` takes the weights as :class:`Value` objects and puts
+    them over the lcm of their denominators; ``weights`` and ``weight(i)``
+    give them back as values, built on first use.  Frames are equal when
+    their names, weight values, units and towers are."""
+
+    __slots__ = ("names", "rows", "den", "group", "units", "tower", "_weights")
+
+    def __init__(
+        self,
+        names: Sequence[str],
+        weights: Sequence[Optional[Value]],
+        units: frozenset[int] = frozenset(),
+        tower: FieldTower = QQ,
+    ):
+        rows, den, group = _rows_of(weights)
+        self._set(tuple(names), rows, den, group, frozenset(units), tower)
+        self._weights = tuple(weights)
+
+    @classmethod
+    def _of_rows(cls, names, rows, den, group, units, tower) -> "Frame":
+        frame = cls.__new__(cls)
+        frame._set(names, rows, den, group, units, tower)
+        frame._weights = None
+        return frame
+
+    def _set(self, names, rows, den, group, units, tower) -> None:
+        self.names, self.rows, self.den, self.group = names, rows, den, group
+        self.units, self.tower = units, tower
 
     @property
     def n(self) -> int:
         return len(self.names)
 
-    def weight(self, i: int) -> Value:
-        w = self.weights[i]
-        if w is None:
+    @property
+    def weights(self) -> tuple[Optional[Value], ...]:
+        if self._weights is None:
+            den, group = self.den, self.group
+            self._weights = tuple(None if r is None else Value(r, den, group) for r in self.rows)
+        return self._weights
+
+    def row(self, i: int) -> tuple[int, ...]:
+        r = self.rows[i]
+        if r is None:
             raise InvalidInputError(f"variable {self.names[i]!r} has no declared weight")
-        return w
+        return r
+
+    def weight(self, i: int) -> Value:
+        self.row(i)
+        return self.weights[i]
+
+    def __eq__(self, other):
+        if not isinstance(other, Frame):
+            return NotImplemented
+        return (self.names, self.units, self.tower, self.weights) == (
+            other.names, other.units, other.tower, other.weights
+        )
+
+    def __hash__(self):
+        return hash((self.names, self.units, self.tower, self.weights))
+
+    def __repr__(self):
+        return f"Frame({self.names!r}, {self.weights!r}, {self.units!r}, {self.tower!r})"
 
     def to_json(self) -> dict:
+        den = self.den
         out = {
             "vars": list(self.names),
-            "weights": [w.to_json() if w is not None else None for w in self.weights],
+            # each literal in lowest terms, as Value.to_json writes it
+            "weights": [
+                None if r is None else {"coords": [_literal(x, den) for x in r]} for r in self.rows
+            ],
             "units": [i + 1 for i in sorted(self.units)],
         }
         if self.tower.depth:
@@ -180,51 +262,23 @@ def make_monomial_blowup(n: int, J: Sequence[int], j: int) -> FramedStep:
     return FramedStep(n, J, j)
 
 
-def choose_vertex(J: Sequence[int], weights: Sequence[Value]) -> int:
-    """Index in J of minimal weight; ties broken by smallest index."""
-    J = sorted(set(J))
-    if not J:
-        raise InvalidInputError("empty center")
-    best = J[0]
-    for i in J[1:]:
-        if compare(weights[i], weights[best]) is Ordering.Less:
-            best = i
-    return best
-
-
-def pushforward_weights(
-    weights: Sequence[Value], step: FramedStep
-) -> tuple[Value, ...]:
-    """Weights in the new frame: beta'_i = beta_i - beta_j on J minus the
-    vertex, unchanged elsewhere.  All results must be >= 0."""
-    out = list(weights)
-    bj = weights[step.j]
-    for i in step.J:
-        if i != step.j:
-            w = weights[i] - bj
-            if w.sign() < 0:
-                raise InvalidInputError(
-                    "negative resulting weight: vertex was not minimal in J"
-                )
-            out[i] = w
-    return tuple(out)
-
-
-def build_step_for_weights(
-    n: int, J: Sequence[int], j: int, weights: Sequence[Value]
-) -> FramedStep:
-    """Blow-up step along (u_J) at the minimal vertex j.  Every other index
-    of J whose weight equals the vertex weight becomes a unit after the
-    blow-up (the set J^times): the step is then translation-kind, its unit
-    variables tagged, not substituted."""
-    step = make_monomial_blowup(n, J, j)
-    wj = weights[j]
-    items = tuple(
-        TranslationItem(target=i)
-        for i in step.J
-        if i != j and weights[i] == wj  # values are canonical: equal is ==
-    )
-    return FramedStep(n, step.J, j, items) if items else step
+def pushforward_weights(frame: Frame, step: FramedStep) -> list:
+    """The weight rows after ``step``, over ``frame.den``: ``r_i - r_j`` on
+    J minus the vertex j, unchanged elsewhere.  Each pushed weight must be
+    >= 0; ``PushPath.blow_up`` picks its vertex so that they are, and this
+    check is for steps built outside it (translations, hand-made blow-ups)."""
+    rows = list(frame.rows)
+    j = step.j
+    if len(step.J) > 1:
+        rj, ordering = frame.row(j), frame.group.ordering
+        for i in step.J:
+            if i != j:
+                d = rows[i] = tuple(map(sub, frame.row(i), rj))
+                if _sign(d, ordering) < 0:
+                    raise InvalidInputError(
+                        "negative resulting weight: vertex was not minimal in J"
+                    )
+    return rows
 
 
 def make_translation_step(
@@ -252,11 +306,14 @@ def make_translation_step(
 
 def apply_step_to_frame(frame: Frame, step: FramedStep) -> Frame:
     """Frame after one step: weights pushed forward, units tagged, algebraic
-    residues substituted (renaming the slot and possibly extending the tower)."""
-    weights = list(pushforward_weights(frame.weights, step))
+    residues substituted (renaming the slot and possibly extending the
+    tower).  A new parameter's weight puts the rows over the lcm of the
+    denominators."""
+    rows = pushforward_weights(frame, step)
     names = list(frame.names)
     units = set(frame.units)
     tower = frame.tower
+    moved = []
     for item in step.translation_data:
         t = item.target
         if item.minpoly is None:
@@ -267,8 +324,16 @@ def apply_step_to_frame(frame: Frame, step: FramedStep) -> Frame:
                 tower = tower.extend(item.symbol, item.minpoly)
             names[t] = item.new_name
             units.discard(t)
-            weights[t] = item.new_weight
-    return Frame(tuple(names), tuple(weights), frozenset(units), tower)
+            moved.append((t, item.new_weight))
+    den, group = frame.den, frame.group
+    if moved:
+        new, den, group = _rows_of([w for _, w in moved], den, group)
+        k = den // frame.den
+        if k != 1:
+            rows = [None if r is None else tuple(x * k for x in r) for r in rows]
+        for (t, _), r in zip(moved, new):
+            rows[t] = r
+    return Frame._of_rows(tuple(names), tuple(rows), den, group, frozenset(units), tower)
 
 
 def translation_root(item: TranslationItem, tower: FieldTower):
@@ -350,15 +415,54 @@ class PushPath:
     def frame(self) -> Frame:
         return self.frames[-1]
 
+    def _spend(self) -> None:
+        """Count one blow-up against the budget."""
+        self.blowups += 1
+        if self.blowups > self.budget:
+            raise StepBudgetExceededError(f"step budget exceeded ({self.budget} steps)")
+
     def append(self, step: FramedStep) -> None:
         if step.n != self.frame.n:
             raise InvalidInputError("step and frame have different column counts")
         if len(step.J) > 1:
-            self.blowups += 1
-            if self.blowups > self.budget:
-                raise StepBudgetExceededError(f"step budget exceeded ({self.budget} steps)")
+            self._spend()
         self.steps.append(step)
         self.frames.append(apply_step_to_frame(self.frames[-1], step))
+
+    def blow_up(self, J: tuple[int, ...]) -> FramedStep:
+        """Append the blow-up along the center ``J``, two or more increasing
+        columns, at its vertex: the column of least weight, ties to the
+        smallest index.  Every other column of J whose weight equals the
+        vertex's is tagged as a unit.  Returns the step.
+
+        One pass over the frame's weight rows decides it: ``|J| - 1`` signs
+        pick the vertex, and each pushed row ``r_i - r_j`` is computed once
+        (a unit when it is all zeros).  The vertex is least, so no pushed
+        weight is negative and no sign is decided again."""
+        frame = self.frame
+        if len(J) < 2 or J[0] < 0 or J[-1] >= frame.n or any(map(le, J[1:], J)):
+            raise InvalidInputError("a center is two or more increasing columns of the frame")
+        j = J[0]
+        rj, ordering = frame.row(j), frame.group.ordering
+        for i in J[1:]:
+            ri = frame.row(i)
+            if _sign(list(map(sub, ri, rj)), ordering) < 0:
+                j, rj = i, ri
+        rows = list(frame.rows)
+        ties = []
+        for i in J:
+            if i != j:
+                d = rows[i] = tuple(map(sub, rows[i], rj))
+                if not any(d):
+                    ties.append(i)
+        step = FramedStep(frame.n, J, j, tuple(TranslationItem(target=i) for i in ties))
+        self._spend()
+        self.steps.append(step)
+        self.frames.append(Frame._of_rows(
+            frame.names, tuple(rows), frame.den, frame.group,
+            frame.units.union(ties), frame.tower,
+        ))
+        return step
 
     def record(self, **fields) -> None:
         """Log one record of the run, numbered from 1."""

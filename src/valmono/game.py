@@ -24,13 +24,7 @@ from .errors import (
     PositiveWeightError,
     ZeroPolynomialError,
 )
-from .framing import (
-    DEFAULT_BUDGET,
-    Frame,
-    PushPath,
-    build_step_for_weights,
-    choose_vertex,
-)
+from .framing import DEFAULT_BUDGET, Frame, PushPath
 from .polyalg import MultiPoly
 from .values import Value
 
@@ -95,12 +89,11 @@ def tau(alpha: Sequence[int], gamma: Sequence[int]) -> TauValue:
     return TauValue(s, t)
 
 
-def _greedy_center(
-    at: Sequence[int], gt: Sequence[int], weights: Sequence[Value]
-) -> tuple[tuple[int, ...], int]:
-    """Center for one descent step; ``at`` must be the side of smaller total
-    degree.  J is the support of at plus indices of gt (taken in decreasing
-    gt_i order, ties by smallest index) until their gt-sum reaches |at|."""
+def _greedy_center(at: Sequence[int], gt: Sequence[int]) -> tuple[int, ...]:
+    """Center J for one descent step; ``at`` must be the side of smaller
+    total degree.  J is the support of at plus indices of gt (taken in
+    decreasing gt_i order, ties by smallest index) until their gt-sum
+    reaches |at|.  ``PushPath.blow_up`` picks the vertex."""
     target = sum(at)
     J = [i for i, a in enumerate(at) if a > 0]
     got = 0
@@ -113,8 +106,7 @@ def _greedy_center(
         got += gt[i]
     if got < target:
         raise InvalidInputError("gamma side cannot reach |alpha|")
-    J = tuple(sorted(J))
-    return J, choose_vertex(J, weights)
+    return tuple(sorted(J))
 
 
 @dataclass
@@ -154,16 +146,13 @@ def run_pair_descent(
         prev_tau = cur_tau
         if len(path) - start >= bound:
             raise AssertionError("descent exceeded its a-priori step bound")
-        frame = path.frame
-        J, j = _greedy_center(at, gt, frame.weights)
-        step = build_step_for_weights(frame.n, J, j, frame.weights)
+        step = path.blow_up(_greedy_center(at, gt))
         alpha = step.apply_to_exponent(alpha)
         gamma = step.apply_to_exponent(gamma)
-        path.append(step)
         rec = {
             "tau": cur_tau.to_json(),
-            "J": [i + 1 for i in J],
-            "j": j + 1,
+            "J": [i + 1 for i in step.J],
+            "j": step.j + 1,
             "alpha": list(alpha),
             "gamma": list(gamma),
         }
@@ -300,22 +289,19 @@ def principalize_exponents(
     drop_divisible()
     while len(active) > 1:
         # the pair attaining the minimal tau drives the next blow-up
-        frame = path.frame
         if best is None:
-            best = _best_pair(exps, active, frame.units)
+            best = _best_pair(exps, active, path.frame.units)
         _, at, gt = best
         if sum(at) > sum(gt):
             at, gt = gt, at
-        J, j = _greedy_center(at, gt, frame.weights)
-        step = build_step_for_weights(frame.n, J, j, frame.weights)
+        step = path.blow_up(_greedy_center(at, gt))
         exps = [step.apply_to_exponent(e) for e in exps]
-        path.append(step)
         bb, tvj = ideal_tau()
         rec = {
             "event": "blowup",
             "tau_ideal": [bb, tvj],
-            "J": [i + 1 for i in J],
-            "j": j + 1,
+            "J": [i + 1 for i in step.J],
+            "j": step.j + 1,
             "exponents": [list(exps[i]) for i in active],
         }
         if step.J_times:

@@ -10,6 +10,7 @@ from typing import Optional, Sequence
 import pytest
 
 from valmono.errors import InvalidInputError, ValmonoError, ZeroPolynomialError
+from valmono.framing import FramedStep, TranslationItem, make_monomial_blowup
 from valmono.game import MonomialValuationSpec, _greedy_center, reduced_parts
 from valmono.keypoly import KeyPolyChain
 from valmono.polyalg import MultiPoly, QQ
@@ -123,8 +124,9 @@ def binomial_chain(rng: random.Random, allow_extension=True) -> KeyPolyChain:
 # Moved here unchanged from ``framing``, ``game`` and ``polyalg``: the
 # descent loops apply the center rule of ``descent_center`` inline, a
 # key-polynomial level reads its initial form with ``unifseq._initial_form``,
-# and ``substitute_variable`` is the exact composition that ``taylor_shift``
-# is checked against.
+# ``substitute_variable`` is the exact composition that ``taylor_shift``
+# is checked against, and ``PushPath.blow_up`` decides on weight rows what
+# ``choose_vertex`` and ``build_step_for_weights`` decide on ``Value``s.
 
 
 def active_indices(frame) -> tuple[int, ...]:
@@ -140,6 +142,35 @@ class NothingToDoError(ValmonoError):
     code = "nothing to do"
 
 
+def choose_vertex(J: Sequence[int], weights: Sequence[Value]) -> int:
+    """Index in J of minimal weight; ties broken by smallest index."""
+    J = sorted(set(J))
+    if not J:
+        raise InvalidInputError("empty center")
+    best = J[0]
+    for i in J[1:]:
+        if compare(weights[i], weights[best]) is Ordering.Less:
+            best = i
+    return best
+
+
+def build_step_for_weights(
+    n: int, J: Sequence[int], j: int, weights: Sequence[Value]
+) -> FramedStep:
+    """Blow-up step along (u_J) at the minimal vertex j.  Every other index
+    of J whose weight equals the vertex weight becomes a unit after the
+    blow-up (the set J^times): the step is then translation-kind, its unit
+    variables tagged, not substituted."""
+    step = make_monomial_blowup(n, J, j)
+    wj = weights[j]
+    items = tuple(
+        TranslationItem(target=i)
+        for i in step.J
+        if i != j and weights[i] == wj  # values are canonical: equal is ==
+    )
+    return FramedStep(n, step.J, j, items) if items else step
+
+
 def descent_center(
     alpha: Sequence[int], gamma: Sequence[int], spec: MonomialValuationSpec
 ) -> tuple[tuple[int, ...], int]:
@@ -150,7 +181,8 @@ def descent_center(
         at, gt = gt, at
     if sum(at) == 0:
         raise NothingToDoError("nothing to do: divisibility already holds")
-    return _greedy_center(at, gt, spec.weights)
+    J = _greedy_center(at, gt)
+    return J, choose_vertex(J, spec.weights)
 
 
 def monomial_valuation(f: MultiPoly, spec: MonomialValuationSpec) -> Value:

@@ -3,12 +3,15 @@
 import dataclasses
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from conftest import (
     active_indices,
+    build_step_for_weights,
+    choose_vertex,
     forward_product,
     identity,
     old_det,
@@ -21,16 +24,14 @@ from conftest import (
     rational_spec,
     trace_matrix,
 )
-from valmono import framing
-from valmono.errors import InvalidInputError
+from valmono import framing, values
+from valmono.errors import InvalidInputError, StepBudgetExceededError
 from valmono.framing import (
     Frame,
     FramedStep,
     TranslationItem,
     PushPath,
     apply_step_to_frame,
-    build_step_for_weights,
-    choose_vertex,
     make_monomial_blowup,
     make_translation_step,
     push_polynomial_through_step,
@@ -116,14 +117,15 @@ def test_choose_vertex():
 def test_pushforward_weights():
     g = ValueGroup(2)
     st = make_monomial_blowup(2, (0, 1), 0)
-    w = (g.value([1, 0]), g.value([0, 1]))
-    out = pushforward_weights(w, st)
+    frame = Frame(("a", "b"), (g.value([1, 0]), g.value([0, 1])))
+    assert pushforward_weights(frame, st) == [(1, 0), (-1, 1)] and frame.den == 1
+    out = apply_step_to_frame(frame, st).weights
     assert out[0].coords == (Fraction(1), Fraction(0))
     assert out[1].coords == (Fraction(-1), Fraction(1))  # sqrt2 - 1
     # vertex not minimal -> negative weight
     st_bad = make_monomial_blowup(2, (0, 1), 1)
     with pytest.raises(InvalidInputError):
-        pushforward_weights(w, st_bad)
+        pushforward_weights(frame, st_bad)
 
 
 def test_pushforward_ties_become_units():
@@ -132,9 +134,10 @@ def test_pushforward_ties_become_units():
     st = build_step_for_weights(2, (0, 1), 0, w)
     assert st.kind == "translation" and st.J_times == (1,)
     assert st.n_after == 1
-    out = pushforward_weights(w, st)
-    assert out[1].is_zero()
-    frame = apply_step_to_frame(Frame(("a", "b"), tuple(w)), st)
+    before = Frame(("a", "b"), tuple(w))
+    assert not any(pushforward_weights(before, st)[1])
+    frame = apply_step_to_frame(before, st)
+    assert frame.weights[1].is_zero()
     assert frame.units == frozenset({1})
 
 
@@ -177,6 +180,127 @@ def test_tied_columns_match_a_compare_oracle(ordering, rank):
         assert step == FramedStep(n, J, j, tuple(TranslationItem(target=i) for i in units))
         tied += bool(units)
     assert tied > 50
+
+
+@pytest.mark.parametrize("ordering", [SQRT_PRIMES, LEX])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_blow_up_matches_the_value_oracles(ordering, rank):
+    """``PushPath.blow_up`` decides on weight rows what the value route
+    decides: ``choose_vertex``, ``build_step_for_weights`` and
+    ``apply_step_to_frame`` give the same step, weights and units."""
+    rng = random.Random(f"blow_up:{ordering}:{rank}")
+    g = ValueGroup(rank, ordering)
+    tied = undeclared = 0
+    for _ in range(150):
+        n = rng.randint(2, 6)
+        # few distinct values, so that centers often hold ties
+        pool = [
+            [Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(rank)]
+            for _ in range(rng.randint(1, 3))
+        ]
+        weights = [_built_along_a_path(g, rng.choice(pool), rng) for _ in range(n)]
+        J = tuple(sorted(rng.sample(range(n), rng.randint(2, n))))
+        outside = [i for i in range(n) if i not in J]
+        for i in outside:
+            if rng.random() < 0.4:
+                weights[i] = None
+        units = frozenset(i for i in outside if rng.random() < 0.3)
+        frame = Frame(tuple(f"u{i}" for i in range(n)), tuple(weights), units)
+        j = choose_vertex(J, weights)
+        want = build_step_for_weights(n, J, j, weights)
+        path = PushPath(frame)
+        assert path.blow_up(J) == want and path.steps == [want]
+        after = apply_step_to_frame(frame, want)
+        pushed = tuple(w - weights[j] if i in J and i != j else w for i, w in enumerate(weights))
+        assert path.frame.weights == after.weights == pushed
+        assert path.frame.units == after.units == units | set(want.J_times)
+        assert path.frame == after and path.frame.to_json() == after.to_json()
+        tied += bool(want.J_times)
+        undeclared += None in weights
+    assert tied > 15 and undeclared > 30
+
+
+def test_blow_up_refuses_an_undeclared_weight_in_its_center():
+    frame = Frame(("a", "b", "c"), (G1.rational(1), None, G1.rational(2)))
+    with pytest.raises(InvalidInputError) as want:
+        frame.weight(1)
+    path = PushPath(frame)
+    for J in ((0, 1), (1, 2), (0, 1, 2)):
+        with pytest.raises(InvalidInputError) as got:
+            path.blow_up(J)
+        assert str(got.value) == str(want.value) == "variable 'b' has no declared weight"
+    assert len(path) == 0 and path.blowups == 0
+    # an undeclared weight outside the center rides along
+    path.blow_up((0, 2))
+    assert path.frame.weights == (G1.rational(1), None, G1.rational(1))
+
+
+def test_blow_up_checks_its_center_and_spends_the_budget():
+    frame = Frame(("a", "b", "c"), (G1.rational(1), G1.rational(2), G1.rational(3)))
+    path = PushPath(frame, budget=1)
+    for J in ((0,), (1, 0), (0, 0), (0, 3), (-1, 0)):
+        with pytest.raises(InvalidInputError, match="center"):
+            path.blow_up(J)
+    assert path.blow_up((1, 2)) == FramedStep(3, (1, 2), 1)
+    with pytest.raises(StepBudgetExceededError):
+        path.blow_up((0, 2))
+    assert len(path) == 1 and len(path.frames) == 2
+
+
+def test_blow_up_decides_each_sign_once(monkeypatch):
+    """One blow-up makes |J| - 1 sign decisions, one per column after the
+    first, and calls no compare and builds no Value."""
+    rng = random.Random(23)
+    cases = []
+    for rank in (1, 2, 4):
+        g = ValueGroup(rank)
+        for _ in range(20):
+            n = rng.randint(2, 6)
+            pool = [[rng.randint(0, 4) for _ in range(rank)] for _ in range(2)]
+            frame = Frame(tuple(f"u{i}" for i in range(n)), tuple(g.value(rng.choice(pool)) for _ in range(n)))
+            cases.append((frame, tuple(sorted(rng.sample(range(n), rng.randint(2, n))))))
+    counts = Counter()
+
+    def counted(name, fn):
+        return lambda *a: counts.update([name]) or fn(*a)
+
+    monkeypatch.setattr(framing, "_sign", counted("_sign", framing._sign))
+    monkeypatch.setattr(values, "_sign", counted("values._sign", values._sign))
+    monkeypatch.setattr(values, "compare", counted("compare", values.compare))
+    monkeypatch.setattr(Value, "__post_init__", counted("Value", Value.__post_init__))
+    ties = 0
+    for frame, J in cases:
+        counts.clear()
+        path = PushPath(frame)
+        ties += bool(path.blow_up(J).J_times)
+        assert counts == Counter({"_sign": len(J) - 1})
+    assert ties > 5
+
+
+def test_frame_json_from_rows_matches_the_values():
+    """A frame writes its rows as each ``Value`` writes itself, over any
+    common denominator: after a blow-up, and after a translation whose new
+    weight brings a new denominator."""
+    g = ValueGroup(2)
+    frame = Frame(
+        ("a", "b", "c", "d"),
+        (g.value(["1/2", 3]), g.of_pairs([(2, 4), (6, 4)]), None, g.rational(Fraction(1, 3))),
+        frozenset({3}),
+    )
+    path = PushPath(frame)
+    path.blow_up((0, 1))
+    lin = (QQ.from_rational(-1), QQ.one())
+    path.append(make_translation_step(4, 3, lin, None, "x", g.value(["1/5", "2/5"])))
+    assert [fr.den for fr in path.frames] == [6, 6, 30]
+    for fr in path.frames:
+        assert fr.to_json()["weights"] == [w.to_json() if w is not None else None for w in fr.weights]
+        again = Frame(fr.names, fr.weights, fr.units, fr.tower)
+        assert again == fr and hash(again) == hash(fr) and again.to_json() == fr.to_json()
+    # the replaced weight's 3 stays in the rows' denominator; values are equal
+    assert Frame(path.frame.names, path.frame.weights, path.frame.units).den == 10
+    assert path.frame.weights[3] == g.value(["1/5", "2/5"]) and path.frame.names[3] == "x"
+    assert path.steps[0].j == 1 and path.frame.weights[1] == g.of_pairs([(2, 4), (6, 4)])
+    assert path.frame.weights[0] == g.value(["1/2", 3]) - g.value(["1/2", "3/2"])
 
 
 def test_compose_sequence():

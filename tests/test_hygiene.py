@@ -448,3 +448,35 @@ def test_unread_parameter_scan_sees_each_kind():
     assert _unread_parameters(ast.parse(src)) == [
         "run(flag)", "reset(a)", "reset(kw)", "m(x)", "<lambda>(y)",
     ]
+
+
+# Every weight sign is decided by the values kernel: ``values`` for a
+# ``Value`` and ``framing`` for a frame's integer weight rows.
+_SIGN_MODULES = {"values.py", "framing.py"}
+
+
+def _sign_calls(tree: ast.AST) -> list[str]:
+    """``line N`` for each call of ``_sign``, by name or as an attribute."""
+    return [
+        f"line {node.lineno}" for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "_sign"
+    ]
+
+
+def test_only_the_weight_kernels_call_sign():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name not in _SIGN_MODULES:
+            found += [f"{path.name} {where}" for where in _sign_calls(_parse(path))]
+    assert found == []
+    # both kernels still decide signs, so the rule names live modules
+    assert all(_sign_calls(_parse(PACKAGE / name)) for name in _SIGN_MODULES)
+
+
+def test_sign_scan_sees_each_kind():
+    src = (
+        "from .values import _sign\nfrom . import values\n"
+        "a = _sign(n, o)\nb = values._sign(n, o)\nc = v.sign()\nd = _sign\n"
+    )
+    assert _sign_calls(ast.parse(src)) == ["line 3", "line 4"]
