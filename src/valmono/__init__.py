@@ -16,8 +16,6 @@ from .framing import (
     Frame,
     FramedStep,
     PushPath,
-    make_monomial_blowup,
-    pushforward_weights,
 )
 from .game import (
     MonomialValuationSpec,

@@ -26,22 +26,22 @@ of tower elements and the new parameter's weight a :class:`Value`.  They
 become JSON only in ``to_json``; nothing here reads JSON.
 
 A :class:`Frame` holds its weights as integer rows over one positive
-denominator, as a :class:`Value` holds its coordinates.  A blow-up of the
-descent loops is decided by ``PushPath.blow_up(J)`` in one pass over those
-rows: the signs of row differences pick the vertex (the least weight, ties
-to the smallest index), each pushed row ``r_i - r_j`` is computed once, and
-an all-zero one tags its column as a unit.  The vertex is least, so no
-pushed weight is negative and the new frame is built from rows, with no
-``Value``.  A step built outside it (a translation, a hand-made blow-up)
-is appended by ``PushPath.append``; its pushed weights are checked to be
-``>= 0`` (``pushforward_weights``).
+denominator, as a :class:`Value` holds its coordinates.
 
-Polynomials are pushed along one path, :class:`PushPath`: a sequence from
-its first frame, with the frame after each step computed once.  Each term's
-exponent is carried through a maximal run of monomial steps by their
-updates, one after another; an algebraic translation (the unit becomes
-``theta + u'``) is a Taylor shift over the tower.
-``push_polynomial_through_step`` is the per-step primitive under it.
+A :class:`PushPath` grows in two ways, and each computes the frame after
+its step once, from rows, with no ``Value``.  ``blow_up(J)`` decides a
+blow-up in one pass over the rows: the signs of row differences pick the
+vertex (the least weight, ties to the smallest index), each pushed row
+``r_i - r_j`` is computed once, and an all-zero one tags its column as a
+unit.  The vertex is least, so no pushed weight is negative.
+``translate`` replaces a unit with an algebraic residue by a new regular
+parameter: it renames the column, extends the tower from degree 2 on and
+puts the new weight in.
+
+Polynomials are pushed one way, by ``PushPath.push``.  Each term's
+exponent is carried through a maximal run of steps without an algebraic
+item by their updates, one after another; an algebraic translation (the
+unit becomes ``theta + u'``) is a Taylor shift over the tower.
 
 Indices are 0-based in memory and 1-based in JSON records.
 """
@@ -249,93 +249,6 @@ class Frame:
         return out
 
 
-def make_monomial_blowup(n: int, J: Sequence[int], j: int) -> FramedStep:
-    """The monomial blow-up along (u_J) with vertex j: u'_i = u_i for
-    i in J^c or i = j, u'_i = u_i / u_j otherwise."""
-    J = tuple(sorted(set(J)))
-    if not all(0 <= i < n for i in J):
-        raise InvalidInputError("J out of range")
-    if j not in J:
-        raise InvalidInputError("vertex must belong to J")
-    if len(J) < 2:
-        raise InvalidInputError("center must have at least two variables")
-    return FramedStep(n, J, j)
-
-
-def pushforward_weights(frame: Frame, step: FramedStep) -> list:
-    """The weight rows after ``step``, over ``frame.den``: ``r_i - r_j`` on
-    J minus the vertex j, unchanged elsewhere.  Each pushed weight must be
-    >= 0; ``PushPath.blow_up`` picks its vertex so that they are, and this
-    check is for steps built outside it (translations, hand-made blow-ups)."""
-    rows = list(frame.rows)
-    j = step.j
-    if len(step.J) > 1:
-        rj, ordering = frame.row(j), frame.group.ordering
-        for i in step.J:
-            if i != j:
-                d = rows[i] = tuple(map(sub, frame.row(i), rj))
-                if _sign(d, ordering) < 0:
-                    raise InvalidInputError(
-                        "negative resulting weight: vertex was not minimal in J"
-                    )
-    return rows
-
-
-def make_translation_step(
-    n: int,
-    target: int,
-    minpoly: Optional[tuple],
-    symbol: Optional[str],
-    new_name: Optional[str],
-    new_weight: Optional[Value] = None,
-) -> FramedStep:
-    """Pure residue-motion step: the one-column center ``target``, whose
-    unit variable is replaced by ``u' - theta`` (algebraic, ``minpoly`` in
-    the current tower) or tagged (transcendental).  An algebraic item needs
-    ``new_name``, and a ``symbol`` for theta when its degree is at least 2."""
-    if minpoly is not None and (new_name is None or (len(minpoly) > 2 and symbol is None)):
-        raise InvalidInputError(
-            "an algebraic translation needs a new name, and a symbol from degree 2 on"
-        )
-    item = TranslationItem(
-        target=target, minpoly=minpoly, symbol=symbol,
-        new_name=new_name, new_weight=new_weight,
-    )
-    return FramedStep(n, (target,), target, (item,))
-
-
-def apply_step_to_frame(frame: Frame, step: FramedStep) -> Frame:
-    """Frame after one step: weights pushed forward, units tagged, algebraic
-    residues substituted (renaming the slot and possibly extending the
-    tower).  A new parameter's weight puts the rows over the lcm of the
-    denominators."""
-    rows = pushforward_weights(frame, step)
-    names = list(frame.names)
-    units = set(frame.units)
-    tower = frame.tower
-    moved = []
-    for item in step.translation_data:
-        t = item.target
-        if item.minpoly is None:
-            units.add(t)
-        else:
-            # the root -c0 of a degree-1 residue is already in the tower
-            if len(item.minpoly) > 2:
-                tower = tower.extend(item.symbol, item.minpoly)
-            names[t] = item.new_name
-            units.discard(t)
-            moved.append((t, item.new_weight))
-    den, group = frame.den, frame.group
-    if moved:
-        new, den, group = _rows_of([w for _, w in moved], den, group)
-        k = den // frame.den
-        if k != 1:
-            rows = [None if r is None else tuple(x * k for x in r) for r in rows]
-        for (t, _), r in zip(moved, new):
-            rows[t] = r
-    return Frame._of_rows(tuple(names), tuple(rows), den, group, frozenset(units), tower)
-
-
 def translation_root(item: TranslationItem, tower: FieldTower):
     """The residue theta of an algebraic item, in the tower after its step."""
     if len(item.minpoly) == 2:
@@ -355,49 +268,24 @@ def _push_exponents(f: MultiPoly, steps: Sequence[FramedStep]) -> MultiPoly:
     return MultiPoly(f.vars, terms, f.tower, f.den)
 
 
-def push_polynomial_through_step(
-    f: MultiPoly, frame_before: Frame, step: FramedStep, frame_after: Optional[Frame] = None
-) -> MultiPoly:
-    """Image of f in the next chart.  The exponent update first, then the
-    linear residue substitutions ``u'_target = theta + new_var`` as Taylor
-    shifts.  ``frame_after`` is the frame after the step, when the caller
-    has it."""
-    g = _push_exponents(f, (step,)) if len(step.J) > 1 else f
-    if frame_after is None:
-        frame_after = apply_step_to_frame(frame_before, step)
-    tower = frame_after.tower
-    if tower != g.tower:
-        g = g.with_tower(tower)
-    for item in step.translation_data:
-        if item.minpoly is None:
-            continue
-        t = item.target
-        g = taylor_shift(g, g.vars[t], translation_root(item, tower))
-        name = frame_after.names[t]
-        if name != g.vars[t]:
-            g = MultiPoly(g.vars[:t] + (name,) + g.vars[t + 1:], g.terms, g.tower, g.den)
-    return g
-
-
 class PushPath:
     """One framed sequence, from ``frame0`` through its steps, as the path
     along which polynomials are pushed.  The descent loops of ``game`` and
-    the phases of ``unifseq`` append their steps here; a run's result
-    holds its path, the one copy of its sequence.
+    the phases of ``unifseq`` grow it; a run's result holds its path, the
+    one copy of its sequence.
 
-    The path also holds the run's step budget: appending a blow-up (a
-    center of two or more columns) beyond ``budget`` of them raises
-    ``StepBudgetExceededError``, whichever phase appends it.
+    The path also holds the run's step budget: a blow-up beyond
+    ``budget`` of them raises ``StepBudgetExceededError``, whichever phase
+    asks for it.
 
     The path also keeps the run's step log, ``records``: each phase logs
     its steps through ``record``, which numbers them.
 
-    The frame after each step is computed once, when the step is appended.
-    Through a maximal run of monomial steps each term's exponent is folded
-    through the updates before the terms are rebuilt once; every other
-    step goes through ``push_polynomial_through_step``.  Pushing through
-    steps [a, b) and then [b, c) equals pushing through [a, c), so a caller
-    may keep an image and advance it only through the steps added since.
+    The path grows only by ``blow_up`` and ``translate``; each computes
+    the frame after its step once, when it appends the step.  Pushing
+    through steps [a, b) and then [b, c) equals pushing through [a, c), so a
+    caller may keep an image and advance it only through the steps added
+    since.
     """
 
     def __init__(self, frame0: Frame, budget: int = DEFAULT_BUDGET):
@@ -420,14 +308,6 @@ class PushPath:
         self.blowups += 1
         if self.blowups > self.budget:
             raise StepBudgetExceededError(f"step budget exceeded ({self.budget} steps)")
-
-    def append(self, step: FramedStep) -> None:
-        if step.n != self.frame.n:
-            raise InvalidInputError("step and frame have different column counts")
-        if len(step.J) > 1:
-            self._spend()
-        self.steps.append(step)
-        self.frames.append(apply_step_to_frame(self.frames[-1], step))
 
     def blow_up(self, J: tuple[int, ...]) -> FramedStep:
         """Append the blow-up along the center ``J``, two or more increasing
@@ -464,6 +344,45 @@ class PushPath:
         ))
         return step
 
+    def translate(self, column: int, minpoly: tuple, new_weight: Optional[Value]) -> TranslationItem:
+        """Append the translation that replaces the unit variable of
+        ``column`` by the regular parameter ``u' - theta``, where theta is
+        the residue of the variable and ``minpoly`` its monic minimal
+        polynomial (elements of the current tower, lowest degree first).
+        From degree 2 on theta is a new generator ``t<k>`` of the tower, the
+        least ``k`` above its depth that no extension holds; the root
+        ``-c_0`` of a degree-1 residue is already in the tower.  The column
+        gets the variable's name primed until it is fresh, drops its unit
+        tag and weighs ``new_weight`` (None leaves it undeclared).  Returns
+        the step's item."""
+        frame = self.frame
+        tower, names = frame.tower, list(frame.names)
+        symbol = None
+        if len(minpoly) > 2:
+            k = tower.depth + 1
+            taken = {s for s, _ in tower.extensions}
+            while f"t{k}" in taken:
+                k += 1
+            symbol = f"t{k}"
+            tower = tower.extend(symbol, minpoly)
+        new_name = names[column] + "'"
+        while new_name in names:
+            new_name += "'"
+        names[column] = new_name
+        item = TranslationItem(column, minpoly, symbol, new_name, new_weight)
+        # a new weight puts the rows over the lcm of the denominators
+        (row,), den, group = _rows_of((new_weight,), frame.den, frame.group)
+        scale = den // frame.den
+        rows = list(frame.rows)
+        if scale != 1:
+            rows = [None if r is None else tuple(x * scale for x in r) for r in rows]
+        rows[column] = row
+        self.steps.append(FramedStep(frame.n, (column,), column, (item,)))
+        self.frames.append(Frame._of_rows(
+            tuple(names), tuple(rows), den, group, frame.units - {column}, tower,
+        ))
+        return item
+
     def record(self, **fields) -> None:
         """Log one record of the run, numbered from 1."""
         self.records.append({"step": len(self.records) + 1, **fields})
@@ -483,18 +402,28 @@ class PushPath:
 
     def push(self, f: MultiPoly, start: int = 0, stop: Optional[int] = None) -> MultiPoly:
         """Image in the chart ``frames[stop]`` (default: the last) of f, a
-        polynomial in the chart ``frames[start]``."""
+        polynomial in the chart ``frames[start]``.  Each term's exponent is
+        carried through a maximal run of steps without an algebraic item,
+        tied blow-ups included, before the terms are rebuilt once.  An
+        algebraic translation has one column, so its update is the identity:
+        f is lifted to the tower after it, shifted by theta and renamed."""
         stop = len(self.steps) if stop is None else stop
-        k = start
-        while k < stop:
-            end = k + 1
-            if self.steps[k].kind == "monomial":
-                while end < stop and self.steps[end].kind == "monomial":
-                    end += 1
-                f = _push_exponents(f, self.steps[k:end])
-            else:
-                f = push_polynomial_through_step(f, self.frames[k], self.steps[k], self.frames[end])
-            k = end
+        run = start  # the first step not yet pushed
+        for k in range(start, stop):
+            items = self.steps[k].translation_data
+            if not items or items[0].minpoly is None:
+                continue
+            if run < k:
+                f = _push_exponents(f, self.steps[run:k])
+            run = k + 1
+            item, tower = items[0], self.frames[run].tower
+            if f.tower != tower:
+                f = f.with_tower(tower)
+            t = item.target
+            f = taylor_shift(f, f.vars[t], translation_root(item, tower))
+            f = MultiPoly(f.vars[:t] + (item.new_name,) + f.vars[t + 1:], f.terms, f.tower, f.den)
+        if run < stop:
+            f = _push_exponents(f, self.steps[run:stop])
         return f
 
     def advance(self, e: tuple[int, ...], start: int = 0) -> tuple[int, ...]:

@@ -376,6 +376,8 @@ def run_problem(inp: dict, budget: int = DEFAULT_BUDGET, command: str = "run") -
     if not isinstance(inp, dict):
         raise SchemaError("problem must be a JSON object")
     algorithm = _need(inp, "algorithm")
+    if not isinstance(algorithm, str):
+        raise SchemaError(f"algorithm must be a string, not {algorithm!r}")
     if algorithm not in _RUNNERS:
         raise SchemaError(f"unknown algorithm selector {algorithm!r}")
     header = {

@@ -47,7 +47,6 @@ from .framing import (
     DEFAULT_BUDGET,
     Frame,
     PushPath,
-    make_translation_step,
     translation_root,
 )
 from .game import (
@@ -224,8 +223,7 @@ def _translate(
     the current tower; the step holds that of the residue of the unit
     *variable*: ``minpoly`` when z is that variable, its normalized
     reciprocal when 1/z is.  Returns the new parameter's name."""
-    frame = path.frame
-    tower = frame.tower
+    tower = path.frame.tower
     if z_sign == 1:
         minpoly = tuple(minpoly)
     else:
@@ -233,24 +231,13 @@ def _translate(
             raise InvalidInputError("residue minimal polynomial must have b_0 != 0")
         inv = tower.inv(minpoly[0])
         minpoly = tuple(tower.mul(c, inv) for c in reversed(minpoly))
-    symbol = None
-    if len(minpoly) > 2:
-        k = tower.depth + 1
-        taken = {s for s, _ in tower.extensions}
-        while f"t{k}" in taken:
-            k += 1
-        symbol = f"t{k}"
-    new_name = frame.names[z_column] + "'"
-    while new_name in frame.names:
-        new_name += "'"
     if new_weight is not None and not new_weight.is_positive():
         raise InvalidInputError("the new parameter must have positive value")
-    step = make_translation_step(frame.n, z_column, minpoly, symbol, new_name, new_weight)
-    path.append(step)
-    record = step.translation_data[0].to_json()
+    item = path.translate(z_column, minpoly, new_weight)
+    record = item.to_json()
     del record["new_weight"]
     path.record(translation=record)
-    return new_name
+    return item.new_name
 
 
 def _initial_form(

@@ -165,7 +165,12 @@ def _exact(q) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class ValueGroup:
-    """Ordered group of finite rational rank with a fixed generator basis."""
+    """Ordered group of finite rational rank with a fixed generator basis.
+
+    ``labels`` name the generators.  The default labels ``g1..gr`` are held
+    as ``()`` and spelled out only by ``to_json``, so a group costs no
+    memory per generator until a value is built in it; a group given those
+    labels explicitly is the same group."""
 
     rank: int
     ordering: str = SQRT_PRIMES
@@ -176,10 +181,13 @@ class ValueGroup:
             raise InvalidInputError("rank must be >= 1")
         if self.ordering not in (SQRT_PRIMES, LEX):
             raise InvalidInputError(f"unknown ordering {self.ordering!r}")
-        labels = self.labels or tuple(f"g{i+1}" for i in range(self.rank))
-        if len(labels) != self.rank or len(set(labels)) != self.rank:
-            raise InvalidInputError("labels must be pairwise distinct, one per generator")
-        object.__setattr__(self, "labels", tuple(labels))
+        labels = tuple(self.labels)
+        if labels:
+            if len(labels) != self.rank or len(set(labels)) != self.rank:
+                raise InvalidInputError("labels must be pairwise distinct, one per generator")
+            if all(label == f"g{i}" for i, label in enumerate(labels, 1)):
+                labels = ()
+        object.__setattr__(self, "labels", labels)
 
     def value(self, coords: Iterable[Fraction | int | str]) -> "Value":
         """The value with these coordinates, each an int, a Fraction or a
@@ -201,7 +209,8 @@ class ValueGroup:
         return self.value([0] * self.rank)
 
     def to_json(self) -> dict:
-        return {"rank": self.rank, "ordering": self.ordering, "labels": list(self.labels)}
+        labels = self.labels or [f"g{i}" for i in range(1, self.rank + 1)]
+        return {"rank": self.rank, "ordering": self.ordering, "labels": list(labels)}
 
 
 @dataclass(frozen=True)

@@ -5,16 +5,24 @@ from __future__ import annotations
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from operator import sub
 from typing import Optional, Sequence
 
 import pytest
 
 from valmono.errors import InvalidInputError, ValmonoError, ZeroPolynomialError
-from valmono.framing import FramedStep, TranslationItem, make_monomial_blowup
+from valmono.framing import (
+    Frame,
+    FramedStep,
+    TranslationItem,
+    _push_exponents,
+    _rows_of,
+    translation_root,
+)
 from valmono.game import MonomialValuationSpec, _greedy_center, reduced_parts
 from valmono.keypoly import KeyPolyChain
-from valmono.polyalg import MultiPoly, QQ
-from valmono.values import Ordering, Value, ValueGroup, compare, rational_from_str, value_of_exponent
+from valmono.polyalg import MultiPoly, QQ, taylor_shift
+from valmono.values import Ordering, Value, ValueGroup, _sign, compare, rational_from_str, value_of_exponent
 
 getcontext().prec = 80
 
@@ -127,6 +135,11 @@ def binomial_chain(rng: random.Random, allow_extension=True) -> KeyPolyChain:
 # ``substitute_variable`` is the exact composition that ``taylor_shift``
 # is checked against, and ``PushPath.blow_up`` decides on weight rows what
 # ``choose_vertex`` and ``build_step_for_weights`` decide on ``Value``s.
+# The generic step route of ``framing`` (``make_monomial_blowup``,
+# ``make_translation_step``, ``pushforward_weights``, ``apply_step_to_frame``
+# and the per-step push ``push_polynomial_through_step``) is the reference
+# for ``PushPath.blow_up``, ``PushPath.translate`` and ``PushPath.push``,
+# and ``extend_path`` grows a path along hand-made steps with it.
 
 
 def active_indices(frame) -> tuple[int, ...]:
@@ -169,6 +182,127 @@ def build_step_for_weights(
         if i != j and weights[i] == wj  # values are canonical: equal is ==
     )
     return FramedStep(n, step.J, j, items) if items else step
+
+
+def make_monomial_blowup(n: int, J: Sequence[int], j: int) -> FramedStep:
+    """The monomial blow-up along (u_J) with vertex j: u'_i = u_i for
+    i in J^c or i = j, u'_i = u_i / u_j otherwise."""
+    J = tuple(sorted(set(J)))
+    if not all(0 <= i < n for i in J):
+        raise InvalidInputError("J out of range")
+    if j not in J:
+        raise InvalidInputError("vertex must belong to J")
+    if len(J) < 2:
+        raise InvalidInputError("center must have at least two variables")
+    return FramedStep(n, J, j)
+
+
+def pushforward_weights(frame: Frame, step: FramedStep) -> list:
+    """The weight rows after ``step``, over ``frame.den``: ``r_i - r_j`` on
+    J minus the vertex j, unchanged elsewhere.  Each pushed weight must be
+    >= 0; ``PushPath.blow_up`` picks its vertex so that they are, and this
+    check is for steps built outside it (translations, hand-made blow-ups)."""
+    rows = list(frame.rows)
+    j = step.j
+    if len(step.J) > 1:
+        rj, ordering = frame.row(j), frame.group.ordering
+        for i in step.J:
+            if i != j:
+                d = rows[i] = tuple(map(sub, frame.row(i), rj))
+                if _sign(d, ordering) < 0:
+                    raise InvalidInputError(
+                        "negative resulting weight: vertex was not minimal in J"
+                    )
+    return rows
+
+
+def make_translation_step(
+    n: int,
+    target: int,
+    minpoly: Optional[tuple],
+    symbol: Optional[str],
+    new_name: Optional[str],
+    new_weight: Optional[Value] = None,
+) -> FramedStep:
+    """Pure residue-motion step: the one-column center ``target``, whose
+    unit variable is replaced by ``u' - theta`` (algebraic, ``minpoly`` in
+    the current tower) or tagged (transcendental).  An algebraic item needs
+    ``new_name``, and a ``symbol`` for theta when its degree is at least 2."""
+    if minpoly is not None and (new_name is None or (len(minpoly) > 2 and symbol is None)):
+        raise InvalidInputError(
+            "an algebraic translation needs a new name, and a symbol from degree 2 on"
+        )
+    item = TranslationItem(
+        target=target, minpoly=minpoly, symbol=symbol,
+        new_name=new_name, new_weight=new_weight,
+    )
+    return FramedStep(n, (target,), target, (item,))
+
+
+def apply_step_to_frame(frame: Frame, step: FramedStep) -> Frame:
+    """Frame after one step: weights pushed forward, units tagged, algebraic
+    residues substituted (renaming the slot and possibly extending the
+    tower).  A new parameter's weight puts the rows over the lcm of the
+    denominators."""
+    rows = pushforward_weights(frame, step)
+    names = list(frame.names)
+    units = set(frame.units)
+    tower = frame.tower
+    moved = []
+    for item in step.translation_data:
+        t = item.target
+        if item.minpoly is None:
+            units.add(t)
+        else:
+            # the root -c0 of a degree-1 residue is already in the tower
+            if len(item.minpoly) > 2:
+                tower = tower.extend(item.symbol, item.minpoly)
+            names[t] = item.new_name
+            units.discard(t)
+            moved.append((t, item.new_weight))
+    den, group = frame.den, frame.group
+    if moved:
+        new, den, group = _rows_of([w for _, w in moved], den, group)
+        k = den // frame.den
+        if k != 1:
+            rows = [None if r is None else tuple(x * k for x in r) for r in rows]
+        for (t, _), r in zip(moved, new):
+            rows[t] = r
+    return Frame._of_rows(tuple(names), tuple(rows), den, group, frozenset(units), tower)
+
+
+def push_polynomial_through_step(
+    f: MultiPoly, frame_before: Frame, step: FramedStep, frame_after: Optional[Frame] = None
+) -> MultiPoly:
+    """Image of f in the next chart.  The exponent update first, then the
+    linear residue substitutions ``u'_target = theta + new_var`` as Taylor
+    shifts.  ``frame_after`` is the frame after the step, when the caller
+    has it."""
+    g = _push_exponents(f, (step,)) if len(step.J) > 1 else f
+    if frame_after is None:
+        frame_after = apply_step_to_frame(frame_before, step)
+    tower = frame_after.tower
+    if tower != g.tower:
+        g = g.with_tower(tower)
+    for item in step.translation_data:
+        if item.minpoly is None:
+            continue
+        t = item.target
+        g = taylor_shift(g, g.vars[t], translation_root(item, tower))
+        name = frame_after.names[t]
+        if name != g.vars[t]:
+            g = MultiPoly(g.vars[:t] + (name,) + g.vars[t + 1:], g.terms, g.tower, g.den)
+    return g
+
+
+def extend_path(path, steps):
+    """``path`` grown by the hand-made ``steps``: each step and the frame
+    after it, by ``apply_step_to_frame``, appended as ``PushPath.blow_up``
+    and ``PushPath.translate`` append theirs.  Returns the path."""
+    for s in steps:
+        path.frames.append(apply_step_to_frame(path.frame, s))
+        path.steps.append(s)
+    return path
 
 
 def descent_center(

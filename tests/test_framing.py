@@ -10,16 +10,22 @@ import pytest
 
 from conftest import (
     active_indices,
+    apply_step_to_frame,
     build_step_for_weights,
     choose_vertex,
+    extend_path,
     forward_product,
     identity,
+    make_monomial_blowup,
+    make_translation_step,
     old_det,
     old_inverse_int,
     old_mat_mul,
     old_mat_vec,
     poly,
     push_by_matrices,
+    push_polynomial_through_step,
+    pushforward_weights,
     random_poly,
     rational_spec,
     trace_matrix,
@@ -31,11 +37,6 @@ from valmono.framing import (
     FramedStep,
     TranslationItem,
     PushPath,
-    apply_step_to_frame,
-    make_monomial_blowup,
-    make_translation_step,
-    push_polynomial_through_step,
-    pushforward_weights,
 )
 from valmono.keypoly import KeyPolyChain
 from valmono.polyalg import MultiPoly, QQ, euclid_divide, q_adic_expansion, taylor_shift
@@ -48,10 +49,7 @@ G1 = ValueGroup(1)
 def _path(n, steps):
     """A path of ``steps`` from a chart whose weights are all zero, so that
     any vertex is minimal."""
-    path = PushPath(Frame(tuple(f"u{i}" for i in range(n)), (G1.zero(),) * n))
-    for s in steps:
-        path.append(s)
-    return path
+    return extend_path(PushPath(Frame(tuple(f"u{i}" for i in range(n)), (G1.zero(),) * n)), steps)
 
 
 def test_make_monomial_blowup_paper_matrices():
@@ -75,19 +73,6 @@ def test_make_monomial_blowup_paper_matrices():
             return sum(p.coeff(e) * u**e[0] * x**e[1] for e in p.terms)
 
         assert ev(f, a, a * b) == ev(g, a, b)
-
-
-def test_make_monomial_blowup_preconditions():
-    bad = [
-        (2, (0,), 0),  # |J| < 2
-        (3, (1, 1), 1),  # |J| < 2 once repeats are dropped
-        (3, (0, 1), 2),  # j not in J
-        (2, (0, 2), 0),  # J out of range
-        (2, [-1, 0], 0),
-    ]
-    for n, J, j in bad:
-        with pytest.raises(InvalidInputError):
-            make_monomial_blowup(n, J, j)
 
 
 def test_monomial_blowups_are_shared_per_center():
@@ -122,10 +107,6 @@ def test_pushforward_weights():
     out = apply_step_to_frame(frame, st).weights
     assert out[0].coords == (Fraction(1), Fraction(0))
     assert out[1].coords == (Fraction(-1), Fraction(1))  # sqrt2 - 1
-    # vertex not minimal -> negative weight
-    st_bad = make_monomial_blowup(2, (0, 1), 1)
-    with pytest.raises(InvalidInputError):
-        pushforward_weights(frame, st_bad)
 
 
 def test_pushforward_ties_become_units():
@@ -290,7 +271,7 @@ def test_frame_json_from_rows_matches_the_values():
     path = PushPath(frame)
     path.blow_up((0, 1))
     lin = (QQ.from_rational(-1), QQ.one())
-    path.append(make_translation_step(4, 3, lin, None, "x", g.value(["1/5", "2/5"])))
+    path.translate(3, lin, g.value(["1/5", "2/5"]))
     assert [fr.den for fr in path.frames] == [6, 6, 30]
     for fr in path.frames:
         assert fr.to_json()["weights"] == [w.to_json() if w is not None else None for w in fr.weights]
@@ -298,9 +279,49 @@ def test_frame_json_from_rows_matches_the_values():
         assert again == fr and hash(again) == hash(fr) and again.to_json() == fr.to_json()
     # the replaced weight's 3 stays in the rows' denominator; values are equal
     assert Frame(path.frame.names, path.frame.weights, path.frame.units).den == 10
-    assert path.frame.weights[3] == g.value(["1/5", "2/5"]) and path.frame.names[3] == "x"
+    assert path.frame.weights[3] == g.value(["1/5", "2/5"]) and path.frame.names[3] == "d'"
     assert path.steps[0].j == 1 and path.frame.weights[1] == g.of_pairs([(2, 4), (6, 4)])
     assert path.frame.weights[0] == g.value(["1/2", 3]) - g.value(["1/2", "3/2"])
+
+
+def test_translate_matches_the_oracles():
+    """``PushPath.translate`` appends what ``make_translation_step`` and
+    ``apply_step_to_frame`` build, with a fresh primed name and, from
+    degree 2 on, the least fresh symbol ``t<k>`` above the tower's depth."""
+    rng = random.Random(2024)
+    g = ValueGroup(2)
+    seen = Counter()
+    for _ in range(200):
+        n = rng.randint(2, 5)
+        names = [f"u{i}" for i in range(n)]
+        if rng.random() < 0.5:  # a primed name is taken already
+            names[rng.randrange(n)] = names[0] + "'" * rng.randint(1, 2)
+        tower = QQ
+        for sym in rng.sample(["t1", "t2", "t3"], rng.randint(0, 2)):
+            tower = tower.extend(sym, (tower.from_rational(-rng.choice((2, 3, 5))), tower.zero(), tower.one()))
+        weights = [g.of_pairs([(rng.randint(0, 5), rng.choice((1, 2, 3))) for _ in range(2)]) for _ in range(n)]
+        t = rng.randrange(n)
+        weights[t] = g.zero()
+        frame = Frame(tuple(names), tuple(weights), frozenset({t}), tower)
+        c = tower.from_rational(rng.choice((1, -2, Fraction(1, 3))))
+        mp = (tower.neg(c), tower.one()) if rng.random() < 0.5 else (c, tower.zero(), tower.one())
+        nw = rng.choice((None, g.of_pairs([(1, rng.choice((1, 5, 7))), (2, 3)])))
+        path = PushPath(frame)
+        item = path.translate(t, mp, nw)
+        taken = {sym for sym, _ in tower.extensions}
+        symbol = None
+        if len(mp) > 2:
+            symbol = next(f"t{k}" for k in range(tower.depth + 1, 9) if f"t{k}" not in taken)
+        name = next(names[t] + "'" * k for k in range(1, 9) if names[t] + "'" * k not in names)
+        want = make_translation_step(n, t, mp, symbol, name, nw)
+        after = apply_step_to_frame(frame, want)
+        assert path.steps == [want] and item == want.translation_data[0]
+        assert path.frame == after and (path.frame.rows, path.frame.den) == (after.rows, after.den)
+        assert path.frame.to_json() == after.to_json() and path.blowups == 0
+        seen.update([("degree", len(mp) - 1), ("symbol", symbol), ("primes", name.count("'"))])
+        seen["new den"] += after.den != frame.den
+    assert min(seen.values()) >= 5, seen
+    assert {("symbol", s) for s in ("t1", "t2", "t3", "t4")} <= set(seen), seen
 
 
 def test_compose_sequence():
@@ -350,8 +371,7 @@ def test_compose_independent_block():
     # identity row and column
     g = ValueGroup(1)
     path = PushPath(Frame(("a", "b", "c"), (g.rational(1), g.rational(2), g.rational(3))))
-    path.append(make_monomial_blowup(3, (1, 2), 1))
-    path.append(make_monomial_blowup(3, (1, 2), 2))
+    assert path.blow_up((1, 2)).j == 1 and path.blow_up((1, 2)).j == 2
     path.claim_independence((0,))
     assert path.independence_set == (0,)
     total = forward_product(path.steps, 3)
@@ -364,22 +384,12 @@ def test_compose_independent_block():
 def test_sequence_independence_enforced():
     g = ValueGroup(1)
     path = PushPath(Frame(("a", "b", "c"), (g.rational(1), g.rational(2), g.rational(3))))
-    path.append(make_monomial_blowup(3, (0, 1), 0))
+    path.blow_up((0, 1))
     with pytest.raises(InvalidInputError, match="touches its independence set"):
         path.claim_independence((0,))
     assert path.independence_set is None
     path.claim_independence((2,))
     assert path.independence_set == (2,)
-
-
-def test_push_path_rejects_a_step_of_another_column_count():
-    g = ValueGroup(1)
-    path = PushPath(Frame(("a", "b", "c"), (g.rational(1), g.rational(2), g.rational(3))))
-    path.append(make_monomial_blowup(3, (0, 1), 0))
-    for n in (2, 4):
-        with pytest.raises(InvalidInputError, match="different column counts"):
-            path.append(make_monomial_blowup(n, (0, 1), 0))
-    assert len(path) == 1 and len(path.frames) == 2
 
 
 def test_unimodularity_random_sequences():
@@ -440,9 +450,9 @@ def test_translation_step_holds_elements_and_encodes_them_in_to_json():
     g = ValueGroup(1)
     sqrt2 = QQ.extend("t1", (QQ.from_rational(-2), QQ.zero(), QQ.one()))
     mp = (sqrt2.neg(sqrt2.generator("t1")), sqrt2.zero(), sqrt2.one())
-    ts = make_translation_step(2, 1, mp, "t2", "b'", g.rational(Fraction(5, 2)))
-    before = Frame(("a", "b"), (g.rational(1), g.zero()), frozenset({1}), sqrt2)
-    frame = apply_step_to_frame(before, ts)
+    path = PushPath(Frame(("a", "b"), (g.rational(1), g.zero()), frozenset({1}), sqrt2))
+    path.translate(1, mp, g.rational(Fraction(5, 2)))
+    ts, frame = path.steps[0], path.frame
     assert frame.tower == sqrt2.extend("t2", mp)
     assert frame.names == ("a", "b'") and frame.weights[1] == g.rational(Fraction(5, 2))
     assert ts.to_json()["translations"] == [
@@ -455,21 +465,9 @@ def test_translation_step_holds_elements_and_encodes_them_in_to_json():
         }
     ]
     path = PushPath(Frame(("a", "b", "c"), (g.rational(1), g.rational(1), g.rational(2))))
-    path.append(make_monomial_blowup(3, (0, 2), 0))
+    path.blow_up((0, 2))
     path.claim_independence((1,))
     assert path.to_json() == {"steps": [path.steps[0].to_json()], "independent_of": [2]}
-
-
-def test_algebraic_translation_needs_its_names():
-    # a new name for every algebraic residue, a symbol for theta from degree 2 on
-    g = ValueGroup(1)
-    quad = (QQ.from_rational(-2), QQ.zero(), QQ.one())
-    lin = (QQ.from_rational(-1), QQ.one())
-    for mp, symbol, new_name in [(quad, None, "b'"), (quad, "t1", None), (lin, None, None)]:
-        with pytest.raises(InvalidInputError, match="needs a new name"):
-            make_translation_step(2, 1, mp, symbol, new_name, g.rational(1))
-    make_translation_step(2, 1, lin, None, "b'")
-    make_translation_step(2, 1, None, None, None)
 
 
 def test_push_path_merges_monomial_runs():
@@ -484,7 +482,7 @@ def test_push_path_merges_monomial_runs():
         path = PushPath(frame)
         for _ in range(rng.randint(1, 6)):
             J = tuple(sorted(rng.sample(range(n), rng.randint(2, n))))
-            path.append(build_step_for_weights(n, J, choose_vertex(J, path.frame.weights), path.frame.weights))
+            path.blow_up(J)
         assert all(s.kind == "monomial" for s in path.steps)
         # a cut inside the run advances through the steps after it only
         for start in (0, rng.randint(0, len(path)), len(path)):
@@ -518,8 +516,7 @@ def test_push_path_forward_from_a_cut_with_ties():
             if len(active) < 2:
                 break
             J = tuple(sorted(rng.sample(active, rng.randint(2, len(active)))))
-            w = path.frame.weights
-            path.append(build_step_for_weights(n, J, choose_vertex(J, w), w))
+            path.blow_up(J)
         ties += any(s.J_times for s in path.steps)
         for start in range(len(path) + 1):
             want = forward_product(path.steps[start:], n)
@@ -555,7 +552,7 @@ def _mixed_path(rng):
             step = build_step_for_weights(n, J, choose_vertex(J, frame.weights), frame.weights)
         else:
             break
-        path.append(step)
+        extend_path(path, (step,))
     return path
 
 
@@ -599,6 +596,38 @@ def test_push_by_center_matches_trace_matrices_on_every_split():
                 for b in range(a, c + 1):
                     assert direct == path.push(path.push(f, a, b), b, c)
     assert min(seen.values()) >= 25, seen
+
+
+def test_push_folds_tied_blow_ups_into_exponent_runs(monkeypatch):
+    """``push`` rebuilds the terms once per maximal run of steps without an
+    algebraic item, tied blow-ups and transcendental tags included, and
+    makes one Taylor shift per algebraic translation."""
+    rng = random.Random(24)
+    counts = Counter()
+
+    def counted(name, fn):
+        return lambda *a: counts.update([name]) or fn(*a)
+
+    monkeypatch.setattr(framing, "_push_exponents", counted("runs", framing._push_exponents))
+    monkeypatch.setattr(framing, "taylor_shift", counted("shifts", framing.taylor_shift))
+    folded = 0  # windows where a run goes on past a step that tags a unit
+    for _ in range(100):
+        path = _mixed_path(rng)
+        algebraic = [any(t.minpoly is not None for t in s.translation_data) for s in path.steps]
+        for a in range(len(path) + 1):
+            f = random_poly(rng, path.frames[a].names, max_terms=3, max_exp=2).with_tower(path.frames[a].tower)
+            for c in range(a, len(path) + 1):
+                runs = sum(
+                    not algebraic[k] and (k == a or algebraic[k - 1]) for k in range(a, c)
+                )
+                counts.clear()
+                path.push(f, a, c)
+                assert counts == Counter(runs=runs, shifts=sum(algebraic[a:c]))
+                folded += any(
+                    path.steps[k].J_times and k + 1 < c and not algebraic[k + 1]
+                    for k in range(a, c) if not algebraic[k]
+                )
+    assert folded > 100
 
 
 def test_the_push_path_makes_no_fraction(monkeypatch):

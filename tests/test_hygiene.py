@@ -480,3 +480,78 @@ def test_sign_scan_sees_each_kind():
         "a = _sign(n, o)\nb = values._sign(n, o)\nc = v.sign()\nd = _sign\n"
     )
     assert _sign_calls(ast.parse(src)) == ["line 3", "line 4"]
+
+
+# A path grows two ways: ``PushPath.blow_up`` and ``PushPath.translate``
+# build every step, and they alone append to a path's steps and frames.
+_STEP_TYPES = ("FramedStep", "TranslationItem")
+_GROWERS = ("PushPath.blow_up", "PushPath.translate")
+
+
+def _path_growth(node: ast.AST, scope: str = "<module>", prefix: str = "") -> list[str]:
+    """``scope: what`` for each construction of a step or a translation item
+    and each append to a ``steps`` or ``frames`` list, with the function
+    around it, qualified by its classes, as its scope."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        inner, inner_prefix = scope, prefix
+        if isinstance(child, ast.ClassDef):
+            inner_prefix = f"{prefix}{child.name}."
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = prefix + child.name
+            inner_prefix = f"{inner}."
+        elif isinstance(child, ast.Call):
+            func = child.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name in _STEP_TYPES:
+                found.append(f"{scope}: {name}")
+            elif (
+                name in ("append", "extend", "insert")
+                and isinstance(func.value, ast.Attribute)
+                and func.value.attr in ("steps", "frames")
+            ):
+                found.append(f"{scope}: {func.value.attr}.{name}")
+        elif (
+            isinstance(child, ast.AugAssign)
+            and isinstance(child.target, ast.Attribute)
+            and child.target.attr in ("steps", "frames")
+        ):
+            found.append(f"{scope}: {child.target.attr} +=")
+        found += _path_growth(child, inner, inner_prefix)
+    return found
+
+
+def test_only_blow_up_and_translate_grow_a_path():
+    """No module but ``framing`` builds a step or a translation item, and
+    only the two growing methods append to a path."""
+    found, growth = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for use in _path_growth(_parse(path)):
+            scope, what = use.split(": ")
+            if path.name == "framing.py" and scope in _GROWERS:
+                growth.append(use)
+            elif path.name != "framing.py" or what not in _STEP_TYPES:
+                found.append(f"{path.name} {use}")
+    assert found == []
+    # both growers still append a step and a frame, so the rule names live code
+    for grower in _GROWERS:
+        assert {f"{grower}: steps.append", f"{grower}: frames.append"} <= set(growth)
+
+
+def test_growth_scan_sees_each_kind():
+    src = (
+        "step = FramedStep(2, (0, 1), 0)\n\n"
+        "def tag(path, t):\n    path.steps.append(framing.TranslationItem(t))\n\n"
+        "class PushPath:\n"
+        "    def append(self, step):\n        self.steps.append(step)\n"
+        "        self.frames.extend([None])\n\n"
+        "    def grow(self, steps):\n        self.steps += steps\n"
+        "        def later():\n            self.frames.insert(0, None)\n"
+        "        return later\n\n"
+        "    def push(self, f):\n        self.frames.pop()\n        return self.steps.count(f)\n"
+    )
+    assert _path_growth(ast.parse(src)) == [
+        "<module>: FramedStep", "tag: steps.append", "tag: TranslationItem",
+        "PushPath.append: steps.append", "PushPath.append: frames.extend",
+        "PushPath.grow: steps +=", "PushPath.grow.later: frames.insert",
+    ]

@@ -3,6 +3,7 @@
 import copy
 import gc
 import json
+import os
 import re
 import subprocess
 import sys
@@ -265,11 +266,17 @@ def test_all_selectors_produce_verifiable_traces():
         verify_trace(trace)
 
 
+# the package's sources for a child interpreter, ahead of any inherited path
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+
+
 def _cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "valmono.cli", *args],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
 
 
@@ -291,9 +298,15 @@ def test_cli_exit_codes(tmp_path):
     # malformed JSON
     pf.write_text("{not json")
     assert _cli("run", str(pf)).returncode == 2
-    # unknown selector
-    pf.write_text(json.dumps({"algorithm": "nope"}))
-    assert _cli("run", str(pf)).returncode == 2
+    # unknown selector, and one that is no string: exit 2 naming the field
+    for algorithm in ("nope", [], {}):
+        pf.write_text(json.dumps({"algorithm": algorithm}))
+        r = _cli("run", str(pf))
+        assert r.returncode == 2 and "algorithm" in r.stderr and "Traceback" not in r.stderr
+    # verify replays the embedded input through the same check
+    tf.write_text(json.dumps({"header": {"tool": "valmono"}, "input": {"algorithm": []}}))
+    r = _cli("verify", str(tf))
+    assert r.returncode == 2 and "algorithm must be a string" in r.stderr
     # algorithm error: zero weight
     bad = pair_problem()
     bad["spec"]["weights"][0] = {"coords": ["0", "0"]}
@@ -301,6 +314,16 @@ def test_cli_exit_codes(tmp_path):
     r = _cli("run", str(pf), "--out", str(tf))
     assert r.returncode == 3
     assert "weights must be positive" in r.stderr
+
+
+@pytest.mark.parametrize("algorithm", ["nope", [], {}, None, 3])
+def test_an_unknown_algorithm_is_a_schema_error(algorithm):
+    with pytest.raises(SchemaError, match="algorithm"):
+        run_problem({**pair_problem(), "algorithm": algorithm})
+    trace = run_problem(pair_problem())
+    trace["input"]["algorithm"] = algorithm
+    with pytest.raises(SchemaError, match="algorithm"):
+        verify_trace(trace)
 
 
 def test_cli_batch_and_jobs(tmp_path):
@@ -450,7 +473,7 @@ def test_one_process_commands_load_no_process_pool(tmp_path):
         "assert 'concurrent.futures' not in sys.modules, 'pool loaded'\n"
         "assert 'multiprocessing' not in sys.modules, 'multiprocessing loaded'\n"
     )
-    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV)
     assert r.returncode == 0, r.stderr
 
 

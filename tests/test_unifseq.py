@@ -8,6 +8,8 @@ import pytest
 
 from conftest import (
     active_indices,
+    apply_step_to_frame,
+    extend_path,
     initial_form,
     monomial_valuation,
     binomial_chain,
@@ -16,6 +18,7 @@ from conftest import (
     old_inverse_int,
     old_mat_mul,
     poly,
+    push_polynomial_through_step,
     random_poly,
     rational_spec,
     tower_elem,
@@ -29,7 +32,7 @@ from valmono.errors import (
     RequiresCompletionError,
     StepBudgetExceededError,
 )
-from valmono.framing import Frame, PushPath, apply_step_to_frame, push_polynomial_through_step
+from valmono.framing import Frame, PushPath
 from valmono.keypoly import KeyPolyChain, validate_chain
 from valmono.polyalg import MultiPoly, QQ
 from valmono.game import MonomialValuationSpec, reduced_parts
@@ -624,9 +627,7 @@ def test_push_path_prefixes_equal_whole_sequence():
     for chain, res, polys, seed in runs:
         steps = res.path.steps
         frame0 = chain.initial_frame()
-        whole_path = PushPath(frame0)
-        for s in steps:
-            whole_path.append(s)
+        whole_path = extend_path(PushPath(frame0), steps)
         cut_rng = random.Random(seed)
         for f in polys:
             want = _stepwise(f, frame0, steps)
@@ -643,8 +644,7 @@ def test_push_path_prefixes_equal_whole_sequence():
             growing = PushPath(frame0)
             img = f
             for s in steps:
-                growing.append(s)
-                img = growing.push(img, len(growing) - 1)
+                img = extend_path(growing, (s,)).push(img, len(growing) - 1)
             assert img == want
         # frames recomputed from the steps agree with those the run handed in
         assert whole_path.frames == res.path.frames

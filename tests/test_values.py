@@ -1,6 +1,7 @@
 """Value-group arithmetic, ordering, and lattice membership."""
 
 import random
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt
@@ -204,6 +205,32 @@ def test_json_round_trip():
     # trace is the one reader of value and group JSON
     assert _value(v.to_json(), g, "v") == v
     assert _parse_group({"group": g.to_json()}) == g
+
+
+def test_default_labels_are_written_not_held():
+    """A group holds its default labels ``g1..gr`` as nothing: a rank of a
+    million costs no memory per generator, and the group equals, hashes
+    and writes as the one given those labels explicitly."""
+    tracemalloc.start()
+    try:
+        big = ValueGroup(10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert big.rank == 10**6 and peak < 2**20
+    for rank in (1, 2, 5):
+        default = [f"g{i + 1}" for i in range(rank)]
+        named = ValueGroup(rank, labels=tuple(default))
+        for ordering in (SQRT_PRIMES, LEX):
+            g = ValueGroup(rank, ordering)
+            h = _parse_group({"group": {"rank": rank, "ordering": ordering, "labels": default}})
+            assert g == h and hash(g) == hash(h)
+            assert g.to_json() == h.to_json() == {"rank": rank, "ordering": ordering, "labels": default}
+        assert named == ValueGroup(rank) and named.value([1] * rank) == ValueGroup(rank).value([1] * rank)
+    assert ValueGroup(2, labels=("g2", "g1")) != ValueGroup(2)
+    assert ValueGroup(2, labels=("g1", "b")).to_json()["labels"] == ["g1", "b"]
+    with pytest.raises(InvalidInputError, match="labels"):
+        ValueGroup(2, labels=("g1",))
 
 
 # ---------------------------------------------------------------------------
