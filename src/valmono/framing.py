@@ -48,10 +48,9 @@ Indices are 0-based in memory and 1-based in JSON records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from operator import le, sub
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import GroupMismatchError, InvalidInputError, StepBudgetExceededError
 from .polyalg import FieldTower, MultiPoly, QQ, taylor_shift
@@ -60,8 +59,7 @@ from .values import Value, ValueGroup, _literal, _sign
 DEFAULT_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
-class TranslationItem:
+class TranslationItem(NamedTuple):
     """Residue motion for one unit variable of a translation-kind step.
 
     ``minpoly`` is the monic minimal polynomial of the residue (elements of
@@ -89,8 +87,7 @@ class TranslationItem:
         }
 
 
-@dataclass(frozen=True)
-class FramedStep:
+class FramedStep(NamedTuple):
     """One framed blow-up along ``(u_J)`` with vertex ``j``, on the full
     column set (unit-tagged columns included).  A step with translation
     items is a translation-kind step; every other field is derived."""
@@ -265,7 +262,7 @@ def _push_exponents(f: MultiPoly, steps: Sequence[FramedStep]) -> MultiPoly:
         for s in steps:
             e = s.apply_to_exponent(e)
         terms[e] = c
-    return MultiPoly(f.vars, terms, f.tower, f.den)
+    return MultiPoly._of_reduced(f.vars, terms, f.tower, f.den)
 
 
 class PushPath:
@@ -421,7 +418,8 @@ class PushPath:
                 f = f.with_tower(tower)
             t = item.target
             f = taylor_shift(f, f.vars[t], translation_root(item, tower))
-            f = MultiPoly(f.vars[:t] + (item.new_name,) + f.vars[t + 1:], f.terms, f.tower, f.den)
+            renamed = f.vars[:t] + (item.new_name,) + f.vars[t + 1:]
+            f = MultiPoly._of_reduced(renamed, f.terms, f.tower, f.den)
         if run < stop:
             f = _push_exponents(f, self.steps[run:stop])
         return f

@@ -15,9 +15,9 @@ residues of these units are transcendental, so the tagging is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
 from operator import le, sub
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     InvalidInputError,
@@ -29,16 +29,32 @@ from .polyalg import MultiPoly
 from .values import Value
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class TauValue:
     """Pair (s, t), s <= t, ordered lexicographically."""
 
-    s: int
-    t: int
+    __slots__ = ("s", "t")
 
-    def __post_init__(self):
-        if self.s > self.t or self.s < 0:
+    def __init__(self, s: int, t: int):
+        if s > t or s < 0:
             raise InvalidInputError("tau components must satisfy 0 <= s <= t")
+        self.s, self.t = s, t
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.s, self.t) == (other.s, other.t)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.s, self.t) < (other.s, other.t)
+
+    def __hash__(self):
+        return hash((self.s, self.t))
+
+    def __repr__(self):
+        return f"TauValue(s={self.s!r}, t={self.t!r})"
 
     def divides(self) -> bool:
         return self.s == 0
@@ -47,21 +63,31 @@ class TauValue:
         return [self.s, self.t]
 
 
-@dataclass(frozen=True)
 class MonomialValuationSpec:
     """Strictly positive weights on a tuple of variables."""
 
-    vars: tuple[str, ...]
-    weights: tuple[Value, ...]
+    __slots__ = ("vars", "weights")
 
-    def __post_init__(self):
-        if len(self.vars) != len(self.weights):
+    def __init__(self, vars: tuple[str, ...], weights: tuple[Value, ...]):
+        if len(vars) != len(weights):
             raise InvalidInputError("weight count must equal variable count")
-        if len(set(self.vars)) != len(self.vars):
+        if len(set(vars)) != len(vars):
             raise InvalidInputError("variables must be distinct")
-        for w in self.weights:
+        for w in weights:
             if not w.is_positive():
                 raise PositiveWeightError("weights must be positive")
+        self.vars, self.weights = vars, weights
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vars, self.weights) == (other.vars, other.weights)
+
+    def __hash__(self):
+        return hash((self.vars, self.weights))
+
+    def __repr__(self):
+        return f"MonomialValuationSpec(vars={self.vars!r}, weights={self.weights!r})"
 
     def frame(self) -> Frame:
         return Frame(self.vars, self.weights)
@@ -109,8 +135,7 @@ def _greedy_center(at: Sequence[int], gt: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(J))
 
 
-@dataclass
-class PairResult:
+class PairResult(NamedTuple):
     path: PushPath
     alpha: tuple[int, ...]
     gamma: tuple[int, ...]
@@ -185,8 +210,7 @@ def monomialize_pair(
     )
 
 
-@dataclass
-class IdealResult:
+class IdealResult(NamedTuple):
     path: PushPath
     survivor: int
     exponents: list[tuple[int, ...]]
@@ -318,8 +342,7 @@ def principalize_exponents(
     return survivor, exps
 
 
-@dataclass
-class NondegResult:
+class NondegResult(NamedTuple):
     path: PushPath
     exponent: tuple[int, ...]
     unit_witness: MultiPoly
@@ -351,7 +374,7 @@ def split_monomial(
         if any(x < 0 for x in ne):
             return mono, None
         shifted[ne] = c
-    return mono, MultiPoly(poly.vars, shifted, poly.tower, poly.den)
+    return mono, MultiPoly._of_reduced(poly.vars, shifted, poly.tower, poly.den)
 
 
 def has_unit_term(poly: MultiPoly, frame: Frame) -> bool:

@@ -31,10 +31,8 @@ assumption rather than a runtime check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
     InvalidInputError,
@@ -56,19 +54,31 @@ from .polyalg import (
 from .values import Ordering, Value, compare, value_of_exponent
 
 
-@dataclass(frozen=True)
 class KeyPolyChain:
     """(Q_i, beta_i) entries over ground variables plus one distinguished x."""
 
-    ground: MonomialValuationSpec
-    x: str
-    entries: tuple[tuple[MultiPoly, Value], ...]
+    __slots__ = ("ground", "x", "entries", "_row_cache")
 
-    def __post_init__(self):
-        if self.x in self.ground.vars:
+    def __init__(
+        self, ground: MonomialValuationSpec, x: str, entries: tuple[tuple[MultiPoly, Value], ...]
+    ):
+        if x in ground.vars:
             raise InvalidInputError("x must not be a ground variable")
-        if not self.entries:
+        if not entries:
             raise InvalidInputError("chain needs at least one entry")
+        self.ground, self.x, self.entries = ground, x, entries
+        self._row_cache = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ground, self.x, self.entries) == (other.ground, other.x, other.entries)
+
+    def __hash__(self):
+        return hash((self.ground, self.x, self.entries))
+
+    def __repr__(self):
+        return f"KeyPolyChain(ground={self.ground!r}, x={self.x!r}, entries={self.entries!r})"
 
     @property
     def all_vars(self) -> tuple[str, ...]:
@@ -98,13 +108,15 @@ class KeyPolyChain:
             out.append(d_cur // d_prev)
         return tuple(out)
 
-    @cached_property
+    @property
     def _rows(self) -> "_ChainRows":
-        return _ChainRows(self)
+        """The chain's truncation rows, made on first use."""
+        if self._row_cache is None:
+            self._row_cache = _ChainRows(self)
+        return self._row_cache
 
 
-@dataclass(frozen=True)
-class StandardExpansion:
+class StandardExpansion(NamedTuple):
     """f = sum coefficients[j] * Q_level^j with Q_level-free coefficients."""
 
     level: int
@@ -211,8 +223,7 @@ def standard_expansion(f: MultiPoly, chain: KeyPolyChain, i: int) -> StandardExp
     return _expansion(f, chain, i, digits)
 
 
-@dataclass(frozen=True)
-class Truncation:
+class Truncation(NamedTuple):
     """One level-i standard expansion and the values it defines: the terms
     ``(j, j beta_i + value(c_j))`` of the nonzero coefficients in j order,
     their minimum, the largest index ``delta`` attaining it, and

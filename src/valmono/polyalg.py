@@ -34,9 +34,8 @@ integer multiply-accumulate over ``den * b^K``.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from itertools import chain
 from math import comb, gcd, lcm
 from operator import add
@@ -90,7 +89,6 @@ def _cleared(e: Elem, depth: int) -> tuple[Elem, int]:
     return _map(e, lambda q: q.numerator * (d // q.denominator)), d
 
 
-@dataclass(frozen=True)
 class FieldTower:
     """Q extended by ``extensions``: ordered (symbol, monic definer) pairs.
 
@@ -98,28 +96,35 @@ class FieldTower:
     first, with leading coefficient equal to that level's one.
     """
 
-    extensions: tuple[tuple[str, tuple], ...] = ()
+    __slots__ = ("extensions", "depth")
 
-    def __post_init__(self):
-        syms = [s for s, _ in self.extensions]
+    def __init__(self, extensions: tuple[tuple[str, tuple], ...] = ()):
+        syms = [s for s, _ in extensions]
         if len(set(syms)) != len(syms):
             raise InvalidInputError("tower symbols must be distinct")
-        for level, (sym, mp) in enumerate(self.extensions):
+        for sym, mp in extensions:
             if len(mp) < 2:
                 raise InvalidInputError(f"definer of {sym} must have degree >= 1")
         # integer definer coordinates are held as ints, so that under
         # integral definers products of integer elements stay integral
-        exts = tuple(
+        self.extensions = tuple(
             (sym, tuple(_map(c, lambda q: q.numerator if q.denominator == 1 else q) for c in mp))
-            for sym, mp in self.extensions
+            for sym, mp in extensions
         )
-        object.__setattr__(self, "extensions", exts)
+        self.depth = len(self.extensions)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.extensions == other.extensions
+
+    def __hash__(self):
+        return hash((self.extensions,))
+
+    def __repr__(self):
+        return f"FieldTower(extensions={self.extensions!r})"
 
     # -- structure ---------------------------------------------------
-
-    @cached_property
-    def depth(self) -> int:
-        return len(self.extensions)
 
     def degree_at(self, level: int) -> int:
         return len(self.extensions[level - 1][1]) - 1
@@ -308,7 +313,6 @@ def _exact_elem(c, tower: FieldTower) -> tuple[Elem, int]:
     return tower._embed(p), q
 
 
-@dataclass(frozen=True)
 class MultiPoly:
     """Sparse exact multivariate polynomial: the coefficient of the monomial
     ``e`` is ``terms[e] / den``, integer coordinates over one denominator;
@@ -316,13 +320,16 @@ class MultiPoly:
     nonzero ``den`` may be given; they are stored as integers in lowest
     terms with ``den > 0``."""
 
-    vars: tuple[str, ...]
-    terms: Mapping[tuple[int, ...], Elem]
-    tower: FieldTower = QQ
-    den: int = 1
+    __slots__ = ("vars", "terms", "tower", "den")
 
-    def __post_init__(self):
-        terms, den, depth = self.terms, self.den, self.tower.depth
+    def __init__(
+        self,
+        vars: tuple[str, ...],
+        terms: Mapping[tuple[int, ...], Elem],
+        tower: FieldTower = QQ,
+        den: int = 1,
+    ):
+        depth = tower.depth
         try:
             g = gcd(den, *(_leaves(terms.values(), depth) if depth else terms.values()))
         except TypeError:  # Fraction coordinates: clear them to one denominator
@@ -338,9 +345,29 @@ class MultiPoly:
                 terms = {e: _map(c, lambda n: n // g) for e, c in terms.items()}
             else:
                 terms = {e: c // g for e, c in terms.items()}
-        if terms is not self.terms:
-            object.__setattr__(self, "terms", terms)
-            object.__setattr__(self, "den", den)
+        self.vars, self.terms, self.tower, self.den = vars, terms, tower, den
+
+    @classmethod
+    def _of_reduced(cls, vars, terms, tower, den) -> "MultiPoly":
+        """The polynomial of coordinates that are already integers in lowest
+        terms over ``den > 0``, such as another polynomial's moved to new
+        exponents; nothing is checked or reduced."""
+        f = cls.__new__(cls)
+        f.vars, f.terms, f.tower, f.den = vars, terms, tower, den
+        return f
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vars, self.terms, self.tower, self.den) == (
+            other.vars, other.terms, other.tower, other.den
+        )
+
+    def __repr__(self):
+        return (
+            f"MultiPoly(vars={self.vars!r}, terms={self.terms!r}, "
+            f"tower={self.tower!r}, den={self.den!r})"
+        )
 
     # -- constructors --------------------------------------------------
 
@@ -534,7 +561,7 @@ class MultiPoly:
                 if x:
                     ne[pos[i]] = x
             out[tuple(ne)] = c
-        return MultiPoly(new_vars, out, self.tower, self.den)
+        return MultiPoly._of_reduced(new_vars, out, self.tower, self.den)
 
     def with_tower(self, tower: FieldTower) -> "MultiPoly":
         """Embed into a taller tower that extends the current one."""

@@ -31,8 +31,7 @@ elements, residue coefficients outside the constant tower) raise
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import _linalg
 from .errors import (
@@ -68,8 +67,7 @@ from .values import (
 )
 
 
-@dataclass(frozen=True)
-class UniformizingProblem:
+class UniformizingProblem(NamedTuple):
     """Input of one elementary uniformizing sequence.
 
     Frame order is (w_1..w_r, v_1..v_t, w_n).  ``residue`` is the monic
@@ -111,8 +109,7 @@ class UniformizingProblem:
         return Frame(names, weights)
 
 
-@dataclass
-class UniformizingResult:
+class UniformizingResult(NamedTuple):
     path: PushPath
     abar: int
     alpha_coeffs: tuple[int, ...]
@@ -257,8 +254,7 @@ def _initial_form(
     return least, at, above
 
 
-@dataclass(frozen=True)
-class _Level:
+class _Level(NamedTuple):
     """What one ``_level`` ran: ``minpoly`` is that of the residue of z, in
     the tower the level started in; ``aux_steps`` absorbed the terms above
     the initial form."""
@@ -553,8 +549,7 @@ def _verify_factorization(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class KeyPolyWitness:
+class KeyPolyWitness(NamedTuple):
     entry: int
     monomial: tuple[int, ...]
     unit: MultiPoly
@@ -562,8 +557,7 @@ class KeyPolyWitness:
     x_multiplicity: int
 
 
-@dataclass
-class KeyPolyResult:
+class KeyPolyResult(NamedTuple):
     path: PushPath
     x_column: int
     witnesses: list[KeyPolyWitness]
@@ -670,8 +664,7 @@ def monomialize_key_polys(chain: KeyPolyChain, budget: int = DEFAULT_BUDGET) -> 
     )
 
 
-@dataclass
-class PolyMonoResult:
+class PolyMonoResult(NamedTuple):
     path: PushPath
     exponent: tuple[int, ...]
     unit_witness: MultiPoly

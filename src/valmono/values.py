@@ -36,9 +36,9 @@ those runs beyond replay (ROADMAP item 13).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import islice, takewhile
 from math import gcd, isqrt, lcm
 from operator import add, mul, sub
 from typing import Iterable, Sequence
@@ -78,7 +78,8 @@ def _radicands(rank: int) -> list[int]:
     rads = _RADICANDS
     n = rads[-1] + 1
     while len(rads) < rank:
-        if all(n % p for p in rads[1:]):
+        # n is prime when no prime up to its square root divides it
+        if all(n % p for p in takewhile(isqrt(n).__ge__, islice(rads, 1, None))):
             rads.append(n)
         n += 1
     return rads
@@ -163,7 +164,6 @@ def _exact(q) -> tuple[int, int]:
     raise InvalidInputError(f"a rational must be an int, a Fraction or a 'p/q' string, not {q!r}")
 
 
-@dataclass(frozen=True)
 class ValueGroup:
     """Ordered group of finite rational rank with a fixed generator basis.
 
@@ -172,22 +172,31 @@ class ValueGroup:
     memory per generator until a value is built in it; a group given those
     labels explicitly is the same group."""
 
-    rank: int
-    ordering: str = SQRT_PRIMES
-    labels: tuple[str, ...] = ()
+    __slots__ = ("rank", "ordering", "labels")
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int, ordering: str = SQRT_PRIMES, labels: Sequence[str] = ()):
+        if rank < 1:
             raise InvalidInputError("rank must be >= 1")
-        if self.ordering not in (SQRT_PRIMES, LEX):
-            raise InvalidInputError(f"unknown ordering {self.ordering!r}")
-        labels = tuple(self.labels)
+        if ordering not in (SQRT_PRIMES, LEX):
+            raise InvalidInputError(f"unknown ordering {ordering!r}")
+        labels = tuple(labels)
         if labels:
-            if len(labels) != self.rank or len(set(labels)) != self.rank:
+            if len(labels) != rank or len(set(labels)) != rank:
                 raise InvalidInputError("labels must be pairwise distinct, one per generator")
             if all(label == f"g{i}" for i, label in enumerate(labels, 1)):
                 labels = ()
-        object.__setattr__(self, "labels", labels)
+        self.rank, self.ordering, self.labels = rank, ordering, labels
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rank, self.ordering, self.labels) == (other.rank, other.ordering, other.labels)
+
+    def __hash__(self):
+        return hash((self.rank, self.ordering, self.labels))
+
+    def __repr__(self):
+        return f"ValueGroup(rank={self.rank!r}, ordering={self.ordering!r}, labels={self.labels!r})"
 
     def value(self, coords: Iterable[Fraction | int | str]) -> "Value":
         """The value with these coordinates, each an int, a Fraction or a
@@ -213,19 +222,15 @@ class ValueGroup:
         return {"rank": self.rank, "ordering": self.ordering, "labels": list(labels)}
 
 
-@dataclass(frozen=True)
 class Value:
     """Element of a :class:`ValueGroup`: the coordinates ``nums[i] / den``.
     Any integers with ``den != 0`` may be given; they are stored in lowest
     terms with ``den > 0``."""
 
-    nums: tuple[int, ...]
-    den: int
-    group: ValueGroup
+    __slots__ = ("nums", "den", "group")
 
-    def __post_init__(self):
-        nums, den = self.nums, self.den
-        if len(nums) != self.group.rank:
+    def __init__(self, nums: tuple[int, ...], den: int, group: ValueGroup):
+        if len(nums) != group.rank:
             raise InvalidInputError("coordinate count must equal the group rank")
         if not den:
             raise InvalidInputError("denominator must be nonzero")
@@ -233,8 +238,16 @@ class Value:
         if den < 0:
             g = -g
         if g != 1:
-            object.__setattr__(self, "nums", tuple(n // g for n in nums))
-            object.__setattr__(self, "den", den // g)
+            nums, den = tuple(n // g for n in nums), den // g
+        self.nums, self.den, self.group = nums, den, group
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.nums, self.den, self.group) == (other.nums, other.den, other.group)
+
+    def __hash__(self):
+        return hash((self.nums, self.den, self.group))
 
     @property
     def coords(self) -> tuple[Fraction, ...]:

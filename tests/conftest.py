@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from operator import sub
+from pathlib import Path
 from typing import Optional, Sequence
 
 import pytest
@@ -25,6 +27,10 @@ from valmono.polyalg import MultiPoly, QQ, taylor_shift
 from valmono.values import Ordering, Value, ValueGroup, _sign, compare, rational_from_str, value_of_exponent
 
 getcontext().prec = 80
+
+# the package's sources for a child interpreter, ahead of any inherited path
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
 
 RADICANDS = [1, 2, 3, 5, 7, 11, 13, 17, 19]
 

@@ -1,8 +1,8 @@
 """Framed steps: trace matrices, vertices, weights, pushing, paths."""
 
-import dataclasses
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -38,8 +38,9 @@ from valmono.framing import (
     TranslationItem,
     PushPath,
 )
+from valmono.game import split_monomial
 from valmono.keypoly import KeyPolyChain
-from valmono.polyalg import MultiPoly, QQ, euclid_divide, q_adic_expansion, taylor_shift
+from valmono.polyalg import FieldTower, MultiPoly, QQ, euclid_divide, q_adic_expansion, taylor_shift
 from valmono.unifseq import monomialize_key_polys
 from valmono.values import LEX, SQRT_PRIMES, Ordering, Value, ValueGroup, compare
 
@@ -248,7 +249,7 @@ def test_blow_up_decides_each_sign_once(monkeypatch):
     monkeypatch.setattr(framing, "_sign", counted("_sign", framing._sign))
     monkeypatch.setattr(values, "_sign", counted("values._sign", values._sign))
     monkeypatch.setattr(values, "compare", counted("compare", values.compare))
-    monkeypatch.setattr(Value, "__post_init__", counted("Value", Value.__post_init__))
+    monkeypatch.setattr(Value, "__init__", counted("Value", Value.__init__))
     ties = 0
     for frame, J in cases:
         counts.clear()
@@ -342,7 +343,7 @@ def test_a_step_is_its_center():
     # the stored fields are the center and the residue motion; the trace
     # matrices, the exponent update and its fold along a path are derived
     # from them, checked against matrix products
-    assert [f.name for f in dataclasses.fields(FramedStep)] == ["n", "J", "j", "translation_data"]
+    assert FramedStep._fields == ("n", "J", "j", "translation_data")
     rng = random.Random(20261018)
     for _ in range(300):
         n = rng.randint(1, 6)
@@ -628,6 +629,61 @@ def test_push_folds_tied_blow_ups_into_exponent_runs(monkeypatch):
                     for k in range(a, c) if not algebraic[k]
                 )
     assert folded > 100
+
+
+def test_moved_exponents_keep_the_coordinates_reduced(monkeypatch):
+    """The sites that only move a reduced polynomial's exponents or rename
+    its variables build the result without reducing it again; each result
+    equals what the reducing constructor makes of the same coordinates."""
+    rng = random.Random(25)
+    seen = Counter()
+    unchecked = MultiPoly._of_reduced
+
+    def checked(vars_, terms, tower, den):
+        f = unchecked(vars_, terms, tower, den)
+        seen[sys._getframe(1).f_code.co_name] += 1
+        assert f == MultiPoly(vars_, dict(terms), tower, den)
+        return f
+
+    monkeypatch.setattr(MultiPoly, "_of_reduced", staticmethod(checked))
+    for _ in range(60):
+        path = _mixed_path(rng)
+        frame = path.frames[0]
+        f = random_poly(rng, frame.names, max_terms=4, max_exp=3).with_tower(frame.tower)
+        img = path.push(f)
+        mono = [min(c) for c in zip(*img.terms)]
+        assert split_monomial(img, mono, path.frame)[1] is not None
+        wider = tuple(reversed(frame.names)) + ("w",)
+        assert f.with_vars(wider).with_vars(frame.names) == f
+    assert set(seen) == {"_push_exponents", "push", "split_monomial", "with_vars"}
+    assert min(seen.values()) >= 20, seen
+
+
+def test_reprs_name_every_field():
+    g = ValueGroup(2)
+    v = g.value(["1/2", 3])
+    tower = FieldTower((("t1", (Fraction(-2), 0, 1)),))
+    item = TranslationItem(1, (Fraction(-2), 0, 1), "t1", "x'", v)
+    assert repr(v) == "Value(1/2, 3)"
+    assert repr(g) == "ValueGroup(rank=2, ordering='sqrt-primes', labels=())"
+    assert repr(tower) == "FieldTower(extensions=(('t1', (-2, 0, 1)),))"
+    assert repr(MultiPoly(("x", "y"), {(1, 0): 3, (0, 2): Fraction(1, 2)}, QQ, 4)) == (
+        "MultiPoly(vars=('x', 'y'), terms={(1, 0): 6, (0, 2): 1}, "
+        "tower=FieldTower(extensions=()), den=8)"
+    )
+    assert repr(MultiPoly(("x",), {(1,): (1, 2)}, tower, 3)) == (
+        "MultiPoly(vars=('x',), terms={(1,): (1, 2)}, "
+        "tower=FieldTower(extensions=(('t1', (-2, 0, 1)),)), den=3)"
+    )
+    item_repr = (
+        "TranslationItem(target=1, minpoly=(Fraction(-2, 1), 0, 1), symbol='t1', "
+        "new_name=\"x'\", new_weight=Value(1/2, 3))"
+    )
+    assert repr(item) == item_repr
+    assert repr(FramedStep(3, (1,), 1, (item,))) == (
+        f"FramedStep(n=3, J=(1,), j=1, translation_data=({item_repr},))"
+    )
+    assert repr(FramedStep(3, (0, 2), 0)) == "FramedStep(n=3, J=(0, 2), j=0, translation_data=())"
 
 
 def test_the_push_path_makes_no_fraction(monkeypatch):

@@ -36,6 +36,24 @@ def test_tau_examples():
     assert tau((0, 1), (2, 0)) == TauValue(1, 2)
 
 
+def test_tau_values_order_as_pairs():
+    pairs = [(s, t) for t in range(7) for s in range(t + 1)]
+    for a in pairs:
+        x = TauValue(*a)
+        for b in pairs:
+            y = TauValue(*b)
+            assert (x < y, x <= y, x > y, x >= y, x == y, x != y) == (
+                a < b, a <= b, a > b, a >= b, a == b, a != b
+            )
+        assert hash(x) == hash(TauValue(*a))
+        assert (x == a) is False and (x == None) is False
+        with pytest.raises(TypeError):
+            x < a
+    for s, t in ((1, 0), (6, 5), (-1, 0), (-1, 3), (-2, -1)):
+        with pytest.raises(InvalidInputError, match="0 <= s <= t"):
+            TauValue(s, t)
+
+
 def test_spec_rejects_nonpositive_weights():
     g = ValueGroup(1)
     with pytest.raises(PositiveWeightError):

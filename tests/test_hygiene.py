@@ -6,8 +6,12 @@ besides its own definition (a reference from a test does not count)."""
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+from conftest import CHILD_ENV
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "valmono"
@@ -555,3 +559,52 @@ def test_growth_scan_sees_each_kind():
         "PushPath.append: steps.append", "PushPath.append: frames.extend",
         "PushPath.grow: steps +=", "PushPath.grow.later: frames.insert",
     ]
+
+
+# ``@dataclass`` generates each class's methods as source text and compiles
+# it at import, and ``dataclasses`` loads ``inspect``, ``ast`` and ``dis``:
+# every CLI call would pay for both before it reads its input.  The
+# package's types write their methods out.
+def _dataclasses_imports(tree: ast.AST) -> list[str]:
+    """``line N`` for each import of ``dataclasses`` or a name from it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        if any(m.partition(".")[0] == "dataclasses" for m in modules):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += [f"{path.name}: {f}" for f in _dataclasses_imports(_parse(path))]
+    assert found == []
+
+
+def test_dataclasses_scan_sees_each_kind():
+    src = (
+        "import dataclasses\nfrom dataclasses import dataclass\n"
+        "import os, dataclasses as dc\nfrom typing import NamedTuple\n\n"
+        "def later():\n    from dataclasses import field\n    return field\n"
+    )
+    assert _dataclasses_imports(ast.parse(src)) == ["line 1", "line 2", "line 3", "line 7"]
+
+
+def test_importing_the_cli_loads_no_code_generator():
+    """``import valmono.cli`` in a fresh interpreter loads neither
+    ``dataclasses`` nor ``inspect``."""
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import valmono.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

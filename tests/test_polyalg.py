@@ -627,3 +627,19 @@ def test_polynomials_built_along_different_paths_are_equal():
         for other in others:
             assert other == f and hash(other) == hash(f)
             assert (other.terms, other.den) == (f.terms, f.den)
+        # another type is unequal, never an error
+        for other in (None, f.terms, (f.vars, f.terms, f.tower, f.den), tw):
+            assert (f == other) is False and f != other
+    # unreduced integer coordinates over a denominator other than 1, either sign
+    half = MultiPoly(UV, {(1, 0): 1, (0, 2): -3}, QQ, 2)
+    for k in (3, -3, 10, -1):
+        other = MultiPoly(UV, {(1, 0): k, (0, 2): -3 * k}, QQ, 2 * k)
+        assert other == half and hash(other) == hash(half) and other.den == 2
+    # a tower equals and hashes as the same tower with Fraction definer
+    # coordinates, and holds those coordinates as ints
+    for tw in PROPERTY_TOWERS:
+        fractions = FieldTower(
+            tuple((s, tuple(_times_by(c, Fraction(1)) for c in mp)) for s, mp in tw.extensions)
+        )
+        assert fractions == tw and hash(fractions) == hash(tw) and repr(fractions) == repr(tw)
+        assert (tw == None) is False and tw != tw.extensions

@@ -3,7 +3,6 @@
 import copy
 import gc
 import json
-import os
 import re
 import subprocess
 import sys
@@ -11,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import CHILD_ENV
 from valmono.errors import SchemaError, TraceMismatchError
 from valmono.trace import ALGORITHMS, canonical_digest, run_problem, verify_trace
 
@@ -264,11 +264,6 @@ def test_all_selectors_produce_verifiable_traces():
         trace = run_problem(p)
         assert trace["verdict"]["ok"], (p["algorithm"], trace["verdict"])
         verify_trace(trace)
-
-
-# the package's sources for a child interpreter, ahead of any inherited path
-SRC = str(Path(__file__).resolve().parent.parent / "src")
-CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
 
 
 def _cli(*args):
@@ -1188,7 +1183,6 @@ def test_cli_has_no_auto_independence_option(tmp_path):
 
 
 def test_library_has_no_independence_switch_or_problem_tower():
-    import dataclasses
     import inspect
 
     from valmono.game import monomialize_nondegenerate, monomialize_pair, principalize_monomial_ideal
@@ -1202,7 +1196,7 @@ def test_library_has_no_independence_switch_or_problem_tower():
         run_problem,
     ):
         assert "auto_independence" not in inspect.signature(f).parameters, f.__name__
-    assert "tower" not in {f.name for f in dataclasses.fields(UniformizingProblem)}
+    assert "tower" not in UniformizingProblem._fields
 
 
 # -- traces written while results held a FramedSequence --------------------

@@ -1,6 +1,5 @@
 """Elementary uniformizing sequences and the monomialization drivers."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -354,7 +353,7 @@ def test_keypoly_claims_are_checked(monkeypatch):
     res = monomialize_key_polys(chain_)
     frame = res.path.frame
     unifseq._check_key_claims(chain_, res.witnesses, frame)
-    twice = res.witnesses[:-1] + [dataclasses.replace(res.witnesses[-1], x_multiplicity=2)]
+    twice = res.witnesses[:-1] + [res.witnesses[-1]._replace(x_multiplicity=2)]
     with pytest.raises(AssertionError, match="x multiplicity 2, not 1"):
         unifseq._check_key_claims(chain_, twice, frame)
     (q1, b1), (q2, _) = chain_.entries

@@ -226,7 +226,9 @@ def test_default_labels_are_written_not_held():
             h = _parse_group({"group": {"rank": rank, "ordering": ordering, "labels": default}})
             assert g == h and hash(g) == hash(h)
             assert g.to_json() == h.to_json() == {"rank": rank, "ordering": ordering, "labels": default}
-        assert named == ValueGroup(rank) and named.value([1] * rank) == ValueGroup(rank).value([1] * rank)
+        assert named == ValueGroup(rank) and hash(named) == hash(ValueGroup(rank))
+        assert named.value([1] * rank) == ValueGroup(rank).value([1] * rank)
+        assert (named == None) is False and named != rank
     assert ValueGroup(2, labels=("g2", "g1")) != ValueGroup(2)
     assert ValueGroup(2, labels=("g1", "b")).to_json()["labels"] == ["g1", "b"]
     with pytest.raises(InvalidInputError, match="labels"):
@@ -405,6 +407,21 @@ def test_radicand_cache_grows_out_of_order(monkeypatch):
     assert rank6_first == rank2_first == (expected, [1, 2, 3, 5, 7, 11])
 
 
+def test_radicands_are_the_primes(monkeypatch):
+    """The radicands are 1 and then the primes in order, as a sieve lists
+    them, however the list is grown."""
+    limit = 20000
+    composite = bytearray(limit)
+    for p in range(2, isqrt(limit) + 1):
+        if not composite[p]:
+            composite[p * p::p] = b"\1" * len(range(p * p, limit, p))
+    primes = [p for p in range(2, limit) if not composite[p]]
+    assert len(primes) > 2000
+    monkeypatch.setattr(values, "_RADICANDS", [1])
+    for rank in (2, 3, 10, 2001):
+        assert values._radicands(rank) == [1] + primes[:rank - 1]
+
+
 def test_sign_of_values():
     g = ValueGroup(3)
     assert g.zero().sign() == 0
@@ -520,6 +537,9 @@ def test_equal_values_built_along_different_paths():
         assert (v.nums, v.den) == ((1,), 2)
         assert v == half[0] and hash(v) == hash(half[0])
     assert len(set(half)) == 1
+    # another type is unequal, never an error
+    for other in (None, "1/2", Fraction(1, 2), ((1,), 2), g):
+        assert (half[0] == other) is False and half[0] != other
     g3 = ValueGroup(3)
     a, b = g3.value(["2/6", 0, "-4/2"]), g3.value([Fraction(1, 3), Fraction(0), -2])
     assert a == b and hash(a) == hash(b) and (a.nums, a.den) == ((1, 0, -6), 3)
