@@ -136,16 +136,27 @@ def cmd_verify(args) -> int:
         return EXIT_SCHEMA
     batch = isinstance(payload, list)
     traces = payload if batch else [payload]
-    for idx, trace in enumerate(traces):
-        try:
-            verify_trace(trace)
-        except TraceMismatchError as exc:
-            print(f"trace {idx}: {exc}", file=sys.stderr)
-            return EXIT_MISMATCH
-        except SchemaError as exc:
-            where = f"trace {idx}: " if batch else ""
-            print(f"error: {where}{exc}", file=sys.stderr)
-            return EXIT_SCHEMA
+    # the loaded batch lives until the end: out of the collector's
+    # generations, the collections that replay triggers do not walk it.
+    # gc.unfreeze() thaws all that is frozen, so when a caller has frozen
+    # objects of its own the collector is left as it is.
+    freeze = not gc.get_freeze_count()
+    if freeze:
+        gc.freeze()
+    try:
+        for idx, trace in enumerate(traces):
+            try:
+                verify_trace(trace)
+            except TraceMismatchError as exc:
+                print(f"trace {idx}: {exc}", file=sys.stderr)
+                return EXIT_MISMATCH
+            except SchemaError as exc:
+                where = f"trace {idx}: " if batch else ""
+                print(f"error: {where}{exc}", file=sys.stderr)
+                return EXIT_SCHEMA
+    finally:
+        if freeze:
+            gc.unfreeze()
     return EXIT_OK
 
 

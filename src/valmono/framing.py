@@ -208,6 +208,10 @@ class Frame:
             self._weights = tuple(None if r is None else Value(r, den, group) for r in self.rows)
         return self._weights
 
+    def all_positive(self) -> bool:
+        """Whether every weight is declared and positive."""
+        return all(r is not None and _sign(r, self.group.ordering) > 0 for r in self.rows)
+
     def row(self, i: int) -> tuple[int, ...]:
         r = self.rows[i]
         if r is None:

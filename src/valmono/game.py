@@ -25,7 +25,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .framing import DEFAULT_BUDGET, Frame, PushPath
-from .polyalg import MultiPoly
+from .polyalg import MultiPoly, QQ
 from .values import Value
 
 
@@ -64,33 +64,64 @@ class TauValue:
 
 
 class MonomialValuationSpec:
-    """Strictly positive weights on a tuple of variables."""
+    """Strictly positive weights on a tuple of variables.
 
-    __slots__ = ("vars", "weights")
+    The spec keeps its weights in the :class:`Frame` that a run starts
+    from, as integer rows over one positive denominator in lowest terms;
+    ``weights`` gives them back as values.  Weights of two groups are a
+    GroupMismatchError.  Specs are equal when their variables and weight
+    values are."""
+
+    __slots__ = ("vars", "_frame")
 
     def __init__(self, vars: tuple[str, ...], weights: tuple[Value, ...]):
-        if len(vars) != len(weights):
-            raise InvalidInputError("weight count must equal variable count")
-        if len(set(vars)) != len(vars):
-            raise InvalidInputError("variables must be distinct")
+        _check_vars(vars, len(weights))
         for w in weights:
             if not w.is_positive():
                 raise PositiveWeightError("weights must be positive")
-        self.vars, self.weights = vars, weights
+        self.vars, self._frame = vars, Frame(vars, weights)
+
+    @classmethod
+    def _of_rows(cls, vars, rows, den, group) -> "MonomialValuationSpec":
+        """The spec of integer rows in lowest terms over ``den > 0``, with
+        the constructor's checks; no :class:`Value` is built."""
+        _check_vars(vars, len(rows))
+        frame = Frame._of_rows(tuple(vars), rows, den, group, frozenset(), QQ)
+        if not frame.all_positive():
+            raise PositiveWeightError("weights must be positive")
+        spec = cls.__new__(cls)
+        spec.vars, spec._frame = vars, frame
+        return spec
+
+    @property
+    def weights(self) -> tuple[Value, ...]:
+        return self._frame.weights
+
+    def _key(self):
+        # the rows are in lowest terms, so equal weights have equal rows
+        f = self._frame
+        return self.vars, f.rows, f.den, f.group
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.vars, self.weights) == (other.vars, other.weights)
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.vars, self.weights))
+        return hash(self._key())
 
     def __repr__(self):
         return f"MonomialValuationSpec(vars={self.vars!r}, weights={self.weights!r})"
 
     def frame(self) -> Frame:
-        return Frame(self.vars, self.weights)
+        return self._frame
+
+
+def _check_vars(vars, count: int) -> None:
+    if len(vars) != count:
+        raise InvalidInputError("weight count must equal variable count")
+    if len(set(vars)) != len(vars):
+        raise InvalidInputError("variables must be distinct")
 
 
 def reduced_parts(

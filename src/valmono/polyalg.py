@@ -384,11 +384,12 @@ class MultiPoly:
         vars = tuple(vars)
         collected: dict[tuple[int, ...], Elem] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
+        n = len(vars)
         for e, c in items:
-            e = tuple(int(x) for x in e)
-            if len(e) != len(vars):
+            e = tuple(map(int, e))
+            if len(e) != n:
                 raise InvalidInputError("exponent length must match the variable count")
-            if any(x < 0 for x in e):
+            if n and min(e) < 0:
                 raise InvalidInputError("exponents must be nonnegative")
             if e in collected:
                 collected[e] = tower.add(collected[e], c)
@@ -564,12 +565,13 @@ class MultiPoly:
         return MultiPoly._of_reduced(new_vars, out, self.tower, self.den)
 
     def with_tower(self, tower: FieldTower) -> "MultiPoly":
-        """Embed into a taller tower that extends the current one."""
+        """Embed into a taller tower that extends the current one.  The
+        embedding only adds zero coordinates, so they stay in lowest terms."""
         if tower.extensions[: self.tower.depth] != self.tower.extensions:
             raise InvalidInputError("target tower does not extend the current one")
         level = self.tower.depth
         out = {e: tower._embed(c, level) for e, c in self.terms.items()}
-        return MultiPoly(self.vars, out, tower, self.den)
+        return MultiPoly._of_reduced(self.vars, out, tower, self.den)
 
     # -- JSON ----------------------------------------------------------------
 

@@ -14,11 +14,13 @@ import hashlib
 import json
 from datetime import datetime, timezone
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from typing import Callable
 
 from . import __version__
 from .errors import (
+    InvalidInputError,
     SchemaError,
     TraceMismatchError,
     ValmonoError,
@@ -83,19 +85,30 @@ def _names(obj: dict, key: str, what: str = "variable names") -> tuple[str, ...]
     return tuple(names)
 
 
-def _value(v, group: ValueGroup, what: str) -> Value:
+def _pairs(v, group: ValueGroup, what: str) -> list[tuple[int, int]]:
+    """The coordinates of the value ``v`` as ``(p, q)`` pairs, one per
+    generator of ``group``."""
     if not isinstance(v, dict) or not isinstance(v.get("coords"), list):
         raise SchemaError(f'{what} must be {{"coords": [...]}}, not {v!r}')
-    return group.of_pairs([rational_from_str(c) for c in v["coords"]])
+    pairs = [rational_from_str(c) for c in v["coords"]]
+    if len(pairs) != group.rank:
+        raise InvalidInputError("coordinate count must equal the group rank")
+    return pairs
 
 
-def _values(obj: dict, key: str, group: ValueGroup, nullable: bool = False) -> tuple:
-    """The array of values ``key``; with ``nullable``, null entries stay None."""
+def _value(v, group: ValueGroup, what: str) -> Value:
+    return group.of_pairs(_pairs(v, group, what))
+
+
+def _values(obj: dict, key: str, group: ValueGroup, nullable: bool = False, each=_value) -> tuple:
+    """The array of values ``key``, each read by ``each`` (``_value``, or
+    ``_pairs`` for its coordinates); with ``nullable``, null entries stay
+    None."""
     items = _need(obj, key)
     if not isinstance(items, list):
         raise SchemaError(f"{key} must be an array of values, not {items!r}")
     return tuple(
-        None if w is None and nullable else _value(w, group, f"{key} entries") for w in items
+        None if w is None and nullable else each(w, group, f"{key} entries") for w in items
     )
 
 
@@ -129,16 +142,25 @@ def _poly(obj: dict, key: str) -> MultiPoly:
     )
 
 
-def _parse_spec(obj: dict, group: ValueGroup) -> MonomialValuationSpec:
-    spec = _need(obj, "spec")
-    return MonomialValuationSpec(_names(spec, "vars"), _values(spec, "weights", group))
+def _spec(obj: dict, key: str, group: ValueGroup) -> MonomialValuationSpec:
+    """The spec field ``key`` (a problem's spec or a chain's ground), its
+    weights read straight into integer rows over one denominator."""
+    spec = _need(obj, key)
+    names = _names(spec, "vars")
+    weights = _values(spec, "weights", group, each=_pairs)
+    den = lcm(*[q for w in weights for _, q in w])
+    rows = [[num * (den // q) for num, q in w] for w in weights]
+    g = gcd(den, *chain.from_iterable(rows))
+    if g != 1:
+        den //= g
+        rows = [[x // g for x in r] for r in rows]
+    return MonomialValuationSpec._of_rows(names, tuple(map(tuple, rows)), den, group)
 
 
 def chain_from_json(obj: dict, group: ValueGroup) -> KeyPolyChain:
     """The key-polynomial chain of a problem; a malformed ground, x or
     entries field raises SchemaError naming it."""
-    ground = _need(obj, "ground")
-    spec = MonomialValuationSpec(_names(ground, "vars"), _values(ground, "weights", group))
+    spec = _spec(obj, "ground", group)
     x = _need(obj, "x")
     if not isinstance(x, str):
         raise SchemaError(f"x must be a variable name, not {x!r}")
@@ -186,7 +208,7 @@ def _sequence_file(path, group) -> dict:
 
 def _run_pair(inp: dict, budget: int) -> tuple[list, dict]:
     group = _parse_group(inp)
-    spec = _parse_spec(inp, group)
+    spec = _spec(inp, "spec", group)
     alpha = _parse_exponents([_need(inp, "alpha")])[0]
     gamma = _parse_exponents([_need(inp, "gamma")])[0]
     res = monomialize_pair(alpha, gamma, spec, budget)
@@ -204,7 +226,7 @@ def _run_pair(inp: dict, budget: int) -> tuple[list, dict]:
 
 def _run_principalize(inp: dict, budget: int) -> tuple[list, dict]:
     group = _parse_group(inp)
-    spec = _parse_spec(inp, group)
+    spec = _spec(inp, "spec", group)
     gens = _parse_exponents(_need(inp, "generators"))
     res = principalize_monomial_ideal(gens, spec, budget)
     witnesses = {
@@ -218,7 +240,7 @@ def _run_principalize(inp: dict, budget: int) -> tuple[list, dict]:
 
 def _run_nondegenerate(inp: dict, budget: int) -> tuple[list, dict]:
     group = _parse_group(inp)
-    spec = _parse_spec(inp, group)
+    spec = _spec(inp, "spec", group)
     poly = _poly(inp, "poly").with_vars(spec.vars)
     res = monomialize_nondegenerate(poly, spec, budget)
     witnesses = {

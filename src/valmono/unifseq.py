@@ -604,7 +604,7 @@ def monomialize_key_polys(chain: KeyPolyChain, budget: int = DEFAULT_BUDGET) -> 
         return img
 
     # maximal Q-independent subset of the ground weights, greedily by index
-    basis_cols = _linalg.pivot_columns(tuple(zip(*(w.nums for w in chain.ground.weights))))
+    basis_cols = _linalg.pivot_columns(tuple(zip(*chain.ground.frame().rows)))
     x_col = path.frame.n - 1
     level_data = []
 

@@ -126,10 +126,18 @@ def _sign(n: Sequence[int], ordering: str) -> int:
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+# literal -> its (p, q): a problem repeats a few short literals many times.
+# Filled at run time up to a fixed number of literals of bounded length,
+# then only read.
+_PARSED: dict[str, tuple[int, int]] = {}
+_PARSED_ENTRIES = 1024
+_PARSED_LENGTH = 16
 
 
 def _literal(n: int, d: int) -> str:
     """The lowest-terms literal of ``n/d``, ``d > 0``."""
+    if not n:
+        return "0"
     g = gcd(n, d)
     return str(n // g) if g == d else f"{n // g}/{d // g}"
 
@@ -137,9 +145,13 @@ def _literal(n: int, d: int) -> str:
 def rational_from_str(s: str) -> tuple[int, int]:
     """Parse a ``"p/q"`` or ``"p"`` literal (ASCII digits, an optional
     leading minus, a nonzero denominator) to the integers ``(p, q)``, not
-    reduced; anything else is a SchemaError."""
+    reduced; anything else is a SchemaError.  A short literal parsed
+    before is answered from ``_PARSED``."""
     if not isinstance(s, str):
         raise SchemaError(f"rational must be a 'p/q' string, got {s!r}")
+    pq = _PARSED.get(s)
+    if pq is not None:
+        return pq
     if _RATIONAL.fullmatch(s) is None:
         raise SchemaError(f"bad rational {s!r}")
     num, _, den = s.partition("/")
@@ -149,6 +161,8 @@ def rational_from_str(s: str) -> tuple[int, int]:
         raise SchemaError(f"bad rational {s!r}") from None
     if not q:
         raise SchemaError(f"bad rational {s!r}")
+    if len(s) <= _PARSED_LENGTH and len(_PARSED) < _PARSED_ENTRIES:
+        _PARSED[s] = p, q
     return p, q
 
 

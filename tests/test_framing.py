@@ -632,8 +632,9 @@ def test_push_folds_tied_blow_ups_into_exponent_runs(monkeypatch):
 
 
 def test_moved_exponents_keep_the_coordinates_reduced(monkeypatch):
-    """The sites that only move a reduced polynomial's exponents or rename
-    its variables build the result without reducing it again; each result
+    """The sites that only move a reduced polynomial's exponents, rename
+    its variables or embed it in a taller tower build the result without
+    reducing it again; each result
     equals what the reducing constructor makes of the same coordinates."""
     rng = random.Random(25)
     seen = Counter()
@@ -655,7 +656,7 @@ def test_moved_exponents_keep_the_coordinates_reduced(monkeypatch):
         assert split_monomial(img, mono, path.frame)[1] is not None
         wider = tuple(reversed(frame.names)) + ("w",)
         assert f.with_vars(wider).with_vars(frame.names) == f
-    assert set(seen) == {"_push_exponents", "push", "split_monomial", "with_vars"}
+    assert set(seen) == {"_push_exponents", "push", "split_monomial", "with_tower", "with_vars"}
     assert min(seen.values()) >= 20, seen
 
 

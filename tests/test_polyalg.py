@@ -543,6 +543,19 @@ def _random_terms(rng, vars_, tower, x_degree, max_terms):
     return terms
 
 
+def test_with_tower_keeps_the_coordinates_reduced():
+    """Embedding in a taller tower only adds zero coordinates: the result
+    is what the reducing constructor makes of them, ``den`` included."""
+    rng = random.Random(26)
+    for tw in PROPERTY_TOWERS:
+        top = WIDER.get(tw, tw)
+        for _ in range(10):
+            f = MultiPoly.build(UV, _random_terms(rng, UV, tw, rng.randint(0, 4), 4), tw)
+            g = f.with_tower(top)
+            again = MultiPoly(g.vars, dict(g.terms), top, g.den)
+            assert g == again and g.den == again.den == f.den
+
+
 def _embedded(c, tower, level):
     """c, an element at ``level``, embedded in ``tower`` by hand."""
     for lv in range(level + 1, tower.depth + 1):

@@ -1235,3 +1235,131 @@ def test_framed_traces_verify_and_rerun_the_same_sequence(k):
 def test_cli_verifies_framed_traces():
     r = _cli("verify", str(FRAMED_TRACES))
     assert r.returncode == 0, r.stderr
+
+
+# The JSON boundary reads a spec straight into integer weight rows.  Each
+# row of this table holds an input with several faults and what the run
+# does with it: it raises the named error, or it ends in the failure
+# verdict with that code and message.
+def _faulty_pair(vars_, weights, rank=2):
+    p = pair_problem()
+    p["group"] = {"rank": rank}
+    p["spec"] = {"vars": vars_, "weights": [{"coords": c} for c in weights]}
+    return p
+
+
+def _faulty_poly(terms):
+    return {
+        "algorithm": "nondegenerate",
+        "group": {"rank": 1},
+        "spec": {"vars": ["a", "b"], "weights": [{"coords": ["1"]}, {"coords": ["2"]}]},
+        "poly": {"vars": ["a", "b"], "terms": [{"e": e, "c": c} for e, c in terms]},
+    }
+
+
+RANK = ("invalid input", "coordinate count must equal the group rank")
+SEVERAL_FAULTS = [
+    # a rank mismatch in weight 1 wins over a bad literal in weight 2
+    (_faulty_pair(["a", "b"], [["1"], ["1", "x"]]), RANK),
+    # a wrong rank wins over a wrong weight count
+    (_faulty_pair(["a", "b"], [["1", "0", "0"]]), RANK),
+    (_faulty_pair(["a", "b"], [[], ["1", "x"]]), RANK),
+    # duplicate variables win over a zero weight
+    (_faulty_pair(["a", "a"], [["0", "0"], ["1", "0"]]), ("invalid input", "variables must be distinct")),
+    (_faulty_pair(["a", "b"], [["1", "1"], ["1", "-1"]]), ("weights must be positive",) * 2),
+    # every schema error comes before the first bad exponent
+    (_faulty_poly([([1], "1"), ([0, 1], "1/0")]), (SchemaError, "bad rational '1/0'")),
+    (
+        _faulty_poly([([1, 0], "1"), ([1], "1"), ([-1, 0], "2")]),
+        ("invalid input", "exponent length must match the variable count"),
+    ),
+    (_faulty_poly([([-1, 0], "1"), ([1], "1")]), ("invalid input", "exponents must be nonnegative")),
+]
+
+
+@pytest.mark.parametrize("problem, outcome", SEVERAL_FAULTS)
+def test_the_first_fault_of_an_input_wins(problem, outcome):
+    kind, message = outcome
+    if kind is SchemaError:
+        with pytest.raises(SchemaError) as err:
+            run_problem(problem)
+        assert str(err.value) == message
+    else:
+        assert run_problem(problem)["verdict"] == {"ok": False, "code": kind, "message": message}
+
+
+@pytest.mark.parametrize(
+    "coords, rows, den",
+    [
+        # unreduced literals over several denominators
+        (
+            [["2/4", "1/3"], ["6/8", "0"], ["-1/6", "1/1"], ["3", "-3/9"], ["5/24", "14/24"]],
+            ((12, 8), (18, 0), (-4, 24), (72, -8), (5, 14)),
+            24,
+        ),
+        # the literals' common denominator 8 is above the lowest one, 4
+        ([["2/8", "0"], ["6/4", "4/8"]], ((1, 0), (6, 2)), 4),
+        ([["4/2", "2"], ["6/3", "0"]], ((2, 2), (2, 0)), 1),
+    ],
+)
+def test_a_spec_read_from_json_is_the_one_the_constructor_builds(coords, rows, den):
+    from valmono.game import MonomialValuationSpec
+    from valmono.trace import _parse_group, _spec
+
+    names = tuple("abcde"[: len(coords)])
+    problem = _faulty_pair(list(names), coords)
+    group = _parse_group(problem)
+    read = _spec(problem, "spec", group)
+    built = MonomialValuationSpec(names, tuple(group.value(c) for c in coords))
+    assert read == built and hash(read) == hash(built)
+    assert (read.frame().rows, read.frame().den) == (built.frame().rows, built.frame().den) == (rows, den)
+    assert read.weights == built.weights
+    assert read.frame() == built.frame()
+    assert read.frame().to_json() == built.frame().to_json()
+    assert MonomialValuationSpec(names[:1], built.weights[:1]) != built
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_pair_and_principalize_runs_build_no_value(monkeypatch, k):
+    from valmono.values import Value
+
+    built = []
+    init = Value.__init__
+    monkeypatch.setattr(Value, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    problem = all_selector_problems()[k]
+    assert problem["algorithm"] == ("pair", "principalize")[k]
+    trace = run_problem(problem)
+    assert trace["verdict"] == {"ok": True} and trace["steps"]
+    assert built == []
+    verify_trace(trace)
+    assert built == []
+
+
+@pytest.mark.parametrize("edit, code", [(None, 0), ("alpha_final", 4)])
+def test_verify_freezes_the_batch_and_thaws_it(tmp_path, monkeypatch, edit, code):
+    from valmono import cli
+
+    trace = run_problem(pair_problem())
+    if edit:
+        trace["witnesses"][edit] = [9, 9]
+    tf = tmp_path / "t.json"
+    tf.write_text(json.dumps([trace, trace]))
+    frozen = []
+    replay = cli.verify_trace
+    monkeypatch.setattr(cli, "verify_trace", lambda t: frozen.append(gc.get_freeze_count()) or replay(t))
+    assert gc.get_freeze_count() == 0
+    assert cli.main(["verify", str(tf)]) == code
+    assert gc.get_freeze_count() == 0
+    assert frozen and all(frozen)
+
+    # a caller that froze objects of its own finds them still frozen
+    frozen.clear()
+    gc.freeze()
+    try:
+        before = gc.get_freeze_count()
+        assert before
+        assert cli.main(["verify", str(tf)]) == code
+        assert gc.get_freeze_count() == before
+        assert frozen and set(frozen) == {before}
+    finally:
+        gc.unfreeze()

@@ -591,3 +591,37 @@ def test_exact_literals_are_accepted():
     assert g.rational("2/6").scale("-3") == g.rational(-1)
     assert rational_from_str("-07/14") == (-7, 14)  # not reduced: the Value reduces
     assert rational_from_str("0") == (0, 1)
+
+
+def test_parsed_literals_are_memoized_up_to_a_cap(monkeypatch):
+    """A short literal is parsed by the grammar once and then answered
+    from the memo, unreduced; the memo stops growing at its cap, and what
+    it does not hold still goes through the grammar."""
+    matched = []
+    grammar = values._RATIONAL
+
+    class Counted:
+        def fullmatch(self, s):
+            matched.append(s)
+            return grammar.fullmatch(s)
+
+    monkeypatch.setattr(values, "_RATIONAL", Counted())
+    monkeypatch.setattr(values, "_PARSED", {})
+    assert rational_from_str("2/4") == (2, 4)  # a miss
+    assert rational_from_str("2/4") == (2, 4)  # a hit
+    assert matched == ["2/4"] and values._PARSED == {"2/4": (2, 4)}
+    for bad in (2, 0.5, None, ["1"], {"c": "1"}):
+        with pytest.raises(SchemaError, match="rational must be"):
+            rational_from_str(bad)
+    long = "1" * values._PARSED_LENGTH + "/3"
+    for _ in range(2):
+        assert rational_from_str(long) == (int("1" * values._PARSED_LENGTH), 3)
+        with pytest.raises(SchemaError, match="bad rational"):
+            rational_from_str(long + "x")
+    assert matched[1:] == [long, long + "x"] * 2 and long not in values._PARSED
+    cap = values._PARSED_ENTRIES
+    for k in range(cap + 50):
+        assert rational_from_str(f"{k}/7") == (k, 7)
+    assert len(values._PARSED) == cap
+    assert rational_from_str(f"{cap + 49}/7") == (cap + 49, 7)
+    assert matched[-1] == f"{cap + 49}/7"
