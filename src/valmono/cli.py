@@ -39,6 +39,8 @@ def _load_json(path: str):
         raise SchemaError(f"malformed JSON: {exc}") from None
     except UnicodeDecodeError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
+    except ValueError as exc:  # such as an integer longer than int() reads
+        raise SchemaError(f"malformed JSON: {exc}") from None
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc.strerror}") from None
     finally:

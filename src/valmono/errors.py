@@ -1,10 +1,22 @@
 """Exception hierarchy shared by every module.
 
 Each error carries a short machine-readable ``code`` used in traces and by
-the CLI exit-code contract.
+the CLI exit-code contract.  A message that echoes an input value does so
+through ``quote``, which keeps it short.
 """
 
 from __future__ import annotations
+
+# Messages quote at most this many characters of an input value.
+QUOTE_LIMIT = 60
+
+
+def quote(value) -> str:
+    """``repr(value)`` for a message, cut after ``QUOTE_LIMIT`` characters
+    and marked with ``…`` when longer, so that a message stays short
+    whatever the input holds."""
+    text = repr(value)
+    return text if len(text) <= QUOTE_LIMIT else text[:QUOTE_LIMIT] + "…"
 
 
 class ValmonoError(Exception):

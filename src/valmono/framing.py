@@ -52,7 +52,7 @@ from math import lcm
 from operator import le, sub
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import GroupMismatchError, InvalidInputError, StepBudgetExceededError
+from .errors import GroupMismatchError, InvalidInputError, StepBudgetExceededError, quote
 from .polyalg import FieldTower, MultiPoly, QQ, taylor_shift
 from .values import Value, ValueGroup, _literal, _sign
 
@@ -210,12 +210,12 @@ class Frame:
 
     def all_positive(self) -> bool:
         """Whether every weight is declared and positive."""
-        return all(r is not None and _sign(r, self.group.ordering) > 0 for r in self.rows)
+        return all(r is not None and _sign(r) > 0 for r in self.rows)
 
     def row(self, i: int) -> tuple[int, ...]:
         r = self.rows[i]
         if r is None:
-            raise InvalidInputError(f"variable {self.names[i]!r} has no declared weight")
+            raise InvalidInputError(f"variable {quote(self.names[i])} has no declared weight")
         return r
 
     def weight(self, i: int) -> Value:
@@ -324,10 +324,10 @@ class PushPath:
         if len(J) < 2 or J[0] < 0 or J[-1] >= frame.n or any(map(le, J[1:], J)):
             raise InvalidInputError("a center is two or more increasing columns of the frame")
         j = J[0]
-        rj, ordering = frame.row(j), frame.group.ordering
+        rj = frame.row(j)
         for i in J[1:]:
             ri = frame.row(i)
-            if _sign(list(map(sub, ri, rj)), ordering) < 0:
+            if _sign(list(map(sub, ri, rj))) < 0:
                 j, rj = i, ri
         rows = list(frame.rows)
         ties = []

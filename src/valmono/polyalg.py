@@ -45,6 +45,7 @@ from .errors import (
     InvalidInputError,
     NonMonicDivisorError,
     ReducibleDefinerError,
+    quote,
 )
 from .values import _exact, _literal
 
@@ -180,7 +181,7 @@ class FieldTower:
                     # degree-1 definer X + c0: theta = -c0
                     gen = self._raise_to(self._neg(mp[0], level - 1), level)
                 return self._embed(gen, level)
-        raise InvalidInputError(f"unknown tower symbol {symbol!r}")
+        raise InvalidInputError(f"unknown tower symbol {quote(symbol)}")
 
     # -- arithmetic ---------------------------------------------------
 
@@ -411,7 +412,7 @@ class MultiPoly:
         vars = tuple(vars)
         e = tuple(1 if v == name else 0 for v in vars)
         if sum(e) != 1:
-            raise InvalidInputError(f"unknown variable {name!r}")
+            raise InvalidInputError(f"unknown variable {quote(name)}")
         return MultiPoly.build(vars, {e: tower.one()}, tower)
 
     @staticmethod
@@ -430,7 +431,7 @@ class MultiPoly:
         try:
             return self.vars.index(name)
         except ValueError:
-            raise InvalidInputError(f"unknown variable {name!r}") from None
+            raise InvalidInputError(f"unknown variable {quote(name)}") from None
 
     def degree_in(self, name: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
@@ -551,7 +552,7 @@ class MultiPoly:
         for i, v in enumerate(self.vars):
             if v not in new_vars:
                 if self.degree_in(v) > 0:
-                    raise InvalidInputError(f"variable {v!r} disappears but occurs")
+                    raise InvalidInputError(f"variable {quote(v)} disappears but occurs")
                 pos[i] = None
             else:
                 pos[i] = new_vars.index(v)

@@ -24,6 +24,7 @@ from .errors import (
     SchemaError,
     TraceMismatchError,
     ValmonoError,
+    quote,
 )
 from .game import (
     DEFAULT_BUDGET,
@@ -63,25 +64,29 @@ def _is_int(x) -> bool:
 
 def _parse_group(obj: dict) -> ValueGroup:
     """The problem's value group.  A field of the wrong JSON type raises
-    SchemaError naming it; a rank below 1, an unknown ordering and bad
-    labels are invalid inputs, raised by ValueGroup."""
+    SchemaError naming it.  A rank below 1, an ordering other than
+    ``sqrt-primes`` and bad labels are invalid inputs, reported in that
+    order."""
     group = _need(obj, "group")
     if not isinstance(group, dict):
-        raise SchemaError(f"group must be an object, not {group!r}")
+        raise SchemaError(f"group must be an object, not {quote(group)}")
     rank = _need(group, "rank")
     if not _is_int(rank):
-        raise SchemaError(f"rank must be an integer, not {rank!r}")
+        raise SchemaError(f"rank must be an integer, not {quote(rank)}")
     ordering = group.get("ordering", SQRT_PRIMES)
     if not isinstance(ordering, str):
-        raise SchemaError(f"ordering must be a string, not {ordering!r}")
+        raise SchemaError(f"ordering must be a string, not {quote(ordering)}")
     labels = _names(group, "labels", "generator labels") if "labels" in group else ()
-    return ValueGroup(rank, ordering, labels)
+    # a rank below 1 is reported first, by ValueGroup
+    if ordering != SQRT_PRIMES and rank >= 1:
+        raise InvalidInputError(f"unknown ordering {quote(ordering)}")
+    return ValueGroup(rank, labels)
 
 
 def _names(obj: dict, key: str, what: str = "variable names") -> tuple[str, ...]:
     names = _need(obj, key)
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise SchemaError(f"{key} must be an array of {what}, not {names!r}")
+        raise SchemaError(f"{key} must be an array of {what}, not {quote(names)}")
     return tuple(names)
 
 
@@ -89,7 +94,7 @@ def _pairs(v, group: ValueGroup, what: str) -> list[tuple[int, int]]:
     """The coordinates of the value ``v`` as ``(p, q)`` pairs, one per
     generator of ``group``."""
     if not isinstance(v, dict) or not isinstance(v.get("coords"), list):
-        raise SchemaError(f'{what} must be {{"coords": [...]}}, not {v!r}')
+        raise SchemaError(f'{what} must be {{"coords": [...]}}, not {quote(v)}')
     pairs = [rational_from_str(c) for c in v["coords"]]
     if len(pairs) != group.rank:
         raise InvalidInputError("coordinate count must equal the group rank")
@@ -106,7 +111,7 @@ def _values(obj: dict, key: str, group: ValueGroup, nullable: bool = False, each
     None."""
     items = _need(obj, key)
     if not isinstance(items, list):
-        raise SchemaError(f"{key} must be an array of values, not {items!r}")
+        raise SchemaError(f"{key} must be an array of values, not {quote(items)}")
     return tuple(
         None if w is None and nullable else each(w, group, f"{key} entries") for w in items
     )
@@ -138,7 +143,8 @@ def _poly(obj: dict, key: str) -> MultiPoly:
             den = lcm(*[q for _, (_, q) in terms])
             return MultiPoly.build(p["vars"], [(e, n * (den // q)) for e, (n, q) in terms], QQ, den)
     raise SchemaError(
-        f'{key} must be {{"vars": [names], "terms": [{{"e": [integers], "c": "p/q"}}]}}, not {p!r}'
+        f'{key} must be {{"vars": [names], "terms": [{{"e": [integers], "c": "p/q"}}]}}, '
+        f"not {quote(p)}"
     )
 
 
@@ -163,13 +169,13 @@ def chain_from_json(obj: dict, group: ValueGroup) -> KeyPolyChain:
     spec = _spec(obj, "ground", group)
     x = _need(obj, "x")
     if not isinstance(x, str):
-        raise SchemaError(f"x must be a variable name, not {x!r}")
+        raise SchemaError(f"x must be a variable name, not {quote(x)}")
     entries = _need(obj, "entries")
     if not isinstance(entries, list) or not all(
         isinstance(e, dict) and "Q" in e and "beta" in e for e in entries
     ):
         raise SchemaError(
-            f'entries must be an array of {{"Q": ..., "beta": ...}} objects, not {entries!r}'
+            f'entries must be an array of {{"Q": ..., "beta": ...}} objects, not {quote(entries)}'
         )
     vars_ = spec.vars + (x,)
     return KeyPolyChain(
@@ -259,7 +265,7 @@ def _run_keypoly_expand(inp: dict, budget: int) -> tuple[list, dict]:
     poly = _poly(inp, "poly").with_vars(chain.all_vars)
     level = inp.get("level", len(chain))
     if not _is_int(level):
-        raise SchemaError(f"level must be an integer, not {level!r}")
+        raise SchemaError(f"level must be an integer, not {quote(level)}")
     trunc = truncate(poly, chain, level)
     exp = trunc.expansion
     witnesses = {
@@ -302,15 +308,15 @@ def _parse_uniformize_problem(inp: dict) -> UniformizingProblem:
     w_weights = _values(prob, "w_weights", group)
     wn = _need(prob, "wn_var")
     if not isinstance(wn, str):
-        raise SchemaError(f"wn_var must be a variable name, not {wn!r}")
+        raise SchemaError(f"wn_var must be a variable name, not {quote(wn)}")
     beta_n = _value(_need(prob, "beta_n"), group, "beta_n")
     res = _need(prob, "residue")
     if not isinstance(res, dict):
-        raise SchemaError(f"residue must be an object, not {res!r}")
+        raise SchemaError(f"residue must be an object, not {quote(res)}")
     # an input without a kind is read as algebraic
     kind = res.get("kind", "algebraic")
     if kind not in ("algebraic", "transcendental"):
-        raise SchemaError(f"kind must be 'algebraic' or 'transcendental', not {kind!r}")
+        raise SchemaError(f"kind must be 'algebraic' or 'transcendental', not {quote(kind)}")
     residue = None
     if kind == "algebraic":
         # residues read from JSON lie over Q
@@ -399,9 +405,9 @@ def run_problem(inp: dict, budget: int = DEFAULT_BUDGET, command: str = "run") -
         raise SchemaError("problem must be a JSON object")
     algorithm = _need(inp, "algorithm")
     if not isinstance(algorithm, str):
-        raise SchemaError(f"algorithm must be a string, not {algorithm!r}")
+        raise SchemaError(f"algorithm must be a string, not {quote(algorithm)}")
     if algorithm not in _RUNNERS:
-        raise SchemaError(f"unknown algorithm selector {algorithm!r}")
+        raise SchemaError(f"unknown algorithm selector {quote(algorithm)}")
     header = {
         "tool": TOOL,
         "version": __version__,
@@ -431,7 +437,7 @@ def _optional(trace: dict, key: str, kind: type, what: str):
     if value is None:
         return kind()
     if not isinstance(value, kind):
-        raise SchemaError(f"{key} must be {what} or null, not {value!r}")
+        raise SchemaError(f"{key} must be {what} or null, not {quote(value)}")
     return value
 
 
@@ -443,20 +449,20 @@ def verify_trace(trace: dict) -> None:
         raise SchemaError("trace must be a JSON object")
     header = _need(trace, "header")
     if not isinstance(header, dict):
-        raise SchemaError(f"header must be an object, not {header!r}")
+        raise SchemaError(f"header must be an object, not {quote(header)}")
     # a trace without a schema is read as schema 1, the only one there is
     schema = header.get("schema", SCHEMA)
     if not _is_int(schema) or schema != SCHEMA:
-        raise SchemaError(f"schema must be {SCHEMA}, not {schema!r}")
+        raise SchemaError(f"schema must be {SCHEMA}, not {quote(schema)}")
     inp = _need(trace, "input")
     budget = header.get("budget", DEFAULT_BUDGET)
     if not _is_int(budget) or budget < 0:
-        raise SchemaError(f"budget must be a nonnegative integer, not {budget!r}")
+        raise SchemaError(f"budget must be a nonnegative integer, not {quote(budget)}")
     # traces written before every sequence carried its independence set may
     # say so with "auto_independence": false; they replay without the set
     independence = header.get("auto_independence", True)
     if not isinstance(independence, bool):
-        raise SchemaError(f"auto_independence must be a boolean, not {independence!r}")
+        raise SchemaError(f"auto_independence must be a boolean, not {quote(independence)}")
     old_steps = _optional(trace, "steps", list, "an array")
     old_verdict = _optional(trace, "verdict", dict, "an object")
     fresh = run_problem(inp, budget, command="verify")

@@ -1,12 +1,14 @@
 """Exact arithmetic and ordering for value groups of finite rational rank.
 
-A :class:`ValueGroup` fixes a rank ``r`` and an ordering mode.  In the
-``sqrt-primes`` mode the group generators are interpreted as the real
-numbers ``1, sqrt(2), sqrt(3), sqrt(5), ...`` (generator 1 is rational so
-that plain rational values are representable; the remaining generators run
-through square roots of the primes).  These reals are linearly independent
-over Q, so a :class:`Value` is determined by its rational coordinate
-vector and the group is archimedean of rational rank ``r``.
+A :class:`ValueGroup` with ``rank`` r is the subgroup of the reals
+generated by the r numbers ``1, sqrt(2), sqrt(3), sqrt(5), ...`` (the
+``sqrt-primes`` group: generator 1 is rational so that plain rational
+values are representable; the remaining generators run through square
+roots of the primes).  These reals are linearly independent over Q, so a
+:class:`Value` is determined by its rational coordinate vector; as an
+ordered group it is of rank 1 (archimedean), and r is its rational rank.
+Groups of higher rank are not represented: the reduction of local
+uniformization to rank 1 is not implemented (ROADMAP item 13).
 
 A :class:`Value` holds its coordinates as integer numerators ``nums`` over
 one positive denominator ``den``, in lowest terms (``gcd(den, *nums) ==
@@ -26,11 +28,6 @@ integer ``isqrt`` floor at ``k`` fractional bits (one cached row of floors
 per ``k``, as long as the largest rank seen), starting at 64 bits and
 doubling until the bracket of the sum excludes zero, which happens because
 the sum is a nonzero algebraic number.
-
-The ``lex`` mode orders coordinate vectors lexicographically and exists
-for composite (rank >= 2) value groups.  Nothing refuses it: the blow-up
-algorithms run on ``lex`` values as on any others, and nothing checks
-those runs beyond replay (ROADMAP item 13).
 """
 
 from __future__ import annotations
@@ -50,10 +47,10 @@ from .errors import (
     InvalidInputError,
     NotInDivisibleHullError,
     SchemaError,
+    quote,
 )
 
 SQRT_PRIMES = "sqrt-primes"
-LEX = "lex"
 
 _INITIAL_BITS = 64
 
@@ -94,14 +91,9 @@ def _floor_row(bits: int, rank: int) -> tuple[int, ...]:
     return row
 
 
-def _sign(n: Sequence[int], ordering: str) -> int:
+def _sign(n: Sequence[int]) -> int:
     """Sign of the value whose coordinates are a positive multiple of the
     integers ``n``."""
-    if ordering == LEX:
-        for c in n:
-            if c:
-                return 1 if c > 0 else -1
-        return 0
     n0, tail = n[0], n[1:]
     # sqrt(p_i) lies in (s_i, s_i + 1) / 2**bits for i >= 1, so the sum lies
     # in [mid + low_pad, mid + high_pad] with mid = sum(n_i * s_i) / 2**bits;
@@ -135,11 +127,15 @@ _PARSED_LENGTH = 16
 
 
 def _literal(n: int, d: int) -> str:
-    """The lowest-terms literal of ``n/d``, ``d > 0``."""
+    """The lowest-terms literal of ``n/d``, ``d > 0``.  An integer with
+    more digits than ``str`` writes is an invalid input."""
     if not n:
         return "0"
     g = gcd(n, d)
-    return str(n // g) if g == d else f"{n // g}/{d // g}"
+    try:
+        return str(n // g) if g == d else f"{n // g}/{d // g}"
+    except ValueError:  # the interpreter's int-to-str digit limit
+        raise InvalidInputError("a rational has too many digits to write") from None
 
 
 def rational_from_str(s: str) -> tuple[int, int]:
@@ -148,19 +144,19 @@ def rational_from_str(s: str) -> tuple[int, int]:
     reduced; anything else is a SchemaError.  A short literal parsed
     before is answered from ``_PARSED``."""
     if not isinstance(s, str):
-        raise SchemaError(f"rational must be a 'p/q' string, got {s!r}")
+        raise SchemaError(f"rational must be a 'p/q' string, got {quote(s)}")
     pq = _PARSED.get(s)
     if pq is not None:
         return pq
     if _RATIONAL.fullmatch(s) is None:
-        raise SchemaError(f"bad rational {s!r}")
+        raise SchemaError(f"bad rational {quote(s)}")
     num, _, den = s.partition("/")
     try:
         p, q = int(num), int(den or 1)
     except ValueError:  # more digits than int() reads
-        raise SchemaError(f"bad rational {s!r}") from None
+        raise SchemaError(f"bad rational {quote(s)}") from None
     if not q:
-        raise SchemaError(f"bad rational {s!r}")
+        raise SchemaError(f"bad rational {quote(s)}")
     if len(s) <= _PARSED_LENGTH and len(_PARSED) < _PARSED_ENTRIES:
         _PARSED[s] = p, q
     return p, q
@@ -175,42 +171,42 @@ def _exact(q) -> tuple[int, int]:
         return q.numerator, q.denominator
     if isinstance(q, str):
         return rational_from_str(q)
-    raise InvalidInputError(f"a rational must be an int, a Fraction or a 'p/q' string, not {q!r}")
+    raise InvalidInputError(
+        f"a rational must be an int, a Fraction or a 'p/q' string, not {quote(q)}"
+    )
 
 
 class ValueGroup:
-    """Ordered group of finite rational rank with a fixed generator basis.
+    """The sqrt-primes group of rank ``rank``, with a fixed generator basis.
 
     ``labels`` name the generators.  The default labels ``g1..gr`` are held
     as ``()`` and spelled out only by ``to_json``, so a group costs no
     memory per generator until a value is built in it; a group given those
     labels explicitly is the same group."""
 
-    __slots__ = ("rank", "ordering", "labels")
+    __slots__ = ("rank", "labels")
 
-    def __init__(self, rank: int, ordering: str = SQRT_PRIMES, labels: Sequence[str] = ()):
+    def __init__(self, rank: int, labels: Sequence[str] = ()):
         if rank < 1:
             raise InvalidInputError("rank must be >= 1")
-        if ordering not in (SQRT_PRIMES, LEX):
-            raise InvalidInputError(f"unknown ordering {ordering!r}")
         labels = tuple(labels)
         if labels:
             if len(labels) != rank or len(set(labels)) != rank:
                 raise InvalidInputError("labels must be pairwise distinct, one per generator")
             if all(label == f"g{i}" for i, label in enumerate(labels, 1)):
                 labels = ()
-        self.rank, self.ordering, self.labels = rank, ordering, labels
+        self.rank, self.labels = rank, labels
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.rank, self.ordering, self.labels) == (other.rank, other.ordering, other.labels)
+        return (self.rank, self.labels) == (other.rank, other.labels)
 
     def __hash__(self):
-        return hash((self.rank, self.ordering, self.labels))
+        return hash((self.rank, self.labels))
 
     def __repr__(self):
-        return f"ValueGroup(rank={self.rank!r}, ordering={self.ordering!r}, labels={self.labels!r})"
+        return f"ValueGroup(rank={self.rank!r}, labels={self.labels!r})"
 
     def value(self, coords: Iterable[Fraction | int | str]) -> "Value":
         """The value with these coordinates, each an int, a Fraction or a
@@ -224,8 +220,8 @@ class ValueGroup:
         return Value(tuple(p * (den // q) for p, q in pairs), den, self)
 
     def rational(self, q: Fraction | int | str) -> "Value":
-        """The rational value q * (first generator); in sqrt-primes mode the
-        first generator is 1, so this is the embedding of Q."""
+        """The rational value q * (first generator); the first generator
+        is 1, so this is the embedding of Q."""
         return self.value([q] + [0] * (self.rank - 1))
 
     def zero(self) -> "Value":
@@ -233,7 +229,7 @@ class ValueGroup:
 
     def to_json(self) -> dict:
         labels = self.labels or [f"g{i}" for i in range(1, self.rank + 1)]
-        return {"rank": self.rank, "ordering": self.ordering, "labels": list(labels)}
+        return {"rank": self.rank, "ordering": SQRT_PRIMES, "labels": list(labels)}
 
 
 class Value:
@@ -301,7 +297,7 @@ class Value:
         return not any(self.nums)
 
     def sign(self) -> int:
-        return _sign(self.nums, self.group.ordering)
+        return _sign(self.nums)
 
     def is_positive(self) -> bool:
         return self.sign() > 0
@@ -335,7 +331,7 @@ def compare(a: Value, b: Value) -> Ordering:
         n = list(map(sub, a.nums, b.nums))
     else:
         n = [x * db - y * da for x, y in zip(a.nums, b.nums)]
-    return _BY_SIGN[_sign(n, a.group.ordering)]
+    return _BY_SIGN[_sign(n)]
 
 
 def value_of_exponent(alpha: Sequence[int], weights: Sequence[Value]) -> Value:

@@ -211,11 +211,11 @@ def pushforward_weights(frame: Frame, step: FramedStep) -> list:
     rows = list(frame.rows)
     j = step.j
     if len(step.J) > 1:
-        rj, ordering = frame.row(j), frame.group.ordering
+        rj = frame.row(j)
         for i in step.J:
             if i != j:
                 d = rows[i] = tuple(map(sub, frame.row(i), rj))
-                if _sign(d, ordering) < 0:
+                if _sign(d) < 0:
                     raise InvalidInputError(
                         "negative resulting weight: vertex was not minimal in J"
                     )

@@ -481,7 +481,7 @@ def test_only_the_weight_kernels_call_sign():
 def test_sign_scan_sees_each_kind():
     src = (
         "from .values import _sign\nfrom . import values\n"
-        "a = _sign(n, o)\nb = values._sign(n, o)\nc = v.sign()\nd = _sign\n"
+        "a = _sign(n)\nb = values._sign(n)\nc = v.sign()\nd = _sign\n"
     )
     assert _sign_calls(ast.parse(src)) == ["line 3", "line 4"]
 

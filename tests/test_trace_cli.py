@@ -718,6 +718,92 @@ def test_cli_bad_rational_exits_2(tmp_path, literal):
     assert not tf.exists()
 
 
+# -- unbounded input: quoted short in messages, past the digit limit -------
+
+def _with_huge(field, value, problem=None):
+    problem = problem or pair_problem()
+    target = problem["spec"] if field in ("vars", "weights") else problem
+    target[field] = value
+    return problem
+
+
+# each case: an input whose shape fault sits in a field of 5000 characters
+# or 10000 entries, as read by rational_from_str, _pairs, _names, _values
+# and _poly
+HUGE_FIELDS = {
+    "literal": lambda: _with_huge(
+        "weights", [{"coords": ["1", "0"]}, {"coords": ["1" * 5000 + "x", "1"]}]
+    ),
+    "pairs": lambda: _with_huge("weights", [{"coords": ["1", "0"]}, ["1"] * 10000]),
+    "names": lambda: _with_huge("vars", ["u"] * 9999 + [5]),
+    "values": lambda: _with_huge("weights", {str(i): "1" for i in range(10000)}),
+    "poly": lambda: _with_huge(
+        "poly", {"vars": ["u", "x"], "terms": [{"e": [0, 1], "c": 1}] * 10000}, _expand_problem()
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(HUGE_FIELDS))
+def test_messages_quote_at_most_a_bounded_part_of_the_input(case):
+    with pytest.raises(SchemaError) as err:
+        run_problem(HUGE_FIELDS[case]())
+    message = str(err.value)
+    assert len(message) < 160 and message.endswith("…"), message
+
+
+def test_a_huge_variable_name_is_quoted_short():
+    (problem,) = [p for p in all_selector_problems() if p["algorithm"] == "nondegenerate"]
+    problem["poly"]["vars"][-1] = "v" * 5000
+    verdict = run_problem(problem)["verdict"]
+    assert verdict["code"] == "invalid input" and len(verdict["message"]) < 160
+    assert verdict["message"].endswith("… disappears but occurs")
+
+
+def test_cli_json_integer_past_the_digit_limit_exits_2(tmp_path):
+    pf = tmp_path / "big.json"
+    pf.write_text("[" + "1" * 5000 + "]")
+    for command in ("run", "verify"):
+        r = _cli(command, str(pf))
+        assert r.returncode == 2 and "Traceback" not in r.stderr
+        assert r.stderr.startswith("error: malformed JSON: ") and r.stdout == ""
+
+
+def _long_result_problem():
+    """A pair run whose pushed weight has a denominator of about 6000
+    digits, more than the interpreter writes as a string."""
+    return {
+        "algorithm": "pair",
+        "group": {"rank": 1},
+        "spec": {
+            "vars": ["x", "y"],
+            "weights": [{"coords": ["1/" + "7" * 3000]}, {"coords": ["1/" + "3" * 2999 + "1"]}],
+        },
+        "alpha": [1, 0],
+        "gamma": [0, 1],
+    }
+
+
+TOO_LONG = {
+    "ok": False, "code": "invalid input", "message": "a rational has too many digits to write"
+}
+
+
+def test_a_result_too_long_to_write_is_invalid_input():
+    trace = run_problem(_long_result_problem())
+    assert trace["verdict"] == TOO_LONG and trace["steps"] == []
+    verify_trace(trace)
+
+
+def test_cli_result_too_long_to_write_exits_3(tmp_path):
+    pf = tmp_path / "p.json"
+    tf = tmp_path / "t.json"
+    pf.write_text(json.dumps(_long_result_problem()))
+    r = _cli("run", str(pf), "--out", str(tf))
+    assert r.returncode == 3 and "Traceback" not in r.stderr
+    assert json.loads(tf.read_text())["verdict"] == TOO_LONG
+    assert _cli("verify", str(tf)).returncode == 0
+
+
 def _expand_problem(**level):
     return dict(
         {
@@ -1011,11 +1097,27 @@ def test_cli_malformed_group_exits_2(tmp_path, field, value):
 
 
 @pytest.mark.parametrize(
-    "field,value", [("rank", 0), ("rank", -1), ("ordering", "dense"), ("labels", ["a", "a"])]
+    "field,value",
+    [("rank", 0), ("rank", -1), ("ordering", "dense"), ("labels", ["a", "a"]), ("ordering", "lex")],
 )
 def test_group_out_of_range_is_invalid_input(field, value):
     verdict = run_problem(_with_bad_group(field, value))["verdict"]
     assert verdict["ok"] is False and verdict["code"] == "invalid input"
+
+
+def test_cli_lex_ordering_exits_3_and_writes_the_trace(tmp_path):
+    pf = tmp_path / "p.json"
+    tf = tmp_path / "t.json"
+    pf.write_text(json.dumps(_with_bad_group("ordering", "lex")))
+    r = _cli("run", str(pf), "--out", str(tf))
+    assert r.returncode == 3 and "Traceback" not in r.stderr
+    assert r.stderr == "error: unknown ordering 'lex'\n"
+    trace = json.loads(tf.read_text())
+    assert trace["steps"] == [] and trace["witnesses"] is None
+    assert trace["verdict"] == {
+        "ok": False, "code": "invalid input", "message": "unknown ordering 'lex'"
+    }
+    assert _cli("verify", str(tf)).returncode == 0
 
 
 def test_group_defaults_still_parse():
@@ -1237,6 +1339,33 @@ def test_cli_verifies_framed_traces():
     assert r.returncode == 0, r.stderr
 
 
+# -- traces written while groups had a "lex" ordering ----------------------
+
+# Written by `valmono run` when a group could be ordered lexicographically:
+# a pair run and a keypoly-expand run, both ok.  Only "sqrt-primes" is an
+# ordering now, so their replay ends in an invalid input, with no steps
+# and no witnesses, and verify reports the first field that differs.
+LEX_TRACES = Path(__file__).resolve().parent / "data" / "traces_lex_ordering.json"
+
+
+@pytest.mark.parametrize("k, path", [(0, "steps[0]"), (1, "witnesses")])
+def test_lex_traces_no_longer_verify(k, path):
+    trace = json.loads(LEX_TRACES.read_text())[k]
+    assert trace["input"]["group"]["ordering"] == "lex" and trace["verdict"] == {"ok": True}
+    assert run_problem(trace["input"])["verdict"] == {
+        "ok": False, "code": "invalid input", "message": "unknown ordering 'lex'"
+    }
+    with pytest.raises(TraceMismatchError) as err:
+        verify_trace(trace)
+    assert err.value.path == path
+
+
+def test_cli_lex_traces_exit_4():
+    r = _cli("verify", str(LEX_TRACES))
+    assert r.returncode == 4
+    assert r.stderr == "trace 0: trace mismatch at step 1, first difference at steps[0]\n"
+
+
 # The JSON boundary reads a spec straight into integer weight rows.  Each
 # row of this table holds an input with several faults and what the run
 # does with it: it raises the named error, or it ends in the failure
@@ -1257,6 +1386,12 @@ def _faulty_poly(terms):
     }
 
 
+def _faulty_group(**group):
+    p = pair_problem()
+    p["group"] = group
+    return p
+
+
 RANK = ("invalid input", "coordinate count must equal the group rank")
 SEVERAL_FAULTS = [
     # a rank mismatch in weight 1 wins over a bad literal in weight 2
@@ -1274,6 +1409,21 @@ SEVERAL_FAULTS = [
         ("invalid input", "exponent length must match the variable count"),
     ),
     (_faulty_poly([([-1, 0], "1"), ([1], "1")]), ("invalid input", "exponents must be nonnegative")),
+    # in a group, a wrong JSON type wins over every invalid input; then the
+    # rank wins over the ordering, and the ordering over the labels
+    (
+        _faulty_group(rank=0, ordering="lex", labels=5),
+        (SchemaError, "labels must be an array of generator labels, not 5"),
+    ),
+    (_faulty_group(rank=0, ordering="lex"), ("invalid input", "rank must be >= 1")),
+    (
+        _faulty_group(rank=1, ordering="dense", labels=["a", "a"]),
+        ("invalid input", "unknown ordering 'dense'"),
+    ),
+    (
+        _faulty_group(rank=2, ordering="lex", labels=["a", "a"]),
+        ("invalid input", "unknown ordering 'lex'"),
+    ),
 ]
 
 

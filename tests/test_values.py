@@ -11,14 +11,15 @@ import pytest
 from conftest import numeric_value, old_solve
 from valmono import values
 from valmono.errors import (
+    QUOTE_LIMIT,
     DegenerateBasisError,
     GroupMismatchError,
     InvalidInputError,
     NotInDivisibleHullError,
     SchemaError,
+    quote,
 )
 from valmono.values import (
-    LEX,
     SQRT_PRIMES,
     Ordering,
     Value,
@@ -81,12 +82,6 @@ def test_compare_total_order_properties():
         assert compare(lo, hi) in (Ordering.Less, Ordering.Equal)
         # equality iff coordinates agree
         assert (compare(a, b) is Ordering.Equal) == (a.coords == b.coords)
-
-
-def test_lex_ordering_mode():
-    g = ValueGroup(2, ordering=LEX)
-    assert compare(g.value([1, -5]), g.value([0, 100])) is Ordering.Greater
-    assert compare(g.value([0, 1]), g.value([0, 2])) is Ordering.Less
 
 
 def test_value_of_exponent():
@@ -221,11 +216,11 @@ def test_default_labels_are_written_not_held():
     for rank in (1, 2, 5):
         default = [f"g{i + 1}" for i in range(rank)]
         named = ValueGroup(rank, labels=tuple(default))
-        for ordering in (SQRT_PRIMES, LEX):
-            g = ValueGroup(rank, ordering)
-            h = _parse_group({"group": {"rank": rank, "ordering": ordering, "labels": default}})
-            assert g == h and hash(g) == hash(h)
-            assert g.to_json() == h.to_json() == {"rank": rank, "ordering": ordering, "labels": default}
+        g = ValueGroup(rank)
+        h = _parse_group({"group": {"rank": rank, "ordering": SQRT_PRIMES, "labels": default}})
+        assert g == h and hash(g) == hash(h)
+        want = {"rank": rank, "ordering": SQRT_PRIMES, "labels": default}
+        assert g.to_json() == h.to_json() == want
         assert named == ValueGroup(rank) and hash(named) == hash(ValueGroup(rank))
         assert named.value([1] * rank) == ValueGroup(rank).value([1] * rank)
         assert (named == None) is False and named != rank
@@ -386,8 +381,8 @@ def test_sign_kernel_on_mixed_sign_vectors(refinement_bits):
         (x2, y2), (x3, y3) = _pell(2, norms[0], 2**70), _pell(3, norms[1], 2**72)
         cases += [[x2 + x3, -y2, -y3], [-x2 - x3, y2, y3]]
     for n in cases:
-        assert values._sign(n, SQRT_PRIMES) == oracle_sign(n), n
-        assert values._sign([-c for c in n], SQRT_PRIMES) == -oracle_sign(n), n
+        assert values._sign(n) == oracle_sign(n), n
+        assert values._sign([-c for c in n]) == -oracle_sign(n), n
     assert max(refinement_bits) > 64
 
 
@@ -433,19 +428,6 @@ def test_sign_of_values():
     assert not g.value([Fraction(-7, 4), 0, 1]).is_positive()
 
 
-def test_lex_mixed_denominators():
-    g = ValueGroup(2, ordering=LEX)
-    a, b = g.value([Fraction(1, 3), -5]), g.value([Fraction(2, 6), Fraction(7, 2)])
-    assert compare(a, b) is Ordering.Less
-    assert compare(b, a) is Ordering.Greater
-    assert compare(a, g.value(["2/6", "-10/2"])) is Ordering.Equal
-    assert compare(g.value([Fraction(1, 3), 0]), g.value([Fraction(2, 7), 100])) is Ordering.Greater
-    assert (a - b).sign() == -1
-    # lex ignores the sqrt weights: -1 + 100 g2 is negative in lex
-    assert g.value([-1, 100]).sign() == -1
-    assert g.zero().sign() == 0
-
-
 def test_group_check_is_by_equality():
     # equal groups built separately compare
     assert compare(ValueGroup(2).value([1, 0]), ValueGroup(2).value([0, 1])) is Ordering.Less
@@ -456,7 +438,7 @@ def test_group_check_is_by_equality():
     with pytest.raises(GroupMismatchError):
         compare(g.zero(), h.zero())
     with pytest.raises(GroupMismatchError):
-        compare(ValueGroup(2).zero(), ValueGroup(2, ordering=LEX).zero())
+        compare(ValueGroup(2).zero(), ValueGroup(2, labels=("g1", "b")).zero())
     with pytest.raises(GroupMismatchError):
         g.value([1, 0]) - h.value([1, 0])
 
@@ -473,13 +455,8 @@ def _assert_canonical(v):
     assert v.coords == tuple(Fraction(n, v.den) for n in v.nums)
 
 
-def _reference_sign(coords, ordering):
-    if ordering == LEX:
-        return next(((c > 0) - (c < 0) for c in coords if c), 0)
-    return oracle_sign(coords)
-
-
-@pytest.mark.parametrize("ordering", [SQRT_PRIMES, LEX])
+# "sqrt-primes" stays a parameter: it is part of the case's id and seed
+@pytest.mark.parametrize("ordering", [SQRT_PRIMES])
 def test_value_arithmetic_matches_fraction_reference(ordering):
     rng = random.Random(f"20261018:{ordering}")
 
@@ -488,7 +465,7 @@ def test_value_arithmetic_matches_fraction_reference(ordering):
 
     for _ in range(300):
         rank = rng.randint(1, 6)
-        g = ValueGroup(rank, ordering)
+        g = ValueGroup(rank)
         xs = [coord() for _ in range(rank)]
         ys = list(xs) if rng.random() < 0.15 else [coord() for _ in range(rank)]
         if rng.random() < 0.3:  # one coordinate apart
@@ -513,9 +490,9 @@ def test_value_arithmetic_matches_fraction_reference(ordering):
             _assert_canonical(got)
             assert got.coords == tuple(want)
             assert got.to_json() == {"coords": [str(c) for c in want]}
-            assert got.sign() == _reference_sign(want, ordering)
+            assert got.sign() == oracle_sign(want)
             assert got.is_zero() == all(c == 0 for c in want)
-        diff = _reference_sign([x - y for x, y in zip(xs, ys)], ordering)
+        diff = oracle_sign([x - y for x, y in zip(xs, ys)])
         assert compare(a, b) is Ordering(diff)
         assert compare(b, a) is Ordering(-diff)
 
@@ -591,6 +568,26 @@ def test_exact_literals_are_accepted():
     assert g.rational("2/6").scale("-3") == g.rational(-1)
     assert rational_from_str("-07/14") == (-7, 14)  # not reduced: the Value reduces
     assert rational_from_str("0") == (0, 1)
+
+
+def test_quote_cuts_only_long_values():
+    for short in ("abc", 5, None, "x" * 58, ["1"] * 12):
+        assert quote(short) == repr(short) and len(repr(short)) <= QUOTE_LIMIT
+    for long in ("x" * 59, "1" * 5000 + "x", ["1"] * 10000):
+        assert quote(long) == repr(long)[:QUOTE_LIMIT] + "…"
+    with pytest.raises(SchemaError) as err:
+        rational_from_str("1" * 5000 + "x")
+    assert str(err.value) == "bad rational '" + "1" * (QUOTE_LIMIT - 1) + "…"
+
+
+def test_a_literal_past_the_digit_limit_is_invalid_input():
+    big = 7 * 10**4400
+    assert values._literal(big, big) == "1" and values._literal(0, big) == "0"
+    for n, d in ((big, 1), (1, big), (-big, 3)):
+        with pytest.raises(InvalidInputError, match="too many digits"):
+            values._literal(n, d)
+    with pytest.raises(InvalidInputError, match="too many digits"):
+        ValueGroup(2).value([1, Fraction(1, big)]).to_json()
 
 
 def test_parsed_literals_are_memoized_up_to_a_cap(monkeypatch):
