@@ -39,8 +39,9 @@ def _load_json(path: str):
         raise SchemaError(f"malformed JSON: {exc}") from None
     except UnicodeDecodeError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:  # such as an integer longer than int() reads
-        raise SchemaError(f"malformed JSON: {exc}") from None
+    except ValueError:  # an integer longer than int() reads
+        limit = sys.get_int_max_str_digits()
+        raise SchemaError(f"malformed JSON: an integer has more than {limit} digits") from None
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc.strerror}") from None
     finally:
@@ -82,11 +83,94 @@ def worker_count(jobs: int, items: int, cpus: int | None) -> int:
     return max(1, min(jobs, items, cpus or 1))
 
 
-def chunk_size(items: int, workers: int) -> int:
-    """Problems sent to a worker at a time: about eight chunks per worker,
-    enough to keep the workers evenly busy to the end of the batch while
-    paying the inter-process round trip once per chunk, not per problem."""
-    return max(1, items // (8 * workers))
+class _ChildTraceback(Exception):
+    """The traceback text of an exception raised in a child process: the
+    ``__cause__`` of that exception when the parent raises it again."""
+
+
+def _run_share(work: list, k: int, workers: int) -> tuple:
+    """``("ok", results)`` for items ``k, k + workers, …`` of ``work``, or
+    ``("raised", index, exc)`` for the first of them that raises."""
+    results = []
+    for index in range(k, len(work), workers):
+        try:
+            results.append(_run_one(work[index]))
+        except Exception as exc:
+            return "raised", index, exc
+    return "ok", results
+
+
+def _child(work: list, k: int, workers: int, write: int) -> None:
+    """In a forked child: run share ``k`` of the inherited batch, write
+    its outcome to the pipe ``write`` as one pickle, a raised exception
+    followed by its traceback text, and end the process; never returns."""
+    import pickle
+
+    code = 1
+    try:
+        outcome = _run_share(work, k, workers)
+        if outcome[0] == "raised":
+            import traceback
+
+            outcome += ("\n" + "".join(traceback.format_exception(outcome[2])).rstrip(),)
+        with os.fdopen(write, "wb") as pipe:
+            pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_forked(work: list, workers: int) -> list:
+    """``_run_one`` over ``work`` in ``workers`` processes, results in
+    input order: this process runs share 0 and ``workers - 1`` forked
+    children the others, each on the batch it inherited.  When items
+    raise, the exception of the first of them in input order is raised
+    again, as a one-process run raises it.  Every child has ended when
+    this returns or raises.  The CLI process starts no thread, so forking
+    it copies no lock held by another thread."""
+    import fcntl  # imported here: a one-process run never loads them
+    import pickle
+
+    children = []  # (pid, read end of its pipe)
+    try:
+        for k in range(1, workers):
+            read, write = os.pipe()
+            # 1 MiB, the most Linux grants an unprivileged process by
+            # default: through a 64 KiB pipe a 1.1 MB result took 10-13 ms
+            # to hand over on a 2-CPU Linux VM, through this one 1-4 ms
+            try:
+                fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, 1 << 20)
+            except (AttributeError, OSError):  # not Linux, or over the user's limit
+                pass
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                for _, pipe in children:
+                    pipe.close()
+                _child(work, k, workers, write)
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb")))
+        outcomes = [_run_share(work, 0, workers)]
+        received = [pipe.read() for _, pipe in children]
+    finally:
+        # read ends closed first, so that a child still writing fails and ends
+        for _, pipe in children:
+            pipe.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
+    for data, code in zip(received, codes):
+        if not data:
+            raise ChildProcessError(f"a worker process ended without a result (exit code {code})")
+        outcome = pickle.loads(data)
+        if outcome[0] == "raised":
+            outcome[2].__cause__ = _ChildTraceback(outcome[3])
+        outcomes.append(outcome)
+    raised = [o for o in outcomes if o[0] == "raised"]
+    if raised:
+        raise min(raised, key=lambda o: o[1])[2]
+    results = [None] * len(work)
+    for k, (_, share) in enumerate(outcomes):
+        results[k::workers] = share
+    return results
 
 
 def cmd_run(args) -> int:
@@ -103,12 +187,8 @@ def cmd_run(args) -> int:
         problems = payload if batch else [payload]
         work = [(p, args.budget) for p in problems]
         workers = worker_count(args.jobs, len(work), os.cpu_count())
-        if workers > 1:
-            # imported here: a one-process run never loads multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_run_one, work, chunksize=chunk_size(len(work), workers)))
+        if workers > 1 and hasattr(os, "fork"):
+            results = _run_forked(work, workers)
         else:
             results = list(map(_run_one, work))
     except SchemaError as exc:

@@ -38,6 +38,7 @@ from .errors import (
     InvalidInputError,
     UnnormalizedLeadingCoefficientError,
     ZeroPolynomialError,
+    quote,
 )
 from .framing import Frame
 from .game import MonomialValuationSpec
@@ -202,7 +203,7 @@ def _least(terms: tuple[tuple[int, Value], ...]) -> tuple[int, Value]:
 def _entry_rows(f: MultiPoly, chain: KeyPolyChain, i: int) -> tuple[MultiPoly, list[_Rows]]:
     """f over the chain's variables and the level-i digits of its rows."""
     if not 1 <= i <= len(chain):
-        raise InvalidInputError(f"level {i} outside the chain")
+        raise InvalidInputError(f"level {quote(i)} outside the chain")
     if f.vars != chain.all_vars:
         f = f.with_vars(chain.all_vars)
     f._check(chain.Q(i))

@@ -442,8 +442,9 @@ def _optional(trace: dict, key: str, kind: type, what: str):
 
 
 def verify_trace(trace: dict) -> None:
-    """Replay the embedded input and compare every recorded step and
-    witness; raises TraceMismatchError on the first divergence, and
+    """Replay the embedded input and compare the verdict's ``ok`` and
+    ``code``, then every recorded step and witness; raises
+    TraceMismatchError on the first divergence, and
     SchemaError naming the field when the trace's own fields are malformed."""
     if not isinstance(trace, dict):
         raise SchemaError("trace must be a JSON object")
@@ -469,6 +470,12 @@ def verify_trace(trace: dict) -> None:
     digest = header.get("input_digest")
     if digest is not None and digest != fresh["header"]["input_digest"]:
         raise TraceMismatchError(0, "header.input_digest", "trace mismatch at the input")
+    # a replay that ends otherwise is reported by its verdict, which says
+    # why, not by the first step or witness the failure left out
+    for key in ("ok", "code"):
+        if old_verdict.get(key) != fresh["verdict"].get(key):
+            path = f"verdict.{key}"
+            raise TraceMismatchError(len(old_steps) + 1, path, "trace mismatch at verdict")
     sequence = (fresh["witnesses"] or {}).get("sequence")
     if sequence is not None and not independence:
         sequence.pop("independent_of", None)
@@ -482,10 +489,6 @@ def verify_trace(trace: dict) -> None:
     if old != new:
         path = _first_difference(old, new, "witnesses")
         raise TraceMismatchError(len(old_steps) + 1, path, "trace mismatch at witnesses")
-    for key in ("ok", "code"):
-        if old_verdict.get(key) != fresh["verdict"].get(key):
-            path = f"verdict.{key}"
-            raise TraceMismatchError(len(old_steps) + 1, path, "trace mismatch at verdict")
 
 
 def _first_difference(a, b, path: str) -> str:

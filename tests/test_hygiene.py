@@ -6,6 +6,7 @@ besides its own definition (a reference from a test does not count)."""
 from __future__ import annotations
 
 import ast
+import json
 import subprocess
 import sys
 from collections import Counter
@@ -608,3 +609,31 @@ def test_importing_the_cli_loads_no_code_generator():
     r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+# ``valmono run --jobs N`` forks its workers and hands each the batch it
+# inherited: no process pool, whose ``concurrent.futures`` and
+# ``multiprocessing`` imports every parallel run would pay for.
+def test_a_parallel_run_loads_no_process_pool(tmp_path):
+    """A ``--jobs 2`` batch in a fresh interpreter that is told of two
+    CPUs, so that it forks, loads neither module."""
+    problem = {
+        "algorithm": "pair",
+        "group": {"rank": 1},
+        "spec": {"vars": ["x", "y"], "weights": [{"coords": ["1"]}, {"coords": ["2"]}]},
+        "alpha": [1, 0],
+        "gamma": [0, 1],
+    }
+    pf, tf = tmp_path / "p.json", tmp_path / "t.json"
+    pf.write_text(json.dumps([problem] * 4), encoding="utf-8")
+    script = (
+        "import os, sys\n"
+        "os.cpu_count = lambda: 2\n"
+        "from valmono import cli\n"
+        f"assert cli.main(['run', {str(pf)!r}, '--jobs', '2', '--out', {str(tf)!r}]) == 0\n"
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+    assert len(json.loads(tf.read_text(encoding="utf-8"))) == 4

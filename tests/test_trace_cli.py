@@ -3,6 +3,7 @@
 import copy
 import gc
 import json
+import os
 import re
 import subprocess
 import sys
@@ -354,11 +355,18 @@ def _refused_pair():
     return bad
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("jobs", ["1", "2", "3"])
 def test_cli_output_bytes_match_in_process_dumps(tmp_path, jobs):
-    # 36 items, so two workers take chunks of two
+    # 36 items, shared out item by item; a 2-item batch has fewer items
+    # than --jobs 3 asks workers for
     batch = (all_selector_problems() + [_refused_pair(), pair_problem((0, 5), (7, 0))]) * 4
-    cases = [(batch, 3), (all_selector_problems()[0], 0), ([], 0), ([_refused_pair()], 3)]
+    cases = [
+        (batch, 3),
+        (all_selector_problems()[0], 0),
+        ([], 0),
+        ([_refused_pair()], 3),
+        (all_selector_problems()[:2], 0),
+    ]
     for k, (payload, code) in enumerate(cases):
         pf = tmp_path / f"p{k}.json"
         tf = tmp_path / f"t{k}.json"
@@ -522,13 +530,120 @@ def test_cli_verify_names_an_edited_input(tmp_path, literal):
     assert r.stderr == "trace 0: trace mismatch at the input, first difference at header.input_digest\n"
 
 
-def test_chunk_size():
-    from valmono.cli import chunk_size
+# -- the fork runner: each share's exception reaches the caller ------------
 
-    assert chunk_size(720, 2) == 45  # about eight chunks per worker
-    assert chunk_size(300, 4) == 9
-    assert chunk_size(10, 2) == 1  # small batches go one problem at a time
-    assert chunk_size(2, 2) == 1
+def _numbered_batch(n=5):
+    """``n`` pair problems, item ``k`` with ``alpha == [0, k]``: under
+    ``--jobs 2`` the caller runs the even items and one child the odd."""
+    return [pair_problem((0, k), (k + 1, 0)) for k in range(n)]
+
+
+def _failing_run_one(monkeypatch, failing, fail):
+    """``cli._run_one`` patched to call ``fail(k)`` for the items ``k`` in
+    ``failing``; the machine is taken to have 4 CPUs, so that ``--jobs``
+    forks whatever the CPUs."""
+    from valmono import cli
+
+    run_one = cli._run_one
+
+    def patched(item):
+        k = item[0]["alpha"][1]
+        if k in failing:
+            fail(k)
+        return run_one(item)
+
+    monkeypatch.setattr(cli, "_run_one", patched)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _raise_arithmetic(k):
+    raise ArithmeticError(f"item {k}")
+
+
+# item 3 is the child's, item 2 the caller's; of items 1 and 2 the first
+# in input order wins, as in one process
+@pytest.mark.parametrize("failing, raised", [({3}, 3), ({2}, 2), ({1, 2}, 1), ({2, 3}, 2)])
+def test_an_exception_of_any_share_reaches_the_caller(tmp_path, monkeypatch, failing, raised):
+    from valmono import cli
+
+    pf, tf = tmp_path / "p.json", tmp_path / "t.json"
+    pf.write_text(json.dumps(_numbered_batch()))
+    _failing_run_one(monkeypatch, failing, _raise_arithmetic)
+    with pytest.raises(ArithmeticError, match=f"^item {raised}$") as err:
+        cli.main(["run", str(pf), "--jobs", "2", "--out", str(tf)])
+    _assert_no_child_left()
+    assert not tf.exists()
+    cause = err.value.__cause__
+    if raised % 2:  # raised in the child: its traceback comes along
+        assert isinstance(cause, cli._ChildTraceback)
+        assert "in _raise_arithmetic" in str(cause)
+        assert str(cause).endswith(f"ArithmeticError: item {raised}")
+    else:
+        assert cause is None
+
+
+@pytest.mark.parametrize("failing", [{1}, {2}])
+def test_a_schema_error_of_any_share_exits_2(tmp_path, monkeypatch, capsys, failing):
+    from valmono import cli
+
+    def fail(k):
+        raise SchemaError(f"item {k} is malformed")
+
+    pf, tf = tmp_path / "p.json", tmp_path / "t.json"
+    pf.write_text(json.dumps(_numbered_batch()))
+    _failing_run_one(monkeypatch, failing, fail)
+    assert cli.main(["run", str(pf), "--jobs", "2", "--out", str(tf)]) == 2
+    _assert_no_child_left()
+    assert capsys.readouterr().err == f"error: item {min(failing)} is malformed\n"
+    assert not tf.exists()
+
+
+def test_a_child_that_ends_without_a_result_is_an_error(tmp_path, monkeypatch):
+    from valmono import cli
+
+    pf = tmp_path / "p.json"
+    pf.write_text(json.dumps(_numbered_batch()))
+    _failing_run_one(monkeypatch, {3}, lambda k: os._exit(7))
+    with pytest.raises(ChildProcessError, match=r"without a result \(exit code 7\)$"):
+        cli.main(["run", str(pf), "--jobs", "2", "--out", str(tmp_path / "t.json")])
+    _assert_no_child_left()
+
+
+def test_a_pipe_that_cannot_grow_still_carries_the_result(tmp_path, monkeypatch):
+    """Where a pipe keeps its default size the child's result is handed
+    over in pieces: the output is the same."""
+    import fcntl
+
+    from valmono import cli
+
+    def refuse(fd, cmd, arg=0):
+        raise OSError(1, "Operation not permitted")
+
+    pf, tf = tmp_path / "p.json", tmp_path / "t.json"
+    batch = all_selector_problems() * 24  # about 170 kB of traces for the child
+    pf.write_text(json.dumps(batch))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(fcntl, "fcntl", refuse)
+    assert cli.main(["run", str(pf), "--jobs", "2", "--out", str(tf)]) == 0
+    _assert_no_child_left()
+    assert _blank_created(tf.read_text(encoding="utf-8")) == _expected_bytes(batch)
+
+
+def test_without_fork_the_batch_runs_in_process(tmp_path, monkeypatch):
+    from valmono import cli
+
+    pf, tf = tmp_path / "p.json", tmp_path / "t.json"
+    pf.write_text(json.dumps(_numbered_batch()))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.delattr(cli.os, "fork")
+    monkeypatch.setattr(cli, "_run_forked", None)  # would fail if called
+    assert cli.main(["run", str(pf), "--jobs", "2", "--out", str(tf)]) == 0
+    assert _blank_created(tf.read_text(encoding="utf-8")) == _expected_bytes(_numbered_batch())
 
 
 def test_worker_count_is_clamped():
@@ -766,6 +881,31 @@ def test_cli_json_integer_past_the_digit_limit_exits_2(tmp_path):
         r = _cli(command, str(pf))
         assert r.returncode == 2 and "Traceback" not in r.stderr
         assert r.stderr.startswith("error: malformed JSON: ") and r.stdout == ""
+
+
+def test_cli_digit_limit_message_names_the_limit(tmp_path, capsys):
+    """The message names the interpreter's limit, not a call the CLI
+    offers no way to make."""
+    from valmono import cli
+
+    pf = tmp_path / "big.json"
+    pf.write_text("[" + "1" * 5000 + "]")
+    limit = sys.get_int_max_str_digits()
+    try:
+        for digits in (4300, 1000):
+            sys.set_int_max_str_digits(digits)
+            assert cli.main(["run", str(pf)]) == 2
+            message = f"error: malformed JSON: an integer has more than {digits} digits\n"
+            assert capsys.readouterr() == ("", message)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_a_huge_level_is_quoted_short():
+    level = int("1" * 4000)
+    verdict = run_problem(_expand_problem(level=level))["verdict"]
+    assert verdict["code"] == "invalid input"
+    assert len(verdict["message"]) <= 100 and verdict["message"].endswith("… outside the chain")
 
 
 def _long_result_problem():
@@ -1344,12 +1484,12 @@ def test_cli_verifies_framed_traces():
 # Written by `valmono run` when a group could be ordered lexicographically:
 # a pair run and a keypoly-expand run, both ok.  Only "sqrt-primes" is an
 # ordering now, so their replay ends in an invalid input, with no steps
-# and no witnesses, and verify reports the first field that differs.
+# and no witnesses, and verify reports the verdict that says so.
 LEX_TRACES = Path(__file__).resolve().parent / "data" / "traces_lex_ordering.json"
 
 
-@pytest.mark.parametrize("k, path", [(0, "steps[0]"), (1, "witnesses")])
-def test_lex_traces_no_longer_verify(k, path):
+@pytest.mark.parametrize("k", [0, 1])
+def test_lex_traces_no_longer_verify(k):
     trace = json.loads(LEX_TRACES.read_text())[k]
     assert trace["input"]["group"]["ordering"] == "lex" and trace["verdict"] == {"ok": True}
     assert run_problem(trace["input"])["verdict"] == {
@@ -1357,13 +1497,13 @@ def test_lex_traces_no_longer_verify(k, path):
     }
     with pytest.raises(TraceMismatchError) as err:
         verify_trace(trace)
-    assert err.value.path == path
+    assert err.value.path == "verdict.ok"
 
 
 def test_cli_lex_traces_exit_4():
     r = _cli("verify", str(LEX_TRACES))
     assert r.returncode == 4
-    assert r.stderr == "trace 0: trace mismatch at step 1, first difference at steps[0]\n"
+    assert r.stderr == "trace 0: trace mismatch at verdict, first difference at verdict.ok\n"
 
 
 # The JSON boundary reads a spec straight into integer weight rows.  Each
