@@ -3,7 +3,7 @@ monomialization, with replayable JSON traces."""
 
 __version__ = "0.1.0"
 
-from .values import Ordering, Value, ValueGroup, compare, min_integer_multiple_in_lattice, value_of_exponent
+from .values import Value, ValueGroup, compare, min_integer_multiple_in_lattice, value_of_exponent
 from .polyalg import (
     FieldTower,
     MultiPoly,
@@ -19,20 +19,15 @@ from .framing import (
 )
 from .game import (
     MonomialValuationSpec,
-    TauValue,
     monomialize_nondegenerate,
     monomialize_pair,
     principalize_monomial_ideal,
-    tau,
 )
 from .keypoly import (
     KeyPolyChain,
     StandardExpansion,
     Truncation,
-    delta_invariant,
-    epsilon_invariant,
     next_key_char0,
-    standard_expansion,
     truncate,
     truncated_valuation,
     validate_chain,

@@ -61,12 +61,11 @@ def _unwritable(path: str) -> str | None:
     return None
 
 
-def _run_one(args) -> tuple[dict, str]:
+def _run_one(problem, budget: int) -> tuple[dict, str]:
     """Run one problem and serialize its trace where it ran, so a worker
     hands back one string instead of a nested object graph.  The text is
     compact ``json.dumps(trace)``: only without ``indent`` does ``json``
     use its C encoder."""
-    problem, budget = args
     trace = run_problem(problem, budget)
     return trace["verdict"], json.dumps(trace)
 
@@ -88,19 +87,19 @@ class _ChildTraceback(Exception):
     ``__cause__`` of that exception when the parent raises it again."""
 
 
-def _run_share(work: list, k: int, workers: int) -> tuple:
-    """``("ok", results)`` for items ``k, k + workers, …`` of ``work``, or
-    ``("raised", index, exc)`` for the first of them that raises."""
+def _run_share(problems: list, budget: int, k: int, workers: int) -> tuple:
+    """``("ok", results)`` for items ``k, k + workers, …`` of ``problems``,
+    or ``("raised", index, exc)`` for the first of them that raises."""
     results = []
-    for index in range(k, len(work), workers):
+    for index in range(k, len(problems), workers):
         try:
-            results.append(_run_one(work[index]))
+            results.append(_run_one(problems[index], budget))
         except Exception as exc:
             return "raised", index, exc
     return "ok", results
 
 
-def _child(work: list, k: int, workers: int, write: int) -> None:
+def _child(problems: list, budget: int, k: int, workers: int, write: int) -> None:
     """In a forked child: run share ``k`` of the inherited batch, write
     its outcome to the pipe ``write`` as one pickle, a raised exception
     followed by its traceback text, and end the process; never returns."""
@@ -108,7 +107,7 @@ def _child(work: list, k: int, workers: int, write: int) -> None:
 
     code = 1
     try:
-        outcome = _run_share(work, k, workers)
+        outcome = _run_share(problems, budget, k, workers)
         if outcome[0] == "raised":
             import traceback
 
@@ -120,8 +119,8 @@ def _child(work: list, k: int, workers: int, write: int) -> None:
         os._exit(code)
 
 
-def _run_forked(work: list, workers: int) -> list:
-    """``_run_one`` over ``work`` in ``workers`` processes, results in
+def _run_forked(problems: list, budget: int, workers: int) -> list:
+    """``_run_one`` over ``problems`` in ``workers`` processes, results in
     input order: this process runs share 0 and ``workers - 1`` forked
     children the others, each on the batch it inherited.  When items
     raise, the exception of the first of them in input order is raised
@@ -147,10 +146,10 @@ def _run_forked(work: list, workers: int) -> list:
                 os.close(read)
                 for _, pipe in children:
                     pipe.close()
-                _child(work, k, workers, write)
+                _child(problems, budget, k, workers, write)
             os.close(write)
             children.append((pid, os.fdopen(read, "rb")))
-        outcomes = [_run_share(work, 0, workers)]
+        outcomes = [_run_share(problems, budget, 0, workers)]
         received = [pipe.read() for _, pipe in children]
     finally:
         # read ends closed first, so that a child still writing fails and ends
@@ -167,7 +166,7 @@ def _run_forked(work: list, workers: int) -> list:
     raised = [o for o in outcomes if o[0] == "raised"]
     if raised:
         raise min(raised, key=lambda o: o[1])[2]
-    results = [None] * len(work)
+    results = [None] * len(problems)
     for k, (_, share) in enumerate(outcomes):
         results[k::workers] = share
     return results
@@ -185,12 +184,11 @@ def cmd_run(args) -> int:
         payload = _load_json(args.file)
         batch = isinstance(payload, list)
         problems = payload if batch else [payload]
-        work = [(p, args.budget) for p in problems]
-        workers = worker_count(args.jobs, len(work), os.cpu_count())
+        workers = worker_count(args.jobs, len(problems), os.cpu_count())
         if workers > 1 and hasattr(os, "fork"):
-            results = _run_forked(work, workers)
+            results = _run_forked(problems, args.budget, workers)
         else:
-            results = list(map(_run_one, work))
+            results = [_run_one(p, args.budget) for p in problems]
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -3,9 +3,10 @@ principalization of monomial ideals and monomialization of non-degenerate
 elements.
 
 The driving invariant is tau(alpha, gamma) = (|at|, |gt|) where at, gt are
-the exponents after removing the common part (sorted so |at| <= |gt|).
-Each blow-up along the greedily chosen center strictly lex-decreases tau,
-so every run terminates; tau = (0, .) means one monomial divides the other.
+the exponents after removing the common part (sorted so |at| <= |gt|); it
+is a plain tuple, whose order is the lexicographic one.  Each blow-up
+along the greedily chosen center strictly lex-decreases tau, so every run
+terminates; tau = (0, .) means one monomial divides the other.
 
 Weight ties make variables of the center acquire weight zero; such
 variables are tagged as units, keep their column, and are ignored by all
@@ -15,7 +16,6 @@ residues of these units are transcendental, so the tagging is exact.
 
 from __future__ import annotations
 
-from functools import total_ordering
 from operator import le, sub
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -27,40 +27,6 @@ from .errors import (
 from .framing import DEFAULT_BUDGET, Frame, PushPath
 from .polyalg import MultiPoly, QQ
 from .values import Value
-
-
-@total_ordering
-class TauValue:
-    """Pair (s, t), s <= t, ordered lexicographically."""
-
-    __slots__ = ("s", "t")
-
-    def __init__(self, s: int, t: int):
-        if s > t or s < 0:
-            raise InvalidInputError("tau components must satisfy 0 <= s <= t")
-        self.s, self.t = s, t
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.s, self.t) == (other.s, other.t)
-
-    def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.s, self.t) < (other.s, other.t)
-
-    def __hash__(self):
-        return hash((self.s, self.t))
-
-    def __repr__(self):
-        return f"TauValue(s={self.s!r}, t={self.t!r})"
-
-    def divides(self) -> bool:
-        return self.s == 0
-
-    def to_json(self) -> list[int]:
-        return [self.s, self.t]
 
 
 class MonomialValuationSpec:
@@ -140,12 +106,6 @@ def reduced_parts(
     return at, gt
 
 
-def tau(alpha: Sequence[int], gamma: Sequence[int]) -> TauValue:
-    at, gt = reduced_parts(alpha, gamma)
-    s, t = sorted((sum(at), sum(gt)))
-    return TauValue(s, t)
-
-
 def _greedy_center(at: Sequence[int], gt: Sequence[int]) -> tuple[int, ...]:
     """Center J for one descent step; ``at`` must be the side of smaller
     total degree.  J is the support of at plus indices of gt (taken in
@@ -191,22 +151,21 @@ def run_pair_descent(
     prev_tau = None
     bound = sum(at) + sum(gt) + 1
     while True:
-        swapped = sum(at) > sum(gt)
-        if swapped:
-            at, gt = gt, at
-        cur_tau = TauValue(sum(at), sum(gt))
-        if cur_tau.divides():
+        s, t = sum(at), sum(gt)
+        if s > t:
+            at, gt, s, t = gt, at, t, s
+        if not s:
             break
-        if prev_tau is not None and not (cur_tau < prev_tau):
+        if prev_tau is not None and not (s, t) < prev_tau:
             raise AssertionError("tau failed to decrease strictly")
-        prev_tau = cur_tau
+        prev_tau = s, t
         if len(path) - start >= bound:
             raise AssertionError("descent exceeded its a-priori step bound")
         step = path.blow_up(_greedy_center(at, gt))
         alpha = step.apply_to_exponent(alpha)
         gamma = step.apply_to_exponent(gamma)
         rec = {
-            "tau": cur_tau.to_json(),
+            "tau": [s, t],
             "J": [i + 1 for i in step.J],
             "j": step.j + 1,
             "alpha": list(alpha),
@@ -257,7 +216,7 @@ def _reduced_divides(
 
 def _best_pair(
     exps: list[tuple[int, ...]], active: list[int], units: frozenset[int]
-) -> tuple[TauValue, tuple[int, ...], tuple[int, ...]]:
+) -> tuple[tuple[int, int], tuple[int, ...], tuple[int, ...]]:
     """(tau, at, gt) of the first pair of active generators attaining the
     minimal tau; ``active`` is increasing, so that is the least index pair."""
     best = None
@@ -268,8 +227,7 @@ def _best_pair(
             st = (s, t) if s <= t else (t, s)
             if best is None or st < best[0]:
                 best = (st, at, gt)
-    (s, t), at, gt = best
-    return TauValue(s, t), at, gt
+    return best
 
 
 def _divisible_drops(
@@ -334,7 +292,7 @@ def principalize_exponents(
         if len(active) == 1:
             return 0, [0, 1]
         best = _best_pair(exps, active, path.frame.units)
-        return len(active) - 1, best[0].to_json()
+        return len(active) - 1, list(best[0])
 
     def drop_divisible() -> None:
         for dropped in _divisible_drops(exps, active, path.frame.units):

@@ -7,12 +7,11 @@ Q_i-adic expansion f = sum c_j Q_i^j and takes min_j (j beta_i + value of
 c_j), coefficient values being computed by the level below and bottoming
 out at the ground monomial valuation (with x itself worth beta_1).
 
-``truncate`` expands f once at a level and reads the term values, their
-minimum and the delta/epsilon invariants off that one expansion;
-``truncated_valuation``, ``delta_invariant``, ``epsilon_invariant`` and
-``next_key_char0`` are views of it.  Each coefficient is valued by one
-truncation at the level below, and no invariant re-expands what another
-has already expanded.
+``truncate`` expands f once at a level and reads the expansion, the term
+values, their minimum and the delta/epsilon invariants off that one
+expansion; ``truncated_valuation`` and ``next_key_char0`` are views of
+it.  Each coefficient is valued by one truncation at the level below, and
+no invariant re-expands what another has already expanded.
 
 The whole recursion runs on the x-dense rows of :mod:`valmono.polyalg`:
 f's integer coordinates over its denominator D, and with every Q_i
@@ -52,7 +51,7 @@ from .polyalg import (
     _Rows,
     _split_rows,
 )
-from .values import Ordering, Value, compare, value_of_exponent
+from .values import Value, compare, value_of_exponent
 
 
 class KeyPolyChain:
@@ -165,7 +164,7 @@ class _ChainRows:
             v = self.ground.get(e)
             if v is None:
                 v = self.ground[e] = value_of_exponent(e, self.weights)
-            if best is None or compare(v, best) is Ordering.Less:
+            if best is None or compare(v, best) < 0:
                 best = v
         return best
 
@@ -193,9 +192,9 @@ def _least(terms: tuple[tuple[int, Value], ...]) -> tuple[int, Value]:
     delta, best = terms[0]
     for j, v in terms[1:]:
         order = compare(v, best)
-        if order is not Ordering.Greater:
+        if order <= 0:
             delta = j
-            if order is Ordering.Less:
+            if order < 0:
                 best = v
     return delta, best
 
@@ -216,12 +215,6 @@ def _expansion(f: MultiPoly, chain: KeyPolyChain, i: int, digits: list[_Rows]) -
     return StandardExpansion(
         level=i, base=chain.Q(i), coefficients=tuple(_join_rows(c, xi, f) for c in digits)
     )
-
-
-def standard_expansion(f: MultiPoly, chain: KeyPolyChain, i: int) -> StandardExpansion:
-    """Level-i standard expansion, obtained by iterated Euclidean division."""
-    f, digits = _entry_rows(f, chain, i)
-    return _expansion(f, chain, i, digits)
 
 
 class Truncation(NamedTuple):
@@ -255,7 +248,7 @@ def truncate(f: MultiPoly, chain: KeyPolyChain, i: int) -> Truncation:
     if above:
         epsilon, mu_plus = above[0]
         for j, v in above[1:]:
-            if compare(v, mu_plus) is Ordering.Less:
+            if compare(v, mu_plus) < 0:
                 epsilon, mu_plus = j, v
     return Truncation(exp, terms, best, delta, epsilon)
 
@@ -263,17 +256,6 @@ def truncate(f: MultiPoly, chain: KeyPolyChain, i: int) -> Truncation:
 def truncated_valuation(f: MultiPoly, chain: KeyPolyChain, i: int) -> Value:
     """The i-truncation: min_j (j beta_i + value(c_{j,i}))."""
     return truncate(f, chain, i).value
-
-
-def delta_invariant(f: MultiPoly, chain: KeyPolyChain, i: int) -> int:
-    """Largest expansion index attaining the truncated value."""
-    return truncate(f, chain, i).delta
-
-
-def epsilon_invariant(f: MultiPoly, chain: KeyPolyChain, i: int) -> Optional[int]:
-    """Minimal index above delta attaining the secondary minimum; None when
-    delta is already the top index."""
-    return truncate(f, chain, i).epsilon
 
 
 def next_key_char0(
@@ -293,7 +275,7 @@ def next_key_char0(
     z = t.expansion.coefficients[delta - 1].scale(Fraction(1, delta))
     q_next = chain.Q(i) + z
     jump = truncated_valuation(q_next, chain, i)
-    if compare(jump, chain.beta(i)) is not Ordering.Equal:
+    if compare(jump, chain.beta(i)) != 0:
         raise AssertionError("augmented polynomial does not sit at the expected value")
     return z, q_next
 
@@ -314,7 +296,7 @@ def validate_chain(chain: KeyPolyChain) -> list[str]:
             issues.append(f"non-monic:Q_{i}")
             continue
         lead = q.coefficient_in(x, d)
-        if not (len(lead.terms) == 1 and lead.tower.eq(lead.constant_term(), lead.tower.one())):
+        if not (len(lead.terms) == 1 and lead.constant_term() == lead.tower.one()):
             issues.append(f"non-monic:Q_{i}")
     if chain.beta(1).sign() <= 0:
         issues.append("beta-not-positive")
@@ -323,20 +305,20 @@ def validate_chain(chain: KeyPolyChain) -> list[str]:
     except InvalidInputError:
         issues.append("degree-ratio")
     for i in range(2, len(chain) + 1):
-        if not compare(chain.beta(i), chain.beta(i - 1)) is Ordering.Greater:
+        if compare(chain.beta(i), chain.beta(i - 1)) <= 0:
             issues.append(f"beta-not-increasing:Q_{i}")
     for i in range(2, len(chain) + 1):
         d_prev, d_cur = chain.Q(i - 1).degree_in(x), chain.Q(i).degree_in(x)
         if d_prev >= 1 and d_cur >= 1:
             s_prev = chain.beta(i - 1).scale(Fraction(1, d_prev))
             s_cur = chain.beta(i).scale(Fraction(1, d_cur))
-            if not compare(s_cur, s_prev) is Ordering.Greater:
+            if compare(s_cur, s_prev) <= 0:
                 issues.append(f"slope-not-increasing:Q_{i}")
     if issues:
         return issues
     for i in range(2, len(chain) + 1):
         trunc = truncated_valuation(chain.Q(i), chain, i - 1)
-        if not compare(chain.beta(i), trunc) is Ordering.Greater:
+        if compare(chain.beta(i), trunc) <= 0:
             issues.append(f"value-jump:Q_{i}")
     return issues
 

@@ -134,7 +134,7 @@ class FieldTower:
         """New tower with one more level.  ``minpoly_coeffs`` are elements of
         *this* tower, lowest degree first, monic."""
         mp = tuple(minpoly_coeffs)
-        if not self.eq(mp[-1], self.one()):
+        if mp[-1] != self.one():
             raise InvalidInputError("definer must be monic")
         return FieldTower(self.extensions + ((symbol, mp),))
 
@@ -188,9 +188,6 @@ class FieldTower:
     def is_zero(self, e: Elem) -> bool:
         return _is_zero_like(e)
 
-    def eq(self, a: Elem, b: Elem) -> bool:
-        return a == b
-
     def _add(self, a: Elem, b: Elem, level: int) -> Elem:
         if level == 0:
             return a + b
@@ -206,9 +203,6 @@ class FieldTower:
 
     def neg(self, a: Elem) -> Elem:
         return self._neg(a, self.depth)
-
-    def sub(self, a: Elem, b: Elem) -> Elem:
-        return self.add(a, self.neg(b))
 
     def _mul(self, a: Elem, b: Elem, level: int) -> Elem:
         if level == 0:
@@ -400,10 +394,6 @@ class MultiPoly:
         return MultiPoly(vars, collected, tower, den)
 
     @staticmethod
-    def zero(vars: Sequence[str], tower: FieldTower = QQ) -> "MultiPoly":
-        return MultiPoly(tuple(vars), {}, tower)
-
-    @staticmethod
     def constant(vars: Sequence[str], c, tower: FieldTower = QQ) -> "MultiPoly":
         return MultiPoly.monomial(vars, [0] * len(vars), c, tower)
 
@@ -515,18 +505,6 @@ class MultiPoly:
                 elif not is_zero(p):
                     out[e] = p
         return MultiPoly(self.vars, out, self.tower, self.den * other.den)
-
-    def __pow__(self, n: int) -> "MultiPoly":
-        if n < 0:
-            raise InvalidInputError("negative power of a polynomial")
-        result = MultiPoly.constant(self.vars, 1, self.tower)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     def scale(self, c) -> "MultiPoly":
         """``c`` times this polynomial, for ``c`` an element of the tower or

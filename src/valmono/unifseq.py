@@ -59,7 +59,6 @@ from .game import (
 from .keypoly import KeyPolyChain, truncate, validate_chain
 from .polyalg import MultiPoly, QQ, taylor_shift
 from .values import (
-    Ordering,
     Value,
     compare,
     min_integer_multiple_in_lattice,
@@ -414,7 +413,7 @@ def elementary_uniformizing_sequence(
         h_terms = {}
         for e, c in h.terms.items():
             ne = tuple(a + b for a, b in zip(e, neg_shift))
-            if compare(value_of_exponent(ne, weights_all), v_q) is not Ordering.Greater:
+            if compare(value_of_exponent(ne, weights_all), v_q) <= 0:
                 raise InvalidInputError(
                     "perturbation must have monomial value above the quasi-homogeneous part"
                 )
@@ -572,7 +571,7 @@ def _check_key_claims(
     the distinguished parameter divides the top one exactly once."""
     for w in witnesses:
         least = _initial_form(w.image, frame)[0]
-        if compare(least, chain.beta(w.entry)) is not Ordering.Equal:
+        if compare(least, chain.beta(w.entry)) != 0:
             raise AssertionError(
                 f"key polynomial {w.entry} has least term value {least!r} in the "
                 "final frame, not its beta"
@@ -688,7 +687,7 @@ def monomialize_polynomial(
         {
             "j": j,
             "value": v.to_json(),
-            "attains_min": compare(v, trunc.value) is Ordering.Equal,
+            "attains_min": compare(v, trunc.value) == 0,
         }
         for j, v in trunc.terms
     ]

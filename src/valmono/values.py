@@ -33,7 +33,6 @@ the sum is a nonzero algebraic number.
 from __future__ import annotations
 
 import re
-from enum import Enum
 from fractions import Fraction
 from itertools import islice, takewhile
 from math import gcd, isqrt, lcm
@@ -54,14 +53,6 @@ SQRT_PRIMES = "sqrt-primes"
 
 _INITIAL_BITS = 64
 
-
-class Ordering(Enum):
-    Less = -1
-    Equal = 0
-    Greater = 1
-
-
-_BY_SIGN = (Ordering.Equal, Ordering.Greater, Ordering.Less)  # indexed by sign
 
 # Radicands of the sqrt-primes generators: 1 (the rational unit), then the
 # primes in order; grown on demand to the largest rank seen.
@@ -224,9 +215,6 @@ class ValueGroup:
         is 1, so this is the embedding of Q."""
         return self.value([q] + [0] * (self.rank - 1))
 
-    def zero(self) -> "Value":
-        return self.value([0] * self.rank)
-
     def to_json(self) -> dict:
         labels = self.labels or [f"g{i}" for i in range(1, self.rank + 1)]
         return {"rank": self.rank, "ordering": SQRT_PRIMES, "labels": list(labels)}
@@ -270,7 +258,9 @@ class Value:
 
     def _combine(self, other: "Value", op) -> "Value":
         """``op`` (add or sub) coordinate by coordinate, over ``da * db``
-        unless the denominators agree."""
+        unless the denominators agree; NotImplemented for a non-value."""
+        if other.__class__ is not Value:
+            return NotImplemented
         self._check(other)
         da, db = self.den, other.den
         if da == db:
@@ -284,17 +274,11 @@ class Value:
     def __sub__(self, other: "Value") -> "Value":
         return self._combine(other, sub)
 
-    def __neg__(self) -> "Value":
-        return Value(tuple(-n for n in self.nums), self.den, self.group)
-
     def scale(self, q: Fraction | int | str) -> "Value":
         p, d = _exact(q)
         return Value(tuple(p * n for n in self.nums), self.den * d, self.group)
 
     __rmul__ = __mul__ = scale
-
-    def is_zero(self) -> bool:
-        return not any(self.nums)
 
     def sign(self) -> int:
         return _sign(self.nums)
@@ -302,17 +286,18 @@ class Value:
     def is_positive(self) -> bool:
         return self.sign() > 0
 
+    # a value orders only against a value: anything else is a TypeError
     def __lt__(self, other):
-        return compare(self, other) is Ordering.Less
+        return compare(self, other) < 0 if other.__class__ is Value else NotImplemented
 
     def __le__(self, other):
-        return compare(self, other) is not Ordering.Greater
+        return compare(self, other) <= 0 if other.__class__ is Value else NotImplemented
 
     def __gt__(self, other):
-        return compare(self, other) is Ordering.Greater
+        return compare(self, other) > 0 if other.__class__ is Value else NotImplemented
 
     def __ge__(self, other):
-        return compare(self, other) is not Ordering.Less
+        return compare(self, other) >= 0 if other.__class__ is Value else NotImplemented
 
     def to_json(self) -> dict:
         return {"coords": [_literal(n, self.den) for n in self.nums]}
@@ -321,9 +306,10 @@ class Value:
         return f"Value({', '.join(self.to_json()['coords'])})"
 
 
-def compare(a: Value, b: Value) -> Ordering:
-    """Total order on the group; exact.  ``x * db - y * da`` has the sign
-    of ``x / da - y / db`` because both denominators are positive."""
+def compare(a: Value, b: Value) -> int:
+    """The sign (-1, 0 or 1) of ``a - b``: the total order on the group,
+    exact.  ``x * db - y * da`` has the sign of ``x / da - y / db``
+    because both denominators are positive."""
     if a.group is not b.group:
         a._check(b)
     da, db = a.den, b.den
@@ -331,7 +317,7 @@ def compare(a: Value, b: Value) -> Ordering:
         n = list(map(sub, a.nums, b.nums))
     else:
         n = [x * db - y * da for x, y in zip(a.nums, b.nums)]
-    return _BY_SIGN[_sign(n)]
+    return _sign(n)
 
 
 def value_of_exponent(alpha: Sequence[int], weights: Sequence[Value]) -> Value:

@@ -24,7 +24,7 @@ from valmono.framing import (
 from valmono.game import MonomialValuationSpec, _greedy_center, reduced_parts
 from valmono.keypoly import KeyPolyChain
 from valmono.polyalg import MultiPoly, QQ, taylor_shift
-from valmono.values import Ordering, Value, ValueGroup, _sign, compare, rational_from_str, value_of_exponent
+from valmono.values import Value, ValueGroup, _sign, compare, rational_from_str, value_of_exponent
 
 getcontext().prec = 80
 
@@ -65,6 +65,14 @@ def poly(vars_, terms) -> MultiPoly:
     return MultiPoly.build(
         tuple(vars_), {tuple(e): QQ.from_rational(c) for e, c in terms.items()}
     )
+
+
+def poly_power(p: MultiPoly, n: int) -> MultiPoly:
+    """``p`` to the power ``n >= 0``, by repeated multiplication."""
+    out = MultiPoly.constant(p.vars, 1, p.tower)
+    for _ in range(n):
+        out = out * p
+    return out
 
 
 def tower_elem(obj):
@@ -168,7 +176,7 @@ def choose_vertex(J: Sequence[int], weights: Sequence[Value]) -> int:
         raise InvalidInputError("empty center")
     best = J[0]
     for i in J[1:]:
-        if compare(weights[i], weights[best]) is Ordering.Less:
+        if compare(weights[i], weights[best]) < 0:
             best = i
     return best
 
@@ -311,6 +319,14 @@ def extend_path(path, steps):
     return path
 
 
+def tau(alpha: Sequence[int], gamma: Sequence[int]) -> tuple[int, int]:
+    """The tau pair (s, t), s <= t, of two exponents: the degrees of their
+    parts after removing the common part.  The descent loops carry it as a
+    tuple, whose order is the lexicographic one."""
+    at, gt = reduced_parts(alpha, gamma)
+    return tuple(sorted((sum(at), sum(gt))))
+
+
 def descent_center(
     alpha: Sequence[int], gamma: Sequence[int], spec: MonomialValuationSpec
 ) -> tuple[tuple[int, ...], int]:
@@ -334,7 +350,7 @@ def monomial_valuation(f: MultiPoly, spec: MonomialValuationSpec) -> Value:
     best = None
     for e in f.terms:
         v = value_of_exponent(e, spec.weights)
-        if best is None or compare(v, best) is Ordering.Less:
+        if best is None or compare(v, best) < 0:
             best = v
     return best
 
@@ -345,7 +361,7 @@ def initial_form(f: MultiPoly, spec: MonomialValuationSpec) -> MultiPoly:
     keep = {
         e: c
         for e, c in f.terms.items()
-        if compare(value_of_exponent(e, spec.weights), v0) is Ordering.Equal
+        if compare(value_of_exponent(e, spec.weights), v0) == 0
     }
     return MultiPoly(f.vars, keep, f.tower, f.den)
 
@@ -361,7 +377,7 @@ def substitute_variable(f: MultiPoly, x: str, g: MultiPoly) -> MultiPoly:
             powers[k] = g_pow(k - 1) * g
         return powers[k]
 
-    out = MultiPoly.zero(f.vars, f.tower)
+    out = MultiPoly(f.vars, {}, f.tower)
     for e, c in f.terms.items():
         rest = e[:xi] + (0,) + e[xi + 1:]
         t = MultiPoly(f.vars, {rest: c}, f.tower, f.den)

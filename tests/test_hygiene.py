@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import ast
 import json
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -70,42 +71,70 @@ def test_no_module_imports_an_unused_name():
     assert unused == []
 
 
-def _referenced_names(tree: ast.Module) -> Counter:
-    refs = Counter()
+def _referenced_names(tree: ast.Module) -> tuple[Counter, Counter]:
+    """(every name, attribute and import alias; the attributes alone)."""
+    refs, attrs = Counter(), Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             refs[node.id] += 1
         elif isinstance(node, ast.Attribute):
             refs[node.attr] += 1
+            attrs[node.attr] += 1
         elif isinstance(node, ast.alias):
             refs[node.asname or node.name] += 1
-    return refs
+    return refs, attrs
+
+
+_FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _class_aliases(tree: ast.Module) -> dict[int, set[str]]:
+    """For each method (by the id of its node), the names its class body
+    reads outside the methods, such as ``scale`` in ``__mul__ = scale``."""
+    aliases = {}
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            body = [stmt for stmt in cls.body if not isinstance(stmt, _FUNCTION_DEFS)]
+            names = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            aliases.update((id(stmt), names) for stmt in cls.body if isinstance(stmt, _FUNCTION_DEFS))
+    return aliases
 
 
 def _unreferenced(defining: dict[str, ast.Module], referencing: list[ast.Module]) -> list[str]:
     """``module: name`` for each function, method or property of the
-    ``defining`` modules, dunders aside, that no ``referencing`` module names."""
-    refs = Counter()
+    ``defining`` modules, dunders aside, that no ``referencing`` module
+    names.  A method counts as named only through an attribute
+    (``x.name``) or an alias in its own class body: a bare name of the
+    same spelling is another object, such as ``operator.sub`` beside a
+    ``sub`` method."""
+    refs, attrs = Counter(), Counter()
     for tree in referencing:
-        refs += _referenced_names(tree)
+        r, a = _referenced_names(tree)
+        refs += r
+        attrs += a
     found = []
     for module, tree in defining.items():
+        aliases = _class_aliases(tree)
         for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not isinstance(node, _FUNCTION_DEFS):
                 continue
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if refs[name] == 0:
+            if id(node) in aliases:
+                named = attrs[name] or name in aliases[id(node)]
+            else:
+                named = refs[name]
+            if not named:
                 found.append(f"{module}: {name}")
     return found
 
 
-# Public constructors that nothing in the package calls: the README example
-# builds its values with ``ValueGroup.rational``, and the README names
+# Public names that nothing in the package reads: the README example
+# builds its values with ``ValueGroup.rational``, the README names
 # ``FieldTower.from_rational`` as the way to write an exact rational as a
-# tower element.
-_README_API = {"values.py: rational", "polyalg.py: from_rational"}
+# tower element and ``Value.coords`` as the coordinates as Fractions.
+_README_API = {"values.py: rational", "polyalg.py: from_rational", "values.py: coords"}
 
 
 def test_every_defined_function_is_referenced():
@@ -119,16 +148,54 @@ def test_every_defined_function_is_referenced():
 
 def test_reference_scan_ignores_tests():
     lib = ast.parse(
+        "from operator import sub\n\n"
         "def helper():\n    return 1\n\n"
-        "def run():\n    return helper()\n\n"
+        "def run():\n    return sub(helper(), 1)\n\n"
         "def tested():\n    return 2\n\n"
         "class C:\n    def __eq__(self, other):\n        return True\n\n"
         "    @property\n    def size(self):\n        return 0\n\n"
+        "    def sub(self, other):\n        return other\n\n"
+        "    def scale(self, q):\n        return q\n\n"
+        "    __mul__ = scale\n\n"
         "ENTRY = run\n"
     )
-    test = ast.parse("from lib import C, tested\n\ndef test_it():\n    assert tested() == 2 + C().size\n")
-    assert _unreferenced({"lib.py": lib}, [lib]) == ["lib.py: tested", "lib.py: size"]
+    test = ast.parse(
+        "from lib import C, tested\n\n"
+        "def test_it():\n    assert tested() == 2 + C().size + C().sub(0)\n"
+    )
+    assert _unreferenced({"lib.py": lib}, [lib]) == ["lib.py: tested", "lib.py: size", "lib.py: sub"]
     assert _unreferenced({"lib.py": lib}, [lib, test]) == []
+
+
+_FENCE = re.compile(r"^```.*?^```", re.S | re.M)
+
+
+def _backticked(text: str) -> set[str]:
+    """Every identifier inside backticks in a Markdown text: in a fenced
+    code block or in an inline code span."""
+    spans = _FENCE.findall(text) + re.findall(r"`([^`]+)`", _FENCE.sub("", text))
+    return {word for span in spans for word in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+def test_init_exports_only_what_the_readme_names():
+    """The package's public API is what the README's library tour and
+    example name: every name ``__init__`` imports is in backticks there."""
+    init = _parse(PACKAGE / "__init__.py")
+    exported = [a.asname or a.name for a in ast.walk(init) if isinstance(a, ast.alias)]
+    named = _backticked((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert exported and [name for name in exported if name not in named] == []
+
+
+def test_backtick_scan_sees_each_kind():
+    text = (
+        "A `Value` holds `nums`; `FieldTower.from_rational(q)` and `two\nlines`.\n\n"
+        "```python\nfrom valmono import *\nG = ValueGroup(1)\n```\n\n"
+        "Plain compare and truncate, ``` not closed"
+    )
+    assert _backticked(text) == {
+        "Value", "nums", "FieldTower", "from_rational", "q", "two", "lines",
+        "python", "from", "valmono", "import", "G", "ValueGroup",
+    }
 
 
 # math functions that return floats; floor and ceil only when applied to a

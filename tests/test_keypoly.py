@@ -10,17 +10,14 @@ from valmono.errors import UnnormalizedLeadingCoefficientError, ZeroPolynomialEr
 from valmono.keypoly import (
     KeyPolyChain,
     StandardExpansion,
-    delta_invariant,
-    epsilon_invariant,
     next_key_char0,
-    standard_expansion,
     truncate,
     truncated_valuation,
     validate_chain,
 )
 from valmono.polyalg import MultiPoly, q_adic_expansion
 from valmono.trace import chain_from_json
-from valmono.values import Ordering, ValueGroup, compare, value_of_exponent
+from valmono.values import ValueGroup, compare, value_of_exponent
 
 UV = ("u", "x")
 G1 = ValueGroup(1)
@@ -64,15 +61,15 @@ def test_validate_catches_violations():
 def test_standard_expansion_examples():
     chain = cusp_chain()
     # f = Q_2 -> single term j = 1
-    exp = standard_expansion(chain.Q(2), chain, 2)
+    exp = truncate(chain.Q(2), chain, 2).expansion
     assert [c.is_zero() for c in exp.coefficients] == [True, False]
     assert exp.coefficients[1] == poly(UV, {(0, 0): 1})
     # f = x^3 at level 2: c_0 = u^3 x, c_1 = x
-    exp = standard_expansion(poly(UV, {(0, 3): 1}), chain, 2)
+    exp = truncate(poly(UV, {(0, 3): 1}), chain, 2).expansion
     assert exp.coefficients[0] == poly(UV, {(3, 1): 1})
     assert exp.coefficients[1] == poly(UV, {(0, 1): 1})
     # deg_x f < deg_x Q_2: only j = 0
-    exp = standard_expansion(poly(UV, {(1, 1): 2}), chain, 2)
+    exp = truncate(poly(UV, {(1, 1): 2}), chain, 2).expansion
     assert len(exp.coefficients) == 1
     assert exp.reassembles(poly(UV, {(1, 1): 2}))
     assert horner(exp) == poly(UV, {(1, 1): 2})
@@ -88,36 +85,35 @@ def test_truncated_valuation_examples():
     # f = Q_i -> beta_i
     assert truncated_valuation(chain.Q(1), chain, 1) == G1.rational(Fraction(3, 2))
     with pytest.raises(ZeroPolynomialError):
-        truncated_valuation(MultiPoly.zero(UV), chain, 1)
+        truncated_valuation(MultiPoly(UV, {}), chain, 1)
 
 
 def test_delta_invariant_examples():
     chain = cusp_chain()
-    assert delta_invariant(chain.Q(2), chain, 2) == 1
-    assert delta_invariant(poly(UV, {(2, 1): 1}), chain, 2) == 0
+    assert truncate(chain.Q(2), chain, 2).delta == 1
+    assert truncate(poly(UV, {(2, 1): 1}), chain, 2).delta == 0
     # both j = 0 and j = 2 attain mu'_1 = 3 for x^2 - u^3
-    assert delta_invariant(chain.Q(2), chain, 1) == 2
+    assert truncate(chain.Q(2), chain, 1).delta == 2
 
 
 def test_epsilon_invariant_examples():
     chain = cusp_chain()
     # single expansion term -> none
-    assert epsilon_invariant(poly(UV, {(1, 0): 1}), chain, 1) is None
+    assert truncate(poly(UV, {(1, 0): 1}), chain, 1).epsilon is None
     # f = Q_2 + c with value(c) > beta_2: delta = 1, no j > delta at level 2
-    f = chain.Q(2) + poly(UV, {(5, 0): 1})
-    assert delta_invariant(f, chain, 2) == 1
-    assert epsilon_invariant(f, chain, 2) is None
+    t = truncate(chain.Q(2) + poly(UV, {(5, 0): 1}), chain, 2)
+    assert (t.delta, t.epsilon) == (1, None)
     # the mu'_1 example: delta = 2 = top -> none
-    assert epsilon_invariant(chain.Q(2), chain, 1) is None
+    assert truncate(chain.Q(2), chain, 1).epsilon is None
     # a genuine secondary minimum
     g = poly(UV, {(0, 2): 1, (1, 1): 1, (3, 0): 1})  # x^2 + u x + u^3
     # values at level 1: j=2: 3, j=1: 1 + 3/2 = 5/2, j=0: 3 -> delta = 1? min is 5/2 at j=1
-    assert delta_invariant(g, chain, 1) == 1
-    assert epsilon_invariant(g, chain, 1) == 2
+    t = truncate(g, chain, 1)
+    assert (t.delta, t.epsilon) == (1, 2)
     # a tie above delta: 1 + u^3 x + x^3 has values 0, 9/2, 9/2 at j = 0, 1, 3
     h = poly(UV, {(0, 0): 1, (3, 1): 1, (0, 3): 1})
-    assert delta_invariant(h, chain, 1) == 0
-    assert epsilon_invariant(h, chain, 1) == 1
+    t = truncate(h, chain, 1)
+    assert (t.delta, t.epsilon) == (0, 1)
 
 
 def test_next_key_char0():
@@ -152,13 +148,11 @@ def test_truncation_monotone_and_multiplicative(rng):
         levels = range(1, len(chain) + 1)
         vals = [truncated_valuation(f, chain, i) for i in levels]
         for lo, hi in zip(vals, vals[1:]):
-            assert compare(lo, hi) is not Ordering.Greater
+            assert compare(lo, hi) <= 0
         for i in levels:
             vf = truncated_valuation(f, chain, i)
             vg = truncated_valuation(g, chain, i)
-            assert compare(
-                truncated_valuation(f * g, chain, i), vf + vg
-            ) is Ordering.Equal
+            assert compare(truncated_valuation(f * g, chain, i), vf + vg) == 0
 
 
 def test_delta_descent_inequality(rng):
@@ -169,8 +163,8 @@ def test_delta_descent_inequality(rng):
         alphas = chain.alphas()
         f = random_poly(rng, UV, max_terms=4, max_exp=5)
         for i in range(1, len(chain)):
-            d_i = delta_invariant(f, chain, i)
-            d_next = delta_invariant(f, chain, i + 1)
+            d_i = truncate(f, chain, i).delta
+            d_next = truncate(f, chain, i + 1).delta
             assert alphas[i] * d_next <= d_i
 
 
@@ -183,8 +177,8 @@ def test_monomial_valuation_below_truncations(rng):
         v0 = monomial_valuation(f, spec)
         v1 = truncated_valuation(f, chain, 1)
         vtop = truncated_valuation(f, chain, len(chain))
-        assert compare(v0, v1) is not Ordering.Greater
-        assert compare(v1, vtop) is not Ordering.Greater
+        assert compare(v0, v1) <= 0
+        assert compare(v1, vtop) <= 0
 
 
 def test_chain_json_round_trip():
@@ -226,6 +220,12 @@ def test_next_key_delta_zero_rejected():
 # -- the one-pass truncation against the separate per-invariant functions ---
 
 
+def _digits(f, chain, i):
+    """The coefficients of the level-i standard expansion, by q-adic
+    expansion of f in Q_i."""
+    return q_adic_expansion(f.with_vars(chain.all_vars), chain.Q(i), chain.x)
+
+
 def _oracle_truncated_valuation(f, chain, i):
     if f.is_zero():
         raise ZeroPolynomialError("zero polynomial has no value")
@@ -233,9 +233,8 @@ def _oracle_truncated_valuation(f, chain, i):
 
 
 def _oracle_term_values(f, chain, i):
-    exp = standard_expansion(f, chain, i)
     out = []
-    for j, c in enumerate(exp.coefficients):
+    for j, c in enumerate(_digits(f, chain, i)):
         if c.is_zero():
             continue
         if i == 1:
@@ -249,12 +248,12 @@ def _oracle_term_values(f, chain, i):
 def _oracle_delta_epsilon(f, chain, i):
     vals = _oracle_term_values(f, chain, i)
     best = min(v for _, v in vals)
-    delta = max(j for j, v in vals if compare(v, best) is Ordering.Equal)
+    delta = max(j for j, v in vals if compare(v, best) == 0)
     above = [(j, v) for j, v in vals if j > delta]
     if not above:
         return delta, None
     mu_plus = min(v for _, v in above)
-    return delta, min(j for j, v in above if compare(v, mu_plus) is Ordering.Equal)
+    return delta, min(j for j, v in above if compare(v, mu_plus) == 0)
 
 
 def test_truncate_matches_separate_invariants():
@@ -264,20 +263,18 @@ def test_truncate_matches_separate_invariants():
         f = random_poly(rng, UV, max_terms=6, max_exp=9)
         for i in range(1, len(chain) + 1):
             t = truncate(f, chain, i)
-            assert t.expansion == standard_expansion(f, chain, i)
+            assert t.expansion == StandardExpansion(i, chain.Q(i), tuple(_digits(f, chain, i)))
             assert t.terms == tuple(_oracle_term_values(f, chain, i))
             assert t.value == _oracle_truncated_valuation(f, chain, i)
             assert (t.delta, t.epsilon) == _oracle_delta_epsilon(f, chain, i)
             assert t.value == truncated_valuation(f, chain, i)
-            assert t.delta == delta_invariant(f, chain, i)
-            assert t.epsilon == epsilon_invariant(f, chain, i)
 
 
 def test_truncate_zero_polynomial():
     chain = cusp_chain()
     for i in (1, 2):
         with pytest.raises(ZeroPolynomialError):
-            truncate(MultiPoly.zero(UV), chain, i)
+            truncate(MultiPoly(UV, {}), chain, i)
 
 
 def test_ground_value_matches_monomial_valuation():
@@ -291,15 +288,15 @@ def test_ground_value_matches_monomial_valuation():
         pending = [f]
         while pending:
             g = pending.pop()
-            for c in standard_expansion(g, chain, 1).coefficients:
+            for c in _digits(g, chain, 1):
                 if c.is_zero():
                     continue
                 want = monomial_valuation(c.with_vars(chain.ground.vars), chain.ground)
                 got = chain._rows.ground_value([e[:-1] for e in c.terms])
-                assert compare(got, want) is Ordering.Equal
+                assert compare(got, want) == 0
                 seen += 1
             for level in range(2, len(chain) + 1):
-                pending += [c for c in standard_expansion(g, chain, level).coefficients if not c.is_zero() and c != g]
+                pending += [c for c in _digits(g, chain, level) if not c.is_zero() and c != g]
     assert seen > 100
 
 
@@ -312,7 +309,7 @@ def _old_ground_value(c, chain):
     best = None
     for e in c.terms:
         v = value_of_exponent(e[:n], weights)
-        if best is None or compare(v, best) is Ordering.Less:
+        if best is None or compare(v, best) < 0:
             best = v
     return best
 
@@ -335,16 +332,16 @@ def _old_truncate(f, chain, i):
     delta, best = terms[0]
     for j, v in terms[1:]:
         order = compare(v, best)
-        if order is not Ordering.Greater:
+        if order <= 0:
             delta = j
-            if order is Ordering.Less:
+            if order < 0:
                 best = v
     above = [(j, v) for j, v in terms if j > delta]
     epsilon = None
     if above:
         epsilon, mu_plus = above[0]
         for j, v in above[1:]:
-            if compare(v, mu_plus) is Ordering.Less:
+            if compare(v, mu_plus) < 0:
                 epsilon, mu_plus = j, v
     return digits, best, delta, epsilon, terms
 
@@ -387,7 +384,7 @@ def test_reassembles_rejects_a_corrupted_digit():
         chain = _rational_chain(rng) if k % 2 else binomial_chain(rng)
         f = random_poly(rng, UV, max_terms=6, max_exp=9)
         i = len(chain)
-        exp = standard_expansion(f, chain, i)
+        exp = truncate(f, chain, i).expansion
         assert exp.reassembles(f)
         coefficients = list(exp.coefficients)
         j = rng.randrange(len(coefficients))

@@ -546,11 +546,11 @@ def _failing_run_one(monkeypatch, failing, fail):
 
     run_one = cli._run_one
 
-    def patched(item):
-        k = item[0]["alpha"][1]
+    def patched(problem, budget):
+        k = problem["alpha"][1]
         if k in failing:
             fail(k)
-        return run_one(item)
+        return run_one(problem, budget)
 
     monkeypatch.setattr(cli, "_run_one", patched)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)

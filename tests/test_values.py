@@ -1,5 +1,6 @@
 """Value-group arithmetic, ordering, and lattice membership."""
 
+import operator
 import random
 import tracemalloc
 from decimal import Decimal
@@ -21,7 +22,6 @@ from valmono.errors import (
 )
 from valmono.values import (
     SQRT_PRIMES,
-    Ordering,
     Value,
     ValueGroup,
     compare,
@@ -35,10 +35,10 @@ from valmono.trace import _parse_group, _value
 def test_compare_spec_examples():
     g = ValueGroup(2)
     # 1 < sqrt(2)
-    assert compare(g.value([1, 0]), g.value([0, 1])) is Ordering.Less
-    assert compare(g.value([0, 0]), g.value([0, 0])) is Ordering.Equal
+    assert compare(g.value([1, 0]), g.value([0, 1])) == -1
+    assert compare(g.value([0, 0]), g.value([0, 0])) == 0
     # 2 > sqrt(2)
-    assert compare(g.value([2, 0]), g.value([0, 1])) is Ordering.Greater
+    assert compare(g.value([2, 0]), g.value([0, 1])) == 1
 
 
 def test_compare_matches_numeric_oracle():
@@ -52,16 +52,16 @@ def test_compare_matches_numeric_oracle():
         b = g.value([Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(r)])
         got = compare(a, b)
         if a.coords == b.coords:
-            assert got is Ordering.Equal
+            assert got == 0
         else:
             diff = numeric_value(a) - numeric_value(b)
             assert abs(diff) > Decimal(10) ** -40, (a, b)
-            assert got is (Ordering.Greater if diff > 0 else Ordering.Less)
+            assert got == (1 if diff > 0 else -1)
 
 
 def test_compare_group_mismatch():
     with pytest.raises(GroupMismatchError):
-        compare(ValueGroup(2).zero(), ValueGroup(3).zero())
+        compare(ValueGroup(2).rational(0), ValueGroup(3).rational(0))
 
 
 def test_compare_total_order_properties():
@@ -74,20 +74,20 @@ def test_compare_total_order_properties():
     for _ in range(120):
         a, b, c = rand(), rand(), rand()
         ab, ba = compare(a, b), compare(b, a)
-        assert ab.value == -ba.value  # antisymmetry
+        assert ab == -ba  # antisymmetry
         # translation invariance
-        assert compare(a + c, b + c) is ab
+        assert compare(a + c, b + c) == ab
         # transitivity on a sorted triple
         lo, mid, hi = sorted([a, b, c])
-        assert compare(lo, hi) in (Ordering.Less, Ordering.Equal)
+        assert compare(lo, hi) in (-1, 0)
         # equality iff coordinates agree
-        assert (compare(a, b) is Ordering.Equal) == (a.coords == b.coords)
+        assert (compare(a, b) == 0) == (a.coords == b.coords)
 
 
 def test_value_of_exponent():
     g = ValueGroup(2)
     w = [g.value([1, 0]), g.value([0, 1])]
-    assert value_of_exponent((0, 0), w).is_zero()
+    assert value_of_exponent((0, 0), w) == g.rational(0)
     assert value_of_exponent((2, 3), w).coords == (Fraction(2), Fraction(3))
     w2 = [g.value([Fraction(1, 2), 0]), g.value([Fraction(1, 2), 0])]
     assert value_of_exponent((1, 1), w2).coords == (Fraction(1), Fraction(0))
@@ -105,7 +105,7 @@ def test_value_of_exponent_matches_plain_sum():
             for _ in range(n)
         ]
         alpha = [rng.choice((0, 0, 1, rng.randint(2, 30))) for _ in range(n)]
-        want = g.zero()
+        want = g.rational(0)
         for a, w in zip(alpha, weights):
             want = want + w.scale(a)
         got = value_of_exponent(alpha, weights)
@@ -273,8 +273,8 @@ def oracle_sign(coords):
 
 
 def oracle_compare(a, b):
-    """Sign of a - b over the raw coordinates, as an Ordering."""
-    return Ordering(oracle_sign([x - y for x, y in zip(a.coords, b.coords)]))
+    """Sign of a - b over the raw coordinates."""
+    return oracle_sign([x - y for x, y in zip(a.coords, b.coords)])
 
 
 def _pell(d, norm, min_x):
@@ -309,19 +309,19 @@ def test_pell_near_tie_needs_refinement(norm, refinement_bits):
     g = ValueGroup(2)
     rational, irrational = g.value([x, 0]), g.value([0, y])
     # x - y*sqrt(2) = norm / (x + y*sqrt(2)): below 2**-70 in size, sign of norm
-    expect = Ordering.Greater if norm > 0 else Ordering.Less
-    assert compare(rational, irrational) is expect
+    expect = 1 if norm > 0 else -1
+    assert compare(rational, irrational) == expect
     assert max(refinement_bits) > 64
-    assert compare(irrational, rational) is Ordering(-expect.value)
-    assert (rational - irrational).sign() == expect.value
-    assert (irrational - rational).sign() == -expect.value
+    assert compare(irrational, rational) == -expect
+    assert (rational - irrational).sign() == expect
+    assert (irrational - rational).sign() == -expect
     # the same near-tie with scaled, non-integer coordinates
     a = g.value([Fraction(x, 7), 0])
     b = g.value([0, Fraction(y, 7)])
-    assert compare(a, b) is expect is oracle_compare(a, b)
+    assert compare(a, b) == expect == oracle_compare(a, b)
 
 
-@pytest.mark.parametrize("norms, expect", [((1, 1), Ordering.Greater), ((-1, -2), Ordering.Less)])
+@pytest.mark.parametrize("norms, expect", [((1, 1), 1), ((-1, -2), -1)])
 def test_three_term_near_tie_rank_three(norms, expect, refinement_bits):
     x2, y2 = _pell(2, norms[0], 2**70)
     x3, y3 = _pell(3, norms[1], 2**72)
@@ -329,10 +329,10 @@ def test_three_term_near_tie_rank_three(norms, expect, refinement_bits):
     # (x2 - y2*sqrt 2) + (x3 - y3*sqrt 3): two residuals of the same sign
     a = g.value([x2 + x3, 0, 0])
     b = g.value([0, y2, y3])
-    assert compare(a, b) is expect
+    assert compare(a, b) == expect
     assert max(refinement_bits) > 64
-    assert compare(b, a) is Ordering(-expect.value)
-    assert oracle_compare(a, b) is expect
+    assert compare(b, a) == -expect
+    assert oracle_compare(a, b) == expect
 
 
 def _random_pair(rng, rank):
@@ -359,9 +359,9 @@ def test_compare_differential_against_fraction_oracle():
     for _ in range(1000):
         a, b = _random_pair(rng, rng.randint(1, 6))
         expect = oracle_compare(a, b)
-        assert compare(a, b) is expect, (a, b)
-        assert compare(b, a) is Ordering(-expect.value), (a, b)
-        assert (a - b).sign() == expect.value, (a, b)
+        assert compare(a, b) == expect, (a, b)
+        assert compare(b, a) == -expect, (a, b)
+        assert (a - b).sign() == expect, (a, b)
 
 
 def test_sign_kernel_on_mixed_sign_vectors(refinement_bits):
@@ -419,7 +419,7 @@ def test_radicands_are_the_primes(monkeypatch):
 
 def test_sign_of_values():
     g = ValueGroup(3)
-    assert g.zero().sign() == 0
+    assert g.rational(0).sign() == 0
     assert g.value([Fraction(-1, 3), 0, 0]).sign() == -1
     assert g.value([0, Fraction(1, 5), Fraction(2, 7)]).sign() == 1
     # 3/2 > sqrt 2 and 7/4 > sqrt 3
@@ -428,17 +428,34 @@ def test_sign_of_values():
     assert not g.value([Fraction(-7, 4), 0, 1]).is_positive()
 
 
+def test_a_value_next_to_a_non_value_is_a_type_error():
+    """The order and ``+``/``-`` take values only: beside an int, a
+    Fraction, a literal or None they return NotImplemented, so Python
+    raises TypeError from either side."""
+    v = ValueGroup(1).rational(2)
+    ops = (operator.lt, operator.le, operator.gt, operator.ge, operator.add, operator.sub)
+    for other in (3, Fraction(3), "3", None):
+        for op in ops:
+            with pytest.raises(TypeError):
+                op(v, other)
+            with pytest.raises(TypeError):
+                op(other, v)
+        assert v != other and not v == other
+    for method in ("__lt__", "__le__", "__gt__", "__ge__", "__add__", "__sub__"):
+        assert getattr(v, method)(3) is NotImplemented
+
+
 def test_group_check_is_by_equality():
     # equal groups built separately compare
-    assert compare(ValueGroup(2).value([1, 0]), ValueGroup(2).value([0, 1])) is Ordering.Less
+    assert compare(ValueGroup(2).value([1, 0]), ValueGroup(2).value([0, 1])) == -1
     g = ValueGroup(2, labels=("a", "b"))
     h = ValueGroup(2, labels=("x", "y"))
     with pytest.raises(GroupMismatchError):
         compare(g.value([1, 0]), h.value([0, 1]))
     with pytest.raises(GroupMismatchError):
-        compare(g.zero(), h.zero())
+        compare(g.rational(0), h.rational(0))
     with pytest.raises(GroupMismatchError):
-        compare(ValueGroup(2).zero(), ValueGroup(2, labels=("g1", "b")).zero())
+        compare(ValueGroup(2).rational(0), ValueGroup(2, labels=("g1", "b")).rational(0))
     with pytest.raises(GroupMismatchError):
         g.value([1, 0]) - h.value([1, 0])
 
@@ -478,7 +495,7 @@ def test_value_arithmetic_matches_fraction_reference(ordering):
             (a + b, [x + y for x, y in zip(xs, ys)]),
             (a - b, [x - y for x, y in zip(xs, ys)]),
             (a - a, [Fraction(0)] * rank),
-            (-a, [-x for x in xs]),
+            (a.scale(-1), [-x for x in xs]),
             (a.scale(q), [q * x for x in xs]),
             (a.scale(q.numerator), [q.numerator * x for x in xs]),
             (
@@ -491,10 +508,9 @@ def test_value_arithmetic_matches_fraction_reference(ordering):
             assert got.coords == tuple(want)
             assert got.to_json() == {"coords": [str(c) for c in want]}
             assert got.sign() == oracle_sign(want)
-            assert got.is_zero() == all(c == 0 for c in want)
         diff = oracle_sign([x - y for x, y in zip(xs, ys)])
-        assert compare(a, b) is Ordering(diff)
-        assert compare(b, a) is Ordering(-diff)
+        assert compare(a, b) == diff
+        assert compare(b, a) == -diff
 
 
 def test_equal_values_built_along_different_paths():
@@ -506,7 +522,7 @@ def test_equal_values_built_along_different_paths():
         g.rational("3/6"),
         g.rational(Fraction(1, 4)).scale(2),
         g.rational(3).scale("1/6"),
-        -g.rational("-1/2"),
+        g.rational("-1/2").scale(-1),
         value_of_exponent((3,), [g.value(["1/6"])]),
         Value((-5,), -10, g),
     ]
@@ -520,7 +536,7 @@ def test_equal_values_built_along_different_paths():
     g3 = ValueGroup(3)
     a, b = g3.value(["2/6", 0, "-4/2"]), g3.value([Fraction(1, 3), Fraction(0), -2])
     assert a == b and hash(a) == hash(b) and (a.nums, a.den) == ((1, 0, -6), 3)
-    zeros = [g3.zero(), g3.value(["0/5", 0, "0"]), a - b, a.scale(0), g3.value([0, 0, 0]) + g3.zero()]
+    zeros = [g3.rational(0), g3.value(["0/5", 0, "0"]), a - b, a.scale(0), g3.value([0, 0, 0]) + g3.rational(0)]
     for z in zeros:
         assert (z.nums, z.den) == ((0, 0, 0), 1) and z == zeros[0] and hash(z) == hash(zeros[0])
 
