@@ -6,7 +6,10 @@ The driving invariant is tau(alpha, gamma) = (|at|, |gt|) where at, gt are
 the exponents after removing the common part (sorted so |at| <= |gt|); it
 is a plain tuple, whose order is the lexicographic one.  Each blow-up
 along the greedily chosen center strictly lex-decreases tau, so every run
-terminates; tau = (0, .) means one monomial divides the other.
+terminates; tau = (0, .) means one monomial divides the other.  One loop,
+``_descend``, plays the game on any number of generators and checks that
+tau(I, w) = (generators - 1, least pair tau) strictly lex-decreases; the
+pair game is that loop on two generators.
 
 Weight ties make variables of the center acquire weight zero; such
 variables are tagged as units, keep their column, and are ignored by all
@@ -96,8 +99,6 @@ def reduced_parts(
     """(at, gt): exponents after removing the common part, with unit-tagged
     coordinates zeroed out (units are invertible, they never obstruct
     divisibility)."""
-    if len(alpha) != len(gamma):
-        raise InvalidInputError("exponent vectors must have equal length")
     common = list(map(min, alpha, gamma))
     at, gt = tuple(map(sub, alpha, common)), tuple(map(sub, gamma, common))
     if units:
@@ -139,43 +140,24 @@ def run_pair_descent(
     gamma: Sequence[int],
     path: PushPath,
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Iterate descent blow-ups from the path's current frame until one
-    exponent divides the other (units ignored).  Each step is appended to
-    the path and logged there; returns the transformed exponents."""
-    alpha = tuple(int(a) for a in alpha)
-    gamma = tuple(int(g) for g in gamma)
-    if len(alpha) != path.frame.n or len(gamma) != path.frame.n:
-        raise InvalidInputError("exponent length must match the frame")
-    start = len(path)
-    at, gt = reduced_parts(alpha, gamma, path.frame.units)
-    prev_tau = None
-    bound = sum(at) + sum(gt) + 1
-    while True:
-        s, t = sum(at), sum(gt)
-        if s > t:
-            at, gt, s, t = gt, at, t, s
-        if not s:
-            break
-        if prev_tau is not None and not (s, t) < prev_tau:
-            raise AssertionError("tau failed to decrease strictly")
-        prev_tau = s, t
-        if len(path) - start >= bound:
-            raise AssertionError("descent exceeded its a-priori step bound")
-        step = path.blow_up(_greedy_center(at, gt))
-        alpha = step.apply_to_exponent(alpha)
-        gamma = step.apply_to_exponent(gamma)
+    """The descent game on alpha and gamma from the path's current frame,
+    until one divides the other (units ignored); each blow-up is logged with
+    the pair tau it starts from.  Returns the transformed exponents."""
+    exps = [alpha, gamma]
+    for step, before, _, _ in _descend(exps, path):
+        if step is None:
+            continue
         rec = {
-            "tau": [s, t],
+            "tau": list(before[1]),
             "J": [i + 1 for i in step.J],
             "j": step.j + 1,
-            "alpha": list(alpha),
-            "gamma": list(gamma),
+            "alpha": list(exps[0]),
+            "gamma": list(exps[1]),
         }
         if step.J_times:
             rec["Jx"] = [i + 1 for i in step.J_times]
         path.record(**rec)
-        at, gt = reduced_parts(alpha, gamma, path.frame.units)
-    return alpha, gamma
+    return exps[0], exps[1]
 
 
 def monomialize_pair(
@@ -253,6 +235,51 @@ def _divisible_drops(
                 yield q
 
 
+def _descend(exps: list, path: PushPath) -> Iterator[tuple]:
+    """The descent game on the generators ``exps`` from the path's current
+    frame (unit tags allowed), until one active generator reduced-divides
+    every other.  Each blow-up is appended to the path, and ``exps`` is
+    rewritten in place: every generator, dropped or not, in the last chart.
+
+    A blow-up along the greedy center of the least pair yields ``(step, tau
+    before, tau after, active)``, with tau(I, w) = (active - 1, least pair
+    tau); it must lower tau.  When the least pair tau is (0, t), each
+    generator that another one reduced-divides is dropped and yields
+    ``(None, its index, tau after, active)``.  On two generators this is
+    the pair game, bounded by |at| + |gt| + 1 blow-ups from its start."""
+    if not exps:
+        raise InvalidInputError("empty generator list")
+    n = path.frame.n
+    for k, e in enumerate(exps):
+        e = exps[k] = tuple(e)
+        if len(e) != n:
+            raise InvalidInputError("exponent length must match the frame")
+        if not set(map(type, e)) <= {int} or min(e, default=0) < 0:
+            raise InvalidInputError("exponents must be nonnegative integers")
+    active = list(range(len(exps)))
+    best = _best_pair(exps, active, path.frame.units) if len(exps) > 1 else None
+    limit = len(path) + sum(best[0]) + 1 if len(exps) == 2 else None
+    while best:
+        pair_tau, at, gt = best
+        if not pair_tau[0]:
+            for q in _divisible_drops(exps, active, path.frame.units):
+                best = _best_pair(exps, active, path.frame.units) if len(active) > 1 else None
+                # a principal ideal logs the pair tau (0, 1)
+                yield None, q, (len(active) - 1, best[0] if best else (0, 1)), active
+            continue
+        if limit is not None and len(path) >= limit:
+            raise AssertionError("descent exceeded its a-priori step bound")
+        if sum(at) != pair_tau[0]:
+            at, gt = gt, at
+        step = path.blow_up(_greedy_center(at, gt))
+        exps[:] = [step.apply_to_exponent(e) for e in exps]
+        best = _best_pair(exps, active, path.frame.units)
+        before, after = (len(active) - 1, pair_tau), (len(active) - 1, best[0])
+        if not after < before:
+            raise AssertionError("tau failed to decrease strictly")
+        yield step, before, after, active
+
+
 def principalize_monomial_ideal(
     generators: Sequence[Sequence[int]],
     spec: MonomialValuationSpec,
@@ -261,11 +288,10 @@ def principalize_monomial_ideal(
     """Blow up until the monomial ideal is generated by the single image of
     its minimal-value generator.  The tau(I, w) log (generator count, minimal
     pair tau) strictly lex-decreases at every event."""
-    exps = [tuple(int(x) for x in g) for g in generators]
     path = PushPath(spec.frame(), budget)
-    survivor, final = principalize_exponents(exps, path)
+    survivor, final = principalize_exponents(generators, path)
     # no blow-up centre holds a variable that no generator involves
-    path.claim_independence(i for i in range(path.frame.n) if not any(e[i] > 0 for e in exps))
+    path.claim_independence(i for i in range(path.frame.n) if all(e[i] == 0 for e in generators))
     return IdealResult(path=path, survivor=survivor, exponents=final)
 
 
@@ -273,46 +299,20 @@ def principalize_exponents(
     generators: Sequence[Sequence[int]],
     path: PushPath,
 ) -> tuple[int, list[tuple[int, ...]]]:
-    """Core principalization loop from the path's current frame (unit tags
-    allowed).  Each step is appended to the path and logged there; returns
-    the survivor's index and every generator's final exponent."""
-    if not generators:
-        raise InvalidInputError("empty generator list")
-    exps = [tuple(int(x) for x in g) for g in generators]
-    for e in exps:
-        if len(e) != path.frame.n:
-            raise InvalidInputError("exponent length must match the frame")
-    active = list(range(len(exps)))
-    # the last all-pairs scan; exps, active and the frame have not changed since
-    best = None
-
-    def ideal_tau() -> tuple[int, list[int]]:
-        """tau(I, w) for the record, scanned once for the next blow-up too."""
-        nonlocal best
-        if len(active) == 1:
-            return 0, [0, 1]
-        best = _best_pair(exps, active, path.frame.units)
-        return len(active) - 1, list(best[0])
-
-    def drop_divisible() -> None:
-        for dropped in _divisible_drops(exps, active, path.frame.units):
-            bb, tv = ideal_tau()
-            path.record(event="drop", generator=dropped + 1, tau_ideal=[bb, tv])
-
-    drop_divisible()
-    while len(active) > 1:
-        # the pair attaining the minimal tau drives the next blow-up
-        if best is None:
-            best = _best_pair(exps, active, path.frame.units)
-        _, at, gt = best
-        if sum(at) > sum(gt):
-            at, gt = gt, at
-        step = path.blow_up(_greedy_center(at, gt))
-        exps = [step.apply_to_exponent(e) for e in exps]
-        bb, tvj = ideal_tau()
+    """The descent game on the generators from the path's current frame
+    (unit tags allowed).  Each blow-up and each drop is logged with the
+    tau(I, w) after it; returns the survivor's index and every generator's
+    final exponent."""
+    exps = list(generators)
+    active = [0]  # one generator makes no event
+    for step, dropped, after, active in _descend(exps, path):
+        tau_ideal = [after[0], list(after[1])]
+        if step is None:
+            path.record(event="drop", generator=dropped + 1, tau_ideal=tau_ideal)
+            continue
         rec = {
             "event": "blowup",
-            "tau_ideal": [bb, tvj],
+            "tau_ideal": tau_ideal,
             "J": [i + 1 for i in step.J],
             "j": step.j + 1,
             "exponents": [list(exps[i]) for i in active],
@@ -320,8 +320,6 @@ def principalize_exponents(
         if step.J_times:
             rec["Jx"] = [i + 1 for i in step.J_times]
         path.record(**rec)
-        drop_divisible()
-
     survivor = active[0]
     for k, e in enumerate(exps):
         if not _reduced_divides(exps[survivor], e, path.frame.units):

@@ -50,9 +50,9 @@ from .framing import (
 )
 from .game import (
     _antichain,
+    _reduced_divides,
     has_unit_term,
     principalize_exponents,
-    reduced_parts,
     run_pair_descent,
     split_monomial,
 )
@@ -155,15 +155,17 @@ def _absorb(
     """Blow up until the target monomial reduced-divides every listed
     exponent, all written in the path's current chart; returns the number
     of steps appended.  Every listed value must strictly exceed the
-    target's, so the game always lands the divisibility on the target side."""
+    target's, so the game always lands the divisibility on the target side.
+    It is one pair game per exponent, not one principalization of them all:
+    on the ``chains`` bench pool both take the same centers, but traces
+    written with the pair records must still replay."""
     start = len(path)
     for e in exponents:
         # a pair that already divides makes the game append no step
         t, e = run_pair_descent(
             path.advance(target, start), path.advance(e, start), path
         )
-        at, _ = reduced_parts(t, e, path.frame.units)
-        if sum(at) != 0:
+        if not _reduced_divides(t, e, path.frame.units):
             raise AssertionError("auxiliary phase failed to land divisibility on y^d")
     return len(path) - start
 

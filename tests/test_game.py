@@ -151,6 +151,32 @@ def test_exponents_shorter_than_the_frame_are_invalid_input(run):
         run(sqrt_prime_spec(2))
 
 
+@pytest.mark.parametrize("run", [
+    lambda spec: monomialize_pair((2, -3), (0, 1), spec),
+    lambda spec: principalize_monomial_ideal([(2, 0), (0, -1), (1, 1)], spec),
+    lambda spec: monomialize_pair((1.5, 0), (0, 1), spec),
+    lambda spec: principalize_monomial_ideal([(True, 0), (0, 1)], spec),
+], ids=["negative-pair", "negative-ideal", "float", "bool"])
+def test_exponents_other_than_nonnegative_ints_are_invalid_input(run):
+    with pytest.raises(InvalidInputError, match="exponents must be nonnegative integers"):
+        run(sqrt_prime_spec(2))
+
+
+@pytest.mark.parametrize("run", [
+    lambda spec: monomialize_pair((1, 0, 0, 0), (0, 1, 0, 0), spec, budget=50),
+    lambda spec: principalize_monomial_ideal(
+        [(2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0)], spec, budget=50
+    ),
+], ids=["pair", "ideal"])
+def test_a_step_that_keeps_tau_is_caught(monkeypatch, run):
+    # a center on the two columns no generator involves leaves every
+    # exponent, and so tau(I, w), as it was; without the check the game
+    # would repeat that step until the budget runs out
+    monkeypatch.setattr(game, "_greedy_center", lambda at, gt: (2, 3))
+    with pytest.raises(AssertionError, match="tau failed to decrease strictly"):
+        run(sqrt_prime_spec(4))
+
+
 def test_principalize_tau_log_strictly_decreases():
     rng = random.Random(13)
     for _ in range(50):

@@ -556,14 +556,16 @@ def test_sign_scan_sees_each_kind():
 
 # A path grows two ways: ``PushPath.blow_up`` and ``PushPath.translate``
 # build every step, and they alone append to a path's steps and frames.
+# Outside ``framing`` one loop blows up: the descent game of ``game``.
 _STEP_TYPES = ("FramedStep", "TranslationItem")
 _GROWERS = ("PushPath.blow_up", "PushPath.translate")
 
 
 def _path_growth(node: ast.AST, scope: str = "<module>", prefix: str = "") -> list[str]:
-    """``scope: what`` for each construction of a step or a translation item
-    and each append to a ``steps`` or ``frames`` list, with the function
-    around it, qualified by its classes, as its scope."""
+    """``scope: what`` for each construction of a step or a translation item,
+    each append to a ``steps`` or ``frames`` list and each call of
+    ``blow_up``, with the function around it, qualified by its classes, as
+    its scope."""
     found = []
     for child in ast.iter_child_nodes(node):
         inner, inner_prefix = scope, prefix
@@ -575,7 +577,7 @@ def _path_growth(node: ast.AST, scope: str = "<module>", prefix: str = "") -> li
         elif isinstance(child, ast.Call):
             func = child.func
             name = getattr(func, "id", None) or getattr(func, "attr", None)
-            if name in _STEP_TYPES:
+            if name in _STEP_TYPES or name == "blow_up":
                 found.append(f"{scope}: {name}")
             elif (
                 name in ("append", "extend", "insert")
@@ -600,6 +602,8 @@ def test_only_blow_up_and_translate_grow_a_path():
     for path in sorted(PACKAGE.glob("*.py")):
         for use in _path_growth(_parse(path)):
             scope, what = use.split(": ")
+            if what == "blow_up":
+                continue
             if path.name == "framing.py" and scope in _GROWERS:
                 growth.append(use)
             elif path.name != "framing.py" or what not in _STEP_TYPES:
@@ -610,10 +614,24 @@ def test_only_blow_up_and_translate_grow_a_path():
         assert {f"{grower}: steps.append", f"{grower}: frames.append"} <= set(growth)
 
 
+def test_one_loop_outside_framing_blows_up():
+    """The pair game and the ideal game are one descent loop: outside
+    ``framing`` a single function calls ``blow_up``."""
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "framing.py":
+            callers |= {
+                f"{path.name} {use}" for use in _path_growth(_parse(path))
+                if use.endswith(": blow_up")
+            }
+    assert callers == {"game.py _descend: blow_up"}
+
+
 def test_growth_scan_sees_each_kind():
     src = (
         "step = FramedStep(2, (0, 1), 0)\n\n"
         "def tag(path, t):\n    path.steps.append(framing.TranslationItem(t))\n\n"
+        "def descend(path, J):\n    for _ in J:\n        yield path.blow_up(J)\n\n"
         "class PushPath:\n"
         "    def append(self, step):\n        self.steps.append(step)\n"
         "        self.frames.extend([None])\n\n"
@@ -623,7 +641,7 @@ def test_growth_scan_sees_each_kind():
         "    def push(self, f):\n        self.frames.pop()\n        return self.steps.count(f)\n"
     )
     assert _path_growth(ast.parse(src)) == [
-        "<module>: FramedStep", "tag: steps.append", "tag: TranslationItem",
+        "<module>: FramedStep", "tag: steps.append", "tag: TranslationItem", "descend: blow_up",
         "PushPath.append: steps.append", "PushPath.append: frames.extend",
         "PushPath.grow: steps +=", "PushPath.grow.later: frames.insert",
     ]
