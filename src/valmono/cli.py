@@ -273,5 +273,18 @@ def main(argv=None) -> int:
     return args.func(args)
 
 
+def entry() -> None:
+    """The ``valmono`` command: ``main()`` on the process arguments, then
+    the end of the process with its exit code.  The output is flushed and
+    the interpreter's teardown skipped: freeing the batch and its traces
+    one object at a time only delays the exit.  An exception from
+    ``main`` ends the process as usual, with its traceback and exit 1."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None when the descriptor was closed at start
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

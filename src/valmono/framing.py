@@ -115,36 +115,49 @@ class FramedStep(NamedTuple):
     def apply_to_exponent(self, e: tuple[int, ...]) -> tuple[int, ...]:
         """The exponent in the new chart, N times e: ``e[j]`` becomes the
         sum of e over J."""
-        j = self.j
-        return e[:j] + (sum([e[q] for q in self.J]),) + e[j + 1:]
-
-    def _rows(self, off: int) -> list[list[int]]:
-        """The identity with ``off`` at (j, q) for q in J minus the vertex:
-        N for ``off = 1``, M for ``off = -1``, as written into traces."""
-        rows = [[0] * self.n for _ in range(self.n)]
-        for p, row in enumerate(rows):
-            row[p] = 1
-        for q in self.J:
-            if q != self.j:
-                rows[self.j][q] = off
-        return rows
+        out = list(e)
+        out[self.j] = sum([e[q] for q in self.J])
+        return tuple(out)
 
     def to_json(self) -> dict:
+        n, j = self.n, self.j
+        # M and N are fresh copies of the identity; only row j differs
+        eye = _identity(n)
+        M, N = list(map(list, eye)), list(map(list, eye))
+        m, e = M[j], N[j]
+        for q in self.J:
+            if q != j:
+                m[q], e[q] = -1, 1
         jx = self.J_times
         rec = {
             "J": [i + 1 for i in self.J],
-            "j": self.j + 1,
+            "j": j + 1,
             "kind": self.kind,
-            "M": self._rows(-1),
-            "N": self._rows(1),
+            "M": M,
+            "N": N,
             "Jx": [i + 1 for i in jx],
-            "n_before": self.n,
+            "n_before": n,
             "n_after": self.n_after,
-            "D1": [i + 1 for i in range(self.n) if i not in jx],
+            "D1": [i + 1 for i in range(n) if i not in jx],
         }
         if self.translation_data:
             rec["translations"] = [t.to_json() for t in self.translation_data]
         return rec
+
+
+# n -> the n x n identity as rows of tuples, for n up to _IDENTITY_LIMIT;
+# never handed out, only copied.
+_IDENTITIES: dict[int, tuple[tuple[int, ...], ...]] = {}
+_IDENTITY_LIMIT = 64
+
+
+def _identity(n: int) -> tuple[tuple[int, ...], ...]:
+    eye = _IDENTITIES.get(n)
+    if eye is None:
+        eye = tuple(tuple(int(p == q) for q in range(n)) for p in range(n))
+        if n <= _IDENTITY_LIMIT:
+            _IDENTITIES[n] = eye
+    return eye
 
 
 def _rows_of(weights, den: int = 1, group: Optional[ValueGroup] = None):
@@ -321,27 +334,31 @@ class PushPath:
         (a unit when it is all zeros).  The vertex is least, so no pushed
         weight is negative and no sign is decided again."""
         frame = self.frame
-        if len(J) < 2 or J[0] < 0 or J[-1] >= frame.n or any(map(le, J[1:], J)):
+        n, rows = len(frame.names), frame.rows
+        if len(J) < 2 or J[0] < 0 or J[-1] >= n or any(map(le, J[1:], J)):
             raise InvalidInputError("a center is two or more increasing columns of the frame")
         j = J[0]
-        rj = frame.row(j)
+        rj = rows[j] or frame.row(j)  # row() raises for an undeclared weight
         for i in J[1:]:
-            ri = frame.row(i)
+            ri = rows[i] or frame.row(i)
             if _sign(list(map(sub, ri, rj))) < 0:
                 j, rj = i, ri
-        rows = list(frame.rows)
+        rows = list(rows)
         ties = []
         for i in J:
             if i != j:
                 d = rows[i] = tuple(map(sub, rows[i], rj))
                 if not any(d):
                     ties.append(i)
-        step = FramedStep(frame.n, J, j, tuple(TranslationItem(target=i) for i in ties))
+        if ties:
+            step = FramedStep(n, J, j, tuple(TranslationItem(target=i) for i in ties))
+            units = frame.units.union(ties)
+        else:
+            step, units = FramedStep(n, J, j), frame.units
         self._spend()
         self.steps.append(step)
         self.frames.append(Frame._of_rows(
-            frame.names, tuple(rows), frame.den, frame.group,
-            frame.units.union(ties), frame.tower,
+            frame.names, tuple(rows), frame.den, frame.group, units, frame.tower,
         ))
         return step
 

@@ -115,13 +115,11 @@ def _greedy_center(at: Sequence[int], gt: Sequence[int]) -> tuple[int, ...]:
     target = sum(at)
     J = [i for i, a in enumerate(at) if a > 0]
     got = 0
-    for i in sorted(
-        (i for i, g in enumerate(gt) if g > 0), key=lambda i: (-gt[i], i)
-    ):
+    for g, i in sorted([(-g, i) for i, g in enumerate(gt) if g > 0]):  # g = -gt[i]
         if got >= target:
             break
         J.append(i)
-        got += gt[i]
+        got -= g
     if got < target:
         raise InvalidInputError("gamma side cannot reach |alpha|")
     return tuple(sorted(J))
@@ -200,16 +198,28 @@ def _best_pair(
     exps: list[tuple[int, ...]], active: list[int], units: frozenset[int]
 ) -> tuple[tuple[int, int], tuple[int, ...], tuple[int, ...]]:
     """(tau, at, gt) of the first pair of active generators attaining the
-    minimal tau; ``active`` is increasing, so that is the least index pair."""
-    best = None
-    for p, ip in enumerate(active):
-        for iq in active[p + 1:]:
-            at, gt = reduced_parts(exps[ip], exps[iq], units)
-            s, t = sum(at), sum(gt)
-            st = (s, t) if s <= t else (t, s)
-            if best is None or st < best[0]:
-                best = (st, at, gt)
-    return best
+    minimal tau; ``active`` is increasing, so that is the least index pair.
+
+    With more than two generators, each pair's tau comes from its
+    difference ``d``, unit columns zeroed: ``|at| = (sum|d| + sum d) / 2``
+    and ``|gt| = (sum|d| - sum d) / 2``, so tau is ``((sum|d| - |sum d|) / 2,
+    (sum|d| + |sum d|) / 2)``.  Only the winning pair is split by
+    ``reduced_parts``."""
+    pair, best = active, None
+    if len(active) > 2:
+        for p, ip in enumerate(active):
+            a = exps[ip]
+            for iq in active[p + 1:]:
+                d = list(map(sub, a, exps[iq]))
+                for i in units:
+                    d[i] = 0
+                size, total = sum(map(abs, d)), abs(sum(d))
+                st = ((size - total) >> 1, (size + total) >> 1)
+                if best is None or st < best:
+                    best, pair = st, (ip, iq)
+    at, gt = reduced_parts(exps[pair[0]], exps[pair[1]], units)
+    s, t = sum(at), sum(gt)
+    return ((s, t) if s <= t else (t, s)), at, gt
 
 
 def _divisible_drops(
@@ -272,7 +282,7 @@ def _descend(exps: list, path: PushPath) -> Iterator[tuple]:
         if sum(at) != pair_tau[0]:
             at, gt = gt, at
         step = path.blow_up(_greedy_center(at, gt))
-        exps[:] = [step.apply_to_exponent(e) for e in exps]
+        exps[:] = map(step.apply_to_exponent, exps)
         best = _best_pair(exps, active, path.frame.units)
         before, after = (len(active) - 1, pair_tau), (len(active) - 1, best[0])
         if not after < before:

@@ -47,8 +47,13 @@ TOOL = "valmono"
 SCHEMA = 1
 
 
+# the bytes of json.dumps(obj, sort_keys=True, separators=(",", ":")),
+# without building an encoder per call
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_digest(obj) -> str:
-    blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+    blob = _CANONICAL.encode(obj).encode()
     return "sha256:" + hashlib.sha256(blob).hexdigest()
 
 

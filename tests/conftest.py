@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import random
 from decimal import Decimal, getcontext
@@ -209,6 +211,44 @@ def make_monomial_blowup(n: int, J: Sequence[int], j: int) -> FramedStep:
     if len(J) < 2:
         raise InvalidInputError("center must have at least two variables")
     return FramedStep(n, J, j)
+
+
+def json_digest(obj) -> str:
+    """The input digest as ``canonical_digest`` has always written it:
+    the sha256 of ``json.dumps`` with sorted keys and no spaces."""
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+    return "sha256:" + hashlib.sha256(blob).hexdigest()
+
+
+def step_record(step: FramedStep) -> dict:
+    """The trace record of ``step`` as it was written when ``M`` and ``N``
+    were built row by row: the identity with ``off`` at (j, q) for q in J
+    minus the vertex, ``-1`` for M and ``+1`` for N."""
+
+    def rows(off: int) -> list[list[int]]:
+        out = [[0] * step.n for _ in range(step.n)]
+        for p, row in enumerate(out):
+            row[p] = 1
+        for q in step.J:
+            if q != step.j:
+                out[step.j][q] = off
+        return out
+
+    jx = step.J_times
+    rec = {
+        "J": [i + 1 for i in step.J],
+        "j": step.j + 1,
+        "kind": step.kind,
+        "M": rows(-1),
+        "N": rows(1),
+        "Jx": [i + 1 for i in jx],
+        "n_before": step.n,
+        "n_after": step.n_after,
+        "D1": [i + 1 for i in range(step.n) if i not in jx],
+    }
+    if step.translation_data:
+        rec["translations"] = [t.to_json() for t in step.translation_data]
+    return rec
 
 
 def pushforward_weights(frame: Frame, step: FramedStep) -> list:

@@ -18,6 +18,7 @@ from conftest import (
     forward_product,
     horner,
     identity,
+    json_digest,
     old_det,
     old_inverse_int,
     old_mat_mul,
@@ -40,7 +41,7 @@ from valmono.keypoly import (
     truncated_valuation,
 )
 from valmono.polyalg import MultiPoly, QQ
-from valmono.trace import run_problem, verify_trace
+from valmono.trace import canonical_digest, run_problem, verify_trace
 from valmono.unifseq import (
     UniformizingProblem,
     elementary_uniformizing_sequence,
@@ -378,6 +379,12 @@ def _flip_one_exponent(trace: dict) -> bool:
                     target[0] += 1
                     return True
     return False
+
+
+def test_input_digests_of_the_corpus_keep_their_bytes(trace_corpus):
+    for trace in trace_corpus:
+        inp = trace["input"]
+        assert trace["header"]["input_digest"] == canonical_digest(inp) == json_digest(inp)
 
 
 def test_criterion_9_trace_round_trip(trace_corpus):

@@ -5,6 +5,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -28,6 +29,7 @@ from conftest import (
     pushforward_weights,
     random_poly,
     rational_spec,
+    step_record,
     trace_matrix,
 )
 from valmono import framing, values
@@ -726,3 +728,47 @@ def test_the_push_path_makes_no_fraction(monkeypatch):
     assert img == want and img.den == 6 and img.tower == path.frame.tower
     assert q * q2 + r == f and len(digits) == 3
     assert shifted.den == 3 * 2**11  # lcm of 6 and 4^5
+
+
+# -- the step record: M and N copied from one cached identity -------------
+
+
+def _steps_up_to(n_max: int):
+    """Every blow-up with n <= n_max columns, a center J of two or more
+    columns, a vertex j in J and each set of tied columns in J minus j;
+    then, per n and column, a transcendental and an algebraic translation."""
+    sqrt2 = (QQ.from_rational(-2), QQ.zero(), QQ.one())
+    for n in range(1, n_max + 1):
+        for size in range(2, n + 1):
+            for J in combinations(range(n), size):
+                for j in J:
+                    rest = [i for i in J if i != j]
+                    for k in range(len(rest) + 1):
+                        for ties in combinations(rest, k):
+                            yield FramedStep(n, J, j, tuple(TranslationItem(target=i) for i in ties))
+        for c in range(n):
+            yield make_translation_step(n, c, None, None, None)
+            yield make_translation_step(n, c, sqrt2, "t1", f"x{c}'", G1.rational(Fraction(3, 2)))
+
+
+def test_step_json_matches_the_row_by_row_record():
+    count = 0
+    for step in _steps_up_to(5):
+        rec = step.to_json()
+        # same keys in the same order, so json.dumps writes the same bytes
+        assert list(rec.items()) == list(step_record(step).items()), step
+        count += 1
+    assert count == (4 + 24 + 104 + 400) + 2 * (1 + 2 + 3 + 4 + 5)
+
+
+def test_step_json_hands_out_no_cached_list():
+    for step in _steps_up_to(4):
+        first = step.to_json()
+        for key in ("M", "N"):
+            for row in first[key]:
+                row[:] = [7] * len(row)
+            first[key].append([9])
+        first["D1"].append(0)
+        first["D1"][0] = -1
+        first["Jx"].append(5)
+        assert step.to_json() == step_record(step), step

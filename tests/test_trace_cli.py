@@ -1,5 +1,6 @@
 """Trace production, replay verification, and the CLI contract."""
 
+import ast
 import copy
 import gc
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CHILD_ENV
+from conftest import CHILD_ENV, SRC, json_digest
 from valmono.errors import SchemaError, TraceMismatchError
 from valmono.trace import ALGORITHMS, canonical_digest, run_problem, verify_trace
 
@@ -1653,3 +1654,113 @@ def test_verify_freezes_the_batch_and_thaws_it(tmp_path, monkeypatch, edit, code
         assert frozen and set(frozen) == {before}
     finally:
         gc.unfreeze()
+
+
+# -- input digests ----------------------------------------------------------
+
+
+def test_input_digests_keep_their_bytes():
+    """``canonical_digest`` writes the digest every committed trace holds,
+    and the bytes of sorted-key compact ``json.dumps`` for any input:
+    keys in any order, non-ASCII text, numbers of every JSON kind."""
+    for path in (OFF_TRACES, FRAMED_TRACES, LEX_TRACES):
+        for trace in json.loads(path.read_text(encoding="utf-8")):
+            inp = trace["input"]
+            assert canonical_digest(inp) == json_digest(inp) == trace["header"]["input_digest"]
+    odd = [
+        {"z": 1, "a": {"y": [3, {"b": None, "a": True}], "x": "é☃\u2028"}, "m": -0.0},
+        {"algorithm": "pair", "ünïcödé": ["\ud800", "\x00\n\t\"'"], "1e3": 1e300},
+        [float("nan"), float("inf"), 10**4000 // 10**3990, "", {}, []],
+        {**pair_problem(), "group": dict(reversed(list(GROUP2.items())))},
+    ]
+    for obj in odd:
+        assert canonical_digest(obj) == json_digest(obj)
+    assert canonical_digest(odd[3]) == canonical_digest(pair_problem())
+
+
+# -- the command ends its process without interpreter teardown ----------------
+
+
+def test_the_script_and_python_m_run_one_entry():
+    """``valmono`` (the installed script) and ``python -m valmono.cli``
+    both run ``cli.entry``."""
+    root = Path(SRC).parent
+    scripts = (root / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^valmono = "valmono\.cli:entry"$', scripts, re.M)
+    tree = ast.parse((Path(SRC) / "valmono" / "cli.py").read_text(encoding="utf-8"))
+    main_block = [n for n in tree.body if isinstance(n, ast.If)][-1]
+    assert ast.unparse(main_block) == "if __name__ == '__main__':\n    entry()"
+
+
+def _buffered_cli(*args):
+    """``_cli`` with stdout block-buffered, as it is by default into a
+    pipe, so that output the command fails to flush is lost."""
+    env = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        [sys.executable, "-m", "valmono.cli", *args], capture_output=True, text=True, env=env
+    )
+
+
+def test_a_batch_on_stdout_arrives_complete_through_a_pipe(tmp_path):
+    """The command flushes its output before it ends the process: a batch
+    of several pipe buffers written to stdout arrives whole, run in one
+    process or forked."""
+    pf = tmp_path / "p.json"
+    batch = all_selector_problems() * 40
+    pf.write_text(json.dumps(batch), encoding="utf-8")
+    want = _expected_bytes(batch)
+    assert len(want) > 4 * 65536
+    for jobs in ("1", "2"):
+        r = _buffered_cli("run", str(pf), "--jobs", jobs)
+        assert r.returncode == 0 and r.stderr == "", r.stderr
+        assert _blank_created(r.stdout) == want
+    # one trace, shorter than the output buffer
+    pf.write_text(json.dumps(pair_problem()), encoding="utf-8")
+    r = _buffered_cli("run", str(pf))
+    assert r.returncode == 0 and _blank_created(r.stdout) == _expected_bytes(pair_problem())
+
+
+def test_a_closed_output_descriptor_keeps_the_exit_code(tmp_path):
+    """Started with fd 1 or fd 2 closed, Python has no ``sys.stdout`` or
+    ``sys.stderr``; a replay that matches still exits 0."""
+    pf, tf = tmp_path / "p.json", tmp_path / "t.json"
+    pf.write_text(json.dumps(pair_problem()), encoding="utf-8")
+    assert _buffered_cli("run", str(pf), "--out", str(tf)).returncode == 0
+    env = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
+    for fd in (1, 2):
+        r = subprocess.run(
+            [sys.executable, "-m", "valmono.cli", "verify", str(tf)],
+            env=env, preexec_fn=lambda fd=fd: os.close(fd),
+        )
+        assert r.returncode == 0, fd
+
+
+def test_the_command_keeps_its_exit_codes(tmp_path):
+    """0 for a run and a replay that match, 2 for a file that cannot be
+    read, 3 for a refused problem (its trace still written in full) and
+    4 for a trace that differs, each with its message on stderr."""
+    pf, tf = tmp_path / "p.json", tmp_path / "t.json"
+    refused = pair_problem()
+    refused["spec"]["weights"][0] = {"coords": ["0", "0"]}
+    pf.write_text(json.dumps([pair_problem(), refused]), encoding="utf-8")
+    r = _buffered_cli("run", str(pf))
+    assert r.returncode == 3 and r.stderr == "error: weights must be positive\n"
+    assert _blank_created(r.stdout) == _expected_bytes([pair_problem(), refused])
+    pf.write_text(json.dumps(pair_problem()), encoding="utf-8")
+    r = _buffered_cli("run", str(pf), "--out", str(tf))
+    assert (r.returncode, r.stdout, r.stderr) == (0, "", "")
+    r = _buffered_cli("verify", str(tf))
+    assert (r.returncode, r.stdout, r.stderr) == (0, "", "")
+    trace = json.loads(tf.read_text(encoding="utf-8"))
+    trace["witnesses"]["gamma_final"][0] += 1
+    tf.write_text(json.dumps(trace), encoding="utf-8")
+    r = _buffered_cli("verify", str(tf))
+    assert r.returncode == 4
+    assert r.stderr == (
+        "trace 0: trace mismatch at witnesses, first difference at witnesses.gamma_final[0]\n"
+    )
+    r = _buffered_cli("run", str(tmp_path / "missing.json"))
+    assert r.returncode == 2 and r.stderr.startswith("error: cannot read ")
+    r = _buffered_cli("run", str(pf), "--jobs", "0")
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == "error: --jobs must be at least 1, not 0\n"
