@@ -20,8 +20,8 @@ from .framing import (
 from .game import (
     MonomialValuationSpec,
     monomialize_nondegenerate,
-    monomialize_pair,
-    principalize_monomial_ideal,
+    principalize_exponents,
+    run_pair_descent,
 )
 from .keypoly import (
     KeyPolyChain,

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .errors import SchemaError, TraceMismatchError
-from .game import DEFAULT_BUDGET
+from .framing import DEFAULT_BUDGET
 from .trace import run_problem, verify_trace
 
 EXIT_OK = 0

@@ -284,9 +284,10 @@ def _push_exponents(f: MultiPoly, steps: Sequence[FramedStep]) -> MultiPoly:
 
 class PushPath:
     """One framed sequence, from ``frame0`` through its steps, as the path
-    along which polynomials are pushed.  The descent loops of ``game`` and
-    the phases of ``unifseq`` grow it; a run's result holds its path, the
-    one copy of its sequence.
+    along which polynomials are pushed.  A run's runner in ``trace`` makes
+    it and hands it to the engine; the descent loops of ``game`` and the
+    phases of ``unifseq`` grow it, and it stays the one copy of the run's
+    sequence.  No result holds it.
 
     The path also holds the run's step budget: a blow-up beyond
     ``budget`` of them raises ``StepBudgetExceededError``, whichever phase
@@ -413,7 +414,13 @@ class PushPath:
         self.independence_set = cols
 
     def to_json(self) -> dict:
-        out = {"steps": [s.to_json() for s in self.steps]}
+        """The sequence witness: a header with the first frame and its
+        group, the steps, and the independence set when one is claimed."""
+        frame0 = self.frames[0]
+        out = {
+            "header": dict(frame0.to_json(), group=frame0.group.to_json()),
+            "steps": [s.to_json() for s in self.steps],
+        }
         if self.independence_set is not None:
             out["independent_of"] = [i + 1 for i in self.independence_set]
         return out

@@ -27,7 +27,7 @@ from .errors import (
     PositiveWeightError,
     ZeroPolynomialError,
 )
-from .framing import DEFAULT_BUDGET, Frame, PushPath
+from .framing import Frame, PushPath
 from .polyalg import MultiPoly, QQ
 from .values import Value
 
@@ -126,7 +126,6 @@ def _greedy_center(at: Sequence[int], gt: Sequence[int]) -> tuple[int, ...]:
 
 
 class PairResult(NamedTuple):
-    path: PushPath
     alpha: tuple[int, ...]
     gamma: tuple[int, ...]
     alpha_divides: bool
@@ -137,10 +136,11 @@ def run_pair_descent(
     alpha: Sequence[int],
     gamma: Sequence[int],
     path: PushPath,
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+) -> PairResult:
     """The descent game on alpha and gamma from the path's current frame,
     until one divides the other (units ignored); each blow-up is logged with
-    the pair tau it starts from.  Returns the transformed exponents."""
+    the pair tau it starts from.  Returns the transformed exponents and
+    which of them divides the other in the final frame."""
     exps = [alpha, gamma]
     for step, before, _, _ in _descend(exps, path):
         if step is None:
@@ -155,33 +155,12 @@ def run_pair_descent(
         if step.J_times:
             rec["Jx"] = [i + 1 for i in step.J_times]
         path.record(**rec)
-    return exps[0], exps[1]
-
-
-def monomialize_pair(
-    alpha: Sequence[int],
-    gamma: Sequence[int],
-    spec: MonomialValuationSpec,
-    budget: int = DEFAULT_BUDGET,
-) -> PairResult:
-    """Blow up until one of the two monomials divides the other in the
-    final frame; returns the transformed exponents."""
-    path = PushPath(spec.frame(), budget)
-    a, g = run_pair_descent(alpha, gamma, path)
+    a, g = exps
     at, gt = reduced_parts(a, g, path.frame.units)
-    # no blow-up centre holds a variable on which the two exponents agree
-    path.claim_independence(i for i, (x, y) in enumerate(zip(alpha, gamma)) if x == y)
-    return PairResult(
-        path=path,
-        alpha=a,
-        gamma=g,
-        alpha_divides=sum(at) == 0,
-        gamma_divides=sum(gt) == 0,
-    )
+    return PairResult(a, g, sum(at) == 0, sum(gt) == 0)
 
 
 class IdealResult(NamedTuple):
-    path: PushPath
     survivor: int
     exponents: list[tuple[int, ...]]
 
@@ -290,29 +269,15 @@ def _descend(exps: list, path: PushPath) -> Iterator[tuple]:
         yield step, before, after, active
 
 
-def principalize_monomial_ideal(
-    generators: Sequence[Sequence[int]],
-    spec: MonomialValuationSpec,
-    budget: int = DEFAULT_BUDGET,
-) -> IdealResult:
-    """Blow up until the monomial ideal is generated by the single image of
-    its minimal-value generator.  The tau(I, w) log (generator count, minimal
-    pair tau) strictly lex-decreases at every event."""
-    path = PushPath(spec.frame(), budget)
-    survivor, final = principalize_exponents(generators, path)
-    # no blow-up centre holds a variable that no generator involves
-    path.claim_independence(i for i in range(path.frame.n) if all(e[i] == 0 for e in generators))
-    return IdealResult(path=path, survivor=survivor, exponents=final)
-
-
 def principalize_exponents(
     generators: Sequence[Sequence[int]],
     path: PushPath,
-) -> tuple[int, list[tuple[int, ...]]]:
-    """The descent game on the generators from the path's current frame
-    (unit tags allowed).  Each blow-up and each drop is logged with the
-    tau(I, w) after it; returns the survivor's index and every generator's
-    final exponent."""
+) -> IdealResult:
+    """Blow up from the path's current frame (unit tags allowed) until the
+    monomial ideal is generated by the single image of its minimal-value
+    generator.  Each blow-up and each drop is logged with the tau(I, w)
+    after it, which strictly lex-decreases at every event; returns the
+    survivor's index and every generator's final exponent."""
     exps = list(generators)
     active = [0]  # one generator makes no event
     for step, dropped, after, active in _descend(exps, path):
@@ -336,11 +301,10 @@ def principalize_exponents(
             raise AssertionError(
                 f"survivor does not divide generator {k} after principalization"
             )
-    return survivor, exps
+    return IdealResult(survivor, exps)
 
 
 class NondegResult(NamedTuple):
-    path: PushPath
     exponent: tuple[int, ...]
     unit_witness: MultiPoly
     image: MultiPoly
@@ -383,28 +347,23 @@ def has_unit_term(poly: MultiPoly, frame: Frame) -> bool:
     )
 
 
-def monomialize_nondegenerate(
-    f: MultiPoly,
-    spec: MonomialValuationSpec,
-    budget: int = DEFAULT_BUDGET,
-) -> NondegResult:
-    """Principalize the ideal of exponents of f; in the final frame
-    f = w^exponent * unit, the unit having invertible constant part."""
+def monomialize_nondegenerate(f: MultiPoly, path: PushPath) -> NondegResult:
+    """Principalize the ideal of exponents of f, a polynomial in the path's
+    current chart; in the final frame f = w^exponent * unit, the unit having
+    invertible constant part."""
     if f.is_zero():
         raise ZeroPolynomialError("zero polynomial has no value")
-    if f.vars != spec.vars:
-        raise InvalidInputError("polynomial variables must match the spec")
-    res = principalize_monomial_ideal(_antichain(f.terms), spec, budget)
+    if f.vars != path.frame.names:
+        raise InvalidInputError("polynomial variables must match the frame")
+    start, gens = len(path), _antichain(f.terms)
+    survivor, exps = principalize_exponents(gens, path)
+    # no blow-up centre holds a variable that no generator involves
+    path.claim_independence(i for i in range(path.frame.n) if all(e[i] == 0 for e in gens))
     # the survivor's image, units zeroed out, is the monomial part
-    image = res.path.push(f)
-    monomial, witness = split_monomial(image, res.exponents[res.survivor], res.path.frame)
+    image = path.push(f, start)
+    monomial, witness = split_monomial(image, exps[survivor], path.frame)
     if witness is None:
         raise AssertionError("survivor fails to divide a term of the image")
-    if not has_unit_term(witness, res.path.frame):
+    if not has_unit_term(witness, path.frame):
         raise AssertionError("unit witness has no invertible part")
-    return NondegResult(
-        path=res.path,
-        exponent=monomial,
-        unit_witness=witness,
-        image=image,
-    )
+    return NondegResult(exponent=monomial, unit_witness=witness, image=image)

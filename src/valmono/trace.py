@@ -26,12 +26,12 @@ from .errors import (
     ValmonoError,
     quote,
 )
+from .framing import DEFAULT_BUDGET, PushPath
 from .game import (
-    DEFAULT_BUDGET,
     MonomialValuationSpec,
     monomialize_nondegenerate,
-    monomialize_pair,
-    principalize_monomial_ideal,
+    principalize_exponents,
+    run_pair_descent,
 )
 from .keypoly import KeyPolyChain, truncate
 from .polyalg import MultiPoly, QQ
@@ -193,23 +193,21 @@ def chain_from_json(obj: dict, group: ValueGroup) -> KeyPolyChain:
     )
 
 
-def _parse_exponents(obj) -> list[tuple[int, ...]]:
-    if not isinstance(obj, list):
-        raise SchemaError("exponents must be arrays")
-    out = []
-    for e in obj:
-        if not isinstance(e, list) or not all(_is_int(x) and x >= 0 for x in e):
-            raise SchemaError("exponents must be arrays of nonnegative integers")
-        out.append(tuple(e))
-    return out
+def _exponent(e, what: str) -> tuple[int, ...]:
+    """One exponent: an array of nonnegative integers.  Any other shape
+    raises SchemaError naming ``what`` and quoting ``e``."""
+    if not isinstance(e, list) or not all(_is_int(x) and x >= 0 for x in e):
+        raise SchemaError(f"{what} must be an array of nonnegative integers, not {quote(e)}")
+    return tuple(e)
 
 
-def _sequence_file(path, group) -> dict:
-    """Sequence-file schema: step records plus a header carrying the
-    initial variable labels and weights."""
-    out = {"header": dict(path.frames[0].to_json(), group=group.to_json())}
-    out.update(path.to_json())
-    return out
+def _exponents(obj: dict, key: str) -> list[tuple[int, ...]]:
+    """The array of exponents ``key``; a bad entry is named as one of the
+    ``key`` entries."""
+    items = _need(obj, key)
+    if not isinstance(items, list):
+        raise SchemaError(f"{key} must be an array of exponents, not {quote(items)}")
+    return [_exponent(e, f"{key} entries") for e in items]
 
 
 # ---------------------------------------------------------------------------
@@ -220,48 +218,55 @@ def _sequence_file(path, group) -> dict:
 def _run_pair(inp: dict, budget: int) -> tuple[list, dict]:
     group = _parse_group(inp)
     spec = _spec(inp, "spec", group)
-    alpha = _parse_exponents([_need(inp, "alpha")])[0]
-    gamma = _parse_exponents([_need(inp, "gamma")])[0]
-    res = monomialize_pair(alpha, gamma, spec, budget)
+    alpha = _exponent(_need(inp, "alpha"), "alpha")
+    gamma = _exponent(_need(inp, "gamma"), "gamma")
+    path = PushPath(spec.frame(), budget)
+    res = run_pair_descent(alpha, gamma, path)
+    # no blow-up centre holds a variable on which the two exponents agree
+    path.claim_independence(i for i, (x, y) in enumerate(zip(alpha, gamma)) if x == y)
     witnesses = {
         "alpha_final": list(res.alpha),
         "gamma_final": list(res.gamma),
         "alpha_divides": res.alpha_divides,
         "gamma_divides": res.gamma_divides,
         "divides": res.alpha_divides or res.gamma_divides,
-        "sequence": _sequence_file(res.path, group),
-        "final_frame": res.path.frame.to_json(),
+        "sequence": path.to_json(),
+        "final_frame": path.frame.to_json(),
     }
-    return res.path.records, witnesses
+    return path.records, witnesses
 
 
 def _run_principalize(inp: dict, budget: int) -> tuple[list, dict]:
     group = _parse_group(inp)
     spec = _spec(inp, "spec", group)
-    gens = _parse_exponents(_need(inp, "generators"))
-    res = principalize_monomial_ideal(gens, spec, budget)
+    gens = _exponents(inp, "generators")
+    path = PushPath(spec.frame(), budget)
+    res = principalize_exponents(gens, path)
+    # no blow-up centre holds a variable that no generator involves
+    path.claim_independence(i for i in range(path.frame.n) if all(e[i] == 0 for e in gens))
     witnesses = {
         "survivor": res.survivor,
         "exponents_final": [list(e) for e in res.exponents],
-        "sequence": _sequence_file(res.path, group),
-        "final_frame": res.path.frame.to_json(),
+        "sequence": path.to_json(),
+        "final_frame": path.frame.to_json(),
     }
-    return res.path.records, witnesses
+    return path.records, witnesses
 
 
 def _run_nondegenerate(inp: dict, budget: int) -> tuple[list, dict]:
     group = _parse_group(inp)
     spec = _spec(inp, "spec", group)
     poly = _poly(inp, "poly").with_vars(spec.vars)
-    res = monomialize_nondegenerate(poly, spec, budget)
+    path = PushPath(spec.frame(), budget)
+    res = monomialize_nondegenerate(poly, path)
     witnesses = {
         "exponent": list(res.exponent),
         "unit_witness": res.unit_witness.to_json(),
         "image": res.image.to_json(),
-        "sequence": _sequence_file(res.path, group),
-        "final_frame": res.path.frame.to_json(),
+        "sequence": path.to_json(),
+        "final_frame": path.frame.to_json(),
     }
-    return res.path.records, witnesses
+    return path.records, witnesses
 
 
 def _run_keypoly_expand(inp: dict, budget: int) -> tuple[list, dict]:
@@ -287,9 +292,10 @@ def _run_keypoly_expand(inp: dict, budget: int) -> tuple[list, dict]:
 def _run_keypoly_monomialize(inp: dict, budget: int) -> tuple[list, dict]:
     group = _parse_group(inp)
     chain = chain_from_json(_need(inp, "chain"), group)
-    res = monomialize_key_polys(chain, budget)
+    path = PushPath(chain.initial_frame(), budget)
+    res = monomialize_key_polys(chain, path)
     witnesses = {
-        "final_frame": res.path.frame.to_json(),
+        "final_frame": path.frame.to_json(),
         "x_column": res.x_column + 1,
         "level_data": res.level_data,
         "entries": [
@@ -301,9 +307,9 @@ def _run_keypoly_monomialize(inp: dict, budget: int) -> tuple[list, dict]:
             }
             for w in res.witnesses
         ],
-        "sequence": _sequence_file(res.path, group),
+        "sequence": path.to_json(),
     }
-    return res.path.records, witnesses
+    return path.records, witnesses
 
 
 def _parse_uniformize_problem(inp: dict) -> UniformizingProblem:
@@ -354,7 +360,8 @@ def _parse_uniformize_problem(inp: dict) -> UniformizingProblem:
 
 def _run_uniformize(inp: dict, budget: int) -> tuple[list, dict]:
     problem = _parse_uniformize_problem(inp)
-    res = elementary_uniformizing_sequence(problem, budget)
+    path = PushPath(problem.frame(), budget)
+    res = elementary_uniformizing_sequence(problem, path)
     # the witness echoes the input's own literals, not their lowest terms
     residue = {"kind": "transcendental"}
     if problem.residue is not None:
@@ -369,27 +376,28 @@ def _run_uniformize(inp: dict, budget: int) -> tuple[list, dict]:
         "residue": residue,
         "images": res.images,
         "factorization": res.witness,
-        "final_frame": res.path.frame.to_json(),
-        "sequence": _sequence_file(res.path, problem.beta_n.group),
+        "final_frame": path.frame.to_json(),
+        "sequence": path.to_json(),
         "aux_steps": res.aux_steps,
     }
-    return res.path.records, witnesses
+    return path.records, witnesses
 
 
 def _run_polynomial(inp: dict, budget: int) -> tuple[list, dict]:
     group = _parse_group(inp)
     chain = chain_from_json(_need(inp, "chain"), group)
     poly = _poly(inp, "poly").with_vars(chain.all_vars)
-    res = monomialize_polynomial(poly, chain, budget)
+    path = PushPath(chain.initial_frame(), budget)
+    res = monomialize_polynomial(poly, chain, path)
     witnesses = {
         "exponent": list(res.exponent),
         "unit_witness": res.unit_witness.to_json(),
         "image": res.image.to_json(),
         "expansion_values": res.expansion_values,
-        "final_frame": res.path.frame.to_json(),
-        "sequence": _sequence_file(res.path, group),
+        "final_frame": path.frame.to_json(),
+        "sequence": path.to_json(),
     }
-    return res.path.records, witnesses
+    return path.records, witnesses
 
 
 _RUNNERS: dict[str, Callable] = {

@@ -42,15 +42,9 @@ from .errors import (
     RequiresCompletionError,
     ZeroPolynomialError,
 )
-from .framing import (
-    DEFAULT_BUDGET,
-    Frame,
-    PushPath,
-    translation_root,
-)
+from .framing import Frame, PushPath, translation_root
 from .game import (
     _antichain,
-    _reduced_divides,
     has_unit_term,
     principalize_exponents,
     run_pair_descent,
@@ -109,7 +103,6 @@ class UniformizingProblem(NamedTuple):
 
 
 class UniformizingResult(NamedTuple):
-    path: PushPath
     abar: int
     alpha_coeffs: tuple[int, ...]
     d: int
@@ -162,10 +155,8 @@ def _absorb(
     start = len(path)
     for e in exponents:
         # a pair that already divides makes the game append no step
-        t, e = run_pair_descent(
-            path.advance(target, start), path.advance(e, start), path
-        )
-        if not _reduced_divides(t, e, path.frame.units):
+        pair = run_pair_descent(path.advance(target, start), path.advance(e, start), path)
+        if not pair.alpha_divides:
             raise AssertionError("auxiliary phase failed to land divisibility on y^d")
     return len(path) - start
 
@@ -188,7 +179,7 @@ def _collide(
         delta[col], gamma[col] = max(-c, 0), max(c, 0)
     delta[x_col] += abar
     mark = len(path)
-    delta, gamma = run_pair_descent(
+    delta, gamma, _, _ = run_pair_descent(
         path.advance(tuple(delta), start), path.advance(tuple(gamma), start), path
     )
     main = path.steps[mark:]
@@ -356,15 +347,15 @@ def _split_unit_part(
 
 def elementary_uniformizing_sequence(
     problem: UniformizingProblem,
-    budget: int = DEFAULT_BUDGET,
+    path: PushPath,
 ) -> UniformizingResult:
-    """Uniformize the quasi-homogeneous element attached to the problem:
-    run the pair game on w_n^abar versus w^alpha, replace the resulting
-    degree-zero variable by the new regular parameter, and verify the
-    factorization of Q-tilde by exact arithmetic.  An algebraic residue
-    runs one ``_level`` on the cleared Q-tilde; a transcendental one only
-    collides."""
-    frame0 = problem.frame()
+    """Uniformize the quasi-homogeneous element attached to the problem,
+    on a path whose current frame is ``problem.frame()``: run the pair game
+    on w_n^abar versus w^alpha, replace the resulting degree-zero variable
+    by the new regular parameter, and verify the factorization of Q-tilde
+    by exact arithmetic.  An algebraic residue runs one ``_level`` on the
+    cleared Q-tilde; a transcendental one only collides."""
+    frame0, start = path.frame, len(path)
     r = len(problem.w_names)
     n = frame0.n
     w_cols = tuple(range(r))
@@ -373,7 +364,6 @@ def elementary_uniformizing_sequence(
     for w in problem.w_weights:
         if not w.is_positive():
             raise PositiveWeightError("weights must be positive")
-    path = PushPath(frame0, budget)
     lattice = abar, alpha = _lattice(frame0, w_cols, x_col)
     pos = [max(c, 0) for c in alpha]
     neg = [max(-c, 0) for c in alpha]
@@ -424,7 +414,7 @@ def elementary_uniformizing_sequence(
 
     new_var, aux_steps = None, 0
     if mp is None:
-        z_column, z_sign = _collide(path, 0, w_cols, x_col, abar, alpha)
+        z_column, z_sign = _collide(path, start, w_cols, x_col, abar, alpha)
     else:
         # the cleared Q-tilde is Q-tilde, of value beta_new, times w^(d*neg)
         value = problem.beta_new
@@ -442,7 +432,7 @@ def elementary_uniformizing_sequence(
     # images of w_1..w_r, w_n: monomial in the final actives times z-powers
     images = {}
     for col in list(w_cols) + [x_col]:
-        e = path.advance(tuple(int(i == col) for i in range(n)))
+        e = path.advance(tuple(int(i == col) for i in range(n)), start)
         mono, units, zp = _split_unit_part(e, frame, z_column)
         images[frame0.names[col]] = {
             "monomial": list(mono),
@@ -450,10 +440,9 @@ def elementary_uniformizing_sequence(
             "z_power": zp,
         }
 
-    witness = _verify_factorization(path, q_cleared, pos, problem)
+    witness = _verify_factorization(path, start, q_cleared, pos, problem)
 
     return UniformizingResult(
-        path=path,
         abar=abar,
         alpha_coeffs=alpha,
         d=d,
@@ -468,6 +457,7 @@ def elementary_uniformizing_sequence(
 
 def _verify_factorization(
     path: PushPath,
+    start: int,
     q_cleared: Optional[MultiPoly],
     pos: Sequence[int],
     problem: UniformizingProblem,
@@ -477,8 +467,9 @@ def _verify_factorization(
     Unperturbed: image(Q~ * w^(d neg)) = w^div * X * U with U a unit whose
     constant part is P'(theta).  Perturbed: the quotient W still satisfies
     W - P(theta + X) of strictly positive value, the perturbed analogue of
-    the same conclusion.  The monomial part ``e_plus`` is d times the
-    image of ``w^pos``, its exponent advanced along the path.  An algebraic
+    the same conclusion.  ``q_cleared`` and ``w^pos`` are written in the
+    chart ``frames[start]``.  The monomial part ``e_plus`` is d times the
+    image of ``w^pos``, its exponent advanced from there.  An algebraic
     residue ends the path with the translation of column q to ``new_var``,
     from the chart ``pre``; ``minpoly`` is that step's, in the tower before it.
     """
@@ -486,12 +477,12 @@ def _verify_factorization(
         return {"kind": "transcendental"}
     item = path.steps[-1].translation_data[0]
     q, new_var, minpoly = item.target, item.new_name, item.minpoly
-    n = path.frames[0].n
+    n = path.frame.n
     d = len(minpoly) - 1
     pre = len(path) - 1
-    img_pre = path.push(q_cleared, 0, pre)
+    img_pre = path.push(q_cleared, start, pre)
     frame = path.frame
-    e_plus = [d * x for x in path.advance(tuple(pos) + (0,) * (n - len(pos)))]
+    e_plus = [d * x for x in path.advance(tuple(pos) + (0,) * (n - len(pos)), start)]
     div = list(e_plus)
     # unit columns are invertible: lower the divisor there so the monomial
     # division stays polynomial (the difference is a unit factor)
@@ -559,7 +550,6 @@ class KeyPolyWitness(NamedTuple):
 
 
 class KeyPolyResult(NamedTuple):
-    path: PushPath
     x_column: int
     witnesses: list[KeyPolyWitness]
     level_data: list
@@ -584,19 +574,20 @@ def _check_key_claims(
         )
 
 
-def monomialize_key_polys(chain: KeyPolyChain, budget: int = DEFAULT_BUDGET) -> KeyPolyResult:
-    """Iterated elementary sequences along a valid chain: after the run,
-    every key polynomial is a monomial in the final frame multiplied by a
-    unit, and the distinguished parameter divides the top key polynomial
-    exactly once.
+def monomialize_key_polys(chain: KeyPolyChain, path: PushPath) -> KeyPolyResult:
+    """Iterated elementary sequences along a valid chain, on a path whose
+    current frame is ``chain.initial_frame()``: after the run, every key
+    polynomial is a monomial in the final frame multiplied by a unit, and
+    the distinguished parameter divides the top key polynomial exactly
+    once.
 
     The image of each Q_i is kept with the length of the prefix it was
     pushed through, and is advanced only through the steps added since."""
     issues = validate_chain(chain)
     if issues:
         raise InvalidInputError("chain invalid: " + ", ".join(issues))
-    path = PushPath(chain.initial_frame(), budget)
-    images = {i: (0, chain.Q(i).with_vars(chain.all_vars)) for i in range(1, len(chain) + 1)}
+    start = len(path)
+    images = {i: (start, chain.Q(i).with_vars(chain.all_vars)) for i in range(1, len(chain) + 1)}
 
     def image(i: int) -> MultiPoly:
         start, img = images[i]
@@ -658,7 +649,6 @@ def monomialize_key_polys(chain: KeyPolyChain, budget: int = DEFAULT_BUDGET) -> 
         )
     _check_key_claims(chain, witnesses, frame)
     return KeyPolyResult(
-        path=path,
         x_column=x_col,
         witnesses=witnesses,
         level_data=level_data,
@@ -666,20 +656,18 @@ def monomialize_key_polys(chain: KeyPolyChain, budget: int = DEFAULT_BUDGET) -> 
 
 
 class PolyMonoResult(NamedTuple):
-    path: PushPath
     exponent: tuple[int, ...]
     unit_witness: MultiPoly
     image: MultiPoly
     expansion_values: list
 
 
-def monomialize_polynomial(
-    f: MultiPoly, chain: KeyPolyChain, budget: int = DEFAULT_BUDGET
-) -> PolyMonoResult:
-    """Monomialize a polynomial measured by the chain's top truncation:
-    monomialize the key polynomials, push f through, and principalize the
-    exponents of the image; the quotient by the surviving monomial is the
-    unit witness."""
+def monomialize_polynomial(f: MultiPoly, chain: KeyPolyChain, path: PushPath) -> PolyMonoResult:
+    """Monomialize a polynomial measured by the chain's top truncation, on
+    a path whose current frame is ``chain.initial_frame()``: monomialize
+    the key polynomials, push f through, and principalize the exponents of
+    the image; the quotient by the surviving monomial is the unit
+    witness."""
     if f.is_zero():
         raise ZeroPolynomialError("zero polynomial has no value")
     f = f.with_vars(chain.all_vars)
@@ -694,18 +682,17 @@ def monomialize_polynomial(
         for j, v in trunc.terms
     ]
 
-    kp = monomialize_key_polys(chain, budget)
+    base = len(path)
+    kp = monomialize_key_polys(chain, path)
     if f == chain.Q(top).with_vars(chain.all_vars):
         w = kp.witnesses[-1]
         return PolyMonoResult(
-            path=kp.path,
             exponent=w.monomial,
             unit_witness=w.unit,
             image=w.image,
             expansion_values=expansion_values,
         )
-    path = kp.path
-    img = path.push(f)
+    img = path.push(f, base)
     start = len(path)
     survivor, exps = principalize_exponents(_antichain(img.terms), path)
     img = path.push(img, start)
@@ -718,7 +705,6 @@ def monomialize_polynomial(
             "requires completion: the cofactor is not a polynomial unit"
         )
     return PolyMonoResult(
-        path=path,
         exponent=mono,
         unit_witness=witness,
         image=img,

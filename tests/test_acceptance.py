@@ -30,10 +30,11 @@ from conftest import (
     trace_matrix,
 )
 from valmono.errors import TraceMismatchError
+from valmono.framing import PushPath
 from valmono.game import (
     monomialize_nondegenerate,
-    monomialize_pair,
-    principalize_monomial_ideal,
+    principalize_exponents,
+    run_pair_descent,
 )
 from valmono.keypoly import (
     KeyPolyChain,
@@ -63,8 +64,9 @@ def pair_corpus():
         spec = sqrt_prime_spec(n)
         alpha = tuple(rng.randint(0, 10) for _ in range(n))
         gamma = tuple(rng.randint(0, 10) for _ in range(n))
-        res = monomialize_pair(alpha, gamma, spec)
-        runs.append((alpha, gamma, spec, res))
+        path = PushPath(spec.frame())
+        res = run_pair_descent(alpha, gamma, path)
+        runs.append((alpha, gamma, spec, res, path))
     elapsed = time.perf_counter() - t0
     return runs, elapsed
 
@@ -83,20 +85,21 @@ def ideal_corpus():
             if not any(all(x <= y for x, y in zip(o, e)) and o != e for o in gens)
         ]
         gens.sort()
-        res = principalize_monomial_ideal(gens, spec)
-        runs.append((gens, spec, res))
+        path = PushPath(spec.frame())
+        res = principalize_exponents(gens, path)
+        runs.append((gens, spec, res, path))
     return runs
 
 
 def test_criterion_1_tau_descent_termination(pair_corpus):
     runs, elapsed = pair_corpus
     budget_hits = 0
-    for alpha, gamma, spec, res in runs:
-        taus = [tuple(r["tau"]) for r in res.path.records]
+    for alpha, gamma, spec, res, path in runs:
+        taus = [tuple(r["tau"]) for r in path.records]
         for a, b in zip(taus, taus[1:]):
             assert b < a, "tau failed to decrease strictly"
         assert res.alpha_divides or res.gamma_divides
-        budget_hits += len(res.path.steps)
+        budget_hits += len(path.steps)
     assert elapsed < 10.0, f"corpus took {elapsed:.2f}s (target < 10s)"
     print(
         f"\nPASS criterion 1: 1000 runs terminated, tau strictly lex-decreasing "
@@ -107,7 +110,7 @@ def test_criterion_1_tau_descent_termination(pair_corpus):
 def test_criterion_2_divisibility_iff_value_order(pair_corpus):
     runs, _ = pair_corpus
     mismatches = 0
-    for alpha, gamma, spec, res in runs:
+    for alpha, gamma, spec, res, _ in runs:
         va = value_of_exponent(alpha, spec.weights)
         vg = value_of_exponent(gamma, spec.weights)
         cmp = compare(va, vg)
@@ -120,15 +123,15 @@ def test_criterion_2_divisibility_iff_value_order(pair_corpus):
 
 
 def test_criterion_3_principalization(ideal_corpus):
-    for gens, spec, res in ideal_corpus:
+    for gens, spec, res, path in ideal_corpus:
         surv = res.exponents[res.survivor]
-        units = res.path.frame.units
+        units = path.frame.units
         for e in res.exponents:
             assert all(
                 x <= y for i, (x, y) in enumerate(zip(surv, e)) if i not in units
             ), "survivor fails to divide a generator image"
         log = [
-            (r["tau_ideal"][0], tuple(r["tau_ideal"][1])) for r in res.path.records
+            (r["tau_ideal"][0], tuple(r["tau_ideal"][1])) for r in path.records
         ]
         for a, b in zip(log, log[1:]):
             assert b < a, "tau(I, w) failed to decrease strictly"
@@ -141,8 +144,8 @@ def test_criterion_3_principalization(ideal_corpus):
 
 def test_criterion_4_unimodularity(pair_corpus, ideal_corpus):
     checked = 0
-    sequences = [res.path for _, _, _, res in pair_corpus[0]]
-    sequences += [res.path for _, _, res in ideal_corpus]
+    sequences = [path for *_, path in pair_corpus[0]]
+    sequences += [path for *_, path in ideal_corpus]
     for seq in sequences:
         n = seq.frames[0].n
         total = identity(n)
@@ -197,20 +200,20 @@ def test_criterion_5_expansion_fidelity():
 def test_criterion_6_cusp_uniformizing_sequence():
     g1 = ValueGroup(1)
     t0 = time.perf_counter()
-    res = elementary_uniformizing_sequence(
-        UniformizingProblem(
-            w_names=("w1",),
-            w_weights=(g1.rational(2),),
-            wn_name="wn",
-            beta_n=g1.rational(3),
-            residue=(-1, 1),
-        )
+    prob = UniformizingProblem(
+        w_names=("w1",),
+        w_weights=(g1.rational(2),),
+        wn_name="wn",
+        beta_n=g1.rational(3),
+        residue=(-1, 1),
     )
+    path = PushPath(prob.frame())
+    res = elementary_uniformizing_sequence(prob, path)
     elapsed = time.perf_counter() - t0
     # (1) all steps before the final collision/translation are monomial
-    assert all(s.kind == "monomial" for s in res.path.steps[:-2])
+    assert all(s.kind == "monomial" for s in path.steps[:-2])
     # (2) P != 0 keeps the dimension
-    assert len(active_indices(res.path.frame)) == 2
+    assert len(active_indices(path.frame)) == 2
     # (3) w_1, w_n are monomials in the final actives times a unit (z-powers)
     assert res.images["w1"] == {
         "monomial": [2, 0], "unit_exponents": {}, "z_power": 1,
@@ -219,7 +222,7 @@ def test_criterion_6_cusp_uniformizing_sequence():
         "monomial": [3, 0], "unit_exponents": {}, "z_power": 2,
     }
     # (4) the composed exponent map is unimodular both ways
-    total = forward_product(res.path.steps, 2)
+    total = forward_product(path.steps, 2)
     inv = old_inverse_int(total)
     assert inv is not None and old_det(total) == 1
     # (5) image(Q) = y * (image of w_n^(l)) exactly, unit cofactor 1
@@ -228,8 +231,8 @@ def test_criterion_6_cusp_uniformizing_sequence():
     assert res.witness["quotient"]["terms"] == [{"e": [0, 1], "c": "1"}]
     assert res.witness["unit_constant"] == "1"
     # (6) residue polynomial X - 1, trivial extension
-    assert res.path.steps[-1].translation_data[0].minpoly == (-1, 1)
-    assert res.path.frame.tower == QQ
+    assert path.steps[-1].translation_data[0].minpoly == (-1, 1)
+    assert path.frame.tower == QQ
     assert elapsed < 1.0
     print(f"\nPASS criterion 6: cusp sequence satisfies all six conclusions ({elapsed:.3f}s)")
 
@@ -265,13 +268,14 @@ def test_criterion_7_keypoly_monomialization():
         fixtures.append(binomial_chain(rng, allow_extension=False))
     assert len(fixtures) == 25
     for chain in fixtures:
-        res = monomialize_key_polys(chain)
+        path = PushPath(chain.initial_frame())
+        res = monomialize_key_polys(chain, path)
         top = res.witnesses[-1]
         # division by the distinguished parameter succeeds exactly once
         assert top.x_multiplicity == 1, "first division must succeed, second must fail"
         for w in res.witnesses:
             assert any(
-                all(x == 0 for i, x in enumerate(e) if i not in res.path.frame.units)
+                all(x == 0 for i, x in enumerate(e) if i not in path.frame.units)
                 for e in w.unit.terms
             ), "image is not monomial times unit"
     print(f"\nPASS criterion 7: {len(fixtures)} chains, parameter divides top entry exactly once")
@@ -283,10 +287,11 @@ def test_criterion_8_nondegenerate_monomialization():
         n = rng.randint(2, 4)
         spec = sqrt_prime_spec(n)
         f = random_poly(rng, spec.vars, max_terms=5, max_exp=6)
-        res = monomialize_nondegenerate(f, spec)
+        path = PushPath(spec.frame())
+        res = monomialize_nondegenerate(f, path)
         const = res.unit_witness.constant_term()
         assert not res.unit_witness.tower.is_zero(const), "unit lacks constant term"
-        img = push_by_matrices(f, res.path.steps)
+        img = push_by_matrices(f, path.steps)
         mono = MultiPoly.monomial(f.vars, res.exponent, 1, f.tower)
         assert mono * res.unit_witness == img, "exponent * unit != pushed f"
     print("\nPASS criterion 8: 300 runs, unit witnesses invertible, exact factorization")

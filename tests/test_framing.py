@@ -471,7 +471,15 @@ def test_translation_step_holds_elements_and_encodes_them_in_to_json():
     path = PushPath(Frame(("a", "b", "c"), (g.rational(1), g.rational(1), g.rational(2))))
     path.blow_up((0, 2))
     path.claim_independence((1,))
-    assert path.to_json() == {"steps": [path.steps[0].to_json()], "independent_of": [2]}
+    header = {
+        "vars": ["a", "b", "c"],
+        "weights": [{"coords": ["1"]}, {"coords": ["1"]}, {"coords": ["2"]}],
+        "units": [],
+        "group": {"rank": 1, "ordering": "sqrt-primes", "labels": ["g1"]},
+    }
+    out = path.to_json()
+    assert out == {"header": header, "steps": [path.steps[0].to_json()], "independent_of": [2]}
+    assert list(out) == ["header", "steps", "independent_of"]
 
 
 def test_push_path_merges_monomial_runs():
@@ -702,7 +710,8 @@ def test_the_push_path_makes_no_fraction(monkeypatch):
         rational_spec([1], names=("u",)), "x",
         ((MultiPoly.variable(uv, "x"), G1.rational(1)), (q2, G1.rational(Fraction(5, 2)))),
     )
-    path = monomialize_key_polys(chain).path
+    path = PushPath(chain.initial_frame())
+    monomialize_key_polys(chain, path)
     assert path.frame.tower.depth == 1
     translation_root, roots = framing.translation_root, {}
 

@@ -20,12 +20,14 @@ from conftest import (
 )
 from valmono import game
 from valmono.errors import InvalidInputError, PositiveWeightError, ZeroPolynomialError
+from valmono.framing import PushPath
 from valmono.game import (
     MonomialValuationSpec,
     monomialize_nondegenerate,
-    monomialize_pair,
-    principalize_monomial_ideal,
+    principalize_exponents,
+    run_pair_descent,
 )
+from valmono.trace import run_problem
 from valmono.values import ValueGroup, compare, value_of_exponent
 
 
@@ -34,8 +36,9 @@ def test_tau_examples():
     assert tau((2, 0, 1), (1, 3, 1)) == (1, 3)
     assert tau((0, 1), (2, 0)) == (1, 2)
     # a pair run records the tau pair of the exponents each step starts from
-    res = monomialize_pair((0, 1), (2, 0), rational_spec((1, 1)))
-    assert res.path.records[0]["tau"] == [1, 2]
+    path = PushPath(rational_spec((1, 1)).frame())
+    run_pair_descent((0, 1), (2, 0), path)
+    assert path.records[0]["tau"] == [1, 2]
 
 
 def test_spec_rejects_nonpositive_weights():
@@ -61,19 +64,21 @@ def test_descent_center_examples():
 
 def test_monomialize_pair_divisibility_at_input():
     spec = sqrt_prime_spec(2)
-    res = monomialize_pair((1, 0), (2, 1), spec)
-    assert len(res.path.steps) == 0
+    path = PushPath(spec.frame())
+    res = run_pair_descent((1, 0), (2, 1), path)
+    assert len(path.steps) == 0
     assert res.alpha_divides
 
 
 def test_monomialize_pair_spec_example():
     # n = 2, alpha = (0,1), gamma = (2,0), weights (1, sqrt2)
     spec = sqrt_prime_spec(2)
-    res = monomialize_pair((0, 1), (2, 0), spec)
+    path = PushPath(spec.frame())
+    res = run_pair_descent((0, 1), (2, 0), path)
     assert res.alpha_divides  # nu(w^alpha) = sqrt2 <= 2 = nu(w^gamma)
     assert all(a <= g for a, g in zip(res.alpha, res.gamma))
     # tau strictly decreases along the records
-    taus = [tuple(r["tau"]) for r in res.path.records]
+    taus = [tuple(r["tau"]) for r in path.records]
     assert all(taus[i + 1] < taus[i] for i in range(len(taus) - 1))
 
 
@@ -81,9 +86,10 @@ def test_monomialize_pair_equal_values():
     # equal values: both divide, exponents agree up to unit columns
     g = ValueGroup(1)
     spec = MonomialValuationSpec(("a", "b"), (g.rational(1), g.rational(1)))
-    res = monomialize_pair((1, 0), (0, 1), spec)
+    path = PushPath(spec.frame())
+    res = run_pair_descent((1, 0), (0, 1), path)
     assert res.alpha_divides and res.gamma_divides
-    units = res.path.frame.units
+    units = path.frame.units
     assert units
     assert all(
         x == y for i, (x, y) in enumerate(zip(res.alpha, res.gamma)) if i not in units
@@ -97,7 +103,8 @@ def test_monomialize_pair_direction_matches_value_order():
         spec = sqrt_prime_spec(n)
         a = tuple(rng.randint(0, 7) for _ in range(n))
         g = tuple(rng.randint(0, 7) for _ in range(n))
-        res = monomialize_pair(a, g, spec)
+        path = PushPath(spec.frame())
+        res = run_pair_descent(a, g, path)
         va = value_of_exponent(a, spec.weights)
         vg = value_of_exponent(g, spec.weights)
         cmp = compare(va, vg)
@@ -108,43 +115,61 @@ def test_monomialize_pair_direction_matches_value_order():
         else:
             assert res.alpha_divides and res.gamma_divides
         # step-count bound from the tau components
-        assert len(res.path.steps) <= sum(tau(a, g)) + 1
+        assert len(path.steps) <= sum(tau(a, g)) + 1
 
 
 def test_principalize_examples():
     spec = sqrt_prime_spec(2)
-    res = principalize_monomial_ideal([(1, 2)], spec)
-    assert res.survivor == 0 and len(res.path.steps) == 0
+    path = PushPath(spec.frame())
+    res = principalize_exponents([(1, 2)], path)
+    assert res.survivor == 0 and len(path.steps) == 0
     # two generators behave like the pair game
-    res2 = principalize_monomial_ideal([(0, 1), (2, 0)], spec)
-    pair = monomialize_pair((0, 1), (2, 0), spec)
+    res2 = principalize_exponents([(0, 1), (2, 0)], PushPath(spec.frame()))
+    pair = run_pair_descent((0, 1), (2, 0), PushPath(spec.frame()))
     assert res2.survivor == 0  # sqrt2 < 2
     assert res2.exponents[0] == pair.alpha and res2.exponents[1] == pair.gamma
     # three generators: survivor is the min-value one
     gens = [(3, 0), (0, 2), (1, 1)]
-    res3 = principalize_monomial_ideal(gens, spec)
+    path3 = PushPath(spec.frame())
+    res3 = principalize_exponents(gens, path3)
     vals = [value_of_exponent(e, spec.weights) for e in gens]
     best = min(range(3), key=lambda i: (vals[i], i))
     assert res3.survivor == best
     surv = res3.exponents[res3.survivor]
     for e in res3.exponents:
         assert all(
-            x <= y for i, (x, y) in enumerate(zip(surv, e)) if i not in res3.path.frame.units
+            x <= y for i, (x, y) in enumerate(zip(surv, e)) if i not in path3.frame.units
         )
 
 
 def test_independence_sets():
-    spec = sqrt_prime_spec(3)
+    # the runners claim the sets: only they know the path is the whole run
+    problem = {
+        "algorithm": "pair",
+        "group": {"rank": 3},
+        "spec": {
+            "vars": ["u1", "u2", "u3"],
+            "weights": [
+                {"coords": ["1", "0", "0"]}, {"coords": ["0", "1", "0"]}, {"coords": ["0", "0", "1"]},
+            ],
+        },
+        "alpha": [0, 1, 4],
+        "gamma": [2, 0, 4],
+    }
     # the pair agrees on the last variable, which no blow-up centre holds
-    assert monomialize_pair((0, 1, 4), (2, 0, 4), spec).path.independence_set == (2,)
-    res = principalize_monomial_ideal([(3, 0, 0), (0, 2, 0), (1, 1, 0)], spec)
-    assert res.path.independence_set == (2,)
-    assert res.path.to_json()["independent_of"] == [3]
+    pair = run_problem(problem)
+    assert pair["verdict"] == {"ok": True}
+    assert pair["witnesses"]["sequence"]["independent_of"] == [3]
+    problem["algorithm"] = "principalize"
+    problem["generators"] = [[3, 0, 0], [0, 2, 0], [1, 1, 0]]
+    ideal = run_problem(problem)
+    assert ideal["verdict"] == {"ok": True}
+    assert ideal["witnesses"]["sequence"]["independent_of"] == [3]
 
 
 @pytest.mark.parametrize("run", [
-    lambda spec: monomialize_pair((1,), (0,), spec),
-    lambda spec: principalize_monomial_ideal([(1,), (0,)], spec),
+    lambda spec: run_pair_descent((1,), (0,), PushPath(spec.frame())),
+    lambda spec: principalize_exponents([(1,), (0,)], PushPath(spec.frame())),
 ], ids=["pair", "principalize"])
 def test_exponents_shorter_than_the_frame_are_invalid_input(run):
     with pytest.raises(InvalidInputError, match="exponent length must match the frame"):
@@ -152,10 +177,10 @@ def test_exponents_shorter_than_the_frame_are_invalid_input(run):
 
 
 @pytest.mark.parametrize("run", [
-    lambda spec: monomialize_pair((2, -3), (0, 1), spec),
-    lambda spec: principalize_monomial_ideal([(2, 0), (0, -1), (1, 1)], spec),
-    lambda spec: monomialize_pair((1.5, 0), (0, 1), spec),
-    lambda spec: principalize_monomial_ideal([(True, 0), (0, 1)], spec),
+    lambda spec: run_pair_descent((2, -3), (0, 1), PushPath(spec.frame())),
+    lambda spec: principalize_exponents([(2, 0), (0, -1), (1, 1)], PushPath(spec.frame())),
+    lambda spec: run_pair_descent((1.5, 0), (0, 1), PushPath(spec.frame())),
+    lambda spec: principalize_exponents([(True, 0), (0, 1)], PushPath(spec.frame())),
 ], ids=["negative-pair", "negative-ideal", "float", "bool"])
 def test_exponents_other_than_nonnegative_ints_are_invalid_input(run):
     with pytest.raises(InvalidInputError, match="exponents must be nonnegative integers"):
@@ -163,9 +188,9 @@ def test_exponents_other_than_nonnegative_ints_are_invalid_input(run):
 
 
 @pytest.mark.parametrize("run", [
-    lambda spec: monomialize_pair((1, 0, 0, 0), (0, 1, 0, 0), spec, budget=50),
-    lambda spec: principalize_monomial_ideal(
-        [(2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0)], spec, budget=50
+    lambda spec: run_pair_descent((1, 0, 0, 0), (0, 1, 0, 0), PushPath(spec.frame(), 50)),
+    lambda spec: principalize_exponents(
+        [(2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0)], PushPath(spec.frame(), 50)
     ),
 ], ids=["pair", "ideal"])
 def test_a_step_that_keeps_tau_is_caught(monkeypatch, run):
@@ -188,8 +213,9 @@ def test_principalize_tau_log_strictly_decreases():
             e for e in gens
             if not any(all(x <= y for x, y in zip(o, e)) and o != e for o in gens)
         ]
-        res = principalize_monomial_ideal(gens, spec)
-        log = [tuple((r["tau_ideal"][0], tuple(r["tau_ideal"][1]))) for r in res.path.records]
+        path = PushPath(spec.frame())
+        principalize_exponents(gens, path)
+        log = [tuple((r["tau_ideal"][0], tuple(r["tau_ideal"][1]))) for r in path.records]
         assert all(log[i + 1] < log[i] for i in range(len(log) - 1))
 
 
@@ -213,8 +239,9 @@ def test_principalize_scans_each_state_once(monkeypatch):
         gens = {tuple(rng.randint(0, 6) for _ in range(n)) for _ in range(rng.randint(2, 5))}
         gens = [e for e in gens if not any(all(x <= y for x, y in zip(o, e)) and o != e for o in gens)]
         scans.clear()
-        res = principalize_monomial_ideal(gens, sqrt_prime_spec(n))
-        blowups += sum(r["event"] == "blowup" for r in res.path.records)
+        path = PushPath(sqrt_prime_spec(n).frame())
+        principalize_exponents(gens, path)
+        blowups += sum(r["event"] == "blowup" for r in path.records)
         assert all(a != b for a, b in zip(scans, scans[1:]))
     assert blowups >= 40
 
@@ -261,8 +288,9 @@ def test_valuation_and_initial_form_multiplicative():
 def test_monomialize_nondegenerate_monomial_input():
     spec = sqrt_prime_spec(2)
     f = poly(("u1", "u2"), {(2, 3): 5})
-    res = monomialize_nondegenerate(f, spec)
-    assert len(res.path.steps) == 0
+    path = PushPath(spec.frame())
+    res = monomialize_nondegenerate(f, path)
+    assert len(path.steps) == 0
     assert res.exponent == (2, 3)
     assert is_constant(res.unit_witness)
 
@@ -272,10 +300,11 @@ def test_monomialize_nondegenerate_cusp_shape():
     # of u2's exponent carries f
     spec = sqrt_prime_spec(2)
     f = poly(("u1", "u2"), {(0, 1): 1, (2, 0): 1})
-    res = monomialize_nondegenerate(f, spec)
+    path = PushPath(spec.frame())
+    res = monomialize_nondegenerate(f, path)
     assert res.unit_witness.constant_term() == res.unit_witness.tower.one()
     # exponent * unit reproduces the pushed-through f
-    img = push_by_matrices(f, res.path.steps)
+    img = push_by_matrices(f, path.steps)
     from valmono.polyalg import MultiPoly
 
     mono = MultiPoly.monomial(f.vars, res.exponent, 1)
@@ -286,8 +315,9 @@ def test_monomialize_nondegenerate_tie_example():
     # f = u1 + u2, weights (1,1): one blow-up; unit = 1 + u2'
     spec = rational_spec([1, 1], names=("u1", "u2"))
     f = poly(("u1", "u2"), {(1, 0): 1, (0, 1): 1})
-    res = monomialize_nondegenerate(f, spec)
-    assert len(res.path.steps) == 1
+    path = PushPath(spec.frame())
+    res = monomialize_nondegenerate(f, path)
+    assert len(path.steps) == 1
     assert res.exponent == (1, 0)
     assert res.unit_witness == poly(("u1", "u2"), {(0, 0): 1, (0, 1): 1})
     assert res.unit_witness.constant_term() == res.unit_witness.tower.one()
@@ -304,9 +334,10 @@ def test_nondegenerate_image_matches_stepwise_push():
         else:
             spec = sqrt_prime_spec(n, names)
         f = random_poly(rng, names, max_terms=5, max_exp=4)
-        res = monomialize_nondegenerate(f, spec)
-        ties += any(s.J_times for s in res.path.steps)
-        want = push_by_matrices(f, res.path.steps)
+        path = PushPath(spec.frame())
+        res = monomialize_nondegenerate(f, path)
+        ties += any(s.J_times for s in path.steps)
+        want = push_by_matrices(f, path.steps)
         assert res.image == want and list(res.image.terms) == list(want.terms)
     assert ties >= 10
 
@@ -327,7 +358,7 @@ def test_divisibility_direction_with_random_rational_weights():
         spec = MonomialValuationSpec(tuple(f"u{i}" for i in range(n)), weights)
         a = tuple(rng.randint(0, 6) for _ in range(n))
         b = tuple(rng.randint(0, 6) for _ in range(n))
-        res = monomialize_pair(a, b, spec)
+        res = run_pair_descent(a, b, PushPath(spec.frame()))
         va = value_of_exponent(a, weights)
         vb = value_of_exponent(b, weights)
         cmp = compare(va, vb)

@@ -647,6 +647,71 @@ def test_growth_scan_sees_each_kind():
     ]
 
 
+# The runner owns the path: each ``_run_*`` of ``trace`` builds the run's
+# ``PushPath`` from the frame it parsed, with the run's budget, and hands it
+# to the engine, so the engines of ``game`` and ``unifseq`` take no budget.
+_PATH_RUNNERS = (
+    "_run_keypoly_monomialize", "_run_nondegenerate", "_run_pair",
+    "_run_polynomial", "_run_principalize", "_run_uniformize",
+)
+
+
+def _path_uses(node: ast.AST, scope: str = "<module>", prefix: str = "") -> list[str]:
+    """``scope: PushPath`` for each construction of a ``PushPath`` and
+    ``scope: budget`` for each function with a parameter named ``budget``,
+    with the function around it, qualified by its classes, as its scope."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        inner, inner_prefix = scope, prefix
+        if isinstance(child, ast.ClassDef):
+            inner_prefix = f"{prefix}{child.name}."
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = prefix + child.name
+            inner_prefix = f"{inner}."
+            a = child.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            if any(p.arg == "budget" for p in params):
+                found.append(f"{inner}: budget")
+        elif isinstance(child, ast.Call):
+            func = child.func
+            if (getattr(func, "id", None) or getattr(func, "attr", None)) == "PushPath":
+                found.append(f"{scope}: PushPath")
+        found += _path_uses(child, inner, inner_prefix)
+    return found
+
+
+def test_only_the_runners_build_a_path():
+    """No function outside ``trace``'s runners constructs a ``PushPath``,
+    and no function of ``game`` or ``unifseq`` has a ``budget`` parameter."""
+    found, makers = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for use in _path_uses(_parse(path)):
+            scope, what = use.split(": ")
+            if what == "PushPath" and path.name == "trace.py" and scope in _PATH_RUNNERS:
+                makers.append(scope)
+            elif what == "PushPath" or path.name in ("game.py", "unifseq.py"):
+                found.append(f"{path.name} {use}")
+    assert found == []
+    # each runner that plays on a path builds it once, so the rule names live code
+    assert sorted(makers) == list(_PATH_RUNNERS)
+
+
+def test_path_scan_sees_each_kind():
+    src = (
+        "path = PushPath(frame)\n\n"
+        "def run(spec, budget=5):\n    return framing.PushPath(spec.frame(), budget)\n\n"
+        "class Engine:\n    def play(self, *, budget):\n"
+        "        def later(path):\n            return PushPath(path.frame)\n"
+        "        return later\n\n"
+        "    def spend(self, *budget):\n        return budget\n\n"
+        "def left(path):\n    return path.budget\n"
+    )
+    assert _path_uses(ast.parse(src)) == [
+        "<module>: PushPath", "run: budget", "run: PushPath",
+        "Engine.play: budget", "Engine.play.later: PushPath", "Engine.spend: budget",
+    ]
+
+
 # ``@dataclass`` generates each class's methods as source text and compiles
 # it at import, and ``dataclasses`` loads ``inspect``, ``ast`` and ``dis``:
 # every CLI call would pay for both before it reads its input.  The

@@ -1018,6 +1018,43 @@ def test_malformed_spec_is_schema_error(field, value):
         run_problem(problem)
 
 
+# an exponent field of the wrong shape names the field and quotes the bad
+# value: the whole field, or the one generator at fault
+BAD_EXPONENTS = [
+    ("alpha", 5, "not 5"),
+    ("gamma", ["1"], "not ['1']"),
+    ("alpha", [1, -1], "not [1, -1]"),
+    ("gamma", [True, 0], "not [True, 0]"),
+    ("generators", 5, "not 5"),
+    ("generators", [[1, 0], "x"], "not 'x'"),
+    ("generators", [[1, 0], [0.5, 1]], "not [0.5, 1]"),
+]
+
+
+def _with_bad_exponent(field, value):
+    problem = pair_problem()
+    if field == "generators":
+        problem["algorithm"] = "principalize"
+        del problem["alpha"], problem["gamma"]
+    problem[field] = value
+    return problem
+
+
+@pytest.mark.parametrize("field,value,shown", BAD_EXPONENTS)
+def test_malformed_exponent_is_schema_error(field, value, shown):
+    with pytest.raises(SchemaError, match=field) as err:
+        run_problem(_with_bad_exponent(field, value))
+    assert shown in str(err.value)
+
+
+def test_cli_malformed_exponent_exits_2(tmp_path):
+    pf = tmp_path / "p.json"
+    pf.write_text(json.dumps(_with_bad_exponent("gamma", ["1"])))
+    r = _cli("run", str(pf))
+    assert r.returncode == 2 and "Traceback" not in r.stderr
+    assert "gamma must be an array of nonnegative integers, not ['1']" in r.stderr
+
+
 @pytest.mark.parametrize("field", ["w_vars", "w_weights"])
 def test_malformed_uniformize_weights_is_schema_error(field):
     problem = cusp_uniformize_problem()
@@ -1428,12 +1465,12 @@ def test_cli_has_no_auto_independence_option(tmp_path):
 def test_library_has_no_independence_switch_or_problem_tower():
     import inspect
 
-    from valmono.game import monomialize_nondegenerate, monomialize_pair, principalize_monomial_ideal
+    from valmono.game import monomialize_nondegenerate, principalize_exponents, run_pair_descent
     from valmono.unifseq import UniformizingProblem, elementary_uniformizing_sequence
 
     for f in (
-        monomialize_pair,
-        principalize_monomial_ideal,
+        run_pair_descent,
+        principalize_exponents,
         monomialize_nondegenerate,
         elementary_uniformizing_sequence,
         run_problem,

@@ -60,10 +60,12 @@ def cusp_problem(**kw):
 
 def test_perturbation_over_another_tower_is_invalid_input():
     h = MultiPoly.build(("w1", "wn"), {(4, 0): QQ.from_rational(1)})
-    assert elementary_uniformizing_sequence(cusp_problem(h=h)).witness["exact"] is False
+    prob = cusp_problem(h=h)
+    assert elementary_uniformizing_sequence(prob, PushPath(prob.frame())).witness["exact"] is False
     sqrt2 = QQ.extend("t1", [QQ.from_rational(-2), QQ.zero(), QQ.one()])
+    prob = cusp_problem(h=h.with_tower(sqrt2))
     with pytest.raises(InvalidInputError, match="rational coefficients"):
-        elementary_uniformizing_sequence(cusp_problem(h=h.with_tower(sqrt2)))
+        elementary_uniformizing_sequence(prob, PushPath(prob.frame()))
 
 
 G2 = ValueGroup(2)
@@ -93,8 +95,9 @@ def lattice_problem(w_coords, beta):
     ],
 )
 def test_lattice_faults_are_reported_in_order(w_coords, beta, error, match):
+    prob = lattice_problem(w_coords, beta)
     with pytest.raises(error, match=match):
-        elementary_uniformizing_sequence(lattice_problem(w_coords, beta))
+        elementary_uniformizing_sequence(prob, PushPath(prob.frame()))
 
 
 def test_lattice_data_eliminates_once(monkeypatch):
@@ -119,7 +122,8 @@ def test_one_lattice_solve_per_level(monkeypatch):
     monkeypatch.setattr(
         unifseq, "min_integer_multiple_in_lattice", lambda t, b: calls.append(t) or solve(t, b)
     )
-    res = elementary_uniformizing_sequence(cusp_problem())
+    prob = cusp_problem()
+    res = elementary_uniformizing_sequence(prob, PushPath(prob.frame()))
     assert res.new_var is not None and len(calls) == 1
     calls.clear()
     # three entries, two levels: x + u over x, then x + u + u^2 over it
@@ -133,7 +137,8 @@ def test_one_lattice_solve_per_level(monkeypatch):
             (q2 + poly(UV, {(2, 0): 1}), G1.rational(3)),
         ),
     )
-    assert len(monomialize_key_polys(chain).level_data) == len(calls) == 2
+    res = monomialize_key_polys(chain, PushPath(chain.initial_frame()))
+    assert len(res.level_data) == len(calls) == 2
 
 
 def test_absorb_advances_each_exponent_from_its_start():
@@ -154,7 +159,7 @@ def test_absorb_advances_each_exponent_from_its_start():
 def test_uniformize_needs_a_w_variable():
     prob = lattice_problem([], (1, 0))
     with pytest.raises(InvalidInputError, match="at least one w-variable"):
-        elementary_uniformizing_sequence(prob)
+        elementary_uniformizing_sequence(prob, PushPath(prob.frame()))
 
 
 @pytest.mark.parametrize(
@@ -172,7 +177,7 @@ def test_w_weight_count_must_match_w_vars(w_names, w_weights, message):
         residue=(-1, 1),
     )
     with pytest.raises(InvalidInputError, match=message):
-        elementary_uniformizing_sequence(prob)
+        elementary_uniformizing_sequence(prob, PushPath(prob.frame()))
 
 def test_linear_case():
     # Q = w_n - w_1 with beta_n = beta_1: abar = 1, one blow-up,
@@ -184,30 +189,33 @@ def test_linear_case():
         beta_n=G1.rational(1),
         residue=(-1, 1),
     )
-    res = elementary_uniformizing_sequence(prob)
+    path = PushPath(prob.frame())
+    res = elementary_uniformizing_sequence(prob, path)
     assert res.abar == 1 and res.alpha_coeffs == (1,)
-    matrix_steps = [s for s in res.path.steps if trace_matrix(s) != identity(2)]
+    matrix_steps = [s for s in path.steps if trace_matrix(s) != identity(2)]
     assert len(matrix_steps) == 1
     assert res.witness["exact"] is True
     # quotient is exactly the new variable (z - 1)
     assert res.witness["quotient"]["terms"] == [{"e": [0, 1], "c": "1"}]
-    assert res.path.steps[-1].translation_data[0].minpoly == (-1, 1)
+    assert path.steps[-1].translation_data[0].minpoly == (-1, 1)
 
 
 def test_cusp_all_conclusions():
-    res = elementary_uniformizing_sequence(cusp_problem())
+    prob = cusp_problem()
+    path = PushPath(prob.frame())
+    res = elementary_uniformizing_sequence(prob, path)
     n = 2
     # (1) every step before the final collision is monomial
-    kinds = [s.kind for s in res.path.steps]
+    kinds = [s.kind for s in path.steps]
     assert all(k == "monomial" for k in kinds[:-2])
-    assert res.path.steps[-1].kind == "translation"
+    assert path.steps[-1].kind == "translation"
     # (2) P != 0: official dimension stays n
-    assert len(active_indices(res.path.frame)) == n
+    assert len(active_indices(path.frame)) == n
     # (3) w_1 and w_n are monomials in the final actives times a unit
     assert res.images["w1"]["monomial"] == [2, 0] and res.images["w1"]["z_power"] == 1
     assert res.images["wn"]["monomial"] == [3, 0] and res.images["wn"]["z_power"] == 2
     # (4) final variables are Laurent monomials in the old ones (unimodular)
-    total = forward_product(res.path.steps, n)
+    total = forward_product(path.steps, n)
     inv = old_inverse_int(total)
     assert inv is not None and old_mat_mul(total, inv) == identity(n)
     # (5) image(Q) = y * (image of w_n^(l)) exactly: unit cofactor 1
@@ -216,8 +224,8 @@ def test_cusp_all_conclusions():
     assert res.witness["quotient"]["terms"] == [{"e": [0, 1], "c": "1"}]
     assert res.witness["monomial_exponent"] == [6, 3]
     # (6) residue extension is k[X]/(X - 1) = k
-    assert res.path.steps[-1].translation_data[0].minpoly == (-1, 1)
-    assert res.path.frame.tower == QQ
+    assert path.steps[-1].translation_data[0].minpoly == (-1, 1)
+    assert path.frame.tower == QQ
     assert res.d == 1 and res.abar == 2 and res.alpha_coeffs == (3,)
 
 
@@ -229,10 +237,11 @@ def test_transcendental_case_drops_dimension():
         beta_n=G1.rational(3),
         residue=None,
     )
-    res = elementary_uniformizing_sequence(prob)
+    path = PushPath(prob.frame())
+    res = elementary_uniformizing_sequence(prob, path)
     assert res.new_var is None
-    assert len(active_indices(res.path.frame)) == 1  # n - 1
-    assert res.path.frame.units == frozenset({res.z_column})
+    assert len(active_indices(path.frame)) == 1  # n - 1
+    assert path.frame.units == frozenset({res.z_column})
     assert res.witness == {"kind": "transcendental"}
 
 
@@ -246,12 +255,13 @@ def test_passive_variables_ride_along():
         v_names=("v1",),
         v_weights=(G1.rational(5),),
     )
-    res = elementary_uniformizing_sequence(prob)
-    assert res.path.independence_set == (1,)
-    for s in res.path.steps:
+    path = PushPath(prob.frame())
+    res = elementary_uniformizing_sequence(prob, path)
+    assert path.independence_set == (1,)
+    for s in path.steps:
         assert 1 not in s.J
     # v column untouched in the composed matrix
-    total = forward_product(res.path.steps, 3)
+    total = forward_product(path.steps, 3)
     assert tuple(row[1] for row in total) == (0, 1, 0)
     assert total[1] == (0, 1, 0)
 
@@ -259,15 +269,16 @@ def test_passive_variables_ride_along():
 def test_perturbed_cusp():
     # Q~ = (wn^2 - w1^3) + w1^4, nu_0(h) = 8 > 6 = nu_0(Q)
     h = MultiPoly.build(("w1", "wn"), {(4, 0): QQ.from_rational(1)})
-    res = elementary_uniformizing_sequence(cusp_problem(h=h))
+    prob = cusp_problem(h=h)
+    res = elementary_uniformizing_sequence(prob, PushPath(prob.frame()))
     assert res.witness["exact"] is False
     assert res.witness["kind"] == "algebraic"
     # the factorization divided exactly and the tail stays in the ideal
     assert "perturbation_tail" in res.witness
     # the perturbation value condition is enforced
-    bad = MultiPoly.build(("w1", "wn"), {(3, 0): QQ.from_rational(1)})
+    bad = cusp_problem(h=MultiPoly.build(("w1", "wn"), {(3, 0): QQ.from_rational(1)}))
     with pytest.raises(InvalidInputError):
-        elementary_uniformizing_sequence(cusp_problem(h=bad))
+        elementary_uniformizing_sequence(bad, PushPath(bad.frame()))
 
 
 def test_degree_two_residue_extends_tower():
@@ -280,13 +291,14 @@ def test_degree_two_residue_extends_tower():
         beta_n=G1.rational(1),
         residue=(-2, 0, 1),
     )
-    res = elementary_uniformizing_sequence(prob)
+    path = PushPath(prob.frame())
+    res = elementary_uniformizing_sequence(prob, path)
     assert res.d == 2 and res.abar == 1
-    assert res.path.frame.tower.depth == 1
-    sym = res.path.frame.tower.extensions[0][0]
+    assert path.frame.tower.depth == 1
+    sym = path.frame.tower.extensions[0][0]
     # unit cofactor is X + 2 theta, constant part 2 theta, P'(theta) != 0
     assert res.witness["exact"] is True
-    tower = res.path.frame.tower
+    tower = path.frame.tower
     const = tower_elem(res.witness["unit_constant"])
     assert const == tower.mul(tower.generator(sym), tower.from_rational(2))
     # verify the full identity by reconstruction: image(Q) = w^div * X * U
@@ -296,7 +308,7 @@ def test_degree_two_residue_extends_tower():
     frame0 = prob.frame()
     img = q_poly
     fr = frame0
-    for s in res.path.steps:
+    for s in path.steps:
         img = push_polynomial_through_step(img, fr, s)
         fr = apply_step_to_frame(fr, s)
         img = MultiPoly(fr.names, img.terms, img.tower)
@@ -319,14 +331,15 @@ def test_inverted_direction():
         beta_n=G1.rational(2),
         residue=(-1, 1),
     )
-    res = elementary_uniformizing_sequence(prob)
+    res = elementary_uniformizing_sequence(prob, PushPath(prob.frame()))
     assert res.witness["exact"] is True
     assert res.z_sign in (-1, 1)
 
 
 def test_keypoly_driver_cusp():
     chain_ = cusp()
-    res = monomialize_key_polys(chain_)
+    path = PushPath(chain_.initial_frame())
+    res = monomialize_key_polys(chain_, path)
     assert [w.entry for w in res.witnesses] == [1, 2]
     top = res.witnesses[-1]
     assert top.x_multiplicity == 1
@@ -334,7 +347,7 @@ def test_keypoly_driver_cusp():
     unit_const = top.unit.constant_term()
     assert not top.unit.tower.is_zero(unit_const)
     # new parameter has the declared jump value 4 - 3 = 1
-    assert res.path.frame.weights[res.x_column].coords == (Fraction(1),)
+    assert path.frame.weights[res.x_column].coords == (Fraction(1),)
 
 
 def cusp():
@@ -350,8 +363,9 @@ def test_keypoly_claims_are_checked(monkeypatch):
     # the run checks its own claims: a wrong top multiplicity and a wrong
     # beta are each an internal error, never an ok result
     chain_ = cusp()
-    res = monomialize_key_polys(chain_)
-    frame = res.path.frame
+    path = PushPath(chain_.initial_frame())
+    res = monomialize_key_polys(chain_, path)
+    frame = path.frame
     unifseq._check_key_claims(chain_, res.witnesses, frame)
     twice = res.witnesses[:-1] + [res.witnesses[-1]._replace(x_multiplicity=2)]
     with pytest.raises(AssertionError, match="x multiplicity 2, not 1"):
@@ -368,7 +382,7 @@ def test_keypoly_claims_are_checked(monkeypatch):
         lambda path, q, sign, mp, jump: translate(path, q, sign, mp, jump + jump),
     )
     with pytest.raises(AssertionError, match="key polynomial 2 has least term value"):
-        monomialize_key_polys(chain_)
+        monomialize_key_polys(chain_, PushPath(chain_.initial_frame()))
 
 
 def test_keypoly_driver_translation_chain():
@@ -378,7 +392,7 @@ def test_keypoly_driver_translation_chain():
     q2 = poly(UV, {(0, 1): 1, (1, 0): 1})
     chain = KeyPolyChain(ground, "x", ((q1, G1.rational(1)), (q2, G1.rational(2))))
     assert validate_chain(chain) == []
-    res = monomialize_key_polys(chain)
+    res = monomialize_key_polys(chain, PushPath(chain.initial_frame()))
     assert res.witnesses[-1].x_multiplicity == 1
     assert res.level_data[0]["abar"] == 1 and res.level_data[0]["d"] == 1
 
@@ -388,8 +402,9 @@ def test_keypoly_driver_single_entry():
     chain = KeyPolyChain(
         ground, "x", ((MultiPoly.variable(UV, "x"), G1.rational(Fraction(3, 2))),)
     )
-    res = monomialize_key_polys(chain)
-    assert len(res.path.steps) == 0
+    path = PushPath(chain.initial_frame())
+    res = monomialize_key_polys(chain, path)
+    assert len(path.steps) == 0
     assert res.witnesses[0].monomial[res.x_column] == 1
 
 
@@ -399,17 +414,18 @@ def test_keypoly_driver_invalid_chain_rejected():
     q2 = poly(UV, {(0, 2): 1, (3, 0): -1})
     bad = KeyPolyChain(ground, "x", ((q1, G1.rational(2)), (q2, G1.rational(1))))
     with pytest.raises(InvalidInputError):
-        monomialize_key_polys(bad)
+        monomialize_key_polys(bad, PushPath(bad.initial_frame()))
 
 
 def test_keypoly_driver_random_binomials(rng):
     for _ in range(15):
         chain = binomial_chain(rng, allow_extension=False)
-        res = monomialize_key_polys(chain)
+        path = PushPath(chain.initial_frame())
+        res = monomialize_key_polys(chain, path)
         assert res.witnesses[-1].x_multiplicity == 1
         for w in res.witnesses:
             assert any(
-                all(x == 0 for i, x in enumerate(e) if i not in res.path.frame.units)
+                all(x == 0 for i, x in enumerate(e) if i not in path.frame.units)
                 for e in w.unit.terms
             )
 
@@ -417,15 +433,16 @@ def test_keypoly_driver_random_binomials(rng):
 def test_monomialize_polynomial_examples():
     chain = cusp()
     # f = Q_top delegates to the chain driver
-    res = monomialize_polynomial(chain.Q(2), chain)
-    assert res.exponent[res.path.frame.names.index("x'")] == 1
+    path = PushPath(chain.initial_frame())
+    res = monomialize_polynomial(chain.Q(2), chain, path)
+    assert res.exponent[path.frame.names.index("x'")] == 1
     # f = u^3 x: monomial after pushing, no recursion
     f = poly(UV, {(3, 1): 1})
-    res2 = monomialize_polynomial(f, chain)
+    res2 = monomialize_polynomial(f, chain, PushPath(chain.initial_frame()))
     mono = MultiPoly.monomial(res2.image.vars, res2.exponent, 1, res2.image.tower)
     assert mono * res2.unit_witness == res2.image
     # f = x^3: single minimal term at mu'_2 = 9/2
-    res3 = monomialize_polynomial(poly(UV, {(0, 3): 1}), chain)
+    res3 = monomialize_polynomial(poly(UV, {(0, 3): 1}), chain, PushPath(chain.initial_frame()))
     assert [d["attains_min"] for d in res3.expansion_values] == [True, False]
     mono3 = MultiPoly.monomial(res3.image.vars, res3.exponent, 1, res3.image.tower)
     assert mono3 * res3.unit_witness == res3.image
@@ -444,11 +461,14 @@ def test_polynomial_run_spends_one_budget():
         (poly(vars_, {(0, 0, 2): 1, (3, 3, 0): -1}), g2.value([3, 4])),
     ))
     f = poly(vars_, {(4, 0, 0): 1, (0, 3, 0): 1})
-    assert sum(len(s.J) > 1 for s in monomialize_key_polys(chain, 5).path.steps) == 5
+    path = PushPath(chain.initial_frame(), 5)
+    monomialize_key_polys(chain, path)
+    assert sum(len(s.J) > 1 for s in path.steps) == 5
     with pytest.raises(StepBudgetExceededError, match=r"step budget exceeded \(5 steps\)"):
-        monomialize_polynomial(f, chain, 5)
-    res = monomialize_polynomial(f, chain, 10)
-    assert res.path.blowups == sum(len(s.J) > 1 for s in res.path.steps) == 10
+        monomialize_polynomial(f, chain, PushPath(chain.initial_frame(), 5))
+    path = PushPath(chain.initial_frame(), 10)
+    monomialize_polynomial(f, chain, path)
+    assert path.blowups == sum(len(s.J) > 1 for s in path.steps) == 10
 
 
 def test_monomialize_polynomial_random(rng):
@@ -458,11 +478,12 @@ def test_monomialize_polynomial_random(rng):
                       (rng.randint(0, 4), rng.randint(0, 4)): rng.choice([1, 3, -2])})
         if f.is_zero():
             continue
-        res = monomialize_polynomial(f, chain)
+        path = PushPath(chain.initial_frame())
+        res = monomialize_polynomial(f, chain, path)
         mono = MultiPoly.monomial(res.image.vars, res.exponent, 1, res.image.tower)
         assert mono * res.unit_witness == res.image
         assert any(
-            all(x == 0 for i, x in enumerate(e) if i not in res.path.frame.units)
+            all(x == 0 for i, x in enumerate(e) if i not in path.frame.units)
             for e in res.unit_witness.terms
         )
 
@@ -479,11 +500,12 @@ def test_keypoly_driver_translation_tower():
         ((q1, G1.rational(1)), (q2, G1.rational(2)), (q3, G1.rational(3))),
     )
     assert validate_chain(chain) == []
-    res = monomialize_key_polys(chain)
+    path = PushPath(chain.initial_frame())
+    res = monomialize_key_polys(chain, path)
     assert res.witnesses[-1].x_multiplicity == 1
     for w in res.witnesses:
         assert any(
-            all(x == 0 for i, x in enumerate(e) if i not in res.path.frame.units)
+            all(x == 0 for i, x in enumerate(e) if i not in path.frame.units)
             for e in w.unit.terms
         )
 
@@ -508,7 +530,7 @@ def test_keypoly_driver_completion_boundary():
     )
     assert validate_chain(chain) == []
     with pytest.raises(RequiresCompletionError):
-        monomialize_key_polys(chain)
+        monomialize_key_polys(chain, PushPath(chain.initial_frame()))
 
 
 def test_rank_two_uniformizing_sequence():
@@ -523,10 +545,11 @@ def test_rank_two_uniformizing_sequence():
         beta_n=g2.value([1, 1]),
         residue=(-1, 1),
     )
-    res = elementary_uniformizing_sequence(prob)
+    path = PushPath(prob.frame())
+    res = elementary_uniformizing_sequence(prob, path)
     assert res.abar == 1 and res.alpha_coeffs == (1, 1)
     assert res.witness["exact"] is True
-    assert res.path.frame.tower == base
+    assert path.frame.tower == base
 
 
 def test_perturbation_touching_passive_variable():
@@ -543,11 +566,12 @@ def test_perturbation_touching_passive_variable():
         v_weights=(G1.rational(5),),
         h=h,
     )
-    res = elementary_uniformizing_sequence(prob)
+    path = PushPath(prob.frame())
+    res = elementary_uniformizing_sequence(prob, path)
     assert res.witness["exact"] is False
     assert res.aux_steps >= 1
     # auxiliary work touched the passive variable: no independence claim
-    assert res.path.independence_set is None
+    assert path.independence_set is None
 
 
 def test_keypoly_driver_rank_two_ground():
@@ -562,7 +586,7 @@ def test_keypoly_driver_rank_two_ground():
     )
     chain = KeyPolyChain(spec, "x", ((q1, g2.value([1, 1])), (q2, g2.value([3, 2]))))
     assert validate_chain(chain) == []
-    res = monomialize_key_polys(chain)
+    res = monomialize_key_polys(chain, PushPath(chain.initial_frame()))
     assert res.witnesses[-1].x_multiplicity == 1
 
 
@@ -578,7 +602,7 @@ def test_beta_outside_span_rejected():
         residue=(-1, 1),
     )
     with pytest.raises(NotInDivisibleHullError):
-        elementary_uniformizing_sequence(prob)
+        elementary_uniformizing_sequence(prob, PushPath(prob.frame()))
 
 
 # -- the push path against step-by-step pushing --------------------------------
@@ -609,22 +633,23 @@ def _chain_runs():
     chains = [binomial_chain(rng) for _ in range(24)] + [_extension_chain(rng) for _ in range(12)]
     runs = []
     for chain in chains:
+        path = PushPath(chain.initial_frame())
         try:
-            res = monomialize_key_polys(chain)
+            monomialize_key_polys(chain, path)
         except RequiresCompletionError:
             continue
         polys = [chain.Q(i) for i in range(1, len(chain) + 1)]
         polys += [random_poly(rng, UV, max_terms=4, max_exp=5) for _ in range(2)]
-        runs.append((chain, res, polys, rng.randrange(1 << 30)))
+        runs.append((chain, path, polys, rng.randrange(1 << 30)))
     return runs
 
 
 def test_push_path_prefixes_equal_whole_sequence():
     runs = _chain_runs()
     assert len(runs) >= 20
-    assert any(res.path.frame.tower.depth for _, res, _, _ in runs)  # a tower extension
-    for chain, res, polys, seed in runs:
-        steps = res.path.steps
+    assert any(path.frame.tower.depth for _, path, _, _ in runs)  # a tower extension
+    for chain, path, polys, seed in runs:
+        steps = path.steps
         frame0 = chain.initial_frame()
         whole_path = extend_path(PushPath(frame0), steps)
         cut_rng = random.Random(seed)
@@ -646,7 +671,7 @@ def test_push_path_prefixes_equal_whole_sequence():
                 img = extend_path(growing, (s,)).push(img, len(growing) - 1)
             assert img == want
         # frames recomputed from the steps agree with those the run handed in
-        assert whole_path.frames == res.path.frames
+        assert whole_path.frames == path.frames
 
 
 def test_initial_form_matches_the_oracle(rng):
