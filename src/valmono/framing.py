@@ -308,7 +308,6 @@ class PushPath:
         self.steps: list[FramedStep] = []
         self.budget = budget
         self.blowups = 0
-        self.independence_set: Optional[tuple[int, ...]] = None  # see claim_independence
         self.records: list[dict] = []
 
     def __len__(self) -> int:
@@ -406,23 +405,21 @@ class PushPath:
         """Log one record of the run, numbered from 1."""
         self.records.append({"step": len(self.records) + 1, **fields})
 
-    def claim_independence(self, cols: Sequence[int]) -> None:
-        """Claim that no center of the steps so far holds a column of ``cols``."""
-        cols = tuple(cols)
-        if any(not set(s.J).isdisjoint(cols) for s in self.steps):
-            raise InvalidInputError("sequence touches its independence set")
-        self.independence_set = cols
-
-    def to_json(self) -> dict:
+    def to_json(self, independent_of: Optional[Sequence[int]] = None) -> dict:
         """The sequence witness: a header with the first frame and its
-        group, the steps, and the independence set when one is claimed."""
+        group, then the steps.  A runner that knows the path is its whole
+        run passes ``independent_of``, columns that no center holds; it is
+        checked against every step and written 1-based."""
         frame0 = self.frames[0]
         out = {
             "header": dict(frame0.to_json(), group=frame0.group.to_json()),
             "steps": [s.to_json() for s in self.steps],
         }
-        if self.independence_set is not None:
-            out["independent_of"] = [i + 1 for i in self.independence_set]
+        if independent_of is not None:
+            cols = set(independent_of)
+            if any(not cols.isdisjoint(s.J) for s in self.steps):
+                raise InvalidInputError("sequence touches its independence set")
+            out["independent_of"] = [i + 1 for i in independent_of]
         return out
 
     def push(self, f: MultiPoly, start: int = 0, stop: Optional[int] = None) -> MultiPoly:

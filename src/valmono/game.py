@@ -308,6 +308,7 @@ class NondegResult(NamedTuple):
     exponent: tuple[int, ...]
     unit_witness: MultiPoly
     image: MultiPoly
+    generators: list[tuple[int, ...]]
 
 
 def _antichain(exps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -350,15 +351,14 @@ def has_unit_term(poly: MultiPoly, frame: Frame) -> bool:
 def monomialize_nondegenerate(f: MultiPoly, path: PushPath) -> NondegResult:
     """Principalize the ideal of exponents of f, a polynomial in the path's
     current chart; in the final frame f = w^exponent * unit, the unit having
-    invertible constant part."""
+    invertible constant part.  ``generators`` is the antichain of f's
+    exponents that was principalized, in the chart the call started in."""
     if f.is_zero():
         raise ZeroPolynomialError("zero polynomial has no value")
     if f.vars != path.frame.names:
         raise InvalidInputError("polynomial variables must match the frame")
     start, gens = len(path), _antichain(f.terms)
     survivor, exps = principalize_exponents(gens, path)
-    # no blow-up centre holds a variable that no generator involves
-    path.claim_independence(i for i in range(path.frame.n) if all(e[i] == 0 for e in gens))
     # the survivor's image, units zeroed out, is the monomial part
     image = path.push(f, start)
     monomial, witness = split_monomial(image, exps[survivor], path.frame)
@@ -366,4 +366,4 @@ def monomialize_nondegenerate(f: MultiPoly, path: PushPath) -> NondegResult:
         raise AssertionError("survivor fails to divide a term of the image")
     if not has_unit_term(witness, path.frame):
         raise AssertionError("unit witness has no invertible part")
-    return NondegResult(exponent=monomial, unit_witness=witness, image=image)
+    return NondegResult(exponent=monomial, unit_witness=witness, image=image, generators=gens)

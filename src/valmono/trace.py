@@ -1,5 +1,5 @@
-"""Replayable JSON traces: run records, witnesses, and independent
-re-verification.
+"""Replayable JSON traces: run records, witnesses, and re-verification by
+replay.
 
 A trace embeds its input verbatim; verification replays the run through
 the library and demands that every recorded step and witness reproduce
@@ -214,6 +214,14 @@ def _exponents(obj: dict, key: str) -> list[tuple[int, ...]]:
 # runners: input json -> witnesses dict (records land in trace["steps"])
 # ---------------------------------------------------------------------------
 
+# Each runner knows that its path is the whole run, so it alone states what
+# the run proves: the independence set its ``sequence`` witness carries.
+
+
+def _unused_columns(exps: list[tuple[int, ...]], n: int) -> list[int]:
+    """Of the n columns, those that no exponent of ``exps`` uses."""
+    return [i for i in range(n) if all(e[i] == 0 for e in exps)]
+
 
 def _run_pair(inp: dict, budget: int) -> tuple[list, dict]:
     group = _parse_group(inp)
@@ -223,14 +231,14 @@ def _run_pair(inp: dict, budget: int) -> tuple[list, dict]:
     path = PushPath(spec.frame(), budget)
     res = run_pair_descent(alpha, gamma, path)
     # no blow-up centre holds a variable on which the two exponents agree
-    path.claim_independence(i for i, (x, y) in enumerate(zip(alpha, gamma)) if x == y)
+    agree = [i for i, (x, y) in enumerate(zip(alpha, gamma)) if x == y]
     witnesses = {
         "alpha_final": list(res.alpha),
         "gamma_final": list(res.gamma),
         "alpha_divides": res.alpha_divides,
         "gamma_divides": res.gamma_divides,
         "divides": res.alpha_divides or res.gamma_divides,
-        "sequence": path.to_json(),
+        "sequence": path.to_json(agree),
         "final_frame": path.frame.to_json(),
     }
     return path.records, witnesses
@@ -242,12 +250,11 @@ def _run_principalize(inp: dict, budget: int) -> tuple[list, dict]:
     gens = _exponents(inp, "generators")
     path = PushPath(spec.frame(), budget)
     res = principalize_exponents(gens, path)
-    # no blow-up centre holds a variable that no generator involves
-    path.claim_independence(i for i in range(path.frame.n) if all(e[i] == 0 for e in gens))
     witnesses = {
         "survivor": res.survivor,
         "exponents_final": [list(e) for e in res.exponents],
-        "sequence": path.to_json(),
+        # no blow-up centre holds a variable that no generator involves
+        "sequence": path.to_json(_unused_columns(gens, path.frame.n)),
         "final_frame": path.frame.to_json(),
     }
     return path.records, witnesses
@@ -263,7 +270,8 @@ def _run_nondegenerate(inp: dict, budget: int) -> tuple[list, dict]:
         "exponent": list(res.exponent),
         "unit_witness": res.unit_witness.to_json(),
         "image": res.image.to_json(),
-        "sequence": path.to_json(),
+        # no blow-up centre holds a variable that no principalized exponent involves
+        "sequence": path.to_json(_unused_columns(res.generators, path.frame.n)),
         "final_frame": path.frame.to_json(),
     }
     return path.records, witnesses
@@ -362,6 +370,11 @@ def _run_uniformize(inp: dict, budget: int) -> tuple[list, dict]:
     problem = _parse_uniformize_problem(inp)
     path = PushPath(problem.frame(), budget)
     res = elementary_uniformizing_sequence(problem, path)
+    # no blow-up centre holds a passive column unless the perturbation
+    # involves one, so no image of a w-variable touches one
+    h, r, v_names = problem.h, len(problem.w_names), problem.v_names
+    touched = h is not None and any(v in h.vars and h.degree_in(v) > 0 for v in v_names)
+    passive = None if touched else range(r, r + len(v_names))
     # the witness echoes the input's own literals, not their lowest terms
     residue = {"kind": "transcendental"}
     if problem.residue is not None:
@@ -377,7 +390,7 @@ def _run_uniformize(inp: dict, budget: int) -> tuple[list, dict]:
         "images": res.images,
         "factorization": res.witness,
         "final_frame": path.frame.to_json(),
-        "sequence": path.to_json(),
+        "sequence": path.to_json(passive),
         "aux_steps": res.aux_steps,
     }
     return path.records, witnesses

@@ -44,9 +44,8 @@ from .errors import (
 )
 from .framing import Frame, PushPath, translation_root
 from .game import (
-    _antichain,
     has_unit_term,
-    principalize_exponents,
+    monomialize_nondegenerate,
     run_pair_descent,
     split_monomial,
 )
@@ -211,13 +210,14 @@ def _translate(
     ``minpoly`` is the minimal polynomial of the residue of z, elements of
     the current tower; the step holds that of the residue of the unit
     *variable*: ``minpoly`` when z is that variable, its normalized
-    reciprocal when 1/z is.  Returns the new parameter's name."""
+    reciprocal when 1/z is.  Returns the new parameter's name.
+
+    ``minpoly[0]`` is never zero: ``_level`` builds it as kappa_0 / kappa_d
+    from a term of the ladder, and kappa_d is invertible."""
     tower = path.frame.tower
     if z_sign == 1:
         minpoly = tuple(minpoly)
     else:
-        if tower.is_zero(minpoly[0]):
-            raise InvalidInputError("residue minimal polynomial must have b_0 != 0")
         inv = tower.inv(minpoly[0])
         minpoly = tuple(tower.mul(c, inv) for c in reversed(minpoly))
     if new_weight is not None and not new_weight.is_positive():
@@ -389,14 +389,12 @@ def elementary_uniformizing_sequence(
         q_cleared = MultiPoly.build(frame0.names, terms)
 
     h = problem.h
-    h_touches_v = False
     if h is not None and not h.is_zero():
         if mp is None:
             raise InvalidInputError("a perturbation needs an algebraic residue")
         h = h.with_vars(frame0.names)
         if h.tower != QQ:
             raise InvalidInputError("the perturbation must have rational coefficients")
-        h_touches_v = any(h.degree_in(vn) > 0 for vn in problem.v_names)
         weights_all = list(frame0.weights)
         if any(w is None for w in weights_all):
             raise InvalidInputError("perturbation runs need declared weights everywhere")
@@ -425,10 +423,6 @@ def elementary_uniformizing_sequence(
         new_var, aux_steps = level.new_var, level.aux_steps
     frame = path.frame
 
-    # conclusion: no center holds a passive column, so no image of a
-    # w-variable touches one (an update changes only its vertex, in J)
-    if not h_touches_v:
-        path.claim_independence(v_cols)
     # images of w_1..w_r, w_n: monomial in the final actives times z-powers
     images = {}
     for col in list(w_cols) + [x_col]:
@@ -665,9 +659,11 @@ class PolyMonoResult(NamedTuple):
 def monomialize_polynomial(f: MultiPoly, chain: KeyPolyChain, path: PushPath) -> PolyMonoResult:
     """Monomialize a polynomial measured by the chain's top truncation, on
     a path whose current frame is ``chain.initial_frame()``: monomialize
-    the key polynomials, push f through, and principalize the exponents of
-    the image; the quotient by the surviving monomial is the unit
-    witness."""
+    the key polynomials, push f through, and end in
+    ``monomialize_nondegenerate`` on the image.  Its unit witness always
+    has an invertible term, so this phase refuses nothing: the survivor's
+    own term divides to a unit, and blow-ups keep distinct exponents
+    distinct, so no other term cancels it."""
     if f.is_zero():
         raise ZeroPolynomialError("zero polynomial has no value")
     f = f.with_vars(chain.all_vars)
@@ -686,27 +682,6 @@ def monomialize_polynomial(f: MultiPoly, chain: KeyPolyChain, path: PushPath) ->
     kp = monomialize_key_polys(chain, path)
     if f == chain.Q(top).with_vars(chain.all_vars):
         w = kp.witnesses[-1]
-        return PolyMonoResult(
-            exponent=w.monomial,
-            unit_witness=w.unit,
-            image=w.image,
-            expansion_values=expansion_values,
-        )
-    img = path.push(f, base)
-    start = len(path)
-    survivor, exps = principalize_exponents(_antichain(img.terms), path)
-    img = path.push(img, start)
-    frame = path.frame
-    mono, witness = split_monomial(img, exps[survivor], frame)
-    if witness is None:
-        raise AssertionError("monomial division failed")
-    if not has_unit_term(witness, frame):
-        raise RequiresCompletionError(
-            "requires completion: the cofactor is not a polynomial unit"
-        )
-    return PolyMonoResult(
-        exponent=mono,
-        unit_witness=witness,
-        image=img,
-        expansion_values=expansion_values,
-    )
+        return PolyMonoResult(w.monomial, w.unit, w.image, expansion_values)
+    res = monomialize_nondegenerate(path.push(f, base), path)
+    return PolyMonoResult(res.exponent, res.unit_witness, res.image, expansion_values)

@@ -376,8 +376,7 @@ def test_compose_independent_block():
     g = ValueGroup(1)
     path = PushPath(Frame(("a", "b", "c"), (g.rational(1), g.rational(2), g.rational(3))))
     assert path.blow_up((1, 2)).j == 1 and path.blow_up((1, 2)).j == 2
-    path.claim_independence((0,))
-    assert path.independence_set == (0,)
+    assert path.to_json((0,))["independent_of"] == [1]
     total = forward_product(path.steps, 3)
     assert total[0] == (1, 0, 0)
     assert tuple(row[0] for row in total) == (1, 0, 0)
@@ -390,10 +389,10 @@ def test_sequence_independence_enforced():
     path = PushPath(Frame(("a", "b", "c"), (g.rational(1), g.rational(2), g.rational(3))))
     path.blow_up((0, 1))
     with pytest.raises(InvalidInputError, match="touches its independence set"):
-        path.claim_independence((0,))
-    assert path.independence_set is None
-    path.claim_independence((2,))
-    assert path.independence_set == (2,)
+        path.to_json((0,))
+    # the path holds no claim: a refused set leaves none behind
+    assert "independent_of" not in path.to_json()
+    assert path.to_json((2,))["independent_of"] == [3]
 
 
 def test_unimodularity_random_sequences():
@@ -470,14 +469,13 @@ def test_translation_step_holds_elements_and_encodes_them_in_to_json():
     ]
     path = PushPath(Frame(("a", "b", "c"), (g.rational(1), g.rational(1), g.rational(2))))
     path.blow_up((0, 2))
-    path.claim_independence((1,))
     header = {
         "vars": ["a", "b", "c"],
         "weights": [{"coords": ["1"]}, {"coords": ["1"]}, {"coords": ["2"]}],
         "units": [],
         "group": {"rank": 1, "ordering": "sqrt-primes", "labels": ["g1"]},
     }
-    out = path.to_json()
+    out = path.to_json((1,))
     assert out == {"header": header, "steps": [path.steps[0].to_json()], "independent_of": [2]}
     assert list(out) == ["header", "steps", "independent_of"]
 

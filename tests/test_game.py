@@ -21,6 +21,7 @@ from conftest import (
 from valmono import game
 from valmono.errors import InvalidInputError, PositiveWeightError, ZeroPolynomialError
 from valmono.framing import PushPath
+from valmono.polyalg import MultiPoly
 from valmono.game import (
     MonomialValuationSpec,
     monomialize_nondegenerate,
@@ -165,6 +166,37 @@ def test_independence_sets():
     ideal = run_problem(problem)
     assert ideal["verdict"] == {"ok": True}
     assert ideal["witnesses"]["sequence"]["independent_of"] == [3]
+    # the nondegenerate runner reads the set from the antichain it played:
+    # u3 appears only in a term that u2 divides
+    problem["algorithm"] = "nondegenerate"
+    problem["poly"] = {"vars": ["u1", "u2", "u3"], "terms": [
+        {"e": [2, 0, 0], "c": "1"}, {"e": [0, 1, 0], "c": "1"}, {"e": [0, 1, 1], "c": "1"},
+    ]}
+    nondeg = run_problem(problem)
+    assert nondeg["verdict"] == {"ok": True}
+    assert nondeg["witnesses"]["sequence"]["independent_of"] == [3]
+
+
+def test_engines_compose_on_one_path():
+    # a pair game blows up u2 and u3, then the nondegenerate engine plays
+    # on from that chart; only a runner, which knows the path is the whole
+    # run, states an independence set
+    spec = sqrt_prime_spec(3)
+    path = PushPath(spec.frame())
+    run_pair_descent((0, 1, 0), (0, 0, 2), path)
+    start = len(path)
+    assert start > 0 and any(2 in s.J for s in path.steps)
+    # u1^2 + u2 in the chart the pair game ended in
+    f = poly(spec.vars, {(2, 0, 0): 1, (0, 1, 0): 1})
+    res = monomialize_nondegenerate(f, path)
+    assert res.generators == [(0, 1, 0), (2, 0, 0)]
+    assert len(path) > start and all(2 not in s.J for s in path.steps[start:])
+    assert res.unit_witness.constant_term() == res.unit_witness.tower.one()
+    mono = MultiPoly.monomial(spec.vars, res.exponent, 1)
+    assert mono * res.unit_witness == res.image == path.push(f, start)
+    # u3 is free in the second segment, not in the whole path
+    with pytest.raises(InvalidInputError, match="touches its independence set"):
+        path.to_json((2,))
 
 
 @pytest.mark.parametrize("run", [
@@ -305,8 +337,6 @@ def test_monomialize_nondegenerate_cusp_shape():
     assert res.unit_witness.constant_term() == res.unit_witness.tower.one()
     # exponent * unit reproduces the pushed-through f
     img = push_by_matrices(f, path.steps)
-    from valmono.polyalg import MultiPoly
-
     mono = MultiPoly.monomial(f.vars, res.exponent, 1)
     assert mono * res.unit_witness == img
 

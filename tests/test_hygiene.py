@@ -712,6 +712,70 @@ def test_path_scan_sees_each_kind():
     ]
 
 
+# Only ``trace`` writes a sequence witness: its runners alone know that the
+# path is the whole run, so they alone call ``to_json`` on it and state the
+# run's independence set; the engines only grow the path, and no function
+# claims a set on it.
+def _witness_writes(node: ast.AST, scope: str = "<module>", prefix: str = "") -> list[str]:
+    """``scope: path.to_json`` for each call of ``to_json`` on a name
+    ``path`` and ``scope: claim_independence`` for each name, attribute or
+    function so called, with the function around it, qualified by its
+    classes, as its scope."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        inner, inner_prefix = scope, prefix
+        if isinstance(child, ast.ClassDef):
+            inner_prefix = f"{prefix}{child.name}."
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = prefix + child.name
+            inner_prefix = f"{inner}."
+            if child.name == "claim_independence":
+                found.append(f"{inner}: claim_independence")
+        elif (
+            isinstance(child, ast.Call)
+            and isinstance(child.func, ast.Attribute)
+            and child.func.attr == "to_json"
+            and getattr(child.func.value, "id", None) == "path"
+        ):
+            found.append(f"{scope}: path.to_json")
+        elif (getattr(child, "id", None) or getattr(child, "attr", None)) == "claim_independence":
+            found.append(f"{scope}: claim_independence")
+        found += _witness_writes(child, inner, inner_prefix)
+    return found
+
+
+def test_only_the_runners_write_a_sequence_witness():
+    """No function outside ``trace``'s runners calls ``path.to_json``, and
+    none names ``claim_independence``."""
+    found, writers = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for use in _witness_writes(_parse(path)):
+            scope, what = use.split(": ")
+            if what == "path.to_json" and path.name == "trace.py" and scope in _PATH_RUNNERS:
+                writers.append(scope)
+            else:
+                found.append(f"{path.name} {use}")
+    assert found == []
+    # each runner that plays on a path writes its witness once
+    assert sorted(writers) == list(_PATH_RUNNERS)
+
+
+def test_witness_scan_sees_each_kind():
+    src = (
+        "def run(path):\n    return {'sequence': path.to_json([1])}\n\n"
+        "class Engine:\n    def play(self, path):\n        path.claim_independence((0,))\n"
+        "        def later():\n            return path.to_json()\n        return later\n\n"
+        "    def claim_independence(self, cols):\n        return cols\n\n"
+        "def left(path, step):\n"
+        "    return step.to_json(), path.frame.to_json(), claim_independence\n"
+    )
+    assert _witness_writes(ast.parse(src)) == [
+        "run: path.to_json", "Engine.play: claim_independence",
+        "Engine.play.later: path.to_json", "Engine.claim_independence: claim_independence",
+        "left: claim_independence",
+    ]
+
+
 # ``@dataclass`` generates each class's methods as source text and compiles
 # it at import, and ``dataclasses`` loads ``inspect``, ``ast`` and ``dis``:
 # every CLI call would pay for both before it reads its input.  The

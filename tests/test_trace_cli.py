@@ -1138,6 +1138,26 @@ def test_cli_uniformize_w_shape_is_invalid_input(tmp_path, w_vars, w_weights, me
     verdict = json.loads(tf.read_text())["verdict"]
     assert verdict["code"] == "invalid input" and re.search(message, verdict["message"])
 
+
+# the cusp Q~ = wn^2 - w1^3 has value 6: a new parameter of value beta_new
+# weighs beta_new - 6, which must be positive
+NOT_POSITIVE = {
+    "ok": False, "code": "invalid input", "message": "the new parameter must have positive value",
+}
+
+
+@pytest.mark.parametrize("beta_new,verdict,code", [("6", NOT_POSITIVE, 3), ("7", {"ok": True}, 0)])
+def test_new_parameter_weight_must_be_positive(tmp_path, beta_new, verdict, code):
+    problem = cusp_uniformize_problem()
+    problem["problem"]["beta_new"] = {"coords": [beta_new]}
+    assert run_problem(problem)["verdict"] == verdict
+    pf, tf = tmp_path / "p.json", tmp_path / "t.json"
+    pf.write_text(json.dumps(problem))
+    r = _cli("run", str(pf), "--out", str(tf))
+    assert r.returncode == code and "Traceback" not in r.stderr
+    assert json.loads(tf.read_text())["verdict"] == verdict
+
+
 def _assert_cli_schema_error(tmp_path, bad, good, field):
     """``bad`` alone and inside a ``--jobs 2`` batch exits 2 naming the
     field, with no traceback and no output file."""

@@ -41,6 +41,7 @@ from valmono.unifseq import (
     monomialize_key_polys,
     monomialize_polynomial,
 )
+from valmono.trace import run_problem
 from valmono.values import ValueGroup
 
 G1 = ValueGroup(1)
@@ -245,6 +246,21 @@ def test_transcendental_case_drops_dimension():
     assert res.witness == {"kind": "transcendental"}
 
 
+def _passive_cusp_json(**extra):
+    """The cusp with a passive variable v1 of weight 5, as a problem."""
+    problem = {
+        "w_vars": ["w1"],
+        "w_weights": [{"coords": ["2"]}],
+        "wn_var": "wn",
+        "beta_n": {"coords": ["3"]},
+        "residue": {"kind": "algebraic", "minpoly": ["-1", "1"]},
+        "v_vars": ["v1"],
+        "v_weights": [{"coords": ["5"]}],
+        **extra,
+    }
+    return {"algorithm": "uniformize", "group": {"rank": 1}, "problem": problem}
+
+
 def test_passive_variables_ride_along():
     prob = UniformizingProblem(
         w_names=("w1",),
@@ -257,9 +273,13 @@ def test_passive_variables_ride_along():
     )
     path = PushPath(prob.frame())
     res = elementary_uniformizing_sequence(prob, path)
-    assert path.independence_set == (1,)
+    assert path.to_json((1,))["independent_of"] == [2]
     for s in path.steps:
         assert 1 not in s.J
+    # the runner claims the passive column over the same steps
+    sequence = run_problem(_passive_cusp_json())["witnesses"]["sequence"]
+    assert sequence["independent_of"] == [2]
+    assert sequence["steps"] == [s.to_json() for s in path.steps]
     # v column untouched in the composed matrix
     total = forward_product(path.steps, 3)
     assert tuple(row[1] for row in total) == (0, 1, 0)
@@ -571,7 +591,12 @@ def test_perturbation_touching_passive_variable():
     assert res.witness["exact"] is False
     assert res.aux_steps >= 1
     # auxiliary work touched the passive variable: no independence claim
-    assert path.independence_set is None
+    with pytest.raises(InvalidInputError, match="touches its independence set"):
+        path.to_json((1,))
+    h_json = {"vars": ["w1", "v1", "wn"], "terms": [{"e": [2, 1, 0], "c": "1"}]}
+    sequence = run_problem(_passive_cusp_json(h=h_json))["witnesses"]["sequence"]
+    assert "independent_of" not in sequence
+    assert sequence["steps"] == [s.to_json() for s in path.steps]
 
 
 def test_keypoly_driver_rank_two_ground():
