@@ -175,6 +175,18 @@ def _rows_of(weights, den: int = 1, group: Optional[ValueGroup] = None):
     return rows, den, group
 
 
+def _over_lcm(frame: "Frame", weight: Optional[Value]):
+    """``(rows, row, den, group)``: the frame's weight rows as a list, put
+    with ``weight``'s row (None for None) over the lcm of their
+    denominators; a weight of another group is a GroupMismatchError."""
+    (row,), den, group = _rows_of((weight,), frame.den, frame.group)
+    scale = den // frame.den
+    rows = list(frame.rows)
+    if scale != 1:
+        rows = [None if r is None else tuple(x * scale for x in r) for r in rows]
+    return rows, row, den, group
+
+
 class Frame:
     """Variable labels, weights and unit tags of one chart.
 
@@ -388,12 +400,7 @@ class PushPath:
             new_name += "'"
         names[column] = new_name
         item = TranslationItem(column, minpoly, symbol, new_name, new_weight)
-        # a new weight puts the rows over the lcm of the denominators
-        (row,), den, group = _rows_of((new_weight,), frame.den, frame.group)
-        scale = den // frame.den
-        rows = list(frame.rows)
-        if scale != 1:
-            rows = [None if r is None else tuple(x * scale for x in r) for r in rows]
+        rows, row, den, group = _over_lcm(frame, new_weight)
         rows[column] = row
         self.steps.append(FramedStep(frame.n, (column,), column, (item,)))
         self.frames.append(Frame._of_rows(

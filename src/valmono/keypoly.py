@@ -23,6 +23,13 @@ Only the coefficients of the level asked for are built, as polynomials
 over D, and ``StandardExpansion.reassembles`` is an exact Horner check on
 the same kind of rows.
 
+The values are integer rows as well, over one denominator per chain: the
+ground weights and every beta_i are put over the lcm of their
+denominators once, a term's value is a sum of rows, and two values are
+ordered by the sign of their row difference (``values._sign``).  No
+:class:`Value` is built inside the recursion; ``truncate`` turns its terms
+into values once, at return, and ``validate_chain`` compares rows.
+
 Chains are finite by construction; limit key polynomials do not exist in
 residue characteristic zero, which this module encodes as a structural
 assumption rather than a runtime check.
@@ -31,15 +38,18 @@ assumption rather than a runtime check.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul, sub
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
+    GroupMismatchError,
     InvalidInputError,
     UnnormalizedLeadingCoefficientError,
     ZeroPolynomialError,
     quote,
 )
-from .framing import Frame
+from .framing import Frame, _over_lcm
 from .game import MonomialValuationSpec
 from .polyalg import (
     MultiPoly,
@@ -51,7 +61,7 @@ from .polyalg import (
     _Rows,
     _split_rows,
 )
-from .values import Value, compare, value_of_exponent
+from .values import Value, _sign, compare
 
 
 class KeyPolyChain:
@@ -94,8 +104,12 @@ class KeyPolyChain:
         return self.entries[i - 1][1]
 
     def initial_frame(self) -> Frame:
-        """The chart the chain lives in: the ground weights, and x worth beta_1."""
-        return Frame(self.all_vars, self.ground.weights + (self.beta(1),))
+        """The chart the chain lives in: the ground weights, and x worth
+        beta_1, as the ground's integer rows and beta_1's row over the lcm
+        of their denominators."""
+        ground = self.ground.frame()
+        rows, row, den, group = _over_lcm(ground, self.beta(1))
+        return Frame._of_rows(self.all_vars, (*rows, row), den, group, frozenset(), ground.tower)
 
     def alphas(self) -> tuple[int, ...]:
         """alpha_i = degree of Q_i over Q_{i-1} (alpha_1 = 1 for Q_1 = x)."""
@@ -131,20 +145,33 @@ class StandardExpansion(NamedTuple):
 
 class _ChainRows:
     """Truncation on x-dense rows, made once per chain: each Q_i as a row
-    divisor, built on first use (an unused level may be malformed), and the
-    values of ground exponents and of j * beta_i as they are met."""
+    divisor, built on first use (an unused level may be malformed), and
+    every value as an integer row over one denominator ``den``: the ground
+    weights and each beta_i, put over the lcm of their denominators once.
+    A row sum is a value sum, and the sign of a row difference orders two
+    values; no :class:`Value` is built here."""
 
     def __init__(self, chain: KeyPolyChain):
         qs = [q for q, _ in chain.entries]
+        betas = [b for _, b in chain.entries]
+        ground = chain.ground.frame()
+        group = ground.group or betas[0].group
+        for b in betas:
+            if b.group is not group and b.group != group:
+                raise GroupMismatchError("group mismatch")
+        den = lcm(ground.den, *[b.den for b in betas])
+        lift = den // ground.den
+        # the ground weights by generator: a monomial's row is one dot
+        # product per generator
+        self.columns = tuple(zip(*[[lift * x for x in r] for r in ground.rows]))
+        self.betas = [tuple(den // b.den * x for x in b.nums) for b in betas]
+        self.den, self.group = den, group
         self.x = chain.x
         self.qs = qs
-        self.betas = [b for _, b in chain.entries]
-        self.weights = chain.ground.weights
         self.ring = (chain.all_vars, qs[0].tower)
         self.ops = _row_ops(qs[0].tower)
         self.bases: dict[int, tuple[int, _Rows]] = {}
-        self.ground: dict[tuple[int, ...], Value] = {}
-        self.multiples: dict[tuple[int, int], Value] = {}
+        self.ground: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def expand(self, rows: _Rows, i: int) -> list[_Rows]:
         """Level-i digits of ``rows``, which the expansion consumes."""
@@ -156,42 +183,44 @@ class _ChainRows:
             base = self.bases[i] = _expansion_base(q, self.x)
         return _expand_rows(rows, *base, self.ops)
 
-    def ground_value(self, exponents: Iterable[tuple[int, ...]]) -> Value:
-        """Monomial value of an x-free form given by its ground exponents:
-        the least value among them."""
+    def ground_value(self, exponents: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
+        """Row of the monomial value of an x-free form given by its ground
+        exponents: the least row among them."""
         best = None
         for e in exponents:
             v = self.ground.get(e)
             if v is None:
-                v = self.ground[e] = value_of_exponent(e, self.weights)
-            if best is None or compare(v, best) < 0:
+                if not self.columns:
+                    raise InvalidInputError("at least one weight is required")
+                v = self.ground[e] = tuple([sum(map(mul, e, col)) for col in self.columns])
+            if best is None or _sign(list(map(sub, v, best))) < 0:
                 best = v
         return best
 
-    def term_values(self, digits: list[_Rows], i: int) -> tuple[tuple[int, Value], ...]:
-        """(j, j beta_i + value(c_j)) for the nonzero digits; consumes them."""
-        out = []
-        for j, c in enumerate(digits):
-            if c:
-                m = self.multiples.get((i, j))
-                if m is None:
-                    m = self.multiples[i, j] = self.betas[i - 1].scale(j)
-                out.append((j, m + self.value(c, i - 1)))
-        return tuple(out)
+    def term_values(self, digits: list[_Rows], i: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(j, row of j beta_i + value(c_j)) for the nonzero digits;
+        consumes them."""
+        beta = self.betas[i - 1]
+        return tuple(
+            (j, tuple([j * b + v for b, v in zip(beta, self.value(c, i - 1))]))
+            for j, c in enumerate(digits)
+            if c
+        )
 
-    def value(self, c: _Rows, level: int) -> Value:
-        """Value of a Q_{level+1}-free standard form given by its (consumed)
-        rows: the ground value at level 0, else its least level term value."""
+    def value(self, c: _Rows, level: int) -> tuple[int, ...]:
+        """Row of the value of a Q_{level+1}-free standard form given by its
+        (consumed) rows: the ground value at level 0, else its least level
+        term value."""
         if level == 0:
             return self.ground_value(e for row in c.values() for e in row)
         return _least(self.term_values(self.expand(c, level), level))[1]
 
 
-def _least(terms: tuple[tuple[int, Value], ...]) -> tuple[int, Value]:
-    """(delta, minimum): the least term value and the last index attaining it."""
+def _least(terms: tuple[tuple[int, tuple[int, ...]], ...]) -> tuple[int, tuple[int, ...]]:
+    """(delta, minimum): the least term row and the last index attaining it."""
     delta, best = terms[0]
     for j, v in terms[1:]:
-        order = compare(v, best)
+        order = _sign(list(map(sub, v, best)))
         if order <= 0:
             delta = j
             if order < 0:
@@ -203,8 +232,7 @@ def _entry_rows(f: MultiPoly, chain: KeyPolyChain, i: int) -> tuple[MultiPoly, l
     """f over the chain's variables and the level-i digits of its rows."""
     if not 1 <= i <= len(chain):
         raise InvalidInputError(f"level {quote(i)} outside the chain")
-    if f.vars != chain.all_vars:
-        f = f.with_vars(chain.all_vars)
+    f = f.with_vars(chain.all_vars)
     f._check(chain.Q(i))
     return f, chain._rows.expand(_split_rows(f, len(chain.ground.vars)), i)
 
@@ -234,23 +262,28 @@ class Truncation(NamedTuple):
 def truncate(f: MultiPoly, chain: KeyPolyChain, i: int) -> Truncation:
     """Expand f once at level i and read off every truncation invariant.
     Only the level-i coefficients are built as polynomials; the values
-    below are read off the digit rows."""
+    below are read off the digit rows, and the terms become values only
+    here, at return."""
     f, digits = _entry_rows(f, chain, i)
     if f.is_zero():
         raise ZeroPolynomialError("zero polynomial has no value")
     exp = _expansion(f, chain, i, digits)  # before the values consume the digits
-    terms = chain._rows.term_values(digits, i)
+    rows = chain._rows
+    terms = rows.term_values(digits, i)
     # epsilon is the first index above delta attaining the minimum of what
     # is left
-    delta, best = _least(terms)
+    delta, _ = _least(terms)
     above = [(j, v) for j, v in terms if j > delta]
     epsilon = None
     if above:
         epsilon, mu_plus = above[0]
         for j, v in above[1:]:
-            if compare(v, mu_plus) < 0:
+            if _sign(list(map(sub, v, mu_plus))) < 0:
                 epsilon, mu_plus = j, v
-    return Truncation(exp, terms, best, delta, epsilon)
+    den, group = rows.den, rows.group
+    values = tuple((j, Value(v, den, group)) for j, v in terms)
+    best = next(v for j, v in values if j == delta)
+    return Truncation(exp, values, best, delta, epsilon)
 
 
 def truncated_valuation(f: MultiPoly, chain: KeyPolyChain, i: int) -> Value:
@@ -310,15 +343,19 @@ def validate_chain(chain: KeyPolyChain) -> list[str]:
     for i in range(2, len(chain) + 1):
         d_prev, d_cur = chain.Q(i - 1).degree_in(x), chain.Q(i).degree_in(x)
         if d_prev >= 1 and d_cur >= 1:
-            s_prev = chain.beta(i - 1).scale(Fraction(1, d_prev))
-            s_cur = chain.beta(i).scale(Fraction(1, d_cur))
-            if compare(s_cur, s_prev) <= 0:
+            # beta_i / d_cur - beta_(i-1) / d_prev, times the positive
+            # d_prev * d_cur * (both denominators)
+            bp, bc = chain.beta(i - 1), chain.beta(i)
+            slope = [d_prev * bp.den * y - d_cur * bc.den * x for x, y in zip(bp.nums, bc.nums)]
+            if _sign(slope) <= 0:
                 issues.append(f"slope-not-increasing:Q_{i}")
     if issues:
         return issues
+    rows = chain._rows
     for i in range(2, len(chain) + 1):
-        trunc = truncated_valuation(chain.Q(i), chain, i - 1)
-        if compare(chain.beta(i), trunc) <= 0:
+        _, digits = _entry_rows(chain.Q(i), chain, i - 1)
+        trunc = _least(rows.term_values(digits, i - 1))[1]
+        if _sign(list(map(sub, rows.betas[i - 1], trunc))) <= 0:
             issues.append(f"value-jump:Q_{i}")
     return issues
 

@@ -524,8 +524,11 @@ class MultiPoly:
     # -- ring changes ------------------------------------------------------
 
     def with_vars(self, new_vars: Sequence[str]) -> "MultiPoly":
-        """Reinterpret over a superset / reordering of the variables."""
+        """Reinterpret over a superset / reordering of the variables; the
+        polynomial itself when they are its own."""
         new_vars = tuple(new_vars)
+        if new_vars == self.vars:
+            return self
         pos = {}
         for i, v in enumerate(self.vars):
             if v not in new_vars:

@@ -57,9 +57,14 @@ def canonical_digest(obj) -> str:
     return "sha256:" + hashlib.sha256(blob).hexdigest()
 
 
-def _need(obj: dict, key: str):
+# The readers below name a field by its JSON path: ``at`` is the path of
+# the object that holds it, with a trailing dot ("" at the top level), and
+# an array entry is named by its index.
+
+
+def _need(obj: dict, key: str, at: str = ""):
     if not isinstance(obj, dict) or key not in obj:
-        raise SchemaError(f"missing field {key!r}")
+        raise SchemaError(f"missing field {at + key!r}")
     return obj[key]
 
 
@@ -88,10 +93,10 @@ def _parse_group(obj: dict) -> ValueGroup:
     return ValueGroup(rank, labels)
 
 
-def _names(obj: dict, key: str, what: str = "variable names") -> tuple[str, ...]:
-    names = _need(obj, key)
+def _names(obj: dict, key: str, what: str = "variable names", at: str = "") -> tuple[str, ...]:
+    names = _need(obj, key, at)
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise SchemaError(f"{key} must be an array of {what}, not {quote(names)}")
+        raise SchemaError(f"{at}{key} must be an array of {what}, not {quote(names)}")
     return tuple(names)
 
 
@@ -110,24 +115,27 @@ def _value(v, group: ValueGroup, what: str) -> Value:
     return group.of_pairs(_pairs(v, group, what))
 
 
-def _values(obj: dict, key: str, group: ValueGroup, nullable: bool = False, each=_value) -> tuple:
+def _values(
+    obj: dict, key: str, group: ValueGroup, nullable: bool = False, each=_value, at: str = ""
+) -> tuple:
     """The array of values ``key``, each read by ``each`` (``_value``, or
     ``_pairs`` for its coordinates); with ``nullable``, null entries stay
     None."""
-    items = _need(obj, key)
+    items = _need(obj, key, at)
     if not isinstance(items, list):
-        raise SchemaError(f"{key} must be an array of values, not {quote(items)}")
+        raise SchemaError(f"{at}{key} must be an array of values, not {quote(items)}")
     return tuple(
-        None if w is None and nullable else each(w, group, f"{key} entries") for w in items
+        None if w is None and nullable else each(w, group, f"{at}{key}[{k}]")
+        for k, w in enumerate(items)
     )
 
 
-def _poly(obj: dict, key: str) -> MultiPoly:
+def _poly(obj: dict, key: str, at: str = "") -> MultiPoly:
     """The polynomial field ``key`` over Q, checked and built in one pass.
     A value of the wrong JSON shape raises SchemaError naming the field, a
     bad coefficient literal one naming the literal; exponent signs and
     lengths are checked by ``MultiPoly.build``."""
-    p = _need(obj, key)
+    p = _need(obj, key, at)
     if (
         isinstance(p, dict)
         and isinstance(p.get("vars"), list)
@@ -148,17 +156,18 @@ def _poly(obj: dict, key: str) -> MultiPoly:
             den = lcm(*[q for _, (_, q) in terms])
             return MultiPoly.build(p["vars"], [(e, n * (den // q)) for e, (n, q) in terms], QQ, den)
     raise SchemaError(
-        f'{key} must be {{"vars": [names], "terms": [{{"e": [integers], "c": "p/q"}}]}}, '
+        f'{at}{key} must be {{"vars": [names], "terms": [{{"e": [integers], "c": "p/q"}}]}}, '
         f"not {quote(p)}"
     )
 
 
-def _spec(obj: dict, key: str, group: ValueGroup) -> MonomialValuationSpec:
+def _spec(obj: dict, key: str, group: ValueGroup, at: str = "") -> MonomialValuationSpec:
     """The spec field ``key`` (a problem's spec or a chain's ground), its
     weights read straight into integer rows over one denominator."""
-    spec = _need(obj, key)
-    names = _names(spec, "vars")
-    weights = _values(spec, "weights", group, each=_pairs)
+    spec = _need(obj, key, at)
+    at = f"{at}{key}."
+    names = _names(spec, "vars", at=at)
+    weights = _values(spec, "weights", group, each=_pairs, at=at)
     den = lcm(*[q for w in weights for _, q in w])
     rows = [[num * (den // q) for num, q in w] for w in weights]
     g = gcd(den, *chain.from_iterable(rows))
@@ -168,27 +177,36 @@ def _spec(obj: dict, key: str, group: ValueGroup) -> MonomialValuationSpec:
     return MonomialValuationSpec._of_rows(names, tuple(map(tuple, rows)), den, group)
 
 
-def chain_from_json(obj: dict, group: ValueGroup) -> KeyPolyChain:
-    """The key-polynomial chain of a problem; a malformed ground, x or
-    entries field raises SchemaError naming it."""
-    spec = _spec(obj, "ground", group)
-    x = _need(obj, "x")
+def chain_from_json(obj: dict, group: ValueGroup, at: str = "chain.") -> KeyPolyChain:
+    """The key-polynomial chain of a problem, the object at the JSON path
+    ``at``; a malformed ground, x or entries field raises SchemaError
+    naming its path.  The ground's weights are read straight into integer
+    rows, and each beta into one value."""
+    spec = _spec(obj, "ground", group, at)
+    x = _need(obj, "x", at)
     if not isinstance(x, str):
-        raise SchemaError(f"x must be a variable name, not {quote(x)}")
-    entries = _need(obj, "entries")
-    if not isinstance(entries, list) or not all(
-        isinstance(e, dict) and "Q" in e and "beta" in e for e in entries
-    ):
+        raise SchemaError(f"{at}x must be a variable name, not {quote(x)}")
+    entries = _need(obj, "entries", at)
+    if not isinstance(entries, list):
         raise SchemaError(
-            f'entries must be an array of {{"Q": ..., "beta": ...}} objects, not {quote(entries)}'
+            f'{at}entries must be an array of {{"Q": ..., "beta": ...}} objects, '
+            f"not {quote(entries)}"
         )
+    for k, e in enumerate(entries):
+        if not (isinstance(e, dict) and "Q" in e and "beta" in e):
+            raise SchemaError(
+                f'{at}entries[{k}] must be a {{"Q": ..., "beta": ...}} object, not {quote(e)}'
+            )
     vars_ = spec.vars + (x,)
     return KeyPolyChain(
         ground=spec,
         x=x,
         entries=tuple(
-            (_poly(e, "Q").with_vars(vars_), _value(e["beta"], group, "beta"))
-            for e in entries
+            (
+                _poly(e, "Q", f"{at}entries[{k}].").with_vars(vars_),
+                _value(e["beta"], group, f"{at}entries[{k}].beta"),
+            )
+            for k, e in enumerate(entries)
         ),
     )
 
@@ -202,12 +220,12 @@ def _exponent(e, what: str) -> tuple[int, ...]:
 
 
 def _exponents(obj: dict, key: str) -> list[tuple[int, ...]]:
-    """The array of exponents ``key``; a bad entry is named as one of the
-    ``key`` entries."""
+    """The array of exponents ``key``; a bad entry is named by its index,
+    ``key[k]``."""
     items = _need(obj, key)
     if not isinstance(items, list):
         raise SchemaError(f"{key} must be an array of exponents, not {quote(items)}")
-    return [_exponent(e, f"{key} entries") for e in items]
+    return [_exponent(e, f"{key}[{k}]") for k, e in enumerate(items)]
 
 
 # ---------------------------------------------------------------------------
@@ -323,33 +341,36 @@ def _run_keypoly_monomialize(inp: dict, budget: int) -> tuple[list, dict]:
 def _parse_uniformize_problem(inp: dict) -> UniformizingProblem:
     group = _parse_group(inp)
     prob = _need(inp, "problem")
-    w_names = _names(prob, "w_vars")
-    w_weights = _values(prob, "w_weights", group)
-    wn = _need(prob, "wn_var")
+    at = "problem."
+    w_names = _names(prob, "w_vars", at=at)
+    w_weights = _values(prob, "w_weights", group, at=at)
+    wn = _need(prob, "wn_var", at)
     if not isinstance(wn, str):
-        raise SchemaError(f"wn_var must be a variable name, not {quote(wn)}")
-    beta_n = _value(_need(prob, "beta_n"), group, "beta_n")
-    res = _need(prob, "residue")
+        raise SchemaError(f"{at}wn_var must be a variable name, not {quote(wn)}")
+    beta_n = _value(_need(prob, "beta_n", at), group, f"{at}beta_n")
+    res = _need(prob, "residue", at)
     if not isinstance(res, dict):
-        raise SchemaError(f"residue must be an object, not {quote(res)}")
+        raise SchemaError(f"{at}residue must be an object, not {quote(res)}")
     # an input without a kind is read as algebraic
     kind = res.get("kind", "algebraic")
     if kind not in ("algebraic", "transcendental"):
-        raise SchemaError(f"kind must be 'algebraic' or 'transcendental', not {quote(kind)}")
+        raise SchemaError(
+            f"{at}residue.kind must be 'algebraic' or 'transcendental', not {quote(kind)}"
+        )
     residue = None
     if kind == "algebraic":
         # residues read from JSON lie over Q
-        minpoly = _names(res, "minpoly", "rational strings")
+        minpoly = _names(res, "minpoly", "rational strings", f"{at}residue.")
         residue = tuple(Fraction(*rational_from_str(c)) for c in minpoly)
-    v_names = _names(prob, "v_vars") if "v_vars" in prob else ()
+    v_names = _names(prob, "v_vars", at=at) if "v_vars" in prob else ()
     v_weights = (
-        _values(prob, "v_weights", group, nullable=True)
+        _values(prob, "v_weights", group, nullable=True, at=at)
         if "v_weights" in prob
         else (None,) * len(v_names)
     )
-    h = _poly(prob, "h") if prob.get("h") is not None else None
+    h = _poly(prob, "h", at) if prob.get("h") is not None else None
     beta_new = (
-        _value(prob["beta_new"], group, "beta_new")
+        _value(prob["beta_new"], group, f"{at}beta_new")
         if prob.get("beta_new") is not None
         else None
     )

@@ -31,6 +31,7 @@ elements, residue coefficients outside the constant tower) raise
 
 from __future__ import annotations
 
+from operator import mul, sub
 from typing import NamedTuple, Optional, Sequence
 
 from . import _linalg
@@ -44,6 +45,7 @@ from .errors import (
 )
 from .framing import Frame, PushPath, translation_root
 from .game import (
+    _reduced_divides,
     has_unit_term,
     monomialize_nondegenerate,
     run_pair_descent,
@@ -53,6 +55,7 @@ from .keypoly import KeyPolyChain, truncate, validate_chain
 from .polyalg import MultiPoly, QQ, taylor_shift
 from .values import (
     Value,
+    _sign,
     compare,
     min_integer_multiple_in_lattice,
     value_of_exponent,
@@ -151,11 +154,20 @@ def _absorb(
     It is one pair game per exponent, not one principalization of them all:
     on the ``chains`` bench pool both take the same centers, but traces
     written with the pair records must still replay."""
-    start = len(path)
-    for e in exponents:
-        # a pair that already divides makes the game append no step
-        pair = run_pair_descent(path.advance(target, start), path.advance(e, start), path)
-        if not pair.alpha_divides:
+    start = mark = len(path)
+    rest = list(exponents)
+    while rest:
+        # the target and the rest are written in the chart ``frames[mark]``:
+        # advance them through the steps the last game appended only
+        if mark < len(path):
+            target = path.advance(target, mark)
+            rest = [path.advance(e, mark) for e in rest]
+            mark = len(path)
+        e = rest.pop(0)
+        # a pair that already divides would make the game append no step
+        if _reduced_divides(target, e, path.frame.units):
+            continue
+        if not run_pair_descent(target, e, path).alpha_divides:
             raise AssertionError("auxiliary phase failed to land divisibility on y^d")
     return len(path) - start
 
@@ -231,18 +243,27 @@ def _translate(
 
 def _initial_form(
     poly: MultiPoly, frame: Frame
-) -> tuple[Value, list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """The least term value of ``poly`` in ``frame``, with the exponents of
-    that value (the initial form) and those above it, in term order.  Only
-    the weights of the columns ``poly`` uses are read: a unit column weighs
-    0, and a passive column may have no declared weight."""
+) -> tuple[tuple[int, ...], list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The least term value of ``poly`` in ``frame``, as an integer row over
+    ``frame.den``, with the exponents of that value (the initial form) and
+    those above it, in term order.  Only the weight rows of the columns
+    ``poly`` uses are read: a unit column weighs 0, and a passive column
+    may have no declared weight."""
     used = [c for c in range(frame.n) if any(e[c] for e in poly.terms)]
-    weights = [frame.weight(c) for c in used]
-    values = [(e, value_of_exponent([e[c] for c in used], weights)) for e in poly.terms]
-    least = min(v for _, v in values)
-    # equal values are equal as objects (lowest terms)
-    at = [e for e, v in values if v == least]
-    above = [e for e, v in values if v != least]
+    # the used weight rows by generator: a term's row is one dot product
+    # per generator
+    columns = list(zip(*[frame.row(c) for c in used]))
+    rows = [
+        (e, tuple([sum(map(mul, [e[c] for c in used], col)) for col in columns]))
+        for e in poly.terms
+    ]
+    least = rows[0][1]
+    for _, r in rows[1:]:
+        if _sign(list(map(sub, r, least))) < 0:
+            least = r
+    # the rows share one denominator, so equal values have equal rows
+    at = [e for e, r in rows if r == least]
+    above = [e for e, r in rows if r != least]
     return least, at, above
 
 
@@ -327,7 +348,7 @@ def _level(
     )
     aux_steps = _absorb(path, above, m0)
     z_column, z_sign = _collide(path, start, w_cols, x_col, abar, alpha)
-    weight = None if new_value is None else new_value - least
+    weight = None if new_value is None else new_value - Value(least, frame.den, frame.group)
     new_var = _translate(path, z_column, z_sign, minpoly, weight)
     return _Level(abar, alpha, minpoly, z_column, z_sign, new_var, aux_steps)
 
@@ -557,7 +578,10 @@ def _check_key_claims(
     the distinguished parameter divides the top one exactly once."""
     for w in witnesses:
         least = _initial_form(w.image, frame)[0]
-        if compare(least, chain.beta(w.entry)) != 0:
+        beta = chain.beta(w.entry)
+        # least / frame.den == beta, coordinate by coordinate
+        if [x * beta.den for x in least] != [y * frame.den for y in beta.nums]:
+            least = Value(least, frame.den, frame.group)
             raise AssertionError(
                 f"key polynomial {w.entry} has least term value {least!r} in the "
                 "final frame, not its beta"

@@ -25,7 +25,7 @@ from valmono.framing import (
 )
 from valmono.game import MonomialValuationSpec, _greedy_center, reduced_parts
 from valmono.keypoly import KeyPolyChain
-from valmono.polyalg import MultiPoly, QQ, taylor_shift
+from valmono.polyalg import MultiPoly, QQ, _expand_rows, _expansion_base, _row_ops, _split_rows, taylor_shift
 from valmono.values import Value, ValueGroup, _sign, compare, rational_from_str, value_of_exponent
 
 getcontext().prec = 80
@@ -156,6 +156,8 @@ def binomial_chain(rng: random.Random, allow_extension=True) -> KeyPolyChain:
 # and the per-step push ``push_polynomial_through_step``) is the reference
 # for ``PushPath.blow_up``, ``PushPath.translate`` and ``PushPath.push``,
 # and ``extend_path`` grows a path along hand-made steps with it.
+# ``ValueChainRows`` is the truncation recursion of ``keypoly._ChainRows``
+# as it ran on ``Value``s before its values became integer rows.
 
 
 def active_indices(frame) -> tuple[int, ...]:
@@ -404,6 +406,73 @@ def initial_form(f: MultiPoly, spec: MonomialValuationSpec) -> MultiPoly:
         if compare(value_of_exponent(e, spec.weights), v0) == 0
     }
     return MultiPoly(f.vars, keep, f.tower, f.den)
+
+
+class ValueChainRows:
+    """The truncation recursion on ``Value``s, as ``keypoly._ChainRows`` ran
+    it before its values became integer rows: the same digit rows, but
+    every ground exponent valued by ``value_of_exponent``, every term by
+    ``beta_i.scale(j) + value(c_j)``, and every order decided by
+    ``compare``."""
+
+    def __init__(self, chain: KeyPolyChain):
+        self.chain = chain
+        self.betas = [b for _, b in chain.entries]
+        self.weights = chain.ground.weights
+        self.ops = _row_ops(chain.Q(1).tower)
+
+    def expand(self, rows, i: int):
+        return _expand_rows(rows, *_expansion_base(self.chain.Q(i), self.chain.x), self.ops)
+
+    def ground_value(self, exponents) -> Value:
+        best = None
+        for e in exponents:
+            v = value_of_exponent(e, self.weights)
+            if best is None or compare(v, best) < 0:
+                best = v
+        return best
+
+    def term_values(self, digits, i: int) -> tuple:
+        return tuple(
+            (j, self.betas[i - 1].scale(j) + self.value(c, i - 1))
+            for j, c in enumerate(digits)
+            if c
+        )
+
+    def value(self, c, level: int) -> Value:
+        if level == 0:
+            return self.ground_value(e for row in c.values() for e in row)
+        return value_least(self.term_values(self.expand(c, level), level))[1]
+
+
+def value_least(terms) -> tuple:
+    """(delta, minimum) of ``(j, Value)`` terms: the last index attaining
+    the least value, by ``compare``."""
+    delta, best = terms[0]
+    for j, v in terms[1:]:
+        order = compare(v, best)
+        if order <= 0:
+            delta = j
+            if order < 0:
+                best = v
+    return delta, best
+
+
+def value_truncation(f: MultiPoly, chain: KeyPolyChain, i: int) -> tuple:
+    """``(terms, value, delta, epsilon)`` of the level-i truncation of f by
+    the ``Value`` recursion of ``ValueChainRows``."""
+    f = f.with_vars(chain.all_vars)
+    oracle = ValueChainRows(chain)
+    terms = oracle.term_values(oracle.expand(_split_rows(f, len(chain.ground.vars)), i), i)
+    delta, best = value_least(terms)
+    above = [(j, v) for j, v in terms if j > delta]
+    epsilon = None
+    if above:
+        epsilon, mu_plus = above[0]
+        for j, v in above[1:]:
+            if compare(v, mu_plus) < 0:
+                epsilon, mu_plus = j, v
+    return terms, best, delta, epsilon
 
 
 def substitute_variable(f: MultiPoly, x: str, g: MultiPoly) -> MultiPoly:

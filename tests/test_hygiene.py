@@ -522,9 +522,11 @@ def test_unread_parameter_scan_sees_each_kind():
     ]
 
 
-# Every weight sign is decided by the values kernel: ``values`` for a
-# ``Value`` and ``framing`` for a frame's integer weight rows.
-_SIGN_MODULES = {"values.py", "framing.py"}
+# Every weight sign is decided by the values kernel ``_sign``, called only
+# where the integer rows live: ``values`` for a ``Value``, ``framing`` for
+# a frame's weight rows, ``keypoly`` for a chain's truncation rows and
+# ``unifseq`` for the term rows of an initial form.
+_SIGN_MODULES = {"values.py", "framing.py", "keypoly.py", "unifseq.py"}
 
 
 def _sign_calls(tree: ast.AST) -> list[str]:
@@ -773,6 +775,52 @@ def test_witness_scan_sees_each_kind():
         "run: path.to_json", "Engine.play: claim_independence",
         "Engine.play.later: path.to_json", "Engine.claim_independence: claim_independence",
         "left: claim_independence",
+    ]
+
+
+# The truncation recursion of ``keypoly`` carries its values as integer
+# rows over one denominator: no method of ``_ChainRows`` builds a ``Value``
+# or orders values through ``compare``; ``truncate`` turns its terms into
+# values once, at return.
+_VALUE_BUILDERS = ("Value", "value_of_exponent", "compare", "of_pairs", "scale")
+
+
+def _value_uses(tree: ast.AST, cls: str) -> list[str]:
+    """``method: name`` for each use of a name of ``_VALUE_BUILDERS``, by
+    name or as an attribute, inside the methods of the class ``cls``."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ClassDef) and node.name == cls):
+            continue
+        for fn in node.body:
+            if not isinstance(fn, _FUNCTION_DEFS):
+                continue
+            for sub in ast.walk(fn):
+                name = getattr(sub, "id", None) or getattr(sub, "attr", None)
+                if name in _VALUE_BUILDERS and isinstance(sub, (ast.Name, ast.Attribute)):
+                    found.append(f"{fn.name}: {name}")
+    return found
+
+
+def test_chain_rows_build_no_value():
+    tree = _parse(PACKAGE / "keypoly.py")
+    assert _value_uses(tree, "_ChainRows") == []
+    # the rule names a live class
+    assert any(isinstance(n, ast.ClassDef) and n.name == "_ChainRows" for n in ast.walk(tree))
+
+
+def test_value_use_scan_sees_each_kind():
+    src = (
+        "class _ChainRows:\n"
+        "    def ground_value(self, es):\n        return value_of_exponent(es[0], self.w)\n"
+        "    def term_values(self, b, j):\n        return [b.scale(j), Value((1,), 1, g)]\n"
+        "    def least(self, a, b):\n        return values.compare(a, b)\n"
+        "    def fine(self, a):\n        return _sign(a)\n\n"
+        "def truncate(rows):\n    return Value(rows, 1, g)\n"
+    )
+    assert _value_uses(ast.parse(src), "_ChainRows") == [
+        "ground_value: value_of_exponent", "term_values: scale", "term_values: Value",
+        "least: compare",
     ]
 
 

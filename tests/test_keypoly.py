@@ -1,11 +1,24 @@
 """Key-polynomial chains: expansions, truncations, invariants, augmentation."""
 
+import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from conftest import binomial_chain, horner, monomial_valuation, poly, random_poly, rational_spec
+from conftest import (
+    CHILD_ENV,
+    binomial_chain,
+    horner,
+    monomial_valuation,
+    poly,
+    random_poly,
+    rational_spec,
+    value_truncation,
+)
 from valmono.errors import UnnormalizedLeadingCoefficientError, ZeroPolynomialError
 from valmono.keypoly import (
     KeyPolyChain,
@@ -16,8 +29,8 @@ from valmono.keypoly import (
     validate_chain,
 )
 from valmono.polyalg import MultiPoly, q_adic_expansion
-from valmono.trace import chain_from_json
-from valmono.values import ValueGroup, compare, value_of_exponent
+from valmono.trace import _parse_group, _poly, chain_from_json, run_problem, verify_trace
+from valmono.values import Value, ValueGroup, compare, value_of_exponent
 
 UV = ("u", "x")
 G1 = ValueGroup(1)
@@ -292,8 +305,9 @@ def test_ground_value_matches_monomial_valuation():
                 if c.is_zero():
                     continue
                 want = monomial_valuation(c.with_vars(chain.ground.vars), chain.ground)
-                got = chain._rows.ground_value([e[:-1] for e in c.terms])
-                assert compare(got, want) == 0
+                rows = chain._rows
+                got = rows.ground_value([e[:-1] for e in c.terms])
+                assert Value(got, rows.den, rows.group) == want
                 seen += 1
             for level in range(2, len(chain) + 1):
                 pending += [c for c in _digits(g, chain, level) if not c.is_zero() and c != g]
@@ -392,3 +406,116 @@ def test_reassembles_rejects_a_corrupted_digit():
         coefficients[j] = coefficients[j] + bump
         assert not StandardExpansion(exp.level, exp.base, tuple(coefficients)).reassembles(f)
         assert not exp.reassembles(f + bump)
+
+
+# -- the row recursion against the Value recursion it replaced -------------
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+sys.path.insert(0, str(BENCH))
+import corpus  # noqa: E402  (bench/ is not a package)
+
+
+def _assert_matches_value_oracle(f, chain, i):
+    t = truncate(f, chain, i)
+    terms, value, delta, epsilon = value_truncation(f, chain, i)
+    assert (t.terms, t.value, t.delta, t.epsilon) == (terms, value, delta, epsilon)
+    return t
+
+
+def _pool_chain(problem):
+    return chain_from_json(problem["chain"], _parse_group(problem))
+
+
+def test_truncate_matches_the_value_oracle_on_the_expand_pool():
+    pool = corpus.pool("expand")
+    for problem in pool:
+        chain = _pool_chain(problem)
+        f = _poly(problem, "poly")
+        _assert_matches_value_oracle(f, chain, problem.get("level", len(chain)))
+    assert len(pool) == 3000
+
+
+def test_truncate_matches_the_value_oracle_on_every_chain_level():
+    """Each level that ``validate_chain`` truncates: Q_i at level i - 1."""
+    levels = 0
+    for problem in corpus.pool("chains"):
+        if "chain" not in problem:
+            continue
+        chain = _pool_chain(problem)
+        for i in range(2, len(chain) + 1):
+            _assert_matches_value_oracle(chain.Q(i), chain, i - 1)
+            levels += 1
+    assert levels > 2000
+
+
+def _independent_chain_problem(rank, a, b, beta2):
+    """keypoly-monomialize on the chain x, x^a - u^b over the ground u1..u_rank
+    weighted 1, sqrt 2, sqrt 3, ...: beta_1 = value(u^b) / a, and beta_2
+    the given coordinates."""
+    names = [f"u{k + 1}" for k in range(rank)]
+    unit = [{"coords": [str(int(i == k)) for i in range(rank)]} for k in range(rank)]
+    x = {"vars": names + ["x"], "terms": [{"e": [0] * rank + [1], "c": "1"}]}
+    q2 = {
+        "vars": names + ["x"],
+        "terms": [{"e": [0] * rank + [a], "c": "1"}, {"e": list(b) + [0], "c": "-1"}],
+    }
+    return {
+        "algorithm": "keypoly-monomialize",
+        "group": {"rank": rank},
+        "chain": {
+            "ground": {"vars": names, "weights": unit},
+            "x": "x",
+            "entries": [
+                {"Q": x, "beta": {"coords": [f"{e}/{a}" for e in b]}},
+                {"Q": q2, "beta": {"coords": beta2}},
+            ],
+        },
+    }
+
+
+INDEPENDENT_CHAINS = [
+    _independent_chain_problem(2, 2, (1, 1), ["2", "1"]),
+    _independent_chain_problem(2, 3, (1, 2), ["2", "2"]),
+    _independent_chain_problem(3, 2, (1, 1, 1), ["2", "1", "1"]),
+    _independent_chain_problem(3, 2, (3, 1, 1), ["4", "1", "1"]),
+]
+
+
+def _mixed(v, w):
+    """Whether v - w has coordinates of both signs, so that ``_sign``
+    brackets the square roots to order them."""
+    d = [x * w.den - y * v.den for x, y in zip(v.nums, w.nums)]
+    return min(d) < 0 < max(d)
+
+
+@pytest.mark.parametrize("problem", INDEPENDENT_CHAINS)
+def test_truncations_over_independent_grounds_match_the_value_oracle(problem):
+    chain = _pool_chain(problem)
+    assert validate_chain(chain) == []
+    rng = random.Random(67)
+    refined = 0
+    for _ in range(60):
+        f = random_poly(rng, chain.all_vars, max_terms=6, max_exp=7)
+        if f.is_zero():
+            continue
+        for i in (1, 2):
+            t = _assert_matches_value_oracle(f, chain, i)
+            refined += any(_mixed(v, w) for _, v in t.terms for _, w in t.terms)
+    assert refined > 20
+
+
+@pytest.mark.parametrize("problem", INDEPENDENT_CHAINS)
+def test_keypoly_monomialize_over_an_independent_ground_ends_ok(tmp_path, problem):
+    trace = run_problem(problem)
+    assert trace["verdict"] == {"ok": True}
+    verify_trace(trace)
+    pf, tf = tmp_path / "p.json", tmp_path / "t.json"
+    pf.write_text(json.dumps(problem))
+    r = subprocess.run(
+        [sys.executable, "-m", "valmono.cli", "run", str(pf), "--out", str(tf)],
+        capture_output=True, text=True, env=CHILD_ENV,
+    )
+    assert r.returncode == 0, r.stderr
+    out = json.loads(tf.read_text())
+    assert out["verdict"] == {"ok": True}
+    assert {k: out[k] for k in ("steps", "witnesses")} == {k: trace[k] for k in ("steps", "witnesses")}

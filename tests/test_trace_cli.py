@@ -1213,6 +1213,60 @@ def test_cli_malformed_chain_exits_2(tmp_path, field, value):
     _assert_cli_schema_error(tmp_path, _with_bad_chain(field, value), _expand_problem(), field)
 
 
+# a schema error names the JSON path of the field at fault: inside the
+# chain, the spec and the uniformize problem, and by index in an array
+_POLY_SHAPE = '{"vars": [names], "terms": [{"e": [integers], "c": "p/q"}]}'
+FIELD_PATHS = [
+    (("chain", "ground", "weights"), 5, "chain.ground.weights must be an array of values, not 5"),
+    (("chain", "ground", "vars"), 5, "chain.ground.vars must be an array of variable names, not 5"),
+    (
+        ("chain", "ground", "weights"),
+        ["1"],
+        'chain.ground.weights[0] must be {"coords": [...]}, not \'1\'',
+    ),
+    (("chain", "ground"), None, "missing field 'chain.ground'"),
+    (("chain", "x"), 5, "chain.x must be a variable name, not 5"),
+    (
+        ("chain", "entries"),
+        3,
+        'chain.entries must be an array of {"Q": ..., "beta": ...} objects, not 3',
+    ),
+    (("chain", "entries", 1), 5, 'chain.entries[1] must be a {"Q": ..., "beta": ...} object, not 5'),
+    (("chain", "entries", 1, "Q"), 5, f"chain.entries[1].Q must be {_POLY_SHAPE}, not 5"),
+    (("chain", "entries", 1, "beta"), 5, 'chain.entries[1].beta must be {"coords": [...]}, not 5'),
+    (("spec", "weights"), 5, "spec.weights must be an array of values, not 5"),
+    (("problem", "w_weights"), 5, "problem.w_weights must be an array of values, not 5"),
+    (("problem", "residue", "minpoly"), 5, "problem.residue.minpoly must be an array of rational strings, not 5"),
+]
+
+
+def _with_bad_path(path, value):
+    """The problem that holds ``path``, with ``value`` there (None deletes it)."""
+    root = path[0]
+    problem = {"chain": _expand_problem, "spec": pair_problem, "problem": cusp_uniformize_problem}[root]()
+    obj = problem
+    for key in path[:-1]:
+        obj = obj[key]
+    if value is None:
+        del obj[path[-1]]
+    else:
+        obj[path[-1]] = value
+    return problem
+
+
+@pytest.mark.parametrize("path, value, message", FIELD_PATHS)
+def test_schema_error_names_the_json_path(tmp_path, path, value, message):
+    problem = _with_bad_path(path, value)
+    with pytest.raises(SchemaError) as err:
+        run_problem(problem)
+    assert str(err.value) == message
+    pf = tmp_path / "p.json"
+    pf.write_text(json.dumps(problem))
+    r = _cli("run", str(pf))
+    assert r.returncode == 2 and "Traceback" not in r.stderr
+    assert r.stderr == f"error: {message}\n"
+
+
 # a polynomial (the problem's poly, an entry's Q) or an entry's beta of the
 # wrong JSON type is a schema error naming the field, not a TypeError
 BAD_POLYS = [

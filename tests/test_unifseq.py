@@ -42,7 +42,7 @@ from valmono.unifseq import (
     monomialize_polynomial,
 )
 from valmono.trace import run_problem
-from valmono.values import ValueGroup
+from valmono.values import Value, ValueGroup
 
 G1 = ValueGroup(1)
 UV = ("u", "x")
@@ -726,7 +726,7 @@ def test_initial_form_matches_the_oracle(rng):
         spec = MonomialValuationSpec(("a", "b"), (wa, wb))
         flat = MultiPoly.build(("a", "b"), [(e[:2], f.coeff(e)) for e in f.terms])
         initial = set(initial_form(flat, spec).terms)
-        assert least == monomial_valuation(flat, spec)
+        assert Value(least, frame.den, frame.group) == monomial_valuation(flat, spec)
         assert {e[:2] for e in at} == initial
         assert {e[:2] for e in above} == set(flat.terms) - initial
     with pytest.raises(InvalidInputError, match="no declared weight"):
