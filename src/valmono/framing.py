@@ -54,7 +54,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import GroupMismatchError, InvalidInputError, StepBudgetExceededError, quote
 from .polyalg import FieldTower, MultiPoly, QQ, taylor_shift
-from .values import Value, ValueGroup, _literal, _sign
+from .values import Value, ValueGroup, _literal, _order, _sign
 
 DEFAULT_BUDGET = 100_000
 
@@ -353,7 +353,7 @@ class PushPath:
         rj = rows[j] or frame.row(j)  # row() raises for an undeclared weight
         for i in J[1:]:
             ri = rows[i] or frame.row(i)
-            if _sign(list(map(sub, ri, rj))) < 0:
+            if _order(ri, rj) < 0:
                 j, rj = i, ri
         rows = list(rows)
         ties = []

@@ -26,7 +26,7 @@ the same kind of rows.
 The values are integer rows as well, over one denominator per chain: the
 ground weights and every beta_i are put over the lcm of their
 denominators once, a term's value is a sum of rows, and two values are
-ordered by the sign of their row difference (``values._sign``).  No
+ordered by the sign of their row difference (``values._order``).  No
 :class:`Value` is built inside the recursion; ``truncate`` turns its terms
 into values once, at return, and ``validate_chain`` compares rows.
 
@@ -38,18 +38,15 @@ assumption rather than a runtime check.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import mul, sub
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
-    GroupMismatchError,
     InvalidInputError,
     UnnormalizedLeadingCoefficientError,
     ZeroPolynomialError,
     quote,
 )
-from .framing import Frame, _over_lcm
+from .framing import Frame, _over_lcm, _rows_of
 from .game import MonomialValuationSpec
 from .polyalg import (
     MultiPoly,
@@ -61,7 +58,7 @@ from .polyalg import (
     _Rows,
     _split_rows,
 )
-from .values import Value, _sign, compare
+from .values import Value, _exponent_row, _order, compare
 
 
 class KeyPolyChain:
@@ -153,19 +150,12 @@ class _ChainRows:
 
     def __init__(self, chain: KeyPolyChain):
         qs = [q for q, _ in chain.entries]
-        betas = [b for _, b in chain.entries]
         ground = chain.ground.frame()
-        group = ground.group or betas[0].group
-        for b in betas:
-            if b.group is not group and b.group != group:
-                raise GroupMismatchError("group mismatch")
-        den = lcm(ground.den, *[b.den for b in betas])
+        betas, den, group = _rows_of([b for _, b in chain.entries], ground.den, ground.group)
         lift = den // ground.den
-        # the ground weights by generator: a monomial's row is one dot
-        # product per generator
+        # the ground weights by generator, for ``_exponent_row``
         self.columns = tuple(zip(*[[lift * x for x in r] for r in ground.rows]))
-        self.betas = [tuple(den // b.den * x for x in b.nums) for b in betas]
-        self.den, self.group = den, group
+        self.betas, self.den, self.group = betas, den, group
         self.x = chain.x
         self.qs = qs
         self.ring = (chain.all_vars, qs[0].tower)
@@ -192,8 +182,8 @@ class _ChainRows:
             if v is None:
                 if not self.columns:
                     raise InvalidInputError("at least one weight is required")
-                v = self.ground[e] = tuple([sum(map(mul, e, col)) for col in self.columns])
-            if best is None or _sign(list(map(sub, v, best))) < 0:
+                v = self.ground[e] = _exponent_row(e, self.columns)
+            if best is None or _order(v, best) < 0:
                 best = v
         return best
 
@@ -207,25 +197,27 @@ class _ChainRows:
             if c
         )
 
+    def level(self, digits: list[_Rows], i: int) -> tuple[tuple, int, tuple[int, ...]]:
+        """``(terms, delta, minimum)`` of the level-i digits, which it
+        consumes: the ``term_values``, the last index attaining the least
+        term row, and that row."""
+        terms = self.term_values(digits, i)
+        delta, best = terms[0]
+        for j, v in terms[1:]:
+            order = _order(v, best)
+            if order <= 0:
+                delta = j
+                if order < 0:
+                    best = v
+        return terms, delta, best
+
     def value(self, c: _Rows, level: int) -> tuple[int, ...]:
         """Row of the value of a Q_{level+1}-free standard form given by its
         (consumed) rows: the ground value at level 0, else its least level
         term value."""
         if level == 0:
             return self.ground_value(e for row in c.values() for e in row)
-        return _least(self.term_values(self.expand(c, level), level))[1]
-
-
-def _least(terms: tuple[tuple[int, tuple[int, ...]], ...]) -> tuple[int, tuple[int, ...]]:
-    """(delta, minimum): the least term row and the last index attaining it."""
-    delta, best = terms[0]
-    for j, v in terms[1:]:
-        order = _sign(list(map(sub, v, best)))
-        if order <= 0:
-            delta = j
-            if order < 0:
-                best = v
-    return delta, best
+        return self.level(self.expand(c, level), level)[2]
 
 
 def _entry_rows(f: MultiPoly, chain: KeyPolyChain, i: int) -> tuple[MultiPoly, list[_Rows]]:
@@ -269,16 +261,15 @@ def truncate(f: MultiPoly, chain: KeyPolyChain, i: int) -> Truncation:
         raise ZeroPolynomialError("zero polynomial has no value")
     exp = _expansion(f, chain, i, digits)  # before the values consume the digits
     rows = chain._rows
-    terms = rows.term_values(digits, i)
+    terms, delta, _ = rows.level(digits, i)
     # epsilon is the first index above delta attaining the minimum of what
     # is left
-    delta, _ = _least(terms)
     above = [(j, v) for j, v in terms if j > delta]
     epsilon = None
     if above:
         epsilon, mu_plus = above[0]
         for j, v in above[1:]:
-            if _sign(list(map(sub, v, mu_plus))) < 0:
+            if _order(v, mu_plus) < 0:
                 epsilon, mu_plus = j, v
     den, group = rows.den, rows.group
     values = tuple((j, Value(v, den, group)) for j, v in terms)
@@ -343,19 +334,19 @@ def validate_chain(chain: KeyPolyChain) -> list[str]:
     for i in range(2, len(chain) + 1):
         d_prev, d_cur = chain.Q(i - 1).degree_in(x), chain.Q(i).degree_in(x)
         if d_prev >= 1 and d_cur >= 1:
-            # beta_i / d_cur - beta_(i-1) / d_prev, times the positive
-            # d_prev * d_cur * (both denominators)
+            # beta_i / d_cur against beta_(i-1) / d_prev, both times the
+            # positive d_prev * d_cur * (both denominators)
             bp, bc = chain.beta(i - 1), chain.beta(i)
-            slope = [d_prev * bp.den * y - d_cur * bc.den * x for x, y in zip(bp.nums, bc.nums)]
-            if _sign(slope) <= 0:
+            slope_cur = [d_prev * bp.den * y for y in bc.nums]
+            slope_prev = [d_cur * bc.den * x for x in bp.nums]
+            if _order(slope_cur, slope_prev) <= 0:
                 issues.append(f"slope-not-increasing:Q_{i}")
     if issues:
         return issues
     rows = chain._rows
     for i in range(2, len(chain) + 1):
         _, digits = _entry_rows(chain.Q(i), chain, i - 1)
-        trunc = _least(rows.term_values(digits, i - 1))[1]
-        if _sign(list(map(sub, rows.betas[i - 1], trunc))) <= 0:
+        if _order(rows.betas[i - 1], rows.level(digits, i - 1)[2]) <= 0:
             issues.append(f"value-jump:Q_{i}")
     return issues
 

@@ -177,11 +177,12 @@ def _spec(obj: dict, key: str, group: ValueGroup, at: str = "") -> MonomialValua
     return MonomialValuationSpec._of_rows(names, tuple(map(tuple, rows)), den, group)
 
 
-def chain_from_json(obj: dict, group: ValueGroup, at: str = "chain.") -> KeyPolyChain:
-    """The key-polynomial chain of a problem, the object at the JSON path
-    ``at``; a malformed ground, x or entries field raises SchemaError
-    naming its path.  The ground's weights are read straight into integer
-    rows, and each beta into one value."""
+def chain_from_json(obj: dict, group: ValueGroup) -> KeyPolyChain:
+    """The key-polynomial chain of a problem, its ``chain`` field; a
+    malformed ground, x or entries field raises SchemaError naming its
+    path.  The ground's weights are read straight into integer rows, and
+    each beta into one value."""
+    at = "chain."
     spec = _spec(obj, "ground", group, at)
     x = _need(obj, "x", at)
     if not isinstance(x, str):

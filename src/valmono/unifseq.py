@@ -31,7 +31,6 @@ elements, residue coefficients outside the constant tower) raise
 
 from __future__ import annotations
 
-from operator import mul, sub
 from typing import NamedTuple, Optional, Sequence
 
 from . import _linalg
@@ -55,7 +54,8 @@ from .keypoly import KeyPolyChain, truncate, validate_chain
 from .polyalg import MultiPoly, QQ, taylor_shift
 from .values import (
     Value,
-    _sign,
+    _exponent_row,
+    _order,
     compare,
     min_integer_multiple_in_lattice,
     value_of_exponent,
@@ -250,16 +250,12 @@ def _initial_form(
     ``poly`` uses are read: a unit column weighs 0, and a passive column
     may have no declared weight."""
     used = [c for c in range(frame.n) if any(e[c] for e in poly.terms)]
-    # the used weight rows by generator: a term's row is one dot product
-    # per generator
+    # the used weight rows by generator, for ``_exponent_row``
     columns = list(zip(*[frame.row(c) for c in used]))
-    rows = [
-        (e, tuple([sum(map(mul, [e[c] for c in used], col)) for col in columns]))
-        for e in poly.terms
-    ]
+    rows = [(e, _exponent_row([e[c] for c in used], columns)) for e in poly.terms]
     least = rows[0][1]
     for _, r in rows[1:]:
-        if _sign(list(map(sub, r, least))) < 0:
+        if _order(r, least) < 0:
             least = r
     # the rows share one denominator, so equal values have equal rows
     at = [e for e, r in rows if r == least]

@@ -320,6 +320,19 @@ def compare(a: Value, b: Value) -> int:
     return _sign(n)
 
 
+def _order(a: Sequence[int], b: Sequence[int]) -> int:
+    """The sign (-1, 0 or 1) of ``a - b`` for two integer rows over one
+    denominator: the order of the values they stand for."""
+    return _sign(list(map(sub, a, b)))
+
+
+def _exponent_row(alpha: Sequence[int], columns: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The row of the value of u^alpha, from the weight rows of its
+    variables given by generator (``columns[k][i]`` is coordinate k of the
+    weight of u_i): one dot product per generator."""
+    return tuple([sum(map(mul, alpha, col)) for col in columns])
+
+
 def value_of_exponent(alpha: Sequence[int], weights: Sequence[Value]) -> Value:
     """sum(alpha[i] * weights[i]); the value of the monomial u^alpha."""
     if len(alpha) != len(weights):

@@ -234,7 +234,8 @@ def test_blow_up_checks_its_center_and_spends_the_budget():
 
 def test_blow_up_decides_each_sign_once(monkeypatch):
     """One blow-up makes |J| - 1 sign decisions, one per column after the
-    first, and calls no compare and builds no Value."""
+    first, each one ``_order`` of two rows and so one ``values._sign``, and
+    calls no compare and builds no Value."""
     rng = random.Random(23)
     cases = []
     for rank in (1, 2, 4):
@@ -250,6 +251,7 @@ def test_blow_up_decides_each_sign_once(monkeypatch):
         return lambda *a: counts.update([name]) or fn(*a)
 
     monkeypatch.setattr(framing, "_sign", counted("_sign", framing._sign))
+    monkeypatch.setattr(framing, "_order", counted("_order", framing._order))
     monkeypatch.setattr(values, "_sign", counted("values._sign", values._sign))
     monkeypatch.setattr(values, "compare", counted("compare", values.compare))
     monkeypatch.setattr(Value, "__init__", counted("Value", Value.__init__))
@@ -258,7 +260,7 @@ def test_blow_up_decides_each_sign_once(monkeypatch):
         counts.clear()
         path = PushPath(frame)
         ties += bool(path.blow_up(J).J_times)
-        assert counts == Counter({"_sign": len(J) - 1})
+        assert counts == Counter({"_order": len(J) - 1, "values._sign": len(J) - 1})
     assert ties > 5
 
 

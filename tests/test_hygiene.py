@@ -522,11 +522,10 @@ def test_unread_parameter_scan_sees_each_kind():
     ]
 
 
-# Every weight sign is decided by the values kernel ``_sign``, called only
-# where the integer rows live: ``values`` for a ``Value``, ``framing`` for
-# a frame's weight rows, ``keypoly`` for a chain's truncation rows and
-# ``unifseq`` for the term rows of an initial form.
-_SIGN_MODULES = {"values.py", "framing.py", "keypoly.py", "unifseq.py"}
+# Every weight sign is decided by the values kernel: ``values`` for a
+# ``Value`` and for two integer rows (``_order``), ``framing`` for a
+# frame's weight rows.
+_SIGN_MODULES = {"values.py", "framing.py"}
 
 
 def _sign_calls(tree: ast.AST) -> list[str]:
