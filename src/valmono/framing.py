@@ -48,13 +48,12 @@ Indices are 0-based in memory and 1-based in JSON records.
 
 from __future__ import annotations
 
-from math import lcm
 from operator import le, sub
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import GroupMismatchError, InvalidInputError, StepBudgetExceededError, quote
+from .errors import InvalidInputError, StepBudgetExceededError, quote
 from .polyalg import FieldTower, MultiPoly, QQ, taylor_shift
-from .values import Value, ValueGroup, _literal, _order, _sign
+from .values import Value, _literal, _order, _rows_of, _sign
 
 DEFAULT_BUDGET = 100_000
 
@@ -160,21 +159,6 @@ def _identity(n: int) -> tuple[tuple[int, ...], ...]:
     return eye
 
 
-def _rows_of(weights, den: int = 1, group: Optional[ValueGroup] = None):
-    """``(rows, den, group)``: ``weights`` (Values, or None for an undeclared
-    weight) as integer rows over the lcm of ``den`` and their denominators.
-    Weights of another group than ``group`` are a GroupMismatchError."""
-    for w in weights:
-        if w is not None:
-            if group is None:
-                group = w.group
-            elif w.group is not group and w.group != group:
-                raise GroupMismatchError("group mismatch")
-            den = lcm(den, w.den)
-    rows = tuple(None if w is None else tuple(x * (den // w.den) for x in w.nums) for w in weights)
-    return rows, den, group
-
-
 def _over_lcm(frame: "Frame", weight: Optional[Value]):
     """``(rows, row, den, group)``: the frame's weight rows as a list, put
     with ``weight``'s row (None for None) over the lcm of their
@@ -194,8 +178,8 @@ class Frame:
     ``i`` has the coordinates ``rows[i][k] / den`` in ``group``, and
     ``rows[i]`` is None for an undeclared weight.  ``Frame(names, weights,
     units, tower)`` takes the weights as :class:`Value` objects and puts
-    them over the lcm of their denominators; ``weights`` and ``weight(i)``
-    give them back as values, built on first use.  Frames are equal when
+    them over the lcm of their denominators; ``row(i)`` gives one row, and
+    ``weights`` builds the values back on first use.  Frames are equal when
     their names, weight values, units and towers are."""
 
     __slots__ = ("names", "rows", "den", "group", "units", "tower", "_weights")
@@ -242,10 +226,6 @@ class Frame:
         if r is None:
             raise InvalidInputError(f"variable {quote(self.names[i])} has no declared weight")
         return r
-
-    def weight(self, i: int) -> Value:
-        self.row(i)
-        return self.weights[i]
 
     def __eq__(self, other):
         if not isinstance(other, Frame):

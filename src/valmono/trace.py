@@ -74,19 +74,20 @@ def _is_int(x) -> bool:
 
 def _parse_group(obj: dict) -> ValueGroup:
     """The problem's value group.  A field of the wrong JSON type raises
-    SchemaError naming it.  A rank below 1, an ordering other than
+    SchemaError naming its JSON path.  A rank below 1, an ordering other than
     ``sqrt-primes`` and bad labels are invalid inputs, reported in that
     order."""
     group = _need(obj, "group")
     if not isinstance(group, dict):
         raise SchemaError(f"group must be an object, not {quote(group)}")
-    rank = _need(group, "rank")
+    at = "group."
+    rank = _need(group, "rank", at)
     if not _is_int(rank):
-        raise SchemaError(f"rank must be an integer, not {quote(rank)}")
+        raise SchemaError(f"{at}rank must be an integer, not {quote(rank)}")
     ordering = group.get("ordering", SQRT_PRIMES)
     if not isinstance(ordering, str):
-        raise SchemaError(f"ordering must be a string, not {quote(ordering)}")
-    labels = _names(group, "labels", "generator labels") if "labels" in group else ()
+        raise SchemaError(f"{at}ordering must be a string, not {quote(ordering)}")
+    labels = _names(group, "labels", "generator labels", at) if "labels" in group else ()
     # a rank below 1 is reported first, by ValueGroup
     if ordering != SQRT_PRIMES and rank >= 1:
         raise InvalidInputError(f"unknown ordering {quote(ordering)}")

@@ -52,14 +52,7 @@ from .game import (
 )
 from .keypoly import KeyPolyChain, truncate, validate_chain
 from .polyalg import MultiPoly, QQ, taylor_shift
-from .values import (
-    Value,
-    _exponent_row,
-    _order,
-    compare,
-    min_integer_multiple_in_lattice,
-    value_of_exponent,
-)
+from .values import Value, _exponent_row, _order, _positive, _row_lattice
 
 
 class UniformizingProblem(NamedTuple):
@@ -126,18 +119,18 @@ class UniformizingResult(NamedTuple):
 
 def _lattice(frame: Frame, w_cols: Sequence[int], x_col: int) -> tuple[int, tuple[int, ...]]:
     """(abar, alpha) with abar the least positive integer such that
-    abar * beta_x = sum alpha_i beta_(w_i)."""
-    basis = [frame.weight(c) for c in w_cols]
-    target = frame.weight(x_col)
+    abar * beta_x = sum alpha_i beta_(w_i), from the frame's weight rows."""
+    basis = [frame.row(c) for c in w_cols]
+    target = frame.row(x_col)
     # one elimination: a dependent basis is reported first, then a non-positive target
     try:
-        lattice = min_integer_multiple_in_lattice(target, basis)
+        lattice = _row_lattice(target, basis)
     except DegenerateBasisError:
         raise InvalidInputError("ground weights are not Q-linearly independent") from None
     except NotInDivisibleHullError:
-        if target.is_positive():
+        if _positive(target):
             raise
-    if not target.is_positive():
+    if not _positive(target):
         raise PositiveWeightError("weights must be positive")
     return lattice
 
@@ -378,8 +371,8 @@ def elementary_uniformizing_sequence(
     w_cols = tuple(range(r))
     x_col = n - 1
     v_cols = tuple(range(r, n - 1))
-    for w in problem.w_weights:
-        if not w.is_positive():
+    for c in w_cols:
+        if not _positive(frame0.row(c)):
             raise PositiveWeightError("weights must be positive")
     lattice = abar, alpha = _lattice(frame0, w_cols, x_col)
     pos = [max(c, 0) for c in alpha]
@@ -412,15 +405,15 @@ def elementary_uniformizing_sequence(
         h = h.with_vars(frame0.names)
         if h.tower != QQ:
             raise InvalidInputError("the perturbation must have rational coefficients")
-        weights_all = list(frame0.weights)
-        if any(w is None for w in weights_all):
+        if None in frame0.rows:
             raise InvalidInputError("perturbation runs need declared weights everywhere")
+        columns = tuple(zip(*frame0.rows))
         neg_shift = tuple([d * m for m in neg] + [0] * len(v_cols) + [0])
-        v_q = value_of_exponent([d * p for p in pos] + [0] * len(v_cols) + [0], weights_all)
+        v_q = _exponent_row([d * p for p in pos] + [0] * len(v_cols) + [0], columns)
         h_terms = {}
         for e, c in h.terms.items():
             ne = tuple(a + b for a, b in zip(e, neg_shift))
-            if compare(value_of_exponent(ne, weights_all), v_q) <= 0:
+            if _order(_exponent_row(ne, columns), v_q) <= 0:
                 raise InvalidInputError(
                     "perturbation must have monomial value above the quasi-homogeneous part"
                 )
@@ -434,7 +427,8 @@ def elementary_uniformizing_sequence(
         # the cleared Q-tilde is Q-tilde, of value beta_new, times w^(d*neg)
         value = problem.beta_new
         if value is not None:
-            value += value_of_exponent([d * m for m in neg], problem.w_weights)
+            shift = _exponent_row([d * m for m in neg], tuple(zip(*frame0.rows[:r])))
+            value += Value(shift, frame0.den, frame0.group)
         level = _level(path, q_cleared, w_cols, x_col, lattice, value)
         z_column, z_sign = level.z_column, level.z_sign
         new_var, aux_steps = level.new_var, level.aux_steps
@@ -693,7 +687,7 @@ def monomialize_polynomial(f: MultiPoly, chain: KeyPolyChain, path: PushPath) ->
         {
             "j": j,
             "value": v.to_json(),
-            "attains_min": compare(v, trunc.value) == 0,
+            "attains_min": v == trunc.value,
         }
         for j, v in trunc.terms
     ]

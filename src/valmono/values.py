@@ -28,6 +28,11 @@ integer ``isqrt`` floor at ``k`` fractional bits (one cached row of floors
 per ``k``, as long as the largest rank seen), starting at 64 bits and
 doubling until the bracket of the sum excludes zero, which happens because
 the sum is a nonzero algebraic number.
+
+The engines decide on integer rows over one denominator (``_rows_of``):
+``_order``, ``_positive``, ``_exponent_row`` and ``_row_lattice``.
+``compare``, ``value_of_exponent`` and ``min_integer_multiple_in_lattice``
+are views of those kernels for :class:`Value` objects.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from fractions import Fraction
 from itertools import islice, takewhile
 from math import gcd, isqrt, lcm
 from operator import add, mul, sub
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import _linalg
 from .errors import (
@@ -313,11 +318,28 @@ def compare(a: Value, b: Value) -> int:
     if a.group is not b.group:
         a._check(b)
     da, db = a.den, b.den
-    if da == db:
-        n = list(map(sub, a.nums, b.nums))
-    else:
-        n = [x * db - y * da for x, y in zip(a.nums, b.nums)]
-    return _sign(n)
+    return _order([x * db for x in a.nums], [y * da for y in b.nums])
+
+
+def _rows_of(weights, den: int = 1, group: Optional[ValueGroup] = None):
+    """``(rows, den, group)``: ``weights`` (Values, or None for an undeclared
+    weight) as integer rows over the lcm of ``den`` and their denominators.
+    Weights of another group than ``group`` are a GroupMismatchError."""
+    for w in weights:
+        if w is not None:
+            if group is None:
+                group = w.group
+            elif w.group is not group and w.group != group:
+                raise GroupMismatchError("group mismatch")
+            den = lcm(den, w.den)
+    rows = tuple(None if w is None else tuple(x * (den // w.den) for x in w.nums) for w in weights)
+    return rows, den, group
+
+
+def _positive(row: Sequence[int]) -> bool:
+    """Whether the value of an integer row over a positive denominator is
+    positive."""
+    return _sign(row) > 0
 
 
 def _order(a: Sequence[int], b: Sequence[int]) -> int:
@@ -333,25 +355,34 @@ def _exponent_row(alpha: Sequence[int], columns: Sequence[Sequence[int]]) -> tup
     return tuple([sum(map(mul, alpha, col)) for col in columns])
 
 
+def _row_lattice(
+    target: Sequence[int], basis: Sequence[Sequence[int]]
+) -> tuple[int, tuple[int, ...]]:
+    """Smallest m >= 1 with m*target in the Z-lattice spanned by ``basis``,
+    with the integer coefficients of m*target in that basis, for integer
+    rows over one denominator, which cancels.  One elimination on the rows
+    gives the rank and the solution; a Q-dependent basis is reported
+    before a target outside its Q-span."""
+    if not basis:
+        raise DegenerateBasisError("degenerate basis")
+    # columns = basis rows, rows = group coordinates
+    y, rank = _linalg.solve_rational(tuple(zip(*basis)), target)
+    if rank < len(basis):
+        raise DegenerateBasisError("degenerate basis")
+    if y is None:
+        raise NotInDivisibleHullError("not in divisible hull")
+    m = lcm(*(q.denominator for q in y))
+    return m, tuple(q.numerator * (m // q.denominator) for q in y)
+
+
 def value_of_exponent(alpha: Sequence[int], weights: Sequence[Value]) -> Value:
     """sum(alpha[i] * weights[i]); the value of the monomial u^alpha."""
     if len(alpha) != len(weights):
         raise InvalidInputError("exponent length must match the number of weights")
     if not weights:
         raise InvalidInputError("at least one weight is required")
-    group = weights[0].group
-    for w in weights[1:]:
-        if w.group is not group and w.group != group:
-            raise GroupMismatchError("group mismatch")
-    # integer numerators over the used weights' common denominator
-    used = [(a, w) for a, w in zip(alpha, weights) if a]
-    den = lcm(*[w.den for _, w in used])
-    nums = [0] * group.rank
-    for a, w in used:
-        k = a * (den // w.den)
-        for i, n in enumerate(w.nums):
-            nums[i] += k * n
-    return Value(tuple(nums), den, group)
+    rows, den, group = _rows_of(weights)
+    return Value(_exponent_row(alpha, tuple(zip(*rows))), den, group)
 
 
 def min_integer_multiple_in_lattice(
@@ -361,22 +392,6 @@ def min_integer_multiple_in_lattice(
     together with the integer coefficients of m*target in that basis.
 
     The basis must be Q-linearly independent and the target must lie in its
-    Q-span.  One integer elimination on the numerators gives the rank and
-    the solution y of ``sum_j nums_j y_j = target.nums``; the coefficients
-    are then ``y_j * den_j / target.den``.
-    """
-    if not basis:
-        raise DegenerateBasisError("degenerate basis")
-    group = target.group
-    for b in basis:
-        if b.group != group:
-            raise GroupMismatchError("group mismatch")
-    # columns = basis numerators, rows = group coordinates
-    y, rank = _linalg.solve_rational(tuple(zip(*(b.nums for b in basis))), target.nums)
-    if rank < len(basis):
-        raise DegenerateBasisError("degenerate basis")
-    if y is None:
-        raise NotInDivisibleHullError("not in divisible hull")
-    x = [Fraction(q.numerator * b.den, q.denominator * target.den) for q, b in zip(y, basis)]
-    m = lcm(*(q.denominator for q in x))
-    return m, tuple(q.numerator * (m // q.denominator) for q in x)
+    Q-span: ``_row_lattice`` on the rows over one denominator."""
+    (row, *rows), _, _ = _rows_of((target, *basis))
+    return _row_lattice(row, rows)

@@ -15,18 +15,11 @@ from typing import Optional, Sequence
 import pytest
 
 from valmono.errors import InvalidInputError, ValmonoError, ZeroPolynomialError
-from valmono.framing import (
-    Frame,
-    FramedStep,
-    TranslationItem,
-    _push_exponents,
-    _rows_of,
-    translation_root,
-)
+from valmono.framing import Frame, FramedStep, TranslationItem, _push_exponents, translation_root
 from valmono.game import MonomialValuationSpec, _greedy_center, reduced_parts
 from valmono.keypoly import KeyPolyChain
 from valmono.polyalg import MultiPoly, QQ, _expand_rows, _expansion_base, _row_ops, _split_rows, taylor_shift
-from valmono.values import Value, ValueGroup, _sign, compare, rational_from_str, value_of_exponent
+from valmono.values import Value, ValueGroup, _rows_of, _sign, compare, rational_from_str, value_of_exponent
 
 getcontext().prec = 80
 
@@ -142,6 +135,41 @@ def binomial_chain(rng: random.Random, allow_extension=True) -> KeyPolyChain:
                 entries.append((q3, group.rational(beta3)))
                 break
     return KeyPolyChain(ground, "x", tuple(entries))
+
+
+def random_chain(rng: random.Random) -> KeyPolyChain:
+    """A random chain of rank 1-2 with 1-2 ground variables and 2-3 entries,
+    valid or not: Q_1 is x; each later Q_i is x to a multiple of the
+    degree below plus random lower terms, now and then of a degree that
+    is no multiple, or with the leading coefficient 2; each beta is the
+    degree ratio times the one below plus a random value, which may be
+    negative, and beta_1 may be nonpositive."""
+    group = ValueGroup(rng.randint(1, 2))
+
+    def value(lo: int, hi: int) -> Value:
+        head = Fraction(rng.randint(lo, hi), rng.randint(1, 3))
+        return group.value([head] + [Fraction(rng.randint(-1, 1), 2)] * (group.rank - 1))
+
+    r = rng.randint(1, 2)
+    names = tuple(f"u{k}" for k in range(1, r + 1))
+    weights = []
+    while len(weights) < r:
+        w = value(1, 6)
+        if w.sign() > 0:
+            weights.append(w)
+    vars_ = names + ("x",)
+    entries = [(MultiPoly.variable(vars_, "x"), value(-1, 6))]
+    d = 1
+    for _ in range(rng.randint(1, 2)):
+        a = rng.randint(1, 3)
+        top = d * a + (rng.random() < 0.1)
+        terms = {(0,) * r + (top,): 2 if rng.random() < 0.1 else 1}
+        for _ in range(rng.randint(1, 3)):
+            e = tuple(rng.randint(0, 3) for _ in names) + (rng.randrange(top),)
+            terms[e] = rng.choice((-3, -2, -1, 1, 2, 3))
+        entries.append((poly(vars_, terms), entries[-1][1].scale(a) + value(-2, 6)))
+        d = top
+    return KeyPolyChain(MonomialValuationSpec(names, tuple(weights)), "x", tuple(entries))
 
 
 # -- oracles for routines the package does not call ----------------------

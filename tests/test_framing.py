@@ -208,7 +208,7 @@ def test_blow_up_matches_the_value_oracles(ordering, rank):
 def test_blow_up_refuses_an_undeclared_weight_in_its_center():
     frame = Frame(("a", "b", "c"), (G1.rational(1), None, G1.rational(2)))
     with pytest.raises(InvalidInputError) as want:
-        frame.weight(1)
+        frame.row(1)
     path = PushPath(frame)
     for J in ((0, 1), (1, 2), (0, 1, 2)):
         with pytest.raises(InvalidInputError) as got:

@@ -555,6 +555,57 @@ def test_sign_scan_sees_each_kind():
     assert _sign_calls(ast.parse(src)) == ["line 3", "line 4"]
 
 
+# One value path: the engines decide every order, sign and lattice relation
+# on integer weight rows, through the row kernels of ``values`` (``_order``,
+# ``_positive``, ``_exponent_row`` and ``_row_lattice``); they use neither
+# the ``Value`` views of those kernels nor a ``weight`` attribute that
+# would build a frame's weight values to read one.
+_ENGINE_MODULES = ("framing.py", "game.py", "keypoly.py", "unifseq.py")
+_VALUE_VIEWS = {"compare", "value_of_exponent", "min_integer_multiple_in_lattice"}
+
+
+def _value_view_uses(tree: ast.AST) -> list[str]:
+    """``line N: name`` for each use of a ``_VALUE_VIEWS`` function, by name,
+    as an attribute or imported, and for each attribute ``weight``, in line
+    order."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in _VALUE_VIEWS or (name == "weight" and isinstance(node, ast.Attribute)):
+            found.append((node.lineno, name))
+    return [f"line {n}: {name}" for n, name in sorted(found)]
+
+
+def test_engines_decide_on_weight_rows():
+    found = []
+    for name in _ENGINE_MODULES:
+        found += [f"{name} {use}" for use in _value_view_uses(_parse(PACKAGE / name))]
+    assert found == []
+    # the views are still defined, for the callers of the public API
+    defined = {n.name for n in ast.walk(_parse(PACKAGE / "values.py")) if isinstance(n, ast.FunctionDef)}
+    assert _VALUE_VIEWS <= defined
+
+
+def test_value_view_scan_sees_each_kind():
+    src = (
+        "from .values import compare, _order\nfrom . import values\n"
+        "a = compare(x, y)\nb = values.value_of_exponent(e, w)\n"
+        "c = frame.weight(1)\nd = sorted(v, key=min_integer_multiple_in_lattice)\n"
+        "weight = frame.row(1)\ne = item.new_weight\nf = _order(x, y)\n"
+    )
+    assert _value_view_uses(ast.parse(src)) == [
+        "line 1: compare", "line 3: compare", "line 4: value_of_exponent", "line 5: weight",
+        "line 6: min_integer_multiple_in_lattice",
+    ]
+
+
 # A path grows two ways: ``PushPath.blow_up`` and ``PushPath.translate``
 # build every step, and they alone append to a path's steps and frames.
 # Outside ``framing`` one loop blows up: the descent game of ``game``.

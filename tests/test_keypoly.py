@@ -15,6 +15,7 @@ from conftest import (
     horner,
     monomial_valuation,
     poly,
+    random_chain,
     random_poly,
     rational_spec,
     value_truncation,
@@ -63,12 +64,12 @@ def test_validate_catches_violations():
         ground, "x", ((q1, G1.rational(Fraction(3, 2))), (q2_nonmonic, G1.rational(4)))
     )
     assert any(v.startswith("non-monic") for v in issues + validate_chain(bad_monic))
-    # missing value jump: beta_2 equal to the truncated value
+    # no value jump: beta_2 equals 3, the level-1 value of Q_2, and that
+    # is 2 * beta_1, so the slope check names it
     bad_jump = KeyPolyChain(
         ground, "x", ((q1, G1.rational(Fraction(3, 2))), (q2, G1.rational(3)))
     )
-    issues = validate_chain(bad_jump)
-    assert any(v.startswith("value-jump") or v.startswith("slope") for v in issues)
+    assert validate_chain(bad_jump) == ["slope-not-increasing:Q_2"]
 
 
 def test_standard_expansion_examples():
@@ -436,7 +437,7 @@ def test_truncate_matches_the_value_oracle_on_the_expand_pool():
 
 
 def test_truncate_matches_the_value_oracle_on_every_chain_level():
-    """Each level that ``validate_chain`` truncates: Q_i at level i - 1."""
+    """Q_i at level i - 1, for every chain of the pool."""
     levels = 0
     for problem in corpus.pool("chains"):
         if "chain" not in problem:
@@ -446,6 +447,81 @@ def test_truncate_matches_the_value_oracle_on_every_chain_level():
             _assert_matches_value_oracle(chain.Q(i), chain, i - 1)
             levels += 1
     assert levels > 2000
+
+
+def test_every_valid_chain_jumps_above_the_level_below():
+    """Why ``validate_chain`` has no value-jump check: on every chain that
+    it accepts, the ``Value`` oracle puts the level-(i-1) value of Q_i
+    below beta_i.  The chains are those of the ``chains`` pool and 1000
+    random ones that validate."""
+    chains = [_pool_chain(p) for p in corpus.pool("chains") if "chain" in p]
+    assert len(chains) == 2008 and all(validate_chain(c) == [] for c in chains)
+    rng = random.Random(73)
+    drawn = valid = 0
+    while valid < 1000:
+        chain = random_chain(rng)
+        drawn += 1
+        if validate_chain(chain) == []:
+            chains.append(chain)
+            valid += 1
+    assert drawn > 2000  # the generator also draws invalid chains
+    for chain in chains:
+        for i in range(2, len(chain) + 1):
+            assert value_truncation(chain.Q(i), chain, i - 1)[1] < chain.beta(i)
+
+
+# One reproducer per ``validate_chain`` tag that no other test reaches
+# through a run: each ends a keypoly-monomialize run in the invalid-input
+# verdict, in process and through the CLI.
+def _chain_problem(entries) -> dict:
+    """keypoly-monomialize over the ground u of weight 1; ``entries`` holds
+    (terms of Q_i as {(u, x) exponent: coefficient}, beta_i literal)."""
+    return {
+        "algorithm": "keypoly-monomialize",
+        "group": {"rank": 1},
+        "chain": {
+            "ground": {"vars": ["u"], "weights": [{"coords": ["1"]}]},
+            "x": "x",
+            "entries": [
+                {
+                    "Q": {"vars": ["u", "x"], "terms": [{"e": list(e), "c": c} for e, c in q.items()]},
+                    "beta": {"coords": [beta]},
+                }
+                for q, beta in entries
+            ],
+        },
+    }
+
+
+X = {(0, 1): "1"}
+CUSP = {(0, 2): "1", (3, 0): "-1"}
+INVALID_CHAINS = [
+    ("beta-not-positive", _chain_problem([(X, "-1"), (CUSP, "4")])),
+    # Q_3 of x-degree 3 over Q_2 of x-degree 2
+    (
+        "degree-ratio",
+        _chain_problem([(X, "1"), ({(0, 2): "1", (1, 0): "1"}, "3"), ({(0, 3): "1", (1, 0): "1"}, "5")]),
+    ),
+    # an x-free Q_2 has no leading coefficient in x
+    ("non-monic:Q_2", _chain_problem([(X, "1"), ({(1, 0): "1"}, "2")])),
+]
+
+
+@pytest.mark.parametrize("tag, problem", INVALID_CHAINS)
+def test_each_chain_tag_ends_in_the_invalid_input_verdict(tmp_path, tag, problem):
+    assert validate_chain(_pool_chain(problem)) == [tag]
+    message = f"chain invalid: {tag}"
+    trace = run_problem(problem)
+    assert trace["verdict"] == {"ok": False, "code": "invalid input", "message": message}
+    pf, tf = tmp_path / "p.json", tmp_path / "t.json"
+    pf.write_text(json.dumps(problem))
+    r = subprocess.run(
+        [sys.executable, "-m", "valmono.cli", "run", str(pf), "--out", str(tf)],
+        capture_output=True, text=True, env=CHILD_ENV,
+    )
+    assert r.returncode == 3 and "Traceback" not in r.stderr
+    assert r.stderr == f"error: {message}\n"
+    assert json.loads(tf.read_text())["verdict"] == trace["verdict"]
 
 
 def _independent_chain_problem(rank, a, b, beta2):

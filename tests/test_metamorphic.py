@@ -1,13 +1,19 @@
-"""Metamorphic relations of the descent game over the benchmark's
-``descent`` pool (``bench/corpus.py``, only read): two inputs that must
-give the same blow-ups, without a recorded answer for either.
+"""Metamorphic relations over the benchmark's pools (``bench/corpus.py``,
+only read): two inputs whose outcomes must agree, without a recorded
+answer for either.
 
 - The game reads weights only through the signs of their integer
   combinations, so scaling every spec weight by one positive rational
   leaves the step records unchanged.
 - A pair's reduced parts are the two sides of alpha - gamma, and a
   blow-up acts linearly on exponents, so adding one to every coordinate
-  of both leaves every tau and center unchanged."""
+  of both leaves every tau and center unchanged.
+- The same holds for every value of a chain or a uniformizing problem:
+  the engines order and solve value rows over one denominator, and a
+  common positive factor changes no sign and no lattice relation.  So
+  the ``chains`` runs keep their steps and verdicts, and a truncation of
+  the ``expand`` pool keeps its expansion and invariants while its value
+  scales by the factor."""
 
 from __future__ import annotations
 
@@ -24,24 +30,31 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
 import corpus  # noqa: E402  (bench/ is not a package)
 
+from valmono import keypoly, values  # noqa: E402
+
+FACTOR = Fraction(7, 3)
+
 
 @pytest.fixture(scope="module")
 def descent_pool():
     return corpus.pool("descent")
 
 
+def _scale(value: dict, factor: Fraction) -> None:
+    value["coords"] = [str(Fraction(c) * factor) for c in value["coords"]]
+
+
 def _scaled(problem: dict, factor: Fraction) -> dict:
     out = copy.deepcopy(problem)
     for w in out["spec"]["weights"]:
-        w["coords"] = [str(Fraction(c) * factor) for c in w["coords"]]
+        _scale(w, factor)
     return out
 
 
 def test_scaling_every_weight_keeps_the_steps(descent_pool):
-    factor = Fraction(7, 3)
     kinds = set()
     for problem in descent_pool:
-        before, after = run_problem(problem), run_problem(_scaled(problem, factor))
+        before, after = run_problem(problem), run_problem(_scaled(problem, FACTOR))
         assert before["verdict"] == after["verdict"] == {"ok": True}
         assert after["steps"] == before["steps"]
         kinds.add(problem["algorithm"])
@@ -65,3 +78,90 @@ def test_a_common_factor_keeps_the_pair_centers(descent_pool):
         assert _centers(run_problem(shifted)) == _centers(before)
         moved += bool(before["steps"])
     assert len(pairs) == 263 and moved > 100
+
+
+# -- every value of a chain or a uniformizing problem ---------------------
+
+
+@pytest.fixture(scope="module")
+def chains_pool():
+    return corpus.pool("chains")
+
+
+@pytest.fixture(scope="module")
+def expand_pool():
+    return corpus.pool("expand")
+
+
+def _scaled_values(problem: dict, factor: Fraction) -> dict:
+    """The problem with every value times ``factor``: a chain's ground
+    weights and betas, or a uniformizing problem's ``w_weights``,
+    ``v_weights``, ``beta_n`` and ``beta_new``."""
+    out = copy.deepcopy(problem)
+    if "chain" in out:
+        chain = out["chain"]
+        found = chain["ground"]["weights"] + [e["beta"] for e in chain["entries"]]
+    else:
+        prob = out["problem"]
+        found = prob["w_weights"] + prob.get("v_weights", []) + [prob["beta_n"], prob.get("beta_new")]
+    for value in found:
+        if value is not None:
+            _scale(value, factor)
+    return out
+
+
+def _outcome(problem: dict):
+    """The steps and verdict of a run, or the type and message of what
+    escaped it (the pool holds escapes, ROADMAP item 1)."""
+    try:
+        trace = run_problem(problem)
+    except Exception as err:
+        return type(err), str(err)
+    return trace["steps"], trace["verdict"]
+
+
+def _chains_breaks(problems) -> tuple[list[int], int]:
+    """The indices of the problems whose outcome moves when every value is
+    scaled by ``FACTOR``, and how many of the runs escaped."""
+    breaks, escapes = [], 0
+    for k, p in enumerate(problems):
+        before = _outcome(p)
+        escapes += isinstance(before[0], type)
+        if _outcome(_scaled_values(p, FACTOR)) != before:
+            breaks.append(k)
+    return breaks, escapes
+
+
+def test_scaling_every_value_keeps_the_chains_outcomes(chains_pool):
+    assert _chains_breaks(chains_pool) == ([], 29)
+    kinds = {p["algorithm"] for p in chains_pool}
+    assert kinds == {"keypoly-monomialize", "polynomial", "uniformize"}
+
+
+def test_scaling_every_value_scales_the_truncated_value(expand_pool):
+    for problem in expand_pool:
+        before = run_problem(problem)
+        after = run_problem(_scaled_values(problem, FACTOR))
+        assert before["verdict"] == after["verdict"] == {"ok": True}
+        b, a = before["witnesses"], after["witnesses"]
+        assert [a[k] for k in ("coefficients", "delta", "epsilon")] == [
+            b[k] for k in ("coefficients", "delta", "epsilon")
+        ]
+        want = dict(b["truncated_value"])
+        _scale(want, FACTOR)
+        assert a["truncated_value"] == want
+
+
+def _rows_over_their_own_denominators(weights, den=1, group=None):
+    """``values._rows_of`` with a defect: each row keeps the denominator
+    of its own value, so rows over two denominators are ordered as if
+    they shared the common one."""
+    _, den, group = values._rows_of(weights, den, group)
+    return tuple(None if w is None else w.nums for w in weights), den, group
+
+
+def test_the_scaling_relation_sees_rows_over_two_denominators(monkeypatch, chains_pool):
+    problems = [p for p in chains_pool[:300] if "chain" in p]
+    monkeypatch.setattr(keypoly, "_rows_of", _rows_over_their_own_denominators)
+    breaks, _ = _chains_breaks(problems)
+    assert len(breaks) > 10, breaks

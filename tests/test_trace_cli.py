@@ -1214,7 +1214,8 @@ def test_cli_malformed_chain_exits_2(tmp_path, field, value):
 
 
 # a schema error names the JSON path of the field at fault: inside the
-# chain, the spec and the uniformize problem, and by index in an array
+# chain, the spec, the uniformize problem and the group, and by index in an
+# array
 _POLY_SHAPE = '{"vars": [names], "terms": [{"e": [integers], "c": "p/q"}]}'
 FIELD_PATHS = [
     (("chain", "ground", "weights"), 5, "chain.ground.weights must be an array of values, not 5"),
@@ -1237,13 +1238,20 @@ FIELD_PATHS = [
     (("spec", "weights"), 5, "spec.weights must be an array of values, not 5"),
     (("problem", "w_weights"), 5, "problem.w_weights must be an array of values, not 5"),
     (("problem", "residue", "minpoly"), 5, "problem.residue.minpoly must be an array of rational strings, not 5"),
+    (("group", "rank"), None, "missing field 'group.rank'"),
+    (("group", "rank"), "1", "group.rank must be an integer, not '1'"),
+    (("group", "ordering"), 5, "group.ordering must be a string, not 5"),
+    (("group", "labels"), 5, "group.labels must be an array of generator labels, not 5"),
 ]
 
 
 def _with_bad_path(path, value):
     """The problem that holds ``path``, with ``value`` there (None deletes it)."""
     root = path[0]
-    problem = {"chain": _expand_problem, "spec": pair_problem, "problem": cusp_uniformize_problem}[root]()
+    problem = {
+        "chain": _expand_problem, "spec": pair_problem, "problem": cusp_uniformize_problem,
+        "group": cusp_uniformize_problem,
+    }[root]()
     obj = problem
     for key in path[:-1]:
         obj = obj[key]
@@ -1665,7 +1673,7 @@ SEVERAL_FAULTS = [
     # rank wins over the ordering, and the ordering over the labels
     (
         _faulty_group(rank=0, ordering="lex", labels=5),
-        (SchemaError, "labels must be an array of generator labels, not 5"),
+        (SchemaError, "group.labels must be an array of generator labels, not 5"),
     ),
     (_faulty_group(rank=0, ordering="lex"), ("invalid input", "rank must be >= 1")),
     (

@@ -119,10 +119,8 @@ def test_lattice_data_eliminates_once(monkeypatch):
 
 def test_one_lattice_solve_per_level(monkeypatch):
     calls = []
-    solve = unifseq.min_integer_multiple_in_lattice
-    monkeypatch.setattr(
-        unifseq, "min_integer_multiple_in_lattice", lambda t, b: calls.append(t) or solve(t, b)
-    )
+    solve = unifseq._row_lattice
+    monkeypatch.setattr(unifseq, "_row_lattice", lambda t, b: calls.append(t) or solve(t, b))
     prob = cusp_problem()
     res = elementary_uniformizing_sequence(prob, PushPath(prob.frame()))
     assert res.new_var is not None and len(calls) == 1
@@ -730,4 +728,4 @@ def test_initial_form_matches_the_oracle(rng):
         assert {e[:2] for e in at} == initial
         assert {e[:2] for e in above} == set(flat.terms) - initial
     with pytest.raises(InvalidInputError, match="no declared weight"):
-        frame.weight(3)
+        frame.row(3)
