@@ -20,8 +20,9 @@ non-integral Q_i makes them Fractions through the same code).  The
 values below the level asked for are read off the digit rows (the ground
 value needs only exponents), so those digits never become polynomials.
 Only the coefficients of the level asked for are built, as polynomials
-over D, and ``StandardExpansion.reassembles`` is an exact Horner check on
-the same kind of rows.
+over D, and ``StandardExpansion.reassembles`` decides their identity
+exactly on the same kind of rows.  Each Q_i is taken over the chain's
+variables, so a Q_i built over another order of them expands alike.
 
 The values are integer rows as well, over one denominator per chain: the
 ground weights and every beta_i are put over the lcm of their
@@ -51,8 +52,8 @@ from .game import MonomialValuationSpec
 from .polyalg import (
     MultiPoly,
     _expand_rows,
-    _expansion_base,
     _join_rows,
+    _monic_rows,
     _reassembles,
     _row_ops,
     _Rows,
@@ -141,12 +142,13 @@ class StandardExpansion(NamedTuple):
 
 
 class _ChainRows:
-    """Truncation on x-dense rows, made once per chain: each Q_i as a row
-    divisor, built on first use (an unused level may be malformed), and
-    every value as an integer row over one denominator ``den``: the ground
-    weights and each beta_i, put over the lcm of their denominators once.
-    A row sum is a value sum, and the sign of a row difference orders two
-    values; no :class:`Value` is built here."""
+    """Truncation on x-dense rows, made once per chain: each Q_i over the
+    chain's variables as a row divisor, built on first use (an unused
+    level may be malformed), and every value as an integer row over one
+    denominator ``den``: the ground weights and each beta_i, put over the
+    lcm of their denominators once.  A row sum is a value sum, and the
+    sign of a row difference orders two values; no :class:`Value` is
+    built here."""
 
     def __init__(self, chain: KeyPolyChain):
         qs = [q for q, _ in chain.entries]
@@ -158,20 +160,26 @@ class _ChainRows:
         self.betas, self.den, self.group = betas, den, group
         self.x = chain.x
         self.qs = qs
-        self.ring = (chain.all_vars, qs[0].tower)
-        self.ops = _row_ops(qs[0].tower)
-        self.bases: dict[int, tuple[int, _Rows]] = {}
+        self.vars, self.tower = chain.all_vars, qs[0].tower
+        self.ops = _row_ops(self.tower)
+        self.bases: dict[int, tuple[MultiPoly, int, _Rows]] = {}
         self.ground: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def base(self, i: int) -> tuple[MultiPoly, int, _Rows]:
+        """Q_i over the chain's variables, its x-degree and its negated
+        lower rows."""
+        base = self.bases.get(i)
+        if base is None:
+            q = self.qs[i - 1].with_vars(self.vars)
+            if q.tower != self.tower:
+                raise InvalidInputError("polynomials live in different rings")
+            base = self.bases[i] = (q, *_monic_rows(q, self.x, 1))
+        return base
 
     def expand(self, rows: _Rows, i: int) -> list[_Rows]:
         """Level-i digits of ``rows``, which the expansion consumes."""
-        base = self.bases.get(i)
-        if base is None:
-            q = self.qs[i - 1]
-            if (q.vars, q.tower) != self.ring:
-                raise InvalidInputError("polynomials live in different rings")
-            base = self.bases[i] = _expansion_base(q, self.x)
-        return _expand_rows(rows, *base, self.ops)
+        _, d, neg_low = self.base(i)
+        return _expand_rows(rows, d, neg_low, self.ops)
 
     def ground_value(self, exponents: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
         """Row of the monomial value of an x-free form given by its ground
@@ -220,23 +228,6 @@ class _ChainRows:
         return self.level(self.expand(c, level), level)[2]
 
 
-def _entry_rows(f: MultiPoly, chain: KeyPolyChain, i: int) -> tuple[MultiPoly, list[_Rows]]:
-    """f over the chain's variables and the level-i digits of its rows."""
-    if not 1 <= i <= len(chain):
-        raise InvalidInputError(f"level {quote(i)} outside the chain")
-    f = f.with_vars(chain.all_vars)
-    f._check(chain.Q(i))
-    return f, chain._rows.expand(_split_rows(f, len(chain.ground.vars)), i)
-
-
-def _expansion(f: MultiPoly, chain: KeyPolyChain, i: int, digits: list[_Rows]) -> StandardExpansion:
-    """The level-i expansion with its digits as polynomials over f's denominator."""
-    xi = len(chain.ground.vars)
-    return StandardExpansion(
-        level=i, base=chain.Q(i), coefficients=tuple(_join_rows(c, xi, f) for c in digits)
-    )
-
-
 class Truncation(NamedTuple):
     """One level-i standard expansion and the values it defines: the terms
     ``(j, j beta_i + value(c_j))`` of the nonzero coefficients in j order,
@@ -256,11 +247,18 @@ def truncate(f: MultiPoly, chain: KeyPolyChain, i: int) -> Truncation:
     Only the level-i coefficients are built as polynomials; the values
     below are read off the digit rows, and the terms become values only
     here, at return."""
-    f, digits = _entry_rows(f, chain, i)
+    if not 1 <= i <= len(chain):
+        raise InvalidInputError(f"level {quote(i)} outside the chain")
+    f = f.with_vars(chain.all_vars)
+    rows = chain._rows
+    q = rows.base(i)[0]
+    f._check(q)
+    xi = len(chain.ground.vars)
+    digits = rows.expand(_split_rows(f, xi), i)
     if f.is_zero():
         raise ZeroPolynomialError("zero polynomial has no value")
-    exp = _expansion(f, chain, i, digits)  # before the values consume the digits
-    rows = chain._rows
+    # the coefficients, before the values consume the digits
+    exp = StandardExpansion(i, q, tuple(_join_rows(c, xi, f) for c in digits))
     terms, delta, _ = rows.level(digits, i)
     # epsilon is the first index above delta attaining the minimum of what
     # is left
@@ -297,7 +295,7 @@ def next_key_char0(
     if c_delta != one:
         raise UnnormalizedLeadingCoefficientError("unnormalized leading coefficient")
     z = t.expansion.coefficients[delta - 1].scale(Fraction(1, delta))
-    q_next = chain.Q(i) + z
+    q_next = t.expansion.base + z
     jump = truncated_valuation(q_next, chain, i)
     if jump != chain.beta(i):
         raise AssertionError("augmented polynomial does not sit at the expected value")

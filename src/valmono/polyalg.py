@@ -25,8 +25,13 @@ once into x-dense rows (x-degree -> x-free sparse coordinates) and
 long-divided row by row from the top degree down, so no coefficient is
 inverted and an integral divisor keeps every row integral over the
 dividend's denominator.  ``euclid_divide``, ``q_adic_expansion`` and the
-truncations of :mod:`valmono.keypoly` share it, and the check that an
-expansion reassembles its polynomial is Horner's rule on the same rows.
+truncations of :mod:`valmono.keypoly` share it.  An expansion by a pure
+power x^d, a divisor with no lower rows, cuts the rows into blocks of d
+instead.  The check that an expansion reassembles its polynomial adds
+each digit's terms straight into rows over one denominator: Horner's rule
+with the divisor's lower rows, or the digits shifted into place for a
+pure power.  One split (``_monic_split``) checks that a divisor is monic
+for all of them.
 The Taylor shift ``x -> theta + x`` writes theta as T / b and is an
 integer multiply-accumulate over ``den * b^K``.
 """
@@ -597,19 +602,29 @@ def _join_rows(rows: _Rows, xi: int, like: MultiPoly) -> MultiPoly:
     return MultiPoly(like.vars, terms, like.tower, like.den)
 
 
-def _monic_rows(g: MultiPoly, x: str) -> tuple[int, _Rows]:
-    """x-degree and negated lower rows of a divisor monic in x: integer
-    rows when g is integral, so an integer dividend stays integral, and
-    Fraction rows otherwise."""
+def _monic_split(g: MultiPoly, x: str, least: int = 0) -> tuple[int, _Rows]:
+    """x-degree and lower rows, over ``g.den``, of a divisor monic in x of
+    x-degree at least ``least`` (1 for an expansion base): the one check
+    that raises NonMonicDivisorError."""
     rows = _split_rows(g, g.var_index(x))
-    if not rows:
+    d = max(rows, default=-1)
+    if d < least:
+        if least:
+            raise NonMonicDivisorError("non-monic divisor: expansion base must involve the variable")
         raise NonMonicDivisorError("non-monic divisor: zero divisor")
-    d = max(rows)
     lead = rows.pop(d)
     zero = tuple(0 for _ in g.vars[1:])
-    den = g.den
-    if not (len(lead) == 1 and lead.get(zero) == _times(g.tower.one(), den)):
+    if not (len(lead) == 1 and lead.get(zero) == _times(g.tower.one(), g.den)):
         raise NonMonicDivisorError("non-monic divisor")
+    return d, rows
+
+
+def _monic_rows(g: MultiPoly, x: str, least: int = 0) -> tuple[int, _Rows]:
+    """x-degree and negated lower rows of a divisor as ``_monic_split``
+    checks it: integer rows when g is integral, so an integer dividend
+    stays integral, and Fraction rows otherwise."""
+    d, rows = _monic_split(g, x, least)
+    den = g.den
     neg = _row_ops(g.tower)[2] if den == 1 else partial(_map, fn=lambda n: Fraction(-n, den))
     return d, {j: {e: neg(c) for e, c in row.items()} for j, row in rows.items()}
 
@@ -651,7 +666,16 @@ def _divide_rows(r: _Rows, d: int, neg_low: _Rows, ops: tuple) -> _Rows:
 
 def _expand_rows(r: _Rows, d: int, neg_low: _Rows, ops: tuple) -> list[_Rows]:
     """Q-adic digits of ``r`` (consumed) for the divisor of ``_divide_rows``;
-    the running quotient stays in row form from one digit to the next."""
+    the running quotient stays in row form from one digit to the next.
+    A divisor without lower rows is Q = x^d, whose digit j is rows
+    j*d .. j*d+d-1 of r shifted down by j*d: the digits of the division
+    loop, empty middle digits included, with no loop run."""
+    if not neg_low:
+        digits: list[_Rows] = [{} for _ in range(max(r, default=0) // d + 1)]
+        for k, row in r.items():
+            j, m = divmod(k, d)
+            digits[j][m] = row
+        return digits
     digits = []
     while True:
         quo = _divide_rows(r, d, neg_low, ops)
@@ -661,37 +685,55 @@ def _expand_rows(r: _Rows, d: int, neg_low: _Rows, ops: tuple) -> list[_Rows]:
         r = quo
 
 
-def _expansion_base(Q: MultiPoly, x: str) -> tuple[int, _Rows]:
-    """``_monic_rows`` of a Q-adic expansion base, which must involve x."""
-    if Q.degree_in(x) < 1:
-        raise NonMonicDivisorError("non-monic divisor: expansion base must involve the variable")
-    return _monic_rows(Q, x)
+def _add_terms(r: _Rows, p: MultiPoly, xi: int, s: int, den: int, ops: tuple) -> _Rows:
+    """r += p * x^s in place, over ``den``, a multiple of ``p.den``: p's
+    terms go straight into the rows, and no zero coefficient and no empty
+    row is left in r."""
+    _, plus, _, is_zero = ops
+    lift = den // p.den
+    for e, c in p.terms.items():
+        if lift != 1:
+            c = _times(c, lift)
+        k = e[xi] + s
+        row = r.setdefault(k, {})
+        e = e[:xi] + e[xi + 1:]
+        if e in row:
+            c = plus(row[e], c)
+            if is_zero(c):
+                del row[e]
+                if not row:
+                    del r[k]
+                continue
+        row[e] = c
+    return r
 
 
 def _reassembles(f: MultiPoly, Q: MultiPoly, digits: Sequence[MultiPoly], x: str) -> bool:
-    """Whether sum digits[j] * Q^j is exactly f, for Q monic in x: Horner's
-    rule on x-dense rows over one denominator, where multiplying by Q is a
-    shift by its degree plus a product with its lower rows."""
+    """Whether sum digits[j] * Q^j is exactly f, for Q monic in x, on
+    x-dense rows over one denominator, with each digit's terms added
+    straight into them.  For Q = x^d that is the sum of the digits shifted
+    by j*d; otherwise it is Horner's rule, where multiplying by Q is a
+    shift by d plus a product with Q's lower rows."""
     if f.vars != Q.vars or f.tower != Q.tower:
         return False
     xi = f.var_index(x)
-    d, neg_low = _monic_rows(Q, x)
+    d, low = _monic_split(Q, x)
     ops = _row_ops(f.tower)
-    low = {j: {e: ops[2](c) for e, c in row.items()} for j, row in neg_low.items()}
     den = lcm(f.den, *[c.den for c in digits])
-    zero = tuple(0 for _ in f.vars[1:])
-
-    def add_over(r: _Rows, p: MultiPoly) -> _Rows:  # r + p, over den
-        _add_product(r, {zero: f.tower._embed(den // p.den)}, 0, _split_rows(p, xi), ops)
-        return r
-
     acc: _Rows = {}
-    for c in reversed(digits):
-        nxt = {k + d: dict(row) for k, row in acc.items()}
-        for k, row in acc.items():
-            _add_product(nxt, row, k, low, ops)
-        acc = add_over(nxt, c)
-    return acc == add_over({}, f)
+    if not low:
+        for j, c in enumerate(digits):
+            _add_terms(acc, c, xi, j * d, den, ops)
+    else:
+        if Q.den != 1:
+            over = partial(_map, fn=lambda n: Fraction(n, Q.den))
+            low = {j: {e: over(c) for e, c in row.items()} for j, row in low.items()}
+        for c in reversed(digits):
+            nxt = {k + d: dict(row) for k, row in acc.items()}
+            for k, row in acc.items():
+                _add_product(nxt, row, k, low, ops)
+            acc = _add_terms(nxt, c, xi, 0, den, ops)
+    return acc == _add_terms({}, f, xi, 0, den, ops)
 
 
 def euclid_divide(f: MultiPoly, g: MultiPoly, x: str) -> tuple[MultiPoly, MultiPoly]:
@@ -707,7 +749,7 @@ def euclid_divide(f: MultiPoly, g: MultiPoly, x: str) -> tuple[MultiPoly, MultiP
 def q_adic_expansion(f: MultiPoly, Q: MultiPoly, x: str) -> list[MultiPoly]:
     """Digits (a_0, ..., a_s) with f = sum a_i Q^i and deg_x(a_i) < deg_x(Q)."""
     f._check(Q)
-    d, neg_low = _expansion_base(Q, x)
+    d, neg_low = _monic_rows(Q, x, 1)
     xi = f.var_index(x)
     digits = _expand_rows(_split_rows(f, xi), d, neg_low, _row_ops(f.tower))
     return [_join_rows(r, xi, f) for r in digits]

@@ -18,7 +18,7 @@ from valmono.errors import InvalidInputError, ValmonoError, ZeroPolynomialError
 from valmono.framing import Frame, FramedStep, TranslationItem, _push_exponents, translation_root
 from valmono.game import MonomialValuationSpec, _greedy_center, reduced_parts
 from valmono.keypoly import KeyPolyChain
-from valmono.polyalg import MultiPoly, QQ, _expand_rows, _expansion_base, _row_ops, _split_rows, taylor_shift
+from valmono.polyalg import MultiPoly, QQ, _expand_rows, _monic_rows, _row_ops, _split_rows, taylor_shift
 from valmono.values import Value, ValueGroup, _rows_of, _sign, compare, rational_from_str, value_of_exponent
 
 getcontext().prec = 80
@@ -450,7 +450,7 @@ class ValueChainRows:
         self.ops = _row_ops(chain.Q(1).tower)
 
     def expand(self, rows, i: int):
-        return _expand_rows(rows, *_expansion_base(self.chain.Q(i), self.chain.x), self.ops)
+        return _expand_rows(rows, *_monic_rows(self.chain.Q(i), self.chain.x, 1), self.ops)
 
     def ground_value(self, exponents) -> Value:
         best = None

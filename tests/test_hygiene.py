@@ -334,6 +334,58 @@ def test_raise_scan_sees_one():
     assert {"A", "B"} <= _raised_names(tree) and "C" not in _raised_names(tree)
 
 
+# One monic check: ``polyalg._monic_split`` decides whether a divisor or an
+# expansion base is monic in x, so division, expansion and reassembly
+# share one definition of "monic", and no other site raises its error.
+_MONIC_ERROR = "NonMonicDivisorError"
+
+
+def _raise_sites(node: ast.AST, error: str, scope: str = "<module>") -> list[str]:
+    """The innermost function around each ``raise`` of ``error``, called
+    or bare, by name or as an attribute."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, _FUNCTION_DEFS):
+            inner = child.name
+        elif isinstance(child, ast.Raise) and child.exc is not None:
+            target = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            if (getattr(target, "id", None) or getattr(target, "attr", None)) == error:
+                found.append(scope)
+        found += _raise_sites(child, error, inner)
+    return found
+
+
+def _monic_raise_sites(sources: dict[str, str]) -> set[str]:
+    return {
+        f"{name} {site}" for name, text in sources.items()
+        for site in _raise_sites(ast.parse(text), _MONIC_ERROR)
+    }
+
+
+def test_one_check_raises_non_monic_divisor():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert _monic_raise_sites(sources) == {"polyalg.py _monic_split"}
+
+
+def test_monic_raise_scan_sees_each_kind():
+    src = (
+        "from .errors import NonMonicDivisorError\nfrom . import errors\n\n"
+        "def _monic_split(g):\n    raise NonMonicDivisorError('non-monic divisor')\n\n"
+        "class Divider:\n    def run(self, g):\n"
+        "        def again():\n            raise errors.NonMonicDivisorError('x')\n"
+        "        raise NonMonicDivisorError\n\n"
+        "def quiet(g):\n    try:\n        return g\n"
+        "    except NonMonicDivisorError:\n        raise ValueError('other')\n\n"
+        "raise NonMonicDivisorError('at import')\n"
+    )
+    assert _raise_sites(ast.parse(src), _MONIC_ERROR) == ["_monic_split", "again", "run", "<module>"]
+    # a second raise planted in the package's own polyalg is seen
+    text = (PACKAGE / "polyalg.py").read_text(encoding="utf-8")
+    planted = text + "\n\ndef _second(g):\n    raise NonMonicDivisorError('non-monic divisor')\n"
+    assert _monic_raise_sites({"polyalg.py": planted}) == {"polyalg.py _monic_split", "polyalg.py _second"}
+
+
 def _functions(node: ast.AST, prefix: str = "") -> list[tuple[str, ast.AST]]:
     """Every function or method below ``node``, with its name qualified by
     the classes and functions around it."""

@@ -4,6 +4,7 @@ import json
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from valmono.keypoly import (
     truncated_valuation,
     validate_chain,
 )
-from valmono.polyalg import MultiPoly, q_adic_expansion
+from valmono.polyalg import QQ, MultiPoly, q_adic_expansion
 from valmono.trace import _parse_group, _poly, chain_from_json, run_problem, verify_trace
 from valmono.values import Value, ValueGroup, compare, value_of_exponent
 
@@ -393,20 +394,97 @@ def test_row_truncation_matches_multipoly_truncation():
     assert integral >= 90 and rational >= 40
 
 
+SQRT2 = QQ.extend("t1", [QQ.from_rational(-2), QQ.zero(), QQ.one()])
+
+
+def _tower_chain(rng):
+    """A binomial chain over Q(sqrt 2) whose Q_i above x have their lower
+    terms times sqrt 2."""
+    chain = binomial_chain(rng)
+    t = MultiPoly.constant(UV, SQRT2.generator("t1"), SQRT2)
+    entries = [(chain.Q(1).with_tower(SQRT2), chain.beta(1))]
+    for q, beta in chain.entries[1:]:
+        lead = MultiPoly.monomial(UV, (0, q.degree_in("x")), 1, SQRT2)
+        entries.append((lead + (q.with_tower(SQRT2) - lead) * t, beta))
+    return KeyPolyChain(chain.ground, chain.x, tuple(entries))
+
+
+_CHAIN_KINDS = {"integral": binomial_chain, "rational": _rational_chain, "tower": _tower_chain}
+
+
 def test_reassembles_rejects_a_corrupted_digit():
+    """At every level, the pure-power level Q_1 = x included, a perturbed
+    digit or a perturbed f makes the check fail, on integral chains, on
+    chains with non-integral Q_i and on chains over a tower."""
     rng = random.Random(61)
-    for k in range(40):
+    seen = Counter()
+    for k in range(60):
+        kind = list(_CHAIN_KINDS)[k % 3]
+        chain = _CHAIN_KINDS[kind](rng)
+        tower = chain.Q(1).tower
+        t = MultiPoly.constant(UV, tower.generator("t1") if tower.depth else 1, tower)
+        f = random_poly(rng, UV, max_terms=6, max_exp=9).with_tower(tower)
+        for i in range(1, len(chain) + 1):
+            exp = truncate(f, chain, i).expansion
+            assert exp.reassembles(f)
+            coefficients = list(exp.coefficients)
+            j = rng.randrange(len(coefficients))
+            bump = poly(UV, {(rng.randint(0, 3), 0): Fraction(1, rng.randint(1, 4))}).with_tower(tower)
+            if k % 2:
+                bump = bump * t
+            coefficients[j] = coefficients[j] + bump
+            assert not StandardExpansion(exp.level, exp.base, tuple(coefficients)).reassembles(f)
+            assert not exp.reassembles(f + bump)
+            seen[kind, i] += 1
+    assert set(seen) == {(kind, i) for kind in _CHAIN_KINDS for i in (1, 2, 3)}
+
+
+def test_reassembles_decides_non_standard_digits():
+    """A digit of x-degree deg Q_i or more is not standard, and the check
+    still decides sum c_j Q_i^j = f exactly, as ``conftest.horner`` does:
+    (f,) and (f - g Q_i, g) reassemble f at every level, (f, 1) and
+    (f - g Q_i, g + 1) do not."""
+    rng = random.Random(67)
+    for k in range(30):
         chain = _rational_chain(rng) if k % 2 else binomial_chain(rng)
         f = random_poly(rng, UV, max_terms=6, max_exp=9)
-        i = len(chain)
-        exp = truncate(f, chain, i).expansion
-        assert exp.reassembles(f)
-        coefficients = list(exp.coefficients)
-        j = rng.randrange(len(coefficients))
-        bump = poly(UV, {(rng.randint(0, 3), 0): Fraction(1, rng.randint(1, 4))})
-        coefficients[j] = coefficients[j] + bump
-        assert not StandardExpansion(exp.level, exp.base, tuple(coefficients)).reassembles(f)
-        assert not exp.reassembles(f + bump)
+        g = random_poly(rng, UV, max_terms=3, max_exp=4)
+        one = MultiPoly.constant(UV, 1)
+        for i in range(1, len(chain) + 1):
+            q = chain.Q(i)
+            cases = (
+                ((f,), True),
+                ((f, one), False),
+                ((f - g * q, g), True),
+                ((f - g * q, g + one), False),
+            )
+            for digits, holds in cases:
+                exp = StandardExpansion(i, q, digits)
+                assert (horner(exp) == f) is holds
+                assert exp.reassembles(f) is holds
+
+
+def test_chain_over_reordered_variables_truncates():
+    """A chain whose Q_1 = x is built over ("x", "u") is valid, and its
+    truncations and augmentation step run over the chain's variables
+    ("u", "x"), as for the same chain built over them."""
+    ground = rational_spec([1], names=("u",))
+    q1 = MultiPoly.variable(("x", "u"), "x")
+    q2 = poly(UV, {(0, 2): 1, (3, 0): -1})
+    chain = KeyPolyChain(ground, "x", ((q1, G1.rational(Fraction(3, 2))), (q2, G1.rational(4))))
+    assert validate_chain(chain) == []
+    same = cusp_chain()
+    f = poly(UV, {(0, 5): 1, (2, 3): -1, (7, 0): 2})
+    for i in (1, 2):
+        for p in (q2, f):
+            t = truncate(p, chain, i)
+            assert t == truncate(p, same, i)
+            assert t.expansion.base.vars == UV and t.expansion.reassembles(p)
+    assert truncate(q2, chain, 1).value == G1.rational(3)
+    # the augmentation step of test_next_key_char0, on Q_1 built over ("x", "u")
+    first = KeyPolyChain(ground, "x", ((q1, G1.rational(1)),))
+    z, q_next = next_key_char0(first, poly(UV, {(0, 2): 1, (1, 1): 1, (2, 0): 1}))
+    assert q_next == poly(UV, {(0, 1): 1, (1, 0): Fraction(1, 2)})
 
 
 # -- the row recursion against the Value recursion it replaced -------------

@@ -1,5 +1,6 @@
 """Polynomial arithmetic, Euclidean machinery, substitutions, towers."""
 
+import copy
 import json
 import random
 from decimal import Decimal
@@ -14,7 +15,10 @@ from valmono.polyalg import (
     FieldTower,
     MultiPoly,
     QQ,
+    _divide_rows,
+    _expand_rows,
     _reassembles,
+    _row_ops,
     euclid_divide,
     q_adic_expansion,
     taylor_shift,
@@ -96,6 +100,69 @@ def test_q_adic_reconstruction_randomized():
             acc = acc + a * power
             power = power * Q
         assert acc == f
+
+
+def _division_loop_digits(r, d, ops):
+    """The digits of ``r`` for Q = x^d by repeated long division, the loop
+    that ``_expand_rows`` runs for a divisor with lower rows."""
+    digits = []
+    while True:
+        quo = _divide_rows(r, d, {}, ops)
+        digits.append(r)
+        if not quo:
+            return digits
+        r = quo
+
+
+def _seeded_rows(rng, top, fractions):
+    """Rows of one x-free variable up to x-degree ``top``, top row present."""
+    rows = {}
+    for k in {top, *rng.sample(range(top + 1), rng.randint(0, top))}:
+        rows[k] = {
+            (rng.randint(0, 3),): Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
+            if fractions else rng.choice([-3, -1, 2, 5])
+            for _ in range(rng.randint(1, 3))
+        }
+    return rows
+
+
+def test_pure_power_expansion_matches_the_division_loop():
+    """For Q = x^d the expansion splits the rows into blocks of d, and the
+    blocks are the division loop's digits: empty middle digits, one empty
+    digit for no rows, a top row that is a multiple of d, Fractions."""
+    ops = _row_ops(QQ)
+    rng = random.Random(37)
+    cases = [(d, {}) for d in range(1, 5)]
+    for k in range(200):
+        d = 1 + k % 4
+        top = d * rng.randint(0, 3) if k % 2 else rng.randint(0, 12)
+        cases.append((d, _seeded_rows(rng, top, fractions=k % 3 == 0)))
+    for d, rows in cases:
+        want = _division_loop_digits(copy.deepcopy(rows), d, ops)
+        assert _expand_rows(copy.deepcopy(rows), d, {}, ops) == want
+    assert sum(max(rows, default=0) % d == 0 for d, rows in cases) > 100
+    row = {(1,): 2}
+    assert _expand_rows({}, 3, {}, ops) == [{}]
+    assert _expand_rows({6: row}, 3, {}, ops) == [{}, {}, {0: row}]
+    assert _expand_rows({1: row, 7: {(0,): Fraction(1, 2)}}, 3, {}, ops) == [
+        {1: row}, {}, {1: {(0,): Fraction(1, 2)}},
+    ]
+
+
+def test_q_adic_expansion_by_a_pure_power():
+    rng = random.Random(41)
+    for vars_ in (UV, ("x", "u")):
+        x3 = MultiPoly.monomial(vars_, [3 if v == "x" else 0 for v in vars_])
+        for _ in range(40):
+            f = random_poly(rng, vars_, max_terms=6, max_exp=11)
+            digits = q_adic_expansion(f, x3, "x")
+            assert digits == _oracle_q_adic(f, x3, "x")
+            assert _reassembles(f, x3, digits, "x")
+    f = poly(UV, {(2, 9): 1, (0, 1): Fraction(-1, 2)})
+    x3 = poly(UV, {(0, 3): 1})
+    assert q_adic_expansion(f, x3, "x") == [
+        poly(UV, {(0, 1): Fraction(-1, 2)}), MultiPoly(UV, {}), MultiPoly(UV, {}), poly(UV, {(2, 0): 1}),
+    ]
 
 
 def test_substitute_variable_examples():
