@@ -111,7 +111,10 @@ def _greedy_center(at: Sequence[int], gt: Sequence[int]) -> tuple[int, ...]:
     """Center J for one descent step; ``at`` must be the side of smaller
     total degree.  J is the support of at plus indices of gt (taken in
     decreasing gt_i order, ties by smallest index) until their gt-sum
-    reaches |at|.  ``PushPath.blow_up`` picks the vertex."""
+    reaches |at|.  ``PushPath.blow_up`` picks the vertex.
+
+    The gt-sum always gets there: ``_descend`` swaps the sides so that
+    ``1 <= |at| <= |gt|``, and the loop may take every positive gt_i."""
     target = sum(at)
     J = [i for i, a in enumerate(at) if a > 0]
     got = 0
@@ -120,8 +123,6 @@ def _greedy_center(at: Sequence[int], gt: Sequence[int]) -> tuple[int, ...]:
             break
         J.append(i)
         got -= g
-    if got < target:
-        raise InvalidInputError("gamma side cannot reach |alpha|")
     return tuple(sorted(J))
 
 

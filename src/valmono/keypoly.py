@@ -21,7 +21,7 @@ values below the level asked for are read off the digit rows (the ground
 value needs only exponents), so those digits never become polynomials.
 Only the coefficients of the level asked for are built, as polynomials
 over D, and ``StandardExpansion.reassembles`` decides their identity
-exactly on the same kind of rows.  Each Q_i is taken over the chain's
+exactly on the same kind of rows.  A chain holds each Q_i over its own
 variables, so a Q_i built over another order of them expands alike.
 
 The values are integer rows as well, over one denominator per chain: the
@@ -43,6 +43,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
     InvalidInputError,
+    NonMonicDivisorError,
     UnnormalizedLeadingCoefficientError,
     ZeroPolynomialError,
     quote,
@@ -63,7 +64,9 @@ from .values import Value, _exponent_row, _order, _positive, _rows_of
 
 
 class KeyPolyChain:
-    """(Q_i, beta_i) entries over ground variables plus one distinguished x."""
+    """(Q_i, beta_i) entries over ground variables plus one distinguished x.
+    Each Q_i is held over ``all_vars``, and all of them over one tower, so
+    a chain built over another order of the variables is the same chain."""
 
     __slots__ = ("ground", "x", "entries", "_row_cache")
 
@@ -74,6 +77,10 @@ class KeyPolyChain:
             raise InvalidInputError("x must not be a ground variable")
         if not entries:
             raise InvalidInputError("chain needs at least one entry")
+        vars_ = ground.vars + (x,)
+        entries = tuple((q.with_vars(vars_), beta) for q, beta in entries)
+        if any(q.tower != entries[0][0].tower for q, _ in entries):
+            raise InvalidInputError("polynomials live in different rings")
         self.ground, self.x, self.entries = ground, x, entries
         self._row_cache = None
 
@@ -109,17 +116,6 @@ class KeyPolyChain:
         rows, row, den, group = _over_lcm(ground, self.beta(1))
         return Frame._of_rows(self.all_vars, (*rows, row), den, group, frozenset(), ground.tower)
 
-    def alphas(self) -> tuple[int, ...]:
-        """alpha_i = degree of Q_i over Q_{i-1} (alpha_1 = 1 for Q_1 = x)."""
-        out = [1]
-        for i in range(2, len(self.entries) + 1):
-            d_prev = self.Q(i - 1).degree_in(self.x)
-            d_cur = self.Q(i).degree_in(self.x)
-            if d_prev <= 0 or d_cur % d_prev:
-                raise InvalidInputError(f"degree of Q_{i} is not a multiple of deg Q_{i-1}")
-            out.append(d_cur // d_prev)
-        return tuple(out)
-
     @property
     def _rows(self) -> "_ChainRows":
         """The chain's truncation rows, made on first use."""
@@ -142,16 +138,15 @@ class StandardExpansion(NamedTuple):
 
 
 class _ChainRows:
-    """Truncation on x-dense rows, made once per chain: each Q_i over the
-    chain's variables as a row divisor, built on first use (an unused
-    level may be malformed), and every value as an integer row over one
-    denominator ``den``: the ground weights and each beta_i, put over the
-    lcm of their denominators once.  A row sum is a value sum, and the
+    """Truncation on x-dense rows, made once per chain: each Q_i as a row
+    divisor, split on first use (an unused level may be non-monic; the
+    split is ``validate_chain``'s monic check too), and every value as an
+    integer row over one denominator ``den``: the ground weights and each
+    beta_i, put over the lcm of their denominators once.  A row sum is a value sum, and the
     sign of a row difference orders two values; no :class:`Value` is
     built here."""
 
     def __init__(self, chain: KeyPolyChain):
-        qs = [q for q, _ in chain.entries]
         ground = chain.ground.frame()
         betas, den, group = _rows_of([b for _, b in chain.entries], ground.den, ground.group)
         lift = den // ground.den
@@ -159,20 +154,17 @@ class _ChainRows:
         self.columns = tuple(zip(*[[lift * x for x in r] for r in ground.rows]))
         self.betas, self.den, self.group = betas, den, group
         self.x = chain.x
-        self.qs = qs
-        self.vars, self.tower = chain.all_vars, qs[0].tower
-        self.ops = _row_ops(self.tower)
+        self.qs = [q for q, _ in chain.entries]
+        self.ops = _row_ops(self.qs[0].tower)
         self.bases: dict[int, tuple[MultiPoly, int, _Rows]] = {}
         self.ground: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def base(self, i: int) -> tuple[MultiPoly, int, _Rows]:
-        """Q_i over the chain's variables, its x-degree and its negated
-        lower rows."""
+        """Q_i, its x-degree and its negated lower rows; a Q_i that is not
+        monic in x of x-degree at least 1 raises NonMonicDivisorError."""
         base = self.bases.get(i)
         if base is None:
-            q = self.qs[i - 1].with_vars(self.vars)
-            if q.tower != self.tower:
-                raise InvalidInputError("polynomials live in different rings")
+            q = self.qs[i - 1]
             base = self.bases[i] = (q, *_monic_rows(q, self.x, 1))
         return base
 
@@ -305,7 +297,9 @@ def next_key_char0(
 def validate_chain(chain: KeyPolyChain) -> list[str]:
     """Named violations of the chain invariants; empty list when valid.
     The betas are ordered as the chain's rows, over one denominator; a
-    beta of another group than the ground is a GroupMismatchError.
+    beta of another group than the ground is a GroupMismatchError.  A Q_i
+    is monic when truncation can split it (``_ChainRows.base``), the one
+    check that division, expansion and reassembly make.
 
     No value-jump check is needed: once Q_i is monic of x-degree
     a * deg Q_(i-1) and Q_(i-1) is monic, the top Q_(i-1)-adic digit of
@@ -313,32 +307,27 @@ def validate_chain(chain: KeyPolyChain) -> list[str]:
     and the slope check gives beta_i > a * beta_(i-1) (MacLane 1936)."""
     issues: list[str] = []
     x = chain.x
-    vars_ = chain.all_vars
+    rows = chain._rows
     q1 = chain.Q(1)
-    x_poly = MultiPoly.variable(vars_, x, q1.tower)
-    if q1.with_vars(vars_) != x_poly:
+    if q1 != MultiPoly.variable(chain.all_vars, x, q1.tower):
         issues.append("q1-not-x")
     for i in range(1, len(chain) + 1):
-        q = chain.Q(i)
-        d = q.degree_in(x)
-        if d < 1:
+        try:
+            rows.base(i)
+        except NonMonicDivisorError:
             issues.append(f"non-monic:Q_{i}")
-            continue
-        lead = q.coefficient_in(x, d)
-        if not (len(lead.terms) == 1 and lead.constant_term() == lead.tower.one()):
-            issues.append(f"non-monic:Q_{i}")
-    betas = chain._rows.betas
+    betas = rows.betas
     if not _positive(betas[0]):
         issues.append("beta-not-positive")
-    try:
-        chain.alphas()
-    except InvalidInputError:
+    # (deg Q_(i-1), deg Q_i) for i = 2 .. len(chain)
+    degrees = [q.degree_in(x) for q, _ in chain.entries]
+    steps = list(zip(degrees, degrees[1:]))
+    if any(d_prev <= 0 or d_cur % d_prev for d_prev, d_cur in steps):
         issues.append("degree-ratio")
     for i in range(2, len(chain) + 1):
         if _order(betas[i - 1], betas[i - 2]) <= 0:
             issues.append(f"beta-not-increasing:Q_{i}")
-    for i in range(2, len(chain) + 1):
-        d_prev, d_cur = chain.Q(i - 1).degree_in(x), chain.Q(i).degree_in(x)
+    for i, (d_prev, d_cur) in enumerate(steps, 2):
         if d_prev >= 1 and d_cur >= 1:
             # beta_i / d_cur against beta_(i-1) / d_prev, both times the
             # positive d_prev * d_cur

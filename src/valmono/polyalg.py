@@ -31,7 +31,7 @@ instead.  The check that an expansion reassembles its polynomial adds
 each digit's terms straight into rows over one denominator: Horner's rule
 with the divisor's lower rows, or the digits shifted into place for a
 pure power.  One split (``_monic_split``) checks that a divisor is monic
-for all of them.
+for all of them, and for :func:`valmono.keypoly.validate_chain`.
 The Taylor shift ``x -> theta + x`` writes theta as T / b and is an
 integer multiply-accumulate over ``den * b^K``.
 """
@@ -432,15 +432,6 @@ class MultiPoly:
         """Degree in one variable; -1 for the zero polynomial."""
         i = self.var_index(name)
         return max((e[i] for e in self.terms), default=-1)
-
-    def coefficient_in(self, name: str, degree: int) -> "MultiPoly":
-        """Coefficient of name**degree, as a polynomial with that exponent zeroed."""
-        i = self.var_index(name)
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == degree:
-                out[e[:i] + (0,) + e[i + 1:]] = c
-        return MultiPoly(self.vars, out, self.tower, self.den)
 
     def coeff(self, e: tuple[int, ...]) -> Elem:
         """The coefficient of the monomial ``e`` as a rational element of

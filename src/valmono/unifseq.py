@@ -595,7 +595,7 @@ def monomialize_key_polys(chain: KeyPolyChain, path: PushPath) -> KeyPolyResult:
     if issues:
         raise InvalidInputError("chain invalid: " + ", ".join(issues))
     start = len(path)
-    images = {i: (start, chain.Q(i).with_vars(chain.all_vars)) for i in range(1, len(chain) + 1)}
+    images = {i: (start, chain.Q(i)) for i in range(1, len(chain) + 1)}
 
     def image(i: int) -> MultiPoly:
         start, img = images[i]
@@ -694,7 +694,7 @@ def monomialize_polynomial(f: MultiPoly, chain: KeyPolyChain, path: PushPath) ->
 
     base = len(path)
     kp = monomialize_key_polys(chain, path)
-    if f == chain.Q(top).with_vars(chain.all_vars):
+    if f == chain.Q(top):
         w = kp.witnesses[-1]
         return PolyMonoResult(w.monomial, w.unit, w.image, expansion_values)
     res = monomialize_nondegenerate(path.push(f, base), path)

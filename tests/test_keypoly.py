@@ -21,7 +21,12 @@ from conftest import (
     rational_spec,
     value_truncation,
 )
-from valmono.errors import UnnormalizedLeadingCoefficientError, ZeroPolynomialError
+from valmono.errors import (
+    InvalidInputError,
+    NonMonicDivisorError,
+    UnnormalizedLeadingCoefficientError,
+    ZeroPolynomialError,
+)
 from valmono.keypoly import (
     KeyPolyChain,
     StandardExpansion,
@@ -175,12 +180,13 @@ def test_delta_descent_inequality(rng):
         chain = binomial_chain(rng)
         if len(chain) < 2:
             continue
-        alphas = chain.alphas()
         f = random_poly(rng, UV, max_terms=4, max_exp=5)
         for i in range(1, len(chain)):
+            # alpha_(i+1) = deg Q_(i+1) / deg Q_i
+            alpha = chain.Q(i + 1).degree_in("x") // chain.Q(i).degree_in("x")
             d_i = truncate(f, chain, i).delta
             d_next = truncate(f, chain, i + 1).delta
-            assert alphas[i] * d_next <= d_i
+            assert alpha * d_next <= d_i
 
 
 def test_monomial_valuation_below_truncations(rng):
@@ -487,6 +493,23 @@ def test_chain_over_reordered_variables_truncates():
     assert q_next == poly(UV, {(0, 1): 1, (1, 0): Fraction(1, 2)})
 
 
+def test_a_chain_is_the_same_over_any_order_of_its_variables():
+    ground = rational_spec([1], names=("u",))
+    q2 = poly(UV, {(0, 2): 1, (3, 0): -1})
+    betas = G1.rational(Fraction(3, 2)), G1.rational(4)
+    xu = KeyPolyChain(ground, "x", ((MultiPoly.variable(("x", "u"), "x"), betas[0]), (q2, betas[1])))
+    assert xu == cusp_chain() and hash(xu) == hash(cusp_chain())
+    assert all(q.vars == UV for q, _ in xu.entries)
+
+
+def test_a_chain_over_two_towers_is_refused_when_built():
+    ground = rational_spec([1], names=("u",))
+    q2 = poly(UV, {(0, 2): 1, (3, 0): -1}).with_tower(SQRT2)
+    entries = ((MultiPoly.variable(UV, "x"), G1.rational(Fraction(3, 2))), (q2, G1.rational(4)))
+    with pytest.raises(InvalidInputError, match="^polynomials live in different rings$"):
+        KeyPolyChain(ground, "x", entries)
+
+
 # -- the row recursion against the Value recursion it replaced -------------
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -546,6 +569,49 @@ def test_every_valid_chain_jumps_above_the_level_below():
     for chain in chains:
         for i in range(2, len(chain) + 1):
             assert value_truncation(chain.Q(i), chain, i - 1)[1] < chain.beta(i)
+
+
+def _planted_q2_chains():
+    """The cusp chain with Q_2 replaced by a polynomial that is not monic
+    in x, and by two monic ones; over Q(sqrt 2), Q_1 lies there too."""
+    ground = rational_spec([1], names=("u",))
+
+    def root2(e, c=1):
+        return MultiPoly.monomial(UV, e, c, SQRT2)
+
+    t = SQRT2.generator("t1")
+    q2s = [
+        poly(UV, {(0, 2): 2, (3, 0): -1}),  # leading coefficient 2
+        poly(UV, {(1, 2): 1, (3, 0): -1}),  # u x^2 leading
+        poly(UV, {(0, 2): 1, (1, 2): 1, (3, 0): -1}),  # two leading terms
+        poly(UV, {(3, 0): 1}),  # x-free
+        root2((0, 2), t) - root2((3, 0)),  # t1 x^2 leading
+        poly(UV, {(0, 2): 1, (3, 0): -1}),  # monic: the cusp
+        root2((0, 2)) - root2((3, 0), t),  # monic over Q(sqrt 2)
+    ]
+    for q2 in q2s:
+        q1 = MultiPoly.variable(UV, "x", q2.tower)
+        yield KeyPolyChain(ground, "x", ((q1, G1.rational(Fraction(3, 2))), (q2, G1.rational(4))))
+
+
+def test_validate_chain_tags_non_monic_where_truncation_refuses():
+    """One definition of monic in x: ``validate_chain`` tags Q_i exactly
+    where truncation at level i refuses it, on every chain of the
+    ``chains`` and ``expand`` pools and on planted Q_2s."""
+    pools = corpus.pool("chains") + corpus.pool("expand")
+    chains = [_pool_chain(p) for p in pools if "chain" in p] + list(_planted_q2_chains())
+    refused = 0
+    for chain in chains:
+        issues = validate_chain(chain)
+        for i in range(1, len(chain) + 1):
+            try:
+                truncate(chain.Q(i), chain, i)
+            except NonMonicDivisorError:
+                refused += 1
+                assert f"non-monic:Q_{i}" in issues
+            else:
+                assert f"non-monic:Q_{i}" not in issues
+    assert refused == 5 and len(chains) == 5015
 
 
 # One reproducer per ``validate_chain`` tag that no other test reaches

@@ -323,6 +323,95 @@ def test_an_unknown_algorithm_is_a_schema_error(algorithm):
         verify_trace(trace)
 
 
+def _poly_json(vars_, terms):
+    """{"vars", "terms"} of the polynomial with {exponent: literal} terms."""
+    return {"vars": list(vars_), "terms": [{"e": list(e), "c": c} for e, c in terms.items()]}
+
+
+def _chain_run(algorithm, chain, **fields):
+    group = {"rank": 1, "ordering": "sqrt-primes", "labels": ["g1"]}
+    return {"schema": 1, "algorithm": algorithm, "group": group, "chain": chain, **fields}
+
+
+def _with_chain(**fields):
+    return {**cusp_chain_json(), **fields}
+
+
+def _cusp_with(**fields):
+    problem = cusp_uniformize_problem()
+    problem["problem"].update(fields)
+    return problem
+
+
+# One input per refusal that ``tools/raise_census.py`` found no test and
+# no pool problem reaching: (verdict code, message, problem).
+REFUSALS = [
+    ("invalid input", "x must not be a ground variable", _chain_run(
+        "keypoly-monomialize",
+        _with_chain(x="u", entries=[{"Q": _poly_json(["u"], {(1,): "1"}), "beta": {"coords": ["1"]}}]),
+    )),
+    ("invalid input", "chain needs at least one entry",
+     _chain_run("keypoly-monomialize", _with_chain(entries=[]))),
+    ("invalid input", "weight count must equal variable count",
+     {**pair_problem(), "spec": {"vars": ["u1", "u2"], "weights": [{"coords": ["1", "0"]}]}}),
+    # x + 1 over an empty ground: its x-free digit has no weight to take
+    ("invalid input", "at least one weight is required", _chain_run(
+        "keypoly-expand",
+        {
+            "ground": {"vars": [], "weights": []},
+            "x": "x",
+            "entries": [{"Q": _poly_json(["x"], {(1,): "1"}), "beta": {"coords": ["1"]}}],
+        },
+        poly=_poly_json(["x"], {(1,): "1", (0,): "1"}),
+        level=1,
+    )),
+    ("non-monic divisor", "non-monic divisor: expansion base must involve the variable", _chain_run(
+        "keypoly-expand",
+        _with_chain(entries=cusp_chain_json()["entries"][:1] + [
+            {"Q": _poly_json(["u", "x"], {(1, 0): "1"}), "beta": {"coords": ["4"]}}
+        ]),
+        poly=_poly_json(["u", "x"], {(0, 3): "1"}),
+        level=2,
+    )),
+    ("invalid input", "empty generator list",
+     {"schema": 1, "algorithm": "principalize", "group": GROUP2, "spec": SPEC2, "generators": []}),
+    ("zero polynomial has no value", "zero polynomial has no value",
+     {"schema": 1, "algorithm": "nondegenerate", "group": GROUP2, "spec": SPEC2, "poly": _poly_json(["u1", "u2"], {})}),
+    ("zero polynomial has no value", "zero polynomial has no value",
+     _chain_run("polynomial", cusp_chain_json(), poly=_poly_json(["u", "x"], {}))),
+    ("invalid input", "variable names must be distinct", _cusp_with(wn_var="w1")),
+    ("invalid input", "passive variables and weights disagree", _cusp_with(v_vars=["v1"], v_weights=[])),
+    ("weights must be positive", "weights must be positive", _cusp_with(w_weights=[{"coords": ["-2"]}])),
+    ("invalid input", "residue minimal polynomial must be monic of degree >= 1",
+     _cusp_with(residue={"kind": "algebraic", "minpoly": ["-1", "2"]})),
+    ("invalid input", "residue minimal polynomial must have b_0 != 0",
+     _cusp_with(residue={"kind": "algebraic", "minpoly": ["0", "1"]})),
+    ("invalid input", "a perturbation needs an algebraic residue",
+     _cusp_with(residue={"kind": "transcendental"}, h=_poly_json(["w1", "wn"], {(0, 3): "1"}))),
+    ("invalid input", "perturbation runs need declared weights everywhere",
+     _cusp_with(v_vars=["v1"], v_weights=[None], h=_poly_json(["w1", "v1", "wn"], {(0, 0, 3): "1"}))),
+]
+
+
+@pytest.mark.parametrize(
+    "code, message, problem", REFUSALS, ids=[re.sub(r"\W+", "-", m).strip("-") for _, m, _ in REFUSALS]
+)
+def test_each_refusal_ends_in_its_verdict(code, message, problem):
+    trace = run_problem(problem)
+    assert trace["verdict"] == {"ok": False, "code": code, "message": message}
+    verify_trace(trace)
+
+
+def test_the_refusals_exit_3_as_one_cli_batch(tmp_path):
+    pf, tf = tmp_path / "p.json", tmp_path / "t.json"
+    pf.write_text(json.dumps([problem for _, _, problem in REFUSALS]))
+    r = _cli("run", str(pf), "--out", str(tf))
+    assert r.returncode == 3 and "Traceback" not in r.stderr
+    assert r.stderr == "".join(f"error: {message}\n" for _, message, _ in REFUSALS)
+    verdicts = [t["verdict"] for t in json.loads(tf.read_text())]
+    assert verdicts == [{"ok": False, "code": c, "message": m} for c, m, _ in REFUSALS]
+
+
 def test_cli_batch_and_jobs(tmp_path):
     pf = tmp_path / "batch.json"
     tf = tmp_path / "traces.json"
