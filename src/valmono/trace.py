@@ -231,7 +231,7 @@ def _exponents(obj: dict, key: str) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# runners: input json -> witnesses dict (records land in trace["steps"])
+# runners: (input json, group, budget) -> (path, witnesses, independent_of)
 # ---------------------------------------------------------------------------
 
 # Each runner knows that its path is the whole run, so it alone states what
@@ -243,8 +243,7 @@ def _unused_columns(exps: list[tuple[int, ...]], n: int) -> list[int]:
     return [i for i in range(n) if all(e[i] == 0 for e in exps)]
 
 
-def _run_pair(inp: dict, budget: int) -> tuple[list, dict]:
-    group = _parse_group(inp)
+def _run_pair(inp: dict, group: ValueGroup, budget: int) -> tuple:
     spec = _spec(inp, "spec", group)
     alpha = _exponent(_need(inp, "alpha"), "alpha")
     gamma = _exponent(_need(inp, "gamma"), "gamma")
@@ -258,14 +257,11 @@ def _run_pair(inp: dict, budget: int) -> tuple[list, dict]:
         "alpha_divides": res.alpha_divides,
         "gamma_divides": res.gamma_divides,
         "divides": res.alpha_divides or res.gamma_divides,
-        "sequence": path.to_json(agree),
-        "final_frame": path.frame.to_json(),
     }
-    return path.records, witnesses
+    return path, witnesses, agree
 
 
-def _run_principalize(inp: dict, budget: int) -> tuple[list, dict]:
-    group = _parse_group(inp)
+def _run_principalize(inp: dict, group: ValueGroup, budget: int) -> tuple:
     spec = _spec(inp, "spec", group)
     gens = _exponents(inp, "generators")
     path = PushPath(spec.frame(), budget)
@@ -273,15 +269,12 @@ def _run_principalize(inp: dict, budget: int) -> tuple[list, dict]:
     witnesses = {
         "survivor": res.survivor,
         "exponents_final": [list(e) for e in res.exponents],
-        # no blow-up centre holds a variable that no generator involves
-        "sequence": path.to_json(_unused_columns(gens, path.frame.n)),
-        "final_frame": path.frame.to_json(),
     }
-    return path.records, witnesses
+    # no blow-up centre holds a variable that no generator involves
+    return path, witnesses, _unused_columns(gens, path.frame.n)
 
 
-def _run_nondegenerate(inp: dict, budget: int) -> tuple[list, dict]:
-    group = _parse_group(inp)
+def _run_nondegenerate(inp: dict, group: ValueGroup, budget: int) -> tuple:
     spec = _spec(inp, "spec", group)
     poly = _poly(inp, "poly").with_vars(spec.vars)
     path = PushPath(spec.frame(), budget)
@@ -290,15 +283,12 @@ def _run_nondegenerate(inp: dict, budget: int) -> tuple[list, dict]:
         "exponent": list(res.exponent),
         "unit_witness": res.unit_witness.to_json(),
         "image": res.image.to_json(),
-        # no blow-up centre holds a variable that no principalized exponent involves
-        "sequence": path.to_json(_unused_columns(res.generators, path.frame.n)),
-        "final_frame": path.frame.to_json(),
     }
-    return path.records, witnesses
+    # no blow-up centre holds a variable that no principalized exponent involves
+    return path, witnesses, _unused_columns(res.generators, path.frame.n)
 
 
-def _run_keypoly_expand(inp: dict, budget: int) -> tuple[list, dict]:
-    group = _parse_group(inp)
+def _run_keypoly_expand(inp: dict, group: ValueGroup, budget: int) -> tuple:
     chain = chain_from_json(_need(inp, "chain"), group)
     poly = _poly(inp, "poly").with_vars(chain.all_vars)
     level = inp.get("level", len(chain))
@@ -314,16 +304,14 @@ def _run_keypoly_expand(inp: dict, budget: int) -> tuple[list, dict]:
         "delta": trunc.delta,
         "epsilon": trunc.epsilon,
     }
-    return [], witnesses
+    return None, witnesses, None
 
 
-def _run_keypoly_monomialize(inp: dict, budget: int) -> tuple[list, dict]:
-    group = _parse_group(inp)
+def _run_keypoly_monomialize(inp: dict, group: ValueGroup, budget: int) -> tuple:
     chain = chain_from_json(_need(inp, "chain"), group)
     path = PushPath(chain.initial_frame(), budget)
     res = monomialize_key_polys(chain, path)
     witnesses = {
-        "final_frame": path.frame.to_json(),
         "x_column": res.x_column + 1,
         "level_data": res.level_data,
         "entries": [
@@ -335,13 +323,11 @@ def _run_keypoly_monomialize(inp: dict, budget: int) -> tuple[list, dict]:
             }
             for w in res.witnesses
         ],
-        "sequence": path.to_json(),
     }
-    return path.records, witnesses
+    return path, witnesses, None
 
 
-def _parse_uniformize_problem(inp: dict) -> UniformizingProblem:
-    group = _parse_group(inp)
+def _parse_uniformize_problem(inp: dict, group: ValueGroup) -> UniformizingProblem:
     prob = _need(inp, "problem")
     at = "problem."
     w_names = _names(prob, "w_vars", at=at)
@@ -389,8 +375,8 @@ def _parse_uniformize_problem(inp: dict) -> UniformizingProblem:
     )
 
 
-def _run_uniformize(inp: dict, budget: int) -> tuple[list, dict]:
-    problem = _parse_uniformize_problem(inp)
+def _run_uniformize(inp: dict, group: ValueGroup, budget: int) -> tuple:
+    problem = _parse_uniformize_problem(inp, group)
     path = PushPath(problem.frame(), budget)
     res = elementary_uniformizing_sequence(problem, path)
     # no blow-up centre holds a passive column unless the perturbation
@@ -412,15 +398,12 @@ def _run_uniformize(inp: dict, budget: int) -> tuple[list, dict]:
         "residue": residue,
         "images": res.images,
         "factorization": res.witness,
-        "final_frame": path.frame.to_json(),
-        "sequence": path.to_json(passive),
         "aux_steps": res.aux_steps,
     }
-    return path.records, witnesses
+    return path, witnesses, passive
 
 
-def _run_polynomial(inp: dict, budget: int) -> tuple[list, dict]:
-    group = _parse_group(inp)
+def _run_polynomial(inp: dict, group: ValueGroup, budget: int) -> tuple:
     chain = chain_from_json(_need(inp, "chain"), group)
     poly = _poly(inp, "poly").with_vars(chain.all_vars)
     path = PushPath(chain.initial_frame(), budget)
@@ -430,10 +413,8 @@ def _run_polynomial(inp: dict, budget: int) -> tuple[list, dict]:
         "unit_witness": res.unit_witness.to_json(),
         "image": res.image.to_json(),
         "expansion_values": res.expansion_values,
-        "final_frame": path.frame.to_json(),
-        "sequence": path.to_json(),
     }
-    return path.records, witnesses
+    return path, witnesses, None
 
 
 _RUNNERS: dict[str, Callable] = {
@@ -449,7 +430,9 @@ ALGORITHMS = tuple(_RUNNERS)
 
 
 def run_problem(inp: dict, budget: int = DEFAULT_BUDGET, command: str = "run") -> dict:
-    """Execute one problem object and wrap the outcome in a trace."""
+    """Execute one problem object and wrap the outcome in a trace.  After an
+    ok run on a path, the ``sequence`` witness, the ``final_frame`` and the
+    ``steps`` are written here, for every runner."""
     if not isinstance(inp, dict):
         raise SchemaError("problem must be a JSON object")
     algorithm = _need(inp, "algorithm")
@@ -469,8 +452,11 @@ def run_problem(inp: dict, budget: int = DEFAULT_BUDGET, command: str = "run") -
     }
     trace = {"header": header, "input": inp, "steps": [], "witnesses": None}
     try:
-        records, witnesses = _RUNNERS[algorithm](inp, budget)
-        trace["steps"] = records
+        path, witnesses, independent_of = _RUNNERS[algorithm](inp, _parse_group(inp), budget)
+        if path is not None:
+            witnesses["sequence"] = path.to_json(independent_of)
+            witnesses["final_frame"] = path.frame.to_json()
+            trace["steps"] = path.records
         trace["witnesses"] = witnesses
         trace["verdict"] = {"ok": True}
     except SchemaError:

@@ -13,18 +13,22 @@ answer for either.
   common positive factor changes no sign and no lattice relation.  So
   the ``chains`` runs keep their steps and verdicts, and a truncation of
   the ``expand`` pool keeps its expansion and invariants while its value
-  scales by the factor."""
+  scales by the factor.
+- Each truncation of a key-polynomial chain is a valuation (MacLane,
+  Trans. AMS 40, 1936), so at every level i of an ``expand`` chain
+  ``v_i(f·g) = v_i(f) + v_i(g)``."""
 
 from __future__ import annotations
 
 import copy
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from valmono.trace import run_problem
+from valmono.trace import _parse_group, _poly, chain_from_json, run_problem
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
@@ -165,3 +169,38 @@ def test_the_scaling_relation_sees_rows_over_two_denominators(monkeypatch, chain
     monkeypatch.setattr(keypoly, "_rows_of", _rows_over_their_own_denominators)
     breaks, _ = _chains_breaks(problems)
     assert len(breaks) > 10, breaks
+
+
+# -- each truncation is a valuation ----------------------------------------
+
+
+def _additivity_breaks(problems, polys) -> tuple[int, list]:
+    """How many ``v_i(f·g) = v_i(f) + v_i(g)`` checks the ``expand``
+    ``problems`` make, one per level of each chain, and the (index, level)
+    of each that fails; ``g`` is drawn from ``polys`` with a fixed seed."""
+    rng, checks, breaks = random.Random(5), 0, []
+    for k, (problem, f) in enumerate(zip(problems, polys)):
+        chain = chain_from_json(problem["chain"], _parse_group(problem))
+        g = rng.choice(polys)
+        fg = f * g
+        for i in range(1, len(chain) + 1):
+            v = keypoly.truncated_valuation
+            checks += 1
+            if v(fg, chain, i) != v(f, chain, i) + v(g, chain, i):
+                breaks.append((k, i))
+    return checks, breaks
+
+
+@pytest.fixture(scope="module")
+def expand_polys(expand_pool):
+    return [_poly(p, "poly") for p in expand_pool]
+
+
+def test_every_truncation_is_additive(expand_pool, expand_polys):
+    assert _additivity_breaks(expand_pool, expand_polys) == (6870, [])
+
+
+def test_the_additivity_relation_sees_a_wrong_order(monkeypatch, expand_pool, expand_polys):
+    monkeypatch.setattr(keypoly, "_order", lambda a, b: 1)
+    checks, breaks = _additivity_breaks(expand_pool[:300], expand_polys)
+    assert checks == 688 and len(breaks) > 100, breaks

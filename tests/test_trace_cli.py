@@ -343,6 +343,20 @@ def _cusp_with(**fields):
     return problem
 
 
+def _dependent_ground_chain(weights, binomial, betas):
+    """The chain x, x^2 - u1^a·u2^b over the ground (u1, u2) of rank-1
+    ``weights``; ``binomial`` is the exponent (a, b, 0)."""
+    vars_ = ["u1", "u2", "x"]
+    return _chain_run("keypoly-monomialize", {
+        "ground": {"vars": vars_[:2], "weights": [{"coords": [w]} for w in weights]},
+        "x": "x",
+        "entries": [
+            {"Q": _poly_json(vars_, {(0, 0, 1): "1"}), "beta": {"coords": [betas[0]]}},
+            {"Q": _poly_json(vars_, {(0, 0, 2): "1", binomial: "-1"}), "beta": {"coords": [betas[1]]}},
+        ],
+    })
+
+
 # One input per refusal that ``tools/raise_census.py`` found no test and
 # no pool problem reaching: (verdict code, message, problem).
 REFUSALS = [
@@ -390,6 +404,14 @@ REFUSALS = [
      _cusp_with(residue={"kind": "transcendental"}, h=_poly_json(["w1", "wn"], {(0, 3): "1"}))),
     ("invalid input", "perturbation runs need declared weights everywhere",
      _cusp_with(v_vars=["v1"], v_weights=[None], h=_poly_json(["w1", "v1", "wn"], {(0, 0, 3): "1"}))),
+    # Ground weights that are Q-dependent: the ladder refuses both chains.
+    # The messages misname the obstruction (u1^b / u2^a has value 0 and a
+    # transcendental residue); ROADMAP item 10(b) gives a dependent ground
+    # its own refusal, and will change them.
+    ("requires completion", "requires completion: initial monomials break the lattice ladder",
+     _dependent_ground_chain(("1", "1"), (1, 2, 0), ("3/2", "4"))),
+    ("requires completion", "requires completion: initial support off the lattice progression",
+     _dependent_ground_chain(("2", "3"), (2, 1, 0), ("7/2", "8"))),
 ]
 
 
@@ -410,6 +432,26 @@ def test_the_refusals_exit_3_as_one_cli_batch(tmp_path):
     assert r.stderr == "".join(f"error: {message}\n" for _, message, _ in REFUSALS)
     verdicts = [t["verdict"] for t in json.loads(tf.read_text())]
     assert verdicts == [{"ok": False, "code": c, "message": m} for c, m, _ in REFUSALS]
+
+
+def test_an_item_that_is_no_object_is_a_schema_error():
+    with pytest.raises(SchemaError) as err:
+        run_problem(5)
+    assert str(err.value) == "problem must be a JSON object"
+    with pytest.raises(SchemaError) as err:
+        verify_trace(5)
+    assert str(err.value) == "trace must be a JSON object"
+
+
+@pytest.mark.parametrize("command, message", [
+    ("run", "problem must be a JSON object"),
+    ("verify", "trace 0: trace must be a JSON object"),
+])
+def test_cli_item_that_is_no_object_exits_2(tmp_path, command, message):
+    pf = tmp_path / "p.json"
+    pf.write_text("[5]")
+    r = _cli(command, str(pf))
+    assert r.returncode == 2 and r.stderr == f"error: {message}\n"
 
 
 def test_cli_batch_and_jobs(tmp_path):

@@ -101,8 +101,10 @@ def _run_pools() -> None:
 def main() -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     os.chdir(ROOT)
-    seen = traced(_run_suite) | traced(_run_pools)
+    # read the sites when the package is about to be imported: read after
+    # the run, an edit made during it would shift their lines
     sites = raise_sites()
+    seen = traced(_run_suite) | traced(_run_pools)
     missed = [site for site in sites if site[:2] not in seen]
     for name, line, function, source in missed:
         print(f"{name}:{line} {function}: {source}")
