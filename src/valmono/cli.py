@@ -252,7 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("file", help="problem JSON (object or array for batch)")
     run_p.add_argument("--out", help="write the trace(s) to this path")
     run_p.add_argument(
-        "--budget", type=int, default=DEFAULT_BUDGET, help="step budget per run"
+        "--budget",
+        type=int,
+        default=DEFAULT_BUDGET,
+        help="step budget per run: blow-ups, or the digits of a keypoly-expand expansion",
     )
     run_p.add_argument(
         "--jobs",

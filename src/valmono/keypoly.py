@@ -24,6 +24,15 @@ over D, and ``StandardExpansion.reassembles`` decides their identity
 exactly on the same kind of rows.  A chain holds each Q_i over its own
 variables, so a Q_i built over another order of them expands alike.
 
+Inside the recursion, a level-1 value over a pure power Q_1 = x^d (every
+valid chain's Q_1 = x) builds no digit and no term: digit j holds rows
+j*d .. j*d+d-1 and a ground value is the least over exponents, so the
+value is the least (k // d) beta_1 + ground value of row k over the
+rows k.  The polynomials of a run come from ``trace._poly``, which reads
+a JSON polynomial, checks it and builds its integer coordinates in one
+pass.  With a step budget, ``truncate`` counts the digits of its
+expansion, deg_x f // deg_x Q_i + 1, against it before it builds any.
+
 The values are integer rows as well, over one denominator per chain: the
 ground weights and every beta_i are put over the lcm of their
 denominators once, a term's value is a sum of rows, and two values are
@@ -44,6 +53,7 @@ from typing import Iterable, NamedTuple, Optional
 from .errors import (
     InvalidInputError,
     NonMonicDivisorError,
+    StepBudgetExceededError,
     UnnormalizedLeadingCoefficientError,
     ZeroPolynomialError,
     quote,
@@ -214,10 +224,30 @@ class _ChainRows:
     def value(self, c: _Rows, level: int) -> tuple[int, ...]:
         """Row of the value of a Q_{level+1}-free standard form given by its
         (consumed) rows: the ground value at level 0, else its least level
-        term value."""
+        term value; at level 1 over a pure power x^d, that least term value
+        read off the rows (``power_value``)."""
         if level == 0:
             return self.ground_value(e for row in c.values() for e in row)
+        if level == 1:
+            _, d, neg_low = self.base(1)
+            if not neg_low:
+                return self.power_value(c, d)
         return self.level(self.expand(c, level), level)[2]
+
+    def power_value(self, c: _Rows, d: int) -> tuple[int, ...]:
+        """Row of the level-1 value of the nonzero rows ``c`` when Q_1 is
+        x^d: the least ``(k // d) beta_1 + ground value of row k``, the
+        least term value of the expansion with no digit built."""
+        beta = self.betas[0]
+        best = None
+        for k, row in c.items():
+            v = self.ground_value(row)
+            j = k // d
+            if j:
+                v = tuple([j * b + x for b, x in zip(beta, v)])
+            if best is None or _order(v, best) < 0:
+                best = v
+        return best
 
 
 class Truncation(NamedTuple):
@@ -234,19 +264,29 @@ class Truncation(NamedTuple):
     epsilon: Optional[int]
 
 
-def truncate(f: MultiPoly, chain: KeyPolyChain, i: int) -> Truncation:
+def truncate(
+    f: MultiPoly, chain: KeyPolyChain, i: int, budget: Optional[int] = None
+) -> Truncation:
     """Expand f once at level i and read off every truncation invariant.
     Only the level-i coefficients are built as polynomials; the values
     below are read off the digit rows, and the terms become values only
-    here, at return."""
+    here, at return.  With a ``budget``, an expansion of more digits than
+    that, ``deg_x f // deg_x Q_i + 1``, raises StepBudgetExceededError
+    before any digit is built."""
     if not 1 <= i <= len(chain):
         raise InvalidInputError(f"level {quote(i)} outside the chain")
     f = f.with_vars(chain.all_vars)
     rows = chain._rows
-    q = rows.base(i)[0]
+    q, d, _ = rows.base(i)
     f._check(q)
     xi = len(chain.ground.vars)
-    digits = rows.expand(_split_rows(f, xi), i)
+    split = _split_rows(f, xi)
+    if budget is not None and max(split, default=-1) // d >= budget:
+        raise StepBudgetExceededError(
+            f"step budget exceeded ({budget} steps): "
+            f"the level-{i} expansion needs more digits than that"
+        )
+    digits = rows.expand(split, i)
     if f.is_zero():
         raise ZeroPolynomialError("zero polynomial has no value")
     # the coefficients, before the values consume the digits

@@ -44,7 +44,7 @@ from functools import partial
 from itertools import chain
 from math import comb, gcd, lcm
 from operator import add
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
     InvalidInputError,
@@ -313,6 +313,22 @@ def _exact_elem(c, tower: FieldTower) -> tuple[Elem, int]:
     return tower._embed(p), q
 
 
+def _exponent_fault(e: tuple[int, ...], n: int) -> Optional[str]:
+    """Why ``e`` is no exponent of a monomial in n variables, or None: the
+    check of ``MultiPoly.build`` and of the JSON reader alike."""
+    if len(e) != n:
+        return "exponent length must match the variable count"
+    if n and min(e) < 0:
+        return "exponents must be nonnegative"
+    return None
+
+
+def _grlex(term: tuple[tuple[int, ...], Elem]) -> tuple:
+    """Graded-lex sort key of an (exponent, coordinate) term."""
+    e = term[0]
+    return sum(e), e
+
+
 class MultiPoly:
     """Sparse exact multivariate polynomial: the coefficient of the monomial
     ``e`` is ``terms[e] / den``, integer coordinates over one denominator;
@@ -387,10 +403,9 @@ class MultiPoly:
         n = len(vars)
         for e, c in items:
             e = tuple(map(int, e))
-            if len(e) != n:
-                raise InvalidInputError("exponent length must match the variable count")
-            if n and min(e) < 0:
-                raise InvalidInputError("exponents must be nonnegative")
+            fault = _exponent_fault(e, n)
+            if fault:
+                raise InvalidInputError(fault)
             if e in collected:
                 collected[e] = tower.add(collected[e], c)
             else:
@@ -446,7 +461,7 @@ class MultiPoly:
         return self.coeff(tuple(0 for _ in self.vars))
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Elem]]:
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
+        return sorted(self.terms.items(), key=_grlex)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -554,7 +569,8 @@ class MultiPoly:
     # -- JSON ----------------------------------------------------------------
 
     def to_json(self) -> dict:
-        den, elem = self.den, FieldTower.elem_to_json
+        # over Q a coordinate is an int, written as its literal over den
+        den, elem = self.den, FieldTower.elem_to_json if self.tower.depth else _literal
         return {
             "vars": list(self.vars),
             "terms": [{"e": list(e), "c": elem(c, den)} for e, c in self.sorted_terms()],

@@ -34,7 +34,7 @@ from .game import (
     run_pair_descent,
 )
 from .keypoly import KeyPolyChain, truncate
-from .polyalg import MultiPoly, QQ
+from .polyalg import MultiPoly, QQ, _exponent_fault
 from .unifseq import (
     UniformizingProblem,
     elementary_uniformizing_sequence,
@@ -134,8 +134,11 @@ def _values(
 def _poly(obj: dict, key: str, at: str = "") -> MultiPoly:
     """The polynomial field ``key`` over Q, checked and built in one pass.
     A value of the wrong JSON shape raises SchemaError naming the field, a
-    bad coefficient literal one naming the literal; exponent signs and
-    lengths are checked by ``MultiPoly.build``."""
+    bad coefficient literal one naming the literal.  Exponents get the
+    check of ``MultiPoly.build`` after every shape and literal check: the
+    first bad exponent is raised once all terms have been read.  Repeated
+    exponents are summed and zero coefficients dropped, over one running
+    denominator."""
     p = _need(obj, key, at)
     if (
         isinstance(p, dict)
@@ -143,7 +146,9 @@ def _poly(obj: dict, key: str, at: str = "") -> MultiPoly:
         and all(isinstance(v, str) for v in p["vars"])
         and isinstance(p.get("terms"), list)
     ):
-        terms = []
+        n = len(p["vars"])
+        terms: dict[tuple[int, ...], int] = {}
+        den, bad = 1, None
         for t in p["terms"]:
             if not (
                 isinstance(t, dict)
@@ -152,10 +157,21 @@ def _poly(obj: dict, key: str, at: str = "") -> MultiPoly:
                 and isinstance(t.get("c"), str)
             ):
                 break
-            terms.append((t["e"], rational_from_str(t["c"])))
+            num, q = rational_from_str(t["c"])
+            if bad is not None:
+                continue
+            e = tuple(t["e"])
+            bad = _exponent_fault(e, n)
+            if bad is None:
+                if den % q:
+                    lift = q // gcd(den, q)
+                    den *= lift
+                    terms = {e: c * lift for e, c in terms.items()}
+                terms[e] = terms.get(e, 0) + num * (den // q)
         else:
-            den = lcm(*[q for _, (_, q) in terms])
-            return MultiPoly.build(p["vars"], [(e, n * (den // q)) for e, (n, q) in terms], QQ, den)
+            if bad is not None:
+                raise InvalidInputError(bad)
+            return MultiPoly(tuple(p["vars"]), {e: c for e, c in terms.items() if c}, QQ, den)
     raise SchemaError(
         f'{at}{key} must be {{"vars": [names], "terms": [{{"e": [integers], "c": "p/q"}}]}}, '
         f"not {quote(p)}"
@@ -294,7 +310,7 @@ def _run_keypoly_expand(inp: dict, group: ValueGroup, budget: int) -> tuple:
     level = inp.get("level", len(chain))
     if not _is_int(level):
         raise SchemaError(f"level must be an integer, not {quote(level)}")
-    trunc = truncate(poly, chain, level)
+    trunc = truncate(poly, chain, level, budget)
     exp = trunc.expansion
     witnesses = {
         "level": level,

@@ -525,12 +525,6 @@ def test_phase_scan_sees_each_kind():
     assert _strings(tree)["x"] == 2
 
 
-# The runners in ``trace`` share the signature (inp, budget) so that one
-# table dispatches every selector; keypoly-expand makes no blow-up steps,
-# so it has no budget to spend.
-_UNREAD_PARAMETERS_ALLOWED = {"trace.py: _run_keypoly_expand(budget)"}
-
-
 def _unread_parameters(tree: ast.Module) -> list[str]:
     """``function(parameter)`` for each parameter, other than self and cls,
     whose value the function's body never reads."""
@@ -559,8 +553,7 @@ def test_every_parameter_is_read():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         found += [f"{path.name}: {f}" for f in _unread_parameters(_parse(path))]
-    assert sorted(set(found) - _UNREAD_PARAMETERS_ALLOWED) == []
-    assert _UNREAD_PARAMETERS_ALLOWED <= set(found)  # the exception is still needed
+    assert found == []
 
 
 def test_unread_parameter_scan_sees_each_kind():

@@ -27,6 +27,7 @@ from valmono.errors import (
     UnnormalizedLeadingCoefficientError,
     ZeroPolynomialError,
 )
+from valmono import keypoly
 from valmono.keypoly import (
     KeyPolyChain,
     StandardExpansion,
@@ -739,3 +740,84 @@ def test_keypoly_monomialize_over_an_independent_ground_ends_ok(tmp_path, proble
     out = json.loads(tf.read_text())
     assert out["verdict"] == {"ok": True}
     assert {k: out[k] for k in ("steps", "witnesses")} == {k: trace[k] for k in ("steps", "witnesses")}
+
+
+# -- level-1 values over a pure power, read off the rows -------------------
+
+
+def _power_chains():
+    """Library chains whose Q_1 is x^2, x^3 or x + u, with levels above it.
+    ``validate_chain`` tags each ``q1-not-x``; ``truncate`` takes them as
+    given.  Over x^d a level-1 value is read off the rows
+    (``_ChainRows.power_value``); over x + u it runs the division loop."""
+    ground = rational_spec([1], names=("u",))
+    x2 = [
+        (poly(UV, {(0, 2): 1}), Fraction(3, 2)),
+        (poly(UV, {(0, 4): 1, (3, 0): -1}), Fraction(7)),
+        (poly(UV, {(0, 8): 1, (3, 4): -2, (6, 0): 1, (5, 1): 1}), Fraction(20)),
+    ]
+    x3 = [
+        (poly(UV, {(0, 3): 1}), Fraction(5, 3)),
+        (poly(UV, {(0, 6): 1, (1, 3): 1, (5, 0): -1}), Fraction(11)),
+    ]
+    xu = [
+        (poly(UV, {(0, 1): 1, (1, 0): 1}), Fraction(1)),
+        (poly(UV, {(0, 2): 1, (3, 0): -1}), Fraction(4)),
+        (poly(UV, {(0, 4): 1, (2, 3): 1, (7, 0): -1}), Fraction(9)),
+    ]
+    return [
+        KeyPolyChain(ground, "x", tuple((q, G1.rational(b)) for q, b in entries))
+        for entries in (x2, x3, xu)
+    ]
+
+
+def _power_chain_mismatches() -> tuple[int, int]:
+    """(checks, mismatches) of ``truncate`` against the ``Value`` oracle at
+    every level of every ``_power_chains`` chain, on random polynomials of
+    x-degree up to 12."""
+    rng = random.Random(41)
+    checks = mismatches = 0
+    for chain in _power_chains():
+        assert validate_chain(chain)[0] == "q1-not-x"
+        for _ in range(60):
+            f = random_poly(rng, UV, max_terms=6, max_exp=12)
+            for i in range(1, len(chain) + 1):
+                t = truncate(f, chain, i)
+                checks += 1
+                terms, value, delta, epsilon = value_truncation(f, chain, i)
+                mismatches += (t.terms, t.value, t.delta, t.epsilon) != (terms, value, delta, epsilon)
+    return checks, mismatches
+
+
+def test_level_one_values_over_a_pure_power_match_the_value_oracle():
+    assert _power_chain_mismatches() == (480, 0)
+
+
+def test_level_one_values_over_a_pure_power_test_catches_k_for_k_div_d(monkeypatch):
+    """The mutation self-test of the test above: row k read as digit k, not
+    digit k // d, makes it fail."""
+    power_value = keypoly._ChainRows.power_value
+    monkeypatch.setattr(
+        keypoly._ChainRows, "power_value", lambda self, c, d: power_value(self, c, 1)
+    )
+    checks, mismatches = _power_chain_mismatches()
+    assert mismatches > 50
+
+
+# -- the augmentation check fires on a planted defect ----------------------
+
+
+def test_an_augmentation_off_its_expected_value_is_caught(monkeypatch):
+    """``next_key_char0`` values Q_next by ``truncated_valuation``; a defect
+    that puts it off beta_top trips the check before Q_next is returned."""
+    ground = rational_spec([1], names=("u",))
+    chain = KeyPolyChain(ground, "x", ((MultiPoly.variable(UV, "x"), G1.rational(1)),))
+    f = poly(UV, {(0, 2): 1, (1, 1): 1, (2, 0): 1})  # x^2 + u x + u^2
+    truncated = keypoly.truncated_valuation
+    monkeypatch.setattr(
+        keypoly, "truncated_valuation", lambda g, c, i: truncated(g, c, i) + G1.rational(1)
+    )
+    with pytest.raises(AssertionError) as err:
+        next_key_char0(chain, f)
+    assert type(err.value) is AssertionError
+    assert str(err.value) == "augmented polynomial does not sit at the expected value"

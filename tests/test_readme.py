@@ -59,6 +59,11 @@ LIBRARY_CHECKS = [
     # polynomials
     (lambda: MultiPoly(("x",), {(1,): 1}, QQ, den=0), InvalidInputError,
      "denominator must be nonzero"),
+    # ``trace._poly`` makes the same exponent check before it builds
+    (lambda: MultiPoly.build(("x",), [((1, 0), 1)]), InvalidInputError,
+     "exponent length must match the variable count"),
+    (lambda: MultiPoly.build(("x",), [((-1,), 1)]), InvalidInputError,
+     "exponents must be nonnegative"),
     (lambda: MultiPoly.variable(("x",), "y"), InvalidInputError, "unknown variable 'y'"),
     (lambda: X.var_index("y"), InvalidInputError, "unknown variable 'y'"),
     (lambda: X + MultiPoly.variable(("y",), "y"), InvalidInputError,

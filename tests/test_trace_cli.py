@@ -8,13 +8,16 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from conftest import CHILD_ENV, SRC, json_digest
-from valmono.errors import SchemaError, TraceMismatchError
-from valmono.trace import ALGORITHMS, canonical_digest, run_problem, verify_trace
+from valmono.errors import InvalidInputError, SchemaError, TraceMismatchError, quote
+from valmono.framing import DEFAULT_BUDGET
+from valmono.polyalg import MultiPoly
+from valmono.trace import ALGORITHMS, _poly, canonical_digest, run_problem, verify_trace
 
 GROUP2 = {"rank": 2, "ordering": "sqrt-primes", "labels": ["g1", "g2"]}
 SPEC2 = {
@@ -1107,6 +1110,57 @@ def test_keypoly_expand_level_default_and_range():
         assert verdict["ok"] is False and verdict["code"] == "invalid input"
 
 
+def _power_expand_problem(degree, level):
+    """keypoly-expand of x^degree over the cusp chain: degree + 1 digits at
+    level 1 (Q_1 = x), degree // 2 + 1 at level 2 (Q_2 = x^2 - u^3)."""
+    return _expand_problem(level=level, poly={"vars": ["u", "x"], "terms": [{"e": [0, degree], "c": "1"}]})
+
+
+def _digits_over_budget(budget, level):
+    return {
+        "ok": False,
+        "code": "step budget exceeded",
+        "message": f"step budget exceeded ({budget} steps): "
+        f"the level-{level} expansion needs more digits than that",
+    }
+
+
+@pytest.mark.parametrize("degree, level, digits", [(7, 1, 8), (7, 2, 4), (1, 2, 1)])
+def test_keypoly_expand_counts_its_digits_against_the_budget(degree, level, digits):
+    problem = _power_expand_problem(degree, level)
+    over = run_problem(problem, budget=digits - 1)
+    assert over["verdict"] == _digits_over_budget(digits - 1, level)
+    assert (over["steps"], over["witnesses"]) == ([], None)
+    verify_trace(over)
+    at = run_problem(problem, budget=digits)
+    assert at["verdict"] == {"ok": True}
+    assert len(at["witnesses"]["coefficients"]) == digits
+    assert at["witnesses"] == run_problem(problem)["witnesses"]
+    verify_trace(at)
+
+
+def test_the_zero_polynomial_spends_no_digit():
+    zero = _expand_problem(poly={"vars": ["u", "x"], "terms": []})
+    assert run_problem(zero, budget=0)["verdict"]["message"] == "zero polynomial has no value"
+
+
+def test_cli_budget_bounds_the_digits_of_an_expansion(tmp_path):
+    # x^1000000 is 1000001 digits at level 1: over the default budget, so
+    # the run ends before a digit is built
+    pf, tf = tmp_path / "p.json", tmp_path / "t.json"
+    pf.write_text(json.dumps([_power_expand_problem(10**6, 1)]))
+    r = _cli("run", str(pf), "--out", str(tf))
+    assert r.returncode == 3 and "Traceback" not in r.stderr
+    assert [t["verdict"] for t in json.loads(tf.read_text())] == [_digits_over_budget(DEFAULT_BUDGET, 1)]
+    pf.write_text(json.dumps(_power_expand_problem(7, 1)))
+    r = _cli("run", str(pf), "--budget", "7", "--out", str(tf))
+    assert r.returncode == 3 and r.stderr == f"error: {_digits_over_budget(7, 1)['message']}\n"
+    assert json.loads(tf.read_text())["verdict"] == _digits_over_budget(7, 1)
+    assert _cli("run", str(pf), "--budget", "8", "--out", str(tf)).returncode == 0
+    assert len(json.loads(tf.read_text())["witnesses"]["coefficients"]) == 8
+    assert _cli("verify", str(tf)).returncode == 0
+
+
 @pytest.mark.parametrize("level", ["abc", None, True, 1.9])
 def test_cli_bad_level_exits_2(tmp_path, level):
     pf = tmp_path / "p.json"
@@ -1827,6 +1881,65 @@ def test_the_first_fault_of_an_input_wins(problem, outcome):
         assert str(err.value) == message
     else:
         assert run_problem(problem)["verdict"] == {"ok": False, "code": kind, "message": message}
+
+
+# ``trace._poly`` reads, checks and builds a JSON polynomial in one pass.
+# Each row holds the terms of a polynomial in (u, x) and what reading it
+# gives: an error of that type and message (None: the field's shape
+# message), or None when it is ``MultiPoly.build`` over the same terms.
+POLY_SHAPE = 'poly must be {"vars": [names], "terms": [{"e": [integers], "c": "p/q"}]}, not '
+POLY_CASES = {
+    "bad-shape-after-negative-exponent": (
+        [{"e": [-1, 0], "c": "1"}, {"e": [0, 1]}], (SchemaError, None)),
+    "bad-literal-after-length-mismatch": (
+        [{"e": [1], "c": "1"}, {"e": [0, 1], "c": "1/x"}], (SchemaError, "bad rational '1/x'")),
+    "length-mismatch-before-negative-exponent": (
+        [{"e": [0, 1, 0], "c": "1"}, {"e": [-1, 0], "c": "2"}],
+        (InvalidInputError, "exponent length must match the variable count")),
+    "negative-exponent-before-length-mismatch": (
+        [{"e": [0, -1], "c": "1"}, {"e": [1], "c": "2"}],
+        (InvalidInputError, "exponents must be nonnegative")),
+    "repeated-exponents-summing-to-zero": (
+        [{"e": [0, 1], "c": "1"}, {"e": [2, 3], "c": "2"}, {"e": [0, 1], "c": "-1"}], None),
+    "mixed-denominators": (
+        [{"e": [0, 3], "c": "1/2"}, {"e": [1, 0], "c": "1/3"}, {"e": [0, 0], "c": "-5/6"}], None),
+    "repeated-exponents-across-denominators": (
+        [{"e": [0, 2], "c": "1/2"}, {"e": [1, 1], "c": "2/3"}, {"e": [0, 2], "c": "-1/6"}], None),
+    "empty-terms": ([], None),
+}
+
+
+@pytest.mark.parametrize("terms, outcome", POLY_CASES.values(), ids=POLY_CASES)
+def test_a_json_polynomial_is_read_in_one_pass(terms, outcome):
+    p = {"vars": ["u", "x"], "terms": terms}
+    nondegenerate = {
+        "schema": 1,
+        "algorithm": "nondegenerate",
+        "group": {"rank": 1},
+        "spec": {"vars": ["u", "x"], "weights": [{"coords": ["1"]}, {"coords": ["3/2"]}]},
+        "poly": p,
+    }
+    problems = [_expand_problem(level=1, poly=p), nondegenerate]
+    if outcome is None:
+        oracle = MultiPoly.build(("u", "x"), [(t["e"], Fraction(t["c"])) for t in terms])
+        got = _poly({"poly": p}, "poly")
+        assert got == oracle and list(got.terms.items()) == list(oracle.terms.items())
+        for problem in problems:
+            trace, built = run_problem(problem), run_problem(dict(problem, poly=oracle.to_json()))
+            assert (trace["verdict"], trace["witnesses"]) == (built["verdict"], built["witnesses"])
+        return
+    kind, message = outcome
+    message = message or POLY_SHAPE + quote(p)
+    with pytest.raises(kind) as err:
+        _poly({"poly": p}, "poly")
+    assert type(err.value) is kind and str(err.value) == message
+    for problem in problems:
+        if kind is SchemaError:
+            with pytest.raises(SchemaError) as err:
+                run_problem(problem)
+            assert str(err.value) == message
+        else:
+            assert run_problem(problem)["verdict"] == {"ok": False, "code": kind.code, "message": message}
 
 
 @pytest.mark.parametrize(
