@@ -48,8 +48,9 @@ Indices are 0-based in memory and 1-based in JSON records.
 
 from __future__ import annotations
 
-from operator import le, sub
-from typing import NamedTuple, Optional, Sequence
+from collections import namedtuple
+from operator import add, le, sub
+from typing import Optional, Sequence
 
 from .errors import InvalidInputError, StepBudgetExceededError, quote
 from .polyalg import FieldTower, MultiPoly, QQ, taylor_shift
@@ -58,7 +59,11 @@ from .values import Value, _literal, _order, _rows_of, _sign
 DEFAULT_BUDGET = 100_000
 
 
-class TranslationItem(NamedTuple):
+class TranslationItem(namedtuple(
+    "TranslationItem",
+    "target minpoly symbol new_name new_weight",
+    defaults=(None, None, None, None),
+)):
     """Residue motion for one unit variable of a translation-kind step.
 
     ``minpoly`` is the monic minimal polynomial of the residue (elements of
@@ -69,11 +74,7 @@ class TranslationItem(NamedTuple):
     new parameter so that frame replay is faithful.
     """
 
-    target: int
-    minpoly: Optional[tuple] = None
-    symbol: Optional[str] = None
-    new_name: Optional[str] = None
-    new_weight: Optional[Value] = None
+    __slots__ = ()
 
     def to_json(self) -> dict:
         mp, nw = self.minpoly, self.new_weight
@@ -86,15 +87,12 @@ class TranslationItem(NamedTuple):
         }
 
 
-class FramedStep(NamedTuple):
+class FramedStep(namedtuple("FramedStep", "n J j translation_data", defaults=((),))):
     """One framed blow-up along ``(u_J)`` with vertex ``j``, on the full
     column set (unit-tagged columns included).  A step with translation
     items is a translation-kind step; every other field is derived."""
 
-    n: int
-    J: tuple[int, ...]
-    j: int
-    translation_data: tuple[TranslationItem, ...] = ()
+    __slots__ = ()
 
     @property
     def kind(self) -> str:
@@ -264,13 +262,22 @@ def translation_root(item: TranslationItem, tower: FieldTower):
 
 def _push_exponents(f: MultiPoly, steps: Sequence[FramedStep]) -> MultiPoly:
     """f with each term's exponent carried through ``steps``, first to last.
-    Every update is invertible, so no two terms land on one exponent and
-    the terms keep their order."""
-    terms = {}
-    for e, c in f.terms.items():
-        for s in steps:
-            e = s.apply_to_exponent(e)
-        terms[e] = c
+    The exponents are transposed into columns once; a step sets column
+    ``j`` to the sum of the columns of J, one ``map`` over the terms (a
+    one-column center changes nothing), and the columns are zipped back in
+    term order.  Every update is invertible, so no two terms land on one
+    exponent and the terms keep their order."""
+    if not f.terms:
+        return f
+    cols = list(zip(*f.terms))
+    for s in steps:
+        J = s.J
+        if len(J) > 1:
+            col = cols[J[0]]
+            for q in J[1:]:
+                col = map(add, col, cols[q])
+            cols[s.j] = tuple(col)
+    terms = dict(zip(zip(*cols), f.terms.values()))
     return MultiPoly._of_reduced(f.vars, terms, f.tower, f.den)
 
 

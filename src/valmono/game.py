@@ -19,8 +19,9 @@ residues of these units are transcendental, so the tagging is exact.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from operator import le, sub
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     InvalidInputError,
@@ -126,11 +127,8 @@ def _greedy_center(at: Sequence[int], gt: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(J))
 
 
-class PairResult(NamedTuple):
-    alpha: tuple[int, ...]
-    gamma: tuple[int, ...]
-    alpha_divides: bool
-    gamma_divides: bool
+class PairResult(namedtuple("PairResult", "alpha gamma alpha_divides gamma_divides")):
+    __slots__ = ()
 
 
 def run_pair_descent(
@@ -161,9 +159,8 @@ def run_pair_descent(
     return PairResult(a, g, sum(at) == 0, sum(gt) == 0)
 
 
-class IdealResult(NamedTuple):
-    survivor: int
-    exponents: list[tuple[int, ...]]
+class IdealResult(namedtuple("IdealResult", "survivor exponents")):
+    __slots__ = ()
 
 
 def _reduced_divides(
@@ -305,11 +302,8 @@ def principalize_exponents(
     return IdealResult(survivor, exps)
 
 
-class NondegResult(NamedTuple):
-    exponent: tuple[int, ...]
-    unit_witness: MultiPoly
-    image: MultiPoly
-    generators: list[tuple[int, ...]]
+class NondegResult(namedtuple("NondegResult", "exponent unit_witness image generators")):
+    __slots__ = ()
 
 
 def _antichain(exps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -333,8 +327,8 @@ def split_monomial(
     mono = tuple(0 if i in frame.units else x for i, x in enumerate(exponent))
     shifted = {}
     for e, c in poly.terms.items():
-        ne = tuple(x - m for x, m in zip(e, mono))
-        if any(x < 0 for x in ne):
+        ne = tuple(map(sub, e, mono))
+        if min(ne, default=0) < 0:
             return mono, None
         shifted[ne] = c
     return mono, MultiPoly._of_reduced(poly.vars, shifted, poly.tower, poly.den)

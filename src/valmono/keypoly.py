@@ -47,8 +47,9 @@ assumption rather than a runtime check.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from .errors import (
     InvalidInputError,
@@ -134,12 +135,10 @@ class KeyPolyChain:
         return self._row_cache
 
 
-class StandardExpansion(NamedTuple):
+class StandardExpansion(namedtuple("StandardExpansion", "level base coefficients")):
     """f = sum coefficients[j] * Q_level^j with Q_level-free coefficients."""
 
-    level: int
-    base: MultiPoly
-    coefficients: tuple[MultiPoly, ...]
+    __slots__ = ()
 
     def reassembles(self, f: MultiPoly) -> bool:
         """Whether sum c_j Q^j is exactly f: Horner's rule on x-dense rows
@@ -250,18 +249,14 @@ class _ChainRows:
         return best
 
 
-class Truncation(NamedTuple):
+class Truncation(namedtuple("Truncation", "expansion terms value delta epsilon")):
     """One level-i standard expansion and the values it defines: the terms
     ``(j, j beta_i + value(c_j))`` of the nonzero coefficients in j order,
     their minimum, the largest index ``delta`` attaining it, and
     ``epsilon``, the least index above delta attaining the minimum over the
     indices above delta (None when there is none)."""
 
-    expansion: StandardExpansion
-    terms: tuple[tuple[int, Value], ...]
-    value: Value
-    delta: int
-    epsilon: Optional[int]
+    __slots__ = ()
 
 
 def truncate(

@@ -5,7 +5,10 @@ chain of symbols, each with a monic defining polynomial over the level
 below.  Elements are kept in canonical form (reduced modulo the definers,
 represented as nested coefficient tuples of fixed length), so structural
 equality is field equality.  Tower algebra on single elements (inverses,
-definers, residues) runs on rational coordinates.  Irreducibility of
+definers, residues) runs on rational coordinates.  A product at level 1
+is one convolution of the number coordinates and one reduction by the
+definer; a higher level multiplies its coordinates one level down, so
+every product ends in level-1 ones.  Irreducibility of
 definers is trusted at input and falsified lazily: a failed inversion
 raises :class:`~valmono.errors.ReducibleDefinerError`.
 
@@ -33,7 +36,9 @@ with the divisor's lower rows, or the digits shifted into place for a
 pure power.  One split (``_monic_split``) checks that a divisor is monic
 for all of them, and for :func:`valmono.keypoly.validate_chain`.
 The Taylor shift ``x -> theta + x`` writes theta as T / b and is an
-integer multiply-accumulate over ``den * b^K``.
+integer multiply-accumulate over ``den * b^K``: plain int ``*`` and ``+``
+over Q, the tower's product over a tower, where the row kernels add,
+negate and test number tuples directly at depth 1.
 """
 
 from __future__ import annotations
@@ -210,6 +215,25 @@ class FieldTower:
         return self._neg(a, self.depth)
 
     def _mul(self, a: Elem, b: Elem, level: int) -> Elem:
+        """The product at ``level``: at level 1 one convolution of the
+        number coordinates and one reduction by the definer; above it the
+        same schoolbook product and reduction with each coordinate product
+        one level down."""
+        if level == 1:
+            mp = self.extensions[0][1]
+            deg = len(mp) - 1
+            prod = [0] * (2 * deg - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for k, y in enumerate(b, i):
+                        prod[k] += x * y
+            for i in range(2 * deg - 2, deg - 1, -1):
+                c = prod[i]
+                if c:
+                    for k, m in enumerate(mp[:deg], i - deg):
+                        prod[k] -= c * m
+            del prod[deg:]
+            return tuple(prod)
         if level == 0:
             return a * b
         deg = self.degree_at(level)
@@ -584,9 +608,25 @@ class MultiPoly:
 _Rows = dict[int, dict[tuple[int, ...], Elem]]
 
 
+# row operators of a depth-1 tower, whose coordinates are tuples of numbers
+def _add1(a: tuple, b: tuple) -> tuple:
+    return tuple(map(add, a, b))
+
+
+def _neg1(a: tuple) -> tuple:
+    return tuple(map(operator.neg, a))
+
+
+def _is_zero1(a: tuple) -> bool:
+    return not any(a)
+
+
 def _row_ops(tw: FieldTower) -> tuple:
     """(mul, add, neg, is_zero) on coordinates: the number operators over Q,
-    which serve ints and Fractions alike, and the tower's own above."""
+    which serve ints and Fractions alike, number tuples at depth 1, and the
+    tower's own above."""
+    if tw.depth == 1:
+        return tw.mul, _add1, _neg1, _is_zero1
     if tw.depth:
         return tw.mul, tw.add, tw.neg, tw.is_zero
     return operator.mul, operator.add, operator.neg, operator.not_
@@ -770,34 +810,59 @@ def taylor_shift(f: MultiPoly, x: str, theta: Elem) -> MultiPoly:
     and K the top x-degree, the table entry for (k, i) is the integral
     ``C(k, i) T^(k-i) b^(K-k+i)``, and the image is the integer
     multiply-accumulate of f's coordinates with it, over ``f.den * b^K``.
-    Under a non-integral definer the same loop runs on Fraction
-    coordinates.  Terms are visited in the order of ``f`` and their images
-    ascending in i, which is the term order of composing ``f`` with
-    theta + x term by term."""
+    Over Q that is plain ``*`` and ``+`` on ints, and no image is zero
+    when theta is not; over a tower the products are the tower's, and a
+    zero image is skipped (a reducible definer has zero divisors).  Under
+    a non-integral definer the same loop runs on Fraction coordinates.
+    Each exponent is split once around x.  Terms are visited in the order
+    of ``f`` and their images ascending in i, which is the term order of
+    composing ``f`` with theta + x term by term: a sum that cancels drops
+    its key, and a later image puts it back at the end."""
     tw = f.tower
     xi = f.var_index(x)
+    t, b = _cleared(theta, tw.depth)
+    if _is_zero_like(t):
+        return f
     top = max((e[xi] for e in f.terms), default=0)
     mul, add, _, is_zero = _row_ops(tw)
-    t, b = _cleared(theta, tw.depth)
-    powers = [None, t]  # powers[m] = T^m
+    powers = [1, t]  # powers[m] = T^m
     for _ in range(1, top):
         powers.append(mul(powers[-1], t))
     lift = b**top
-    shifts: dict[int, list] = {}
+    ks = {e[xi] for e in f.terms}
     out: dict[tuple[int, ...], Elem] = {}
+    get = out.get
+    if not tw.depth:
+        # scaled[m] = T^m b^(K-m), so the entry for (k, i) is C(k, i) scaled[k-i]
+        scaled = [p * b ** (top - m) for m, p in enumerate(powers)]
+        rows = {k: [comb(k, i) * scaled[k - i] for i in range(k + 1)] for k in ks}
+        for e, c in f.terms.items():
+            k = e[xi]
+            pre, post = e[:xi], e[xi + 1:]
+            for i, s in enumerate(rows[k]):
+                ne = pre + (i,) + post
+                p = c * s
+                q = get(ne)
+                if q is not None:
+                    p += q
+                    if not p:
+                        del out[ne]
+                        continue
+                out[ne] = p
+        return MultiPoly(f.vars, out, tw, f.den * lift)
+    rows = {k: [_times(powers[k - i], comb(k, i) * b ** (top - k + i)) for i in range(k)] for k in ks}
     for e, c in f.terms.items():
         k = e[xi]
-        row = shifts.get(k)
-        if row is None:
-            row = shifts[k] = [_times(powers[k - i], comb(k, i) * b ** (top - k + i)) for i in range(k)]
-        images = [mul(c, s) for s in row]
+        pre, post = e[:xi], e[xi + 1:]
+        images = [mul(c, s) for s in rows[k]]
         images.append(c if lift == 1 else _times(c, lift))
         for i, p in enumerate(images):
             if is_zero(p):
                 continue
-            ne = e[:xi] + (i,) + e[xi + 1:]
-            if ne in out:
-                p = add(out[ne], p)
+            ne = pre + (i,) + post
+            q = get(ne)
+            if q is not None:
+                p = add(q, p)
                 if is_zero(p):
                     del out[ne]
                     continue

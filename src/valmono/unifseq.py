@@ -31,7 +31,8 @@ elements, residue coefficients outside the constant tower) raise
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from collections import namedtuple
+from typing import Optional, Sequence
 
 from . import _linalg
 from .errors import (
@@ -51,11 +52,15 @@ from .game import (
     split_monomial,
 )
 from .keypoly import KeyPolyChain, truncate, validate_chain
-from .polyalg import MultiPoly, QQ, taylor_shift
+from .polyalg import FieldTower, MultiPoly, QQ, taylor_shift
 from .values import Value, _exponent_row, _order, _positive, _row_lattice
 
 
-class UniformizingProblem(NamedTuple):
+class UniformizingProblem(namedtuple(
+    "UniformizingProblem",
+    "w_names w_weights wn_name beta_n residue v_names v_weights h beta_new",
+    defaults=((), (), None, None),
+)):
     """Input of one elementary uniformizing sequence.
 
     Frame order is (w_1..w_r, v_1..v_t, w_n).  ``residue`` is the monic
@@ -67,15 +72,7 @@ class UniformizingProblem(NamedTuple):
     weighted in the final frame.
     """
 
-    w_names: tuple[str, ...]
-    w_weights: tuple[Value, ...]
-    wn_name: str
-    beta_n: Value
-    residue: Optional[tuple]
-    v_names: tuple[str, ...] = ()
-    v_weights: tuple[Optional[Value], ...] = ()
-    h: Optional[MultiPoly] = None
-    beta_new: Optional[Value] = None
+    __slots__ = ()
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -97,16 +94,12 @@ class UniformizingProblem(NamedTuple):
         return Frame(names, weights)
 
 
-class UniformizingResult(NamedTuple):
-    abar: int
-    alpha_coeffs: tuple[int, ...]
-    d: int
-    z_column: int
-    z_sign: int
-    new_var: Optional[str]
-    images: dict
-    witness: dict
-    aux_steps: int = 0
+class UniformizingResult(namedtuple(
+    "UniformizingResult",
+    "abar alpha_coeffs d z_column z_sign new_var images witness aux_steps",
+    defaults=(0,),
+)):
+    __slots__ = ()
 
 
 # -- the phases of one elementary sequence, as functions on its path ------
@@ -256,18 +249,12 @@ def _initial_form(
     return least, at, above
 
 
-class _Level(NamedTuple):
+class _Level(namedtuple("_Level", "abar alpha minpoly z_column z_sign new_var aux_steps")):
     """What one ``_level`` ran: ``minpoly`` is that of the residue of z, in
     the tower the level started in; ``aux_steps`` absorbed the terms above
     the initial form."""
 
-    abar: int
-    alpha: tuple[int, ...]
-    minpoly: tuple
-    z_column: int
-    z_sign: int
-    new_var: str
-    aux_steps: int
+    __slots__ = ()
 
 
 def _level(
@@ -477,6 +464,12 @@ def _verify_factorization(
     image of ``w^pos``, its exponent advanced from there.  An algebraic
     residue ends the path with the translation of column q to ``new_var``,
     from the chart ``pre``; ``minpoly`` is that step's, in the tower before it.
+
+    The unperturbed identity ``W = P(theta + X)`` is decided before the
+    translation, as ``w_pre = P(u_q)`` in the chart ``pre`` (see
+    ``_is_minpoly_of_the_unit``): W is w_pre lifted to the tower after the
+    step, shifted by ``u_q -> theta + u_q`` and renamed, and each of the
+    three is an injective ring map, so the two identities hold together.
     """
     if q_cleared is None:
         return {"kind": "transcendental"}
@@ -501,7 +494,10 @@ def _verify_factorization(
             raise AssertionError("factorization: monomial division failed")
         w_terms[ne] = c
     w_pre = MultiPoly(img_pre.vars, w_terms, img_pre.tower, img_pre.den)
-    # substitute the unit variable and compare with P(theta + X)
+    exact = problem.h is None or problem.h.is_zero()
+    if exact and not _is_minpoly_of_the_unit(path, w_pre):
+        raise AssertionError("factorization: quotient differs from P(z)")
+    # substitute the unit variable: W = w_pre(theta + X)
     w_poly = path.push(w_pre, pre)
     tower = frame.tower
     result = {
@@ -510,21 +506,10 @@ def _verify_factorization(
         "unit_z_shift": int(e_plus[q] - div[q]),
         "quotient": w_poly.to_json(),
     }
-    # P has its coefficients in the tower before the translation extended it
-    xi = w_poly.var_index(new_var)
-    p_of_x = MultiPoly.build(
-        w_poly.vars,
-        {tuple(i if k == xi else 0 for k in range(n)): c for i, c in enumerate(minpoly)},
-        path.frames[pre].tower,
-    ).with_tower(tower)
-    theta = translation_root(item, tower)
-    diff = w_poly - taylor_shift(p_of_x, new_var, theta)
-    if problem.h is None or problem.h.is_zero():
-        if not diff.is_zero():
-            raise AssertionError("factorization: quotient differs from P(z)")
+    if exact:
         # x divides exactly when every term has positive x-degree; the
         # translated column is no unit of the frame, so this shifts x alone
-        _, quo = split_monomial(w_poly, [int(k == xi) for k in range(n)], frame)
+        _, quo = split_monomial(w_poly, [int(k == q) for k in range(n)], frame)
         if quo is None:
             raise AssertionError("factorization: new parameter fails to divide")
         const = quo.constant_term()
@@ -534,6 +519,9 @@ def _verify_factorization(
         result["unit_constant"] = tower.elem_to_json(const)
         result["exact"] = True
     else:
+        # P has its coefficients in the tower before the translation extended it
+        p_of_x = _minpoly_in(w_poly.vars, q, minpoly, path.frames[pre].tower).with_tower(tower)
+        diff = w_poly - taylor_shift(p_of_x, new_var, translation_root(item, tower))
         if has_unit_term(diff, frame):
             raise AssertionError("perturbation escaped the maximal ideal")
         result["perturbation_tail"] = diff.to_json()
@@ -541,23 +529,36 @@ def _verify_factorization(
     return result
 
 
+def _minpoly_in(vars: tuple[str, ...], q: int, minpoly: tuple, tower: FieldTower) -> MultiPoly:
+    """P(u_q): the monic ``minpoly`` in the variable of column q."""
+    n = len(vars)
+    return MultiPoly.build(
+        vars, {tuple(i if k == q else 0 for k in range(n)): c for i, c in enumerate(minpoly)}, tower
+    )
+
+
+def _is_minpoly_of_the_unit(path: PushPath, w_pre: MultiPoly) -> bool:
+    """Whether ``w_pre``, written in the chart before the path's last step,
+    is ``P(u_q)``: the minimal polynomial of that step's translation in the
+    variable ``u_q`` it translates, over the tower before the step."""
+    item = path.steps[-1].translation_data[0]
+    tower = path.frames[-2].tower
+    if w_pre.tower != tower:
+        w_pre = w_pre.with_tower(tower)
+    return w_pre == _minpoly_in(w_pre.vars, item.target, item.minpoly, tower)
+
+
 # ---------------------------------------------------------------------------
 # drivers
 # ---------------------------------------------------------------------------
 
 
-class KeyPolyWitness(NamedTuple):
-    entry: int
-    monomial: tuple[int, ...]
-    unit: MultiPoly
-    image: MultiPoly
-    x_multiplicity: int
+class KeyPolyWitness(namedtuple("KeyPolyWitness", "entry monomial unit image x_multiplicity")):
+    __slots__ = ()
 
 
-class KeyPolyResult(NamedTuple):
-    x_column: int
-    witnesses: list[KeyPolyWitness]
-    level_data: list
+class KeyPolyResult(namedtuple("KeyPolyResult", "x_column witnesses level_data")):
+    __slots__ = ()
 
 
 def _check_key_claims(
@@ -663,11 +664,8 @@ def monomialize_key_polys(chain: KeyPolyChain, path: PushPath) -> KeyPolyResult:
     )
 
 
-class PolyMonoResult(NamedTuple):
-    exponent: tuple[int, ...]
-    unit_witness: MultiPoly
-    image: MultiPoly
-    expansion_values: list
+class PolyMonoResult(namedtuple("PolyMonoResult", "exponent unit_witness image expansion_values")):
+    __slots__ = ()
 
 
 def monomialize_polynomial(f: MultiPoly, chain: KeyPolyChain, path: PushPath) -> PolyMonoResult:

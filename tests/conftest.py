@@ -18,7 +18,16 @@ from valmono.errors import InvalidInputError, ValmonoError, ZeroPolynomialError
 from valmono.framing import Frame, FramedStep, TranslationItem, _push_exponents, translation_root
 from valmono.game import MonomialValuationSpec, _greedy_center, reduced_parts
 from valmono.keypoly import KeyPolyChain
-from valmono.polyalg import MultiPoly, QQ, _expand_rows, _monic_rows, _row_ops, _split_rows, taylor_shift
+from valmono.polyalg import (
+    FieldTower,
+    MultiPoly,
+    QQ,
+    _expand_rows,
+    _monic_rows,
+    _row_ops,
+    _split_rows,
+    taylor_shift,
+)
 from valmono.values import Value, ValueGroup, _rows_of, _sign, compare, rational_from_str, value_of_exponent
 
 getcontext().prec = 80
@@ -377,6 +386,55 @@ def push_polynomial_through_step(
         if name != g.vars[t]:
             g = MultiPoly(g.vars[:t] + (name,) + g.vars[t + 1:], g.terms, g.tower, g.den)
     return g
+
+
+def schoolbook_mul(tower: FieldTower, a, b, level: Optional[int] = None):
+    """The tower product as ``FieldTower._mul`` computed it at every level
+    before level 1 had its own loop: the recursive schoolbook product of
+    the coordinate tuples, each coordinate product one level down, then
+    the reduction by the monic definer, with the tower's own recursive sum,
+    negation and zero test."""
+    level = tower.depth if level is None else level
+    if level == 0:
+        return a * b
+    deg = tower.degree_at(level)
+    prod = [tower._zero_at(level - 1)] * (2 * deg - 1)
+    for i, x in enumerate(a):
+        if tower.is_zero(x):
+            continue
+        for j, y in enumerate(b):
+            if tower.is_zero(y):
+                continue
+            prod[i + j] = tower._add(prod[i + j], schoolbook_mul(tower, x, y, level - 1), level - 1)
+    mp = tower.extensions[level - 1][1]
+    for i in range(len(prod) - 1, deg - 1, -1):
+        c = prod[i]
+        if tower.is_zero(c):
+            continue
+        for k in range(deg):
+            term = tower._neg(schoolbook_mul(tower, c, mp[k], level - 1), level - 1)
+            prod[i - deg + k] = tower._add(prod[i - deg + k], term, level - 1)
+    return tuple(prod[:deg])
+
+
+def factorization_after_shift(path, w_pre: MultiPoly) -> bool:
+    """The unperturbed factorization identity as ``_verify_factorization``
+    decided it after the translation: ``w_pre``, written in the chart
+    before the path's last step (an algebraic translation of column q to
+    X), pushed through that step, minus ``P(theta + X)``, with P that
+    step's minimal polynomial lifted to the tower after it, is zero."""
+    item = path.steps[-1].translation_data[0]
+    pre, tower = len(path) - 1, path.frame.tower
+    w_poly = path.push(w_pre, pre)
+    xi = w_poly.var_index(item.new_name)
+    n = len(w_poly.vars)
+    p_of_x = MultiPoly.build(
+        w_poly.vars,
+        {tuple(i if k == xi else 0 for k in range(n)): c for i, c in enumerate(item.minpoly)},
+        path.frames[pre].tower,
+    ).with_tower(tower)
+    diff = w_poly - taylor_shift(p_of_x, item.new_name, translation_root(item, tower))
+    return diff.is_zero()
 
 
 def extend_path(path, steps):

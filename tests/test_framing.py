@@ -602,9 +602,17 @@ def test_push_by_center_matches_trace_matrices_on_every_split():
             assert path.advance(e, a) == old_mat_vec(forward_product(path.steps[a:], n), e)
             frame = path.frames[a]
             f = random_poly(rng, frame.names, max_terms=4, max_exp=3).with_tower(frame.tower)
+            zero = MultiPoly(frame.names, {}, frame.tower)
             for c in range(a, len(path) + 1):
                 direct = path.push(f, a, c)
-                assert direct == _oracle_push(path, f, a, c)
+                oracle = _oracle_push(path, f, a, c)
+                assert direct == oracle
+                # traces depend on term order: the runs keep f's
+                assert list(direct.terms) == list(oracle.terms)
+                # the zero polynomial has no columns to transpose
+                pushed = path.push(zero, a, c)
+                assert pushed.is_zero() and pushed.tower == path.frames[c].tower
+                assert pushed.vars == path.frames[c].names
                 for b in range(a, c + 1):
                     assert direct == path.push(path.push(f, a, b), b, c)
     assert min(seen.values()) >= 25, seen

@@ -20,13 +20,14 @@ from conftest import (
 )
 from valmono import game
 from valmono.errors import InvalidInputError, PositiveWeightError, ZeroPolynomialError
-from valmono.framing import PushPath
+from valmono.framing import Frame, PushPath
 from valmono.polyalg import MultiPoly
 from valmono.game import (
     MonomialValuationSpec,
     monomialize_nondegenerate,
     principalize_exponents,
     run_pair_descent,
+    split_monomial,
 )
 from valmono.trace import run_problem
 from valmono.values import ValueGroup, compare, value_of_exponent
@@ -507,3 +508,33 @@ def test_drop_divisible_matches_the_restarting_scan():
             for p in active for q in active if p < q
         )
     assert drops > 800 and mutual > 200
+
+
+def test_split_monomial_divides_exactly_or_refuses():
+    """``split_monomial`` against a term-by-term oracle: the monomial is the
+    exponent with unit columns zeroed, and the cofactor holds each term's
+    exponent minus it, in term order, or is None when one term falls short,
+    by one or more, in a single column."""
+    rng = random.Random(41)
+    names = ("a", "b", "c")
+    refused = 0
+    for k in range(300):
+        frame = Frame(names, (None,) * 3, frozenset(rng.sample(range(3), rng.randint(0, 2))))
+        f = random_poly(rng, names, max_terms=5, max_exp=4)
+        least = [min(col) for col in zip(*f.terms)]
+        exponent = [m + rng.choice((0, 0, 1, 2)) if k % 2 else m for m in least]
+        mono = tuple(0 if i in frame.units else x for i, x in enumerate(exponent))
+        want = [tuple(x - m for x, m in zip(e, mono)) for e in f.terms]
+        got_mono, cofactor = split_monomial(f, exponent, frame)
+        assert got_mono == mono
+        if min(map(min, want)) < 0:
+            refused += 1
+            assert cofactor is None
+        else:
+            assert list(cofactor.terms) == want
+            assert list(cofactor.terms.values()) == list(f.terms.values()) and cofactor.den == f.den
+    assert refused > 50
+    # one column short by exactly one
+    f = poly(names, {(2, 1, 0): 1, (1, 1, 1): 3})
+    assert split_monomial(f, (2, 1, 0), Frame(names, (None,) * 3))[1] is None
+    assert split_monomial(f, (2, 1, 0), Frame(names, (None,) * 3, frozenset({0})))[1] is not None

@@ -9,7 +9,7 @@ from math import comb, gcd
 
 import pytest
 
-from conftest import poly, poly_power, random_poly, substitute_variable, tower_elem
+from conftest import poly, poly_power, random_poly, schoolbook_mul, substitute_variable, tower_elem
 from valmono.errors import InvalidInputError, NonMonicDivisorError, ReducibleDefinerError, SchemaError
 from valmono.polyalg import (
     FieldTower,
@@ -469,6 +469,18 @@ def test_taylor_shift_matches_substitution():
             (poly_power(x, 5) + u * poly_power(x, 2) + u, theta),
         ]
     cases += _taylor_shift_edge_cases()
+    for tower in towers:
+        # x^2 - theta^2 + x, in that term order: the constant cancels the
+        # first term's x^0 image, and the last term's x^0 image adds it
+        # back at the end
+        theta = _random_elem(rng, tower)
+        minus_square = tower.neg(tower.mul(theta, theta))
+        for rest in ((0,), (2,)):
+            at = {k: rest + (k,) for k in range(3)}
+            f = MultiPoly.build(UV, [(at[2], tower.one()), (at[0], minus_square), (at[1], tower.one())], tower)
+            assert list(f.terms) == [at[2], at[0], at[1]]
+            assert list(taylor_shift(f, "x", theta).terms) == [at[1], at[2], at[0]]
+            cases.append((f, theta))
     for f, theta in cases:
         tower = f.tower
         g = MultiPoly.constant(f.vars, theta, tower) + MultiPoly.variable(f.vars, "x", tower)
@@ -478,6 +490,57 @@ def test_taylor_shift_matches_substitution():
         # traces depend on term order: the shift keeps substitution's order
         assert list(got.terms) == list(want.terms)
         assert got.to_json() == want.to_json()  # Fraction coordinates throughout
+
+
+# -- the level-1 tower product against the schoolbook oracle ------------------
+
+# one-level towers of degree 1 to 3, integral, non-integral and reducible,
+# and two-level towers whose products recurse onto level 1
+PRODUCT_TOWERS = {
+    "degree-1": QQ.extend("t1", [QQ.from_rational(Fraction(-3, 2)), QQ.one()]),
+    "SQRT2": SQRT2,
+    "CBRT2": CBRT2,
+    "cubic": QQ.extend("t1", [QQ.from_rational(5), QQ.from_rational(-1), QQ.from_rational(3), QQ.one()]),
+    "HALF": HALF,
+    "RED": RED,
+    "FOURTH2": FOURTH2,
+    "HALF_FOURTH2": HALF_FOURTH2,
+    "RED_HALF": RED.extend("t2", [tower_elem(["1/3", "-1"]), tower_elem(["0", "1/2"]), RED.one()]),
+}
+
+
+def _random_coords(rng, tower, level, kind):
+    """A random element of ``tower`` at ``level``: int, Fraction or mixed
+    coordinates, each zero with probability 1/4."""
+    if level == 0:
+        n = rng.choice((0, rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9)))
+        if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+            return n
+        return Fraction(n, rng.randint(1, 4))
+    return tuple(_random_coords(rng, tower, level - 1, kind) for _ in range(tower.degree_at(level)))
+
+
+@pytest.mark.parametrize("name", PRODUCT_TOWERS)
+def test_tower_product_matches_the_schoolbook_oracle(name):
+    tower = PRODUCT_TOWERS[name]
+    rng = random.Random(f"product:{name}")
+    t = tower.generator(tower.extensions[-1][0])
+    pairs = [(t, t), (tower.zero(), t), (tower.one(), t)]
+    for kind in ("int", "Fraction", "mixed"):
+        for _ in range(60):
+            pairs.append(tuple(_random_coords(rng, tower, tower.depth, kind) for _ in "ab"))
+    for a, b in pairs:
+        got, want = tower.mul(a, b), schoolbook_mul(tower, a, b)
+        assert isinstance(got, tuple) and got == want
+        # level 1 of a two-level tower, through the same entry point
+        if tower.depth == 2:
+            assert tower._mul(a[0], b[0], 1) == schoolbook_mul(tower, a[0], b[0], 1)
+
+
+def test_a_reducible_definer_gives_zero_products():
+    t = RED.generator("t1")
+    plus, minus = RED.add(t, RED.one()), RED.add(t, RED.neg(RED.one()))
+    assert RED.mul(plus, minus) == schoolbook_mul(RED, plus, minus) == (0, 0)
 
 
 # -- exact inputs for the constructors ----------------------------------------

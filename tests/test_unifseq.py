@@ -1,7 +1,10 @@
 """Elementary uniformizing sequences and the monomialization drivers."""
 
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,7 @@ from conftest import (
     active_indices,
     apply_step_to_frame,
     extend_path,
+    factorization_after_shift,
     initial_form,
     monomial_valuation,
     binomial_chain,
@@ -23,7 +27,7 @@ from conftest import (
     tower_elem,
     trace_matrix,
 )
-from valmono import _linalg, unifseq
+from valmono import _linalg, framing, unifseq
 from valmono.errors import (
     InvalidInputError,
     NotInDivisibleHullError,
@@ -33,7 +37,7 @@ from valmono.errors import (
 )
 from valmono.framing import Frame, PushPath
 from valmono.keypoly import KeyPolyChain, validate_chain
-from valmono.polyalg import MultiPoly, QQ
+from valmono.polyalg import MultiPoly, QQ, taylor_shift
 from valmono.game import MonomialValuationSpec, reduced_parts
 from valmono.unifseq import (
     UniformizingProblem,
@@ -43,6 +47,9 @@ from valmono.unifseq import (
 )
 from valmono.trace import run_problem
 from valmono.values import Value, ValueGroup
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import corpus  # noqa: E402  (bench/ is not a package)
 
 G1 = ValueGroup(1)
 UV = ("u", "x")
@@ -729,3 +736,85 @@ def test_initial_form_matches_the_oracle(rng):
         assert {e[:2] for e in above} == set(flat.terms) - initial
     with pytest.raises(InvalidInputError, match="no declared weight"):
         frame.row(3)
+
+
+# -- the factorization identity, decided before the translation -------------
+
+
+def _quadratic_problem():
+    """A degree-2 residue over Q: the translation extends the tower."""
+    return UniformizingProblem(
+        w_names=("w1",),
+        w_weights=(G1.rational(2),),
+        wn_name="wn",
+        beta_n=G1.rational(3),
+        residue=(Fraction(-2), 0, 1),
+    )
+
+
+@pytest.mark.parametrize("make", [cusp_problem, _quadratic_problem])
+def test_a_quotient_off_by_one_term_is_caught_before_the_shift(monkeypatch, make):
+    """Each term of the cleared Q-tilde in turn gets its coefficient
+    doubled, so that the quotient differs from P(u_q) in that one term:
+    the check raises, and before ``_verify_factorization`` makes any Taylor
+    shift.  Unaltered, the problem verifies."""
+    problem = make()
+    assert elementary_uniformizing_sequence(problem, PushPath(problem.frame())).witness["exact"]
+    real = unifseq._verify_factorization
+    shifts = Counter()
+
+    def counted(f, x, theta):
+        shifts[x] += 1
+        return taylor_shift(f, x, theta)
+
+    for k in range(sum(1 for c in problem.residue if c)):
+
+        def planted(path, start, q_cleared, pos, problem, k=k):
+            e = list(q_cleared.terms)[k]
+            altered = q_cleared + MultiPoly.monomial(q_cleared.vars, e, q_cleared.coeff(e))
+            assert list(altered.terms) == list(q_cleared.terms) and altered != q_cleared
+            monkeypatch.setattr(framing, "taylor_shift", counted)
+            monkeypatch.setattr(unifseq, "taylor_shift", counted)
+            return real(path, start, altered, pos, problem)
+
+        monkeypatch.setattr(unifseq, "_verify_factorization", planted)
+        with pytest.raises(AssertionError, match=r"^factorization: quotient differs from P\(z\)$"):
+            elementary_uniformizing_sequence(problem, PushPath(problem.frame()))
+        monkeypatch.undo()
+    assert not shifts
+
+
+def test_the_identity_before_the_shift_decides_as_after_it(monkeypatch):
+    """On every algebraic, unperturbed ``uniformize`` problem of the
+    ``chains`` bench pool, ``W = P(theta + X)`` decided as ``w_pre =
+    P(u_q)`` before the translation gives the decision of the same
+    identity after it (``conftest.factorization_after_shift``), and each
+    run ends as it did: verified, or the escape with its message."""
+    real = unifseq._is_minpoly_of_the_unit
+    decided = Counter()
+
+    def both(path, w_pre):
+        got = real(path, w_pre)
+        assert got == factorization_after_shift(path, w_pre)
+        decided[got] += 1
+        return got
+
+    monkeypatch.setattr(unifseq, "_is_minpoly_of_the_unit", both)
+    ends = Counter()
+    for p in corpus.pool("chains"):
+        prob = p.get("problem", {})
+        if p["algorithm"] != "uniformize" or prob.get("h") is not None:
+            continue
+        if prob["residue"].get("kind", "algebraic") != "algebraic":
+            continue
+        before = sum(decided.values())
+        try:
+            ok = run_problem(p)["verdict"]["ok"]
+        except AssertionError as exc:
+            ok = str(exc)
+        if sum(decided.values()) > before:
+            ends[ok] += 1
+    # the 23 escapes, whose check misses a factor b_0 (ROADMAP item 1(a)),
+    # keep their type and message
+    assert decided == Counter({True: 657, False: 23})
+    assert ends == Counter({True: 657, "factorization: quotient differs from P(z)": 23})
