@@ -5,11 +5,11 @@ vertex ``j``, plus the residue motion of its translation items.  In the
 chart it is the elementary substitution ``u_i = u'_i u'_j`` for ``i`` in
 ``J`` minus ``j``, so on exponents it sets ``e[j]`` to the sum of ``e``
 over ``J`` (the identity when ``|J| = 1``).  That update is the only way a
-step acts on exponents; it is invertible (subtract the other entries of
-``J`` back), so distinct exponents stay distinct.  The matrices N (old
-variables as monomials in the new ones, the identity plus ``+1`` at
-``(j, q)`` for ``q`` in ``J`` minus ``j``) and its inverse M (``-1``
-there) are written only into traces.
+step acts on exponents, and ``_advance`` alone applies it; it is
+invertible (subtract the other entries of ``J`` back), so distinct
+exponents stay distinct.  The matrices N (old variables as monomials in
+the new ones, the identity plus ``+1`` at ``(j, q)`` for ``q`` in ``J``
+minus ``j``) and its inverse M (``-1`` there) are written only into traces.
 
 There is no ring localization here.  When a variable acquires weight zero
 it is tagged as a unit (the set ``J_times``, the targets of the translation
@@ -38,10 +38,10 @@ unit.  The vertex is least, so no pushed weight is negative.
 parameter: it renames the column, extends the tower from degree 2 on and
 puts the new weight in.
 
-Polynomials are pushed one way, by ``PushPath.push``.  Each term's
-exponent is carried through a maximal run of steps without an algebraic
-item by their updates, one after another; an algebraic translation (the
-unit becomes ``theta + u'``) is a Taylor shift over the tower.
+Polynomials are pushed one way, by ``PushPath.push``: one ``_advance``
+carries the exponents of the terms through a maximal run of steps without
+an algebraic item, and an algebraic translation (the unit becomes
+``theta + u'``) is a Taylor shift over the tower, which ``push`` alone makes.
 
 Indices are 0-based in memory and 1-based in JSON records.
 """
@@ -109,13 +109,6 @@ class FramedStep(namedtuple("FramedStep", "n J j translation_data", defaults=(()
         residue drops its column."""
         return self.n - sum(t.minpoly is None for t in self.translation_data)
 
-    def apply_to_exponent(self, e: tuple[int, ...]) -> tuple[int, ...]:
-        """The exponent in the new chart, N times e: ``e[j]`` becomes the
-        sum of e over J."""
-        out = list(e)
-        out[self.j] = sum([e[q] for q in self.J])
-        return tuple(out)
-
     def to_json(self) -> dict:
         n, j = self.n, self.j
         # M and N are fresh copies of the identity; only row j differs
@@ -155,18 +148,6 @@ def _identity(n: int) -> tuple[tuple[int, ...], ...]:
         if n <= _IDENTITY_LIMIT:
             _IDENTITIES[n] = eye
     return eye
-
-
-def _over_lcm(frame: "Frame", weight: Optional[Value]):
-    """``(rows, row, den, group)``: the frame's weight rows as a list, put
-    with ``weight``'s row (None for None) over the lcm of their
-    denominators; a weight of another group is a GroupMismatchError."""
-    (row,), den, group = _rows_of((weight,), frame.den, frame.group)
-    scale = den // frame.den
-    rows = list(frame.rows)
-    if scale != 1:
-        rows = [None if r is None else tuple(x * scale for x in r) for r in rows]
-    return rows, row, den, group
 
 
 class Frame:
@@ -260,16 +241,15 @@ def translation_root(item: TranslationItem, tower: FieldTower):
     return tower.generator(item.symbol)
 
 
-def _push_exponents(f: MultiPoly, steps: Sequence[FramedStep]) -> MultiPoly:
-    """f with each term's exponent carried through ``steps``, first to last.
-    The exponents are transposed into columns once; a step sets column
-    ``j`` to the sum of the columns of J, one ``map`` over the terms (a
-    one-column center changes nothing), and the columns are zipped back in
-    term order.  Every update is invertible, so no two terms land on one
-    exponent and the terms keep their order."""
-    if not f.terms:
-        return f
-    cols = list(zip(*f.terms))
+def _advance(exps: Sequence[tuple[int, ...]], steps: Sequence[FramedStep]) -> list[tuple[int, ...]]:
+    """``exps``, exponents of one chart, carried through ``steps`` in order:
+    the one code that applies a center to exponents.  The columns of
+    ``exps`` are taken once, a step sets column ``j`` to the sum of the
+    columns of J (a one-column center changes nothing), and the columns are
+    zipped back in the order of ``exps``; distinct exponents stay distinct."""
+    if not exps:
+        return []
+    cols = list(zip(*exps))
     for s in steps:
         J = s.J
         if len(J) > 1:
@@ -277,7 +257,13 @@ def _push_exponents(f: MultiPoly, steps: Sequence[FramedStep]) -> MultiPoly:
             for q in J[1:]:
                 col = map(add, col, cols[q])
             cols[s.j] = tuple(col)
-    terms = dict(zip(zip(*cols), f.terms.values()))
+    return list(zip(*cols))
+
+
+def _push_exponents(f: MultiPoly, steps: Sequence[FramedStep]) -> MultiPoly:
+    """f with its exponents carried through ``steps`` by ``_advance``.  No
+    two terms land on one exponent, so the terms keep their order."""
+    terms = dict(zip(_advance(f.terms, steps), f.terms.values()))
     return MultiPoly._of_reduced(f.vars, terms, f.tower, f.den)
 
 
@@ -387,7 +373,12 @@ class PushPath:
             new_name += "'"
         names[column] = new_name
         item = TranslationItem(column, minpoly, symbol, new_name, new_weight)
-        rows, row, den, group = _over_lcm(frame, new_weight)
+        # the frame's rows and the new weight's over the lcm of their denominators
+        (row,), den, group = _rows_of((new_weight,), frame.den, frame.group)
+        scale = den // frame.den
+        rows = list(frame.rows)
+        if scale != 1:
+            rows = [None if r is None else tuple(x * scale for x in r) for r in rows]
         rows[column] = row
         self.steps.append(FramedStep(frame.n, (column,), column, (item,)))
         self.frames.append(Frame._of_rows(
@@ -443,9 +434,7 @@ class PushPath:
             f = _push_exponents(f, self.steps[run:stop])
         return f
 
-    def advance(self, e: tuple[int, ...], start: int = 0) -> tuple[int, ...]:
-        """The exponent e of the chart ``frames[start]`` in the last chart:
-        the updates of the steps from ``start`` on, first to last."""
-        for s in self.steps[start:]:
-            e = s.apply_to_exponent(e)
-        return e
+    def advance(self, exps: Sequence[tuple[int, ...]], start: int = 0) -> list[tuple[int, ...]]:
+        """The exponents ``exps`` of the chart ``frames[start]`` in the last
+        chart: ``_advance`` through the steps from ``start`` on."""
+        return _advance(exps, self.steps[start:])

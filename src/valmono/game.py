@@ -28,7 +28,7 @@ from .errors import (
     PositiveWeightError,
     ZeroPolynomialError,
 )
-from .framing import Frame, PushPath
+from .framing import Frame, PushPath, _advance
 from .polyalg import MultiPoly, QQ
 from .values import Value
 
@@ -259,7 +259,7 @@ def _descend(exps: list, path: PushPath) -> Iterator[tuple]:
         if sum(at) != pair_tau[0]:
             at, gt = gt, at
         step = path.blow_up(_greedy_center(at, gt))
-        exps[:] = map(step.apply_to_exponent, exps)
+        exps[:] = _advance(exps, (step,))
         best = _best_pair(exps, active, path.frame.units)
         before, after = (len(active) - 1, pair_tau), (len(active) - 1, best[0])
         if not after < before:
@@ -325,13 +325,19 @@ def split_monomial(
     columns of ``frame`` zeroed; the cofactor is None when w^mono fails to
     divide some term of poly."""
     mono = tuple(0 if i in frame.units else x for i, x in enumerate(exponent))
+    return mono, _divide_monomial(poly, mono)
+
+
+def _divide_monomial(poly: MultiPoly, mono: Sequence[int]) -> Optional[MultiPoly]:
+    """poly / w^mono, exactly: None when w^mono fails to divide some term
+    of poly.  The quotient keeps poly's coordinates and term order."""
     shifted = {}
     for e, c in poly.terms.items():
         ne = tuple(map(sub, e, mono))
         if min(ne, default=0) < 0:
-            return mono, None
+            return None
         shifted[ne] = c
-    return mono, MultiPoly._of_reduced(poly.vars, shifted, poly.tower, poly.den)
+    return MultiPoly._of_reduced(poly.vars, shifted, poly.tower, poly.den)
 
 
 def has_unit_term(poly: MultiPoly, frame: Frame) -> bool:

@@ -59,7 +59,7 @@ from .errors import (
     ZeroPolynomialError,
     quote,
 )
-from .framing import Frame, _over_lcm
+from .framing import Frame
 from .game import MonomialValuationSpec
 from .polyalg import (
     MultiPoly,
@@ -121,11 +121,9 @@ class KeyPolyChain:
 
     def initial_frame(self) -> Frame:
         """The chart the chain lives in: the ground weights, and x worth
-        beta_1, as the ground's integer rows and beta_1's row over the lcm
-        of their denominators."""
-        ground = self.ground.frame()
-        rows, row, den, group = _over_lcm(ground, self.beta(1))
-        return Frame._of_rows(self.all_vars, (*rows, row), den, group, frozenset(), ground.tower)
+        beta_1, as rows over the one denominator of the chain's rows."""
+        r, tower = self._rows, self.ground.frame().tower
+        return Frame._of_rows(self.all_vars, (*r.rows, r.betas[0]), r.den, r.group, frozenset(), tower)
 
     @property
     def _rows(self) -> "_ChainRows":
@@ -150,17 +148,18 @@ class _ChainRows:
     """Truncation on x-dense rows, made once per chain: each Q_i as a row
     divisor, split on first use (an unused level may be non-monic; the
     split is ``validate_chain``'s monic check too), and every value as an
-    integer row over one denominator ``den``: the ground weights and each
-    beta_i, put over the lcm of their denominators once.  A row sum is a value sum, and the
-    sign of a row difference orders two values; no :class:`Value` is
-    built here."""
+    integer row over one denominator ``den``: the ground weights (``rows``)
+    and each beta_i, put over the lcm of their denominators once.  A row sum
+    is a value sum, and the sign of a row difference orders two values; no
+    :class:`Value` is built here."""
 
     def __init__(self, chain: KeyPolyChain):
         ground = chain.ground.frame()
         betas, den, group = _rows_of([b for _, b in chain.entries], ground.den, ground.group)
         lift = den // ground.den
+        self.rows = tuple(tuple(lift * x for x in r) for r in ground.rows)
         # the ground weights by generator, for ``_exponent_row``
-        self.columns = tuple(zip(*[[lift * x for x in r] for r in ground.rows]))
+        self.columns = tuple(zip(*self.rows))
         self.betas, self.den, self.group = betas, den, group
         self.x = chain.x
         self.qs = [q for q, _ in chain.entries]

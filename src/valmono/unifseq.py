@@ -32,6 +32,7 @@ elements, residue coefficients outside the constant tower) raise
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import add, sub
 from typing import Optional, Sequence
 
 from . import _linalg
@@ -43,8 +44,9 @@ from .errors import (
     RequiresCompletionError,
     ZeroPolynomialError,
 )
-from .framing import Frame, PushPath, translation_root
+from .framing import Frame, PushPath
 from .game import (
+    _divide_monomial,
     _reduced_divides,
     has_unit_term,
     monomialize_nondegenerate,
@@ -52,7 +54,7 @@ from .game import (
     split_monomial,
 )
 from .keypoly import KeyPolyChain, truncate, validate_chain
-from .polyalg import FieldTower, MultiPoly, QQ, taylor_shift
+from .polyalg import FieldTower, MultiPoly, QQ
 from .values import Value, _exponent_row, _order, _positive, _row_lattice
 
 
@@ -106,8 +108,8 @@ class UniformizingResult(namedtuple(
 #
 # ``w_cols`` are the columns of the Q-independent basis and ``x_col`` the
 # distinguished column; every other column rides along untouched unless a
-# perturbation forces auxiliary work.  An exponent written in an earlier
-# chart is advanced from there (``path.advance(e, start)``) when it is used.
+# perturbation forces auxiliary work.  Exponents written in an earlier
+# chart are advanced from there in one call, ``path.advance(exps, start)``.
 
 
 def _lattice(frame: Frame, w_cols: Sequence[int], x_col: int) -> tuple[int, tuple[int, ...]]:
@@ -128,6 +130,18 @@ def _lattice(frame: Frame, w_cols: Sequence[int], x_col: int) -> tuple[int, tupl
     return lattice
 
 
+def _z_exponents(n: int, w_cols: Sequence[int], x_col: int, lattice: tuple) -> tuple[tuple, tuple]:
+    """``(delta, gamma) = (X^abar w^neg, w^pos)`` on ``n`` columns, for
+    ``lattice = (abar, alpha)`` with alpha = pos - neg, so that
+    z = delta / gamma = X^abar / w^alpha."""
+    abar, alpha = lattice
+    delta, gamma = [0] * n, [0] * n
+    for c, col in zip(alpha, w_cols):
+        delta[col], gamma[col] = max(-c, 0), max(c, 0)
+    delta[x_col] += abar
+    return tuple(delta), tuple(gamma)
+
+
 def _absorb(
     path: PushPath,
     exponents: Sequence[tuple[int, ...]],
@@ -146,8 +160,7 @@ def _absorb(
         # the target and the rest are written in the chart ``frames[mark]``:
         # advance them through the steps the last game appended only
         if mark < len(path):
-            target = path.advance(target, mark)
-            rest = [path.advance(e, mark) for e in rest]
+            target, *rest = path.advance([target, *rest], mark)
             mark = len(path)
         e = rest.pop(0)
         # a pair that already divides would make the game append no step
@@ -161,24 +174,15 @@ def _absorb(
 def _collide(
     path: PushPath,
     start: int,
-    w_cols: Sequence[int],
-    x_col: int,
-    abar: int,
-    alpha: Sequence[int],
+    delta: tuple[int, ...],
+    gamma: tuple[int, ...],
 ) -> tuple[int, int]:
-    """The main game on delta = w_n^abar w^neg versus gamma = w^pos, both
-    written in the chart ``frames[start]``.  Its one weight collision must
-    be its last step, and delta / gamma must then be a single unit
-    variable z to the power +-1; returns z's column and that sign."""
-    n = path.frame.n
-    delta, gamma = [0] * n, [0] * n
-    for c, col in zip(alpha, w_cols):
-        delta[col], gamma[col] = max(-c, 0), max(c, 0)
-    delta[x_col] += abar
+    """The main game on z = delta / gamma (``_z_exponents``), written in
+    the chart ``frames[start]``.  Its one weight collision must be its last
+    step, and delta / gamma must then be a single unit variable z to the
+    power +-1; returns z's column and that sign."""
     mark = len(path)
-    delta, gamma, _, _ = run_pair_descent(
-        path.advance(tuple(delta), start), path.advance(tuple(gamma), start), path
-    )
+    delta, gamma, _, _ = run_pair_descent(*path.advance([delta, gamma], start), path)
     main = path.steps[mark:]
     for i, s in enumerate(main):
         if s.J_times and i != len(main) - 1:
@@ -267,16 +271,18 @@ def _level(
 ) -> _Level:
     """One elementary sequence on the path.  The initial form of ``poly``,
     written in the path's current chart, must be the ladder
-    w^(m_0) * sum kappa_i z^i with z = X^abar / w^alpha and kappa_0 != 0;
-    ``lattice`` is ``(abar, alpha)``, by ``_lattice`` in that chart.
-    The terms above it are absorbed into w^(m_0), the main game collides z,
-    and the collided unit is translated by P = sum kappa_i / kappa_d z^i.
-    ``new_value`` is the value of ``poly``: the new parameter weighs its
-    excess over the initial form (None leaves the weight undeclared)."""
+    w^(m_0) * sum kappa_i z^i, kappa_0 != 0, with z = delta / gamma
+    (``_z_exponents``): exponents ``m_0 + i (delta - gamma)``.  ``lattice``
+    is ``(abar, alpha)``, by ``_lattice`` in that chart.  The terms above
+    it are absorbed into w^(m_0), the main game collides z, and the collided
+    unit is translated by P = sum kappa_i / kappa_d z^i, over the chart's
+    tower.  ``new_value`` is the value of ``poly``: the new parameter weighs
+    its excess over the initial form (None leaves the weight undeclared)."""
     frame = path.frame
     tower = frame.tower
     start = len(path)
     abar, alpha = lattice
+    delta, gamma = _z_exponents(frame.n, w_cols, x_col, lattice)
     least, initial, above = _initial_form(poly, frame)
     # unit factors from earlier translations only contribute their residue
     # constants, so a unit exponent in the initial form needs a series
@@ -309,12 +315,9 @@ def _level(
             "requires completion: initial form does not involve the parameter"
         )
     m0 = ladder[0]
+    rung = tuple(map(sub, delta, gamma))
     for i, e in ladder.items():
-        expect = list(m0)
-        for c, col in zip(alpha, w_cols):
-            expect[col] -= i * c
-        expect[x_col] += i * abar
-        if list(e) != expect:
+        if e != tuple([m + i * r for m, r in zip(m0, rung)]):
             raise RequiresCompletionError(
                 "requires completion: initial monomials break the lattice ladder"
             )
@@ -323,7 +326,7 @@ def _level(
         tower.mul(kappa[i], kd_inv) if i in kappa else tower.zero() for i in range(d + 1)
     )
     aux_steps = _absorb(path, above, m0)
-    z_column, z_sign = _collide(path, start, w_cols, x_col, abar, alpha)
+    z_column, z_sign = _collide(path, start, delta, gamma)
     weight = None if new_value is None else new_value - Value(least, frame.den, frame.group)
     new_var = _translate(path, z_column, z_sign, minpoly, weight)
     return _Level(abar, alpha, minpoly, z_column, z_sign, new_var, aux_steps)
@@ -347,25 +350,26 @@ def elementary_uniformizing_sequence(
     path: PushPath,
 ) -> UniformizingResult:
     """Uniformize the quasi-homogeneous element attached to the problem,
-    on a path whose current frame is ``problem.frame()``: run the pair game
-    on w_n^abar versus w^alpha, replace the resulting degree-zero variable
-    by the new regular parameter, and verify the factorization of Q-tilde
-    by exact arithmetic.  An algebraic residue runs one ``_level`` on the
-    cleared Q-tilde; a transcendental one only collides."""
+    on a path whose current frame is ``problem.frame()`` over any tower:
+    run the pair game on w_n^abar versus w^alpha, replace the resulting
+    degree-zero variable by the new regular parameter, and verify the
+    factorization of Q-tilde by exact arithmetic.  An algebraic residue
+    runs one ``_level`` on the cleared Q-tilde, over the path's tower; a
+    transcendental one only collides.  Exponents come from ``_z_exponents``."""
     frame0, start = path.frame, len(path)
     r = len(problem.w_names)
     n = frame0.n
     w_cols = tuple(range(r))
     x_col = n - 1
-    v_cols = tuple(range(r, n - 1))
     for c in w_cols:
         if not _positive(frame0.row(c)):
             raise PositiveWeightError("weights must be positive")
     lattice = abar, alpha = _lattice(frame0, w_cols, x_col)
-    pos = [max(c, 0) for c in alpha]
-    neg = [max(-c, 0) for c in alpha]
+    delta, gamma = _z_exponents(n, w_cols, x_col, lattice)
     mp = problem.residue
     d = 0 if mp is None else len(mp) - 1
+    # the Laurent denominator w^(d*neg) of Q-tilde: d times delta's w part
+    clear = tuple([d * x for x in delta[:r]]) + (0,) * (n - r)
     q_cleared = None
     if mp is not None:
         if d < 1 or mp[-1] != 1:
@@ -374,15 +378,10 @@ def elementary_uniformizing_sequence(
             )
         if mp[0] == 0:
             raise InvalidInputError("residue minimal polynomial must have b_0 != 0")
-        # Q-tilde cleared of the Laurent denominator:
-        #   Q * w^(d*neg) = sum_i b_i w^((d-i)*pos + i*neg) w_n^(i*abar)
-        terms = {}
-        for i in range(d + 1):
-            e = [0] * n
-            for cp, cm, col in zip(pos, neg, w_cols):
-                e[col] = (d - i) * cp + i * cm
-            e[x_col] = i * abar
-            terms[tuple(e)] = mp[i]
+        # Q-tilde cleared of its denominator: Q * w^(d*neg) = sum_i b_i gamma^(d-i) delta^i
+        terms = {
+            tuple([(d - i) * g + i * x for g, x in zip(gamma, delta)]): mp[i] for i in range(d + 1)
+        }
         q_cleared = MultiPoly.build(frame0.names, terms)
 
     h = problem.h
@@ -395,11 +394,10 @@ def elementary_uniformizing_sequence(
         if None in frame0.rows:
             raise InvalidInputError("perturbation runs need declared weights everywhere")
         columns = tuple(zip(*frame0.rows))
-        neg_shift = tuple([d * m for m in neg] + [0] * len(v_cols) + [0])
-        v_q = _exponent_row([d * p for p in pos] + [0] * len(v_cols) + [0], columns)
+        v_q = _exponent_row([d * g for g in gamma], columns)
         h_terms = {}
         for e, c in h.terms.items():
-            ne = tuple(a + b for a, b in zip(e, neg_shift))
+            ne = tuple(map(add, e, clear))
             if _order(_exponent_row(ne, columns), v_q) <= 0:
                 raise InvalidInputError(
                     "perturbation must have monomial value above the quasi-homogeneous part"
@@ -409,12 +407,13 @@ def elementary_uniformizing_sequence(
 
     new_var, aux_steps = None, 0
     if mp is None:
-        z_column, z_sign = _collide(path, start, w_cols, x_col, abar, alpha)
+        z_column, z_sign = _collide(path, start, delta, gamma)
     else:
+        q_cleared = q_cleared.with_tower(frame0.tower)
         # the cleared Q-tilde is Q-tilde, of value beta_new, times w^(d*neg)
         value = problem.beta_new
         if value is not None:
-            shift = _exponent_row([d * m for m in neg], tuple(zip(*frame0.rows[:r])))
+            shift = _exponent_row(clear[:r], tuple(zip(*frame0.rows[:r])))
             value += Value(shift, frame0.den, frame0.group)
         level = _level(path, q_cleared, w_cols, x_col, lattice, value)
         z_column, z_sign = level.z_column, level.z_sign
@@ -422,9 +421,10 @@ def elementary_uniformizing_sequence(
     frame = path.frame
 
     # images of w_1..w_r, w_n: monomial in the final actives times z-powers
+    cols = (*w_cols, x_col)
+    ones = [tuple(int(i == c) for i in range(n)) for c in cols]
     images = {}
-    for col in list(w_cols) + [x_col]:
-        e = path.advance(tuple(int(i == col) for i in range(n)), start)
+    for col, e in zip(cols, path.advance(ones, start)):
         mono, units, zp = _split_unit_part(e, frame, z_column)
         images[frame0.names[col]] = {
             "monomial": list(mono),
@@ -432,7 +432,7 @@ def elementary_uniformizing_sequence(
             "z_power": zp,
         }
 
-    witness = _verify_factorization(path, start, q_cleared, pos, problem)
+    witness = _verify_factorization(path, start, q_cleared, gamma, problem)
 
     return UniformizingResult(
         abar=abar,
@@ -451,7 +451,7 @@ def _verify_factorization(
     path: PushPath,
     start: int,
     q_cleared: Optional[MultiPoly],
-    pos: Sequence[int],
+    gamma: tuple[int, ...],
     problem: UniformizingProblem,
 ) -> dict:
     """Exact identity behind the factorization of Q-tilde.
@@ -459,41 +459,38 @@ def _verify_factorization(
     Unperturbed: image(Q~ * w^(d neg)) = w^div * X * U with U a unit whose
     constant part is P'(theta).  Perturbed: the quotient W still satisfies
     W - P(theta + X) of strictly positive value, the perturbed analogue of
-    the same conclusion.  ``q_cleared`` and ``w^pos`` are written in the
-    chart ``frames[start]``.  The monomial part ``e_plus`` is d times the
-    image of ``w^pos``, its exponent advanced from there.  An algebraic
-    residue ends the path with the translation of column q to ``new_var``,
-    from the chart ``pre``; ``minpoly`` is that step's, in the tower before it.
+    the same conclusion.  ``q_cleared`` and ``gamma = w^pos`` are written
+    in the chart ``frames[start]``; ``e_plus`` is d times gamma advanced
+    from there.  An algebraic residue ends the path with the translation of
+    column q, from the chart ``pre``; ``minpoly`` is that step's, in the
+    tower before it.  ``PushPath.push`` carries W and P through that step,
+    and both divisions, by w^div and by X, are ``_divide_monomial``.
 
     The unperturbed identity ``W = P(theta + X)`` is decided before the
     translation, as ``w_pre = P(u_q)`` in the chart ``pre`` (see
-    ``_is_minpoly_of_the_unit``): W is w_pre lifted to the tower after the
-    step, shifted by ``u_q -> theta + u_q`` and renamed, and each of the
+    ``_is_minpoly_of_the_unit``): the push lifts w_pre to the tower after
+    the step, shifts ``u_q -> theta + u_q`` and renames it, and each of the
     three is an injective ring map, so the two identities hold together.
     """
     if q_cleared is None:
         return {"kind": "transcendental"}
     item = path.steps[-1].translation_data[0]
-    q, new_var, minpoly = item.target, item.new_name, item.minpoly
+    q, minpoly = item.target, item.minpoly
     n = path.frame.n
     d = len(minpoly) - 1
     pre = len(path) - 1
     img_pre = path.push(q_cleared, start, pre)
     frame = path.frame
-    e_plus = [d * x for x in path.advance(tuple(pos) + (0,) * (n - len(pos)), start)]
+    e_plus = [d * x for x in path.advance([gamma], start)[0]]
     div = list(e_plus)
     # unit columns are invertible: lower the divisor there so the monomial
     # division stays polynomial (the difference is a unit factor)
     for col in frame.units | {q}:
         col_min = min(e[col] for e in img_pre.terms)
         div[col] = min(div[col], col_min)
-    w_terms = {}
-    for e, c in img_pre.terms.items():
-        ne = tuple(a - b for a, b in zip(e, div))
-        if any(x < 0 for x in ne):
-            raise AssertionError("factorization: monomial division failed")
-        w_terms[ne] = c
-    w_pre = MultiPoly(img_pre.vars, w_terms, img_pre.tower, img_pre.den)
+    w_pre = _divide_monomial(img_pre, div)
+    if w_pre is None:
+        raise AssertionError("factorization: monomial division failed")
     exact = problem.h is None or problem.h.is_zero()
     if exact and not _is_minpoly_of_the_unit(path, w_pre):
         raise AssertionError("factorization: quotient differs from P(z)")
@@ -507,9 +504,8 @@ def _verify_factorization(
         "quotient": w_poly.to_json(),
     }
     if exact:
-        # x divides exactly when every term has positive x-degree; the
-        # translated column is no unit of the frame, so this shifts x alone
-        _, quo = split_monomial(w_poly, [int(k == q) for k in range(n)], frame)
+        # x divides exactly when every term has positive x-degree
+        quo = _divide_monomial(w_poly, tuple(int(k == q) for k in range(n)))
         if quo is None:
             raise AssertionError("factorization: new parameter fails to divide")
         const = quo.constant_term()
@@ -519,9 +515,8 @@ def _verify_factorization(
         result["unit_constant"] = tower.elem_to_json(const)
         result["exact"] = True
     else:
-        # P has its coefficients in the tower before the translation extended it
-        p_of_x = _minpoly_in(w_poly.vars, q, minpoly, path.frames[pre].tower).with_tower(tower)
-        diff = w_poly - taylor_shift(p_of_x, new_var, translation_root(item, tower))
+        # P(u_q) has its coefficients in the tower before the translation
+        diff = w_poly - path.push(_minpoly_in(w_pre.vars, q, minpoly, path.frames[pre].tower), pre)
         if has_unit_term(diff, frame):
             raise AssertionError("perturbation escaped the maximal ideal")
         result["perturbation_tail"] = diff.to_json()
@@ -542,10 +537,7 @@ def _is_minpoly_of_the_unit(path: PushPath, w_pre: MultiPoly) -> bool:
     is ``P(u_q)``: the minimal polynomial of that step's translation in the
     variable ``u_q`` it translates, over the tower before the step."""
     item = path.steps[-1].translation_data[0]
-    tower = path.frames[-2].tower
-    if w_pre.tower != tower:
-        w_pre = w_pre.with_tower(tower)
-    return w_pre == _minpoly_in(w_pre.vars, item.target, item.minpoly, tower)
+    return w_pre == _minpoly_in(w_pre.vars, item.target, item.minpoly, path.frames[-2].tower)
 
 
 # ---------------------------------------------------------------------------

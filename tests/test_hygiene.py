@@ -744,6 +744,62 @@ def test_growth_scan_sees_each_kind():
     ]
 
 
+# One push path and one exponent kernel: ``PushPath.push`` makes every
+# Taylor shift of the package, and ``framing._advance`` applies every center
+# to exponents, called by the push's exponent runs, by ``PushPath.advance``
+# and by the descent loop of ``game``.
+def _calls_of(name: str, node: ast.AST, scope: str = "<module>", prefix: str = "") -> list[str]:
+    """The scope of each call of ``name``, by name or as an attribute: the
+    function around it, qualified by its classes."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        inner, inner_prefix = scope, prefix
+        if isinstance(child, ast.ClassDef):
+            inner_prefix = f"{prefix}{child.name}."
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = prefix + child.name
+            inner_prefix = f"{inner}."
+        elif isinstance(child, ast.Call) and name in (
+            getattr(child.func, "id", None), getattr(child.func, "attr", None)
+        ):
+            found.append(scope)
+        found += _calls_of(name, child, inner, inner_prefix)
+    return found
+
+
+def _package_calls_of(name: str) -> list[str]:
+    return [
+        f"{path.name} {scope}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope in _calls_of(name, _parse(path))
+    ]
+
+
+def test_only_push_shifts():
+    assert _package_calls_of("taylor_shift") == ["framing.py PushPath.push"]
+
+
+def test_one_kernel_advances_exponents():
+    assert _package_calls_of("_advance") == [
+        "framing.py _push_exponents", "framing.py PushPath.advance", "game.py _descend",
+    ]
+
+
+def test_call_scan_sees_each_kind():
+    src = (
+        "from .polyalg import taylor_shift\nfrom . import polyalg\n\n"
+        "g = taylor_shift(f, 'x', 1)\n\n"
+        "class PushPath:\n"
+        "    def push(self, f):\n        return polyalg.taylor_shift(f, 'x', 1)\n\n"
+        "    def other(self, f):\n"
+        "        def inner():\n            return taylor_shift(f, 'x', 2)\n"
+        "        shift = taylor_shift\n        return inner(shift)\n"
+    )
+    assert _calls_of("taylor_shift", ast.parse(src)) == [
+        "<module>", "PushPath.push", "PushPath.other.inner",
+    ]
+
+
 # The runner owns the path: each ``_run_*`` of ``trace`` builds the run's
 # ``PushPath`` from the frame it parsed, with the run's budget, and hands it
 # to the engine, so the engines of ``game`` and ``unifseq`` take no budget.

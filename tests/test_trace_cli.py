@@ -360,6 +360,31 @@ def _dependent_ground_chain(weights, binomial, betas):
     })
 
 
+def _rank1_chain(ground, q2):
+    """The chain x (beta 1), Q_2 (beta 3) over the ``ground`` variables,
+    each of rank-1 weight 1; ``q2`` maps exponents to literals."""
+    vars_ = [*ground, "x"]
+    x = tuple(int(v == "x") for v in vars_)
+    return {
+        "ground": {"vars": list(ground), "weights": [{"coords": ["1"]}] * len(ground)},
+        "x": "x",
+        "entries": [
+            {"Q": _poly_json(vars_, {x: "1"}), "beta": {"coords": ["1"]}},
+            {"Q": _poly_json(vars_, q2), "beta": {"coords": ["3"]}},
+        ],
+    }
+
+
+def _ladder_refusals(message, ground, q2):
+    """The refusal of one chain, through ``keypoly-monomialize`` and through
+    ``polynomial`` on its Q_2."""
+    chain = _rank1_chain(ground, q2)
+    return [
+        ("requires completion", message, _chain_run("keypoly-monomialize", chain)),
+        ("requires completion", message, _chain_run("polynomial", chain, poly=chain["entries"][1]["Q"])),
+    ]
+
+
 # One input per refusal that ``tools/raise_census.py`` found no test and
 # no pool problem reaching: (verdict code, message, problem).
 REFUSALS = [
@@ -415,6 +440,24 @@ REFUSALS = [
      _dependent_ground_chain(("1", "1"), (1, 2, 0), ("3/2", "4"))),
     ("requires completion", "requires completion: initial support off the lattice progression",
      _dependent_ground_chain(("2", "3"), (2, 1, 0), ("7/2", "8"))),
+    # Three ladder refusals of ``_level``; their messages move when the
+    # items below land.  x^2 + u^5 and x^2 + u pass ``validate_chain``
+    # although they define no valuation (ROADMAP item 28): the initial form
+    # of Q_2, x^2 or u, misses the constant rung of the ladder, or every
+    # rung above it.
+    *_ladder_refusals(
+        "requires completion: initial form is not a z-polynomial with unit ends",
+        ["u"], {(0, 2): "1", (5, 0): "1"},
+    ),
+    *_ladder_refusals(
+        "requires completion: initial form does not involve the parameter",
+        ["u"], {(0, 2): "1", (1, 0): "1"},
+    ),
+    # A dependent ground (ROADMAP item 10): u v and v^2 share a rung.
+    *_ladder_refusals(
+        "requires completion: residue coefficients leave the constant field",
+        ["u", "v"], {(0, 0, 2): "1", (1, 1, 0): "1", (0, 2, 0): "1"},
+    ),
 ]
 
 

@@ -156,9 +156,9 @@ def test_absorb_advances_each_exponent_from_its_start():
     path = PushPath(frame)
     count = unifseq._absorb(path, exps, target)
     assert count == len(path) == len(path.records) == 3
-    t = path.advance(target)
+    t = path.advance([target])[0]
     for e in exps:
-        at, _ = reduced_parts(t, path.advance(e), path.frame.units)
+        at, _ = reduced_parts(t, path.advance([e])[0], path.frame.units)
         assert sum(at) == 0
 
 
@@ -769,13 +769,13 @@ def test_a_quotient_off_by_one_term_is_caught_before_the_shift(monkeypatch, make
 
     for k in range(sum(1 for c in problem.residue if c)):
 
-        def planted(path, start, q_cleared, pos, problem, k=k):
+        def planted(path, start, q_cleared, gamma, problem, k=k):
             e = list(q_cleared.terms)[k]
             altered = q_cleared + MultiPoly.monomial(q_cleared.vars, e, q_cleared.coeff(e))
             assert list(altered.terms) == list(q_cleared.terms) and altered != q_cleared
+            # ``PushPath.push`` makes every Taylor shift of the package
             monkeypatch.setattr(framing, "taylor_shift", counted)
-            monkeypatch.setattr(unifseq, "taylor_shift", counted)
-            return real(path, start, altered, pos, problem)
+            return real(path, start, altered, gamma, problem)
 
         monkeypatch.setattr(unifseq, "_verify_factorization", planted)
         with pytest.raises(AssertionError, match=r"^factorization: quotient differs from P\(z\)$"):
@@ -818,3 +818,119 @@ def test_the_identity_before_the_shift_decides_as_after_it(monkeypatch):
     # keep their type and message
     assert decided == Counter({True: 657, False: 23})
     assert ends == Counter({True: 657, "factorization: quotient differs from P(z)": 23})
+
+
+# -- a path over a tower ----------------------------------------------------
+
+
+SQRT3 = QQ.extend("t1", [QQ.from_rational(-3), QQ.zero(), QQ.one()])
+
+
+def _cusp_frame_problem(residue, h=None):
+    """The cusp's frame (w1 of weight 2, wn of weight 3) with another residue."""
+    return UniformizingProblem(("w1",), (G1.rational(2),), "wn", G1.rational(3), residue, h=h)
+
+
+def _uniformize_over(problem, tower):
+    """(centers, z column, exact flag) of the run on a path whose first
+    frame is the problem's over ``tower``, or the refusal it ends in."""
+    f0 = problem.frame()
+    path = PushPath(Frame(f0.names, f0.weights, tower=tower))
+    try:
+        res = elementary_uniformizing_sequence(problem, path)
+    except InvalidInputError as exc:
+        return f"refused: {exc}"
+    assert path.frame.tower.extensions[:tower.depth] == tower.extensions
+    return [(s.J, s.j) for s in path.steps], res.z_column, res.witness["exact"]
+
+
+@pytest.mark.parametrize("residue", [(-1, 1), (Fraction(-2), 0, 1), (3, 1)], ids=["cusp", "X^2-2", "X+3"])
+@pytest.mark.parametrize("perturbed", [False, True], ids=["exact", "w1^5"])
+def test_uniformizing_on_a_path_over_a_tower_matches_q(residue, perturbed):
+    """Engines compose on one path, so a uniformizing run may start in a
+    chart over Q(sqrt 3): its Q-tilde is built over that tower, and it
+    takes the centers, the z column and the exactness of the run over Q,
+    or ends in the same refusal (w1^5 lies below the X^2 - 2 part)."""
+    h = MultiPoly.build(("w1", "wn"), {(5, 0): QQ.from_rational(1)}) if perturbed else None
+    problem = _cusp_frame_problem(residue, h)
+    over_q = _uniformize_over(problem, QQ)
+    assert _uniformize_over(problem, SQRT3) == over_q
+    assert (over_q == "refused: perturbation must have monomial value above the "
+            "quasi-homogeneous part") == (perturbed and len(residue) == 3)
+
+
+# -- each internal check of the sequence, on a planted defect ----------------
+
+
+_REAL = {
+    name: getattr(unifseq, name)
+    for name in ("_divide_monomial", "_minpoly_in", "_z_exponents", "run_pair_descent")
+}
+
+
+def _second_division(change):
+    """A ``_divide_monomial`` whose second call divides by w^change(mono):
+    the first call divides by w^div, the second divides W by X."""
+    calls = []
+
+    def planted(poly, mono):
+        calls.append(mono)
+        return _REAL["_divide_monomial"](poly, mono if len(calls) == 1 else change(mono))
+
+    return planted
+
+
+def _transcendental_with_passive():
+    """The cusp frame with a passive v of w1's weight and no residue."""
+    return UniformizingProblem(
+        ("w1",), (G1.rational(2),), "wn", G1.rational(3), None, ("v",), (G1.rational(2),)
+    )
+
+
+# (message, problem, helper of ``unifseq``, the planted helper)
+PLANTED = [
+    # a divisor one higher in every column
+    ("factorization: monomial division failed", cusp_problem, "_divide_monomial",
+     lambda: lambda poly, mono: _REAL["_divide_monomial"](poly, [m + 1 for m in mono])),
+    # W divided by X^2
+    ("factorization: new parameter fails to divide", _quadratic_problem, "_divide_monomial",
+     lambda: _second_division(lambda mono: [2 * m for m in mono])),
+    # W left undivided by X
+    ("factorization: cofactor is not a unit", _quadratic_problem, "_divide_monomial",
+     lambda: _second_division(lambda mono: [0] * len(mono))),
+    # P + 1 subtracted from the perturbed quotient
+    ("perturbation escaped the maximal ideal",
+     lambda: cusp_problem(h=MultiPoly.build(("w1", "wn"), {(4, 0): QQ.from_rational(1)})),
+     "_minpoly_in",
+     lambda: lambda vars_, q, minpoly, tower: _REAL["_minpoly_in"](
+         vars_, q, (minpoly[0] + 1, *minpoly[1:]), tower)),
+    # z^2 for z
+    ("z column carries a non-primitive exponent", lambda: _cusp_frame_problem(None), "_z_exponents",
+     lambda: lambda *a: tuple(tuple(2 * x for x in e) for e in _REAL["_z_exponents"](*a))),
+    # wn alone for z
+    ("z column is not unit-tagged", lambda: _cusp_frame_problem(None), "_z_exponents",
+     lambda: lambda n, w_cols, x_col, lattice: (tuple(int(i == x_col) for i in range(n)), (0,) * n)),
+    # wn^3 / (w1^2 v^2) for z, not of value zero: w1 and v tie first
+    ("weight collision before the end of the main game", _transcendental_with_passive, "_z_exponents",
+     lambda: lambda *a: ((0, 0, 3), (2, 2, 0))),
+    # the perturbation's pair game played with its sides swapped
+    ("auxiliary phase failed to land divisibility on y^d",
+     lambda: cusp_problem(h=MultiPoly.build(("w1", "wn"), {(0, 3): QQ.from_rational(1)})),
+     "run_pair_descent",
+     lambda: lambda alpha, gamma, path: _REAL["run_pair_descent"](gamma, alpha, path)),
+]
+
+
+@pytest.mark.parametrize(
+    "message, make, helper, plant", PLANTED, ids=[m.split(": ")[-1] for m, *_ in PLANTED]
+)
+def test_each_internal_check_fires_on_its_planted_defect(monkeypatch, message, make, helper, plant):
+    """Each internal check of ``elementary_uniformizing_sequence`` raises
+    its message when one helper is planted with a defect; unplanted, the
+    problem runs through."""
+    problem = make()
+    elementary_uniformizing_sequence(problem, PushPath(problem.frame()))
+    monkeypatch.setattr(unifseq, helper, plant())
+    with pytest.raises(AssertionError) as caught:
+        elementary_uniformizing_sequence(problem, PushPath(problem.frame()))
+    assert str(caught.value) == message
