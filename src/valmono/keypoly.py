@@ -49,7 +49,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable, Optional
+from itertools import chain
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     InvalidInputError,
@@ -82,7 +83,7 @@ class KeyPolyChain:
     __slots__ = ("ground", "x", "entries", "_row_cache")
 
     def __init__(
-        self, ground: MonomialValuationSpec, x: str, entries: tuple[tuple[MultiPoly, Value], ...]
+        self, ground: MonomialValuationSpec, x: str, entries: Sequence[tuple[MultiPoly, Value]]
     ):
         if x in ground.vars:
             raise InvalidInputError("x must not be a ground variable")
@@ -90,7 +91,8 @@ class KeyPolyChain:
             raise InvalidInputError("chain needs at least one entry")
         vars_ = ground.vars + (x,)
         entries = tuple((q.with_vars(vars_), beta) for q, beta in entries)
-        if any(q.tower != entries[0][0].tower for q, _ in entries):
+        tower = entries[0][0].tower
+        if any(q.tower is not tower and q.tower != tower for q, _ in entries):
             raise InvalidInputError("polynomials live in different rings")
         self.ground, self.x, self.entries = ground, x, entries
         self._row_cache = None
@@ -157,7 +159,9 @@ class _ChainRows:
         ground = chain.ground.frame()
         betas, den, group = _rows_of([b for _, b in chain.entries], ground.den, ground.group)
         lift = den // ground.den
-        self.rows = tuple(tuple(lift * x for x in r) for r in ground.rows)
+        self.rows = ground.rows
+        if lift != 1:
+            self.rows = tuple(tuple([lift * x for x in r]) for r in ground.rows)
         # the ground weights by generator, for ``_exponent_row``
         self.columns = tuple(zip(*self.rows))
         self.betas, self.den, self.group = betas, den, group
@@ -199,11 +203,11 @@ class _ChainRows:
         """(j, row of j beta_i + value(c_j)) for the nonzero digits;
         consumes them."""
         beta = self.betas[i - 1]
-        return tuple(
+        return tuple([
             (j, tuple([j * b + v for b, v in zip(beta, self.value(c, i - 1))]))
             for j, c in enumerate(digits)
             if c
-        )
+        ])
 
     def level(self, digits: list[_Rows], i: int) -> tuple[tuple, int, tuple[int, ...]]:
         """``(terms, delta, minimum)`` of the level-i digits, which it
@@ -225,7 +229,7 @@ class _ChainRows:
         term value; at level 1 over a pure power x^d, that least term value
         read off the rows (``power_value``)."""
         if level == 0:
-            return self.ground_value(e for row in c.values() for e in row)
+            return self.ground_value(chain.from_iterable(c.values()))
         if level == 1:
             _, d, neg_low = self.base(1)
             if not neg_low:
@@ -284,7 +288,7 @@ def truncate(
     if f.is_zero():
         raise ZeroPolynomialError("zero polynomial has no value")
     # the coefficients, before the values consume the digits
-    exp = StandardExpansion(i, q, tuple(_join_rows(c, xi, f) for c in digits))
+    exp = StandardExpansion(i, q, tuple([_join_rows(c, xi, f) for c in digits]))
     terms, delta, _ = rows.level(digits, i)
     # epsilon is the first index above delta attaining the minimum of what
     # is left
@@ -296,7 +300,7 @@ def truncate(
             if _order(v, mu_plus) < 0:
                 epsilon, mu_plus = j, v
     den, group = rows.den, rows.group
-    values = tuple((j, Value(v, den, group)) for j, v in terms)
+    values = tuple([(j, Value(v, den, group)) for j, v in terms])
     best = next(v for j, v in values if j == delta)
     return Truncation(exp, values, best, delta, epsilon)
 

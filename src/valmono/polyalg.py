@@ -30,11 +30,13 @@ inverted and an integral divisor keeps every row integral over the
 dividend's denominator.  ``euclid_divide``, ``q_adic_expansion`` and the
 truncations of :mod:`valmono.keypoly` share it.  An expansion by a pure
 power x^d, a divisor with no lower rows, cuts the rows into blocks of d
-instead.  The check that an expansion reassembles its polynomial adds
-each digit's terms straight into rows over one denominator: Horner's rule
-with the divisor's lower rows, or the digits shifted into place for a
-pure power.  One split (``_monic_split``) checks that a divisor is monic
-for all of them, and for :func:`valmono.keypoly.validate_chain`.
+instead, and a digit with no rows is the ring's zero, built with no
+reduction.  The check that an expansion reassembles its polynomial adds
+each nonzero digit's terms straight into rows over one denominator:
+Horner's rule with the divisor's lower rows, in place, or the digits
+shifted into place for a pure power.  One split (``_monic_split``) checks
+that a divisor is monic for all of them, and for
+:func:`valmono.keypoly.validate_chain`; a monic divisor keeps its split.
 The Taylor shift ``x -> theta + x`` writes theta as T / b and is an
 integer multiply-accumulate over ``den * b^K``: plain int ``*`` and ``+``
 over Q, the tower's product over a tower, where the row kernels add,
@@ -360,7 +362,8 @@ class MultiPoly:
     nonzero ``den`` may be given; they are stored as integers in lowest
     terms with ``den > 0``."""
 
-    __slots__ = ("vars", "terms", "tower", "den")
+    # ``_split`` is unset until ``_monic_split`` keeps the split there
+    __slots__ = ("vars", "terms", "tower", "den", "_split")
 
     def __init__(
         self,
@@ -490,7 +493,8 @@ class MultiPoly:
     # -- arithmetic -------------------------------------------------------
 
     def _check(self, other: "MultiPoly") -> None:
-        if self.vars != other.vars or self.tower != other.tower:
+        tower = self.tower
+        if self.vars != other.vars or other.tower is not tower and other.tower != tower:
             raise InvalidInputError("polynomials live in different rings")
 
     def _over(self, den: int) -> Mapping[tuple[int, ...], Elem]:
@@ -595,10 +599,10 @@ class MultiPoly:
     def to_json(self) -> dict:
         # over Q a coordinate is an int, written as its literal over den
         den, elem = self.den, FieldTower.elem_to_json if self.tower.depth else _literal
-        return {
-            "vars": list(self.vars),
-            "terms": [{"e": list(e), "c": elem(c, den)} for e, c in self.sorted_terms()],
-        }
+        terms = []
+        if self.terms:  # the zero polynomial has nothing to sort
+            terms = [{"e": list(e), "c": elem(c, den)} for e, c in self.sorted_terms()]
+        return {"vars": list(self.vars), "terms": terms}
 
 
 # x-dense form of a polynomial's coordinates: x-degree -> {exponent without
@@ -641,7 +645,10 @@ def _split_rows(f: MultiPoly, xi: int) -> _Rows:
 
 
 def _join_rows(rows: _Rows, xi: int, like: MultiPoly) -> MultiPoly:
-    """The polynomial of ``rows`` over ``like.den``, in like's ring."""
+    """The polynomial of ``rows`` over ``like.den``, in like's ring; no
+    rows are the ring's zero, which needs no reduction."""
+    if not rows:
+        return MultiPoly._of_reduced(like.vars, {}, like.tower, 1)
     terms = {}
     for k, row in rows.items():
         for e, c in row.items():
@@ -652,7 +659,12 @@ def _join_rows(rows: _Rows, xi: int, like: MultiPoly) -> MultiPoly:
 def _monic_split(g: MultiPoly, x: str, least: int = 0) -> tuple[int, _Rows]:
     """x-degree and lower rows, over ``g.den``, of a divisor monic in x of
     x-degree at least ``least`` (1 for an expansion base): the one check
-    that raises NonMonicDivisorError."""
+    that raises NonMonicDivisorError.  The split of a monic g is kept on g,
+    so a divisor that expands and then reassembles is split once; its
+    rows are only read."""
+    split = getattr(g, "_split", None)
+    if split is not None and split[0] == x and split[1] >= least:
+        return split[1:]
     rows = _split_rows(g, g.var_index(x))
     d = max(rows, default=-1)
     if d < least:
@@ -663,6 +675,7 @@ def _monic_split(g: MultiPoly, x: str, least: int = 0) -> tuple[int, _Rows]:
     zero = tuple(0 for _ in g.vars[1:])
     if not (len(lead) == 1 and lead.get(zero) == _times(g.tower.one(), g.den)):
         raise NonMonicDivisorError("non-monic divisor")
+    g._split = x, d, rows
     return d, rows
 
 
@@ -681,19 +694,23 @@ def _add_product(r: _Rows, c: dict, s: int, g_rows: _Rows, ops: tuple) -> None:
     zero coefficient and no empty row is left in r.  This is the one inner
     loop of division, expansion and Horner reassembly."""
     mul, plus, _, is_zero = ops
+    terms = c.items()
     for j, g_row in g_rows.items():
         k = s + j
-        row = r.setdefault(k, {})
-        for e1, c1 in c.items():
-            for e2, c2 in g_row.items():
+        row = r.get(k)
+        if row is None:
+            row = r[k] = {}
+        get = row.get
+        for e2, c2 in g_row.items():
+            for e1, c1 in terms:
                 e = tuple(map(add, e1, e2))
-                p = mul(c1, c2)
-                if e in row:
-                    p = plus(row[e], p)
-                if is_zero(p):  # also a zero product under a reducible definer
-                    row.pop(e, None)
-                else:
+                q = get(e)
+                p = mul(c1, c2) if q is None else plus(q, mul(c1, c2))
+                # a zero product, under a reducible definer, adds no term
+                if not is_zero(p):
                     row[e] = p
+                elif q is not None:
+                    del row[e]
         if not row:
             del r[k]
 
@@ -757,10 +774,12 @@ def _add_terms(r: _Rows, p: MultiPoly, xi: int, s: int, den: int, ops: tuple) ->
 
 def _reassembles(f: MultiPoly, Q: MultiPoly, digits: Sequence[MultiPoly], x: str) -> bool:
     """Whether sum digits[j] * Q^j is exactly f, for Q monic in x, on
-    x-dense rows over one denominator, with each digit's terms added
-    straight into them.  For Q = x^d that is the sum of the digits shifted
-    by j*d; otherwise it is Horner's rule, where multiplying by Q is a
-    shift by d plus a product with Q's lower rows."""
+    x-dense rows over one denominator, with the terms of each nonzero
+    digit added straight into them.  For Q = x^d that is the sum of the
+    digits shifted by j*d; otherwise it is Horner's rule, where
+    multiplying by Q moves the rows up by d and adds each one's product
+    with Q's lower rows, lowest row first: a product lands only on rows
+    already read, so no row is copied."""
     if f.vars != Q.vars or f.tower != Q.tower:
         return False
     xi = f.var_index(x)
@@ -770,16 +789,19 @@ def _reassembles(f: MultiPoly, Q: MultiPoly, digits: Sequence[MultiPoly], x: str
     acc: _Rows = {}
     if not low:
         for j, c in enumerate(digits):
-            _add_terms(acc, c, xi, j * d, den, ops)
+            if c.terms:
+                _add_terms(acc, c, xi, j * d, den, ops)
     else:
         if Q.den != 1:
             over = partial(_map, fn=lambda n: Fraction(n, Q.den))
             low = {j: {e: over(c) for e, c in row.items()} for j, row in low.items()}
         for c in reversed(digits):
-            nxt = {k + d: dict(row) for k, row in acc.items()}
-            for k, row in acc.items():
-                _add_product(nxt, row, k, low, ops)
-            acc = _add_terms(nxt, c, xi, 0, den, ops)
+            moved = {k + d: row for k, row in acc.items()}
+            for k in sorted(acc):
+                _add_product(moved, acc[k], k, low, ops)
+            acc = moved
+            if c.terms:
+                _add_terms(acc, c, xi, 0, den, ops)
     return acc == _add_terms({}, f, xi, 0, den, ops)
 
 

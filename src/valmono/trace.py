@@ -14,7 +14,7 @@ import hashlib
 import json
 from datetime import datetime, timezone
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd, lcm
 from typing import Callable
 
@@ -48,11 +48,16 @@ SCHEMA = 1
 
 
 # the bytes of json.dumps(obj, sort_keys=True, separators=(",", ":")),
-# without building an encoder per call
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# without building an encoder per call or marking each container against
+# cycles, which JSON-decoded input cannot have
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def canonical_digest(obj) -> str:
+    """The SHA-256 of the canonical JSON bytes of ``obj``.  An object that
+    contains itself, which only a library caller can build, raises
+    RecursionError once the encoder's nesting passes the interpreter's
+    recursion limit."""
     blob = _CANONICAL.encode(obj).encode()
     return "sha256:" + hashlib.sha256(blob).hexdigest()
 
@@ -70,6 +75,10 @@ def _need(obj: dict, key: str, at: str = ""):
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+# second arguments of ``isinstance`` for ``map``, which never run out
+_INT, _STR = repeat(int), repeat(str)
 
 
 def _parse_group(obj: dict) -> ValueGroup:
@@ -96,7 +105,7 @@ def _parse_group(obj: dict) -> ValueGroup:
 
 def _names(obj: dict, key: str, what: str = "variable names", at: str = "") -> tuple[str, ...]:
     names = _need(obj, key, at)
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+    if not isinstance(names, list) or not all(map(isinstance, names, _STR)):
         raise SchemaError(f"{at}{key} must be an array of {what}, not {quote(names)}")
     return tuple(names)
 
@@ -143,35 +152,42 @@ def _poly(obj: dict, key: str, at: str = "") -> MultiPoly:
     if (
         isinstance(p, dict)
         and isinstance(p.get("vars"), list)
-        and all(isinstance(v, str) for v in p["vars"])
+        and all(map(isinstance, p["vars"], _STR))
         and isinstance(p.get("terms"), list)
     ):
         n = len(p["vars"])
         terms: dict[tuple[int, ...], int] = {}
         den, bad = 1, None
         for t in p["terms"]:
+            if not isinstance(t, dict):
+                break
+            e, c = t.get("e"), t.get("c")
+            # integers, not bools, each checked in C
             if not (
-                isinstance(t, dict)
-                and isinstance(t.get("e"), list)
-                and all(map(_is_int, t["e"]))
-                and isinstance(t.get("c"), str)
+                isinstance(e, list)
+                and all(map(isinstance, e, _INT))
+                and bool not in map(type, e)
+                and isinstance(c, str)
             ):
                 break
-            num, q = rational_from_str(t["c"])
+            num, q = rational_from_str(c)
             if bad is not None:
                 continue
-            e = tuple(t["e"])
-            bad = _exponent_fault(e, n)
-            if bad is None:
-                if den % q:
-                    lift = q // gcd(den, q)
-                    den *= lift
-                    terms = {e: c * lift for e, c in terms.items()}
-                terms[e] = terms.get(e, 0) + num * (den // q)
+            e = tuple(e)
+            if len(e) != n or n and min(e) < 0:  # the test of _exponent_fault
+                bad = _exponent_fault(e, n)
+                continue
+            if den % q:
+                lift = q // gcd(den, q)
+                den *= lift
+                terms = {e: v * lift for e, v in terms.items()}
+            terms[e] = terms.get(e, 0) + num * (den // q)
         else:
             if bad is not None:
                 raise InvalidInputError(bad)
-            return MultiPoly(tuple(p["vars"]), {e: c for e, c in terms.items() if c}, QQ, den)
+            if 0 in terms.values():
+                terms = {e: c for e, c in terms.items() if c}
+            return MultiPoly(tuple(p["vars"]), terms, QQ, den)
     raise SchemaError(
         f'{at}{key} must be {{"vars": [names], "terms": [{{"e": [integers], "c": "p/q"}}]}}, '
         f"not {quote(p)}"
@@ -216,17 +232,12 @@ def chain_from_json(obj: dict, group: ValueGroup) -> KeyPolyChain:
                 f'{at}entries[{k}] must be a {{"Q": ..., "beta": ...}} object, not {quote(e)}'
             )
     vars_ = spec.vars + (x,)
-    return KeyPolyChain(
-        ground=spec,
-        x=x,
-        entries=tuple(
-            (
-                _poly(e, "Q", f"{at}entries[{k}].").with_vars(vars_),
-                _value(e["beta"], group, f"{at}entries[{k}].beta"),
-            )
-            for k, e in enumerate(entries)
-        ),
-    )
+    pairs = []
+    for k, e in enumerate(entries):
+        where = f"{at}entries[{k}]."
+        q = _poly(e, "Q", where).with_vars(vars_)
+        pairs.append((q, _value(e["beta"], group, where + "beta")))
+    return KeyPolyChain(ground=spec, x=x, entries=pairs)
 
 
 def _exponent(e, what: str) -> tuple[int, ...]:

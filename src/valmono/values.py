@@ -123,13 +123,16 @@ _PARSED_LENGTH = 16
 
 
 def _literal(n: int, d: int) -> str:
-    """The lowest-terms literal of ``n/d``, ``d > 0``.  An integer with
+    """The lowest-terms literal of ``n/d``, ``d != 0``, with a positive
+    denominator; no gcd is taken when ``d`` divides ``n``.  An integer with
     more digits than ``str`` writes is an invalid input."""
     if not n:
         return "0"
-    g = gcd(n, d)
     try:
-        return str(n // g) if g == d else f"{n // g}/{d // g}"
+        if not n % d:
+            return str(n // d)
+        g = gcd(n, d) if d > 0 else -gcd(n, d)
+        return f"{n // g}/{d // g}"
     except ValueError:  # the interpreter's int-to-str digit limit
         raise InvalidInputError("a rational has too many digits to write") from None
 

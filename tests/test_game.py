@@ -538,3 +538,37 @@ def test_split_monomial_divides_exactly_or_refuses():
     f = poly(names, {(2, 1, 0): 1, (1, 1, 1): 3})
     assert split_monomial(f, (2, 1, 0), Frame(names, (None,) * 3))[1] is None
     assert split_monomial(f, (2, 1, 0), Frame(names, (None,) * 3, frozenset({0})))[1] is not None
+
+
+# -- each internal check of the game, on a planted defect --------------------
+
+
+_REAL_SPLIT = game.split_monomial
+
+# (message, helper of ``game``, the planted helper), each on u1^2 + u2^3
+GAME_PLANTED = [
+    # a descent that plays no round: the first generator survives unchecked
+    ("survivor does not divide generator 1 after principalization", "_descend",
+     lambda exps, path: iter(())),
+    # a divisor one higher in every column
+    ("survivor fails to divide a term of the image", "split_monomial",
+     lambda poly, exponent, frame: _REAL_SPLIT(poly, [x + 1 for x in exponent], frame)),
+    # nothing divided out: the cofactor is the whole image
+    ("unit witness has no invertible part", "split_monomial",
+     lambda poly, exponent, frame: _REAL_SPLIT(poly, [0] * len(exponent), frame)),
+]
+
+
+@pytest.mark.parametrize("message, helper, plant", GAME_PLANTED, ids=[m for m, *_ in GAME_PLANTED])
+def test_each_internal_check_fires_on_its_planted_defect(monkeypatch, message, helper, plant):
+    """Each internal check of ``principalize_exponents`` and
+    ``monomialize_nondegenerate`` raises its message when one helper is
+    planted with a defect; unplanted, the problem runs through."""
+    spec = rational_spec((1, 1))
+    f = poly(spec.vars, {(2, 0): 1, (0, 3): 1})
+    res = monomialize_nondegenerate(f, PushPath(spec.frame()))
+    assert MultiPoly.monomial(spec.vars, res.exponent, 1) * res.unit_witness == res.image
+    monkeypatch.setattr(game, helper, plant)
+    with pytest.raises(AssertionError) as caught:
+        monomialize_nondegenerate(f, PushPath(spec.frame()))
+    assert str(caught.value) == message

@@ -36,7 +36,7 @@ from valmono.keypoly import (
     truncated_valuation,
     validate_chain,
 )
-from valmono.polyalg import QQ, MultiPoly, q_adic_expansion
+from valmono.polyalg import QQ, MultiPoly, euclid_divide, q_adic_expansion
 from valmono.trace import _parse_group, _poly, chain_from_json, run_problem, verify_trace
 from valmono.values import Value, ValueGroup, compare, value_of_exponent
 
@@ -536,6 +536,58 @@ def test_truncate_matches_the_value_oracle_on_the_expand_pool():
         f = _poly(problem, "poly")
         _assert_matches_value_oracle(f, chain, problem.get("level", len(chain)))
     assert len(pool) == 3000
+
+
+def _division_loop(f, q, x):
+    """The q-adic digits of f by repeated ``euclid_divide``: each remainder
+    is a digit, and the quotient is divided again until it is zero."""
+    digits = []
+    while True:
+        f, r = euclid_divide(f, q, x)
+        digits.append(r)
+        if f.is_zero():
+            return digits
+
+
+def test_written_coefficients_are_the_division_loop_digits_on_the_expand_pool():
+    """Every coefficient a ``keypoly-expand`` run writes, each zero digit
+    included, is the JSON of the digit that ``q_adic_expansion`` and the
+    division loop give, and a zero digit is written with no terms."""
+    pool = corpus.pool("expand")
+    zero = 0
+    for problem in pool:
+        chain = _pool_chain(problem)
+        f = _poly(problem, "poly").with_vars(chain.all_vars)
+        q = chain.Q(problem["level"])
+        digits = q_adic_expansion(f, q, chain.x)
+        assert digits == _division_loop(f, q, chain.x)
+        written = run_problem(problem)["witnesses"]["coefficients"]
+        assert written == [d.to_json() for d in digits]
+        zero += sum(c["terms"] == [] for c in written)
+    # every zero digit of the pool is at level 1, where Q_1 = x
+    assert len(pool) == 3000 and zero == 12052
+
+
+def test_reassembles_rejects_each_bumped_zero_digit_on_the_expand_pool():
+    """At level 1 of every problem of the ``expand`` pool, where Q_1 = x
+    leaves about half the digits zero, the expansion reassembles f, and
+    putting a 1 in place of any one zero digit makes the check fail."""
+    bumped = 0
+    for problem in corpus.pool("expand"):
+        if problem["level"] != 1:
+            continue
+        chain = _pool_chain(problem)
+        f = _poly(problem, "poly").with_vars(chain.all_vars)
+        exp = truncate(f, chain, 1).expansion
+        assert exp.reassembles(f)
+        one = MultiPoly.constant(f.vars, 1, f.tower)
+        for j, c in enumerate(exp.coefficients):
+            if c.is_zero():
+                coefficients = list(exp.coefficients)
+                coefficients[j] = one
+                assert not StandardExpansion(1, exp.base, tuple(coefficients)).reassembles(f)
+                bumped += 1
+    assert bumped == 12052
 
 
 def test_truncate_matches_the_value_oracle_on_every_chain_level():

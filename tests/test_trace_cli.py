@@ -17,6 +17,7 @@ from conftest import CHILD_ENV, SRC, json_digest
 from valmono.errors import InvalidInputError, SchemaError, TraceMismatchError, quote
 from valmono.framing import DEFAULT_BUDGET
 from valmono.polyalg import MultiPoly
+from valmono import trace as trace_mod
 from valmono.trace import ALGORITHMS, _poly, canonical_digest, run_problem, verify_trace
 
 GROUP2 = {"rank": 2, "ordering": "sqrt-primes", "labels": ["g1", "g2"]}
@@ -2082,6 +2083,39 @@ def test_input_digests_keep_their_bytes():
     for obj in odd:
         assert canonical_digest(obj) == json_digest(obj)
     assert canonical_digest(odd[3]) == canonical_digest(pair_problem())
+
+
+def test_input_digests_match_json_dumps_on_every_pool_input():
+    """On all 6800 inputs of the benchmark pools and on a problem whose
+    variables and labels are not ASCII, the canonical bytes are those of
+    sorted-key compact ``json.dumps``, and so is the header's digest."""
+    sys.path.insert(0, str(Path(SRC).parent / "bench"))
+    try:
+        import corpus
+    finally:
+        sys.path.pop(0)
+    inputs = [p for workload in corpus.WORKLOADS for p in corpus.pool(workload)]
+    spec = {"vars": ["ü", "β"], "weights": SPEC2["weights"]}
+    inputs.append({**pair_problem(), "group": {**GROUP2, "labels": ["γ1", "γ2"]}, "spec": spec})
+    for inp in inputs:
+        assert trace_mod._CANONICAL.encode(inp) == json.dumps(inp, sort_keys=True, separators=(",", ":"))
+        assert canonical_digest(inp) == json_digest(inp)
+    assert len(inputs) == 6801 and run_problem(inputs[-1])["header"]["input_digest"] == json_digest(inputs[-1])
+
+
+def test_a_self_referencing_input_raises_promptly():
+    """The encoder keeps no cycle markers, so an input that contains
+    itself, which only a library caller can build, ends in RecursionError
+    once the nesting passes the recursion limit, not in a hang."""
+    loop = pair_problem()
+    loop["spec"]["self"] = loop
+    items = []
+    items.append(items)
+    for obj in (loop, items):
+        with pytest.raises(RecursionError):
+            canonical_digest(obj)
+    with pytest.raises(RecursionError):
+        run_problem(loop)
 
 
 # -- the command ends its process without interpreter teardown ----------------

@@ -599,11 +599,21 @@ def test_quote_cuts_only_long_values():
 def test_a_literal_past_the_digit_limit_is_invalid_input():
     big = 7 * 10**4400
     assert values._literal(big, big) == "1" and values._literal(0, big) == "0"
-    for n, d in ((big, 1), (1, big), (-big, 3)):
+    # the last two are multiples of d, written with no gcd taken
+    for n, d in ((big, 1), (1, big), (-big, 3), (3 * big, 3), (-5 * big, 5)):
         with pytest.raises(InvalidInputError, match="too many digits"):
             values._literal(n, d)
     with pytest.raises(InvalidInputError, match="too many digits"):
         ValueGroup(2).value([1, Fraction(1, big)]).to_json()
+
+
+def test_a_literal_is_the_fraction_in_lowest_terms():
+    """``_literal(n, d)`` writes what ``Fraction(n, d)`` does, whether or
+    not d divides n, for n and d of either sign."""
+    for n in range(-40, 41):
+        for d in range(-24, 25):
+            if d:
+                assert values._literal(n, d) == str(Fraction(n, d)), (n, d)
 
 
 def test_parsed_literals_are_memoized_up_to_a_cap(monkeypatch):
