@@ -18,7 +18,8 @@ f's integer coordinates over its denominator D, and with every Q_i
 integral every digit at every level stays integral over D (a
 non-integral Q_i makes them Fractions through the same code).  The
 values below the level asked for are read off the digit rows (the ground
-value needs only exponents), so those digits never become polynomials.
+value needs only exponents, which it reads by packed key and unpacks once
+per chain), so those digits never become polynomials.
 Only the coefficients of the level asked for are built, as polynomials
 over D, and ``StandardExpansion.reassembles`` decides their identity
 exactly on the same kind of rows.  A chain holds each Q_i over its own
@@ -35,8 +36,9 @@ expansion, deg_x f // deg_x Q_i + 1, against it before it builds any.
 
 The values are integer rows as well, over one denominator per chain: the
 ground weights and every beta_i are put over the lcm of their
-denominators once, a term's value is a sum of rows, and two values are
-ordered by the sign of their row difference (``values._order``).  No
+denominators once (a chain read from JSON gets them as rows), a term's
+value is a sum of rows, and two values are ordered by the sign of their
+row difference (``values._order``).  No
 :class:`Value` is built inside the recursion; ``truncate`` turns its terms
 into values once, at return, and ``validate_chain`` orders rows.
 
@@ -67,10 +69,13 @@ from .polyalg import (
     _expand_rows,
     _join_rows,
     _monic_rows,
+    _places,
+    _radix,
     _reassembles,
     _row_ops,
     _Rows,
     _split_rows,
+    _unpack,
 )
 from .values import Value, _exponent_row, _order, _positive, _rows_of
 
@@ -78,9 +83,11 @@ from .values import Value, _exponent_row, _order, _positive, _rows_of
 class KeyPolyChain:
     """(Q_i, beta_i) entries over ground variables plus one distinguished x.
     Each Q_i is held over ``all_vars``, and all of them over one tower, so
-    a chain built over another order of the variables is the same chain."""
+    a chain built over another order of the variables is the same chain.
+    A chain read from rows (``_of_rows``) builds its beta values only when
+    ``entries`` or ``beta`` asks for them."""
 
-    __slots__ = ("ground", "x", "entries", "_row_cache")
+    __slots__ = ("ground", "x", "qs", "_entries", "_row_cache")
 
     def __init__(
         self, ground: MonomialValuationSpec, x: str, entries: Sequence[tuple[MultiPoly, Value]]
@@ -94,8 +101,27 @@ class KeyPolyChain:
         tower = entries[0][0].tower
         if any(q.tower is not tower and q.tower != tower for q, _ in entries):
             raise InvalidInputError("polynomials live in different rings")
-        self.ground, self.x, self.entries = ground, x, entries
+        self.ground, self.x, self._entries = ground, x, entries
+        self.qs = tuple([q for q, _ in entries])
         self._row_cache = None
+
+    @classmethod
+    def _of_rows(cls, ground: MonomialValuationSpec, x: str, qs, betas, den) -> "KeyPolyChain":
+        """The chain of the ``qs`` whose betas are the integer rows
+        ``betas`` over ``den``, a multiple of the ground's denominator, in
+        the ground's group, with the constructor's checks."""
+        chain = cls(ground, x, [(q, None) for q in qs])
+        frame = ground.frame()
+        chain._entries = None
+        chain._row_cache = _ChainRows(frame, x, chain.qs, betas, den, frame.group)
+        return chain
+
+    @property
+    def entries(self) -> tuple[tuple[MultiPoly, Value], ...]:
+        if self._entries is None:
+            r = self._rows
+            self._entries = tuple(zip(self.qs, [Value(b, r.den, r.group) for b in r.betas]))
+        return self._entries
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -113,10 +139,10 @@ class KeyPolyChain:
         return self.ground.vars + (self.x,)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.qs)
 
     def Q(self, i: int) -> MultiPoly:
-        return self.entries[i - 1][0]
+        return self.qs[i - 1]
 
     def beta(self, i: int) -> Value:
         return self.entries[i - 1][1]
@@ -131,7 +157,9 @@ class KeyPolyChain:
     def _rows(self) -> "_ChainRows":
         """The chain's truncation rows, made on first use."""
         if self._row_cache is None:
-            self._row_cache = _ChainRows(self)
+            ground = self.ground.frame()
+            betas, den, group = _rows_of([b for _, b in self._entries], ground.den, ground.group)
+            self._row_cache = _ChainRows(ground, self.x, self.qs, betas, den, group)
         return self._row_cache
 
 
@@ -153,11 +181,11 @@ class _ChainRows:
     integer row over one denominator ``den``: the ground weights (``rows``)
     and each beta_i, put over the lcm of their denominators once.  A row sum
     is a value sum, and the sign of a row difference orders two values; no
-    :class:`Value` is built here."""
+    :class:`Value` is built here.  The splits and the ground rows are
+    cached by packed key, for one packing at a time: with two or more
+    ground variables a truncation whose f needs a larger radix repacks."""
 
-    def __init__(self, chain: KeyPolyChain):
-        ground = chain.ground.frame()
-        betas, den, group = _rows_of([b for _, b in chain.entries], ground.den, ground.group)
+    def __init__(self, ground: Frame, x: str, qs, betas, den: int, group):
         lift = den // ground.den
         self.rows = ground.rows
         if lift != 1:
@@ -165,11 +193,18 @@ class _ChainRows:
         # the ground weights by generator, for ``_exponent_row``
         self.columns = tuple(zip(*self.rows))
         self.betas, self.den, self.group = betas, den, group
-        self.x = chain.x
-        self.qs = [q for q, _ in chain.entries]
-        self.ops = _row_ops(self.qs[0].tower)
+        self.x, self.qs = x, qs
+        self.ops = _row_ops(qs[0].tower)
+        # x is a chain's last variable
+        self.xi = len(qs[0].vars) - 1
+        self.pack(_radix(qs, qs, self.xi, 0))
+
+    def pack(self, radix: Optional[int]) -> None:
+        """Key the rows with ``radix`` from now on, and forget the splits
+        and ground rows keyed with another."""
+        self.radix, self.places = radix, _places(self.xi + 1, self.xi, radix)
         self.bases: dict[int, tuple[MultiPoly, int, _Rows]] = {}
-        self.ground: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.ground: dict[int, tuple[int, ...]] = {}
 
     def base(self, i: int) -> tuple[MultiPoly, int, _Rows]:
         """Q_i, its x-degree and its negated lower rows; a Q_i that is not
@@ -177,7 +212,7 @@ class _ChainRows:
         base = self.bases.get(i)
         if base is None:
             q = self.qs[i - 1]
-            base = self.bases[i] = (q, *_monic_rows(q, self.x, 1))
+            base = self.bases[i] = (q, *_monic_rows(q, self.x, self.places, 1))
         return base
 
     def expand(self, rows: _Rows, i: int) -> list[_Rows]:
@@ -185,16 +220,16 @@ class _ChainRows:
         _, d, neg_low = self.base(i)
         return _expand_rows(rows, d, neg_low, self.ops)
 
-    def ground_value(self, exponents: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
-        """Row of the monomial value of an x-free form given by its ground
-        exponents: the least row among them."""
+    def ground_value(self, keys: Iterable[int]) -> tuple[int, ...]:
+        """Row of the monomial value of an x-free form given by the packed
+        keys of its ground exponents: the least row among them."""
         best = None
-        for e in exponents:
+        for e in keys:
             v = self.ground.get(e)
             if v is None:
                 if not self.columns:
                     raise InvalidInputError("at least one weight is required")
-                v = self.ground[e] = _exponent_row(e, self.columns)
+                v = self.ground[e] = _exponent_row(_unpack(e, self.xi, self.radix), self.columns)
             if best is None or _order(v, best) < 0:
                 best = v
         return best
@@ -275,10 +310,14 @@ def truncate(
         raise InvalidInputError(f"level {quote(i)} outside the chain")
     f = f.with_vars(chain.all_vars)
     rows = chain._rows
+    xi = rows.xi
+    if rows.radix is not None:  # two or more ground variables
+        radix = _radix([f], rows.qs, xi, max(f.degree_in(chain.x), 0))
+        if radix > rows.radix:
+            rows.pack(radix)
     q, d, _ = rows.base(i)
     f._check(q)
-    xi = len(chain.ground.vars)
-    split = _split_rows(f, xi)
+    split = _split_rows(f, xi, rows.places)
     if budget is not None and max(split, default=-1) // d >= budget:
         raise StepBudgetExceededError(
             f"step budget exceeded ({budget} steps): "
@@ -288,7 +327,7 @@ def truncate(
     if f.is_zero():
         raise ZeroPolynomialError("zero polynomial has no value")
     # the coefficients, before the values consume the digits
-    exp = StandardExpansion(i, q, tuple([_join_rows(c, xi, f) for c in digits]))
+    exp = StandardExpansion(i, q, tuple([_join_rows(c, xi, f, rows.radix) for c in digits]))
     terms, delta, _ = rows.level(digits, i)
     # epsilon is the first index above delta attaining the minimum of what
     # is left
@@ -358,7 +397,7 @@ def validate_chain(chain: KeyPolyChain) -> list[str]:
     if not _positive(betas[0]):
         issues.append("beta-not-positive")
     # (deg Q_(i-1), deg Q_i) for i = 2 .. len(chain)
-    degrees = [q.degree_in(x) for q, _ in chain.entries]
+    degrees = [q.degree_in(x) for q in chain.qs]
     steps = list(zip(degrees, degrees[1:]))
     if any(d_prev <= 0 or d_cur % d_prev for d_prev, d_cur in steps):
         issues.append("degree-ratio")

@@ -24,7 +24,9 @@ Polynomials are immutable by convention; term storage order fixes the
 term order of results, and JSON is graded-lex.
 
 Division by a divisor monic in x has one kernel: both operands are split
-once into x-dense rows (x-degree -> x-free sparse coordinates) and
+once into x-dense rows (x-degree -> x-free sparse coordinates, each keyed
+by its packed x-free exponent, so that a monomial product is one integer
+addition; ``_radix`` proves the packing's bound) and
 long-divided row by row from the top degree down, so no coefficient is
 inverted and an integral divisor keeps every row integral over the
 dividend's denominator.  ``euclid_divide``, ``q_adic_expansion`` and the
@@ -605,11 +607,11 @@ class MultiPoly:
         return {"vars": list(self.vars), "terms": terms}
 
 
-# x-dense form of a polynomial's coordinates: x-degree -> {exponent without
-# x: coordinate}, over the polynomial's denominator, which the caller keeps.
-# A coordinate is an int, or a Fraction where a non-integral divisor or
-# definer has acted on it.
-_Rows = dict[int, dict[tuple[int, ...], Elem]]
+# x-dense form of a polynomial's coordinates: x-degree -> {packed key of the
+# exponent without x: coordinate}, over the polynomial's denominator, which
+# the caller keeps.  A coordinate is an int, or a Fraction where a
+# non-integral divisor or definer has acted on it.
+_Rows = dict[int, dict[int, Elem]]
 
 
 # row operators of a depth-1 tower, whose coordinates are tuples of numbers
@@ -636,54 +638,114 @@ def _row_ops(tw: FieldTower) -> tuple:
     return operator.mul, operator.add, operator.neg, operator.not_
 
 
-def _split_rows(f: MultiPoly, xi: int) -> _Rows:
-    """The rows of f's coordinates, over ``f.den``."""
+def _radix(
+    operands: Sequence[MultiPoly], divisors: Sequence[MultiPoly], xi: int, times: int
+) -> Optional[int]:
+    """The radix R of the packing for a kernel run on ``operands`` and the
+    lower rows of monic ``divisors`` in x (variable ``xi``), with at most
+    ``times`` lower-row factors in any one term.  The key of an x-free
+    exponent (e_1, ..., e_m) is e_1 + e_2 R + ... + e_m R^(m-1); its top
+    field has no bound, so with one x-free variable the key is the
+    exponent itself and there is no radix (None).  Otherwise R is
+    top + times * lower + 1, for ``top`` the largest field e_1 .. e_(m-1)
+    of any term of any of them and ``lower`` that of the divisors.
+
+    That R is large enough.  Keys add field by field as long as no field
+    reaches R, and then distinct exponents have distinct keys; the kernels
+    form a key only as the sum of two, the exponent of a product.  A
+    product of a term at row k with a lower row of a divisor of x-degree d
+    lands on a row of at most k - 1, a quotient row moves down by d with
+    no product, and no row is below 0.  So a division or expansion of f,
+    by one divisor or a chain of them level by level, gives any term of f
+    at most ``deg_x f`` lower-row factors: each field it forms is at most
+    top + deg_x f * lower.  Horner's rule over digits c_0 .. c_s multiplies
+    the terms of c_j by Q j times, by x^d or by one lower row each time:
+    times = s."""
+    n = len(divisors[0].vars)
+    if n < 3:
+        return None
+    bounded = [i for i in range(n) if i != xi][:-1]
+
+    def top(polys):
+        return max([e[i] for p in polys for e in p.terms for i in bounded], default=0)
+
+    lower = top(divisors)
+    return max(top(operands), lower) + times * lower + 1
+
+
+def _places(n: int, xi: int, radix: Optional[int]) -> tuple[int, ...]:
+    """The place value of each of n variables in a packed key: 0 for x,
+    variable ``xi``, and R^k for the k-th x-free variable from 0; the key
+    of an exponent is its dot product with them."""
+    places = []
+    for _ in range(n - 1):
+        places.append(places[-1] * radix if places else 1)
+    places.insert(xi, 0)
+    return tuple(places)
+
+
+def _unpack(key: int, m: int, radix: Optional[int]) -> list[int]:
+    """The x-free exponent (e_1, ..., e_m) of a packed key."""
+    e = []
+    for _ in range(m - 1):
+        key, r = divmod(key, radix)
+        e.append(r)
+    if m:
+        e.append(key)
+    return e
+
+
+def _split_rows(f: MultiPoly, xi: int, places: tuple) -> _Rows:
+    """The rows of f's coordinates, over ``f.den``, keyed by ``places``."""
     rows: _Rows = {}
     for e, c in f.terms.items():
-        rows.setdefault(e[xi], {})[e[:xi] + e[xi + 1:]] = c
+        rows.setdefault(e[xi], {})[sum(map(operator.mul, e, places))] = c
     return rows
 
 
-def _join_rows(rows: _Rows, xi: int, like: MultiPoly) -> MultiPoly:
-    """The polynomial of ``rows`` over ``like.den``, in like's ring; no
-    rows are the ring's zero, which needs no reduction."""
+def _join_rows(rows: _Rows, xi: int, like: MultiPoly, radix: Optional[int]) -> MultiPoly:
+    """The polynomial of ``rows`` over ``like.den``, in like's ring, its
+    keys unpacked with ``radix``; no rows are the ring's zero, which needs
+    no reduction."""
     if not rows:
         return MultiPoly._of_reduced(like.vars, {}, like.tower, 1)
+    m = len(like.vars) - 1
     terms = {}
     for k, row in rows.items():
-        for e, c in row.items():
-            terms[e[:xi] + (k,) + e[xi:]] = c
+        for key, c in row.items():
+            e = _unpack(key, m, radix)
+            e.insert(xi, k)
+            terms[tuple(e)] = c
     return MultiPoly(like.vars, terms, like.tower, like.den)
 
 
-def _monic_split(g: MultiPoly, x: str, least: int = 0) -> tuple[int, _Rows]:
-    """x-degree and lower rows, over ``g.den``, of a divisor monic in x of
-    x-degree at least ``least`` (1 for an expansion base): the one check
-    that raises NonMonicDivisorError.  The split of a monic g is kept on g,
-    so a divisor that expands and then reassembles is split once; its
-    rows are only read."""
+def _monic_split(g: MultiPoly, x: str, places: tuple, least: int = 0) -> tuple[int, _Rows]:
+    """x-degree and lower rows, over ``g.den`` and keyed by ``places``, of
+    a divisor monic in x of x-degree at least ``least`` (1 for an
+    expansion base): the one check that raises NonMonicDivisorError.  The
+    split of a monic g is kept on g for its packing, so a divisor that
+    expands and then reassembles is split once; its rows are only read."""
     split = getattr(g, "_split", None)
-    if split is not None and split[0] == x and split[1] >= least:
+    if split is not None and split[0] == places and split[1] >= least:
         return split[1:]
-    rows = _split_rows(g, g.var_index(x))
+    rows = _split_rows(g, g.var_index(x), places)
     d = max(rows, default=-1)
     if d < least:
         if least:
             raise NonMonicDivisorError("non-monic divisor: expansion base must involve the variable")
         raise NonMonicDivisorError("non-monic divisor: zero divisor")
     lead = rows.pop(d)
-    zero = tuple(0 for _ in g.vars[1:])
-    if not (len(lead) == 1 and lead.get(zero) == _times(g.tower.one(), g.den)):
+    if not (len(lead) == 1 and lead.get(0) == _times(g.tower.one(), g.den)):
         raise NonMonicDivisorError("non-monic divisor")
-    g._split = x, d, rows
+    g._split = places, d, rows
     return d, rows
 
 
-def _monic_rows(g: MultiPoly, x: str, least: int = 0) -> tuple[int, _Rows]:
+def _monic_rows(g: MultiPoly, x: str, places: tuple, least: int = 0) -> tuple[int, _Rows]:
     """x-degree and negated lower rows of a divisor as ``_monic_split``
     checks it: integer rows when g is integral, so an integer dividend
     stays integral, and Fraction rows otherwise."""
-    d, rows = _monic_split(g, x, least)
+    d, rows = _monic_split(g, x, places, least)
     den = g.den
     neg = _row_ops(g.tower)[2] if den == 1 else partial(_map, fn=lambda n: Fraction(-n, den))
     return d, {j: {e: neg(c) for e, c in row.items()} for j, row in rows.items()}
@@ -692,7 +754,8 @@ def _monic_rows(g: MultiPoly, x: str, least: int = 0) -> tuple[int, _Rows]:
 def _add_product(r: _Rows, c: dict, s: int, g_rows: _Rows, ops: tuple) -> None:
     """r += c * x^s * g in place, for one row ``c`` and the rows of g; no
     zero coefficient and no empty row is left in r.  This is the one inner
-    loop of division, expansion and Horner reassembly."""
+    loop of division, expansion and Horner reassembly: a monomial product
+    is the sum of two packed keys."""
     mul, plus, _, is_zero = ops
     terms = c.items()
     for j, g_row in g_rows.items():
@@ -703,7 +766,7 @@ def _add_product(r: _Rows, c: dict, s: int, g_rows: _Rows, ops: tuple) -> None:
         get = row.get
         for e2, c2 in g_row.items():
             for e1, c1 in terms:
-                e = tuple(map(add, e1, e2))
+                e = e1 + e2
                 q = get(e)
                 p = mul(c1, c2) if q is None else plus(q, mul(c1, c2))
                 # a zero product, under a reducible definer, adds no term
@@ -749,18 +812,22 @@ def _expand_rows(r: _Rows, d: int, neg_low: _Rows, ops: tuple) -> list[_Rows]:
         r = quo
 
 
-def _add_terms(r: _Rows, p: MultiPoly, xi: int, s: int, den: int, ops: tuple) -> _Rows:
+def _add_terms(
+    r: _Rows, p: MultiPoly, xi: int, s: int, den: int, ops: tuple, places: tuple
+) -> _Rows:
     """r += p * x^s in place, over ``den``, a multiple of ``p.den``: p's
-    terms go straight into the rows, and no zero coefficient and no empty
-    row is left in r."""
+    terms go straight into the rows, keyed by ``places``, and no zero
+    coefficient and no empty row is left in r."""
     _, plus, _, is_zero = ops
     lift = den // p.den
     for e, c in p.terms.items():
         if lift != 1:
             c = _times(c, lift)
         k = e[xi] + s
-        row = r.setdefault(k, {})
-        e = e[:xi] + e[xi + 1:]
+        row = r.get(k)
+        if row is None:
+            row = r[k] = {}
+        e = sum(map(operator.mul, e, places))
         if e in row:
             c = plus(row[e], c)
             if is_zero(c):
@@ -783,14 +850,16 @@ def _reassembles(f: MultiPoly, Q: MultiPoly, digits: Sequence[MultiPoly], x: str
     if f.vars != Q.vars or f.tower != Q.tower:
         return False
     xi = f.var_index(x)
-    d, low = _monic_split(Q, x)
+    radix = _radix([f, *digits], [Q], xi, max(len(digits) - 1, 0))
+    places = _places(len(f.vars), xi, radix)
+    d, low = _monic_split(Q, x, places)
     ops = _row_ops(f.tower)
     den = lcm(f.den, *[c.den for c in digits])
     acc: _Rows = {}
     if not low:
         for j, c in enumerate(digits):
             if c.terms:
-                _add_terms(acc, c, xi, j * d, den, ops)
+                _add_terms(acc, c, xi, j * d, den, ops, places)
     else:
         if Q.den != 1:
             over = partial(_map, fn=lambda n: Fraction(n, Q.den))
@@ -801,27 +870,31 @@ def _reassembles(f: MultiPoly, Q: MultiPoly, digits: Sequence[MultiPoly], x: str
                 _add_product(moved, acc[k], k, low, ops)
             acc = moved
             if c.terms:
-                _add_terms(acc, c, xi, 0, den, ops)
-    return acc == _add_terms({}, f, xi, 0, den, ops)
+                _add_terms(acc, c, xi, 0, den, ops, places)
+    return acc == _add_terms({}, f, xi, 0, den, ops, places)
 
 
 def euclid_divide(f: MultiPoly, g: MultiPoly, x: str) -> tuple[MultiPoly, MultiPoly]:
     """Exact division f = q*g + r with deg_x(r) < deg_x(g); g monic in x."""
     f._check(g)
-    d, neg_low = _monic_rows(g, x)
     xi = f.var_index(x)
-    r = _split_rows(f, xi)
+    radix = _radix([f], [g], xi, max(f.degree_in(x), 0))
+    places = _places(len(f.vars), xi, radix)
+    d, neg_low = _monic_rows(g, x, places)
+    r = _split_rows(f, xi, places)
     q = _divide_rows(r, d, neg_low, _row_ops(f.tower))
-    return _join_rows(q, xi, f), _join_rows(r, xi, f)
+    return _join_rows(q, xi, f, radix), _join_rows(r, xi, f, radix)
 
 
 def q_adic_expansion(f: MultiPoly, Q: MultiPoly, x: str) -> list[MultiPoly]:
     """Digits (a_0, ..., a_s) with f = sum a_i Q^i and deg_x(a_i) < deg_x(Q)."""
     f._check(Q)
-    d, neg_low = _monic_rows(Q, x, 1)
     xi = f.var_index(x)
-    digits = _expand_rows(_split_rows(f, xi), d, neg_low, _row_ops(f.tower))
-    return [_join_rows(r, xi, f) for r in digits]
+    radix = _radix([f], [Q], xi, max(f.degree_in(x), 0))
+    places = _places(len(f.vars), xi, radix)
+    d, neg_low = _monic_rows(Q, x, places, 1)
+    digits = _expand_rows(_split_rows(f, xi, places), d, neg_low, _row_ops(f.tower))
+    return [_join_rows(r, xi, f, radix) for r in digits]
 
 
 def taylor_shift(f: MultiPoly, x: str, theta: Elem) -> MultiPoly:

@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd, lcm
-from typing import Callable
+from typing import Callable, NoReturn
 
 from . import __version__
 from .errors import (
@@ -110,12 +110,27 @@ def _names(obj: dict, key: str, what: str = "variable names", at: str = "") -> t
     return tuple(names)
 
 
+def _raise_at(exc: SchemaError, literals, path: str) -> NoReturn:
+    """Raise ``exc``, a bad literal's error, again naming the JSON path of
+    the first bad one of ``literals``: ``path`` with its index in place of
+    ``{}``.  Readers look the path up only here, so their loops keep no
+    index."""
+    for k, c in enumerate(literals):
+        try:
+            rational_from_str(c)
+        except SchemaError:
+            raise SchemaError(f"{exc} at {path.format(k)}") from None
+
+
 def _pairs(v, group: ValueGroup, what: str) -> list[tuple[int, int]]:
     """The coordinates of the value ``v`` as ``(p, q)`` pairs, one per
-    generator of ``group``."""
+    generator of ``group``; a bad literal is named by its path."""
     if not isinstance(v, dict) or not isinstance(v.get("coords"), list):
         raise SchemaError(f'{what} must be {{"coords": [...]}}, not {quote(v)}')
-    pairs = [rational_from_str(c) for c in v["coords"]]
+    try:
+        pairs = [rational_from_str(c) for c in v["coords"]]
+    except SchemaError as exc:
+        _raise_at(exc, v["coords"], what + ".coords[{}]")
     if len(pairs) != group.rank:
         raise InvalidInputError("coordinate count must equal the group rank")
     return pairs
@@ -143,11 +158,11 @@ def _values(
 def _poly(obj: dict, key: str, at: str = "") -> MultiPoly:
     """The polynomial field ``key`` over Q, checked and built in one pass.
     A value of the wrong JSON shape raises SchemaError naming the field, a
-    bad coefficient literal one naming the literal.  Exponents get the
-    check of ``MultiPoly.build`` after every shape and literal check: the
-    first bad exponent is raised once all terms have been read.  Repeated
-    exponents are summed and zero coefficients dropped, over one running
-    denominator."""
+    bad coefficient literal one naming the literal and its path.
+    Exponents get the check of ``MultiPoly.build`` after every shape and
+    literal check: the first bad exponent is raised once all terms have
+    been read.  Repeated exponents are summed and zero coefficients
+    dropped, over one running denominator."""
     p = _need(obj, key, at)
     if (
         isinstance(p, dict)
@@ -170,7 +185,10 @@ def _poly(obj: dict, key: str, at: str = "") -> MultiPoly:
                 and isinstance(c, str)
             ):
                 break
-            num, q = rational_from_str(c)
+            try:
+                num, q = rational_from_str(c)
+            except SchemaError as exc:  # each term before this one is well formed
+                _raise_at(exc, (t["c"] for t in p["terms"]), f"{at}{key}.terms[{{}}].c")
             if bad is not None:
                 continue
             e = tuple(e)
@@ -194,27 +212,37 @@ def _poly(obj: dict, key: str, at: str = "") -> MultiPoly:
     )
 
 
+def _rows_over(values: list[list[tuple[int, int]]], den: int) -> tuple[tuple, int]:
+    """``(rows, d)``: values read as ``(p, q)`` pairs, as integer rows over
+    the least multiple ``d`` of ``den`` over which they are integral.  That
+    is the lcm L of ``den`` and every q, over the gcd of L // den and every
+    numerator."""
+    d = lcm(den, *[q for w in values for _, q in w])
+    rows = [tuple([p * (d // q) for p, q in w]) for w in values]
+    if d != den:
+        g = gcd(d // den, *chain.from_iterable(rows))
+        if g != 1:
+            d //= g
+            rows = [tuple([x // g for x in r]) for r in rows]
+    return tuple(rows), d
+
+
 def _spec(obj: dict, key: str, group: ValueGroup, at: str = "") -> MonomialValuationSpec:
     """The spec field ``key`` (a problem's spec or a chain's ground), its
     weights read straight into integer rows over one denominator."""
     spec = _need(obj, key, at)
     at = f"{at}{key}."
     names = _names(spec, "vars", at=at)
-    weights = _values(spec, "weights", group, each=_pairs, at=at)
-    den = lcm(*[q for w in weights for _, q in w])
-    rows = [[num * (den // q) for num, q in w] for w in weights]
-    g = gcd(den, *chain.from_iterable(rows))
-    if g != 1:
-        den //= g
-        rows = [[x // g for x in r] for r in rows]
-    return MonomialValuationSpec._of_rows(names, tuple(map(tuple, rows)), den, group)
+    rows, den = _rows_over(_values(spec, "weights", group, each=_pairs, at=at), 1)
+    return MonomialValuationSpec._of_rows(names, rows, den, group)
 
 
 def chain_from_json(obj: dict, group: ValueGroup) -> KeyPolyChain:
     """The key-polynomial chain of a problem, its ``chain`` field; a
     malformed ground, x or entries field raises SchemaError naming its
-    path.  The ground's weights are read straight into integer rows, and
-    each beta into one value."""
+    path.  The ground's weights and the betas are read straight into
+    integer rows, the betas over the least multiple of the ground's
+    denominator that holds them all."""
     at = "chain."
     spec = _spec(obj, "ground", group, at)
     x = _need(obj, "x", at)
@@ -232,12 +260,13 @@ def chain_from_json(obj: dict, group: ValueGroup) -> KeyPolyChain:
                 f'{at}entries[{k}] must be a {{"Q": ..., "beta": ...}} object, not {quote(e)}'
             )
     vars_ = spec.vars + (x,)
-    pairs = []
+    qs, betas = [], []
     for k, e in enumerate(entries):
         where = f"{at}entries[{k}]."
-        q = _poly(e, "Q", where).with_vars(vars_)
-        pairs.append((q, _value(e["beta"], group, where + "beta")))
-    return KeyPolyChain(ground=spec, x=x, entries=pairs)
+        qs.append(_poly(e, "Q", where).with_vars(vars_))
+        betas.append(_pairs(e["beta"], group, where + "beta"))
+    betas, den = _rows_over(betas, spec.frame().den)
+    return KeyPolyChain._of_rows(spec, x, qs, betas, den)
 
 
 def _exponent(e, what: str) -> tuple[int, ...]:
@@ -376,7 +405,10 @@ def _parse_uniformize_problem(inp: dict, group: ValueGroup) -> UniformizingProbl
     if kind == "algebraic":
         # residues read from JSON lie over Q
         minpoly = _names(res, "minpoly", "rational strings", f"{at}residue.")
-        residue = tuple(Fraction(*rational_from_str(c)) for c in minpoly)
+        try:
+            residue = tuple([Fraction(*rational_from_str(c)) for c in minpoly])
+        except SchemaError as exc:
+            _raise_at(exc, minpoly, at + "residue.minpoly[{}]")
     v_names = _names(prob, "v_vars", at=at) if "v_vars" in prob else ()
     v_weights = (
         _values(prob, "v_weights", group, nullable=True, at=at)

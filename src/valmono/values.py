@@ -347,7 +347,11 @@ def _positive(row: Sequence[int]) -> bool:
 
 def _order(a: Sequence[int], b: Sequence[int]) -> int:
     """The sign (-1, 0 or 1) of ``a - b`` for two integer rows over one
-    denominator: the order of the values they stand for."""
+    denominator: the order of the values they stand for.  Rank-1 rows are
+    two rationals over one denominator, compared as integers."""
+    if len(a) == 1:
+        x, y = a[0], b[0]
+        return (x > y) - (x < y)
     return _sign(list(map(sub, a, b)))
 
 

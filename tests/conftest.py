@@ -8,26 +8,23 @@ import os
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
-from operator import sub
+from math import lcm
+from operator import add, sub
 from pathlib import Path
 from typing import Optional, Sequence
 
 import pytest
 
-from valmono.errors import InvalidInputError, ValmonoError, ZeroPolynomialError
+from valmono.errors import (
+    InvalidInputError,
+    NonMonicDivisorError,
+    ValmonoError,
+    ZeroPolynomialError,
+)
 from valmono.framing import Frame, FramedStep, TranslationItem, _push_exponents, translation_root
 from valmono.game import MonomialValuationSpec, _greedy_center, reduced_parts
 from valmono.keypoly import KeyPolyChain
-from valmono.polyalg import (
-    FieldTower,
-    MultiPoly,
-    QQ,
-    _expand_rows,
-    _monic_rows,
-    _row_ops,
-    _split_rows,
-    taylor_shift,
-)
+from valmono.polyalg import FieldTower, MultiPoly, QQ, _map, _row_ops, _times, taylor_shift
 from valmono.values import Value, ValueGroup, _rows_of, _sign, compare, rational_from_str, value_of_exponent
 
 getcontext().prec = 80
@@ -194,7 +191,10 @@ def random_chain(rng: random.Random) -> KeyPolyChain:
 # for ``PushPath.blow_up``, ``PushPath.translate`` and ``PushPath.push``,
 # and ``extend_path`` grows a path along hand-made steps with it.
 # ``ValueChainRows`` is the truncation recursion of ``keypoly._ChainRows``
-# as it ran on ``Value``s before its values became integer rows.
+# as it ran on ``Value``s before its values became integer rows, on the
+# row kernel of ``polyalg`` as it ran before its keys were packed: the
+# ``tuple_*`` functions below, rows keyed by x-free exponent tuples.  They
+# are the oracle of the packed kernel.
 
 
 def active_indices(frame) -> tuple[int, ...]:
@@ -494,6 +494,121 @@ def initial_form(f: MultiPoly, spec: MonomialValuationSpec) -> MultiPoly:
     return MultiPoly(f.vars, keep, f.tower, f.den)
 
 
+# -- the tuple-keyed row kernel ----------------------------------------------
+
+
+def tuple_split_rows(f: MultiPoly, xi: int) -> dict:
+    """The rows of f's coordinates, over ``f.den``, keyed by the x-free
+    exponent tuples."""
+    rows: dict = {}
+    for e, c in f.terms.items():
+        rows.setdefault(e[xi], {})[e[:xi] + e[xi + 1:]] = c
+    return rows
+
+
+def tuple_join_rows(rows: dict, xi: int, like: MultiPoly) -> MultiPoly:
+    terms = {}
+    for k, row in rows.items():
+        for e, c in row.items():
+            terms[e[:xi] + (k,) + e[xi:]] = c
+    return MultiPoly(like.vars, terms, like.tower, like.den)
+
+
+def tuple_monic_rows(g: MultiPoly, x: str, least: int = 0) -> tuple[int, dict]:
+    """x-degree and negated lower rows of a divisor monic in x of x-degree
+    at least ``least``, over ``g.den`` as Fractions when it is not 1."""
+    rows = tuple_split_rows(g, g.var_index(x))
+    d = max(rows, default=-1)
+    lead = rows.pop(d, None)
+    if d < least or lead != {(0,) * (len(g.vars) - 1): _times(g.tower.one(), g.den)}:
+        raise NonMonicDivisorError("non-monic divisor")
+    den = g.den
+    neg = _row_ops(g.tower)[2] if den == 1 else (lambda c: _map(c, lambda n: Fraction(-n, den)))
+    return d, {j: {e: neg(c) for e, c in row.items()} for j, row in rows.items()}
+
+
+def tuple_add_product(r: dict, c: dict, s: int, g_rows: dict, ops: tuple) -> None:
+    """r += c * x^s * g in place, no zero coefficient and no empty row left."""
+    mul, plus, _, is_zero = ops
+    for j, g_row in g_rows.items():
+        row = r.setdefault(s + j, {})
+        for e2, c2 in g_row.items():
+            for e1, c1 in c.items():
+                e = tuple(map(add, e1, e2))
+                p = mul(c1, c2) if e not in row else plus(row[e], mul(c1, c2))
+                if not is_zero(p):
+                    row[e] = p
+                else:
+                    row.pop(e, None)
+        if not row:
+            del r[s + j]
+
+
+def tuple_divide_rows(r: dict, d: int, neg_low: dict, ops: tuple) -> dict:
+    """Long division of ``r`` by a monic divisor of x-degree ``d``: ``r``
+    becomes the remainder in place, the quotient rows are returned."""
+    quo = {}
+    for k in range(max(r, default=-1), d - 1, -1):
+        c = r.pop(k, None)
+        if c:
+            quo[k - d] = c
+            tuple_add_product(r, c, k - d, neg_low, ops)
+    return quo
+
+
+def tuple_expand_rows(r: dict, d: int, neg_low: dict, ops: tuple) -> list[dict]:
+    """The Q-adic digits of ``r`` (consumed) by repeated long division."""
+    digits = []
+    while True:
+        quo = tuple_divide_rows(r, d, neg_low, ops)
+        digits.append(r)
+        if not quo:
+            return digits
+        r = quo
+
+
+def tuple_euclid_divide(f: MultiPoly, g: MultiPoly, x: str) -> tuple[MultiPoly, MultiPoly]:
+    xi = f.var_index(x)
+    r = tuple_split_rows(f, xi)
+    q = tuple_divide_rows(r, *tuple_monic_rows(g, x), _row_ops(f.tower))
+    return tuple_join_rows(q, xi, f), tuple_join_rows(r, xi, f)
+
+
+def tuple_q_adic_expansion(f: MultiPoly, Q: MultiPoly, x: str) -> list[MultiPoly]:
+    xi = f.var_index(x)
+    rows = tuple_split_rows(f, xi)
+    digits = tuple_expand_rows(rows, *tuple_monic_rows(Q, x, 1), _row_ops(f.tower))
+    return [tuple_join_rows(r, xi, f) for r in digits]
+
+
+def tuple_reassembles(f: MultiPoly, Q: MultiPoly, digits: Sequence[MultiPoly], x: str) -> bool:
+    """Whether sum digits[j] * Q^j is f, by Horner's rule on tuple-keyed
+    rows over one denominator."""
+    xi = f.var_index(x)
+    d, neg_low = tuple_monic_rows(Q, x)
+    _, plus, neg, is_zero = ops = _row_ops(f.tower)
+    den = lcm(f.den, *[c.den for c in digits])
+    low = {j: {e: neg(c) for e, c in row.items()} for j, row in neg_low.items()}
+    acc: dict = {}
+    for c in reversed(digits):
+        moved = {k + d: row for k, row in acc.items()}
+        for k in sorted(acc):
+            tuple_add_product(moved, acc[k], k, low, ops)
+        acc = moved
+        for k, row in tuple_split_rows(c, xi).items():
+            into = acc.setdefault(k, {})
+            for e, v in row.items():
+                v = plus(into[e], _times(v, den // c.den)) if e in into else _times(v, den // c.den)
+                if is_zero(v):
+                    del into[e]
+                else:
+                    into[e] = v
+            if not into:
+                del acc[k]
+    lift = den // f.den
+    return acc == {k: {e: _times(v, lift) for e, v in row.items()} for k, row in tuple_split_rows(f, xi).items()}
+
+
 class ValueChainRows:
     """The truncation recursion on ``Value``s, as ``keypoly._ChainRows`` ran
     it before its values became integer rows: the same digit rows, but
@@ -508,7 +623,8 @@ class ValueChainRows:
         self.ops = _row_ops(chain.Q(1).tower)
 
     def expand(self, rows, i: int):
-        return _expand_rows(rows, *_monic_rows(self.chain.Q(i), self.chain.x, 1), self.ops)
+        Q = self.chain.Q(i)
+        return tuple_expand_rows(rows, *tuple_monic_rows(Q, self.chain.x, 1), self.ops)
 
     def ground_value(self, exponents) -> Value:
         best = None
@@ -549,7 +665,7 @@ def value_truncation(f: MultiPoly, chain: KeyPolyChain, i: int) -> tuple:
     the ``Value`` recursion of ``ValueChainRows``."""
     f = f.with_vars(chain.all_vars)
     oracle = ValueChainRows(chain)
-    terms = oracle.term_values(oracle.expand(_split_rows(f, len(chain.ground.vars)), i), i)
+    terms = oracle.term_values(oracle.expand(tuple_split_rows(f, len(chain.ground.vars)), i), i)
     delta, best = value_least(terms)
     above = [(j, v) for j, v in terms if j > delta]
     epsilon = None

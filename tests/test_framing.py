@@ -235,8 +235,9 @@ def test_blow_up_checks_its_center_and_spends_the_budget():
 
 def test_blow_up_decides_each_sign_once(monkeypatch):
     """One blow-up makes |J| - 1 sign decisions, one per column after the
-    first, each one ``_order`` of two rows and so one ``values._sign``, and
-    calls no compare and builds no Value."""
+    first, each one ``_order`` of two rows, and calls no compare and builds
+    no Value.  Each ``_order`` calls ``values._sign`` once on ranks 2 and
+    4, and not at all on rank 1, where it compares two integers."""
     rng = random.Random(23)
     cases = []
     for rank in (1, 2, 4):
@@ -245,7 +246,7 @@ def test_blow_up_decides_each_sign_once(monkeypatch):
             n = rng.randint(2, 6)
             pool = [[rng.randint(0, 4) for _ in range(rank)] for _ in range(2)]
             frame = Frame(tuple(f"u{i}" for i in range(n)), tuple(g.value(rng.choice(pool)) for _ in range(n)))
-            cases.append((frame, tuple(sorted(rng.sample(range(n), rng.randint(2, n))))))
+            cases.append((rank, frame, tuple(sorted(rng.sample(range(n), rng.randint(2, n))))))
     counts = Counter()
 
     def counted(name, fn):
@@ -257,11 +258,12 @@ def test_blow_up_decides_each_sign_once(monkeypatch):
     monkeypatch.setattr(values, "compare", counted("compare", values.compare))
     monkeypatch.setattr(Value, "__init__", counted("Value", Value.__init__))
     ties = 0
-    for frame, J in cases:
+    for rank, frame, J in cases:
         counts.clear()
         path = PushPath(frame)
         ties += bool(path.blow_up(J).J_times)
-        assert counts == Counter({"_order": len(J) - 1, "values._sign": len(J) - 1})
+        signs = 0 if rank == 1 else len(J) - 1
+        assert counts == Counter({"_order": len(J) - 1, "values._sign": signs})
     assert ties > 5
 
 

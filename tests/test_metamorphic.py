@@ -34,7 +34,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
 import corpus  # noqa: E402  (bench/ is not a package)
 
-from valmono import keypoly, values  # noqa: E402
+from valmono import keypoly, trace  # noqa: E402
 
 FACTOR = Fraction(7, 3)
 
@@ -156,17 +156,20 @@ def test_scaling_every_value_scales_the_truncated_value(expand_pool):
         assert a["truncated_value"] == want
 
 
-def _rows_over_their_own_denominators(weights, den=1, group=None):
-    """``values._rows_of`` with a defect: each row keeps the denominator
-    of its own value, so rows over two denominators are ordered as if
-    they shared the common one."""
-    _, den, group = values._rows_of(weights, den, group)
-    return tuple(None if w is None else w.nums for w in weights), den, group
+_ROWS_OVER = trace._rows_over
+
+
+def _rows_over_their_own_denominators(values, den):
+    """``trace._rows_over``, where a JSON chain's betas become rows, with a
+    defect: each row keeps the denominator of its own value, so rows over
+    two denominators are ordered as if they shared the common one."""
+    _, den = _ROWS_OVER(values, den)
+    return tuple(_ROWS_OVER([w], 1)[0][0] for w in values), den
 
 
 def test_the_scaling_relation_sees_rows_over_two_denominators(monkeypatch, chains_pool):
     problems = [p for p in chains_pool[:300] if "chain" in p]
-    monkeypatch.setattr(keypoly, "_rows_of", _rows_over_their_own_denominators)
+    monkeypatch.setattr(trace, "_rows_over", _rows_over_their_own_denominators)
     breaks, _ = _chains_breaks(problems)
     assert len(breaks) > 10, breaks
 

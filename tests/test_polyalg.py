@@ -9,7 +9,20 @@ from math import comb, gcd
 
 import pytest
 
-from conftest import poly, poly_power, random_poly, schoolbook_mul, substitute_variable, tower_elem
+from conftest import (
+    poly,
+    poly_power,
+    random_poly,
+    rational_spec,
+    schoolbook_mul,
+    substitute_variable,
+    tower_elem,
+    tuple_euclid_divide,
+    tuple_q_adic_expansion,
+    tuple_reassembles,
+    value_truncation,
+)
+from valmono import keypoly, polyalg
 from valmono.errors import InvalidInputError, NonMonicDivisorError, ReducibleDefinerError, SchemaError
 from valmono.polyalg import (
     FieldTower,
@@ -23,9 +36,12 @@ from valmono.polyalg import (
     q_adic_expansion,
     taylor_shift,
 )
+from valmono.keypoly import KeyPolyChain, truncate
 from valmono.trace import _poly
+from valmono.values import ValueGroup
 
 UV = ("u", "x")
+G1 = ValueGroup(1)
 
 
 def test_euclid_divide_examples():
@@ -793,3 +809,140 @@ def test_polynomials_built_along_different_paths_are_equal():
         )
         assert fractions == tw and hash(fractions) == hash(tw) and repr(fractions) == repr(tw)
         assert (tw == None) is False and tw != tw.extensions
+
+
+# -- the packed row kernel against the tuple-keyed one ----------------------
+
+
+def _full_exponents(p: MultiPoly) -> bool:
+    """Whether every exponent of p is a tuple of ints, one per variable."""
+    n = len(p.vars)
+    return all(type(e) is tuple and len(e) == n and all(type(v) is int for v in e) for e in p.terms)
+
+
+def _packed_case(rng, m: int, lower: int = 3, top: int = 3) -> tuple:
+    """(f, [Q_1, ...], chain) over m ground variables, x at a random place:
+    f of x-degree up to 9, and one to three Q_i monic in x of x-degree 1,
+    2, 4 with integer coefficients whose lower rows have fields up to
+    ``lower``, in a chain of rank-1 ground weights and betas."""
+    ground = tuple(f"u{i}" for i in range(1, m + 1))
+    vars_ = list(ground)
+    vars_.insert(rng.randint(0, m), "x")
+    xi = vars_.index("x")
+
+    def mono(k, most):
+        e = [rng.randint(0, most) for _ in vars_]
+        e[xi] = k
+        return tuple(e)
+
+    f = {mono(rng.randint(0, 9), top): Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 3))
+         for _ in range(rng.randint(1, 6))}
+    qs = []
+    for d in (1, 2, 4)[: rng.randint(1, 3)]:
+        low = {mono(rng.randint(0, d - 1), lower): rng.choice([-2, -1, 1, 3]) for _ in range(rng.randint(1, 3))}
+        qs.append(poly(vars_, {**low, mono(d, 0): 1}))
+    f = poly(vars_, f)
+    return f, qs, _chain_of(ground, qs, rng)
+
+
+def _chain_of(ground, qs, rng=None) -> KeyPolyChain:
+    rng = rng or random.Random(0)
+    weights = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in ground]
+    betas = [Fraction(3 * i + rng.randint(0, 2), rng.randint(1, 3)) for i in range(1, len(qs) + 1)]
+    entries = [(q, G1.rational(b)) for q, b in zip(qs, betas)]
+    return KeyPolyChain(rational_spec(weights, ground), "x", entries)
+
+
+def _exact_bound_cases() -> list[tuple]:
+    """Cases whose remainder or level-1 digit 0 has a field of exactly
+    F + D L, the bound ``polyalg._radix`` proves for f = u^F x^D and a
+    divisor x - u^L: u1 with a free u2 above it, and u2 between u1 and
+    the free u3."""
+    cases = []
+    for ground, u in ((("u1", "u2"), "u1"), (("u1", "u2", "u3"), "u2")):
+        vars_ = ground + ("x",)
+
+        def mono(k, d):  # u^k x^d
+            return tuple(k if v == u else d if v == "x" else 0 for v in vars_)
+
+        f = poly(vars_, {mono(7, 5): 1})
+        q = poly(vars_, {mono(0, 1): 1, mono(3, 0): -1})
+        cases.append((f, [q], _chain_of(ground, [q])))
+    return cases
+
+
+def _packed_cases() -> list[tuple]:
+    """Seeded cases over 1-3 ground variables, then one with a lower field
+    above 2^64 for each, then the exact-bound ones (last)."""
+    rng = random.Random(97)
+    cases = [_packed_case(rng, 1 + k % 3) for k in range(90)]
+    cases += [_packed_case(rng, m, lower=2**64 + 5, top=2**64 + 9) for m in (1, 2, 3)]
+    return cases + _exact_bound_cases()
+
+
+def _packed_mismatches(cases) -> tuple[int, list[int]]:
+    """(checks, indices of the cases where it differs): ``euclid_divide``,
+    ``q_adic_expansion`` and ``reassembles`` (on the digits, and on one
+    digit bumped) by each Q_i, and ``truncate`` at each level, against the
+    tuple-keyed kernel and the ``Value`` oracle of ``tests/conftest.py``.
+    Every polynomial returned has full-length tuple exponents."""
+    checks, bad = 0, []
+    for k, (f, qs, chain) in enumerate(cases):
+        got, want = [], []
+        for q in qs:
+            digits = q_adic_expansion(f, q, "x")
+            bump = MultiPoly.monomial(f.vars, [1] * len(f.vars))
+            bumped = [digits[0] + bump, *digits[1:]]
+            got += [
+                euclid_divide(f, q, "x"),
+                digits,
+                _reassembles(f, q, digits, "x"),
+                _reassembles(f, q, bumped, "x"),
+            ]
+            want += [
+                tuple_euclid_divide(f, q, "x"),
+                tuple_q_adic_expansion(f, q, "x"),
+                tuple_reassembles(f, q, digits, "x"),
+                tuple_reassembles(f, q, bumped, "x"),
+            ]
+            assert all(map(_full_exponents, [*got[-4], *digits]))
+        g = f.with_vars(chain.all_vars)
+        for i in range(1, len(chain) + 1):
+            t = truncate(f, chain, i)
+            got.append((t.expansion.coefficients, t.terms, t.value, t.delta, t.epsilon))
+            coefficients = tuple(tuple_q_adic_expansion(g, chain.Q(i), "x"))
+            want.append((coefficients, *value_truncation(f, chain, i)))
+            assert all(map(_full_exponents, t.expansion.coefficients))
+        checks += len(got)
+        if got != want:
+            bad.append(k)
+    return checks, bad
+
+
+def test_the_packed_kernel_matches_the_tuple_kernel():
+    cases = _packed_cases()
+    assert {len(f.vars) - 1 for f, _, _ in cases} == {1, 2, 3}
+    assert _packed_mismatches(cases) == (910, [])
+    # each exact-bound case packs with a radix one above its largest field
+    for f, (q,), _ in _exact_bound_cases():
+        xi = f.vars.index("x")
+        _, r = euclid_divide(f, q, "x")
+        (e,) = r.terms
+        assert polyalg._radix([f], [q], xi, f.degree_in("x")) == max(e) + 1 == 23
+
+
+def test_the_packed_sweep_fails_with_a_radix_one_below_the_bound(monkeypatch):
+    """The mutation self-test of the sweep above: a radix one below the
+    proven bound carries a field into the next one, and each exact-bound
+    case then differs from the tuple kernel."""
+    radix = polyalg._radix
+
+    def below(*args):
+        r = radix(*args)
+        return None if r is None else r - 1
+
+    monkeypatch.setattr(polyalg, "_radix", below)
+    monkeypatch.setattr(keypoly, "_radix", below)
+    cases = _packed_cases()
+    _, bad = _packed_mismatches(cases)
+    assert {len(cases) - 2, len(cases) - 1} <= set(bad)

@@ -629,6 +629,28 @@ def test_cli_unwritable_out_fails_before_any_problem_runs(tmp_path, monkeypatch,
     assert capsys.readouterr().err == f"error: cannot write {target}: {reason}\n"
 
 
+def test_each_cli_refusal_exits_2_in_process(tmp_path, capsys):
+    """The refusals that the tests above see in child interpreters, made
+    here through ``cli.main`` in this one: a file that is not UTF-8, a
+    missing file, ``--jobs 0`` and ``--budget -1``, each with exit 2, one
+    exact line on stderr and nothing on stdout."""
+    from valmono import cli
+
+    UNDECODABLE = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    pf, raw, missing = tmp_path / "p.json", tmp_path / "bytes.json", tmp_path / "missing.json"
+    pf.write_text(json.dumps(pair_problem()))
+    raw.write_bytes(b"\xff\xfe[")
+    cases = [
+        (["run", str(raw)], f"cannot read {raw}: {UNDECODABLE}"),
+        (["run", str(missing)], f"cannot read {missing}: No such file or directory"),
+        (["run", str(pf), "--jobs", "0"], "--jobs must be at least 1, not 0"),
+        (["run", str(pf), "--budget", "-1"], "--budget must not be negative, not -1"),
+    ]
+    for argv, message in cases:
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+
+
 def test_cli_write_fault_after_the_run_exits_2(tmp_path, monkeypatch, capsys):
     from valmono import cli
 
@@ -1000,6 +1022,50 @@ def test_bad_rational_is_schema_error(literal):
         assert repr(literal) in str(err.value)
 
 
+def _planted(problem: dict, path: tuple, literal) -> dict:
+    """``problem`` with the field at ``path`` set to ``literal``."""
+    target = problem
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = literal
+    return problem
+
+
+# each case: a problem and where in it a bad literal goes
+LITERAL_PATHS = [
+    (lambda: _expand_problem(), ("chain", "entries", 1, "beta", "coords", 0)),
+    (lambda: _expand_problem(), ("chain", "entries", 1, "Q", "terms", 1, "c")),
+    (lambda: _expand_problem(), ("chain", "ground", "weights", 0, "coords", 0)),
+    (lambda: _expand_problem(), ("poly", "terms", 0, "c")),
+    (pair_problem, ("spec", "weights", 1, "coords", 1)),
+    (cusp_uniformize_problem, ("problem", "residue", "minpoly", 1)),
+    (cusp_uniformize_problem, ("problem", "beta_n", "coords", 0)),
+    (cusp_uniformize_problem, ("problem", "w_weights", 0, "coords", 0)),
+]
+
+
+def _json_path(path: tuple) -> str:
+    """``path`` written as the messages write it: ``a.b[1].c``."""
+    return "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path)[1:]
+
+
+@pytest.mark.parametrize("make, path", LITERAL_PATHS, ids=[_json_path(c[1]) for c in LITERAL_PATHS])
+def test_a_bad_literal_names_its_json_path(make, path):
+    for literal in ("1/0", "x"):
+        with pytest.raises(SchemaError) as err:
+            run_problem(_planted(make(), path, literal))
+        assert str(err.value) == f"bad rational {literal!r} at {_json_path(path)}"
+    assert _json_path(("chain", "entries", 1, "beta", "coords", 0)) == "chain.entries[1].beta.coords[0]"
+
+
+def test_of_two_bad_literals_the_first_is_named():
+    problem = pair_problem()
+    problem["spec"]["weights"][1]["coords"] = ["x", "1/0"]
+    with pytest.raises(SchemaError) as err:
+        run_problem(problem)
+    assert str(err.value) == "bad rational 'x' at spec.weights[1].coords[0]"
+
+
 @pytest.mark.parametrize("literal", BAD_RATIONALS)
 def test_cli_bad_rational_exits_2(tmp_path, literal):
     pf = tmp_path / "p.json"
@@ -1042,7 +1108,10 @@ def test_messages_quote_at_most_a_bounded_part_of_the_input(case):
     with pytest.raises(SchemaError) as err:
         run_problem(HUGE_FIELDS[case]())
     message = str(err.value)
-    assert len(message) < 160 and message.endswith("…"), message
+    # a bad literal's message ends with its path, after the quote
+    quoted = message.removesuffix(" at spec.weights[1].coords[0]")
+    assert len(message) < 160 and quoted.endswith("…"), message
+    assert (quoted != message) == (case == "literal")
 
 
 def test_a_huge_variable_name_is_quoted_short():
@@ -1892,7 +1961,10 @@ SEVERAL_FAULTS = [
     (_faulty_pair(["a", "a"], [["0", "0"], ["1", "0"]]), ("invalid input", "variables must be distinct")),
     (_faulty_pair(["a", "b"], [["1", "1"], ["1", "-1"]]), ("weights must be positive",) * 2),
     # every schema error comes before the first bad exponent
-    (_faulty_poly([([1], "1"), ([0, 1], "1/0")]), (SchemaError, "bad rational '1/0'")),
+    (
+        _faulty_poly([([1], "1"), ([0, 1], "1/0")]),
+        (SchemaError, "bad rational '1/0' at poly.terms[1].c"),
+    ),
     (
         _faulty_poly([([1, 0], "1"), ([1], "1"), ([-1, 0], "2")]),
         ("invalid input", "exponent length must match the variable count"),
@@ -1936,7 +2008,8 @@ POLY_CASES = {
     "bad-shape-after-negative-exponent": (
         [{"e": [-1, 0], "c": "1"}, {"e": [0, 1]}], (SchemaError, None)),
     "bad-literal-after-length-mismatch": (
-        [{"e": [1], "c": "1"}, {"e": [0, 1], "c": "1/x"}], (SchemaError, "bad rational '1/x'")),
+        [{"e": [1], "c": "1"}, {"e": [0, 1], "c": "1/x"}],
+        (SchemaError, "bad rational '1/x' at poly.terms[1].c")),
     "length-mismatch-before-negative-exponent": (
         [{"e": [0, 1, 0], "c": "1"}, {"e": [-1, 0], "c": "2"}],
         (InvalidInputError, "exponent length must match the variable count")),

@@ -386,6 +386,23 @@ def test_sign_kernel_on_mixed_sign_vectors(refinement_bits):
     assert max(refinement_bits) > 64
 
 
+def test_rank_one_order_is_the_sign_of_the_difference():
+    """``_order`` on rank-1 rows compares two integers; it agrees with
+    ``_sign`` of the difference, for zero, equal rows, small ints either
+    way and ints of 5000 digits, as tuples and as lists."""
+    rng = random.Random(20261020)
+    huge = 10**4999
+    ints = [0, 1, -1, 2, -7, huge, -huge, huge + 1, -huge - 1, 3 * huge]
+    ints += [rng.randint(-(10**6), 10**6) for _ in range(40)]
+    ints += [rng.randint(-10 * huge, 10 * huge) for _ in range(20)]
+    pairs = [(a, b) for a in ints for b in rng.sample(ints, 12)] + [(a, a) for a in ints]
+    for a, b in pairs:
+        want = values._sign([a - b])
+        assert values._order((a,), (b,)) == values._order([a], [b]) == want, (a, b)
+    assert {values._order((a,), (b,)) for a, b in pairs} == {-1, 0, 1}
+    assert huge.bit_length() > 16600  # 5000 decimal digits
+
+
 def test_radicand_cache_grows_out_of_order(monkeypatch):
     rng = random.Random(77)
     cases = [_random_pair(rng, 6) for _ in range(40)] + [_random_pair(rng, 2) for _ in range(40)]
