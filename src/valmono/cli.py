@@ -78,8 +78,16 @@ def _batch_text(texts: list[str]) -> str:
 
 def worker_count(jobs: int, items: int, cpus: int | None) -> int:
     """Worker processes for a batch: never more than requested, than there
-    are items, or than the machine has CPUs (at least one)."""
+    are items, or than ``cpus`` (at least one)."""
     return max(1, min(jobs, items, cpus or 1))
+
+
+def _usable_cpus() -> int | None:
+    """The CPUs this process may run on: its affinity set where the OS
+    reports one, the machine's CPU count otherwise (None when unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
 
 
 class _ChildTraceback(Exception):
@@ -184,7 +192,7 @@ def cmd_run(args) -> int:
         payload = _load_json(args.file)
         batch = isinstance(payload, list)
         problems = payload if batch else [payload]
-        workers = worker_count(args.jobs, len(problems), os.cpu_count())
+        workers = worker_count(args.jobs, len(problems), _usable_cpus())
         if workers > 1 and hasattr(os, "fork"):
             results = _run_forked(problems, args.budget, workers)
         else:
@@ -261,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for batch input (at most one per item and per CPU)",
+        help="worker processes for batch input (at most one per item and per CPU it may use)",
     )
     run_p.set_defaults(func=cmd_run)
 

@@ -95,10 +95,6 @@ class FramedStep(namedtuple("FramedStep", "n J j translation_data", defaults=(()
     __slots__ = ()
 
     @property
-    def kind(self) -> str:
-        return "translation" if self.translation_data else "monomial"
-
-    @property
     def J_times(self) -> tuple[int, ...]:
         """The columns tagged as units by this step."""
         return tuple(t.target for t in self.translation_data)
@@ -110,7 +106,7 @@ class FramedStep(namedtuple("FramedStep", "n J j translation_data", defaults=(()
         return self.n - sum(t.minpoly is None for t in self.translation_data)
 
     def to_json(self) -> dict:
-        n, j = self.n, self.j
+        n, j, items = self.n, self.j, self.translation_data
         # M and N are fresh copies of the identity; only row j differs
         eye = _identity(n)
         M, N = list(map(list, eye)), list(map(list, eye))
@@ -118,21 +114,25 @@ class FramedStep(namedtuple("FramedStep", "n J j translation_data", defaults=(()
         for q in self.J:
             if q != j:
                 m[q], e[q] = -1, 1
+        J = [i + 1 for i in self.J]
+        if not items:  # a monomial step tags no unit and keeps every column
+            return {
+                "J": J, "j": j + 1, "kind": "monomial", "M": M, "N": N, "Jx": [],
+                "n_before": n, "n_after": n, "D1": list(range(1, n + 1)),
+            }
         jx = self.J_times
-        rec = {
-            "J": [i + 1 for i in self.J],
+        return {
+            "J": J,
             "j": j + 1,
-            "kind": self.kind,
+            "kind": "translation",
             "M": M,
             "N": N,
             "Jx": [i + 1 for i in jx],
             "n_before": n,
             "n_after": self.n_after,
             "D1": [i + 1 for i in range(n) if i not in jx],
+            "translations": [t.to_json() for t in items],
         }
-        if self.translation_data:
-            rec["translations"] = [t.to_json() for t in self.translation_data]
-        return rec
 
 
 # n -> the n x n identity as rows of tuples, for n up to _IDENTITY_LIMIT;
@@ -159,9 +159,15 @@ class Frame:
     units, tower)`` takes the weights as :class:`Value` objects and puts
     them over the lcm of their denominators; ``row(i)`` gives one row, and
     ``weights`` builds the values back on first use.  Frames are equal when
-    their names, weight values, units and towers are."""
+    their names, weight values, units and towers are.
 
-    __slots__ = ("names", "rows", "den", "group", "units", "tower", "_weights")
+    ``lits[i]`` is the row of lowest-terms literals that ``to_json``
+    writes for weight ``i``, or None until it is made; ``to_json`` makes
+    only the rows it lacks.  A literal depends on the value alone, so a
+    frame after a step keeps the literal rows of the columns it did not
+    change, whatever its denominator."""
+
+    __slots__ = ("names", "rows", "den", "group", "units", "tower", "lits", "_weights")
 
     def __init__(
         self,
@@ -171,19 +177,19 @@ class Frame:
         tower: FieldTower = QQ,
     ):
         rows, den, group = _rows_of(weights)
-        self._set(tuple(names), rows, den, group, frozenset(units), tower)
+        self._set(tuple(names), rows, den, group, frozenset(units), tower, (None,) * len(rows))
         self._weights = tuple(weights)
 
     @classmethod
-    def _of_rows(cls, names, rows, den, group, units, tower) -> "Frame":
+    def _of_rows(cls, names, rows, den, group, units, tower, lits) -> "Frame":
         frame = cls.__new__(cls)
-        frame._set(names, rows, den, group, units, tower)
+        frame._set(names, rows, den, group, units, tower, lits)
         frame._weights = None
         return frame
 
-    def _set(self, names, rows, den, group, units, tower) -> None:
+    def _set(self, names, rows, den, group, units, tower, lits) -> None:
         self.names, self.rows, self.den, self.group = names, rows, den, group
-        self.units, self.tower = units, tower
+        self.units, self.tower, self.lits = units, tower, lits
 
     @property
     def n(self) -> int:
@@ -220,13 +226,17 @@ class Frame:
         return f"Frame({self.names!r}, {self.weights!r}, {self.units!r}, {self.tower!r})"
 
     def to_json(self) -> dict:
-        den = self.den
+        lits = self.lits
+        if None in lits:
+            # each literal in lowest terms, as Value.to_json writes it
+            den = self.den
+            lits = self.lits = tuple([
+                lit if lit is not None or r is None else tuple([_literal(x, den) for x in r])
+                for r, lit in zip(self.rows, lits)
+            ])
         out = {
             "vars": list(self.names),
-            # each literal in lowest terms, as Value.to_json writes it
-            "weights": [
-                None if r is None else {"coords": [_literal(x, den) for x in r]} for r in self.rows
-            ],
+            "weights": [None if lit is None else {"coords": list(lit)} for lit in lits],
             "units": [i + 1 for i in sorted(self.units)],
         }
         if self.tower.depth:
@@ -328,11 +338,12 @@ class PushPath:
             ri = rows[i] or frame.row(i)
             if _order(ri, rj) < 0:
                 j, rj = i, ri
-        rows = list(rows)
+        rows, lits = list(rows), list(frame.lits)
         ties = []
         for i in J:
             if i != j:
                 d = rows[i] = tuple(map(sub, rows[i], rj))
+                lits[i] = None
                 if not any(d):
                     ties.append(i)
         if ties:
@@ -343,7 +354,7 @@ class PushPath:
         self._spend()
         self.steps.append(step)
         self.frames.append(Frame._of_rows(
-            frame.names, tuple(rows), frame.den, frame.group, units, frame.tower,
+            frame.names, tuple(rows), frame.den, frame.group, units, frame.tower, tuple(lits),
         ))
         return step
 
@@ -376,13 +387,13 @@ class PushPath:
         # the frame's rows and the new weight's over the lcm of their denominators
         (row,), den, group = _rows_of((new_weight,), frame.den, frame.group)
         scale = den // frame.den
-        rows = list(frame.rows)
+        rows, lits = list(frame.rows), list(frame.lits)
         if scale != 1:
             rows = [None if r is None else tuple(x * scale for x in r) for r in rows]
-        rows[column] = row
+        rows[column], lits[column] = row, None
         self.steps.append(FramedStep(frame.n, (column,), column, (item,)))
         self.frames.append(Frame._of_rows(
-            tuple(names), tuple(rows), den, group, frame.units - {column}, tower,
+            tuple(names), tuple(rows), den, group, frame.units - {column}, tower, tuple(lits),
         ))
         return item
 

@@ -20,6 +20,7 @@ residues of these units are transcendental, so the tagging is exact.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import compress
 from operator import le, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -52,11 +53,12 @@ class MonomialValuationSpec:
         self.vars, self._frame = vars, Frame(vars, weights)
 
     @classmethod
-    def _of_rows(cls, vars, rows, den, group) -> "MonomialValuationSpec":
+    def _of_rows(cls, vars, rows, den, group, lits) -> "MonomialValuationSpec":
         """The spec of integer rows in lowest terms over ``den > 0``, with
-        the constructor's checks; no :class:`Value` is built."""
+        the constructor's checks; no :class:`Value` is built.  ``lits``
+        are the frame's literal rows (``Frame._of_rows``)."""
         _check_vars(vars, len(rows))
-        frame = Frame._of_rows(tuple(vars), rows, den, group, frozenset(), QQ)
+        frame = Frame._of_rows(tuple(vars), rows, den, group, frozenset(), QQ, lits)
         if not frame.all_positive():
             raise PositiveWeightError("weights must be positive")
         spec = cls.__new__(cls)
@@ -115,16 +117,19 @@ def _greedy_center(at: Sequence[int], gt: Sequence[int]) -> tuple[int, ...]:
     reaches |at|.  ``PushPath.blow_up`` picks the vertex.
 
     The gt-sum always gets there: ``_descend`` swaps the sides so that
-    ``1 <= |at| <= |gt|``, and the loop may take every positive gt_i."""
+    ``1 <= |at| <= |gt|``, so the loop stops before a zero gt_i.  A
+    descending sort is stable, so of equal gt_i the smaller index comes
+    first."""
     target = sum(at)
-    J = [i for i, a in enumerate(at) if a > 0]
+    J = list(compress(range(len(at)), at))
     got = 0
-    for g, i in sorted([(-g, i) for i, g in enumerate(gt) if g > 0]):  # g = -gt[i]
+    for i in sorted(range(len(gt)), key=gt.__getitem__, reverse=True):
         if got >= target:
             break
         J.append(i)
-        got -= g
-    return tuple(sorted(J))
+        got += gt[i]
+    J.sort()
+    return tuple(J)
 
 
 class PairResult(namedtuple("PairResult", "alpha gamma alpha_divides gamma_divides")):
@@ -139,11 +144,12 @@ def run_pair_descent(
     """The descent game on alpha and gamma from the path's current frame,
     until one divides the other (units ignored); each blow-up is logged with
     the pair tau it starts from.  Returns the transformed exponents and
-    which of them divides the other in the final frame."""
+    which of them divides the other in the final frame.  The game's first
+    drop ends it: the exponents are final, and the drop is not logged."""
     exps = [alpha, gamma]
     for step, before, _, _ in _descend(exps, path):
         if step is None:
-            continue
+            break
         rec = {
             "tau": list(before[1]),
             "J": [i + 1 for i in step.J],
@@ -151,7 +157,7 @@ def run_pair_descent(
             "alpha": list(exps[0]),
             "gamma": list(exps[1]),
         }
-        if step.J_times:
+        if step.translation_data:
             rec["Jx"] = [i + 1 for i in step.J_times]
         path.record(**rec)
     a, g = exps
@@ -178,22 +184,27 @@ def _best_pair(
     minimal tau; ``active`` is increasing, so that is the least index pair.
 
     With more than two generators, each pair's tau comes from its
-    difference ``d``, unit columns zeroed: ``|at| = (sum|d| + sum d) / 2``
+    difference ``d`` off the unit columns: ``|at| = (sum|d| + sum d) / 2``
     and ``|gt| = (sum|d| - sum d) / 2``, so tau is ``((sum|d| - |sum d|) / 2,
-    (sum|d| + |sum d|) / 2)``.  Only the winning pair is split by
-    ``reduced_parts``."""
+    (sum|d| + |sum d|) / 2)``.  The unit columns are dropped and each
+    generator's degree taken once, so ``sum d`` is a difference of degrees.
+    Pairs are ranked by twice their tau (``sum|d|`` and ``sum d`` have one
+    parity); only the winning pair is split by ``reduced_parts``."""
     pair, best = active, None
     if len(active) > 2:
-        for p, ip in enumerate(active):
-            a = exps[ip]
-            for iq in active[p + 1:]:
-                d = list(map(sub, a, exps[iq]))
-                for i in units:
-                    d[i] = 0
-                size, total = sum(map(abs, d)), abs(sum(d))
-                st = ((size - total) >> 1, (size + total) >> 1)
+        gens = [exps[i] for i in active]
+        if units:
+            kept = [i not in units for i in range(len(gens[0]))]
+            gens = [tuple(compress(e, kept)) for e in gens]
+        degs = list(map(sum, gens))
+        for p in range(len(gens) - 1):
+            a, da = gens[p], degs[p]
+            for q in range(p + 1, len(gens)):
+                size, total = sum(map(abs, map(sub, a, gens[q]))), abs(da - degs[q])
+                st = (size - total, size + total)
                 if best is None or st < best:
-                    best, pair = st, (ip, iq)
+                    best, pair = st, (p, q)
+        pair = active[pair[0]], active[pair[1]]
     at, gt = reduced_parts(exps[pair[0]], exps[pair[1]], units)
     s, t = sum(at), sum(gt)
     return ((s, t) if s <= t else (t, s)), at, gt
@@ -243,14 +254,14 @@ def _descend(exps: list, path: PushPath) -> Iterator[tuple]:
             raise InvalidInputError("exponent length must match the frame")
         if not set(map(type, e)) <= {int} or min(e, default=0) < 0:
             raise InvalidInputError("exponents must be nonnegative integers")
-    active = list(range(len(exps)))
-    best = _best_pair(exps, active, path.frame.units) if len(exps) > 1 else None
+    active, units = list(range(len(exps))), path.frame.units
+    best = _best_pair(exps, active, units) if len(exps) > 1 else None
     limit = len(path) + sum(best[0]) + 1 if len(exps) == 2 else None
     while best:
         pair_tau, at, gt = best
         if not pair_tau[0]:
-            for q in _divisible_drops(exps, active, path.frame.units):
-                best = _best_pair(exps, active, path.frame.units) if len(active) > 1 else None
+            for q in _divisible_drops(exps, active, units):
+                best = _best_pair(exps, active, units) if len(active) > 1 else None
                 # a principal ideal logs the pair tau (0, 1)
                 yield None, q, (len(active) - 1, best[0] if best else (0, 1)), active
             continue
@@ -259,8 +270,10 @@ def _descend(exps: list, path: PushPath) -> Iterator[tuple]:
         if sum(at) != pair_tau[0]:
             at, gt = gt, at
         step = path.blow_up(_greedy_center(at, gt))
+        if step.translation_data:  # the step tagged units
+            units = path.frame.units
         exps[:] = _advance(exps, (step,))
-        best = _best_pair(exps, active, path.frame.units)
+        best = _best_pair(exps, active, units)
         before, after = (len(active) - 1, pair_tau), (len(active) - 1, best[0])
         if not after < before:
             raise AssertionError("tau failed to decrease strictly")
@@ -290,7 +303,7 @@ def principalize_exponents(
             "j": step.j + 1,
             "exponents": [list(exps[i]) for i in active],
         }
-        if step.J_times:
+        if step.translation_data:
             rec["Jx"] = [i + 1 for i in step.J_times]
         path.record(**rec)
     survivor = active[0]
@@ -307,14 +320,14 @@ class NondegResult(namedtuple("NondegResult", "exponent unit_witness image gener
 
 
 def _antichain(exps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The minimal exponents of ``exps`` under divisibility, by increasing
-    (degree, exponent)."""
-    exps = sorted(exps, key=lambda e: (sum(e), e))
+    """The minimal exponents of ``exps``, distinct, under divisibility, by
+    increasing (degree, exponent).  A divisor of an exponent comes before
+    it, and a dropped one has a kept divisor, so each exponent is tested
+    against the kept ones only."""
     keep = []
-    for e in exps:
-        if any(all(x <= y for x, y in zip(o, e)) and o != e for o in exps):
-            continue
-        keep.append(e)
+    for e in sorted(exps, key=lambda e: (sum(e), e)):
+        if not any(all(map(le, o, e)) for o in keep):
+            keep.append(e)
     return keep
 
 

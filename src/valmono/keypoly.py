@@ -150,8 +150,11 @@ class KeyPolyChain:
     def initial_frame(self) -> Frame:
         """The chart the chain lives in: the ground weights, and x worth
         beta_1, as rows over the one denominator of the chain's rows."""
-        r, tower = self._rows, self.ground.frame().tower
-        return Frame._of_rows(self.all_vars, (*r.rows, r.betas[0]), r.den, r.group, frozenset(), tower)
+        r, ground = self._rows, self.ground.frame()
+        return Frame._of_rows(
+            self.all_vars, (*r.rows, r.betas[0]), r.den, r.group, frozenset(), ground.tower,
+            (*ground.lits, None),
+        )
 
     @property
     def _rows(self) -> "_ChainRows":

@@ -41,7 +41,7 @@ from .unifseq import (
     monomialize_key_polys,
     monomialize_polynomial,
 )
-from .values import SQRT_PRIMES, Value, ValueGroup, rational_from_str
+from .values import SQRT_PRIMES, Value, ValueGroup, _rational, _rationals, rational_from_str
 
 TOOL = "valmono"
 SCHEMA = 1
@@ -122,36 +122,38 @@ def _raise_at(exc: SchemaError, literals, path: str) -> NoReturn:
             raise SchemaError(f"{exc} at {path.format(k)}") from None
 
 
-def _pairs(v, group: ValueGroup, what: str) -> list[tuple[int, int]]:
-    """The coordinates of the value ``v`` as ``(p, q)`` pairs, one per
-    generator of ``group``; a bad literal is named by its path."""
+def _coords(v, group: ValueGroup, what: str) -> list[tuple[tuple[int, int], str]]:
+    """The coordinates of the value ``v``, one per generator of ``group``,
+    each as ``((p, q), literal)`` (``values._rational``); a bad literal is
+    named by its path."""
     if not isinstance(v, dict) or not isinstance(v.get("coords"), list):
         raise SchemaError(f'{what} must be {{"coords": [...]}}, not {quote(v)}')
     try:
-        pairs = [rational_from_str(c) for c in v["coords"]]
+        coords = _rationals(v["coords"])
     except SchemaError as exc:
         _raise_at(exc, v["coords"], what + ".coords[{}]")
-    if len(pairs) != group.rank:
+    if len(coords) != group.rank:
         raise InvalidInputError("coordinate count must equal the group rank")
-    return pairs
+    return coords
 
 
 def _value(v, group: ValueGroup, what: str) -> Value:
-    return group.of_pairs(_pairs(v, group, what))
+    return group.of_pairs([pq for pq, _ in _coords(v, group, what)])
 
 
-def _values(
-    obj: dict, key: str, group: ValueGroup, nullable: bool = False, each=_value, at: str = ""
-) -> tuple:
-    """The array of values ``key``, each read by ``each`` (``_value``, or
-    ``_pairs`` for its coordinates); with ``nullable``, null entries stay
-    None."""
+def _value_list(obj: dict, key: str, at: str) -> list:
     items = _need(obj, key, at)
     if not isinstance(items, list):
         raise SchemaError(f"{at}{key} must be an array of values, not {quote(items)}")
+    return items
+
+
+def _values(obj: dict, key: str, group: ValueGroup, nullable: bool = False, at: str = "") -> tuple:
+    """The array of values ``key``; with ``nullable``, null entries stay
+    None."""
     return tuple(
-        None if w is None and nullable else each(w, group, f"{at}{key}[{k}]")
-        for k, w in enumerate(items)
+        None if w is None and nullable else _value(w, group, f"{at}{key}[{k}]")
+        for k, w in enumerate(_value_list(obj, key, at))
     )
 
 
@@ -186,7 +188,7 @@ def _poly(obj: dict, key: str, at: str = "") -> MultiPoly:
             ):
                 break
             try:
-                num, q = rational_from_str(c)
+                (num, q), _ = _rational(c)
             except SchemaError as exc:  # each term before this one is well formed
                 _raise_at(exc, (t["c"] for t in p["terms"]), f"{at}{key}.terms[{{}}].c")
             if bad is not None:
@@ -212,13 +214,13 @@ def _poly(obj: dict, key: str, at: str = "") -> MultiPoly:
     )
 
 
-def _rows_over(values: list[list[tuple[int, int]]], den: int) -> tuple[tuple, int]:
-    """``(rows, d)``: values read as ``(p, q)`` pairs, as integer rows over
-    the least multiple ``d`` of ``den`` over which they are integral.  That
-    is the lcm L of ``den`` and every q, over the gcd of L // den and every
+def _rows_over(values: list[list], den: int) -> tuple[tuple, int]:
+    """``(rows, d)``: values read by ``_coords``, as integer rows over the
+    least multiple ``d`` of ``den`` over which they are integral.  That is
+    the lcm L of ``den`` and every q, over the gcd of L // den and every
     numerator."""
-    d = lcm(den, *[q for w in values for _, q in w])
-    rows = [tuple([p * (d // q) for p, q in w]) for w in values]
+    d = lcm(den, *[q for w in values for (_, q), _ in w])
+    rows = [tuple([p * (d // q) for (p, q), _ in w]) for w in values]
     if d != den:
         g = gcd(d // den, *chain.from_iterable(rows))
         if g != 1:
@@ -229,12 +231,26 @@ def _rows_over(values: list[list[tuple[int, int]]], den: int) -> tuple[tuple, in
 
 def _spec(obj: dict, key: str, group: ValueGroup, at: str = "") -> MonomialValuationSpec:
     """The spec field ``key`` (a problem's spec or a chain's ground), its
-    weights read straight into integer rows over one denominator."""
+    weights read straight into integer rows over one denominator.  One
+    pass reads each weight's coordinates and its row of lowest-terms
+    literals, which the spec's frame writes; the JSON path of a weight is
+    spelled out only for a bad one, with ``_coords``'s messages."""
     spec = _need(obj, key, at)
     at = f"{at}{key}."
     names = _names(spec, "vars", at=at)
-    rows, den = _rows_over(_values(spec, "weights", group, each=_pairs, at=at), 1)
-    return MonomialValuationSpec._of_rows(names, rows, den, group)
+    values, lits, rank = [], [], group.rank
+    for k, w in enumerate(_value_list(spec, "weights", at)):
+        coords = w.get("coords") if isinstance(w, dict) else None
+        try:
+            coords = _rationals(coords) if isinstance(coords, list) and len(coords) == rank else None
+        except SchemaError:
+            coords = None
+        if coords is None:  # a bad weight: _coords raises its error, naming its path
+            coords = _coords(w, group, f"{at}weights[{k}]")
+        values.append(coords)
+        lits.append(tuple([lit for _, lit in coords]))
+    rows, den = _rows_over(values, 1)
+    return MonomialValuationSpec._of_rows(names, rows, den, group, tuple(lits))
 
 
 def chain_from_json(obj: dict, group: ValueGroup) -> KeyPolyChain:
@@ -264,7 +280,7 @@ def chain_from_json(obj: dict, group: ValueGroup) -> KeyPolyChain:
     for k, e in enumerate(entries):
         where = f"{at}entries[{k}]."
         qs.append(_poly(e, "Q", where).with_vars(vars_))
-        betas.append(_pairs(e["beta"], group, where + "beta"))
+        betas.append(_coords(e["beta"], group, where + "beta"))
     betas, den = _rows_over(betas, spec.frame().den)
     return KeyPolyChain._of_rows(spec, x, qs, betas, den)
 
@@ -272,7 +288,13 @@ def chain_from_json(obj: dict, group: ValueGroup) -> KeyPolyChain:
 def _exponent(e, what: str) -> tuple[int, ...]:
     """One exponent: an array of nonnegative integers.  Any other shape
     raises SchemaError naming ``what`` and quoting ``e``."""
-    if not isinstance(e, list) or not all(_is_int(x) and x >= 0 for x in e):
+    # integers, not bools, each checked in C
+    if not (
+        isinstance(e, list)
+        and all(map(isinstance, e, _INT))
+        and bool not in map(type, e)
+        and min(e, default=0) >= 0
+    ):
         raise SchemaError(f"{what} must be an array of nonnegative integers, not {quote(e)}")
     return tuple(e)
 
@@ -574,11 +596,12 @@ def verify_trace(trace: dict) -> None:
     if sequence is not None and not independence:
         sequence.pop("independent_of", None)
     new_steps = fresh["steps"]
-    for k in range(max(len(old_steps), len(new_steps))):
-        a = old_steps[k] if k < len(old_steps) else None
-        b = new_steps[k] if k < len(new_steps) else None
-        if a != b:
-            raise TraceMismatchError(k + 1, _first_difference(a, b, f"steps[{k}]"))
+    if old_steps != new_steps:  # find the first step that differs
+        for k in range(max(len(old_steps), len(new_steps))):
+            a = old_steps[k] if k < len(old_steps) else None
+            b = new_steps[k] if k < len(new_steps) else None
+            if a != b:
+                raise TraceMismatchError(k + 1, _first_difference(a, b, f"steps[{k}]"))
     old, new = trace.get("witnesses"), fresh["witnesses"]
     if old != new:
         path = _first_difference(old, new, "witnesses")

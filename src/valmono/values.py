@@ -114,10 +114,10 @@ def _sign(n: Sequence[int]) -> int:
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
-# literal -> its (p, q): a problem repeats a few short literals many times.
-# Filled at run time up to a fixed number of literals of bounded length,
-# then only read.
-_PARSED: dict[str, tuple[int, int]] = {}
+# literal -> its ((p, q), lowest-terms literal): a problem repeats a few
+# short literals many times.  Filled at run time up to a fixed number of
+# literals of bounded length, then only read.
+_PARSED: dict[str, tuple[tuple[int, int], str]] = {}
 _PARSED_ENTRIES = 1024
 _PARSED_LENGTH = 16
 
@@ -140,13 +140,19 @@ def _literal(n: int, d: int) -> str:
 def rational_from_str(s: str) -> tuple[int, int]:
     """Parse a ``"p/q"`` or ``"p"`` literal (ASCII digits, an optional
     leading minus, a nonzero denominator) to the integers ``(p, q)``, not
-    reduced; anything else is a SchemaError.  A short literal parsed
-    before is answered from ``_PARSED``."""
+    reduced; anything else is a SchemaError."""
+    return _rational(s)[0]
+
+
+def _rational(s: str) -> tuple[tuple[int, int], str]:
+    """``((p, q), literal)``: ``rational_from_str`` of ``s`` and the
+    lowest-terms literal of ``p/q``, as ``_literal`` writes it.  A short
+    literal parsed before is answered from ``_PARSED``."""
     if not isinstance(s, str):
         raise SchemaError(f"rational must be a 'p/q' string, got {quote(s)}")
-    pq = _PARSED.get(s)
-    if pq is not None:
-        return pq
+    hit = _PARSED.get(s)
+    if hit is not None:
+        return hit
     if _RATIONAL.fullmatch(s) is None:
         raise SchemaError(f"bad rational {quote(s)}")
     num, _, den = s.partition("/")
@@ -156,9 +162,22 @@ def rational_from_str(s: str) -> tuple[int, int]:
         raise SchemaError(f"bad rational {quote(s)}") from None
     if not q:
         raise SchemaError(f"bad rational {quote(s)}")
+    hit = (p, q), _literal(p, q)
     if len(s) <= _PARSED_LENGTH and len(_PARSED) < _PARSED_ENTRIES:
-        _PARSED[s] = p, q
-    return p, q
+        _PARSED[s] = hit
+    return hit
+
+
+def _rationals(literals: list) -> list[tuple[tuple[int, int], str]]:
+    """``_rational`` of each of ``literals``.  A list whose literals the
+    memo holds is answered by one lookup per literal, in C."""
+    try:
+        hits = list(map(_PARSED.get, literals))
+        if None not in hits:
+            return hits
+    except TypeError:  # an unhashable entry, which _rational refuses
+        pass
+    return list(map(_rational, literals))
 
 
 def _exact(q) -> tuple[int, int]:
@@ -192,7 +211,7 @@ class ValueGroup:
         if labels:
             if len(labels) != rank or len(set(labels)) != rank:
                 raise InvalidInputError("labels must be pairwise distinct, one per generator")
-            if all(label == f"g{i}" for i, label in enumerate(labels, 1)):
+            if labels == _default_labels(rank):
                 labels = ()
         self.rank, self.labels = rank, labels
 
@@ -224,8 +243,23 @@ class ValueGroup:
         return self.value([q] + [0] * (self.rank - 1))
 
     def to_json(self) -> dict:
-        labels = self.labels or [f"g{i}" for i in range(1, self.rank + 1)]
+        labels = self.labels or _default_labels(self.rank)
         return {"rank": self.rank, "ordering": SQRT_PRIMES, "labels": list(labels)}
+
+
+# rank -> the default labels g1..g<rank>, for ranks up to _LABELS_LIMIT;
+# never handed out, only compared and copied.
+_LABELS: dict[int, tuple[str, ...]] = {}
+_LABELS_LIMIT = 64
+
+
+def _default_labels(rank: int) -> tuple[str, ...]:
+    labels = _LABELS.get(rank)
+    if labels is None:
+        labels = tuple([f"g{i}" for i in range(1, rank + 1)])
+        if rank <= _LABELS_LIMIT:
+            _LABELS[rank] = labels
+    return labels
 
 
 class Value:

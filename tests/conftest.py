@@ -277,7 +277,7 @@ def step_record(step: FramedStep) -> dict:
     rec = {
         "J": [i + 1 for i in step.J],
         "j": step.j + 1,
-        "kind": step.kind,
+        "kind": "translation" if step.translation_data else "monomial",
         "M": rows(-1),
         "N": rows(1),
         "Jx": [i + 1 for i in jx],
@@ -361,7 +361,9 @@ def apply_step_to_frame(frame: Frame, step: FramedStep) -> Frame:
             rows = [None if r is None else tuple(x * k for x in r) for r in rows]
         for (t, _), r in zip(moved, new):
             rows[t] = r
-    return Frame._of_rows(tuple(names), tuple(rows), den, group, frozenset(units), tower)
+    return Frame._of_rows(
+        tuple(names), tuple(rows), den, group, frozenset(units), tower, (None,) * len(names)
+    )
 
 
 def push_polynomial_through_step(
@@ -829,6 +831,57 @@ def push_by_matrices(f: MultiPoly, steps) -> MultiPoly:
         N = trace_matrix(s)
         f = MultiPoly.build(f.vars, {old_mat_vec(N, e): f.coeff(e) for e in f.terms}, f.tower)
     return f
+
+
+# -- the game helpers as they were before their one-pass rewrite ------------
+
+
+def scan_antichain(exps) -> list[tuple[int, ...]]:
+    """The minimal exponents of ``exps`` under divisibility, by increasing
+    (degree, exponent): each one tested against all the others."""
+    exps = sorted(exps, key=lambda e: (sum(e), e))
+    keep = []
+    for e in exps:
+        if any(all(x <= y for x, y in zip(o, e)) and o != e for o in exps):
+            continue
+        keep.append(e)
+    return keep
+
+
+def scan_best_pair(exps, active, units):
+    """(tau, at, gt) of the first pair of ``active`` (increasing) attaining
+    the least tau: each pair's difference built with its unit columns
+    zeroed, and tau read from ``sum|d|`` and ``|sum d|``."""
+    pair, best = active, None
+    if len(active) > 2:
+        for p, ip in enumerate(active):
+            a = exps[ip]
+            for iq in active[p + 1:]:
+                d = list(map(sub, a, exps[iq]))
+                for i in units:
+                    d[i] = 0
+                size, total = sum(map(abs, d)), abs(sum(d))
+                st = ((size - total) >> 1, (size + total) >> 1)
+                if best is None or st < best:
+                    best, pair = st, (ip, iq)
+    at, gt = reduced_parts(exps[pair[0]], exps[pair[1]], units)
+    s, t = sum(at), sum(gt)
+    return ((s, t) if s <= t else (t, s)), at, gt
+
+
+def tuple_greedy_center(at, gt) -> tuple[int, ...]:
+    """The support of ``at`` plus indices of ``gt`` by decreasing gt_i,
+    ties by the smaller index, sorted as ``(-gt_i, i)`` tuples, until their
+    gt-sum reaches ``|at|``."""
+    target = sum(at)
+    J = [i for i, a in enumerate(at) if a > 0]
+    got = 0
+    for g, i in sorted([(-g, i) for i, g in enumerate(gt) if g > 0]):
+        if got >= target:
+            break
+        J.append(i)
+        got -= g
+    return tuple(sorted(J))
 
 
 @pytest.fixture(scope="session")

@@ -212,7 +212,7 @@ def test_criterion_6_cusp_uniformizing_sequence():
     res = elementary_uniformizing_sequence(prob, path)
     elapsed = time.perf_counter() - t0
     # (1) all steps before the final collision/translation are monomial
-    assert all(s.kind == "monomial" for s in path.steps[:-2])
+    assert not any(s.translation_data for s in path.steps[:-2])
     # (2) P != 0 keeps the dimension
     assert len(active_indices(path.frame)) == 2
     # (3) w_1, w_n are monomials in the final actives times a unit (z-powers)

@@ -6,6 +6,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -117,7 +118,7 @@ def test_pushforward_ties_become_units():
     g = ValueGroup(1)
     w = [g.rational(1), g.rational(1)]
     st = build_step_for_weights(2, (0, 1), 0, w)
-    assert st.kind == "translation" and st.J_times == (1,)
+    assert st.to_json()["kind"] == "translation" and st.J_times == (1,)
     assert st.n_after == 1
     before = Frame(("a", "b"), tuple(w))
     assert not any(pushforward_weights(before, st)[1])
@@ -291,6 +292,24 @@ def test_frame_json_from_rows_matches_the_values():
     assert path.frame.weights[3] == g.value(["1/5", "2/5"]) and path.frame.names[3] == "d'"
     assert path.steps[0].j == 1 and path.frame.weights[1] == g.of_pairs([(2, 4), (6, 4)])
     assert path.frame.weights[0] == g.value(["1/2", 3]) - g.value(["1/2", "3/2"])
+
+
+def test_a_frame_keeps_literal_rows_across_a_new_denominator():
+    """A blow-up drops the literal rows of the columns it changes and keeps
+    the others; a translation whose new weight changes the denominator
+    rescales every row but keeps every literal row except its column's."""
+    g = ValueGroup(1)
+    path = PushPath(Frame(("a", "b", "c"), (g.rational(1), g.rational(1), g.rational(Fraction(5, 2)))))
+    assert path.frame.to_json()["weights"] == [{"coords": [c]} for c in ("1", "1", "5/2")]
+    path.blow_up((0, 1))  # a tie: b becomes a unit
+    path.translate(1, (QQ.from_rational(-1), QQ.one()), g.rational(Fraction(1, 3)))
+    before, tied, after = path.frames
+    assert before.lits == (("1",), ("1",), ("5/2",))
+    assert tied.lits == (("1",), None, ("5/2",)) and tied.rows == ((2,), (0,), (5,))
+    assert after.lits == (("1",), None, ("5/2",)) and after.rows == ((6,), (2,), (15,))
+    assert (tied.den, after.den) == (2, 6)
+    assert after.to_json()["weights"] == [{"coords": [c]} for c in ("1", "1/3", "5/2")]
+    assert after.lits[1] == ("1/3",) and after.to_json() == after.to_json()
 
 
 def test_translate_matches_the_oracles():
@@ -499,7 +518,7 @@ def test_push_path_merges_monomial_runs():
         for _ in range(rng.randint(1, 6)):
             J = tuple(sorted(rng.sample(range(n), rng.randint(2, n))))
             path.blow_up(J)
-        assert all(s.kind == "monomial" for s in path.steps)
+        assert not any(s.translation_data for s in path.steps)
         # a cut inside the run advances through the steps after it only
         for start in (0, rng.randint(0, len(path)), len(path)):
             product = forward_product(path.steps[start:], n)
@@ -793,3 +812,72 @@ def test_step_json_hands_out_no_cached_list():
         first["D1"][0] = -1
         first["Jx"].append(5)
         assert step.to_json() == step_record(step), step
+
+
+# -- every frame writes the literals of its rows --------------------------------
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+sys.path.insert(0, str(BENCH))
+import corpus  # noqa: E402  (bench/ is not a package)
+
+from valmono import trace  # noqa: E402
+
+# every 4th problem of the descent pool and every 15th of the chains pool
+POOL_STRIDE = {"descent": 4, "chains": 15}
+
+
+def literal_mismatches(monkeypatch) -> tuple[int, list]:
+    """The frames of every path that the strided pools' runs build, each
+    written by ``Frame.to_json`` after the run and checked against the
+    literals that ``values._literal`` makes from its rows: (frames
+    checked, (pool, index, frame index) of each that differs)."""
+    paths = []
+
+    class Kept(PushPath):
+        def __init__(self, frame0, budget):
+            super().__init__(frame0, budget)
+            paths.append(self)
+
+    monkeypatch.setattr(trace, "PushPath", Kept)
+    checked, bad = 0, []
+    for workload, stride in POOL_STRIDE.items():
+        for k, problem in enumerate(corpus.pool(workload)[::stride]):
+            del paths[:]
+            try:
+                trace.run_problem(problem)
+            except Exception:  # an escape leaves its path to check all the same
+                pass
+            for path in paths:
+                for f, frame in enumerate(path.frames):
+                    want = [
+                        None if r is None else {"coords": [values._literal(x, frame.den) for x in r]}
+                        for r in frame.rows
+                    ]
+                    checked += 1
+                    if frame.to_json()["weights"] != want:
+                        bad.append((workload, k * stride, f))
+    return checked, bad
+
+
+def test_every_frame_writes_the_literals_of_its_rows(monkeypatch):
+    checked, bad = literal_mismatches(monkeypatch)
+    assert bad == [] and checked > 2000
+
+
+def test_the_literal_sweep_fails_on_a_stale_literal_row(monkeypatch):
+    """A blow-up that keeps the old literal row of one column it changed."""
+    blow_up = PushPath.blow_up
+
+    def stale(self, J):
+        before = self.frame
+        before.to_json()  # its literal rows made
+        step = blow_up(self, J)
+        lits = list(self.frame.lits)
+        i = next(q for q in J if q != step.j)
+        lits[i] = before.lits[i]
+        self.frame.lits = tuple(lits)
+        return step
+
+    monkeypatch.setattr(PushPath, "blow_up", stale)
+    checked, bad = literal_mismatches(monkeypatch)
+    assert len(bad) > 100, (checked, bad[:3])

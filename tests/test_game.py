@@ -1,7 +1,9 @@
 """The tau-descent game: descent, pairs, ideals, monomial valuations."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -15,8 +17,11 @@ from conftest import (
     push_by_matrices,
     random_poly,
     rational_spec,
+    scan_antichain,
+    scan_best_pair,
     sqrt_prime_spec,
     tau,
+    tuple_greedy_center,
 )
 from valmono import game
 from valmono.errors import InvalidInputError, PositiveWeightError, ZeroPolynomialError
@@ -458,6 +463,96 @@ def test_best_pair_tie_goes_to_the_least_index_pair():
     assert game._best_pair(exps, [0, 1, 2], frozenset()) == ((1, 2), (2, 0, 0), (0, 1, 0))
     assert game._best_pair(exps, [1, 2], frozenset()) == ((1, 2), (0, 1, 0), (0, 0, 2))
     assert game._best_pair(exps, [0, 1, 3], frozenset()) == ((0, 0), (0, 0, 0), (0, 0, 0))
+
+
+def helper_mismatches(best_pair, greedy_center, antichain) -> tuple[list, Counter]:
+    """The cases of a seeded sweep where ``best_pair``, ``greedy_center``
+    or ``antichain`` differ from the oracles of ``tests/conftest.py``, and
+    how often the sweep met each tie: several pairs at the least tau
+    (the least-index pair rule), two generators of one degree off the
+    units, and equal gt_i on both sides of where the center stops."""
+    rng = random.Random(20261022)
+    bad, seen = [], Counter()
+    for trial in range(1500):
+        n = rng.randint(2, 6)
+        units = frozenset(rng.sample(range(n), rng.randint(1, n - 1))) if trial % 3 == 0 else frozenset()
+        hi = rng.choice((1, 2, 3, 6))
+        exps = [tuple(rng.randint(0, hi) for _ in range(n)) for _ in range(rng.randint(2, 6))]
+        if rng.random() < 0.3:  # a permuted copy: one degree, many ties
+            exps.append(tuple(rng.sample(exps[0], n)))
+        active = sorted(rng.sample(range(len(exps)), rng.randint(2, len(exps))))
+        got, want = best_pair(exps, active, units), scan_best_pair(exps, active, units)
+        if got != want:
+            bad.append(("best_pair", exps, active, units, got, want))
+        taus = [scan_best_pair(exps, [p, q], units)[0] for p, q in combinations(active, 2)]
+        seen["least tau ties"] += len(active) > 2 and taus.count(min(taus)) > 1
+        degrees = [sum(x for i, x in enumerate(exps[k]) if i not in units) for k in active]
+        seen["equal degrees"] += len(set(degrees)) < len(degrees)
+        # the center of the winning pair, as _descend orients it, and one
+        # of two random sides whose gt holds repeated values
+        centers = []
+        (s, _), at, gt = want
+        if s:
+            centers.append((at, gt) if sum(at) == s else (gt, at))
+        gt = tuple(rng.choice((0, 1, 2, 2, 3)) for _ in range(n))
+        if sum(gt):
+            at = [0] * n
+            for _ in range(rng.randint(1, sum(gt))):
+                at[rng.randrange(n)] += 1
+            centers.append((tuple(at), gt))
+        for at, gt in centers:
+            got, want = greedy_center(at, gt), tuple_greedy_center(at, gt)
+            if got != want:
+                bad.append(("greedy_center", at, gt, got, want))
+            taken = set(want) - {i for i, a in enumerate(at) if a}
+            left = [gt[i] for i in range(n) if i not in want and gt[i]]
+            seen["gt ties"] += any(gt[i] in left for i in taken)
+        terms = set(exps)
+        got, want = antichain(terms), scan_antichain(terms)
+        if got != want:
+            bad.append(("antichain", terms, got, want))
+        seen["dropped"] += len(want) < len(terms)
+    return bad, seen
+
+
+def test_the_game_helpers_match_their_oracles():
+    bad, seen = helper_mismatches(game._best_pair, game._greedy_center, game._antichain)
+    assert bad == []
+    assert min(seen.values()) > 150, seen
+
+
+def _center_ties_to_the_larger_index(at, gt):
+    target, got = sum(at), 0
+    J = [i for i, a in enumerate(at) if a > 0]
+    for i in sorted(range(len(gt)), key=lambda i: (gt[i], i), reverse=True):
+        if got >= target:
+            break
+        J.append(i)
+        got += gt[i]
+    return tuple(sorted(J))
+
+
+def _best_pair_ties_to_the_last_pair(exps, active, units):
+    best = None
+    for p, q in combinations(active, 2):
+        at, gt = game.reduced_parts(exps[p], exps[q], units)
+        pair_tau = tuple(sorted((sum(at), sum(gt))))
+        if best is None or pair_tau <= best[0]:
+            best = pair_tau, at, gt
+    return best
+
+
+@pytest.mark.parametrize("helper", ["greedy_center", "best_pair"])
+def test_the_helper_sweep_fails_on_a_reversed_tie_rule(helper):
+    """The sweep above sees a tie broken the other way: to the larger
+    index in the center, or to the last pair at the least tau."""
+    best_pair, center = game._best_pair, game._greedy_center
+    if helper == "greedy_center":
+        center = _center_ties_to_the_larger_index
+    else:
+        best_pair = _best_pair_ties_to_the_last_pair
+    bad, _ = helper_mismatches(best_pair, center, game._antichain)
+    assert len({b[0] for b in bad}) == 1 and len(bad) > 20, bad[:3]
 
 
 def old_drop_divisible(exps, active, units, on_drop):

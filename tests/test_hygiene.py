@@ -1041,7 +1041,7 @@ def test_a_parallel_run_loads_no_process_pool(tmp_path):
     pf.write_text(json.dumps([problem] * 4), encoding="utf-8")
     script = (
         "import os, sys\n"
-        "os.cpu_count = lambda: 2\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "from valmono import cli\n"
         f"assert cli.main(['run', {str(pf)!r}, '--jobs', '2', '--out', {str(tf)!r}]) == 0\n"
         "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n"

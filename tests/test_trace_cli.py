@@ -741,7 +741,7 @@ def _numbered_batch(n=5):
 
 def _failing_run_one(monkeypatch, failing, fail):
     """``cli._run_one`` patched to call ``fail(k)`` for the items ``k`` in
-    ``failing``; the machine is taken to have 4 CPUs, so that ``--jobs``
+    ``failing``; the process is taken to run on 4 CPUs, so that ``--jobs``
     forks whatever the CPUs."""
     from valmono import cli
 
@@ -754,7 +754,7 @@ def _failing_run_one(monkeypatch, failing, fail):
         return run_one(problem, budget)
 
     monkeypatch.setattr(cli, "_run_one", patched)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
 
 
 def _assert_no_child_left():
@@ -828,7 +828,7 @@ def test_a_pipe_that_cannot_grow_still_carries_the_result(tmp_path, monkeypatch)
     pf, tf = tmp_path / "p.json", tmp_path / "t.json"
     batch = all_selector_problems() * 24  # about 170 kB of traces for the child
     pf.write_text(json.dumps(batch))
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     monkeypatch.setattr(fcntl, "fcntl", refuse)
     assert cli.main(["run", str(pf), "--jobs", "2", "--out", str(tf)]) == 0
     _assert_no_child_left()
@@ -840,7 +840,7 @@ def test_without_fork_the_batch_runs_in_process(tmp_path, monkeypatch):
 
     pf, tf = tmp_path / "p.json", tmp_path / "t.json"
     pf.write_text(json.dumps(_numbered_batch()))
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     monkeypatch.delattr(cli.os, "fork")
     monkeypatch.setattr(cli, "_run_forked", None)  # would fail if called
     assert cli.main(["run", str(pf), "--jobs", "2", "--out", str(tf)]) == 0
@@ -855,6 +855,30 @@ def test_worker_count_is_clamped():
     assert worker_count(2, 100, 64) == 2  # nor than requested
     assert worker_count(3, 0, 2) == 1  # an empty batch runs in process
     assert worker_count(3, 10, None) == 1  # unknown CPU count
+
+
+def test_a_run_pinned_to_one_cpu_stays_in_process(tmp_path, monkeypatch):
+    """``--jobs 2`` on a process whose affinity set is one CPU runs the
+    batch in process, whatever the machine's CPU count, and writes the
+    bytes of ``--jobs 1``; without the affinity set the CPU count caps."""
+    from valmono import cli
+
+    def no_fork():
+        raise AssertionError("a pinned run forked")
+
+    pf = tmp_path / "p.json"
+    pf.write_text(json.dumps(_numbered_batch()))
+    outs = [tmp_path / "t1.json", tmp_path / "t2.json"]
+    assert cli.main(["run", str(pf), "--jobs", "1", "--out", str(outs[0])]) == 0
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(cli.os, "fork", no_fork, raising=False)
+    assert cli._usable_cpus() == 1
+    assert cli.main(["run", str(pf), "--jobs", "2", "--out", str(outs[1])]) == 0
+    first, second = (_blank_created(t.read_text(encoding="utf-8")) for t in outs)
+    assert first == second == _expected_bytes(_numbered_batch())
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    assert cli._usable_cpus() == 4
 
 
 @pytest.mark.parametrize("flag", [("--jobs", "0"), ("--jobs", "-3"), ("--budget", "-1")])
@@ -1056,6 +1080,44 @@ def test_a_bad_literal_names_its_json_path(make, path):
             run_problem(_planted(make(), path, literal))
         assert str(err.value) == f"bad rational {literal!r} at {_json_path(path)}"
     assert _json_path(("chain", "entries", 1, "beta", "coords", 0)) == "chain.entries[1].beta.coords[0]"
+
+
+# spec weights after a good first one (rank 2), each with how the run
+# ends: the SchemaError it raises, or its failure verdict.  The one-pass
+# spec reader spells out a weight's path only for a bad weight, with the
+# messages of the reader of one value.
+COUNT = ("invalid input", "coordinate count must equal the group rank")
+SPEC_WEIGHT_FAULTS = [
+    (["1/2", "1"], ("schema", 'spec.weights[1] must be {"coords": [...]}, not [\'1/2\', \'1\']')),
+    ({"coords": "12"}, ("schema", 'spec.weights[1] must be {"coords": [...]}, not {\'coords\': \'12\'}')),
+    (None, ("schema", 'spec.weights[1] must be {"coords": [...]}, not None')),
+    ({"coords": ["1/0", "1"]}, ("schema", "bad rational '1/0' at spec.weights[1].coords[0]")),
+    ({"coords": ["1", ["1"]]},
+     ("schema", "rational must be a 'p/q' string, got ['1'] at spec.weights[1].coords[1]")),
+    ({"coords": ["1"]}, COUNT),
+    ({"coords": []}, COUNT),
+    ({"coords": ["1", "0", "1"]}, COUNT),
+    # a bad literal is named before its weight's count is checked
+    ({"coords": ["1/0"]}, ("schema", "bad rational '1/0' at spec.weights[1].coords[0]")),
+]
+
+
+def _spec_outcome(problem: dict) -> tuple[str, str]:
+    try:
+        verdict = run_problem(problem)["verdict"]
+    except SchemaError as exc:
+        return "schema", str(exc)
+    return verdict["code"], verdict["message"]
+
+
+@pytest.mark.parametrize("weight, outcome", SPEC_WEIGHT_FAULTS)
+def test_a_bad_spec_weight_keeps_its_message(weight, outcome):
+    problem = pair_problem()
+    problem["spec"]["weights"][1] = weight
+    assert _spec_outcome(problem) == outcome
+    # a wrong count in the first weight is met before the second is read
+    problem["spec"]["weights"][0] = {"coords": ["1"]}
+    assert _spec_outcome(problem) == COUNT
 
 
 def test_of_two_bad_literals_the_first_is_named():

@@ -212,9 +212,8 @@ def test_cusp_all_conclusions():
     res = elementary_uniformizing_sequence(prob, path)
     n = 2
     # (1) every step before the final collision is monomial
-    kinds = [s.kind for s in path.steps]
-    assert all(k == "monomial" for k in kinds[:-2])
-    assert path.steps[-1].kind == "translation"
+    assert not any(s.translation_data for s in path.steps[:-2])
+    assert path.steps[-1].translation_data
     # (2) P != 0: official dimension stays n
     assert len(active_indices(path.frame)) == n
     # (3) w_1 and w_n are monomials in the final actives times a unit

@@ -649,7 +649,9 @@ def test_parsed_literals_are_memoized_up_to_a_cap(monkeypatch):
     monkeypatch.setattr(values, "_PARSED", {})
     assert rational_from_str("2/4") == (2, 4)  # a miss
     assert rational_from_str("2/4") == (2, 4)  # a hit
-    assert matched == ["2/4"] and values._PARSED == {"2/4": (2, 4)}
+    # the memo holds the lowest-terms literal too, which a spec's frame writes
+    assert matched == ["2/4"] and values._PARSED == {"2/4": ((2, 4), "1/2")}
+    assert values._rational("2/4") == ((2, 4), "1/2") and matched == ["2/4"]
     for bad in (2, 0.5, None, ["1"], {"c": "1"}):
         with pytest.raises(SchemaError, match="rational must be"):
             rational_from_str(bad)
