@@ -122,15 +122,8 @@ class FramedStep(namedtuple("FramedStep", "n J j translation_data", defaults=(()
             }
         jx = self.J_times
         return {
-            "J": J,
-            "j": j + 1,
-            "kind": "translation",
-            "M": M,
-            "N": N,
-            "Jx": [i + 1 for i in jx],
-            "n_before": n,
-            "n_after": self.n_after,
-            "D1": [i + 1 for i in range(n) if i not in jx],
+            "J": J, "j": j + 1, "kind": "translation", "M": M, "N": N, "Jx": [i + 1 for i in jx],
+            "n_before": n, "n_after": self.n_after, "D1": [i + 1 for i in range(n) if i not in jx],
             "translations": [t.to_json() for t in items],
         }
 

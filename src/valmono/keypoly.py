@@ -151,10 +151,8 @@ class KeyPolyChain:
         """The chart the chain lives in: the ground weights, and x worth
         beta_1, as rows over the one denominator of the chain's rows."""
         r, ground = self._rows, self.ground.frame()
-        return Frame._of_rows(
-            self.all_vars, (*r.rows, r.betas[0]), r.den, r.group, frozenset(), ground.tower,
-            (*ground.lits, None),
-        )
+        rows, lits = (*r.rows, r.betas[0]), (*ground.lits, None)
+        return Frame._of_rows(self.all_vars, rows, r.den, r.group, frozenset(), ground.tower, lits)
 
     @property
     def _rows(self) -> "_ChainRows":

@@ -122,23 +122,25 @@ def _raise_at(exc: SchemaError, literals, path: str) -> NoReturn:
             raise SchemaError(f"{exc} at {path.format(k)}") from None
 
 
-def _coords(v, group: ValueGroup, what: str) -> list[tuple[tuple[int, int], str]]:
+def _coords(v, group: ValueGroup, what: str, k: int = 0) -> list[tuple]:
     """The coordinates of the value ``v``, one per generator of ``group``,
-    each as ``((p, q), literal)`` (``values._rational``); a bad literal is
-    named by its path."""
+    each as ``((p, q), literal)`` (``values._rational``: the literal is None
+    where the memo does not hold it).  ``what`` is the JSON path of ``v``
+    with ``k`` in place of any ``{}``, spelled out only to name a bad value
+    or literal."""
     if not isinstance(v, dict) or not isinstance(v.get("coords"), list):
-        raise SchemaError(f'{what} must be {{"coords": [...]}}, not {quote(v)}')
+        raise SchemaError(f'{what.format(k)} must be {{"coords": [...]}}, not {quote(v)}')
     try:
         coords = _rationals(v["coords"])
     except SchemaError as exc:
-        _raise_at(exc, v["coords"], what + ".coords[{}]")
+        _raise_at(exc, v["coords"], what.format(k) + ".coords[{}]")
     if len(coords) != group.rank:
         raise InvalidInputError("coordinate count must equal the group rank")
     return coords
 
 
-def _value(v, group: ValueGroup, what: str) -> Value:
-    return group.of_pairs([pq for pq, _ in _coords(v, group, what)])
+def _value(v, group: ValueGroup, what: str, k: int = 0) -> Value:
+    return group.of_pairs([pq for pq, _ in _coords(v, group, what, k)])
 
 
 def _value_list(obj: dict, key: str, at: str) -> list:
@@ -151,8 +153,9 @@ def _value_list(obj: dict, key: str, at: str) -> list:
 def _values(obj: dict, key: str, group: ValueGroup, nullable: bool = False, at: str = "") -> tuple:
     """The array of values ``key``; with ``nullable``, null entries stay
     None."""
+    what = f"{at}{key}[{{}}]"
     return tuple(
-        None if w is None and nullable else _value(w, group, f"{at}{key}[{k}]")
+        None if w is None and nullable else _value(w, group, what, k)
         for k, w in enumerate(_value_list(obj, key, at))
     )
 
@@ -231,24 +234,18 @@ def _rows_over(values: list[list], den: int) -> tuple[tuple, int]:
 
 def _spec(obj: dict, key: str, group: ValueGroup, at: str = "") -> MonomialValuationSpec:
     """The spec field ``key`` (a problem's spec or a chain's ground), its
-    weights read straight into integer rows over one denominator.  One
-    pass reads each weight's coordinates and its row of lowest-terms
-    literals, which the spec's frame writes; the JSON path of a weight is
-    spelled out only for a bad one, with ``_coords``'s messages."""
+    weights read straight into integer rows over one denominator.  The
+    spec's frame keeps each weight's row of lowest-terms literals, from the
+    parse where the memo of ``values._rational`` holds them all."""
     spec = _need(obj, key, at)
     at = f"{at}{key}."
     names = _names(spec, "vars", at=at)
-    values, lits, rank = [], [], group.rank
-    for k, w in enumerate(_value_list(spec, "weights", at)):
-        coords = w.get("coords") if isinstance(w, dict) else None
-        try:
-            coords = _rationals(coords) if isinstance(coords, list) and len(coords) == rank else None
-        except SchemaError:
-            coords = None
-        if coords is None:  # a bad weight: _coords raises its error, naming its path
-            coords = _coords(w, group, f"{at}weights[{k}]")
-        values.append(coords)
-        lits.append(tuple([lit for _, lit in coords]))
+    what = at + "weights[{}]"
+    values = [_coords(w, group, what, k) for k, w in enumerate(_value_list(spec, "weights", at))]
+    lits = []
+    for w in values:
+        row = tuple([lit for _, lit in w])
+        lits.append(None if None in row else row)  # Frame.to_json makes a row it lacks
     rows, den = _rows_over(values, 1)
     return MonomialValuationSpec._of_rows(names, rows, den, group, tuple(lits))
 

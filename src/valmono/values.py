@@ -144,10 +144,11 @@ def rational_from_str(s: str) -> tuple[int, int]:
     return _rational(s)[0]
 
 
-def _rational(s: str) -> tuple[tuple[int, int], str]:
-    """``((p, q), literal)``: ``rational_from_str`` of ``s`` and the
-    lowest-terms literal of ``p/q``, as ``_literal`` writes it.  A short
-    literal parsed before is answered from ``_PARSED``."""
+def _rational(s: str) -> tuple[tuple[int, int], str | None]:
+    """``(rational_from_str(s), literal)``.  A short literal parsed before
+    is answered from ``_PARSED``, which also holds the lowest-terms literal
+    of ``p/q``, as ``_literal`` writes it; the literal is made only for an
+    entry of the memo, and is None otherwise."""
     if not isinstance(s, str):
         raise SchemaError(f"rational must be a 'p/q' string, got {quote(s)}")
     hit = _PARSED.get(s)
@@ -162,13 +163,13 @@ def _rational(s: str) -> tuple[tuple[int, int], str]:
         raise SchemaError(f"bad rational {quote(s)}") from None
     if not q:
         raise SchemaError(f"bad rational {quote(s)}")
-    hit = (p, q), _literal(p, q)
     if len(s) <= _PARSED_LENGTH and len(_PARSED) < _PARSED_ENTRIES:
-        _PARSED[s] = hit
-    return hit
+        hit = _PARSED[s] = (p, q), _literal(p, q)
+        return hit
+    return (p, q), None
 
 
-def _rationals(literals: list) -> list[tuple[tuple[int, int], str]]:
+def _rationals(literals: list) -> list[tuple[tuple[int, int], str | None]]:
     """``_rational`` of each of ``literals``.  A list whose literals the
     memo holds is answered by one lookup per literal, in C."""
     try:

@@ -859,6 +859,20 @@ def literal_mismatches(monkeypatch) -> tuple[int, list]:
     return checked, bad
 
 
+def test_a_spec_frame_makes_the_literal_rows_the_memo_lacks(monkeypatch):
+    """A weight literal too long for the memo of ``values._rational``
+    comes without its lowest-terms literal; the spec's frame makes that
+    row from its values and keeps the parsed row of the other weight."""
+    monkeypatch.setattr(values, "_PARSED", {})
+    long = "2" * values._PARSED_LENGTH + "/4"
+    obj = {"spec": {"vars": ["u1", "u2"], "weights": [{"coords": [long, "0"]}, {"coords": ["2/4", "1"]}]}}
+    frame = trace._spec(obj, "spec", ValueGroup(2)).frame()
+    assert frame.lits == (None, ("1/2", "1"))
+    assert frame.to_json()["weights"] == [
+        {"coords": [str(Fraction(int(long[:-2]), 4)), "0"]}, {"coords": ["1/2", "1"]},
+    ]
+
+
 def test_every_frame_writes_the_literals_of_its_rows(monkeypatch):
     checked, bad = literal_mismatches(monkeypatch)
     assert bad == [] and checked > 2000

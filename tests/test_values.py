@@ -661,6 +661,8 @@ def test_parsed_literals_are_memoized_up_to_a_cap(monkeypatch):
         with pytest.raises(SchemaError, match="bad rational"):
             rational_from_str(long + "x")
     assert matched[1:] == [long, long + "x"] * 2 and long not in values._PARSED
+    # a literal the memo does not hold comes without its lowest-terms literal
+    assert values._rational(long) == ((int("1" * values._PARSED_LENGTH), 3), None)
     cap = values._PARSED_ENTRIES
     for k in range(cap + 50):
         assert rational_from_str(f"{k}/7") == (k, 7)
