@@ -26,17 +26,26 @@ of tower elements and the new parameter's weight a :class:`Value`.  They
 become JSON only in ``to_json``; nothing here reads JSON.
 
 A :class:`Frame` holds its weights as integer rows over one positive
-denominator, as a :class:`Value` holds its coordinates.
+denominator, as a :class:`Value` holds its coordinates, and one bracket
+``(mid, pad)`` per declared row (``values._bracket``: ``2**64`` times the
+row's value lies strictly within ``pad`` of ``mid``, or equals it when
+``pad`` is 0), made on demand.
 
 A :class:`PushPath` grows in two ways, and each computes the frame after
 its step once, from rows, with no ``Value``.  ``blow_up(J)`` decides a
-blow-up in one pass over the rows: the signs of row differences pick the
-vertex (the least weight, ties to the smallest index), each pushed row
-``r_i - r_j`` is computed once, and an all-zero one tags its column as a
-unit.  The vertex is least, so no pushed weight is negative.
-``translate`` replaces a unit with an algebraic residue by a new regular
-parameter: it renames the column, extends the tower from degree 2 on and
-puts the new weight in.
+blow-up in one pass over the rows: the vertex is the least weight, ties to
+the smallest index.  A column ``i`` takes the vertex from ``j`` when its
+bracket lies wholly below, ``mid_i - mid_j < -(pad_i + pad_j)``, keeps it
+when wholly above, and only when the two brackets overlap (ties and
+near-ties) is the exact ``values._order`` of the rows asked.  Each pushed
+row ``r_i - r_j`` is computed once and inherits the bracket ``(mid_i -
+mid_j, pad_i + pad_j)``, exact since ``mid`` is linear in the row; an
+all-zero row tags its column as a unit.  The vertex is least, so no pushed
+weight is negative.  ``translate`` replaces a unit with an algebraic
+residue by a new regular parameter: it renames the column, extends the
+tower from degree 2 on and puts the new weight in, whose bracket is made
+when a blow-up asks for it; a new denominator scales the rows and the
+brackets the frame keeps by one integer.
 
 Polynomials are pushed one way, by ``PushPath.push``: one ``_advance``
 carries the exponents of the terms through a maximal run of steps without
@@ -54,7 +63,7 @@ from typing import Optional, Sequence
 
 from .errors import InvalidInputError, StepBudgetExceededError, quote
 from .polyalg import FieldTower, MultiPoly, QQ, taylor_shift
-from .values import Value, _literal, _order, _rows_of, _sign
+from .values import Value, _bracket, _literal, _order, _rows_of, _sign
 
 DEFAULT_BUDGET = 100_000
 
@@ -158,9 +167,13 @@ class Frame:
     writes for weight ``i``, or None until it is made; ``to_json`` makes
     only the rows it lacks.  A literal depends on the value alone, so a
     frame after a step keeps the literal rows of the columns it did not
-    change, whatever its denominator."""
+    change, whatever its denominator.
 
-    __slots__ = ("names", "rows", "den", "group", "units", "tower", "lits", "_weights")
+    ``brs[i]`` is the bracket ``(mid, pad)`` of ``rows[i]``, or None until
+    a blow-up or ``all_positive`` makes it (``values._bracket``); a step
+    hands the brackets of the rows it keeps or pushes to the next frame."""
+
+    __slots__ = ("names", "rows", "den", "group", "units", "tower", "lits", "brs", "_weights")
 
     def __init__(
         self,
@@ -170,19 +183,20 @@ class Frame:
         tower: FieldTower = QQ,
     ):
         rows, den, group = _rows_of(weights)
-        self._set(tuple(names), rows, den, group, frozenset(units), tower, (None,) * len(rows))
+        unknown = (None,) * len(rows)
+        self._set(tuple(names), rows, den, group, frozenset(units), tower, unknown, unknown)
         self._weights = tuple(weights)
 
     @classmethod
-    def _of_rows(cls, names, rows, den, group, units, tower, lits) -> "Frame":
+    def _of_rows(cls, names, rows, den, group, units, tower, lits, brs=None) -> "Frame":
         frame = cls.__new__(cls)
-        frame._set(names, rows, den, group, units, tower, lits)
+        frame._set(names, rows, den, group, units, tower, lits, brs or (None,) * len(rows))
         frame._weights = None
         return frame
 
-    def _set(self, names, rows, den, group, units, tower, lits) -> None:
+    def _set(self, names, rows, den, group, units, tower, lits, brs) -> None:
         self.names, self.rows, self.den, self.group = names, rows, den, group
-        self.units, self.tower, self.lits = units, tower, lits
+        self.units, self.tower, self.lits, self.brs = units, tower, lits, brs
 
     @property
     def n(self) -> int:
@@ -196,8 +210,14 @@ class Frame:
         return self._weights
 
     def all_positive(self) -> bool:
-        """Whether every weight is declared and positive."""
-        return all(r is not None and _sign(r) > 0 for r in self.rows)
+        """Whether every weight is declared and positive: read from the
+        brackets, made here for the rows that lack one, and decided by
+        ``_sign`` only for a bracket that holds zero."""
+        rows = self.rows
+        if None in rows:
+            return False
+        brs = self.brs = tuple([_bracket(r) if b is None else b for r, b in zip(rows, self.brs)])
+        return all(m > p or (m >= -p and _sign(r) > 0) for r, (m, p) in zip(rows, brs))
 
     def row(self, i: int) -> tuple[int, ...]:
         r = self.rows[i]
@@ -317,26 +337,47 @@ class PushPath:
         smallest index.  Every other column of J whose weight equals the
         vertex's is tagged as a unit.  Returns the step.
 
-        One pass over the frame's weight rows decides it: ``|J| - 1`` signs
-        pick the vertex, and each pushed row ``r_i - r_j`` is computed once
-        (a unit when it is all zeros).  The vertex is least, so no pushed
-        weight is negative and no sign is decided again."""
+        One pass over the frame's weight rows decides it: ``|J| - 1``
+        bracket comparisons pick the vertex, with ``_order`` of two rows
+        only where their brackets overlap, and each pushed row ``r_i -
+        r_j`` is computed once (a unit when it is all zeros), with its
+        bracket.  The vertex is least, so no pushed weight is negative and
+        no sign is decided again."""
         frame = self.frame
         n, rows = len(frame.names), frame.rows
         if len(J) < 2 or J[0] < 0 or J[-1] >= n or any(map(le, J[1:], J)):
             raise InvalidInputError("a center is two or more increasing columns of the frame")
         j = J[0]
         rj = rows[j] or frame.row(j)  # row() raises for an undeclared weight
-        for i in J[1:]:
-            ri = rows[i] or frame.row(i)
-            if _order(ri, rj) < 0:
-                j, rj = i, ri
+        if len(rj) == 1:
+            # a rank-1 row is one integer over the denominator, its own
+            # exact bracket: the integers decide, and no bracket is kept
+            for i in J[1:]:
+                ri = rows[i] or frame.row(i)
+                if ri[0] < rj[0]:
+                    j, rj = i, ri
+            brs = None
+        else:
+            brs = list(frame.brs)
+            for i in J:
+                if brs[i] is None:
+                    brs[i] = _bracket(rows[i] or frame.row(i))
+            mj, pj = brs[j]
+            for i in J[1:]:
+                mi, pi = brs[i]
+                gap, pad = mi - mj, pi + pj
+                if gap < -pad or (gap <= pad and _order(rows[i], rows[j]) < 0):
+                    j, mj, pj = i, mi, pi
+            rj = rows[j]
         rows, lits = list(rows), list(frame.lits)
         ties = []
         for i in J:
             if i != j:
                 d = rows[i] = tuple(map(sub, rows[i], rj))
                 lits[i] = None
+                if brs:
+                    mi, pi = brs[i]
+                    brs[i] = (mi - mj, pi + pj)
                 if not any(d):
                     ties.append(i)
         if ties:
@@ -348,6 +389,7 @@ class PushPath:
         self.steps.append(step)
         self.frames.append(Frame._of_rows(
             frame.names, tuple(rows), frame.den, frame.group, units, frame.tower, tuple(lits),
+            brs and tuple(brs),
         ))
         return step
 
@@ -380,13 +422,15 @@ class PushPath:
         # the frame's rows and the new weight's over the lcm of their denominators
         (row,), den, group = _rows_of((new_weight,), frame.den, frame.group)
         scale = den // frame.den
-        rows, lits = list(frame.rows), list(frame.lits)
+        rows, lits, brs = list(frame.rows), list(frame.lits), list(frame.brs)
         if scale != 1:
             rows = [None if r is None else tuple(x * scale for x in r) for r in rows]
-        rows[column], lits[column] = row, None
+            brs = [None if b is None else (b[0] * scale, b[1] * scale) for b in brs]
+        rows[column], lits[column], brs[column] = row, None, None
         self.steps.append(FramedStep(frame.n, (column,), column, (item,)))
         self.frames.append(Frame._of_rows(
             tuple(names), tuple(rows), den, group, frame.units - {column}, tower, tuple(lits),
+            tuple(brs),
         ))
         return item
 

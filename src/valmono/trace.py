@@ -508,16 +508,9 @@ ALGORITHMS = tuple(_RUNNERS)
 
 
 def run_problem(inp: dict, budget: int = DEFAULT_BUDGET, command: str = "run") -> dict:
-    """Execute one problem object and wrap the outcome in a trace.  After an
-    ok run on a path, the ``sequence`` witness, the ``final_frame`` and the
-    ``steps`` are written here, for every runner."""
-    if not isinstance(inp, dict):
-        raise SchemaError("problem must be a JSON object")
-    algorithm = _need(inp, "algorithm")
-    if not isinstance(algorithm, str):
-        raise SchemaError(f"algorithm must be a string, not {quote(algorithm)}")
-    if algorithm not in _RUNNERS:
-        raise SchemaError(f"unknown algorithm selector {quote(algorithm)}")
+    """Execute one problem object and wrap its outcome (``_outcome``) in a
+    trace."""
+    algorithm = _algorithm(inp)
     header = {
         "tool": TOOL,
         "version": __version__,
@@ -528,20 +521,39 @@ def run_problem(inp: dict, budget: int = DEFAULT_BUDGET, command: str = "run") -
         "input_digest": canonical_digest(inp),
         "created": datetime.now(timezone.utc).isoformat(),
     }
-    trace = {"header": header, "input": inp, "steps": [], "witnesses": None}
+    steps, witnesses, verdict = _outcome(inp, algorithm, budget)
+    return {"header": header, "input": inp, "steps": steps, "witnesses": witnesses, "verdict": verdict}
+
+
+def _algorithm(inp) -> str:
+    """The selector of a problem object, checked."""
+    if not isinstance(inp, dict):
+        raise SchemaError("problem must be a JSON object")
+    algorithm = _need(inp, "algorithm")
+    if not isinstance(algorithm, str):
+        raise SchemaError(f"algorithm must be a string, not {quote(algorithm)}")
+    if algorithm not in _RUNNERS:
+        raise SchemaError(f"unknown algorithm selector {quote(algorithm)}")
+    return algorithm
+
+
+def _outcome(inp: dict, algorithm: str, budget: int) -> tuple[list, dict | None, dict]:
+    """``(steps, witnesses, verdict)`` of one run: the body of a trace,
+    which a replay compares without building a header.  After an ok run on
+    a path, the ``sequence`` witness, the ``final_frame`` and the ``steps``
+    are written here, for every runner."""
     try:
         path, witnesses, independent_of = _RUNNERS[algorithm](inp, _parse_group(inp), budget)
+        steps = []
         if path is not None:
             witnesses["sequence"] = path.to_json(independent_of)
             witnesses["final_frame"] = path.frame.to_json()
-            trace["steps"] = path.records
-        trace["witnesses"] = witnesses
-        trace["verdict"] = {"ok": True}
+            steps = path.records
     except SchemaError:
         raise
     except ValmonoError as exc:
-        trace["verdict"] = {"ok": False, "code": exc.code, "message": str(exc)}
-    return trace
+        return [], None, {"ok": False, "code": exc.code, "message": str(exc)}
+    return steps, witnesses, {"ok": True}
 
 
 def _optional(trace: dict, key: str, kind: type, what: str):
@@ -579,27 +591,27 @@ def verify_trace(trace: dict) -> None:
         raise SchemaError(f"auto_independence must be a boolean, not {quote(independence)}")
     old_steps = _optional(trace, "steps", list, "an array")
     old_verdict = _optional(trace, "verdict", dict, "an object")
-    fresh = run_problem(inp, budget, command="verify")
+    # the replay builds no header: the digest is taken only to compare
+    new_steps, new, verdict = _outcome(inp, _algorithm(inp), budget)
     digest = header.get("input_digest")
-    if digest is not None and digest != fresh["header"]["input_digest"]:
+    if digest is not None and digest != canonical_digest(inp):
         raise TraceMismatchError(0, "header.input_digest", "trace mismatch at the input")
     # a replay that ends otherwise is reported by its verdict, which says
     # why, not by the first step or witness the failure left out
     for key in ("ok", "code"):
-        if old_verdict.get(key) != fresh["verdict"].get(key):
+        if old_verdict.get(key) != verdict.get(key):
             path = f"verdict.{key}"
             raise TraceMismatchError(len(old_steps) + 1, path, "trace mismatch at verdict")
-    sequence = (fresh["witnesses"] or {}).get("sequence")
+    sequence = (new or {}).get("sequence")
     if sequence is not None and not independence:
         sequence.pop("independent_of", None)
-    new_steps = fresh["steps"]
     if old_steps != new_steps:  # find the first step that differs
         for k in range(max(len(old_steps), len(new_steps))):
             a = old_steps[k] if k < len(old_steps) else None
             b = new_steps[k] if k < len(new_steps) else None
             if a != b:
                 raise TraceMismatchError(k + 1, _first_difference(a, b, f"steps[{k}]"))
-    old, new = trace.get("witnesses"), fresh["witnesses"]
+    old = trace.get("witnesses")
     if old != new:
         path = _first_difference(old, new, "witnesses")
         raise TraceMismatchError(len(old_steps) + 1, path, "trace mismatch at witnesses")

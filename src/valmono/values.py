@@ -29,6 +29,18 @@ per ``k``, as long as the largest rank seen), starting at 64 bits and
 doubling until the bracket of the sum excludes zero, which happens because
 the sum is a nonzero algebraic number.
 
+A bracket ``(mid, pad)`` of an integer row ``r`` keeps that first 64-bit
+step for reuse (``_bracket``): ``mid = (r_0 << 64) + sum(r_k * s_k)`` over
+the floors ``s_k`` of ``sqrt(p_k) * 2**64``, and ``pad = sum |r_k|`` over
+the irrational coordinates.  ``2**64`` times the row's value lies strictly
+within ``pad`` of ``mid``, and equals ``mid`` when ``pad`` is 0 (every
+rank-1 row).  ``mid`` is linear in the row, so ``(mid_a - mid_b, pad_a +
+pad_b)`` is a bracket of ``a - b`` and ``(m * mid, m * pad)`` one of ``m * a``
+for an integer ``m > 0``: a frame derives the brackets of the rows a step
+makes from those it had.  Two brackets decide the order of their rows
+when they are apart, ``|mid_a - mid_b| > pad_a + pad_b``; only when they
+overlap does the exact kernel run.
+
 The engines decide on integer rows over one denominator (``_rows_of``):
 ``_order``, ``_positive``, ``_exponent_row`` and ``_row_lattice``.
 ``compare``, ``value_of_exponent`` and ``min_integer_multiple_in_lattice``
@@ -85,6 +97,21 @@ def _floor_row(bits: int, rank: int) -> tuple[int, ...]:
     if row is None or len(row) < rank - 1:
         row = _FLOOR_ROWS[bits] = tuple(isqrt(p << (2 * bits)) for p in _radicands(rank)[1:])
     return row
+
+
+# 2**64, then the floors of the irrational generators at 64 bits: the
+# weights of a bracket's mid, grown in place to the largest rank seen.
+_MID_WEIGHTS = [1 << _INITIAL_BITS]
+
+
+def _bracket(row: Sequence[int]) -> tuple[int, int]:
+    """``(mid, pad)`` of an integer row: ``2**64`` times its value lies
+    strictly within ``pad`` of ``mid``, and equals ``mid`` when ``pad`` is
+    0.  The first step of ``_sign``, made once per row by its holder."""
+    weights = _MID_WEIGHTS
+    if len(weights) < len(row):
+        weights[1:] = _floor_row(_INITIAL_BITS, len(row))
+    return sum(map(mul, row, weights)), sum(map(abs, row)) - abs(row[0])
 
 
 def _sign(n: Sequence[int]) -> int:

@@ -235,10 +235,13 @@ def test_blow_up_checks_its_center_and_spends_the_budget():
 
 
 def test_blow_up_decides_each_sign_once(monkeypatch):
-    """One blow-up makes |J| - 1 sign decisions, one per column after the
-    first, each one ``_order`` of two rows, and calls no compare and builds
-    no Value.  Each ``_order`` calls ``values._sign`` once on ranks 2 and
-    4, and not at all on rank 1, where it compares two integers."""
+    """On ranks 2 and 4 one blow-up of a fresh frame makes one bracket per
+    column of J and one bracket comparison per column after the first.  It
+    calls ``_order`` exactly for the pairs whose brackets overlap, which in
+    these pools of small rows are the tied pairs, and ``values._sign`` once
+    per such ``_order``; the next frame keeps a bracket for every column of
+    J.  On rank 1 it compares the rows' integers and makes no bracket, no
+    ``_order`` and no sign.  It calls no compare and builds no Value."""
     rng = random.Random(23)
     cases = []
     for rank in (1, 2, 4):
@@ -247,24 +250,35 @@ def test_blow_up_decides_each_sign_once(monkeypatch):
             n = rng.randint(2, 6)
             pool = [[rng.randint(0, 4) for _ in range(rank)] for _ in range(2)]
             frame = Frame(tuple(f"u{i}" for i in range(n)), tuple(g.value(rng.choice(pool)) for _ in range(n)))
-            cases.append((rank, frame, tuple(sorted(rng.sample(range(n), rng.randint(2, n))))))
+            J = tuple(sorted(rng.sample(range(n), rng.randint(2, n))))
+            # the pairs the scan meets whose rows are equal, vertex kept
+            j, tied = J[0], 0
+            for i in J[1:]:
+                if frame.rows[i] == frame.rows[j]:
+                    tied += 1
+                elif compare(frame.weights[i], frame.weights[j]) < 0:
+                    j = i
+            cases.append((rank, frame, J, j, tied))
     counts = Counter()
 
     def counted(name, fn):
         return lambda *a: counts.update([name]) or fn(*a)
 
+    monkeypatch.setattr(framing, "_bracket", counted("_bracket", framing._bracket))
     monkeypatch.setattr(framing, "_sign", counted("_sign", framing._sign))
     monkeypatch.setattr(framing, "_order", counted("_order", framing._order))
     monkeypatch.setattr(values, "_sign", counted("values._sign", values._sign))
     monkeypatch.setattr(values, "compare", counted("compare", values.compare))
     monkeypatch.setattr(Value, "__init__", counted("Value", Value.__init__))
     ties = 0
-    for rank, frame, J in cases:
+    for rank, frame, J, j, tied in cases:
         counts.clear()
         path = PushPath(frame)
-        ties += bool(path.blow_up(J).J_times)
-        signs = 0 if rank == 1 else len(J) - 1
-        assert counts == Counter({"_order": len(J) - 1, "values._sign": signs})
+        step = path.blow_up(J)
+        ties += tied
+        expected = Counter({"_bracket": len(J), "_order": tied, "values._sign": tied} if rank > 1 else {})
+        assert counts == +expected and step.j == j
+        assert [path.frame.brs[i] is None for i in J] == [rank == 1] * len(J)
     assert ties > 5
 
 
@@ -826,11 +840,9 @@ from valmono import trace  # noqa: E402
 POOL_STRIDE = {"descent": 4, "chains": 15}
 
 
-def literal_mismatches(monkeypatch) -> tuple[int, list]:
-    """The frames of every path that the strided pools' runs build, each
-    written by ``Frame.to_json`` after the run and checked against the
-    literals that ``values._literal`` makes from its rows: (frames
-    checked, (pool, index, frame index) of each that differs)."""
+def run_paths(monkeypatch, problems):
+    """``(index, path)`` for every path that the runs of ``problems``, a
+    list of ``(index, problem)``, build; an escape's path is kept too."""
     paths = []
 
     class Kept(PushPath):
@@ -839,23 +851,33 @@ def literal_mismatches(monkeypatch) -> tuple[int, list]:
             paths.append(self)
 
     monkeypatch.setattr(trace, "PushPath", Kept)
+    for k, problem in problems:
+        del paths[:]
+        try:
+            trace.run_problem(problem)
+        except Exception:  # an escape leaves its path to check all the same
+            pass
+        for path in paths:
+            yield k, path
+
+
+def literal_mismatches(monkeypatch) -> tuple[int, list]:
+    """The frames of every path that the strided pools' runs build, each
+    written by ``Frame.to_json`` after the run and checked against the
+    literals that ``values._literal`` makes from its rows: (frames
+    checked, (pool, index, frame index) of each that differs)."""
     checked, bad = 0, []
     for workload, stride in POOL_STRIDE.items():
-        for k, problem in enumerate(corpus.pool(workload)[::stride]):
-            del paths[:]
-            try:
-                trace.run_problem(problem)
-            except Exception:  # an escape leaves its path to check all the same
-                pass
-            for path in paths:
-                for f, frame in enumerate(path.frames):
-                    want = [
-                        None if r is None else {"coords": [values._literal(x, frame.den) for x in r]}
-                        for r in frame.rows
-                    ]
-                    checked += 1
-                    if frame.to_json()["weights"] != want:
-                        bad.append((workload, k * stride, f))
+        pool = corpus.pool(workload)
+        for k, path in run_paths(monkeypatch, list(enumerate(pool))[::stride]):
+            for f, frame in enumerate(path.frames):
+                want = [
+                    None if r is None else {"coords": [values._literal(x, frame.den) for x in r]}
+                    for r in frame.rows
+                ]
+                checked += 1
+                if frame.to_json()["weights"] != want:
+                    bad.append((workload, k, f))
     return checked, bad
 
 
@@ -895,3 +917,153 @@ def test_the_literal_sweep_fails_on_a_stale_literal_row(monkeypatch):
     monkeypatch.setattr(PushPath, "blow_up", stale)
     checked, bad = literal_mismatches(monkeypatch)
     assert len(bad) > 100, (checked, bad[:3])
+
+
+# -- brackets: the exact kernel decides where two brackets overlap -------------
+
+
+def _convergents(radicand: int, least: int, most: int) -> list:
+    """The convergents ``(p, q)`` of the continued fraction of
+    ``sqrt(radicand)`` with ``least <= q <= most``: ``p - q sqrt(radicand)``
+    is within ``1 / q`` of zero, with alternating signs."""
+    root = math.isqrt(radicand)
+    m, d, a = 0, 1, root
+    p0, q0, p, q = 1, 0, root, 1
+    out = []
+    while q <= most:
+        if q >= least:
+            out.append((p, q))
+        m = d * a - m
+        d = (radicand - m * m) // d
+        a = (root + m) // d
+        p0, q0, p, q = p, q, a * p + p0, a * q + q0
+    return out
+
+
+def _near_tie_pool(rng: random.Random, rank: int) -> list:
+    """Weight rows of one rank whose 64-bit brackets overlap: Pell-type rows
+    ``p - q sqrt(P)`` with ``q`` from 10**11 to 10**13, the convergents of
+    each irrational generator and their mediants, on both sides of zero; and
+    a large row beside copies of it that differ by 1 in one coordinate."""
+    radicands = values._radicands(rank)
+    pool = []
+    for k in range(1, rank):
+        near = _convergents(radicands[k], 10**11, 10**13)
+        near += [(a + c, b + d) for (a, b), (c, d) in zip(near, near[1:])]
+        for p, q in near:
+            pool.append([p] + [-q * (i == k) for i in range(1, rank)])
+    base = [rng.randrange(-(2**70), 2**70) for _ in range(rank)]
+    pool.append(base)
+    for _ in range(3):
+        row = list(base)
+        row[rng.randrange(rank)] += rng.choice((-1, 1))
+        pool.append(row)
+    return pool
+
+
+def near_tie_sweep(monkeypatch) -> tuple[int, int, int]:
+    """Paths of three blow-ups over frames of near-tie rows on ranks 2-6,
+    each step checked against the value oracles of ``conftest``: (blow-ups,
+    those whose step or frame after differ, ``_order`` calls made)."""
+    order = framing._order
+    calls = []
+    monkeypatch.setattr(framing, "_order", lambda a, b: calls.append(1) or order(a, b))
+    rng = random.Random(50)
+    steps = bad = 0
+    for rank in range(2, 7):
+        g = ValueGroup(rank)
+        for _ in range(30):
+            pool = _near_tie_pool(rng, rank)
+            n = rng.randint(3, 6)
+            path = PushPath(Frame(tuple(f"u{i}" for i in range(n)), tuple(g.value(rng.choice(pool)) for _ in range(n))))
+            for _ in range(3):
+                free = [i for i in range(n) if i not in path.frame.units]
+                if len(free) < 2:
+                    break
+                J = tuple(sorted(rng.sample(free, rng.randint(2, len(free)))))
+                before = path.frame
+                want = build_step_for_weights(n, J, choose_vertex(J, before.weights), before.weights)
+                steps += 1
+                if path.blow_up(J) != want or path.frame != apply_step_to_frame(before, want):
+                    bad += 1
+                    break
+    return steps, bad, len(calls)
+
+
+def test_blow_ups_of_near_ties_match_the_value_oracles(monkeypatch):
+    """Brackets that overlap leave the decision to ``_order``: every step,
+    pushed weight and unit tag of the sweep is the oracles', and the exact
+    kernel ran for at least 500 of the vertex choices."""
+    steps, bad, exact = near_tie_sweep(monkeypatch)
+    assert bad == 0 and steps > 400 and exact >= 500, (steps, bad, exact)
+
+
+def test_the_near_tie_sweep_fails_with_a_shrunk_pad(monkeypatch):
+    """A bracket whose pad is cut by 2**32 claims to decide near-ties that
+    it cannot: the sweep sees wrong vertices."""
+    bracket = framing._bracket
+
+    def shrunk(row):
+        mid, pad = bracket(row)
+        return mid, pad >> 32
+
+    monkeypatch.setattr(framing, "_bracket", shrunk)
+    steps, bad, exact = near_tie_sweep(monkeypatch)
+    assert bad > 50, (steps, bad, exact)
+
+
+def brackets_held(frame) -> int:
+    """Check every bracket ``frame`` keeps against its row with the exact
+    ``_sign``: ``2**64 * row - (mid - pad)`` is positive and ``2**64 * row -
+    (mid + pad)`` negative when ``pad > 0``, and ``2**64 * row == mid`` when
+    ``pad`` is 0.  Returns the number checked."""
+    checked = 0
+    for r, b in zip(frame.rows, frame.brs):
+        if b is not None:
+            mid, pad = b
+            low, *tail = [x << 64 for x in r]
+            if pad:
+                assert values._sign([low - mid + pad, *tail]) == 1, (r, b)
+                assert values._sign([low - mid - pad, *tail]) == -1, (r, b)
+            else:
+                assert not any(tail) and low == mid, (r, b)
+            checked += 1
+    return checked
+
+
+def test_every_bracket_along_real_paths_holds_its_row(monkeypatch):
+    """Every bracket that a frame keeps along the paths of the first 120
+    problems of the seed-1 ``descent`` and ``chains`` batches, translations
+    included, holds its row."""
+    checked = translated = 0
+    for workload in ("descent", "chains"):
+        pool = corpus.pool(workload)
+        picked = [(k, pool[k]) for k in corpus.order(workload, 1, pool)[:120]]
+        for _, path in run_paths(monkeypatch, picked):
+            checked += sum(map(brackets_held, path.frames))
+            translated += sum(bool(s.translation_data) and len(s.J) == 1 for s in path.steps)
+    assert checked > 2500 and translated > 50, (checked, translated)
+
+
+def test_brackets_hold_after_a_translation_to_a_new_denominator():
+    """No pool problem translates to a new denominator, so these paths do:
+    a tied blow-up, a translation whose weight brings a denominator of 3 to
+    11 (the brackets kept are scaled), and a blow-up with the new column."""
+    rng = random.Random(5)
+    checked = scaled = 0
+    for rank in range(2, 6):
+        g = ValueGroup(rank)
+        for _ in range(10):
+            row = [rng.randint(-5, 5) for _ in range(rank)]
+            row[0] = 20
+            tied, other = g.value(row), g.value([rng.randint(1, 20)] + row[1:])
+            path = PushPath(Frame(("a", "b", "c"), (tied, tied, other)))
+            path.blow_up((0, 1))  # column 1 becomes a unit
+            den = rng.randint(3, 11)
+            new = g.value([Fraction(rng.randint(1, 30), den)] + [Fraction(rng.randint(-3, 3), den)] * (rank - 1))
+            path.translate(1, (QQ.from_rational(-1), QQ.one()), new)
+            path.blow_up((0, 1, 2))
+            assert path.frames[2].brs[0] is not None and path.frames[2].brs[1] is None
+            scaled += path.frames[2].den != path.frames[1].den
+            checked += sum(map(brackets_held, path.frames))
+    assert checked > 200 and scaled > 30, (checked, scaled)

@@ -867,7 +867,7 @@ def test_path_scan_sees_each_kind():
 
 # Only ``trace`` writes a sequence witness: its runners alone know that the
 # path is the whole run, so they alone state the run's independence set, and
-# ``run_problem`` alone calls ``to_json`` on the path they return; the
+# ``_outcome`` alone calls ``to_json`` on the path they return; the
 # engines only grow the path, and no function claims a set on it.
 def _witness_writes(node: ast.AST, scope: str = "<module>", prefix: str = "") -> list[str]:
     """``scope: path.to_json`` for each call of ``to_json`` on a name
@@ -898,19 +898,20 @@ def _witness_writes(node: ast.AST, scope: str = "<module>", prefix: str = "") ->
 
 
 def test_only_the_runners_write_a_sequence_witness():
-    """No function but ``trace.run_problem`` calls ``path.to_json``, and
-    none names ``claim_independence``."""
+    """No function but ``trace._outcome``, the run that ``run_problem``
+    wraps and ``verify_trace`` replays, calls ``path.to_json``, and none
+    names ``claim_independence``."""
     found, writers = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         for use in _witness_writes(_parse(path)):
             scope, what = use.split(": ")
-            if what == "path.to_json" and path.name == "trace.py" and scope == "run_problem":
+            if what == "path.to_json" and path.name == "trace.py" and scope == "_outcome":
                 writers.append(scope)
             else:
                 found.append(f"{path.name} {use}")
     assert found == []
     # every selector's sequence witness is written by the one call
-    assert writers == ["run_problem"]
+    assert writers == ["_outcome"]
 
 
 def test_witness_scan_sees_each_kind():

@@ -722,6 +722,37 @@ def test_verify_checks_the_input_digest():
     verify_trace(bad)
 
 
+def test_a_replay_builds_no_header(monkeypatch):
+    """``verify_trace`` replays without a header: it never asks the clock
+    for a ``created`` timestamp, and digests the input only when the trace
+    carries an ``input_digest`` to compare."""
+    good, bad = run_problem(pair_problem()), _coefficient_edited("2/2")
+    digests = []
+
+    class Clock:
+        @staticmethod
+        def now(tz=None):
+            raise AssertionError("a replay asked for the time")
+
+    def digest(obj):
+        digests.append(obj)
+        return canonical_digest(obj)
+
+    monkeypatch.setattr(trace_mod, "datetime", Clock)
+    monkeypatch.setattr(trace_mod, "canonical_digest", digest)
+    verify_trace(good)
+    assert digests == [good["input"]]
+    del good["header"]["input_digest"]
+    digests.clear()
+    verify_trace(good)
+    assert digests == []
+    with pytest.raises(TraceMismatchError) as err:
+        verify_trace(bad)
+    assert err.value.path == "header.input_digest" and digests == [bad["input"]]
+    with pytest.raises(AssertionError, match="asked for the time"):
+        run_problem(pair_problem())
+
+
 @pytest.mark.parametrize("literal", ["2/2", "3"])
 def test_cli_verify_names_an_edited_input(tmp_path, literal):
     tf = tmp_path / "t.json"
